@@ -97,20 +97,14 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     az = base_azimuth(states[:, :3], geom)
     rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
 
-    idx = None
-    u = 0.0
-    for i in range(len(rel) - 1):
-        a, b = rel[i], rel[i + 1]
-        if abs(b - a) > pi:  # wrap jump, not a genuine crossing
-            continue
-        if a == 0.0:
-            idx, u = i, 0.0
-            break
-        if a * b < 0.0 or b == 0.0:
-            idx, u = i, a / (a - b)
-            break
-    if idx is None:
+    # first genuine crossing: a pair that is no wrap jump and either starts
+    # on the azimuth or ends on it or across it
+    a, b = rel[:-1], rel[1:]
+    hit = ~(np.abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0))
+    if not hit.any():
         raise NoCrossing(f"ball path never reaches base azimuth {theta1:.3f} rad")
+    idx = int(hit.argmax())
+    u = 0.0 if a[idx] == 0.0 else a[idx] / (a[idx] - b[idx])
 
     t_ic = times[idx] + u * (times[idx + 1] - times[idx])
     xi = states[idx] + u * (states[idx + 1] - states[idx])
@@ -180,27 +174,3 @@ def racket_velocity(event: InterceptionEvent, geom: ArmGeometry) -> np.ndarray:
     r = event.racket_pos - geom.base
     return geom.theta1_dot * np.array([-r[1], r[0], 0.0])
 
-
-def racket_velocity_jacobian(
-    event: InterceptionEvent,
-    geom: ArmGeometry,
-    couple_geometry: bool = False,
-    incoming=None,
-    theta1: float | None = None,
-    fd_step: float = 1e-6,
-) -> np.ndarray:
-    """Derivative of the racket velocity w.r.t. the policy (3x2).
-
-    Under the frozen-event convention the interception point is held fixed,
-    so the whole matrix is zero. The optional geometry-coupled mode
-    differentiates through the interception event by central differences.
-    """
-    jac = np.zeros((3, 2))
-    if not couple_geometry:
-        return jac
-    if incoming is None or theta1 is None:
-        raise ValueError("coupled mode needs the incoming trajectory and theta1")
-    ev_hi = interception_event(incoming, geom, theta1 + fd_step)
-    ev_lo = interception_event(incoming, geom, theta1 - fd_step)
-    jac[:, 0] = (racket_velocity(ev_hi, geom) - racket_velocity(ev_lo, geom)) / (2.0 * fd_step)
-    return jac

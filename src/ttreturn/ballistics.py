@@ -2,8 +2,9 @@
 
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
-shortened accordingly. Analytic Jacobians of the whole flight are assembled
-from the per-step Jacobians plus a correction for the shortened last step.
+shortened accordingly. One scalar kernel, `euler_flight`, takes every step
+of the package. Analytic Jacobians of the whole flight push a tangent through
+the stored steps, plus a correction for the shortened last step.
 """
 
 from __future__ import annotations
@@ -79,12 +80,59 @@ class LandingRecord:
         return self.k_max * dt + self.t_last
 
 
+def euler_flight(
+    row, params: FlightParams, dt: float, max_steps: int, land: bool = False, table: tuple | None = None
+) -> list[tuple]:
+    """Explicit Euler steps of the drag flight on plain floats.
+
+    The package's one per-step drag update. Returns the visited states as
+    6-tuples, the start included. The stop rule is one of:
+
+    - neither `land` nor `table`: exactly `max_steps` steps;
+    - `land`: stop before the first step whose drag-free prediction ends at
+      or below the table plane, i.e. once the drag-free remaining time
+      (`remaining_time`) is at most dt; raise MaxStepsExceeded if that does
+      not happen within `max_steps` steps;
+    - `table=(cx, cy, hx, hy, y_stop)`: stop after the first step that ends
+      at or below the table plane with |x - cx| <= hx and |y - cy| <= hy, at
+      or below the floor z = 0, or at y <= y_stop; at most `max_steps`.
+    """
+    px, py, pz, vx, vy, vz = row
+    k_drag = float(params.k_drag)
+    gx, gy, gz = params.gravity.tolist()
+    z_table = float(params.z_table)
+    rows = [(px, py, pz, vx, vy, vz)]
+    if land:
+        # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= z_table
+        vz_top = G_VERTICAL * dt
+        z_top = z_table + 0.5 * G_VERTICAL * dt * dt
+    contact = table is not None
+    if contact:
+        cx, cy, hx, hy, y_stop = table
+    for _ in range(max_steps):
+        if land and vz <= vz_top and pz + dt * vz <= z_top:
+            return rows
+        drag = k_drag * sqrt(vx * vx + vy * vy + vz * vz)
+        px += dt * vx
+        py += dt * vy
+        pz += dt * vz
+        vx += dt * (gx - drag * vx)
+        vy += dt * (gy - drag * vy)
+        vz += dt * (gz - drag * vz)
+        rows.append((px, py, pz, vx, vy, vz))
+        if contact and (
+            pz <= 0.0 or py <= y_stop or (pz <= z_table and abs(px - cx) <= hx and abs(py - cy) <= hy)
+        ):
+            return rows
+    if land and not (vz <= vz_top and pz + dt * vz <= z_top):
+        raise MaxStepsExceeded(f"no landing within {max_steps} steps")
+    return rows
+
+
 def free_flight_step(xi: BallState, params: FlightParams, dt_override: float | None = None) -> BallState:
     """One explicit Euler step of the drag-affected free flight."""
     dt = params.dt if dt_override is None else dt_override
-    speed = float(np.linalg.norm(xi.v))
-    acc = -params.k_drag * speed * xi.v + params.gravity
-    return BallState(p=xi.p + dt * xi.v, v=xi.v + dt * acc)
+    return BallState.from_vector(euler_flight(xi.as_vector().tolist(), params, dt, 1)[-1])
 
 
 def free_flight_step_jacobians(
@@ -140,88 +188,63 @@ def propagate_to_landing(xi_plus: BallState, params: FlightParams) -> LandingRec
     exceeds dt; the last step uses the (shortened) remaining time. Because the
     remaining-time prediction neglects drag, the final state misses the plane
     by a sub-millimeter residual; the returned landing state is linearly
-    interpolated onto the plane along the last step.
+    interpolated onto the plane along the last step. A ball that cannot reach
+    the plane raises NegativeDiscriminant from the state the flight stopped at.
     """
-    kd = params.k_drag
-    gx, gy, gz = (float(c) for c in params.gravity)
-    dt = params.dt
-    z_table = params.z_table
-    gh = G_VERTICAL
-
-    px, py, pz = (float(c) for c in xi_plus.p)
-    vx, vy, vz = (float(c) for c in xi_plus.v)
-
-    rows = [(px, py, pz, vx, vy, vz)]
-    k = 0
-    while True:
-        disc = (vz / gh) ** 2 + 2.0 * (pz - z_table) / gh
-        if disc < 0.0:
-            raise NegativeDiscriminant(
-                f"ball cannot reach the table plane: discriminant = {disc:.3e}"
-            )
-        t_rem = max(vz / gh + sqrt(disc), 0.0)
-        if t_rem <= dt:
-            break
-        if k >= params.max_steps:
-            raise MaxStepsExceeded(f"no landing within {params.max_steps} steps")
-        speed = sqrt(vx * vx + vy * vy + vz * vz)
-        ax = -kd * speed * vx + gx
-        ay = -kd * speed * vy + gy
-        az = -kd * speed * vz + gz
-        px += dt * vx
-        py += dt * vy
-        pz += dt * vz
-        vx += dt * ax
-        vy += dt * ay
-        vz += dt * az
-        k += 1
-        rows.append((px, py, pz, vx, vy, vz))
-
+    rows = euler_flight(xi_plus.as_vector().tolist(), params, params.dt, params.max_steps, land=True)
     states = np.array(rows)
-    t_last = t_rem
+    t_last = remaining_time(BallState.from_vector(states[-1]), params.z_table)
 
     # shortened final step (drag-affected, so it lands near but not on the plane)
-    speed = sqrt(vx * vx + vy * vy + vz * vz)
-    raw = np.array(
-        [
-            px + t_last * vx,
-            py + t_last * vy,
-            pz + t_last * vz,
-            vx + t_last * (-kd * speed * vx + gx),
-            vy + t_last * (-kd * speed * vy + gy),
-            vz + t_last * (-kd * speed * vz + gz),
-        ]
-    )
+    raw = np.array(euler_flight(rows[-1], params, t_last, 1)[-1])
 
     start = states[-1]
     dz = raw[2] - start[2]
-    frac = (z_table - start[2]) / dz if dz != 0.0 else 1.0
+    frac = (params.z_table - start[2]) / dz if dz != 0.0 else 1.0
     landing = start + frac * (raw - start)
-    landing[2] = z_table
+    landing[2] = params.z_table
     landing_state = BallState.from_vector(landing)
 
     return LandingRecord(
         states=states,
-        k_max=k,
+        k_max=len(rows) - 1,
         t_last=t_last,
         landing_state=landing_state,
         landing_point=landing[:2].copy(),
     )
 
 
-def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
-    """Sensitivity of the landing state to the post-impact state (6x6).
+def landing_state_jacobian(record: LandingRecord, params: FlightParams, tangent: np.ndarray) -> np.ndarray:
+    """Sensitivity of the landing state to the post-impact state, applied to
+    a tangent (6 x m; the identity gives the 6x6 Jacobian).
 
-    Chains the per-step Jacobians over all full steps, corrects the last,
-    shortened step for the state dependence of its step length, and
-    differentiates the interpolation onto the plane (its z row is pinned, so
-    the exact row is zero and the x/y rows pick up an O(k_drag dt) term that
-    finite differences of the landing state do see).
+    Pushes each tangent column through the full steps on plain floats; the
+    product of the per-step Jacobians is never formed. A step maps
+    (dp, dv) to (dp + dt dv, dv - dt k (|v| dv + v (v . dv) / |v|)). Then
+    corrects the last, shortened step for the state dependence of its step
+    length, and differentiates the interpolation onto the plane (its z row
+    is pinned, so the exact row is zero and the x/y rows pick up an
+    O(k_drag dt) term that finite differences of the landing state do see).
     """
-    product = np.eye(6)
-    for k in range(1, record.k_max + 1):
-        J, _ = free_flight_step_jacobians(BallState.from_vector(record.states[k - 1]), params)
-        product = J @ product
+    dt = params.dt
+    v = record.states[: record.k_max, 3:]
+    speed = np.sqrt(np.einsum("ij,ij->i", v, v))
+    scale = dt * params.k_drag
+    over = np.divide(scale, speed, out=np.zeros_like(speed), where=speed > 0.0)
+    coef = np.column_stack([v, scale * speed, over]).tolist()
+    columns = []
+    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
+        sx = sy = sz = 0.0  # sum of dv over the steps; dp moves by dt times it
+        for vx, vy, vz, damp, cross in coef:
+            along = cross * (vx * dvx + vy * dvy + vz * dvz)
+            sx += dvx
+            sy += dvy
+            sz += dvz
+            dvx -= damp * dvx + along * vx
+            dvy -= damp * dvy + along * vy
+            dvz -= damp * dvz + along * vz
+        columns.append((dpx + dt * sx, dpy + dt * sy, dpz + dt * sz, dvx, dvy, dvz))
+    pushed = np.array(columns).T
 
     last = BallState.from_vector(record.states[record.k_max])
     A, b = free_flight_step_jacobians(last, params, dt_override=record.t_last)
@@ -233,11 +256,11 @@ def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.nd
     delta = raw - start
     w = raw[2] - start[2]
     if w == 0.0:
-        return j_q @ product
+        return j_q @ pushed
     u = params.z_table - start[2]
     s = u / w
     e_z = np.zeros(6)
     e_z[2] = 1.0
     ds_dxi = ((u - w) * e_z - u * j_q[2, :]) / w**2
     j_land = s * j_q + (1.0 - s) * np.eye(6) + np.outer(delta, ds_dxi)
-    return j_land @ product
+    return j_land @ pushed

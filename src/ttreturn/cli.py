@@ -1,4 +1,10 @@
-"""Command-line entry point for the experiment harness."""
+"""Command-line entry point for the experiment harness.
+
+Exit codes: 0 success; 1 configuration, input or feasibility error; 2 run
+aborted after too many consecutive missed balls; 3 any other simulation
+error (a flight that cannot land or step, a singular gradient, a degenerate
+training dataset).
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import AbortedRun, ConfigError, InfeasibleRegion
+from .errors import AbortedRun, ConfigError, InfeasibleRegion, SimulationError
 from .harness import ExperimentConfig, SWEEP_START, run_experiment
 
 
@@ -91,6 +97,9 @@ def main(argv: list[str] | None = None) -> int:
     except AbortedRun as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 2
+    except SimulationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     print(json.dumps(summary, indent=1, default=str))
     return 0
 

@@ -8,11 +8,12 @@ parameters, and additive anisotropic landing noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import ceil
 
 import numpy as np
 
 from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
-from .ballistics import BallState, FlightParams, LandingRecord, free_flight_step, propagate_to_landing
+from .ballistics import BallState, FlightParams, LandingRecord, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
 from .metrics import running_metrics
@@ -108,22 +109,17 @@ def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) 
     behind the launch-facing side of the workspace.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    state = BallState.from_vector(cfg.nominal_state.as_vector() + jitter)
+    start = cfg.nominal_state.as_vector() + jitter
 
     y_stop = -1.2  # [m] well past the arm workspace
     t_max = 3.0
-    times = [0.0]
-    rows = [state.as_vector()]
-    t = 0.0
-    while t < t_max:
-        state = free_flight_step(state, flight, dt_override=cfg.sample_dt)
-        t += cfg.sample_dt
-        times.append(t)
-        rows.append(state.as_vector())
-        hit_table = state.p[2] <= flight.z_table and on_table(state.p)
-        if hit_table or state.p[2] <= 0.0 or state.p[1] <= y_stop:
-            break
-    return SampledTrajectory(times=np.array(times), states=np.array(rows))
+    # sample clock accumulated step by step; steps are taken while it reads < t_max
+    clock = np.cumsum(np.r_[0.0, np.full(ceil(t_max / cfg.sample_dt) + 1, cfg.sample_dt)])
+    table = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), y_stop)
+    rows = euler_flight(
+        start.tolist(), flight, cfg.sample_dt, int(np.count_nonzero(clock < t_max)), table=table
+    )
+    return SampledTrajectory(times=clock[: len(rows)], states=np.array(rows))
 
 
 def intercept(

@@ -79,10 +79,10 @@ def predict_landing_with_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Landing point and its 2x2 policy Jacobian.
 
-    Default mode assembles the analytic chain (impact Jacobian, per-step
-    flight Jacobians, shortened-last-step correction) under the frozen-event
-    convention. The geometry-coupled mode instead differentiates the full
-    pipeline, interception event included, by central differences.
+    Default mode pushes the impact Jacobian through the flight steps and the
+    shortened-last-step correction under the frozen-event convention. The
+    geometry-coupled mode instead differentiates the full pipeline,
+    interception event included, by central differences.
     """
     event, record = _run_pipeline(phi, incoming, params)
 
@@ -96,9 +96,8 @@ def predict_landing_with_gradient(
             ) / (2.0 * COUPLED_FD_STEP)
         return record.landing_point, jac
 
-    j_flight = landing_state_jacobian(record, params.flight)
     j_impact = impact_state_jacobian(event.xi_minus, phi, event, params.geom, params.impact)
-    jac = (j_flight @ j_impact)[:2, :]
+    jac = landing_state_jacobian(record, params.flight, j_impact)[:2, :]
     return record.landing_point, jac
 
 

@@ -11,7 +11,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -142,6 +142,10 @@ class ExperimentConfig:
             raise ConfigError("seed: must be >= 0")
         if self.predictor not in ("greybox", "blackbox"):
             raise ConfigError(f"predictor: unknown predictor {self.predictor!r}")
+        for name in ("alpha1", "target", "phi1", "box_theta1", "box_theta4",
+                     "landing_noise_std", "jitter_std", "nominal_state"):
+            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
+                raise ConfigError(f"{name}: must be finite")
         if self.alpha1 <= 0:
             raise ConfigError("alpha1: must be > 0")
         if self.n_iters < 1:
@@ -211,20 +215,8 @@ def sampling_bounds(k: FeasibleSet, margin: float = SAMPLING_MARGIN) -> tuple[np
 
 def nominal_trajectory(env_cfg: EnvConfig):
     """Jitter-free launch of the configured nominal ball."""
-    cfg = EnvConfig(
-        truth_flight=env_cfg.truth_flight,
-        truth_impact=env_cfg.truth_impact,
-        geom=env_cfg.geom,
-        landing_noise_std=env_cfg.landing_noise_std,
-        launcher=env_cfg.launcher,
-    )
-    rng = np.random.default_rng(0)
-    jitter_free = type(cfg.launcher)(
-        nominal_state=cfg.launcher.nominal_state,
-        jitter_std=np.zeros(6),
-        sample_dt=cfg.launcher.sample_dt,
-    )
-    return launch(jitter_free, cfg.truth_flight, rng)
+    jitter_free = replace(env_cfg.launcher, jitter_std=np.zeros(6))
+    return launch(jitter_free, env_cfg.truth_flight, np.random.default_rng(0))
 
 
 def _policy_stream(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator):

@@ -13,7 +13,6 @@ from .arm import (
     racket_rotation,
     racket_rotation_jacobian,
     racket_velocity,
-    racket_velocity_jacobian,
 )
 from .ballistics import BallState
 
@@ -63,14 +62,9 @@ def impact_state_jacobian(
     m = params.matrix
     gamma = racket_rotation(phi)
     d_g1, d_g4 = racket_rotation_jacobian(phi)
-    v_r = racket_velocity(event, geom)
-    d_vr = racket_velocity_jacobian(event, geom)  # zero under the frozen-event convention
-    rel = xi_minus.v - v_r
-    reflect = gamma @ m @ gamma.T
+    rel = xi_minus.v - racket_velocity(event, geom)
 
     jac = np.zeros((6, 2))
     for col, d_g in enumerate((d_g1, d_g4)):
-        jac[3:, col] = (d_g @ m @ gamma.T + gamma @ m @ d_g.T) @ rel + (
-            np.eye(3) - reflect
-        ) @ d_vr[:, col]
+        jac[3:, col] = (d_g @ m @ gamma.T + gamma @ m @ d_g.T) @ rel
     return jac

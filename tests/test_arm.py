@@ -14,7 +14,6 @@ from ttreturn.arm import (
     racket_rotation,
     racket_rotation_jacobian,
     racket_velocity,
-    racket_velocity_jacobian,
 )
 from ttreturn.ballistics import BallState
 from ttreturn.errors import NoCrossing, OutOfReach
@@ -166,22 +165,3 @@ class TestRacketVelocity:
             d_h = np.linalg.norm((pos - geom.base)[:2])
             assert np.linalg.norm(v) == pytest.approx(geom.theta1_dot * d_h, abs=1e-12)
 
-
-class TestRacketVelocityJacobian:
-    def test_frozen_event_is_zero(self, nominal_traj, env_cfg):
-        ev = interception_event(nominal_traj, env_cfg.geom, 0.45)
-        np.testing.assert_array_equal(racket_velocity_jacobian(ev, env_cfg.geom), np.zeros((3, 2)))
-
-    def test_coupled_mode_theta1_column(self, nominal_traj, env_cfg):
-        geom = env_cfg.geom
-        theta1 = 0.45
-        ev = interception_event(nominal_traj, geom, theta1)
-        jac = racket_velocity_jacobian(
-            ev, geom, couple_geometry=True, incoming=nominal_traj, theta1=theta1
-        )
-        assert np.array_equal(jac[:, 1], np.zeros(3))
-        h = 5e-5  # independent step, different from the library's internal one
-        hi = racket_velocity(interception_event(nominal_traj, geom, theta1 + h), geom)
-        lo = racket_velocity(interception_event(nominal_traj, geom, theta1 - h), geom)
-        fd = (hi - lo) / (2 * h)
-        assert np.linalg.norm(jac[:, 0] - fd) / np.linalg.norm(fd) < 1e-4

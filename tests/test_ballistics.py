@@ -9,6 +9,7 @@ from conftest import fine_step_landing
 from ttreturn.ballistics import (
     BallState,
     FlightParams,
+    LandingRecord,
     free_flight_step,
     free_flight_step_jacobians,
     landing_state_jacobian,
@@ -232,6 +233,13 @@ class TestPropagateToLanding:
         assert rec.t_last == pytest.approx(t, abs=1e-12)
         np.testing.assert_allclose(rec.landing_point, closed[:2], atol=1e-9)
 
+    @pytest.mark.parametrize("vz", [0.1, 2.0, -1.0])
+    def test_below_plane_without_reach_raises(self, vz):
+        # the apex of a ball starting at z = 0.5 stays under the plane
+        xi = BallState(p=[0.0, 0.0, 0.5], v=[1.0, 0.0, vz])
+        with pytest.raises(NegativeDiscriminant):
+            propagate_to_landing(xi, params())
+
     def test_max_steps_exceeded(self):
         xi = BallState(p=[0.0, 0.0, 5.0], v=[0.0, 0.0, 0.0])
         with pytest.raises(MaxStepsExceeded):
@@ -257,7 +265,7 @@ class TestLandingStateJacobian:
         xi = BallState(p=[0.2, 0.3, 0.761], v=[1.0, -0.5, -1.0]).as_vector()
         rec = propagate_to_landing(BallState.from_vector(xi), p)
         assert rec.k_max == 0
-        jac = landing_state_jacobian(rec, p)
+        jac = landing_state_jacobian(rec, p, np.eye(6))
         fd, _ = _landing_fd(xi, p)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -271,7 +279,7 @@ class TestLandingStateJacobian:
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
             rec = propagate_to_landing(BallState.from_vector(xi), p)
-            jac = landing_state_jacobian(rec, p)
+            jac = landing_state_jacobian(rec, p, np.eye(6))
             fd, k_maxes = _landing_fd(xi, p)
             if len(k_maxes) > 1 or k_maxes != {rec.k_max}:
                 boundary_cases += 1  # FD stepped across a step-count change
@@ -285,7 +293,43 @@ class TestLandingStateJacobian:
         p = params(dt=1e-3)
         xi = np.array([-0.5, 0.8, 1.2, -2.5, 3.0, 1.5])
         rec = propagate_to_landing(BallState.from_vector(xi), p)
-        jac = landing_state_jacobian(rec, p)
+        jac = landing_state_jacobian(rec, p, np.eye(6))
         fd, k_maxes = _landing_fd(xi, p)
         assert k_maxes == {rec.k_max}
         assert np.linalg.norm(jac[3:, :] - fd[3:, :]) / np.linalg.norm(fd[3:, :]) < 1e-4
+
+
+def _step_product(rec, p):
+    """Test-local 6x6 product of the per-step Jacobians over the full steps."""
+    product = np.eye(6)
+    for k in range(rec.k_max):
+        j, _ = free_flight_step_jacobians(BallState.from_vector(rec.states[k]), p)
+        product = j @ product
+    return product
+
+
+class TestTangentJacobianOracle:
+    @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
+    def test_matches_step_jacobian_product(self, k_drag, dt):
+        rng = np.random.default_rng(10)
+        p = params(k_drag=k_drag, dt=dt)
+        for _ in range(10):
+            xi = np.concatenate(
+                [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
+            )
+            rec = propagate_to_landing(BallState.from_vector(xi), p)
+            assert rec.k_max > 100
+            # with no full steps the tangent push is the identity, leaving
+            # only the last-step and interpolation corrections
+            last_only = LandingRecord(
+                states=rec.states[-1:], k_max=0, t_last=rec.t_last,
+                landing_state=rec.landing_state, landing_point=rec.landing_point,
+            )
+            oracle = landing_state_jacobian(last_only, p, np.eye(6)) @ _step_product(rec, p)
+            full = landing_state_jacobian(rec, p, np.eye(6))
+            assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
+            tangent = rng.normal(size=(6, 2))
+            pushed = landing_state_jacobian(rec, p, tangent)
+            expected = oracle @ tangent
+            assert pushed.shape == (6, 2)
+            assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12

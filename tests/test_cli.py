@@ -5,6 +5,8 @@ import json
 import pytest
 
 from ttreturn.cli import main
+from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
+from ttreturn.greybox import GreyboxPredictor
 
 
 def test_bad_parameter_exits_one(tmp_path, capsys):
@@ -83,3 +85,32 @@ def test_grad_check_subcommand(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["max_rel_error"] < 1e-6
+
+
+def test_degenerate_dataset_exits_three(tmp_path, capsys):
+    data = tmp_path / "constant.csv"
+    data.write_text("theta1,theta4,land_x,land_y\n" + "0.45,0.2,-1.1,0.9\n" * 20)
+    code = main(
+        ["train-blackbox", "--dataset", str(data), "--epochs", "1", "--out", str(tmp_path / "o")]
+    )
+    assert code == 3
+    assert "DegenerateDataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error", [NegativeDiscriminant, SingularGradient, MaxStepsExceeded], ids=lambda e: e.__name__
+)
+def test_flight_error_in_gradient_exits_three(tmp_path, capsys, monkeypatch, error):
+    def failing_gradient(self, phi, incoming):
+        raise error("injected")
+
+    monkeypatch.setattr(GreyboxPredictor, "gradient", failing_gradient)
+    code = main(["run", "--seed", "1", "--iters", "2", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert f"error: {error.__name__}: injected" in capsys.readouterr().err
+
+
+def test_non_finite_alpha1_exits_one(tmp_path, capsys):
+    code = main(["run", "--alpha1", "nan", "--iters", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "alpha1: must be finite" in capsys.readouterr().err

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ttreturn.arm import InterceptionPolicy
-from ttreturn.ballistics import FlightParams
+from ttreturn.ballistics import BallState, FlightParams, free_flight_step
 from ttreturn.env import (
     EnvConfig,
+    LauncherConfig,
     TABLE_CENTER,
     TABLE_SIZE,
     estimate_variance,
@@ -69,6 +70,51 @@ class TestLaunch:
         # ball must pass through the reachable band around the arm base
         d = np.linalg.norm(traj.states[:, :3] - noiseless_env_cfg.geom.base, axis=1)
         assert d.min() < 0.9
+
+
+def reference_launch(cfg, flight, rng):
+    """Test-local launch: one BallState per sample, stepped by free_flight_step."""
+    jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
+    state = BallState.from_vector(cfg.nominal_state.as_vector() + jitter)
+    times, rows, t = [0.0], [state.as_vector()], 0.0
+    while t < 3.0:
+        state = free_flight_step(state, flight, dt_override=cfg.sample_dt)
+        t += cfg.sample_dt
+        times.append(t)
+        rows.append(state.as_vector())
+        hit_table = state.p[2] <= flight.z_table and on_table(state.p)
+        if hit_table or state.p[2] <= 0.0 or state.p[1] <= -1.2:
+            break
+    return np.array(times), np.array(rows)
+
+
+class TestLaunchOracle:
+    @pytest.mark.parametrize(
+        "nominal,stop",
+        [
+            ((-0.15, 3.9, 1.10, 0.0, -8.3, 3.3), "y_stop"),
+            ((-1.0, 3.9, 1.1, 0.0, -5.0, 1.0), "table"),
+            ((2.0, 3.9, 1.1, 0.0, -3.0, 1.0), "floor"),
+            ((-0.15, 3.9, 6.0, 0.0, -0.5, 20.0), "t_max"),
+        ],
+    )
+    def test_matches_per_object_step_loop(self, env_cfg, nominal, stop):
+        cfg = LauncherConfig(nominal_state=BallState.from_vector(np.array(nominal)))
+        flight = env_cfg.truth_flight
+        for seed in range(3):
+            traj = launch(cfg, flight, np.random.default_rng(seed))
+            times, states = reference_launch(cfg, flight, np.random.default_rng(seed))
+            assert len(traj) == len(times)
+            assert np.array_equal(traj.times, times)
+            assert np.max(np.abs(traj.states - states)) <= 1e-12
+        last = traj.states[-1]
+        reached = {
+            "y_stop": last[1] <= -1.2,
+            "table": last[2] <= flight.z_table and on_table(last),
+            "floor": last[2] <= 0.0,
+            "t_max": traj.times[-1] >= 3.0,
+        }
+        assert [name for name, hit in reached.items() if hit] == [stop]
 
 
 class TestIntercept:

@@ -55,6 +55,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^{prefix}"):
             cfg.validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("alpha1", float("nan")),
+            ("alpha1", float("inf")),
+            ("target", (float("nan"), 1.0)),
+            ("phi1", (0.5, float("nan"))),
+            ("box_theta1", (0.2, float("inf"))),
+            ("box_theta4", (float("-inf"), 0.4)),
+            ("landing_noise_std", (0.1, float("nan"))),
+            ("jitter_std", (0.0, 0.0, 0.0, float("inf"), 0.0, 0.0)),
+            ("nominal_state", (-0.15, 3.9, float("nan"), 0.0, -8.3, 3.3)),
+        ],
+    )
+    def test_rejects_non_finite(self, field, value):
+        cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
+            cfg.validate()
+
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(mode="run", seed=5, alpha1=0.07, target=(-1.2, 0.8))
         path = tmp_path / "cfg.json"
