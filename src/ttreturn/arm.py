@@ -29,10 +29,6 @@ class InterceptionPolicy:
     def as_array(self) -> np.ndarray:
         return np.array([self.theta1, self.theta4])
 
-    @classmethod
-    def from_array(cls, arr) -> "InterceptionPolicy":
-        return cls(theta1=float(arr[0]), theta4=float(arr[1]))
-
 
 @dataclass
 class ArmGeometry:
@@ -94,7 +90,8 @@ def base_azimuth(points: np.ndarray, geom: ArmGeometry) -> np.ndarray:
 def interception_event(incoming, geom: ArmGeometry, theta1: float) -> InterceptionEvent:
     """First (interpolated) sample at which the ball crosses base azimuth theta1."""
     times, states = _unpack_trajectory(incoming)
-    az = base_azimuth(states[:, :3], geom)
+    cached = getattr(incoming, "azimuth", None)  # SampledTrajectory caches its azimuths
+    az = cached(geom) if cached is not None else base_azimuth(states[:, :3], geom)
     rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
 
     # first genuine crossing: a pair that is no wrap jump and either starts

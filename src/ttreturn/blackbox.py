@@ -161,6 +161,12 @@ def _init_model(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, k: Feasi
     )
 
 
+def _views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weight, bias) views into a flat buffer, shaped like the given layers."""
+    parts = np.split(flat, np.cumsum([p.size for pair in layers for p in pair])[:-1])
+    return [(parts[2 * i].reshape(w.shape), parts[2 * i + 1]) for i, (w, _) in enumerate(layers)]
+
+
 def train(
     dataset: Dataset, cfg: TrainConfig, k: FeasibleSet | None = None
 ) -> tuple[MlpModel, dict]:
@@ -172,6 +178,10 @@ def train(
     if len(dataset) < 1:
         raise ValueError("dataset is empty")
     x, y = dataset.arrays()
+    finite = np.isfinite(np.hstack([x, y])).all(axis=1)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise DegenerateDataset(f"dataset record {i + 1} is not finite: {x[i]} -> {y[i]}")
     if len(dataset) >= 2 and np.allclose(x, x[0]):
         raise DegenerateDataset("all policies in the dataset are identical")
     if k is None:
@@ -186,11 +196,15 @@ def train(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
+    a_tr = (x_tr - model.input_center) / model.input_half
     y_tr_n = (y_tr - model.output_mean) / model.output_std
 
-    params = [p for pair in model.layers for p in pair]
-    m_adam = [np.zeros_like(p) for p in params]
-    v_adam = [np.zeros_like(p) for p in params]
+    theta = np.concatenate([p.ravel() for pair in model.layers for p in pair])
+    model.layers = _views(theta, model.layers)
+    grad = np.zeros_like(theta)
+    grads = _views(grad, model.layers)
+    m_adam = np.zeros_like(theta)
+    v_adam = np.zeros_like(theta)
     t_step = 0
 
     def real_mse(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -202,12 +216,12 @@ def train(
     n_tr = len(x_tr)
     for _ in range(cfg.epochs):
         order = rng.permutation(n_tr)
+        a_ep, y_ep = a_tr[order], y_tr_n[order]
         for start in range(0, n_tr, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            xb, yb = x_tr[batch], y_tr_n[batch]
+            a = a_ep[start : start + cfg.batch_size]
+            yb = y_ep[start : start + cfg.batch_size]
 
             # forward with caches
-            a = (xb - model.input_center) / model.input_half
             acts = [a]
             for w, b in model.layers[:-1]:
                 a = np.tanh(a @ w.T + b)
@@ -216,24 +230,22 @@ def train(
             out = a @ w.T + b
 
             # backward: mean over the batch of the squared error sum
-            delta = 2.0 * (out - yb) / len(batch)
-            grads = []
+            delta = 2.0 * (out - yb) / len(yb)
             for li in range(len(model.layers) - 1, -1, -1):
-                w, _ = model.layers[li]
-                grads.append((delta.T @ acts[li], delta.sum(axis=0)))
+                g_w, g_b = grads[li]
+                np.matmul(delta.T, acts[li], out=g_w)
+                delta.sum(axis=0, out=g_b)
                 if li > 0:
-                    delta = (delta @ w) * (1.0 - acts[li] ** 2)
-            grad_flat = [g for pair in reversed(grads) for g in pair]
+                    delta = (delta @ model.layers[li][0]) * (1.0 - acts[li] ** 2)
 
             t_step += 1
             corr1 = 1.0 - cfg.beta1**t_step
             corr2 = 1.0 - cfg.beta2**t_step
-            for pi, (p, g) in enumerate(zip(params, grad_flat)):
-                m_adam[pi] = cfg.beta1 * m_adam[pi] + (1.0 - cfg.beta1) * g
-                v_adam[pi] = cfg.beta2 * v_adam[pi] + (1.0 - cfg.beta2) * g**2
-                p -= cfg.learning_rate * (m_adam[pi] / corr1) / (
-                    np.sqrt(v_adam[pi] / corr2) + cfg.eps_adam
-                )
+            m_adam = cfg.beta1 * m_adam + (1.0 - cfg.beta1) * grad
+            v_adam = cfg.beta2 * v_adam + (1.0 - cfg.beta2) * grad**2
+            theta -= cfg.learning_rate * (m_adam / corr1) / (
+                np.sqrt(v_adam / corr2) + cfg.eps_adam
+            )
 
         history["train_mse"].append(real_mse(x_tr, y_tr))
         history["val_mse"].append(real_mse(x_val, y_val) if n_val > 0 else float("nan"))

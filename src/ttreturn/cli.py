@@ -3,7 +3,7 @@
 Exit codes: 0 success; 1 configuration, input or feasibility error; 2 run
 aborted after too many consecutive missed balls; 3 any other simulation
 error (a flight that cannot land or step, a singular gradient, a degenerate
-training dataset).
+training dataset or one with a non-finite value).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from math import ceil
 
 import numpy as np
 
-from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
+from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event, racket_rotation, racket_velocity
 from .ballistics import BallState, FlightParams, LandingRecord, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
@@ -43,6 +43,16 @@ class SampledTrajectory:
 
     times: np.ndarray   # (n,)
     states: np.ndarray  # (n, 6)
+    _azimuth: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+
+    def azimuth(self, geom: ArmGeometry) -> np.ndarray:
+        """base_azimuth of every sample, cached for the last geometry asked."""
+        key = (geom.base.tobytes(), geom.rest_normal.tobytes())
+        if self._azimuth[0] != key:
+            az = base_azimuth(self.states[:, :3], geom)
+            az.flags.writeable = False
+            self._azimuth = (key, az)
+        return self._azimuth[1]
 
     def __len__(self) -> int:
         return len(self.times)

@@ -39,11 +39,7 @@ def _run_pipeline(
     phi: InterceptionPolicy, incoming, params: GreyboxParams
 ) -> tuple[InterceptionEvent, LandingRecord]:
     event = interception_event(incoming, params.geom, phi.theta1)
-    gamma = racket_rotation(phi)
-    v_r = racket_velocity(event, params.geom)
-    xi_plus = racket_impact(event.xi_minus, gamma, v_r, params.impact)
-    record = propagate_to_landing(xi_plus, params.flight)
-    return event, record
+    return event, frozen_landing_record(phi, event, params)
 
 
 def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) -> np.ndarray:
@@ -65,13 +61,6 @@ def frozen_landing_record(
     v_r = racket_velocity(event, params.geom)
     xi_plus = racket_impact(event.xi_minus, gamma, v_r, params.impact)
     return propagate_to_landing(xi_plus, params.flight)
-
-
-def predict_landing_frozen(
-    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams
-) -> np.ndarray:
-    """Landing point under the frozen-event convention."""
-    return frozen_landing_record(phi, event, params).landing_point
 
 
 def predict_landing_with_gradient(

@@ -234,15 +234,9 @@ def _policy_stream(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: n
             yield InterceptionPolicy(t1, t4)
 
 
-def gen_dataset(
-    env_cfg: EnvConfig,
-    n: int,
-    sampling: str,
-    rng: np.random.Generator,
-    k: FeasibleSet | None = None,
-    margin: float = SAMPLING_MARGIN,
-) -> Dataset:
-    """Sample policies over the box and label them with noisy env landings.
+def _sample_dataset(label, n: int, sampling: str, rng: np.random.Generator,
+                    k: FeasibleSet | None, margin: float) -> Dataset:
+    """Sample policies over the box and label each with label(phi).
 
     Missed balls are discarded and the policy redrawn (uniform sampling) or
     skipped (grid sampling). Raises InfeasibleRegion when more than 90% of
@@ -254,8 +248,7 @@ def gen_dataset(
     for phi in _policy_stream(n, sampling, lo, hi, rng):
         attempts += 1
         try:
-            r_landing, _ = intercept(phi, env_cfg, rng)
-            ds.records.append((phi, r_landing))
+            ds.records.append((phi, label(phi)))
         except MissedBall:
             misses += 1
         if attempts >= max(50, n) and misses > 0.9 * attempts:
@@ -263,6 +256,18 @@ def gen_dataset(
         if len(ds) >= n:
             break
     return ds
+
+
+def gen_dataset(
+    env_cfg: EnvConfig,
+    n: int,
+    sampling: str,
+    rng: np.random.Generator,
+    k: FeasibleSet | None = None,
+    margin: float = SAMPLING_MARGIN,
+) -> Dataset:
+    """Sample policies over the box and label them with noisy env landings."""
+    return _sample_dataset(lambda phi: intercept(phi, env_cfg, rng)[0], n, sampling, rng, k, margin)
 
 
 def gen_dataset_greybox(
@@ -275,22 +280,9 @@ def gen_dataset_greybox(
     params: GreyboxParams | None = None,
 ) -> Dataset:
     """Like gen_dataset, but with noiseless first-principles labels."""
-    lo, hi = sampling_bounds(k or SCENARIO_BOX, margin)
     params = params or GreyboxParams()
     traj = nominal_trajectory(env_cfg)
-    ds = Dataset()
-    attempts = misses = 0
-    for phi in _policy_stream(n, sampling, lo, hi, rng):
-        attempts += 1
-        try:
-            ds.records.append((phi, predict_landing(phi, traj, params)))
-        except MissedBall:
-            misses += 1
-        if attempts >= max(50, n) and misses > 0.9 * attempts:
-            raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
-        if len(ds) >= n:
-            break
-    return ds
+    return _sample_dataset(lambda phi: predict_landing(phi, traj, params), n, sampling, rng, k, margin)
 
 
 @dataclass

@@ -17,19 +17,19 @@ def running_metrics(points, target) -> tuple[np.ndarray, float, float]:
 
 
 class MetricsState:
-    """Accumulates landing points and recomputes the metrics exactly."""
+    """Keeps landing points in a doubling (n, 2) buffer; recomputes metrics exactly."""
 
     def __init__(self, target):
         self.target = np.asarray(target, dtype=float)
-        self.points: list[np.ndarray] = []
+        self._buf = np.empty((64, 2))
+        self.count = 0
 
     def update(self, r_landing) -> tuple[np.ndarray, float, float]:
-        self.points.append(np.asarray(r_landing, dtype=float))
+        if self.count == len(self._buf):
+            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
+        self._buf[self.count] = r_landing
+        self.count += 1
         return self.current()
 
     def current(self) -> tuple[np.ndarray, float, float]:
-        return running_metrics(self.points, self.target)
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
+        return running_metrics(self._buf[: self.count], self.target)

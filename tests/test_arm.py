@@ -16,6 +16,7 @@ from ttreturn.arm import (
     racket_velocity,
 )
 from ttreturn.ballistics import BallState
+from ttreturn.env import SampledTrajectory
 from ttreturn.errors import NoCrossing, OutOfReach
 
 
@@ -40,6 +41,23 @@ class TestInterceptionEvent:
         assert ev.t_ic == pytest.approx(t_star, abs=1e-3)
         assert ev.xi_minus.p[1] == pytest.approx(y_star, abs=2e-3)
         np.testing.assert_allclose(ev.racket_pos, ev.xi_minus.p, atol=1e-12)
+
+    def test_cached_azimuth_follows_geometry(self, nominal_traj):
+        # a SampledTrajectory caches its azimuths by the geometry's values;
+        # every event must equal the one from the uncached sample-list form
+        traj = SampledTrajectory(times=nominal_traj.times, states=nominal_traj.states)
+        samples = list(nominal_traj)
+        geom = ArmGeometry()
+        shifted = ArmGeometry(base=np.array([0.05, -0.05, 0.8]))
+        for g in (geom, shifted, geom):
+            ev = interception_event(traj, g, 0.45)
+            ref = interception_event(samples, g, 0.45)
+            assert ev.t_ic == ref.t_ic
+            np.testing.assert_array_equal(ev.racket_pos, ref.racket_pos)
+        geom.base[0] += 0.05  # an in-place change of the same object
+        ev = interception_event(traj, geom, 0.45)
+        assert ev.t_ic == interception_event(samples, geom, 0.45).t_ic
+        assert ev.t_ic != interception_event(samples, ArmGeometry(), 0.45).t_ic
 
     def test_interpolated_crossing(self, nominal_traj, env_cfg):
         geom = env_cfg.geom

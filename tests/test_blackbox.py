@@ -9,6 +9,8 @@ from ttreturn.blackbox import (
     Dataset,
     MlpModel,
     TrainConfig,
+    _forward_batch,
+    _init_model,
     mlp_forward,
     mlp_jacobian,
     train,
@@ -141,6 +143,19 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(Dataset(), TrainConfig())
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            (InterceptionPolicy(np.nan, 0.1), np.array([0.0, 0.0])),
+            (InterceptionPolicy(0.0, 0.0), np.array([0.2, np.inf])),
+        ],
+    )
+    def test_rejects_non_finite_record(self, record):
+        ds = affine_dataset(20, seed=8)
+        ds.records[4] = record
+        with pytest.raises(DegenerateDataset, match="record 5 "):
+            train(ds, TrainConfig(epochs=1))
+
     def test_rejects_identical_policies(self):
         phi = InterceptionPolicy(0.3, 0.1)
         ds = Dataset(
@@ -163,6 +178,83 @@ class TestTrain:
         _, history = train(ds, TrainConfig(epochs=30, seed=0))
         assert len(history["val_mse"]) == 30
         assert np.isfinite(history["val_mse"][-1])
+
+
+def per_array_adam_train(dataset, cfg):
+    """Oracle: the training loop with one Adam update per parameter array,
+    a per-batch input normalization and fancy-indexed batches."""
+    x, y = dataset.arrays()
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    model = _init_model(x, y, rng, FeasibleSet())
+    n = len(dataset)
+    n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
+    perm = rng.permutation(n)
+    x_tr, y_tr = x[perm[n_val:]], y[perm[n_val:]]
+    x_val, y_val = x[perm[:n_val]], y[perm[:n_val]]
+    y_tr_n = (y_tr - model.output_mean) / model.output_std
+    params = [p for pair in model.layers for p in pair]
+    m_adam = [np.zeros_like(p) for p in params]
+    v_adam = [np.zeros_like(p) for p in params]
+    t_step = 0
+
+    def real_mse(xs, ys):
+        out, _ = _forward_batch(model, xs)
+        pred = out * model.output_std + model.output_mean
+        return float(np.mean(np.sum((pred - ys) ** 2, axis=1)))
+
+    history = {"train_mse": [], "val_mse": []}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(x_tr))
+        for start in range(0, len(x_tr), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            xb, yb = x_tr[batch], y_tr_n[batch]
+            a = (xb - model.input_center) / model.input_half
+            acts = [a]
+            for w, b in model.layers[:-1]:
+                a = np.tanh(a @ w.T + b)
+                acts.append(a)
+            w, b = model.layers[-1]
+            delta = 2.0 * (a @ w.T + b - yb) / len(batch)
+            grads = []
+            for li in range(len(model.layers) - 1, -1, -1):
+                w, _ = model.layers[li]
+                grads.append((delta.T @ acts[li], delta.sum(axis=0)))
+                if li > 0:
+                    delta = (delta @ w) * (1.0 - acts[li] ** 2)
+            grad_flat = [g for pair in reversed(grads) for g in pair]
+            t_step += 1
+            corr1 = 1.0 - cfg.beta1**t_step
+            corr2 = 1.0 - cfg.beta2**t_step
+            for pi, (p, g) in enumerate(zip(params, grad_flat)):
+                m_adam[pi] = cfg.beta1 * m_adam[pi] + (1.0 - cfg.beta1) * g
+                v_adam[pi] = cfg.beta2 * v_adam[pi] + (1.0 - cfg.beta2) * g**2
+                p -= cfg.learning_rate * (m_adam[pi] / corr1) / (
+                    np.sqrt(v_adam[pi] / corr2) + cfg.eps_adam
+                )
+        history["train_mse"].append(real_mse(x_tr, y_tr))
+        history["val_mse"].append(real_mse(x_val, y_val))
+    return model.layers, history
+
+
+class TestFlatAdamOracle:
+    def test_matches_per_array_loop(self):
+        # 135 training points in batches of 32 leave a short last batch
+        ds = affine_dataset(150, seed=6)
+        cfg = TrainConfig(epochs=3, seed=4, batch_size=32)
+        model, history = train(ds, cfg)
+        ref_layers, ref_history = per_array_adam_train(ds, cfg)
+        for (w, b), (w_ref, b_ref) in zip(model.layers, ref_layers, strict=True):
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(b, b_ref)
+        assert history == ref_history
+
+    def test_layers_share_no_memory(self):
+        model, _ = train(affine_dataset(50, seed=7), TrainConfig(epochs=1, seed=0))
+        arrays = [p for pair in model.layers for p in pair]
+        assert [w.shape for w, _ in model.layers] == [(4, 2), (4, 4), (4, 4), (4, 4), (2, 4)]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
 
 
 class TestDatasetIo:

@@ -97,6 +97,19 @@ def test_degenerate_dataset_exits_three(tmp_path, capsys):
     assert "DegenerateDataset" in capsys.readouterr().err
 
 
+def test_non_finite_dataset_exits_three(tmp_path, capsys):
+    data = tmp_path / "nan.csv"
+    data.write_text(
+        "theta1,theta4,land_x,land_y\n0.3,0.1,-1.2,0.8\n0.4,0.2,nan,0.6\n0.5,0.3,-1.0,1.0\n"
+    )
+    out = tmp_path / "o"
+    code = main(["train-blackbox", "--dataset", str(data), "--epochs", "1", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "DegenerateDataset" in err and "record 2 " in err
+    assert not (out / "model.json").exists()
+
+
 @pytest.mark.parametrize(
     "error", [NegativeDiscriminant, SingularGradient, MaxStepsExceeded], ids=lambda e: e.__name__
 )

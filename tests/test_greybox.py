@@ -10,7 +10,6 @@ from ttreturn.greybox import (
     GreyboxPredictor,
     frozen_landing_record,
     predict_landing,
-    predict_landing_frozen,
     predict_landing_with_gradient,
 )
 from ttreturn.impact import racket_impact
@@ -73,12 +72,12 @@ def test_gradient_matches_frozen_fd(nominal_traj, greybox_params):
         event = interception_event(nominal_traj, greybox_params.geom, t1)
         fd = np.zeros((2, 2))
         for col, d in enumerate(((h, 0.0), (0.0, h))):
-            hi = predict_landing_frozen(
+            hi = frozen_landing_record(
                 InterceptionPolicy(t1 + d[0], t4 + d[1]), event, greybox_params
-            )
-            lo = predict_landing_frozen(
+            ).landing_point
+            lo = frozen_landing_record(
                 InterceptionPolicy(t1 - d[0], t4 - d[1]), event, greybox_params
-            )
+            ).landing_point
             fd[:, col] = (hi - lo) / (2 * h)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -96,15 +95,15 @@ def test_tilt_column_dominates_range_direction(nominal_traj, greybox_params):
 def test_first_order_taylor_consistency(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.48, 0.22)
     event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
-    base = predict_landing_frozen(phi, event, greybox_params)
+    base = frozen_landing_record(phi, event, greybox_params).landing_point
     _, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
     direction = np.array([0.7, -0.4])
     errs = []
     for scale in (2e-3, 1e-3):
         d = scale * direction
-        moved = predict_landing_frozen(
+        moved = frozen_landing_record(
             InterceptionPolicy(phi.theta1 + d[0], phi.theta4 + d[1]), event, greybox_params
-        )
+        ).landing_point
         errs.append(np.linalg.norm(moved - base - jac @ d))
     assert errs[0] / errs[1] >= 1.9
 
