@@ -64,17 +64,6 @@ class InterceptionEvent:
         self.racket_pos = np.asarray(self.racket_pos, dtype=float)
 
 
-def _unpack_trajectory(incoming) -> tuple[np.ndarray, np.ndarray]:
-    """Accept a SampledTrajectory-like object or a list of (time, BallState)."""
-    times = getattr(incoming, "times", None)
-    states = getattr(incoming, "states", None)
-    if times is not None and states is not None:
-        return np.asarray(times, dtype=float), np.asarray(states, dtype=float)
-    times = np.array([t for t, _ in incoming], dtype=float)
-    states = np.array([s.as_vector() for _, s in incoming])
-    return times, states
-
-
 def base_azimuth(points: np.ndarray, geom: ArmGeometry) -> np.ndarray:
     """Azimuth of points as seen from the base pivot.
 
@@ -88,10 +77,12 @@ def base_azimuth(points: np.ndarray, geom: ArmGeometry) -> np.ndarray:
 
 
 def interception_event(incoming, geom: ArmGeometry, theta1: float) -> InterceptionEvent:
-    """First (interpolated) sample at which the ball crosses base azimuth theta1."""
-    times, states = _unpack_trajectory(incoming)
-    cached = getattr(incoming, "azimuth", None)  # SampledTrajectory caches its azimuths
-    az = cached(geom) if cached is not None else base_azimuth(states[:, :3], geom)
+    """First (interpolated) sample at which the ball crosses base azimuth theta1.
+
+    `incoming` is a SampledTrajectory (times, states and cached azimuths).
+    """
+    times, states = incoming.times, incoming.states
+    az = incoming.azimuth(geom)
     rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
 
     # first genuine crossing: a pair that is no wrap jump and either starts

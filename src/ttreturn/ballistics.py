@@ -4,7 +4,8 @@ Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. One scalar kernel, `euler_flight`, takes every step
 of the package. Analytic Jacobians of the whole flight push a tangent through
-the stored steps, plus a correction for the shortened last step.
+the steps as the flight takes them, plus a correction for the shortened last
+step; no per-step state is stored.
 """
 
 from __future__ import annotations
@@ -68,25 +69,28 @@ class FlightParams:
 
 @dataclass
 class LandingRecord:
-    """All stored flight states plus the interpolated landing state."""
+    """Where the full steps of a flight stopped, and its landing state."""
 
-    states: np.ndarray        # (k_max + 1, 6), states[k] = xi[k]
-    k_max: int
+    k_max: int                # number of full steps
     t_last: float             # [s] shortened final step length
     landing_state: BallState
     landing_point: np.ndarray  # (2,) [m]
+    stop: np.ndarray          # (6,) state after the full steps
+    tangent: np.ndarray | None = None  # (6, m) tangent pushed through the full steps
 
     def total_time(self, dt: float) -> float:
         return self.k_max * dt + self.t_last
 
 
 def euler_flight(
-    row, params: FlightParams, dt: float, max_steps: int, land: bool = False, table: tuple | None = None
-) -> list[tuple]:
+    row, params: FlightParams, dt: float, max_steps: int, land: bool = False, table: tuple | None = None,
+    samples: list | None = None, tangent: np.ndarray | None = None,
+) -> tuple[tuple, int, np.ndarray | None]:
     """Explicit Euler steps of the drag flight on plain floats.
 
-    The package's one per-step drag update. Returns the visited states as
-    6-tuples, the start included. The stop rule is one of:
+    The package's one per-step drag update. Returns the 6-tuple state it
+    stopped at, the number of steps taken and the pushed tangent (or None).
+    The stop rule is one of:
 
     - neither `land` nor `table`: exactly `max_steps` steps;
     - `land`: stop before the first step whose drag-free prediction ends at
@@ -96,12 +100,16 @@ def euler_flight(
     - `table=(cx, cy, hx, hy, y_stop)`: stop after the first step that ends
       at or below the table plane with |x - cx| <= hx and |y - cy| <= hy, at
       or below the floor z = 0, or at y <= y_stop; at most `max_steps`.
+
+    `samples`, if given, is extended by the six floats of each state stepped
+    to. A 6 x m `tangent` is pushed through the steps, each mapping (dp, dv)
+    to (dp + dt dv, dv - dt k (|v| dv + v (v . dv) / |v|)), on plain floats
+    after the loop; the product of the step Jacobians is never formed.
     """
     px, py, pz, vx, vy, vz = row
     k_drag = float(params.k_drag)
     gx, gy, gz = params.gravity.tolist()
     z_table = float(params.z_table)
-    rows = [(px, py, pz, vx, vy, vz)]
     if land:
         # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= z_table
         vz_top = G_VERTICAL * dt
@@ -109,30 +117,54 @@ def euler_flight(
     contact = table is not None
     if contact:
         cx, cy, hx, hy, y_stop = table
-    for _ in range(max_steps):
+    keep, push = samples is not None, tangent is not None
+    scale, coef = dt * k_drag, []  # per step: v, dt k |v|, dt k / |v|
+    for n in range(max_steps):
         if land and vz <= vz_top and pz + dt * vz <= z_top:
-            return rows
-        drag = k_drag * sqrt(vx * vx + vy * vy + vz * vz)
+            break
+        speed = sqrt(vx * vx + vy * vy + vz * vz)
+        if push:
+            coef.append((vx, vy, vz, scale * speed, scale / speed if speed > 0.0 else 0.0))
+        drag = k_drag * speed
         px += dt * vx
         py += dt * vy
         pz += dt * vz
         vx += dt * (gx - drag * vx)
         vy += dt * (gy - drag * vy)
         vz += dt * (gz - drag * vz)
-        rows.append((px, py, pz, vx, vy, vz))
+        if keep:
+            samples.extend((px, py, pz, vx, vy, vz))
         if contact and (
             pz <= 0.0 or py <= y_stop or (pz <= z_table and abs(px - cx) <= hx and abs(py - cy) <= hy)
         ):
-            return rows
-    if land and not (vz <= vz_top and pz + dt * vz <= z_top):
-        raise MaxStepsExceeded(f"no landing within {max_steps} steps")
-    return rows
+            n += 1
+            break
+    else:
+        n = max_steps
+        if land and not (vz <= vz_top and pz + dt * vz <= z_top):
+            raise MaxStepsExceeded(f"no landing within {max_steps} steps")
+    stop = (px, py, pz, vx, vy, vz)
+    if not push:
+        return stop, n, None
+    columns = []
+    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
+        sx = sy = sz = 0.0  # sum of dv over the steps; dp moves by dt times it
+        for vx, vy, vz, damp, cross in coef:
+            along = cross * (vx * dvx + vy * dvy + vz * dvz)
+            sx += dvx
+            sy += dvy
+            sz += dvz
+            dvx -= damp * dvx + along * vx
+            dvy -= damp * dvy + along * vy
+            dvz -= damp * dvz + along * vz
+        columns.append((dpx + dt * sx, dpy + dt * sy, dpz + dt * sz, dvx, dvy, dvz))
+    return stop, n, np.array(columns).T
 
 
 def free_flight_step(xi: BallState, params: FlightParams, dt_override: float | None = None) -> BallState:
     """One explicit Euler step of the drag-affected free flight."""
     dt = params.dt if dt_override is None else dt_override
-    return BallState.from_vector(euler_flight(xi.as_vector().tolist(), params, dt, 1)[-1])
+    return BallState.from_vector(euler_flight(xi.as_vector().tolist(), params, dt, 1)[0])
 
 
 def free_flight_step_jacobians(
@@ -181,7 +213,9 @@ def remaining_time_gradient(xi: BallState, z_table: float) -> np.ndarray:
     return grad
 
 
-def propagate_to_landing(xi_plus: BallState, params: FlightParams) -> LandingRecord:
+def propagate_to_landing(
+    xi_plus: BallState, params: FlightParams, tangent: np.ndarray | None = None
+) -> LandingRecord:
     """Propagate a post-impact state until the ball reaches the table plane.
 
     Full steps of params.dt are taken while the predicted remaining time
@@ -190,77 +224,52 @@ def propagate_to_landing(xi_plus: BallState, params: FlightParams) -> LandingRec
     by a sub-millimeter residual; the returned landing state is linearly
     interpolated onto the plane along the last step. A ball that cannot reach
     the plane raises NegativeDiscriminant from the state the flight stopped at.
+    A 6 x m `tangent` is pushed through the full steps (landing_state_jacobian).
     """
-    rows = euler_flight(xi_plus.as_vector().tolist(), params, params.dt, params.max_steps, land=True)
-    states = np.array(rows)
-    t_last = remaining_time(BallState.from_vector(states[-1]), params.z_table)
+    xi = xi_plus.as_vector().tolist()
+    stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
+    start = np.array(stop)
+    t_last = remaining_time(BallState.from_vector(start), params.z_table)
 
     # shortened final step (drag-affected, so it lands near but not on the plane)
-    raw = np.array(euler_flight(rows[-1], params, t_last, 1)[-1])
+    raw = np.array(euler_flight(stop, params, t_last, 1)[0])
 
-    start = states[-1]
     dz = raw[2] - start[2]
     frac = (params.z_table - start[2]) / dz if dz != 0.0 else 1.0
     landing = start + frac * (raw - start)
     landing[2] = params.z_table
-    landing_state = BallState.from_vector(landing)
-
-    return LandingRecord(
-        states=states,
-        k_max=len(rows) - 1,
-        t_last=t_last,
-        landing_state=landing_state,
-        landing_point=landing[:2].copy(),
-    )
+    return LandingRecord(k_max=k_max, t_last=t_last, landing_state=BallState.from_vector(landing),
+                         landing_point=landing[:2].copy(), stop=start, tangent=pushed)
 
 
-def landing_state_jacobian(record: LandingRecord, params: FlightParams, tangent: np.ndarray) -> np.ndarray:
+def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
     """Sensitivity of the landing state to the post-impact state, applied to
-    a tangent (6 x m; the identity gives the 6x6 Jacobian).
+    the tangent given to propagate_to_landing (the identity gives the 6x6
+    Jacobian).
 
-    Pushes each tangent column through the full steps on plain floats; the
-    product of the per-step Jacobians is never formed. A step maps
-    (dp, dv) to (dp + dt dv, dv - dt k (|v| dv + v (v . dv) / |v|)). Then
-    corrects the last, shortened step for the state dependence of its step
-    length, and differentiates the interpolation onto the plane (its z row
-    is pinned, so the exact row is zero and the x/y rows pick up an
-    O(k_drag dt) term that finite differences of the landing state do see).
+    The flight pushed the tangent through the full steps. This corrects the
+    last, shortened step for the state dependence of its step length, and
+    differentiates the interpolation onto the plane (its z row is pinned, so
+    the exact row is zero and the x/y rows pick up an O(k_drag dt) term that
+    finite differences of the landing state do see).
     """
-    dt = params.dt
-    v = record.states[: record.k_max, 3:]
-    speed = np.sqrt(np.einsum("ij,ij->i", v, v))
-    scale = dt * params.k_drag
-    over = np.divide(scale, speed, out=np.zeros_like(speed), where=speed > 0.0)
-    coef = np.column_stack([v, scale * speed, over]).tolist()
-    columns = []
-    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
-        sx = sy = sz = 0.0  # sum of dv over the steps; dp moves by dt times it
-        for vx, vy, vz, damp, cross in coef:
-            along = cross * (vx * dvx + vy * dvy + vz * dvz)
-            sx += dvx
-            sy += dvy
-            sz += dvz
-            dvx -= damp * dvx + along * vx
-            dvy -= damp * dvy + along * vy
-            dvz -= damp * dvz + along * vz
-        columns.append((dpx + dt * sx, dpy + dt * sy, dpz + dt * sz, dvx, dvy, dvz))
-    pushed = np.array(columns).T
-
-    last = BallState.from_vector(record.states[record.k_max])
+    if record.tangent is None:
+        raise ValueError("record carries no tangent: pass one to propagate_to_landing")
+    start = record.stop
+    last = BallState.from_vector(start)
     A, b = free_flight_step_jacobians(last, params, dt_override=record.t_last)
     c = remaining_time_gradient(last, params.z_table)
     j_q = A + np.outer(b, c)
 
     raw = free_flight_step(last, params, dt_override=record.t_last).as_vector()
-    start = record.states[record.k_max]
     delta = raw - start
     w = raw[2] - start[2]
     if w == 0.0:
-        return j_q @ pushed
+        return j_q @ record.tangent
     u = params.z_table - start[2]
     s = u / w
     e_z = np.zeros(6)
     e_z[2] = 1.0
     ds_dxi = ((u - w) * e_z - u * j_q[2, :]) / w**2
     j_land = s * j_q + (1.0 - s) * np.eye(6) + np.outer(delta, ds_dxi)
-    return j_land @ pushed
+    return j_land @ record.tangent

@@ -1,8 +1,9 @@
 """Command-line entry point for the experiment harness.
 
 Exit codes: 0 success; 1 configuration, input or feasibility error; 2 run
-aborted after too many consecutive missed balls; 3 any other simulation
-error (a flight that cannot land or step, a singular gradient, a degenerate
+aborted after too many consecutive missed balls (its CSV keeps the finished
+iterations); 3 any other simulation error (a flight that cannot land or step,
+a singular or non-finite gradient or landing point in a run, a degenerate
 training dataset or one with a non-finite value).
 """
 

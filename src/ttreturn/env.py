@@ -13,7 +13,7 @@ from math import ceil
 import numpy as np
 
 from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event, racket_rotation, racket_velocity
-from .ballistics import BallState, FlightParams, LandingRecord, euler_flight, propagate_to_landing
+from .ballistics import BallState, FlightParams, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
 from .metrics import running_metrics
@@ -56,10 +56,6 @@ class SampledTrajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def __iter__(self):
-        for t, row in zip(self.times, self.states):
-            yield float(t), BallState.from_vector(row)
 
 
 @dataclass
@@ -109,7 +105,6 @@ class InterceptDiagnostics:
     noiseless_landing: np.ndarray
     event: InterceptionEvent
     incoming: SampledTrajectory
-    record: LandingRecord
 
 
 def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) -> SampledTrajectory:
@@ -126,10 +121,11 @@ def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) 
     # sample clock accumulated step by step; steps are taken while it reads < t_max
     clock = np.cumsum(np.r_[0.0, np.full(ceil(t_max / cfg.sample_dt) + 1, cfg.sample_dt)])
     table = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), y_stop)
-    rows = euler_flight(
-        start.tolist(), flight, cfg.sample_dt, int(np.count_nonzero(clock < t_max)), table=table
-    )
-    return SampledTrajectory(times=clock[: len(rows)], states=np.array(rows))
+    flat = start.tolist()  # the flight appends each sample after the start
+    n_max = int(np.count_nonzero(clock < t_max))
+    euler_flight(flat, flight, cfg.sample_dt, n_max, table=table, samples=flat)
+    states = np.array(flat).reshape(-1, 6)
+    return SampledTrajectory(times=clock[: len(states)], states=states)
 
 
 def intercept(
@@ -153,7 +149,6 @@ def intercept(
         noiseless_landing=record.landing_point,
         event=event,
         incoming=incoming,
-        record=record,
     )
 
 

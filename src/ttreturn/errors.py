@@ -30,11 +30,19 @@ class OutOfReach(MissedBall):
 
 
 class DegenerateDataset(SimulationError):
-    """Training dataset cannot be normalized (all policies identical)."""
+    """Training dataset is unusable: all policies identical, or a record not finite."""
+
+
+class NonFiniteStep(SimulationError):
+    """An online iteration observed a non-finite landing point or policy Jacobian."""
 
 
 class AbortedRun(SimulationError):
-    """An online run exceeded the consecutive-failure cap."""
+    """An online run exceeded the consecutive-failure cap; `log` holds the run so far."""
+
+    def __init__(self, message: str, log):
+        super().__init__(message)
+        self.log = log
 
 
 class InfeasibleRegion(SimulationError):

@@ -35,32 +35,27 @@ class GreyboxParams:
     couple_geometry: bool = False
 
 
-def _run_pipeline(
-    phi: InterceptionPolicy, incoming, params: GreyboxParams
-) -> tuple[InterceptionEvent, LandingRecord]:
-    event = interception_event(incoming, params.geom, phi.theta1)
-    return event, frozen_landing_record(phi, event, params)
-
-
 def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) -> np.ndarray:
     """Landing point of the return for the given policy and incoming ball."""
-    _, record = _run_pipeline(phi, incoming, params)
-    return record.landing_point
+    event = interception_event(incoming, params.geom, phi.theta1)
+    return frozen_landing_record(phi, event, params).landing_point
 
 
 def frozen_landing_record(
-    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams
+    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams,
+    tangent: np.ndarray | None = None,
 ) -> LandingRecord:
-    """Full flight record with the interception event frozen at a base policy.
+    """Flight record with the interception event frozen at a base policy.
 
     Only the racket orientation varies with the policy; the pre-impact state,
     racket position and racket velocity are taken from the given event. This
-    is the mathematical object the analytic gradient differentiates.
+    is the mathematical object the analytic gradient differentiates. A 6 x m
+    `tangent` is pushed through the flight (see propagate_to_landing).
     """
     gamma = racket_rotation(phi)
     v_r = racket_velocity(event, params.geom)
     xi_plus = racket_impact(event.xi_minus, gamma, v_r, params.impact)
-    return propagate_to_landing(xi_plus, params.flight)
+    return propagate_to_landing(xi_plus, params.flight, tangent)
 
 
 def predict_landing_with_gradient(
@@ -73,8 +68,6 @@ def predict_landing_with_gradient(
     geometry-coupled mode instead differentiates the full pipeline,
     interception event included, by central differences.
     """
-    event, record = _run_pipeline(phi, incoming, params)
-
     if params.couple_geometry:
         jac = np.zeros((2, 2))
         for col, delta in enumerate(((COUPLED_FD_STEP, 0.0), (0.0, COUPLED_FD_STEP))):
@@ -83,10 +76,12 @@ def predict_landing_with_gradient(
             jac[:, col] = (
                 predict_landing(hi, incoming, params) - predict_landing(lo, incoming, params)
             ) / (2.0 * COUPLED_FD_STEP)
-        return record.landing_point, jac
+        return predict_landing(phi, incoming, params), jac
 
+    event = interception_event(incoming, params.geom, phi.theta1)
     j_impact = impact_state_jacobian(event.xi_minus, phi, event, params.geom, params.impact)
-    jac = landing_state_jacobian(record, params.flight, j_impact)[:2, :]
+    record = frozen_landing_record(phi, event, params, j_impact)
+    jac = landing_state_jacobian(record, params.flight)[:2, :]
     return record.landing_point, jac
 
 

@@ -19,7 +19,7 @@ from .arm import InterceptionPolicy, interception_event
 from .ballistics import BallState
 from .blackbox import BlackboxPredictor, Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, train
 from .env import EnvConfig, estimate_variance, intercept, launch
-from .errors import ConfigError, InfeasibleRegion, MissedBall
+from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import (
     GreyboxParams,
     GreyboxPredictor,
@@ -449,19 +449,18 @@ def _run_one(
     seed: int,
     n_iters: int,
     alpha1: float,
+    path: str,
 ) -> RunLog:
+    """One online run whose log is written to `path`, also when it aborts."""
     env = lambda phi, rng: intercept(phi, env_cfg, rng)
-    return run_online(
-        env,
-        predictor,
-        target,
-        phi1,
-        n_iters,
-        StepSchedule(alpha1),
-        cfg.feasible_set(),
-        seed=seed,
-        config_echo=cfg.config_hash(),
-    )
+    try:
+        log = run_online(env, predictor, target, phi1, n_iters, StepSchedule(alpha1),
+                         cfg.feasible_set(), seed=seed, config_echo=cfg.config_hash())
+    except AbortedRun as exc:
+        exc.log.to_csv(path)
+        raise
+    log.to_csv(path)
+    return log
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -533,12 +532,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.mode == "run":
         predictor = make_predictor(cfg)
         target = np.asarray(cfg.target, dtype=float)
+        path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
         log = _run_one(
             cfg, predictor, env_cfg, target, InterceptionPolicy(*cfg.phi1),
-            cfg.seed, cfg.n_iters, cfg.alpha1,
+            cfg.seed, cfg.n_iters, cfg.alpha1, path,
         )
-        path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
-        log.to_csv(path)
         rec = log.records[-1]
         return {
             "final_eps": rec.eps,
@@ -569,9 +567,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         for rep in range(runs_per):
             seed = seeds[idx]
             idx += 1
-            log = _run_one(cfg, predictor, env_cfg, target, phi1, seed, cfg.n_iters, cfg.alpha1)
             run_path = os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv")
-            log.to_csv(run_path)
+            log = _run_one(
+                cfg, predictor, env_cfg, target, phi1, seed, cfg.n_iters, cfg.alpha1, run_path
+            )
             artifacts.append(run_path)
             rec = log.records[-1]
             rows.append(

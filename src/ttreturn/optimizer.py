@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arm import InterceptionPolicy
-from .errors import AbortedRun, MissedBall
+from .errors import AbortedRun, MissedBall, NonFiniteStep
 from .metrics import MetricsState
 
 CSV_HEADER = "iter,theta1,theta4,land_x,land_y,alpha,loss,eps,sigma,rbar_x,rbar_y"
@@ -166,7 +166,8 @@ def run_online(
 
     `env` is a callable (phi, rng) -> (r_landing, diagnostics) that may raise
     a MissedBall error; a miss is retried with a fresh launch and no policy
-    update. `predictor` supplies .gradient(phi, incoming).
+    update, and more than `failure_cap` misses in a row raise AbortedRun with
+    the log so far. `predictor` supplies .gradient(phi, incoming).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -189,9 +190,7 @@ def run_online(
                 consecutive += 1
                 log.n_failures += 1
                 if consecutive > failure_cap:
-                    raise AbortedRun(
-                        f"{consecutive} consecutive missed balls at iteration {i}"
-                    )
+                    raise AbortedRun(f"{consecutive} consecutive missed balls at iteration {i}", log)
 
         r_bar, eps, sigma = metrics.update(r_landing)
         alpha = step_length(schedule, i)
@@ -209,5 +208,8 @@ def run_online(
             )
         )
         jac = predictor.gradient(phi, diag.incoming)
+        for name, values in (("r_landing", r_landing), ("jac", jac)):
+            if not all(map(math.isfinite, np.ravel(values).tolist())):
+                raise NonFiniteStep(f"iteration {i}: {name} is not finite: {np.ravel(values)}")
         phi = gd_update(phi, r_landing, r_target, jac, alpha, k)
     return log

@@ -15,17 +15,16 @@ from ttreturn.arm import (
     racket_rotation_jacobian,
     racket_velocity,
 )
-from ttreturn.ballistics import BallState
 from ttreturn.env import SampledTrajectory
 from ttreturn.errors import NoCrossing, OutOfReach
 
 
 def straight_trajectory(p0, v, n=200, dt=0.002):
-    """Constant-velocity sample list in the (time, BallState) form."""
-    return [
-        (i * dt, BallState(p=np.asarray(p0) + i * dt * np.asarray(v), v=np.asarray(v)))
-        for i in range(n)
-    ]
+    """Constant-velocity sampled trajectory."""
+    times = np.arange(n) * dt
+    v = np.asarray(v, dtype=float)
+    pos = np.asarray(p0, dtype=float) + times[:, None] * v
+    return SampledTrajectory(times=times, states=np.hstack([pos, np.tile(v, (n, 1))]))
 
 
 class TestInterceptionEvent:
@@ -44,20 +43,24 @@ class TestInterceptionEvent:
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
         # a SampledTrajectory caches its azimuths by the geometry's values;
-        # every event must equal the one from the uncached sample-list form
+        # every event must equal the one from a fresh, uncached trajectory
         traj = SampledTrajectory(times=nominal_traj.times, states=nominal_traj.states)
-        samples = list(nominal_traj)
+
+        def uncached(g):
+            fresh = SampledTrajectory(times=nominal_traj.times, states=nominal_traj.states)
+            return interception_event(fresh, g, 0.45)
+
         geom = ArmGeometry()
         shifted = ArmGeometry(base=np.array([0.05, -0.05, 0.8]))
         for g in (geom, shifted, geom):
             ev = interception_event(traj, g, 0.45)
-            ref = interception_event(samples, g, 0.45)
+            ref = uncached(g)
             assert ev.t_ic == ref.t_ic
             np.testing.assert_array_equal(ev.racket_pos, ref.racket_pos)
         geom.base[0] += 0.05  # an in-place change of the same object
         ev = interception_event(traj, geom, 0.45)
-        assert ev.t_ic == interception_event(samples, geom, 0.45).t_ic
-        assert ev.t_ic != interception_event(samples, ArmGeometry(), 0.45).t_ic
+        assert ev.t_ic == uncached(geom).t_ic
+        assert ev.t_ic != uncached(ArmGeometry()).t_ic
 
     def test_interpolated_crossing(self, nominal_traj, env_cfg):
         geom = env_cfg.geom

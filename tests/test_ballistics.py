@@ -169,8 +169,7 @@ class TestPropagateToLanding:
         xi = BallState(p=[0.2, 0.3, 0.761], v=[0.0, 0.0, -1.0])
         rec = propagate_to_landing(xi, params(dt=0.01))
         assert rec.k_max == 0
-        assert len(rec.states) == 1
-        assert np.array_equal(rec.states[0], xi.as_vector())
+        assert np.array_equal(rec.stop, xi.as_vector())
         assert 0.0 < rec.t_last <= 0.01
 
     def test_drop_time_within_two_percent(self):
@@ -198,7 +197,8 @@ class TestPropagateToLanding:
             assert abs(rec.landing_state.p[2] - 0.76) <= 1e-9
             assert np.array_equal(rec.landing_point, rec.landing_state.p[:2])
             assert rec.total_time(1e-3) > 0.0
-            assert len(rec.states) == rec.k_max + 1
+            # the flight stops once the drag-free remaining time is at most dt
+            assert remaining_time(BallState.from_vector(rec.stop), 0.76) == rec.t_last <= 1e-3
 
     def test_residual_before_interpolation_below_1mm(self):
         # the drag-free time prediction misses the plane by a small residual
@@ -211,7 +211,7 @@ class TestPropagateToLanding:
             v[2] = abs(v[2])
             xi = BallState(p=[0.0, 0.0, rng.uniform(1.0, 2.0)], v=v)
             rec = propagate_to_landing(xi, p)
-            last = BallState.from_vector(rec.states[rec.k_max])
+            last = BallState.from_vector(rec.stop)
             raw = free_flight_step(last, p, dt_override=rec.t_last)
             worst = max(worst, abs(raw.p[2] - 0.76))
         assert worst < 1e-3
@@ -245,6 +245,22 @@ class TestPropagateToLanding:
         with pytest.raises(MaxStepsExceeded):
             propagate_to_landing(xi, params(dt=1e-4, max_steps=10))
 
+    @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
+    def test_tangent_leaves_flight_unchanged(self, k_drag, dt):
+        rng = np.random.default_rng(11)
+        p = params(k_drag=k_drag, dt=dt)
+        for _ in range(10):
+            xi = BallState(
+                p=[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], v=rng.normal(size=3) * 4.0
+            )
+            plain = propagate_to_landing(xi, p)
+            pushed = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
+            assert np.array_equal(plain.landing_state.as_vector(), pushed.landing_state.as_vector())
+            assert (plain.k_max, plain.t_last) == (pushed.k_max, pushed.t_last)
+            assert plain.tangent is None and pushed.tangent.shape == (6, 2)
+            with pytest.raises(ValueError):
+                landing_state_jacobian(plain, p)
+
 
 def _landing_fd(xi_vec, p, h=1e-6):
     fd = np.zeros((6, 6))
@@ -263,9 +279,9 @@ class TestLandingStateJacobian:
     def test_immediate_landing_matches_fd(self):
         p = params(dt=0.01)
         xi = BallState(p=[0.2, 0.3, 0.761], v=[1.0, -0.5, -1.0]).as_vector()
-        rec = propagate_to_landing(BallState.from_vector(xi), p)
+        rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
         assert rec.k_max == 0
-        jac = landing_state_jacobian(rec, p, np.eye(6))
+        jac = landing_state_jacobian(rec, p)
         fd, _ = _landing_fd(xi, p)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -278,8 +294,8 @@ class TestLandingStateJacobian:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(BallState.from_vector(xi), p)
-            jac = landing_state_jacobian(rec, p, np.eye(6))
+            rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+            jac = landing_state_jacobian(rec, p)
             fd, k_maxes = _landing_fd(xi, p)
             if len(k_maxes) > 1 or k_maxes != {rec.k_max}:
                 boundary_cases += 1  # FD stepped across a step-count change
@@ -292,18 +308,28 @@ class TestLandingStateJacobian:
     def test_velocity_rows_match_fd(self):
         p = params(dt=1e-3)
         xi = np.array([-0.5, 0.8, 1.2, -2.5, 3.0, 1.5])
-        rec = propagate_to_landing(BallState.from_vector(xi), p)
-        jac = landing_state_jacobian(rec, p, np.eye(6))
+        rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+        jac = landing_state_jacobian(rec, p)
         fd, k_maxes = _landing_fd(xi, p)
         assert k_maxes == {rec.k_max}
         assert np.linalg.norm(jac[3:, :] - fd[3:, :]) / np.linalg.norm(fd[3:, :]) < 1e-4
 
 
-def _step_product(rec, p):
+def _euler_states(xi, p, n):
+    """Test-local Euler loop: the states before each of n full steps, and the state after them."""
+    states = [np.asarray(xi, dtype=float)]
+    for _ in range(n):
+        pos, v = states[-1][:3], states[-1][3:]
+        acc = -p.k_drag * np.linalg.norm(v) * v + p.gravity
+        states.append(np.concatenate([pos + p.dt * v, v + p.dt * acc]))
+    return states
+
+
+def _step_product(states, p):
     """Test-local 6x6 product of the per-step Jacobians over the full steps."""
     product = np.eye(6)
-    for k in range(rec.k_max):
-        j, _ = free_flight_step_jacobians(BallState.from_vector(rec.states[k]), p)
+    for state in states[:-1]:
+        j, _ = free_flight_step_jacobians(BallState.from_vector(state), p)
         product = j @ product
     return product
 
@@ -317,19 +343,22 @@ class TestTangentJacobianOracle:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(BallState.from_vector(xi), p)
+            rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
             assert rec.k_max > 100
+            states = _euler_states(xi, p, rec.k_max)
+            np.testing.assert_allclose(states[-1], rec.stop, rtol=0.0, atol=1e-12)
             # with no full steps the tangent push is the identity, leaving
             # only the last-step and interpolation corrections
             last_only = LandingRecord(
-                states=rec.states[-1:], k_max=0, t_last=rec.t_last,
-                landing_state=rec.landing_state, landing_point=rec.landing_point,
+                k_max=0, t_last=rec.t_last, landing_state=rec.landing_state,
+                landing_point=rec.landing_point, stop=rec.stop, tangent=np.eye(6),
             )
-            oracle = landing_state_jacobian(last_only, p, np.eye(6)) @ _step_product(rec, p)
-            full = landing_state_jacobian(rec, p, np.eye(6))
+            oracle = landing_state_jacobian(last_only, p) @ _step_product(states, p)
+            full = landing_state_jacobian(rec, p)
             assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
             tangent = rng.normal(size=(6, 2))
-            pushed = landing_state_jacobian(rec, p, tangent)
+            rec = propagate_to_landing(BallState.from_vector(xi), p, tangent)
+            pushed = landing_state_jacobian(rec, p)
             expected = oracle @ tangent
             assert pushed.shape == (6, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12

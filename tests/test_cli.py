@@ -2,11 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
+import ttreturn.harness
 from ttreturn.cli import main
-from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
+from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
 from ttreturn.greybox import GreyboxPredictor
+from ttreturn.optimizer import RunLog
 
 
 def test_bad_parameter_exits_one(tmp_path, capsys):
@@ -64,6 +67,39 @@ def test_unreachable_box_exits_two(tmp_path, capsys):
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "aborted:" in capsys.readouterr().err
+
+
+def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
+    # every ball after the third is missed: the run aborts on the 21st miss
+    # in a row and its CSV keeps the three finished iterations
+    intercept = ttreturn.harness.intercept
+    calls = []
+
+    def failing_intercept(phi, cfg, rng):
+        calls.append(phi)
+        if len(calls) > 3:
+            raise NoCrossing("injected")
+        return intercept(phi, cfg, rng)
+
+    monkeypatch.setattr(ttreturn.harness, "intercept", failing_intercept)
+    out = tmp_path / "o"
+    code = main(["run", "--seed", "1", "--iters", "10", "--out", str(out)])
+    assert code == 2
+    assert "21 consecutive missed balls at iteration 4" in capsys.readouterr().err
+    log = RunLog.from_csv(out / "run_greybox_seed1.csv")
+    assert [rec.i for rec in log.records] == [1, 2, 3]
+    assert log.n_failures == 21
+    assert "# failures=21\n" in (out / "run_greybox_seed1.csv").read_text()
+
+
+def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):
+    def nan_gradient(self, phi, incoming):
+        return np.array([[np.nan, 0.0], [0.0, 1.0]])
+
+    monkeypatch.setattr(GreyboxPredictor, "gradient", nan_gradient)
+    code = main(["run", "--seed", "1", "--iters", "3", "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "error: NonFiniteStep: iteration 1: jac is not finite" in capsys.readouterr().err
 
 
 def test_seeded_repeats_are_byte_identical(tmp_path, capsys):

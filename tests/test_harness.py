@@ -3,15 +3,25 @@
 import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.errors import ConfigError, InfeasibleRegion
 from ttreturn.greybox import GreyboxParams, predict_landing
 from ttreturn.harness import (
     ExperimentConfig,
+    MODES,
     SCENARIO_BOX,
     SAMPLING_MARGIN,
     derived_seeds,
@@ -83,6 +93,36 @@ class TestConfigValidation:
         assert back.seed == 5
         assert back.alpha1 == 0.07
         assert tuple(back.target) == (-1.2, 0.8)
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_property(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        pair = st.tuples(finite, finite)
+        cfg = data.draw(st.builds(
+            ExperimentConfig,
+            mode=st.sampled_from(MODES),
+            seed=st.integers(0, 2**63),
+            predictor=st.sampled_from(("greybox", "blackbox")),
+            alpha1=finite,
+            n_iters=st.integers(1, 10**6),
+            target=pair,
+            phi1=pair,
+            couple_geometry=st.booleans(),
+            box_theta4=pair,
+            sampling=st.sampled_from(("uniform", "grid")),
+            landing_noise_std=st.one_of(st.just(()), pair),
+            nominal_state=st.one_of(st.just(()), st.tuples(*[finite] * 6)),
+            variance_policies=st.lists(pair, max_size=4).map(tuple),
+            sweep_targets=st.lists(pair, max_size=4).map(tuple),
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.json")
+            cfg.to_json(path)
+            back = ExperimentConfig.from_json(path)
+        assert back == cfg
+        assert back.config_hash() == cfg.config_hash()
 
     def test_rejects_unknown_json_key(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -15,7 +15,7 @@ except ImportError:
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig, intercept
-from ttreturn.errors import AbortedRun
+from ttreturn.errors import AbortedRun, NonFiniteStep
 from ttreturn.greybox import GreyboxParams, GreyboxPredictor
 from ttreturn.optimizer import (
     FeasibleSet,
@@ -72,6 +72,21 @@ class TestProject:
         d_proj = np.hypot(x - proj.theta1, y - proj.theta4)
         d_member = np.hypot(x - kx, y - ky)
         assert d_proj <= d_member + 1e-12
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(allow_nan=False),
+        st.floats(allow_nan=False),
+        st.floats(-10, 10),
+        st.floats(-10, 10),
+        st.floats(1e-6, 10),
+        st.floats(1e-6, 10),
+    )
+    def test_is_idempotent(self, x, y, lo1, lo4, w1, w4):
+        box = FeasibleSet(theta1_bounds=(lo1, lo1 + w1), theta4_bounds=(lo4, lo4 + w4))
+        once = project(InterceptionPolicy(x, y), box)
+        assert project(once, box) == once
 
 
 class TestStepLength:
@@ -224,6 +239,32 @@ class TestRunOnline:
                 schedule=StepSchedule(alpha1=0.1),
                 k=box,
                 seed=2,
+            )
+
+    @pytest.mark.parametrize("source", ["r_landing", "jac"])
+    def test_non_finite_step_raises(self, source):
+        # a NaN must stop the run at once, not walk the policy off the box
+        # into a string of missed balls reported as an aborted run
+        cfg = make_noiseless_cfg()
+
+        def env(phi, rng):
+            r, diag = intercept(phi, cfg, rng)
+            return (np.array([np.nan, r[1]]) if source == "r_landing" else r), diag
+
+        class NanGradient:
+            def gradient(self, phi, incoming):
+                return np.array([[np.nan, 0.0], [0.0, 1.0]]) if source == "jac" else np.eye(2)
+
+        with pytest.raises(NonFiniteStep, match=f"^iteration 1: {source} is not finite"):
+            run_online(
+                env=env,
+                predictor=NanGradient(),
+                r_target=np.array([-1.2, 0.6]),
+                phi1=InterceptionPolicy(0.45, 0.20),
+                n_iters=5,
+                schedule=StepSchedule(alpha1=0.1),
+                k=FeasibleSet(),
+                seed=0,
             )
 
     def test_replay_determinism(self):
