@@ -17,6 +17,7 @@ from .ballistics import BallState
 from .errors import NoCrossing, OutOfReach
 
 REACH_MARGIN = 0.01  # [m] keep-out from both inverse-kinematics singularities
+CROSS_TOL = 1e-9     # [m] |c| below which a sample may lie on either side of theta1
 
 
 @dataclass
@@ -64,73 +65,73 @@ class InterceptionEvent:
         self.racket_pos = np.asarray(self.racket_pos, dtype=float)
 
 
-def base_azimuth(points: np.ndarray, geom: ArmGeometry) -> np.ndarray:
-    """Azimuth of points as seen from the base pivot.
+def base_azimuth(x, y, geom: ArmGeometry):
+    """Azimuth of the horizontal position (x, y), scalars or arrays, as seen
+    from the base pivot.
 
     Zero along the rest-normal direction, positive counterclockwise about +z.
     """
-    points = np.atleast_2d(points)
-    d = points - geom.base
     ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    az = np.arctan2(d[:, 1], d[:, 0]) - ref
-    return np.mod(az + pi, 2.0 * pi) - pi
+    return (np.arctan2(y - geom.base[1], x - geom.base[0]) - ref + pi) % (2.0 * pi) - pi
 
 
 def interception_event(incoming, geom: ArmGeometry, theta1: float) -> InterceptionEvent:
     """First (interpolated) sample at which the ball crosses base azimuth theta1.
 
-    `incoming` is a SampledTrajectory (times, states and cached azimuths).
+    `incoming` is a SampledTrajectory. With a and b the base azimuths of two
+    consecutive samples relative to theta1, wrapped to [-pi, pi), the pair
+    crosses if it is no wrap jump (|b - a| <= pi) and a == 0, a b < 0 or
+    b == 0. Only candidate pairs are tested, in order: a and the half-plane
+    sign c = ux (y - by) - uy (x - bx), with u the direction of theta1, have
+    the same sign wherever |c| exceeds CROSS_TOL, so a pair is a candidate
+    unless both of its c, clipped to that band, sit on the same edge.
     """
-    times, states = incoming.times, incoming.states
-    az = incoming.azimuth(geom)
-    rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
+    bx, by, bz = geom.base.tolist()
+    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
+    xy = incoming.xy()
+    c = cos(ref + theta1) * (xy[1] - by) - sin(ref + theta1) * (xy[0] - bx)
+    c = np.minimum(np.maximum(c, -CROSS_TOL), CROSS_TOL)
+    pairs = (c[:-1] * c[1:] < CROSS_TOL**2).nonzero()[0]
 
-    # first genuine crossing: a pair that is no wrap jump and either starts
-    # on the azimuth or ends on it or across it
-    a, b = rel[:-1], rel[1:]
-    hit = ~(np.abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0))
-    if not hit.any():
+    rows, times, tau = incoming.rows, incoming.times, 2.0 * pi
+
+    def rel(i: int) -> float:
+        return float(base_azimuth(rows[6 * i], rows[6 * i + 1], geom) - theta1 + pi) % tau - pi
+
+    for idx in pairs.tolist():
+        a, b = rel(idx), rel(idx + 1)
+        if not abs(b - a) > pi and (a == 0.0 or a * b < 0.0 or b == 0.0):
+            break
+    else:
         raise NoCrossing(f"ball path never reaches base azimuth {theta1:.3f} rad")
-    idx = int(hit.argmax())
-    u = 0.0 if a[idx] == 0.0 else a[idx] / (a[idx] - b[idx])
+    u = 0.0 if a == 0.0 else a / (a - b)
 
     t_ic = times[idx] + u * (times[idx + 1] - times[idx])
-    xi = states[idx] + u * (states[idx + 1] - states[idx])
-    p = xi[:3]
+    row, after = rows[6 * idx : 6 * idx + 6], rows[6 * idx + 6 : 6 * idx + 12]
+    xi = [p + u * (q - p) for p, q in zip(row, after)]
+    dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
 
-    dist = float(np.linalg.norm(p - geom.base))
+    dist = sqrt(dx * dx + dy * dy + dz * dz)
     lo = abs(geom.l1 - geom.l2) + REACH_MARGIN
     hi = geom.l1 + geom.l2 - REACH_MARGIN
     if not (lo <= dist <= hi):
         raise OutOfReach(f"target at {dist:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
 
     # planar two-link inverse kinematics in the yawed vertical plane, elbow up
-    d = p - geom.base
-    d_h = sqrt(d[0] ** 2 + d[1] ** 2)
-    w = d[2]
+    d_h = sqrt(dx**2 + dy**2)
     c3 = (dist**2 - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
     c3 = min(1.0, max(-1.0, c3))
     gamma = acos(c3)
     theta3 = -gamma
-    theta2 = atan2(w, d_h) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
+    theta2 = atan2(dz, d_h) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
 
     return InterceptionEvent(
         t_ic=float(t_ic),
-        xi_minus=BallState.from_vector(xi),
+        xi_minus=BallState(p=np.array(xi[:3]), v=np.array(xi[3:])),
         theta2=theta2,
         theta3=theta3,
-        racket_pos=p.copy(),
+        racket_pos=np.array(xi[:3]),
     )
-
-
-def forward_kinematics(geom: ArmGeometry, theta1: float, theta2: float, theta3: float) -> np.ndarray:
-    """Racket center position for the given joint angles."""
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    a = ref + theta1
-    u_r = np.array([cos(a), sin(a), 0.0])
-    radial = geom.l1 * cos(theta2) + geom.l2 * cos(theta2 + theta3)
-    height = geom.l1 * sin(theta2) + geom.l2 * sin(theta2 + theta3)
-    return geom.base + radial * u_r + np.array([0.0, 0.0, height])
 
 
 def _rot_z(a: float) -> np.ndarray:

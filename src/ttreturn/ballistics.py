@@ -78,9 +78,6 @@ class LandingRecord:
     stop: np.ndarray          # (6,) state after the full steps
     tangent: np.ndarray | None = None  # (6, m) tangent pushed through the full steps
 
-    def total_time(self, dt: float) -> float:
-        return self.k_max * dt + self.t_last
-
 
 def euler_flight(
     row, params: FlightParams, dt: float, max_steps: int, land: bool = False, table: tuple | None = None,

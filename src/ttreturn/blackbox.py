@@ -259,8 +259,5 @@ class BlackboxPredictor:
     def __init__(self, model: MlpModel):
         self.model = model
 
-    def predict(self, phi: InterceptionPolicy, incoming=None) -> np.ndarray:
-        return mlp_forward(self.model, phi)
-
     def gradient(self, phi: InterceptionPolicy, incoming=None) -> np.ndarray:
         return mlp_jacobian(self.model, phi)

@@ -8,11 +8,12 @@ parameters, and additive anisotropic landing noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import ceil
 
 import numpy as np
 
-from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event, racket_rotation, racket_velocity
+from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from .ballistics import BallState, FlightParams, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
@@ -39,20 +40,17 @@ def on_table(point: np.ndarray) -> bool:
 
 @dataclass
 class SampledTrajectory:
-    """Dense time-sampled ball trajectory."""
+    """Dense time-sampled ball trajectory, kept as the flight kernel wrote it."""
 
-    times: np.ndarray   # (n,)
-    states: np.ndarray  # (n, 6)
-    _azimuth: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    times: np.ndarray  # (n,)
+    rows: list         # 6 n floats: p, v of each sample in turn
+    _xy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def azimuth(self, geom: ArmGeometry) -> np.ndarray:
-        """base_azimuth of every sample, cached for the last geometry asked."""
-        key = (geom.base.tobytes(), geom.rest_normal.tobytes())
-        if self._azimuth[0] != key:
-            az = base_azimuth(self.states[:, :3], geom)
-            az.flags.writeable = False
-            self._azimuth = (key, az)
-        return self._azimuth[1]
+    def xy(self) -> np.ndarray:
+        """(2, n) horizontal positions of the samples, built on the first call."""
+        if self._xy is None:
+            self._xy = np.fromiter(self.rows[0::6] + self.rows[1::6], float).reshape(2, -1)
+        return self._xy
 
     def __len__(self) -> int:
         return len(self.times)
@@ -107,25 +105,33 @@ class InterceptDiagnostics:
     incoming: SampledTrajectory
 
 
+T_MAX = 3.0  # [s] launch sampling horizon
+# table footprint (center, half size), then a y well past the arm workspace [m]
+CONTACT = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), -1.2)
+
+
+@lru_cache
+def sample_clock(sample_dt: float) -> tuple[np.ndarray, int]:
+    """Launch sample clock, accumulated step by step, and the number of steps
+    taken while it reads < T_MAX."""
+    clock = np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / sample_dt) + 1, sample_dt)])
+    clock.flags.writeable = False
+    return clock, int(np.count_nonzero(clock < T_MAX))
+
+
 def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) -> SampledTrajectory:
     """Launch one ball: jitter the nominal state, integrate, sample densely.
 
-    Sampling stops once the ball drops to the table plane or has passed well
-    behind the launch-facing side of the workspace.
+    Sampling stops once the ball meets the table, drops to the floor or has
+    passed well behind the workspace, or after T_MAX.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     start = cfg.nominal_state.as_vector() + jitter
 
-    y_stop = -1.2  # [m] well past the arm workspace
-    t_max = 3.0
-    # sample clock accumulated step by step; steps are taken while it reads < t_max
-    clock = np.cumsum(np.r_[0.0, np.full(ceil(t_max / cfg.sample_dt) + 1, cfg.sample_dt)])
-    table = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), y_stop)
-    flat = start.tolist()  # the flight appends each sample after the start
-    n_max = int(np.count_nonzero(clock < t_max))
-    euler_flight(flat, flight, cfg.sample_dt, n_max, table=table, samples=flat)
-    states = np.array(flat).reshape(-1, 6)
-    return SampledTrajectory(times=clock[: len(states)], states=states)
+    clock, n_max = sample_clock(cfg.sample_dt)
+    rows = start.tolist()  # the flight appends each sample after the start
+    euler_flight(rows, flight, cfg.sample_dt, n_max, table=CONTACT, samples=rows)
+    return SampledTrajectory(times=clock[: len(rows) // 6], rows=rows)
 
 
 def intercept(

@@ -78,11 +78,16 @@ def predict_landing_with_gradient(
             ) / (2.0 * COUPLED_FD_STEP)
         return predict_landing(phi, incoming, params), jac
 
-    event = interception_event(incoming, params.geom, phi.theta1)
+    record, jac = frozen_gradient(phi, interception_event(incoming, params.geom, phi.theta1), params)
+    return record.landing_point, jac
+
+
+def frozen_gradient(phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams):
+    """Flight record at the policy and the 2x2 frozen-event Jacobian of its
+    landing point (the impact Jacobian pushed through the flight)."""
     j_impact = impact_state_jacobian(event.xi_minus, phi, event, params.geom, params.impact)
     record = frozen_landing_record(phi, event, params, j_impact)
-    jac = landing_state_jacobian(record, params.flight)[:2, :]
-    return record.landing_point, jac
+    return record, landing_state_jacobian(record, params.flight)[:2, :]
 
 
 class GreyboxPredictor:
@@ -90,9 +95,6 @@ class GreyboxPredictor:
 
     def __init__(self, params: GreyboxParams):
         self.params = params
-
-    def predict(self, phi: InterceptionPolicy, incoming) -> np.ndarray:
-        return predict_landing(phi, incoming, self.params)
 
     def gradient(self, phi: InterceptionPolicy, incoming) -> np.ndarray:
         _, jac = predict_landing_with_gradient(phi, incoming, self.params)

@@ -10,8 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import (
     GreyboxParams,
     GreyboxPredictor,
+    frozen_gradient,
     frozen_landing_record,
     predict_landing,
-    predict_landing_with_gradient,
 )
 from .optimizer import FeasibleSet, RunLog, StepSchedule, run_online
 
@@ -56,6 +57,28 @@ INITIAL_POLICIES = (
 VARIANCE_POLICIES = ((0.35, 0.10), (0.45, 0.25), (0.60, 0.40))
 
 MODES = ("grad-check", "baseline-variance", "gen-data", "train-blackbox", "run", "sweep")
+
+
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _reals(v) -> bool:
+    return isinstance(v, (tuple, list)) and all(map(_real, v))
+
+
+# what a config field of each annotated type must hold: (description, test)
+FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a number", _real),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "tuple[float, float]": ("a list of numbers", _reals),
+    "tuple[float, ...]": ("a list of numbers", _reals),
+    "tuple[tuple[float, float], ...]": ("a list of number pairs", lambda v: isinstance(v, (tuple, list))
+                                        and all(_reals(p) and len(p) == 2 for p in v)),
+}
+
 
 SUMMARY_HEADER = (
     "run,label,seed,theta1_1,theta4_1,target_x,target_y,"
@@ -93,19 +116,19 @@ class ExperimentConfig:
 
     # baseline-variance settings
     n_trials: int = 200
-    variance_policies: tuple = VARIANCE_POLICIES
+    variance_policies: tuple[tuple[float, float], ...] = VARIANCE_POLICIES
 
     # sweep settings
     sweep_kind: str = "targets"         # targets | inits
-    sweep_targets: tuple = SWEEP_TARGETS
-    initial_policies: tuple = INITIAL_POLICIES
+    sweep_targets: tuple[tuple[float, float], ...] = SWEEP_TARGETS
+    initial_policies: tuple[tuple[float, float], ...] = INITIAL_POLICIES
     n_seeds: int = 20                   # runs per target (targets sweep)
     n_replicates: int = 5               # runs per initial policy (inits sweep)
 
     # environment overrides (empty = package defaults)
-    landing_noise_std: tuple = ()
-    jitter_std: tuple = ()
-    nominal_state: tuple = ()
+    landing_noise_std: tuple[float, ...] = ()
+    jitter_std: tuple[float, ...] = ()
+    nominal_state: tuple[float, ...] = ()
 
     def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
@@ -136,6 +159,10 @@ class ExperimentConfig:
         ).hexdigest()[:16]
 
     def validate(self) -> None:
+        for f in fields(self):
+            want, ok = FIELD_TYPES[f.type]
+            if not ok(getattr(self, f.name)):
+                raise ConfigError(f"{f.name}: expected {want}, got {getattr(self, f.name)!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
         if self.seed < 0:
@@ -187,15 +214,15 @@ class ExperimentConfig:
                 doc = json.load(f)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: expected a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         for key in doc:
             if key not in known:
                 raise ConfigError(f"{path}: unknown field {key!r}")
-        for key in ("target", "phi1", "box_theta1", "box_theta4", "landing_noise_std",
-                    "jitter_std", "nominal_state", "variance_policies",
-                    "sweep_targets", "initial_policies"):
-            if key in doc:
-                doc[key] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[key])
+        for f in fields(cls):
+            if f.type.startswith("tuple") and isinstance(doc.get(f.name), list):
+                doc[f.name] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[f.name])
         return cls(**doc)
 
     def to_json(self, path: str) -> None:
@@ -381,9 +408,8 @@ def grad_check_report(
             t1, t4 = rng.uniform(lo, hi)
             phi = InterceptionPolicy(t1, t4)
             try:
-                _, jac = predict_landing_with_gradient(phi, traj, params)
                 event = interception_event(traj, params.geom, t1)
-                base_k = frozen_landing_record(phi, event, params).k_max
+                base, jac = frozen_gradient(phi, event, params)
                 fd = np.zeros((2, 2))
                 flagged = False
                 for col, d in enumerate(((FD_STEP, 0.0), (0.0, FD_STEP))):
@@ -393,7 +419,7 @@ def grad_check_report(
                     rec_lo = frozen_landing_record(
                         InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params
                     )
-                    if rec_hi.k_max != base_k or rec_lo.k_max != base_k:
+                    if rec_hi.k_max != base.k_max or rec_lo.k_max != base.k_max:
                         flagged = True
                     fd[:, col] = (rec_hi.landing_point - rec_lo.landing_point) / (2 * FD_STEP)
             except MissedBall:
@@ -450,12 +476,13 @@ def _run_one(
     n_iters: int,
     alpha1: float,
     path: str,
+    config_echo: str,
 ) -> RunLog:
     """One online run whose log is written to `path`, also when it aborts."""
     env = lambda phi, rng: intercept(phi, env_cfg, rng)
     try:
         log = run_online(env, predictor, target, phi1, n_iters, StepSchedule(alpha1),
-                         cfg.feasible_set(), seed=seed, config_echo=cfg.config_hash())
+                         cfg.feasible_set(), seed=seed, config_echo=config_echo)
     except AbortedRun as exc:
         exc.log.to_csv(path)
         raise
@@ -468,7 +495,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
     env_cfg = cfg.env_config()
-    comments = (f"seed={cfg.seed}", f"config={cfg.config_hash()}")
+    config_echo = cfg.config_hash()
+    comments = (f"seed={cfg.seed}", f"config={config_echo}")
 
     if cfg.mode == "grad-check":
         report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set())
@@ -515,7 +543,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         ds = Dataset.load_csv(ds_path)
         model, history = train(ds, TrainConfig(epochs=cfg.epochs, seed=cfg.seed), cfg.feasible_set())
         model_path = cfg.resolved_model_path()
-        model.save(model_path, meta={"seed": cfg.seed, "config": cfg.config_hash()})
+        model.save(model_path, meta={"seed": cfg.seed, "config": config_echo})
         hist_path = os.path.join(cfg.out_dir, "train_history.csv")
         with open(hist_path, "w", newline="\n") as f:
             for line in comments:
@@ -535,7 +563,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
         log = _run_one(
             cfg, predictor, env_cfg, target, InterceptionPolicy(*cfg.phi1),
-            cfg.seed, cfg.n_iters, cfg.alpha1, path,
+            cfg.seed, cfg.n_iters, cfg.alpha1, path, config_echo,
         )
         rec = log.records[-1]
         return {
@@ -569,7 +597,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             idx += 1
             run_path = os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv")
             log = _run_one(
-                cfg, predictor, env_cfg, target, phi1, seed, cfg.n_iters, cfg.alpha1, run_path
+                cfg, predictor, env_cfg, target, phi1, seed, cfg.n_iters, cfg.alpha1, run_path,
+                config_echo,
             )
             artifacts.append(run_path)
             rec = log.records[-1]

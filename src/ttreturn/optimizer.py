@@ -95,9 +95,6 @@ class RunLog:
     config_echo: str = ""
     n_failures: int = 0
 
-    def landing_points(self) -> np.ndarray:
-        return np.array([rec.r_landing for rec in self.records])
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="\n") as f:
             f.write(f"# seed={self.seed}\n")

@@ -9,14 +9,22 @@ from ttreturn.arm import (
     ArmGeometry,
     InterceptionPolicy,
     base_azimuth,
-    forward_kinematics,
     interception_event,
     racket_rotation,
     racket_rotation_jacobian,
     racket_velocity,
 )
-from ttreturn.env import SampledTrajectory
-from ttreturn.errors import NoCrossing, OutOfReach
+from ttreturn.env import EnvConfig, LauncherConfig, SampledTrajectory, launch
+from ttreturn.errors import MissedBall, NoCrossing, OutOfReach
+
+
+def forward_kinematics(geom, theta1, theta2, theta3):
+    """Racket center position for the given joint angles."""
+    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
+    u_r = np.array([cos(ref + theta1), sin(ref + theta1), 0.0])
+    radial = geom.l1 * cos(theta2) + geom.l2 * cos(theta2 + theta3)
+    height = geom.l1 * sin(theta2) + geom.l2 * sin(theta2 + theta3)
+    return geom.base + radial * u_r + np.array([0.0, 0.0, height])
 
 
 def straight_trajectory(p0, v, n=200, dt=0.002):
@@ -24,7 +32,117 @@ def straight_trajectory(p0, v, n=200, dt=0.002):
     times = np.arange(n) * dt
     v = np.asarray(v, dtype=float)
     pos = np.asarray(p0, dtype=float) + times[:, None] * v
-    return SampledTrajectory(times=times, states=np.hstack([pos, np.tile(v, (n, 1))]))
+    return SampledTrajectory(times=times, rows=np.hstack([pos, np.tile(v, (n, 1))]).ravel().tolist())
+
+
+def polyline_trajectory(corners, per_leg=50, z=0.9, dt=0.002):
+    """Horizontal path through the given (x, y) corners at height z."""
+    pts = [np.linspace(a, b, per_leg, endpoint=False) for a, b in zip(corners, corners[1:])]
+    xy = np.vstack(pts + [np.array(corners[-1:], dtype=float)])
+    rows = np.column_stack([xy, np.full(len(xy), z), np.zeros((len(xy), 3))])
+    return SampledTrajectory(times=np.arange(len(xy)) * dt, rows=rows.ravel().tolist())
+
+
+def reference_event(traj, geom, theta1):
+    """Test-local whole-trajectory mask scan: the base azimuth of every sample,
+    then the first pair that is no wrap jump and starts on, ends on or
+    straddles theta1. Returns (t_ic, xi, theta2, theta3, racket_pos)."""
+    times = traj.times
+    states = np.array(traj.rows).reshape(-1, 6)
+    d = states[:, :3] - geom.base
+    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
+    az = np.mod(np.arctan2(d[:, 1], d[:, 0]) - ref + pi, 2.0 * pi) - pi
+    rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
+    a, b = rel[:-1], rel[1:]
+    hit = ~(np.abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0))
+    if not hit.any():
+        raise NoCrossing("reference")
+    idx = int(hit.argmax())
+    u = 0.0 if a[idx] == 0.0 else a[idx] / (a[idx] - b[idx])
+    t_ic = times[idx] + u * (times[idx + 1] - times[idx])
+    xi = states[idx] + u * (states[idx + 1] - states[idx])
+    p = xi[:3]
+    dist = float(np.linalg.norm(p - geom.base))
+    if not (abs(geom.l1 - geom.l2) + 0.01 <= dist <= geom.l1 + geom.l2 - 0.01):
+        raise OutOfReach("reference")
+    dp = p - geom.base
+    c3 = min(1.0, max(-1.0, (dist**2 - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)))
+    gamma = np.arccos(c3)
+    theta2 = atan2(dp[2], np.hypot(dp[0], dp[1])) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
+    return t_ic, xi, theta2, -gamma, p
+
+
+def outcome_matches_reference(traj, geom, theta1):
+    """Assert both scans end alike; return the exception type or None."""
+    try:
+        ref = reference_event(traj, geom, theta1)
+    except MissedBall as exc:
+        with pytest.raises(type(exc)):
+            interception_event(traj, geom, theta1)
+        return type(exc)
+    ev = interception_event(traj, geom, theta1)
+    t_ic, xi, theta2, theta3, racket_pos = ref
+    assert abs(ev.t_ic - t_ic) <= 1e-12
+    np.testing.assert_allclose(ev.xi_minus.as_vector(), xi, rtol=0, atol=1e-12)
+    assert abs(ev.theta2 - theta2) <= 1e-12 and abs(ev.theta3 - theta3) <= 1e-12
+    np.testing.assert_allclose(ev.racket_pos, racket_pos, rtol=0, atol=1e-12)
+    return None
+
+
+class TestInterceptionOracle:
+    def test_matches_mask_scan_over_jittered_launches(self):
+        cfg = EnvConfig()
+        # triple jitter for a wider spread of paths; theta1 spans the policy
+        # box (0.26, 0.72) and well beyond it, both sides of the base
+        launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
+        shifted = ArmGeometry(base=np.array([0.05, -0.1, 0.8]))
+        thetas = np.r_[np.linspace(-0.6, 1.6, 23), -pi, -pi / 2, pi / 2, 3.0]
+        rng = np.random.default_rng(11)
+        seen = {}
+        for n in range(200):
+            traj = launch(launcher, cfg.truth_flight, rng)
+            geom = shifted if n % 4 == 3 else cfg.geom
+            for theta1 in thetas:
+                kind = outcome_matches_reference(traj, geom, float(theta1))
+                seen[kind] = seen.get(kind, 0) + 1
+        assert set(seen) == {None, NoCrossing, OutOfReach}
+
+    def test_sample_exactly_on_the_azimuth(self):
+        # base at the origin facing +y: theta1 = 0 is the +y ray, which the
+        # fourth sample sits on exactly
+        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
+        traj = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
+        assert traj.rows[18:20] == [0.0, 0.6]
+        assert outcome_matches_reference(traj, geom, 0.0) is None
+        ev = interception_event(traj, geom, 0.0)
+        assert ev.t_ic == pytest.approx(traj.times[3], abs=1e-15)
+        np.testing.assert_array_equal(ev.xi_minus.p, [0.0, 0.6, 0.9])
+        # starting on the azimuth intercepts at the first sample
+        ev = interception_event(polyline_trajectory([(0.0, 0.6), (-0.3, 0.6)]), geom, 0.0)
+        assert ev.t_ic == 0.0
+
+    def test_wrap_jump_is_no_crossing(self):
+        # crossing the opposite ray (-y) flips the azimuth from +pi to -pi;
+        # that pair is skipped and the later +y crossing is the event
+        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
+        behind = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6)])
+        with pytest.raises(NoCrossing):
+            interception_event(behind, geom, 0.0)
+        assert outcome_matches_reference(behind, geom, 0.0) is NoCrossing
+        around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
+        ev = interception_event(around, geom, 0.0)
+        np.testing.assert_allclose(ev.xi_minus.p, [0.0, 0.6, 0.9], atol=1e-12)
+        assert outcome_matches_reference(around, geom, 0.0) is None
+
+    @pytest.mark.parametrize("theta1", [0.0, pi, -pi, 0.3, -0.3, pi / 2])
+    @pytest.mark.parametrize("y0,vy", [(0.8, -0.5), (3.0, -0.1), (1.0, -4.0), (-0.8, 0.5)])
+    def test_straight_lines_along_base_x(self, theta1, y0, vy):
+        # every sample lies on the theta1 = 0 ray or on its opposite, where
+        # the half-plane sign is a rounding residue; (1.0, -4.0) passes
+        # through the base pivot itself
+        geom = ArmGeometry()
+        traj = straight_trajectory([geom.base[0], y0, geom.base[2]], [0.0, vy, 0.0], n=300)
+        outcome_matches_reference(traj, geom, theta1)
 
 
 class TestInterceptionEvent:
@@ -42,12 +160,12 @@ class TestInterceptionEvent:
         np.testing.assert_allclose(ev.racket_pos, ev.xi_minus.p, atol=1e-12)
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
-        # a SampledTrajectory caches its azimuths by the geometry's values;
-        # every event must equal the one from a fresh, uncached trajectory
-        traj = SampledTrajectory(times=nominal_traj.times, states=nominal_traj.states)
+        # a SampledTrajectory caches its sample positions, which do not depend
+        # on the geometry; every event must equal the one from a fresh trajectory
+        traj = SampledTrajectory(times=nominal_traj.times, rows=nominal_traj.rows)
 
         def uncached(g):
-            fresh = SampledTrajectory(times=nominal_traj.times, states=nominal_traj.states)
+            fresh = SampledTrajectory(times=nominal_traj.times, rows=nominal_traj.rows)
             return interception_event(fresh, g, 0.45)
 
         geom = ArmGeometry()
@@ -66,14 +184,14 @@ class TestInterceptionEvent:
         geom = env_cfg.geom
         theta1 = 0.45
         ev = interception_event(nominal_traj, geom, theta1)
-        az = base_azimuth(ev.xi_minus.p[None, :], geom)[0]
+        az = base_azimuth(ev.xi_minus.p[0], ev.xi_minus.p[1], geom)
         # azimuth is nonlinear in position, so linear state interpolation
         # leaves a small residual at the crossing
         assert az == pytest.approx(theta1, abs=1e-4)
         # dense re-sampling reference for the crossing time
         times = nominal_traj.times
-        states = nominal_traj.states
-        azs = base_azimuth(states[:, :3], geom) - theta1
+        states = np.array(nominal_traj.rows).reshape(-1, 6)
+        azs = base_azimuth(states[:, 0], states[:, 1], geom) - theta1
         idx = np.nonzero((azs[:-1] <= 0) & (azs[1:] > 0))[0][0]
         u = -azs[idx] / (azs[idx + 1] - azs[idx])
         t_ref = times[idx] + u * (times[idx + 1] - times[idx])

@@ -286,7 +286,6 @@ class TestPredictorHandle:
         model = random_model(8)
         pred = BlackboxPredictor(model)
         phi = InterceptionPolicy(0.2, 0.05)
-        np.testing.assert_array_equal(pred.predict(phi), mlp_forward(model, phi))
         np.testing.assert_array_equal(
             pred.gradient(phi, incoming="anything"), mlp_jacobian(model, phi)
         )

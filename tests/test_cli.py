@@ -26,6 +26,24 @@ def test_unknown_config_field_exits_one(tmp_path, capsys):
     assert "learning" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"seed": "3"}', "seed: expected an integer"),
+        ('{"n_iters": 2.5}', "n_iters: expected an integer"),
+        ("[1, 2]", "expected a JSON object"),
+    ],
+)
+def test_wrong_config_type_exits_one(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc + "\n")
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_missing_model_exits_one(tmp_path, capsys):
     code = main(
         [

@@ -8,6 +8,9 @@ import tempfile
 import numpy as np
 import pytest
 
+import ttreturn.greybox
+import ttreturn.harness
+
 try:
     from hypothesis import given, settings
     from hypothesis import strategies as st
@@ -83,6 +86,33 @@ class TestConfigValidation:
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
         with pytest.raises(ConfigError, match=f"^{field}: must be finite"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", "3"),
+            ("seed", True),
+            ("n_iters", 2.5),
+            ("alpha1", "0.1"),
+            ("alpha1", False),
+            ("couple_geometry", 1),
+            ("target", 5),
+            ("target", ("a", 1.0)),
+            ("sweep_targets", ((1.0, 2.0), (3.0,))),
+            ("mode", None),
+            ("out_dir", 3),
+        ],
+    )
+    def test_rejects_wrong_type(self, field, value):
+        cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
+        with pytest.raises(ConfigError, match=f"^{field}: expected "):
+            cfg.validate()
+
+    def test_rejects_non_object_json(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(ConfigError, match="expected a JSON object"):
+            ExperimentConfig.from_json(path)
 
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(mode="run", seed=5, alpha1=0.07, target=(-1.2, 0.8))
@@ -213,6 +243,25 @@ class TestGradCheck:
         assert report.n_flagged == 0
         assert report.max_rel_error < 1e-7
 
+    def test_greybox_flies_each_policy_once(self, env_cfg, monkeypatch):
+        # per policy: one event, one base flight with the tangent, four FD flights
+        calls = {"flights": 0, "events": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ttreturn.greybox, "propagate_to_landing",
+                            counted("flights", ttreturn.greybox.propagate_to_landing))
+        for module in (ttreturn.greybox, ttreturn.harness):
+            monkeypatch.setattr(module, "interception_event",
+                                counted("events", module.interception_event))
+        report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
+        assert len(report.entries) == 10
+        assert calls == {"flights": 50, "events": 10}
+
     def test_deterministic(self, env_cfg):
         a = grad_check_report("greybox", 3, seed=5, env_cfg=env_cfg)
         b = grad_check_report("greybox", 3, seed=5, env_cfg=env_cfg)
@@ -290,7 +339,7 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         log = RunLog.from_csv(summary["artifacts"][0])
         target = np.asarray(cfg.target)
-        pts = log.landing_points()
+        pts = np.array([rec.r_landing for rec in log.records])
         for i, rec in enumerate(log.records):
             head = pts[: i + 1]
             rbar = head.mean(axis=0)

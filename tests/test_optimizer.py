@@ -1,5 +1,7 @@
 """Projection, step schedule, update rule and the online loop."""
 
+import os
+import tempfile
 from math import pi
 
 import numpy as np
@@ -19,6 +21,7 @@ from ttreturn.errors import AbortedRun, NonFiniteStep
 from ttreturn.greybox import GreyboxParams, GreyboxPredictor
 from ttreturn.optimizer import (
     FeasibleSet,
+    IterationRecord,
     RunLog,
     StepSchedule,
     gd_update,
@@ -319,12 +322,44 @@ class TestRunLog:
             assert rb.eps == pytest.approx(ra.eps, rel=1e-8)
             assert rb.sigma == pytest.approx(ra.sigma, rel=1e-8, abs=1e-12)
 
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_csv_bytes_round_trip_property(self, data):
+        # every value is written with 9 significant digits, so writing what
+        # was read back must give the same bytes; provenance is exact
+        num = st.floats(width=64)
+        record = st.builds(
+            IterationRecord,
+            i=st.integers(1, 10**6),
+            phi=st.builds(InterceptionPolicy, num, num),
+            r_landing=st.tuples(num, num).map(np.array),
+            alpha=num, loss=num, eps=num, sigma=num,
+            r_bar=st.tuples(num, num).map(np.array),
+        )
+        log = RunLog(
+            records=data.draw(st.lists(record, max_size=5)),
+            seed=data.draw(st.integers(0, 2**64)),
+            config_echo=data.draw(st.text("0123456789abcdef", min_size=16, max_size=16)),
+            n_failures=data.draw(st.integers(0, 10**6)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            log.to_csv(first)
+            back = RunLog.from_csv(first)
+            back.to_csv(second)
+            with open(first, "rb") as a, open(second, "rb") as b:
+                assert a.read() == b.read()
+        assert (back.seed, back.config_echo, back.n_failures) == (
+            log.seed, log.config_echo, log.n_failures)
+        assert len(back.records) == len(log.records)
+
     def test_metrics_consistency(self):
         # eps and sigma logged per iteration must match a direct recomputation
         # from the landing points seen so far
         target = np.array([-1.2, 0.6])
         log = self._small_log()
-        pts = log.landing_points()
+        pts = np.array([rec.r_landing for rec in log.records])
         for i, rec in enumerate(log.records):
             head = pts[: i + 1]
             rbar = head.mean(axis=0)
