@@ -57,63 +57,4 @@ from .impact import ImpactParams, impact_state_jacobian, racket_impact
 from .metrics import MetricsState, running_metrics
 from .optimizer import FeasibleSet, RunLog, StepSchedule, gd_update, project, run_online, step_length
 
-__all__ = [
-    "ArmGeometry",
-    "InterceptionEvent",
-    "InterceptionPolicy",
-    "base_azimuth",
-    "interception_event",
-    "BallState",
-    "FlightParams",
-    "LandingRecord",
-    "free_flight_step",
-    "free_flight_step_jacobians",
-    "landing_state_jacobian",
-    "propagate_to_landing",
-    "remaining_time",
-    "remaining_time_gradient",
-    "BlackboxPredictor",
-    "Dataset",
-    "MlpModel",
-    "TrainConfig",
-    "mlp_forward",
-    "mlp_jacobian",
-    "train",
-    "EnvConfig",
-    "LauncherConfig",
-    "estimate_variance",
-    "intercept",
-    "launch",
-    "AbortedRun",
-    "ConfigError",
-    "DegenerateDataset",
-    "InfeasibleRegion",
-    "MissedBall",
-    "NoCrossing",
-    "OutOfReach",
-    "SimulationError",
-    "GreyboxParams",
-    "GreyboxPredictor",
-    "predict_landing",
-    "predict_landing_with_gradient",
-    "ExperimentConfig",
-    "GradCheckReport",
-    "gen_dataset",
-    "gen_dataset_greybox",
-    "grad_check_report",
-    "run_experiment",
-    "ImpactParams",
-    "impact_state_jacobian",
-    "racket_impact",
-    "MetricsState",
-    "running_metrics",
-    "FeasibleSet",
-    "RunLog",
-    "StepSchedule",
-    "gd_update",
-    "project",
-    "run_online",
-    "step_length",
-]
-
 __version__ = "0.1.0"

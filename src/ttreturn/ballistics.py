@@ -3,13 +3,15 @@
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. One scalar kernel, `euler_flight`, takes every step
-of the package. Analytic Jacobians of the whole flight push a tangent through
-the steps as the flight takes them, plus a correction for the shortened last
-step; no per-step state is stored.
+of the package but those of grey-box dataset labels, which `euler_landings`
+flies in lockstep on arrays. Analytic Jacobians of the whole flight push a
+tangent through the steps as the flight takes them, plus a correction for
+the shortened last step; no per-step state is stored.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -23,6 +25,7 @@ G_VERTICAL = 9.8  # [m/s^2]
 # Tolerances; overridable through FlightParams for special setups.
 LANDING_RESIDUAL_TOL = 1e-9   # [m] allowed |p_z - z_table| of the landing state
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
+LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by one (crossover 80-160)
 
 
 @dataclass
@@ -85,7 +88,7 @@ def euler_flight(
 ) -> tuple[tuple, int, np.ndarray | None]:
     """Explicit Euler steps of the drag flight on plain floats.
 
-    The package's one per-step drag update. Returns the 6-tuple state it
+    The package's scalar per-step drag update. Returns the 6-tuple state it
     stopped at, the number of steps taken and the pushed tangent (or None).
     The stop rule is one of:
 
@@ -158,6 +161,46 @@ def euler_flight(
     return stop, n, np.array(columns).T
 
 
+def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray, np.ndarray]:
+    """`euler_flight(row, params, params.dt, params.max_steps, land=True)` for
+    each row of a (B, 6) array: in lockstep on (B,) arrays, with the same
+    arithmetic in the same order, while at least LOCKSTEP_MIN rows fly, then
+    row by row in euler_flight. Returns (B, 6) stop states and (B,) step
+    counts; a row still flying after max_steps has count -1 and keeps its start.
+    """
+    dt, k_drag = params.dt, float(params.k_drag)
+    gx, gy, gz = params.gravity.tolist()
+    vz_top = G_VERTICAL * dt
+    z_top = float(params.z_table) + 0.5 * G_VERTICAL * dt * dt
+    stops = np.array(starts, dtype=float).reshape(-1, 6)
+    steps = np.full(len(stops), -1)
+    active = np.arange(len(stops))
+    px, py, pz, vx, vy, vz = stops.T.copy()
+    with np.errstate(all="ignore"):  # a non-finite row goes on as NaN, as in euler_flight
+        for n in range(params.max_steps + 1):
+            landed = (vz <= vz_top) & (pz + dt * vz <= z_top)
+            if landed.any():
+                stops[active[landed]] = np.column_stack((px, py, pz, vx, vy, vz))[landed]
+                steps[active[landed]] = n
+                flying = ~landed
+                active = active[flying]
+                px, py, pz, vx, vy, vz = (c[flying] for c in (px, py, pz, vx, vy, vz))
+            if n == params.max_steps or len(active) < LOCKSTEP_MIN:
+                break
+            drag = k_drag * np.sqrt(vx * vx + vy * vy + vz * vz)
+            px += dt * vx
+            py += dt * vy
+            pz += dt * vz
+            vx += dt * (gx - drag * vx)
+            vy += dt * (gy - drag * vy)
+            vz += dt * (gz - drag * vz)
+    for j, row in zip(active.tolist(), np.column_stack((px, py, pz, vx, vy, vz)).tolist()):
+        with suppress(MaxStepsExceeded):
+            stops[j], k, _ = euler_flight(row, params, dt, params.max_steps - n, land=True)
+            steps[j] = n + k
+    return stops, steps
+
+
 def free_flight_step(xi: BallState, params: FlightParams, dt_override: float | None = None) -> BallState:
     """One explicit Euler step of the drag-affected free flight."""
     dt = params.dt if dt_override is None else dt_override
@@ -225,7 +268,15 @@ def propagate_to_landing(
     """
     xi = xi_plus.as_vector().tolist()
     stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
-    start = np.array(stop)
+    t_last, landing = final_step(stop, params)
+    return LandingRecord(k_max=k_max, t_last=t_last, landing_state=BallState.from_vector(landing),
+                         landing_point=landing[:2].copy(), stop=np.array(stop), tangent=pushed)
+
+
+def final_step(stop, params: FlightParams) -> tuple[float, np.ndarray]:
+    """Length t_last of the shortened last step from the stop state, and the landing
+    6-state interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
+    start = np.array(stop, dtype=float)
     t_last = remaining_time(BallState.from_vector(start), params.z_table)
 
     # shortened final step (drag-affected, so it lands near but not on the plane)
@@ -235,8 +286,7 @@ def propagate_to_landing(
     frac = (params.z_table - start[2]) / dz if dz != 0.0 else 1.0
     landing = start + frac * (raw - start)
     landing[2] = params.z_table
-    return LandingRecord(k_max=k_max, t_last=t_last, landing_state=BallState.from_vector(landing),
-                         landing_point=landing[:2].copy(), stop=start, tangent=pushed)
+    return t_last, landing
 
 
 def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arm import InterceptionPolicy
 from .errors import DegenerateDataset
-from .optimizer import FeasibleSet
+from .optimizer import FeasibleSet, csv_artifact
 
 HIDDEN_LAYERS = (4, 4, 4, 4)
 OUTPUT_STD_FLOOR = 1e-6  # avoids a degenerate output scale on tiny datasets
@@ -72,10 +72,7 @@ class Dataset:
         return x, y
 
     def save_csv(self, path, comments: tuple[str, ...] = ()) -> None:
-        with open(path, "w", newline="\n") as f:
-            for line in comments:
-                f.write(f"# {line}\n")
-            f.write("theta1,theta4,land_x,land_y\n")
+        with csv_artifact(path, comments, "theta1,theta4,land_x,land_y") as f:
             for phi, landing in self.records:
                 f.write(
                     f"{phi.theta1:.9g},{phi.theta4:.9g},{landing[0]:.9g},{landing[1]:.9g}\n"
@@ -142,23 +139,23 @@ def mlp_jacobian(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     return model.output_std[:, None] * jac
 
 
-def _init_model(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, k: FeasibleSet) -> MlpModel:
+def random_model(rng: np.random.Generator, k: FeasibleSet, bound) -> MlpModel:
+    """Layers drawn uniform within +-bound(fan_in), inputs scaled onto the box k, outputs unscaled."""
     sizes = [2, *HIDDEN_LAYERS, 2]
     layers = []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        w = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-        b = rng.uniform(-bound, bound, size=fan_out)
-        layers.append((w, b))
+        b = bound(fan_in)
+        layers.append((rng.uniform(-b, b, size=(fan_out, fan_in)), rng.uniform(-b, b, size=fan_out)))
     lo = np.array([k.theta1_bounds[0], k.theta4_bounds[0]])
     hi = np.array([k.theta1_bounds[1], k.theta4_bounds[1]])
-    return MlpModel(
-        layers=layers,
-        input_center=(lo + hi) / 2.0,
-        input_half=(hi - lo) / 2.0,
-        output_mean=y.mean(axis=0),
-        output_std=np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR),
-    )
+    return MlpModel(layers, (lo + hi) / 2.0, (hi - lo) / 2.0, np.zeros(2), np.ones(2))
+
+
+def _init_model(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, k: FeasibleSet) -> MlpModel:
+    model = random_model(rng, k, lambda fan_in: 1.0 / np.sqrt(fan_in))
+    model.output_mean = y.mean(axis=0)
+    model.output_std = np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR)
+    return model
 
 
 def _views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:

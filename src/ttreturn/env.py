@@ -33,11 +33,6 @@ TABLE_CENTER = np.array([-1.1, 0.25])
 TABLE_SIZE = np.array([1.525, 2.74])
 
 
-def on_table(point: np.ndarray) -> bool:
-    """Whether a horizontal point lies within the table footprint."""
-    return bool(np.all(np.abs(np.asarray(point)[:2] - TABLE_CENTER) <= TABLE_SIZE / 2.0))
-
-
 @dataclass
 class SampledTrajectory:
     """Dense time-sampled ball trajectory, kept as the flight kernel wrote it."""

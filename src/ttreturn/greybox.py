@@ -19,7 +19,9 @@ from .arm import (
     racket_rotation,
     racket_velocity,
 )
-from .ballistics import FlightParams, LandingRecord, landing_state_jacobian, propagate_to_landing
+from .ballistics import (FlightParams, LandingRecord, euler_landings, final_step, landing_state_jacobian,
+                         propagate_to_landing)
+from .errors import MaxStepsExceeded, SimulationError
 from .impact import ImpactParams, impact_state_jacobian, racket_impact
 
 COUPLED_FD_STEP = 1e-6  # [rad] central-difference step of the geometry-coupled mode
@@ -39,6 +41,31 @@ def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) ->
     """Landing point of the return for the given policy and incoming ball."""
     event = interception_event(incoming, params.geom, phi.theta1)
     return frozen_landing_record(phi, event, params).landing_point
+
+
+def predict_landings(phis: list[InterceptionPolicy], incoming, params: GreyboxParams) -> list:
+    """predict_landing of each policy, or the SimulationError it raised; the
+    landing flights are flown as one lockstep batch (euler_landings)."""
+    outcomes, flown, starts = [], [], np.empty((len(phis), 6))
+    for phi in phis:
+        try:
+            event = interception_event(incoming, params.geom, phi.theta1)
+        except SimulationError as exc:
+            outcomes.append(exc)
+            continue
+        v_r = racket_velocity(event, params.geom)
+        starts[len(flown)] = racket_impact(event.xi_minus, racket_rotation(phi), v_r, params.impact).as_vector()
+        flown.append(len(outcomes))
+        outcomes.append(None)
+    stops, steps = euler_landings(starts[: len(flown)], params.flight)
+    for i, stop, k in zip(flown, stops, steps.tolist()):
+        try:
+            if k < 0:
+                raise MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps")
+            outcomes[i] = final_step(stop.tolist(), params.flight)[1][:2].copy()
+        except SimulationError as exc:
+            outcomes[i] = exc
+    return outcomes
 
 
 def frozen_landing_record(

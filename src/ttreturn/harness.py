@@ -13,12 +13,15 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
 from .arm import InterceptionPolicy, interception_event
 from .ballistics import BallState
-from .blackbox import BlackboxPredictor, Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, train
+from .blackbox import (
+    BlackboxPredictor, Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train,
+)
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import (
@@ -26,9 +29,9 @@ from .greybox import (
     GreyboxPredictor,
     frozen_gradient,
     frozen_landing_record,
-    predict_landing,
+    predict_landings,
 )
-from .optimizer import FeasibleSet, RunLog, StepSchedule, run_online
+from .optimizer import FeasibleSet, RunLog, StepSchedule, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
 # the launched ball, and the fixtures used by the shipped experiments.
@@ -225,11 +228,6 @@ class ExperimentConfig:
                 doc[f.name] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[f.name])
         return cls(**doc)
 
-    def to_json(self, path: str) -> None:
-        with open(path, "w", newline="\n") as f:
-            json.dump(asdict(self), f, indent=1, default=list)
-            f.write("\n")
-
 
 def sampling_bounds(k: FeasibleSet, margin: float = SAMPLING_MARGIN) -> tuple[np.ndarray, np.ndarray]:
     """Policy-box bounds pulled inward by the sampling margin."""
@@ -261,27 +259,32 @@ def _policy_stream(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: n
             yield InterceptionPolicy(t1, t4)
 
 
-def _sample_dataset(label, n: int, sampling: str, rng: np.random.Generator,
-                    k: FeasibleSet | None, margin: float) -> Dataset:
-    """Sample policies over the box and label each with label(phi).
+def _sample_dataset(label, block: int, n: int, sampling: str, rng: np.random.Generator,
+                    k: FeasibleSet | None) -> Dataset:
+    """Sample policies over the box and label them, `block` at a time at most.
 
-    Missed balls are discarded and the policy redrawn (uniform sampling) or
-    skipped (grid sampling). Raises InfeasibleRegion when more than 90% of
-    the attempts miss.
+    label(phis) gives each policy's landing point or SimulationError. Replayed in
+    draw order, a missed ball is redrawn (uniform sampling) or skipped (grid), any
+    other error is raised; InfeasibleRegion when over 90% of the attempts miss.
     """
-    lo, hi = sampling_bounds(k or SCENARIO_BOX, margin)
+    lo, hi = sampling_bounds(k or SCENARIO_BOX)
+    stream = _policy_stream(n, sampling, lo, hi, rng)
     ds = Dataset()
     attempts = misses = 0
-    for phi in _policy_stream(n, sampling, lo, hi, rng):
-        attempts += 1
-        try:
-            ds.records.append((phi, label(phi)))
-        except MissedBall:
-            misses += 1
-        if attempts >= max(50, n) and misses > 0.9 * attempts:
-            raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
-        if len(ds) >= n:
+    while len(ds) < n:
+        phis = list(islice(stream, min(n - len(ds), block)))
+        if not phis:
             break
+        for phi, outcome in zip(phis, label(phis)):
+            attempts += 1
+            if isinstance(outcome, MissedBall):
+                misses += 1
+            elif isinstance(outcome, Exception):
+                raise outcome
+            else:
+                ds.records.append((phi, outcome))
+            if attempts >= max(50, n) and misses > 0.9 * attempts:
+                raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
     return ds
 
 
@@ -291,10 +294,15 @@ def gen_dataset(
     sampling: str,
     rng: np.random.Generator,
     k: FeasibleSet | None = None,
-    margin: float = SAMPLING_MARGIN,
 ) -> Dataset:
     """Sample policies over the box and label them with noisy env landings."""
-    return _sample_dataset(lambda phi: intercept(phi, env_cfg, rng)[0], n, sampling, rng, k, margin)
+    def label(phis):  # one policy: each label draws from the sampling rng
+        try:
+            return [intercept(phis[0], env_cfg, rng)[0]]
+        except MissedBall as exc:
+            return [exc]
+
+    return _sample_dataset(label, 1, n, sampling, rng, k)
 
 
 def gen_dataset_greybox(
@@ -303,13 +311,11 @@ def gen_dataset_greybox(
     sampling: str,
     rng: np.random.Generator,
     k: FeasibleSet | None = None,
-    margin: float = SAMPLING_MARGIN,
-    params: GreyboxParams | None = None,
 ) -> Dataset:
-    """Like gen_dataset, but with noiseless first-principles labels."""
-    params = params or GreyboxParams()
-    traj = nominal_trajectory(env_cfg)
-    return _sample_dataset(lambda phi: predict_landing(phi, traj, params), n, sampling, rng, k, margin)
+    """Like gen_dataset, but with noiseless first-principles labels; they draw
+    nothing, so all the candidates still needed are labeled as one batch."""
+    params, traj = GreyboxParams(), nominal_trajectory(env_cfg)
+    return _sample_dataset(lambda phis: predict_landings(phis, traj, params), n, n, sampling, rng, k)
 
 
 @dataclass
@@ -343,10 +349,7 @@ class GradCheckReport:
         return float(self.clean_errors.max())
 
     def write(self, path: str, comments: tuple[str, ...] = ()) -> None:
-        with open(path, "w", newline="\n") as f:
-            for line in comments:
-                f.write(f"# {line}\n")
-            f.write("index,theta1,theta4,rel_error,flagged\n")
+        with csv_artifact(path, comments, "index,theta1,theta4,rel_error,flagged") as f:
             for i, e in enumerate(self.entries):
                 f.write(
                     f"{i},{e.phi.theta1:.9g},{e.phi.theta4:.9g},{e.rel_error:.9g},{int(e.flagged)}\n"
@@ -361,22 +364,10 @@ FD_STEP = 1e-5  # [rad] central-difference step of the gradient checks
 
 def _random_mlp(rng: np.random.Generator, k: FeasibleSet) -> MlpModel:
     """A random surrogate model for derivative checking (no training)."""
-    from .blackbox import HIDDEN_LAYERS
-
-    sizes = [2, *HIDDEN_LAYERS, 2]
-    layers = [
-        (rng.uniform(-1.0, 1.0, size=(o, i)), rng.uniform(-1.0, 1.0, size=o))
-        for i, o in zip(sizes[:-1], sizes[1:])
-    ]
-    lo = np.array([k.theta1_bounds[0], k.theta4_bounds[0]])
-    hi = np.array([k.theta1_bounds[1], k.theta4_bounds[1]])
-    return MlpModel(
-        layers=layers,
-        input_center=(lo + hi) / 2.0,
-        input_half=(hi - lo) / 2.0,
-        output_mean=rng.uniform(-1.0, 1.0, size=2),
-        output_std=rng.uniform(0.5, 2.0, size=2),
-    )
+    model = random_model(rng, k, lambda fan_in: 1.0)
+    model.output_mean = rng.uniform(-1.0, 1.0, size=2)
+    model.output_std = rng.uniform(0.5, 2.0, size=2)
+    return model
 
 
 def grad_check_report(
@@ -513,10 +504,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
         path = os.path.join(cfg.out_dir, "baseline_variance.csv")
         sigmas = []
-        with open(path, "w", newline="\n") as f:
-            for line in comments:
-                f.write(f"# {line}\n")
-            f.write("theta1,theta4,n_trials,mean_x,mean_y,sigma\n")
+        with csv_artifact(path, comments, "theta1,theta4,n_trials,mean_x,mean_y,sigma") as f:
             for t1, t4 in cfg.variance_policies:
                 mean, sigma = estimate_variance(
                     InterceptionPolicy(t1, t4), cfg.n_trials, env_cfg, rng
@@ -545,10 +533,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         model_path = cfg.resolved_model_path()
         model.save(model_path, meta={"seed": cfg.seed, "config": config_echo})
         hist_path = os.path.join(cfg.out_dir, "train_history.csv")
-        with open(hist_path, "w", newline="\n") as f:
-            for line in comments:
-                f.write(f"# {line}\n")
-            f.write("epoch,train_mse,val_mse\n")
+        with csv_artifact(hist_path, comments, "epoch,train_mse,val_mse") as f:
             for ep, (tr, va) in enumerate(zip(history["train_mse"], history["val_mse"]), start=1):
                 f.write(f"{ep},{tr:.9g},{va:.9g}\n")
         return {
@@ -607,10 +592,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                  target[0], target[1], rec.eps, rec.sigma,
                  iters_to_threshold(log, target), log.n_failures)
             )
-    with open(summary_path, "w", newline="\n") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
-        f.write(SUMMARY_HEADER + "\n")
+    with csv_artifact(summary_path, comments, SUMMARY_HEADER) as f:
         for row in rows:
             f.write(
                 f"{row[0]},{row[1]},{row[2]},"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +13,16 @@ from .errors import AbortedRun, MissedBall, NonFiniteStep
 from .metrics import MetricsState
 
 CSV_HEADER = "iter,theta1,theta4,land_x,land_y,alpha,loss,eps,sigma,rbar_x,rbar_y"
+
+
+@contextmanager
+def csv_artifact(path, comments, columns: str):
+    """Open a CSV artifact for writing after its `# ` comment lines and column line."""
+    with open(path, "w", newline="\n") as f:
+        for line in comments:
+            f.write(f"# {line}\n")
+        f.write(columns + "\n")
+        yield f
 
 
 @dataclass
@@ -96,11 +107,8 @@ class RunLog:
     n_failures: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            f.write(f"# seed={self.seed}\n")
-            f.write(f"# config={self.config_echo}\n")
-            f.write(f"# failures={self.n_failures}\n")
-            f.write(CSV_HEADER + "\n")
+        comments = (f"seed={self.seed}", f"config={self.config_echo}", f"failures={self.n_failures}")
+        with csv_artifact(path, comments, CSV_HEADER) as f:
             for rec in self.records:
                 vals = [
                     rec.phi.theta1,

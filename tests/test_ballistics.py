@@ -10,6 +10,9 @@ from ttreturn.ballistics import (
     BallState,
     FlightParams,
     LandingRecord,
+    euler_flight,
+    euler_landings,
+    final_step,
     free_flight_step,
     free_flight_step_jacobians,
     landing_state_jacobian,
@@ -362,3 +365,58 @@ class TestTangentJacobianOracle:
             expected = oracle @ tangent
             assert pushed.shape == (6, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12
+
+
+class TestEulerLandingsOracle:
+    @pytest.mark.parametrize("n_rows,quantile", [(300, 0.5), (300, 0.8), (20, 0.5)])
+    def test_matches_scalar_kernel_bit_for_bit(self, n_rows, quantile):
+        # jittered starts, plus a row on the plane (k_max = 0), one whose apex
+        # stays under the plane and two that are not finite; max_steps is near
+        # a quantile of the jittered rows' step counts, so one row stops exactly
+        # at max_steps and later ones cannot land (the median leaves more than
+        # LOCKSTEP_MIN rows flying at max_steps, the 0.8 quantile fewer)
+        rng = np.random.default_rng(12)
+        rows = [
+            [rng.normal(), rng.normal(), rng.uniform(0.9, 1.6), *(rng.normal(size=3) * 4.0).tolist()]
+            for _ in range(n_rows)
+        ] + [[0.2, 0.3, 0.761, 0.0, 0.0, -1.0], [0.0, 0.0, 0.5, 1.0, 0.0, 2.0],
+             [0.0, 0.0, 1.0, 0.0, np.nan, 1.0], [0.0, 0.0, 1.0, np.inf, 0.0, 0.0]]
+        free = params()
+        ks = sorted(euler_flight(row, free, free.dt, free.max_steps, land=True)[1] for row in rows[:n_rows])
+        q = int(quantile * n_rows)  # and a row one step later, where one exists
+        p = params(max_steps=ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)])
+        stops, steps = euler_landings(np.array(rows), p)
+
+        expected_stops, expected_steps = [], []
+        for row in rows:
+            try:
+                stop, k, _ = euler_flight(row, p, p.dt, p.max_steps, land=True)
+            except MaxStepsExceeded:
+                stop, k = row, -1
+            expected_stops.append(stop)
+            expected_steps.append(k)
+        np.testing.assert_array_equal(stops, np.array(expected_stops))
+        np.testing.assert_array_equal(steps, expected_steps)
+        assert {0, p.max_steps, -1} <= set(steps.tolist())
+        assert steps[-2] == steps[-1] == -1
+
+        # the shared tail gives what propagate_to_landing gives, errors included
+        for row, stop, k in zip(rows, stops.tolist(), steps.tolist()):
+            if k < 0:
+                with pytest.raises(MaxStepsExceeded):
+                    propagate_to_landing(BallState.from_vector(np.array(row)), p)
+                continue
+            try:
+                rec = propagate_to_landing(BallState.from_vector(np.array(row)), p)
+            except NegativeDiscriminant:
+                with pytest.raises(NegativeDiscriminant):
+                    final_step(stop, p)
+                assert row == rows[n_rows + 1]
+                continue
+            t_last, landing = final_step(stop, p)
+            assert (t_last, k) == (rec.t_last, rec.k_max)
+            np.testing.assert_array_equal(landing[:2], rec.landing_point)
+
+    def test_empty_batch(self):
+        stops, steps = euler_landings(np.zeros((0, 6)), params())
+        assert stops.shape == (0, 6) and steps.shape == (0,)

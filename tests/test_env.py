@@ -15,11 +15,15 @@ from ttreturn.env import (
     estimate_variance,
     intercept,
     launch,
-    on_table,
 )
 from ttreturn.errors import InfeasibleRegion
 from ttreturn.greybox import GreyboxParams, predict_landing
 from ttreturn.impact import ImpactParams
+
+
+def on_table(point: np.ndarray) -> bool:
+    """Test-local: whether a horizontal point lies within the table footprint."""
+    return bool(np.all(np.abs(np.asarray(point)[:2] - TABLE_CENTER) <= TABLE_SIZE / 2.0))
 
 
 def states(traj):

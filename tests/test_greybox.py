@@ -1,17 +1,29 @@
 """First-principles landing predictor: values, oracle agreement, gradients."""
 
 import numpy as np
+import pytest
+
+try:
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 from conftest import fine_step_landing
 from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
-from ttreturn.env import SampledTrajectory
+from ttreturn.env import EnvConfig, SampledTrajectory, launch
+from ttreturn.errors import MissedBall
 from ttreturn.greybox import (
     GreyboxParams,
     GreyboxPredictor,
+    frozen_gradient,
     frozen_landing_record,
     predict_landing,
     predict_landing_with_gradient,
 )
+from ttreturn.harness import SCENARIO_BOX, sampling_bounds
 from ttreturn.impact import racket_impact
 
 
@@ -156,3 +168,32 @@ def test_predictor_handle(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.45, 0.2)
     _, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
     np.testing.assert_array_equal(pred.gradient(phi, nominal_traj), jac)
+
+
+LO, HI = sampling_bounds(SCENARIO_BOX)
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(LO[0], HI[0], allow_nan=False),
+    st.floats(LO[1], HI[1], allow_nan=False),
+)
+def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
+    # jittered launch, policy in the sampling box; draws where a difference
+    # changes the flight's step count are set aside, as grad_check_report does
+    cfg, params, h = EnvConfig(), GreyboxParams(), 1e-5
+    traj = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(seed))
+    try:
+        event = interception_event(traj, params.geom, t1)
+    except MissedBall:
+        assume(False)
+    record, jac = frozen_gradient(InterceptionPolicy(t1, t4), event, params)
+    fd = np.zeros((2, 2))
+    for col, d in enumerate(((h, 0.0), (0.0, h))):
+        hi = frozen_landing_record(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params)
+        lo = frozen_landing_record(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params)
+        assume(hi.k_max == lo.k_max == record.k_max)
+        fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4

@@ -20,7 +20,10 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ttreturn.arm import InterceptionPolicy
-from ttreturn.errors import ConfigError, InfeasibleRegion
+from ttreturn.ballistics import FlightParams
+from ttreturn.blackbox import Dataset
+from ttreturn.env import intercept
+from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
 from ttreturn.greybox import GreyboxParams, predict_landing
 from ttreturn.harness import (
     ExperimentConfig,
@@ -37,6 +40,13 @@ from ttreturn.harness import (
     sampling_bounds,
 )
 from ttreturn.optimizer import FeasibleSet, RunLog
+
+
+def to_json(cfg: ExperimentConfig, path) -> None:
+    """Test-local: write a config as the JSON document from_json reads."""
+    with open(path, "w", newline="\n") as f:
+        json.dump(dataclasses.asdict(cfg), f, indent=1, default=list)
+        f.write("\n")
 
 
 class TestConfigValidation:
@@ -117,7 +127,7 @@ class TestConfigValidation:
     def test_json_round_trip(self, tmp_path):
         cfg = ExperimentConfig(mode="run", seed=5, alpha1=0.07, target=(-1.2, 0.8))
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        to_json(cfg, path)
         back = ExperimentConfig.from_json(path)
         assert back.mode == "run"
         assert back.seed == 5
@@ -149,7 +159,7 @@ class TestConfigValidation:
         ))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "cfg.json")
-            cfg.to_json(path)
+            to_json(cfg, path)
             back = ExperimentConfig.from_json(path)
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
@@ -229,6 +239,94 @@ class TestDatasetGeneration:
         box = FeasibleSet((-0.6, -0.4), (-0.05, 0.45))
         with pytest.raises(InfeasibleRegion):
             gen_dataset(env_cfg, 10, "uniform", np.random.default_rng(4), box)
+
+
+def per_policy_dataset(label, n, sampling, rng, k):
+    """Test-local copy of the per-policy sampling loop: label(phi) returns a
+    landing point or raises. Also returns the number of attempts."""
+    lo, hi = sampling_bounds(k)
+    ds = Dataset()
+    attempts = misses = 0
+    for phi in ttreturn.harness._policy_stream(n, sampling, lo, hi, rng):
+        attempts += 1
+        try:
+            ds.records.append((phi, label(phi)))
+        except MissedBall:
+            misses += 1
+        if attempts >= max(50, n) and misses > 0.9 * attempts:
+            raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
+        if len(ds) >= n:
+            break
+    return ds, attempts
+
+
+def records(ds):
+    return [(phi.theta1, phi.theta4, *landing.tolist()) for phi, landing in ds.records]
+
+
+def raised(call):
+    with pytest.raises(SimulationError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestBlockedSampling:
+    """Blocked labeling replays each outcome in draw order, as the per-policy loop did."""
+
+    MISS_BOX = FeasibleSet((-0.2, 0.9), (-0.05, 0.45))  # about a quarter of the draws miss
+
+    @pytest.mark.parametrize(
+        "sampling,n,box,seed",
+        [("uniform", 200, MISS_BOX, 0), ("uniform", 300, SCENARIO_BOX, 1),
+         ("grid", 100, MISS_BOX, 2), ("grid", 144, SCENARIO_BOX, 3)],
+    )
+    def test_greybox_matches_per_policy_loop(self, env_cfg, sampling, n, box, seed):
+        traj, params = nominal_trajectory(env_cfg), GreyboxParams()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ds = gen_dataset_greybox(env_cfg, n, sampling, rng, box)
+        ref, attempts = per_policy_dataset(
+            lambda phi: predict_landing(phi, traj, params), n, sampling, ref_rng, box)
+        assert records(ds) == records(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        if box is self.MISS_BOX:  # misses were redrawn or skipped
+            assert attempts > len(ds) if sampling == "uniform" else len(ds) < n
+
+    def test_infeasible_region_at_the_same_attempt(self, env_cfg):
+        traj, params = nominal_trajectory(env_cfg), GreyboxParams()
+        box = FeasibleSet((-1.0, 0.4), (-0.05, 0.45))  # about nine in ten draws miss
+        got = raised(lambda: gen_dataset_greybox(env_cfg, 20, "uniform", np.random.default_rng(0), box))
+        ref = raised(lambda: per_policy_dataset(
+            lambda phi: predict_landing(phi, traj, params), 20, "uniform", np.random.default_rng(0), box))
+        assert got == ref == (InfeasibleRegion, "46 of 51 sampled policies missed the ball")
+
+    @pytest.mark.parametrize(
+        "flight,error",
+        [(FlightParams(z_table=1.3), "NegativeDiscriminant"),
+         (FlightParams(max_steps=300), "MaxStepsExceeded")],
+    )
+    def test_landing_error_raised_in_draw_order(self, env_cfg, monkeypatch, flight, error):
+        traj, params = nominal_trajectory(env_cfg), GreyboxParams(flight=flight)
+        monkeypatch.setattr(ttreturn.harness, "GreyboxParams", lambda: params)
+        calls = []
+
+        def label(phi):
+            calls.append(phi)
+            return predict_landing(phi, traj, params)
+
+        box = self.MISS_BOX
+        got = raised(lambda: gen_dataset_greybox(env_cfg, 200, "uniform", np.random.default_rng(2), box))
+        ref = raised(lambda: per_policy_dataset(label, 200, "uniform", np.random.default_rng(2), box))
+        assert got == ref and got[0].__name__ == error
+        assert len(calls) > 2  # a miss and a landing come before the error
+
+    def test_env_labels_match_per_policy_loop(self, env_cfg):
+        rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+        ds = gen_dataset(env_cfg, 60, "uniform", rng, self.MISS_BOX)
+        ref, attempts = per_policy_dataset(
+            lambda phi: intercept(phi, env_cfg, ref_rng)[0], 60, "uniform", ref_rng, self.MISS_BOX)
+        assert records(ds) == records(ref)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert attempts > 60
 
 
 class TestGradCheck:
