@@ -22,8 +22,7 @@ from .errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
 # Vertical acceleration magnitude used by the drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
 
-# Tolerances; overridable through FlightParams for special setups.
-LANDING_RESIDUAL_TOL = 1e-9   # [m] allowed |p_z - z_table| of the landing state
+# Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
 LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by one (crossover 80-160)
 

@@ -31,6 +31,7 @@ TRUTH_DT = 5e-4
 # point at the origin.
 TABLE_CENTER = np.array([-1.1, 0.25])
 TABLE_SIZE = np.array([1.525, 2.74])
+MISS_TOLERANCE = 0.1  # share of missed trials at which a variance estimate is refused
 
 
 @dataclass
@@ -158,9 +159,9 @@ def estimate_variance(
     n_trials: int,
     cfg: EnvConfig,
     rng: np.random.Generator,
-    miss_tolerance: float = 0.1,
 ) -> tuple[np.ndarray, float]:
-    """Sample mean and scalar landing scatter of a fixed policy."""
+    """Sample mean and scalar landing scatter of a fixed policy; InfeasibleRegion
+    when at least MISS_TOLERANCE = 0.1 of the trials miss or fewer than two land."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
     points = []
@@ -171,7 +172,7 @@ def estimate_variance(
             points.append(r)
         except MissedBall:
             misses += 1
-    if misses >= miss_tolerance * n_trials or len(points) < 2:
+    if misses >= MISS_TOLERANCE * n_trials or len(points) < 2:
         raise InfeasibleRegion(f"{misses} of {n_trials} trials missed the ball")
     mean, _, sigma = running_metrics(points, np.zeros(2))
     return mean, sigma

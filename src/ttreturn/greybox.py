@@ -85,6 +85,16 @@ def frozen_landing_record(
     return propagate_to_landing(xi_plus, params.flight, tangent)
 
 
+def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
+    """2x2 central-difference Jacobian of f(policy) -> 2-vector at phi."""
+    jac = np.zeros((2, 2))
+    for col, (d1, d4) in enumerate(((step, 0.0), (0.0, step))):
+        hi = f(InterceptionPolicy(phi.theta1 + d1, phi.theta4 + d4))
+        lo = f(InterceptionPolicy(phi.theta1 - d1, phi.theta4 - d4))
+        jac[:, col] = (hi - lo) / (2 * step)
+    return jac
+
+
 def predict_landing_with_gradient(
     phi: InterceptionPolicy, incoming, params: GreyboxParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,13 +106,7 @@ def predict_landing_with_gradient(
     interception event included, by central differences.
     """
     if params.couple_geometry:
-        jac = np.zeros((2, 2))
-        for col, delta in enumerate(((COUPLED_FD_STEP, 0.0), (0.0, COUPLED_FD_STEP))):
-            hi = InterceptionPolicy(phi.theta1 + delta[0], phi.theta4 + delta[1])
-            lo = InterceptionPolicy(phi.theta1 - delta[0], phi.theta4 - delta[1])
-            jac[:, col] = (
-                predict_landing(hi, incoming, params) - predict_landing(lo, incoming, params)
-            ) / (2.0 * COUPLED_FD_STEP)
+        jac = central_difference(lambda p: predict_landing(p, incoming, params), phi, COUPLED_FD_STEP)
         return predict_landing(phi, incoming, params), jac
 
     record, jac = frozen_gradient(phi, interception_event(incoming, params.geom, phi.theta1), params)

@@ -13,6 +13,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -27,6 +28,7 @@ from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import (
     GreyboxParams,
     GreyboxPredictor,
+    central_difference,
     frozen_gradient,
     frozen_landing_record,
     predict_landings,
@@ -59,8 +61,6 @@ INITIAL_POLICIES = (
 )
 VARIANCE_POLICIES = ((0.35, 0.10), (0.45, 0.25), (0.60, 0.40))
 
-MODES = ("grad-check", "baseline-variance", "gen-data", "train-blackbox", "run", "sweep")
-
 
 def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
@@ -76,17 +76,11 @@ FIELD_TYPES = {
     "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     "float": ("a number", _real),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "tuple[float, float]": ("a list of numbers", _reals),
+    "tuple[float, float]": ("a pair of numbers", lambda v: _reals(v) and len(v) == 2),
     "tuple[float, ...]": ("a list of numbers", _reals),
     "tuple[tuple[float, float], ...]": ("a list of number pairs", lambda v: isinstance(v, (tuple, list))
                                         and all(_reals(p) and len(p) == 2 for p in v)),
 }
-
-
-SUMMARY_HEADER = (
-    "run,label,seed,theta1_1,theta4_1,target_x,target_y,"
-    "final_eps,final_sigma,iters_to_025,n_failures"
-)
 
 
 @dataclass
@@ -172,20 +166,16 @@ class ExperimentConfig:
             raise ConfigError("seed: must be >= 0")
         if self.predictor not in ("greybox", "blackbox"):
             raise ConfigError(f"predictor: unknown predictor {self.predictor!r}")
-        for name in ("alpha1", "target", "phi1", "box_theta1", "box_theta4",
-                     "landing_noise_std", "jitter_std", "nominal_state"):
+        for name in ("alpha1", "target", "phi1", "box_theta1", "box_theta4", "variance_policies",
+                     "sweep_targets", "initial_policies", "landing_noise_std", "jitter_std", "nominal_state"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ConfigError(f"{name}: must be finite")
         if self.alpha1 <= 0:
             raise ConfigError("alpha1: must be > 0")
         if self.n_iters < 1:
             raise ConfigError("n_iters: must be >= 1")
-        if len(self.target) != 2:
-            raise ConfigError("target: expected two coordinates")
-        if len(self.phi1) != 2:
-            raise ConfigError("phi1: expected two joint angles")
         for name, lohi in (("box_theta1", self.box_theta1), ("box_theta4", self.box_theta4)):
-            if len(lohi) != 2 or not lohi[0] < lohi[1]:
+            if not lohi[0] < lohi[1]:
                 raise ConfigError(f"{name}: expected (lower, upper) with lower < upper")
         if not self.feasible_set().contains(InterceptionPolicy(*self.phi1)):
             raise ConfigError("phi1: outside the feasible box")
@@ -219,9 +209,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
         for key in doc:
-            if key not in known:
+            if key not in cls.__dataclass_fields__:
                 raise ConfigError(f"{path}: unknown field {key!r}")
         for f in fields(cls):
             if f.type.startswith("tuple") and isinstance(doc.get(f.name), list):
@@ -259,20 +248,21 @@ def _policy_stream(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: n
             yield InterceptionPolicy(t1, t4)
 
 
-def _sample_dataset(label, block: int, n: int, sampling: str, rng: np.random.Generator,
-                    k: FeasibleSet | None) -> Dataset:
+def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet | None,
+            block: int = 1) -> list:
     """Sample policies over the box and label them, `block` at a time at most.
 
-    label(phis) gives each policy's landing point or SimulationError. Replayed in
-    draw order, a missed ball is redrawn (uniform sampling) or skipped (grid), any
-    other error is raised; InfeasibleRegion when over 90% of the attempts miss.
+    label(phis) gives each policy's outcome or SimulationError. Replayed in draw
+    order, a missed ball is redrawn (uniform sampling) or skipped (grid), any other
+    error is raised; InfeasibleRegion when over 90% of the attempts miss. Returns
+    the (phi, outcome) pairs.
     """
     lo, hi = sampling_bounds(k or SCENARIO_BOX)
     stream = _policy_stream(n, sampling, lo, hi, rng)
-    ds = Dataset()
+    pairs = []
     attempts = misses = 0
-    while len(ds) < n:
-        phis = list(islice(stream, min(n - len(ds), block)))
+    while len(pairs) < n:
+        phis = list(islice(stream, min(n - len(pairs), block)))
         if not phis:
             break
         for phi, outcome in zip(phis, label(phis)):
@@ -282,10 +272,20 @@ def _sample_dataset(label, block: int, n: int, sampling: str, rng: np.random.Gen
             elif isinstance(outcome, Exception):
                 raise outcome
             else:
-                ds.records.append((phi, outcome))
+                pairs.append((phi, outcome))
             if attempts >= max(50, n) and misses > 0.9 * attempts:
                 raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
-    return ds
+    return pairs
+
+
+def _one_by_one(f):
+    """A block labeler from f(phi), which returns an outcome or raises MissedBall."""
+    def outcome(phi):
+        try:
+            return f(phi)
+        except MissedBall as exc:
+            return exc
+    return lambda phis: [outcome(phi) for phi in phis]
 
 
 def gen_dataset(
@@ -295,14 +295,10 @@ def gen_dataset(
     rng: np.random.Generator,
     k: FeasibleSet | None = None,
 ) -> Dataset:
-    """Sample policies over the box and label them with noisy env landings."""
-    def label(phis):  # one policy: each label draws from the sampling rng
-        try:
-            return [intercept(phis[0], env_cfg, rng)[0]]
-        except MissedBall as exc:
-            return [exc]
-
-    return _sample_dataset(label, 1, n, sampling, rng, k)
+    """Sample policies over the box and label them with noisy env landings;
+    one policy at a time, as each label draws from the sampling rng."""
+    label = _one_by_one(lambda phi: intercept(phi, env_cfg, rng)[0])
+    return Dataset(_sample(label, n, sampling, rng, k))
 
 
 def gen_dataset_greybox(
@@ -315,7 +311,7 @@ def gen_dataset_greybox(
     """Like gen_dataset, but with noiseless first-principles labels; they draw
     nothing, so all the candidates still needed are labeled as one batch."""
     params, traj = GreyboxParams(), nominal_trajectory(env_cfg)
-    return _sample_dataset(lambda phis: predict_landings(phis, traj, params), n, n, sampling, rng, k)
+    return Dataset(_sample(lambda phis: predict_landings(phis, traj, params), n, sampling, rng, k, block=n))
 
 
 @dataclass
@@ -362,12 +358,10 @@ class GradCheckReport:
 FD_STEP = 1e-5  # [rad] central-difference step of the gradient checks
 
 
-def _random_mlp(rng: np.random.Generator, k: FeasibleSet) -> MlpModel:
-    """A random surrogate model for derivative checking (no training)."""
-    model = random_model(rng, k, lambda fan_in: 1.0)
-    model.output_mean = rng.uniform(-1.0, 1.0, size=2)
-    model.output_std = rng.uniform(0.5, 2.0, size=2)
-    return model
+def _rel_error(jac: np.ndarray, f, phi: InterceptionPolicy) -> float:
+    """Relative error of the analytic 2x2 `jac` against central differences of f at phi."""
+    fd = central_difference(f, phi, FD_STEP)
+    return float(np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-12))
 
 
 def grad_check_report(
@@ -382,65 +376,46 @@ def grad_check_report(
 
     Grey-box checks run under the frozen-event convention; policies where a
     finite-difference evaluation changes the flight step count k_max are
-    flagged instead of failing the tolerance.
+    flagged instead of failing the tolerance. Their policies come from the
+    dataset sampler, so a missed ball is redrawn and InfeasibleRegion is
+    raised when over 90% of the draws miss.
     """
     if kind not in ("greybox", "blackbox"):
         raise ConfigError(f"predictor: unknown predictor {kind!r}")
     k = k or SCENARIO_BOX
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    lo, hi = sampling_bounds(k)
-    report = GradCheckReport(kind=kind)
 
-    if kind == "greybox":
-        env_cfg = env_cfg or EnvConfig()
-        params = params or GreyboxParams()
-        traj = nominal_trajectory(env_cfg)
-        while len(report.entries) < n_points:
-            t1, t4 = rng.uniform(lo, hi)
-            phi = InterceptionPolicy(t1, t4)
-            try:
-                event = interception_event(traj, params.geom, t1)
-                base, jac = frozen_gradient(phi, event, params)
-                fd = np.zeros((2, 2))
-                flagged = False
-                for col, d in enumerate(((FD_STEP, 0.0), (0.0, FD_STEP))):
-                    rec_hi = frozen_landing_record(
-                        InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params
-                    )
-                    rec_lo = frozen_landing_record(
-                        InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params
-                    )
-                    if rec_hi.k_max != base.k_max or rec_lo.k_max != base.k_max:
-                        flagged = True
-                    fd[:, col] = (rec_hi.landing_point - rec_lo.landing_point) / (2 * FD_STEP)
-            except MissedBall:
-                continue
-            rel = float(np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-12))
-            report.entries.append(GradCheckEntry(phi, rel, flagged))
+    if kind == "blackbox":
+        lo, hi = sampling_bounds(k)
+        stream, report = _policy_stream(n_points, "uniform", lo, hi, rng), GradCheckReport(kind)
+        for _ in range(n_points):
+            # a random untrained surrogate; its draws precede its policy's in the rng stream
+            model = random_model(rng, k, lambda fan_in: 1.0)
+            model.output_mean = rng.uniform(-1.0, 1.0, size=2)
+            model.output_std = rng.uniform(0.5, 2.0, size=2)
+            phi = next(stream)
+            rel = _rel_error(mlp_jacobian(model, phi), partial(mlp_forward, model), phi)
+            report.entries.append(GradCheckEntry(phi, rel, False))
         return report
 
-    for _ in range(n_points):
-        model = _random_mlp(rng, k)
-        t1, t4 = rng.uniform(lo, hi)
-        phi = InterceptionPolicy(t1, t4)
-        jac = mlp_jacobian(model, phi)
-        fd = np.zeros((2, 2))
-        for col, d in enumerate(((FD_STEP, 0.0), (0.0, FD_STEP))):
-            out_hi = mlp_forward(model, InterceptionPolicy(t1 + d[0], t4 + d[1]))
-            out_lo = mlp_forward(model, InterceptionPolicy(t1 - d[0], t4 - d[1]))
-            fd[:, col] = (out_hi - out_lo) / (2 * FD_STEP)
-        rel = float(np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-12))
-        report.entries.append(GradCheckEntry(phi, rel, False))
-    return report
+    params = params or GreyboxParams()
+    traj = nominal_trajectory(env_cfg or EnvConfig())
 
+    def check(phi):
+        event = interception_event(traj, params.geom, phi.theta1)
+        base, jac = frozen_gradient(phi, event, params)
+        k_maxes = set()
 
-def make_predictor(cfg: ExperimentConfig):
-    if cfg.predictor == "greybox":
-        return GreyboxPredictor(GreyboxParams(couple_geometry=cfg.couple_geometry))
-    path = cfg.resolved_model_path()
-    if not os.path.exists(path):
-        raise ConfigError(f"model_path: no trained model at {path}")
-    return BlackboxPredictor(MlpModel.load(path))
+        def landing(p):
+            rec = frozen_landing_record(p, event, params)
+            k_maxes.add(rec.k_max)
+            return rec.landing_point
+
+        rel = _rel_error(jac, landing, phi)
+        return GradCheckEntry(phi, rel, k_maxes != {base.k_max})
+
+    pairs = _sample(_one_by_one(check), n_points, "uniform", rng, k)
+    return GradCheckReport(kind, [entry for _, entry in pairs])
 
 
 def derived_seeds(base_seed: int, n: int) -> list[int]:
@@ -457,146 +432,137 @@ def iters_to_threshold(log: RunLog, target: np.ndarray, threshold: float = 0.25)
     return -1
 
 
-def _run_one(
-    cfg: ExperimentConfig,
-    predictor,
-    env_cfg: EnvConfig,
-    target: np.ndarray,
-    phi1: InterceptionPolicy,
-    seed: int,
-    n_iters: int,
-    alpha1: float,
-    path: str,
-    config_echo: str,
-) -> RunLog:
-    """One online run whose log is written to `path`, also when it aborts."""
+def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> list[RunLog]:
+    """Online runs with one predictor, one per (path, target, phi1, seed) row of
+    the plan; each log is written to its path, also when the run aborts."""
+    if cfg.predictor == "greybox":
+        predictor = GreyboxPredictor(GreyboxParams(couple_geometry=cfg.couple_geometry))
+    elif os.path.exists(cfg.resolved_model_path()):
+        predictor = BlackboxPredictor(MlpModel.load(cfg.resolved_model_path()))
+    else:
+        raise ConfigError(f"model_path: no trained model at {cfg.resolved_model_path()}")
     env = lambda phi, rng: intercept(phi, env_cfg, rng)
-    try:
-        log = run_online(env, predictor, target, phi1, n_iters, StepSchedule(alpha1),
-                         cfg.feasible_set(), seed=seed, config_echo=config_echo)
-    except AbortedRun as exc:
-        exc.log.to_csv(path)
-        raise
-    log.to_csv(path)
-    return log
+    logs = []
+    for path, target, phi1, seed in plan:
+        try:
+            log = run_online(env, predictor, target, phi1, cfg.n_iters, StepSchedule(cfg.alpha1),
+                             cfg.feasible_set(), seed=seed, config_echo=echo)
+        except AbortedRun as exc:
+            exc.log.to_csv(path)
+            raise
+        log.to_csv(path)
+        logs.append(log)
+    return logs
+
+
+def _grad_check(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set())
+    path = os.path.join(cfg.out_dir, f"grad_check_{cfg.predictor}.csv")
+    report.write(path, comments)
+    return {
+        "median_rel_error": report.median_rel_error,
+        "max_rel_error": report.max_rel_error,
+        "n_flagged": report.n_flagged,
+        "artifacts": [path],
+    }
+
+
+def _baseline_variance(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    path = os.path.join(cfg.out_dir, "baseline_variance.csv")
+    sigmas = []
+    with csv_artifact(path, comments, "theta1,theta4,n_trials,mean_x,mean_y,sigma") as f:
+        for t1, t4 in cfg.variance_policies:
+            mean, sigma = estimate_variance(InterceptionPolicy(t1, t4), cfg.n_trials, env_cfg, rng)
+            sigmas.append(sigma)
+            f.write(f"{t1:.9g},{t4:.9g},{cfg.n_trials},{mean[0]:.9g},{mean[1]:.9g},{sigma:.9g}\n")
+    return {"sigmas": sigmas, "artifacts": [path]}
+
+
+def _gen_data(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    gen = gen_dataset_greybox if cfg.labels == "greybox" else gen_dataset
+    ds = gen(env_cfg, cfg.n_points, cfg.sampling, rng, cfg.feasible_set())
+    path = cfg.resolved_dataset_path()
+    ds.save_csv(path, comments)
+    return {"n_records": len(ds), "artifacts": [path]}
+
+
+def _train_blackbox(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    ds_path = cfg.resolved_dataset_path()
+    if not os.path.exists(ds_path):
+        raise ConfigError(f"dataset_path: no dataset at {ds_path}")
+    ds = Dataset.load_csv(ds_path)
+    model, history = train(ds, TrainConfig(epochs=cfg.epochs, seed=cfg.seed), cfg.feasible_set())
+    model_path = cfg.resolved_model_path()
+    model.save(model_path, meta={"seed": cfg.seed, "config": echo})
+    hist_path = os.path.join(cfg.out_dir, "train_history.csv")
+    with csv_artifact(hist_path, comments, "epoch,train_mse,val_mse") as f:
+        for ep, (tr, va) in enumerate(zip(history["train_mse"], history["val_mse"]), start=1):
+            f.write(f"{ep},{tr:.9g},{va:.9g}\n")
+    return {
+        "final_train_mse": history["train_mse"][-1],
+        "final_val_mse": history["val_mse"][-1],
+        "artifacts": [model_path, hist_path],
+    }
+
+
+def _run(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    target = np.asarray(cfg.target, dtype=float)
+    path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
+    (log,) = _runs(cfg, env_cfg, echo, [(path, target, InterceptionPolicy(*cfg.phi1), cfg.seed)])
+    rec = log.records[-1]
+    return {
+        "final_eps": rec.eps,
+        "final_sigma": rec.sigma,
+        "iters_to_025": iters_to_threshold(log, target),
+        "artifacts": [path],
+    }
+
+
+def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
+    """Derived-seed runs per stored target or per initial policy, then a summary."""
+    if cfg.sweep_kind == "targets":
+        cases = [(f"target{i}", t, cfg.phi1) for i, t in enumerate(cfg.sweep_targets)]
+        runs_per = cfg.n_seeds
+    else:
+        cases = [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
+        runs_per = cfg.n_replicates
+    seeds = iter(derived_seeds(cfg.seed, len(cases) * runs_per))
+    plan = [
+        (os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv"), np.asarray(target, dtype=float),
+         InterceptionPolicy(*phi1), next(seeds))
+        for label, target, phi1 in cases for rep in range(runs_per)
+    ]
+    logs = _runs(cfg, env_cfg, echo, plan)
+    summary_path = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep_kind}_summary.csv")
+    columns = "run,label,seed,theta1_1,theta4_1,target_x,target_y,final_eps,final_sigma,iters_to_025,n_failures"
+    with csv_artifact(summary_path, comments, columns) as f:
+        for (path, target, phi1, seed), log in zip(plan, logs):
+            run = os.path.basename(path)[len("sweep_"):-len(".csv")]  # <label>_rep<rep>
+            rec = log.records[-1]
+            values = (phi1.theta1, phi1.theta4, target[0], target[1], rec.eps, rec.sigma)
+            f.write(f"{run},{run.rsplit('_rep', 1)[0]},{seed},"
+                    + ",".join(f"{v:.9g}" for v in values)
+                    + f",{iters_to_threshold(log, target)},{log.n_failures}\n")
+    return {"n_runs": len(plan), "artifacts": [summary_path] + [row[0] for row in plan]}
+
+
+# one driver (cfg, env_cfg, config_hash, comments) -> summary per experiment mode
+DRIVERS = {
+    "grad-check": _grad_check,
+    "baseline-variance": _baseline_variance,
+    "gen-data": _gen_data,
+    "train-blackbox": _train_blackbox,
+    "run": _run,
+    "sweep": _sweep,
+}
+MODES = tuple(DRIVERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Drive one experiment mode; writes artifacts, returns a summary dict."""
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    env_cfg = cfg.env_config()
-    config_echo = cfg.config_hash()
-    comments = (f"seed={cfg.seed}", f"config={config_echo}")
-
-    if cfg.mode == "grad-check":
-        report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set())
-        path = os.path.join(cfg.out_dir, f"grad_check_{cfg.predictor}.csv")
-        report.write(path, comments)
-        return {
-            "median_rel_error": report.median_rel_error,
-            "max_rel_error": report.max_rel_error,
-            "n_flagged": report.n_flagged,
-            "artifacts": [path],
-        }
-
-    if cfg.mode == "baseline-variance":
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        path = os.path.join(cfg.out_dir, "baseline_variance.csv")
-        sigmas = []
-        with csv_artifact(path, comments, "theta1,theta4,n_trials,mean_x,mean_y,sigma") as f:
-            for t1, t4 in cfg.variance_policies:
-                mean, sigma = estimate_variance(
-                    InterceptionPolicy(t1, t4), cfg.n_trials, env_cfg, rng
-                )
-                sigmas.append(sigma)
-                f.write(
-                    f"{t1:.9g},{t4:.9g},{cfg.n_trials},"
-                    f"{mean[0]:.9g},{mean[1]:.9g},{sigma:.9g}\n"
-                )
-        return {"sigmas": sigmas, "artifacts": [path]}
-
-    if cfg.mode == "gen-data":
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-        gen = gen_dataset_greybox if cfg.labels == "greybox" else gen_dataset
-        ds = gen(env_cfg, cfg.n_points, cfg.sampling, rng, cfg.feasible_set())
-        path = cfg.resolved_dataset_path()
-        ds.save_csv(path, comments)
-        return {"n_records": len(ds), "artifacts": [path]}
-
-    if cfg.mode == "train-blackbox":
-        ds_path = cfg.resolved_dataset_path()
-        if not os.path.exists(ds_path):
-            raise ConfigError(f"dataset_path: no dataset at {ds_path}")
-        ds = Dataset.load_csv(ds_path)
-        model, history = train(ds, TrainConfig(epochs=cfg.epochs, seed=cfg.seed), cfg.feasible_set())
-        model_path = cfg.resolved_model_path()
-        model.save(model_path, meta={"seed": cfg.seed, "config": config_echo})
-        hist_path = os.path.join(cfg.out_dir, "train_history.csv")
-        with csv_artifact(hist_path, comments, "epoch,train_mse,val_mse") as f:
-            for ep, (tr, va) in enumerate(zip(history["train_mse"], history["val_mse"]), start=1):
-                f.write(f"{ep},{tr:.9g},{va:.9g}\n")
-        return {
-            "final_train_mse": history["train_mse"][-1],
-            "final_val_mse": history["val_mse"][-1],
-            "artifacts": [model_path, hist_path],
-        }
-
-    if cfg.mode == "run":
-        predictor = make_predictor(cfg)
-        target = np.asarray(cfg.target, dtype=float)
-        path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
-        log = _run_one(
-            cfg, predictor, env_cfg, target, InterceptionPolicy(*cfg.phi1),
-            cfg.seed, cfg.n_iters, cfg.alpha1, path, config_echo,
-        )
-        rec = log.records[-1]
-        return {
-            "final_eps": rec.eps,
-            "final_sigma": rec.sigma,
-            "iters_to_025": iters_to_threshold(log, target),
-            "artifacts": [path],
-        }
-
-    # sweep
-    predictor = make_predictor(cfg)
-    if cfg.sweep_kind == "targets":
-        labels = [f"target{i}" for i in range(len(cfg.sweep_targets))]
-        targets = [np.asarray(t, dtype=float) for t in cfg.sweep_targets]
-        phis = [InterceptionPolicy(*cfg.phi1)] * len(targets)
-        runs_per = cfg.n_seeds
-    else:
-        labels = [f"init{i}" for i in range(len(cfg.initial_policies))]
-        targets = [np.asarray(cfg.target, dtype=float)] * len(cfg.initial_policies)
-        phis = [InterceptionPolicy(t1, t4) for t1, t4 in cfg.initial_policies]
-        runs_per = cfg.n_replicates
-
-    seeds = derived_seeds(cfg.seed, len(labels) * runs_per)
-    summary_path = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep_kind}_summary.csv")
-    artifacts = [summary_path]
-    rows = []
-    idx = 0
-    for label, target, phi1 in zip(labels, targets, phis):
-        for rep in range(runs_per):
-            seed = seeds[idx]
-            idx += 1
-            run_path = os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv")
-            log = _run_one(
-                cfg, predictor, env_cfg, target, phi1, seed, cfg.n_iters, cfg.alpha1, run_path,
-                config_echo,
-            )
-            artifacts.append(run_path)
-            rec = log.records[-1]
-            rows.append(
-                (f"{label}_rep{rep}", label, seed, phi1.theta1, phi1.theta4,
-                 target[0], target[1], rec.eps, rec.sigma,
-                 iters_to_threshold(log, target), log.n_failures)
-            )
-    with csv_artifact(summary_path, comments, SUMMARY_HEADER) as f:
-        for row in rows:
-            f.write(
-                f"{row[0]},{row[1]},{row[2]},"
-                + ",".join(f"{v:.9g}" for v in row[3:9])
-                + f",{row[9]},{row[10]}\n"
-            )
-    return {"n_runs": len(rows), "artifacts": artifacts}
+    echo = cfg.config_hash()
+    return DRIVERS[cfg.mode](cfg, cfg.env_config(), echo, (f"seed={cfg.seed}", f"config={echo}"))

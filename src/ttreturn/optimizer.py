@@ -13,6 +13,7 @@ from .errors import AbortedRun, MissedBall, NonFiniteStep
 from .metrics import MetricsState
 
 CSV_HEADER = "iter,theta1,theta4,land_x,land_y,alpha,loss,eps,sigma,rbar_x,rbar_y"
+FAILURE_CAP = 20  # more consecutive missed balls than this abort a run
 
 
 @contextmanager
@@ -164,14 +165,13 @@ def run_online(
     schedule: StepSchedule,
     k: FeasibleSet,
     seed: int = 0,
-    failure_cap: int = 20,
     config_echo: str = "",
 ) -> RunLog:
     """Run the online loop: intercept, observe, projected gradient step.
 
     `env` is a callable (phi, rng) -> (r_landing, diagnostics) that may raise
     a MissedBall error; a miss is retried with a fresh launch and no policy
-    update, and more than `failure_cap` misses in a row raise AbortedRun with
+    update, and more than FAILURE_CAP = 20 misses in a row raise AbortedRun with
     the log so far. `predictor` supplies .gradient(phi, incoming).
     """
     if n_iters < 1:
@@ -194,7 +194,7 @@ def run_online(
             except MissedBall:
                 consecutive += 1
                 log.n_failures += 1
-                if consecutive > failure_cap:
+                if consecutive > FAILURE_CAP:
                     raise AbortedRun(f"{consecutive} consecutive missed balls at iteration {i}", log)
 
         r_bar, eps, sigma = metrics.update(r_landing)

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import pathlib
+import signal
 import tempfile
 
 import numpy as np
@@ -90,6 +92,9 @@ class TestConfigValidation:
             ("landing_noise_std", (0.1, float("nan"))),
             ("jitter_std", (0.0, 0.0, 0.0, float("inf"), 0.0, 0.0)),
             ("nominal_state", (-0.15, 3.9, float("nan"), 0.0, -8.3, 3.3)),
+            ("sweep_targets", ((-0.9, 0.3), (float("nan"), 0.3))),
+            ("initial_policies", ((0.36, float("inf")),)),
+            ("variance_policies", ((float("nan"), 0.10),)),
         ],
     )
     def test_rejects_non_finite(self, field, value):
@@ -369,6 +374,23 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check_report("whitebox", 1, seed=0)
 
+    def test_greybox_infeasible_box_raises(self, tmp_path):
+        # no policy in this box intercepts the ball: the sampler's miss rule stops the check
+        cfg = ExperimentConfig(mode="grad-check", predictor="greybox", out_dir=str(tmp_path),
+                               n_points=10, box_theta1=(-1.6, -1.2), phi1=(-1.4, 0.2))
+
+        def timeout(signum, frame):
+            raise AssertionError("grad-check did not stop")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(10)
+        try:
+            with pytest.raises(InfeasibleRegion, match="^50 of 50 sampled policies missed the ball$"):
+                run_experiment(cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
     def test_report_file(self, tmp_path, env_cfg):
         report = grad_check_report("blackbox", 3, seed=1)
         path = tmp_path / "report.csv"
@@ -410,7 +432,32 @@ class TestHelpers:
         assert iters_to_threshold(log, np.array([10.0, 0.0])) == -1
 
 
+# small sizes for one seeded call of each mode
+SMALL_RUNS = {
+    "grad-check": dict(n_points=4),
+    "baseline-variance": dict(n_trials=10, variance_policies=((0.45, 0.25),)),
+    "gen-data": dict(n_points=20),
+    "train-blackbox": dict(epochs=5),
+    "run": dict(n_iters=3),
+    "sweep": dict(n_iters=2, n_seeds=1, sweep_targets=((-1.0, 0.4), (-1.2, 0.6))),
+}
+
+
 class TestRunExperiment:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_repeats_byte_identical(self, tmp_path, mode):
+        outcomes = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            if mode == "train-blackbox":
+                run_experiment(ExperimentConfig(mode="gen-data", seed=3, out_dir=out, n_points=30,
+                                                labels="greybox"))
+            summary = run_experiment(ExperimentConfig(mode=mode, seed=3, out_dir=out, **SMALL_RUNS[mode]))
+            paths = summary.pop("artifacts")
+            contents = [pathlib.Path(path).read_bytes() for path in paths]
+            outcomes.append((summary, [os.path.relpath(path, out) for path in paths], contents))
+        assert outcomes[0] == outcomes[1]
+
     def test_run_mode_artifacts_and_echo(self, tmp_path):
         cfg = ExperimentConfig(
             mode="run", seed=3, out_dir=str(tmp_path / "out"), n_iters=5, alpha1=0.1
