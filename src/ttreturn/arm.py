@@ -18,6 +18,7 @@ from .errors import NoCrossing, OutOfReach
 
 REACH_MARGIN = 0.01  # [m] keep-out from both inverse-kinematics singularities
 CROSS_TOL = 1e-9     # [m] |c| below which a sample may lie on either side of theta1
+SEARCH_CHUNK = 64    # policies per (chunk, samples) array of the block crossing search
 
 
 @dataclass
@@ -132,6 +133,34 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
         theta3=theta3,
         racket_pos=np.array(xi[:3]),
     )
+
+
+def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tuple[np.ndarray, list]:
+    """interception_event's crossing search, interpolation and reach check for an
+    array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
+    pre-impact states and each policy's MissedBall (its row is then junk) or None."""
+    (x, y), ref = incoming.xy(), atan2(geom.rest_normal[1], geom.rest_normal[0])
+    az, idx, u = base_azimuth(x, y, geom), np.full(len(theta1), -1), np.zeros(len(theta1))
+    for s in range(0, len(theta1), SEARCH_CHUNK):
+        t = theta1[s : s + SEARCH_CHUNK, None]
+        c = np.cos(ref + t) * (y - geom.base[1]) - np.sin(ref + t) * (x - geom.base[0])
+        c = np.clip(c, -CROSS_TOL, CROSS_TOL)  # the values of interception_event's minimum(maximum())
+        row, i = np.divmod(np.flatnonzero(c[:, :-1] * c[:, 1:] < CROSS_TOL**2), len(x) - 1)  # candidates
+        a, b = ((az[i + j] - t[row, 0] + pi) % (2.0 * pi) - pi for j in (0, 1))
+        ok = np.flatnonzero(~(abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0)))
+        row, first = np.unique(row[ok], return_index=True)
+        a, b, idx[s + row] = a[ok[first]], b[ok[first]], i[ok[first]]
+        u[s + row] = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
+    states = np.array(incoming.rows).reshape(-1, 6)
+    xi = states[idx] + u[:, None] * (states[idx + 1] - states[idx])
+    d = xi[:, :3] - geom.base
+    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    lo, hi = abs(geom.l1 - geom.l2) + REACH_MARGIN, geom.l1 + geom.l2 - REACH_MARGIN
+    missed = [None] * len(theta1)
+    for j in np.flatnonzero((idx < 0) | ~((lo <= dist) & (dist <= hi))).tolist():
+        missed[j] = (NoCrossing(f"ball path never reaches base azimuth {theta1[j]:.3f} rad") if idx[j] < 0 else
+                     OutOfReach(f"target at {dist[j]:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m"))
+    return xi, missed
 
 
 def _rot_z(a: float) -> np.ndarray:

@@ -288,6 +288,19 @@ def final_step(stop, params: FlightParams) -> tuple[float, np.ndarray]:
     return t_last, landing
 
 
+def final_steps(stops: np.ndarray, params: FlightParams) -> tuple[np.ndarray, np.ndarray]:
+    """final_step's arithmetic on (B, 6) stop states: the (B, 2) landing points and the
+    (B,) discriminants; a row whose discriminant is negative has no landing point."""
+    px, py, pz, vx, vy, vz = stops.T
+    # float_power is libm's pow, as Python's ** on floats (x * x differs in the last bit)
+    disc = np.float_power(vz / G_VERTICAL, 2) + 2.0 * (pz - params.z_table) / G_VERTICAL
+    with np.errstate(all="ignore"):
+        t_last = np.maximum(vz / G_VERTICAL + np.sqrt(disc), 0.0)
+        dz = (pz + t_last * vz) - pz
+        frac = np.where(dz != 0.0, (params.z_table - pz) / dz, 1.0)
+        return np.column_stack([p + frac * ((p + t_last * v) - p) for p, v in ((px, vx), (py, vy))]), disc
+
+
 def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
     """Sensitivity of the landing state to the post-impact state, applied to
     the tangent given to propagate_to_landing (the identity gives the 6x6

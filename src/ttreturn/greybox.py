@@ -16,13 +16,14 @@ from .arm import (
     InterceptionEvent,
     InterceptionPolicy,
     interception_event,
+    interception_states,
     racket_rotation,
     racket_velocity,
 )
-from .ballistics import (FlightParams, LandingRecord, euler_landings, final_step, landing_state_jacobian,
+from .ballistics import (FlightParams, LandingRecord, euler_landings, final_steps, landing_state_jacobian,
                          propagate_to_landing)
-from .errors import MaxStepsExceeded, SimulationError
-from .impact import ImpactParams, impact_state_jacobian, racket_impact
+from .errors import MaxStepsExceeded, NegativeDiscriminant
+from .impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
 
 COUPLED_FD_STEP = 1e-6  # [rad] central-difference step of the geometry-coupled mode
 
@@ -44,27 +45,18 @@ def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) ->
 
 
 def predict_landings(phis: list[InterceptionPolicy], incoming, params: GreyboxParams) -> list:
-    """predict_landing of each policy, or the SimulationError it raised; the
-    landing flights are flown as one lockstep batch (euler_landings)."""
-    outcomes, flown, starts = [], [], np.empty((len(phis), 6))
-    for phi in phis:
-        try:
-            event = interception_event(incoming, params.geom, phi.theta1)
-        except SimulationError as exc:
-            outcomes.append(exc)
-            continue
-        v_r = racket_velocity(event, params.geom)
-        starts[len(flown)] = racket_impact(event.xi_minus, racket_rotation(phi), v_r, params.impact).as_vector()
-        flown.append(len(outcomes))
-        outcomes.append(None)
-    stops, steps = euler_landings(starts[: len(flown)], params.flight)
-    for i, stop, k in zip(flown, stops, steps.tolist()):
-        try:
-            if k < 0:
-                raise MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps")
-            outcomes[i] = final_step(stop.tolist(), params.flight)[1][:2].copy()
-        except SimulationError as exc:
-            outcomes[i] = exc
+    """predict_landing of each policy, or the SimulationError it raised, as array code on the
+    block: interception_states, racket_impacts, lockstep flights (euler_landings), final_steps."""
+    theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
+    xi, outcomes = interception_states(incoming, params.geom, theta1)
+    hit = np.array([o is None for o in outcomes], dtype=bool)
+    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], params.geom, params.impact)
+    stops, steps = euler_landings(starts, params.flight)
+    landings, discs = final_steps(stops, params.flight)
+    for i, k, disc, landing in zip(np.flatnonzero(hit).tolist(), steps.tolist(), discs.tolist(), landings):
+        outcomes[i] = (MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps") if k < 0 else
+                       NegativeDiscriminant(f"ball cannot reach the table plane: discriminant = {disc:.3e}")
+                       if disc < 0.0 else landing)
     return outcomes
 
 

@@ -14,7 +14,7 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 
@@ -233,19 +233,16 @@ def nominal_trajectory(env_cfg: EnvConfig):
     return launch(jitter_free, env_cfg.truth_flight, np.random.default_rng(0))
 
 
-def _policy_stream(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator):
-    """Yields candidate policies: uniform draws forever, or one grid pass."""
-    if sampling == "grid":
-        side = math.isqrt(n)
-        if side * side != n:
-            raise ConfigError("n_points: grid sampling needs a square count")
-        for t1 in np.linspace(lo[0], hi[0], side):
-            for t4 in np.linspace(lo[1], hi[1], side):
-                yield InterceptionPolicy(float(t1), float(t4))
-    else:
-        while True:
-            t1, t4 = rng.uniform(lo, hi)
-            yield InterceptionPolicy(t1, t4)
+def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator):
+    """draw(k) gives the next k candidate policies: k uniform draws in one rng call
+    (the values and the stream of k single draws), or the next points of one grid pass."""
+    if sampling == "uniform":
+        return lambda k: [InterceptionPolicy(t1, t4) for t1, t4 in rng.uniform(lo, hi, size=(k, 2)).tolist()]
+    side = math.isqrt(n)
+    if side * side != n:
+        raise ConfigError("n_points: grid sampling needs a square count")
+    grid = iter([InterceptionPolicy(*p) for p in product(*(np.linspace(a, b, side).tolist() for a, b in zip(lo, hi)))])
+    return lambda k: list(islice(grid, k))
 
 
 def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet | None,
@@ -258,11 +255,11 @@ def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleS
     the (phi, outcome) pairs.
     """
     lo, hi = sampling_bounds(k or SCENARIO_BOX)
-    stream = _policy_stream(n, sampling, lo, hi, rng)
+    draw = _policy_draws(n, sampling, lo, hi, rng)
     pairs = []
     attempts = misses = 0
     while len(pairs) < n:
-        phis = list(islice(stream, min(n - len(pairs), block)))
+        phis = draw(min(n - len(pairs), block))
         if not phis:
             break
         for phi, outcome in zip(phis, label(phis)):
@@ -387,13 +384,13 @@ def grad_check_report(
 
     if kind == "blackbox":
         lo, hi = sampling_bounds(k)
-        stream, report = _policy_stream(n_points, "uniform", lo, hi, rng), GradCheckReport(kind)
+        draw, report = _policy_draws(n_points, "uniform", lo, hi, rng), GradCheckReport(kind)
         for _ in range(n_points):
             # a random untrained surrogate; its draws precede its policy's in the rng stream
             model = random_model(rng, k, lambda fan_in: 1.0)
             model.output_mean = rng.uniform(-1.0, 1.0, size=2)
             model.output_std = rng.uniform(0.5, 2.0, size=2)
-            phi = next(stream)
+            (phi,) = draw(1)
             rel = _rel_error(mlp_jacobian(model, phi), partial(mlp_forward, model), phi)
             report.entries.append(GradCheckEntry(phi, rel, False))
         return report

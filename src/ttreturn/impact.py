@@ -46,6 +46,20 @@ def racket_impact(
     return BallState(p=xi_minus.p.copy(), v=v_plus)
 
 
+def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, geom: ArmGeometry,
+                   params: ImpactParams) -> np.ndarray:
+    """racket_impact of (B, 6) pre-impact states with each policy's racket_rotation and
+    racket_velocity, as stacked products in their order: (B, 6) post-impact states."""
+    c1, s1, c4, s4 = np.cos(theta1), np.sin(theta1), np.cos(theta4), np.sin(theta4)
+    o, z = np.ones(len(theta1)), np.zeros(len(theta1))
+    rz = np.stack((c1, -s1, z, s1, c1, z, z, z, o), axis=-1).reshape(-1, 3, 3)
+    gamma = np.matmul(rz, np.stack((o, z, z, z, c4, -s4, z, s4, c4), axis=-1).reshape(-1, 3, 3))
+    r = xi_minus[:, :3] - geom.base
+    v_r = geom.theta1_dot * np.column_stack((-r[:, 1], r[:, 0], z))
+    m = np.matmul(np.matmul(gamma, params.matrix), gamma.transpose(0, 2, 1))
+    return np.hstack((xi_minus[:, :3], np.matmul(m, (xi_minus[:, 3:] - v_r)[:, :, None])[:, :, 0] + v_r))
+
+
 def impact_state_jacobian(
     xi_minus: BallState,
     phi: InterceptionPolicy,

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from ttreturn.arm import (
+    SEARCH_CHUNK,
     ArmGeometry,
     InterceptionPolicy,
     base_azimuth,
     interception_event,
+    interception_states,
     racket_rotation,
     racket_rotation_jacobian,
     racket_velocity,
@@ -143,6 +145,53 @@ class TestInterceptionOracle:
         geom = ArmGeometry()
         traj = straight_trajectory([geom.base[0], y0, geom.base[2]], [0.0, vy, 0.0], n=300)
         outcome_matches_reference(traj, geom, theta1)
+
+
+def assert_states_match_events(traj, geom, thetas):
+    """interception_states gives interception_event's pre-impact state, or its
+    MissedBall with the same message, bit for bit; returns the outcome kinds."""
+    xi, missed = interception_states(traj, geom, np.array(thetas))
+    assert xi.shape == (len(thetas), 6) and len(missed) == len(thetas)
+    kinds = []
+    for theta1, row, miss in zip(thetas, xi, missed):
+        try:
+            ev = interception_event(traj, geom, theta1)
+        except MissedBall as exc:
+            assert (type(miss), str(miss)) == (type(exc), str(exc))
+            kinds.append(type(exc))
+            continue
+        assert miss is None
+        np.testing.assert_array_equal(row, ev.xi_minus.as_vector())
+        kinds.append(None)
+    return kinds
+
+
+class TestInterceptionStatesOracle:
+    """The block crossing search is interception_event on arrays, bit for bit."""
+
+    def test_matches_scalar_event_over_jittered_launches(self):
+        cfg = EnvConfig()
+        launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
+        shifted = ArmGeometry(base=np.array([0.05, -0.1, 0.8]))
+        rng = np.random.default_rng(21)
+        # more policies than one search chunk, theta1 on both sides of the base
+        thetas = np.r_[rng.uniform(-pi, 3.0, 2 * SEARCH_CHUNK + 7), -pi, -pi / 2, pi / 2, 3.0, np.nan].tolist()
+        seen = set()
+        for n in range(12):
+            traj = launch(launcher, cfg.truth_flight, rng)
+            seen |= set(assert_states_match_events(traj, shifted if n % 4 == 3 else cfg.geom, thetas))
+        assert seen == {None, NoCrossing, OutOfReach}
+
+    def test_exact_sample_and_wrap_jump(self):
+        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
+        on_ray = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
+        around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
+        for traj in (on_ray, around, polyline_trajectory([(0.3, -0.6), (-0.3, -0.6)])):
+            assert_states_match_events(traj, geom, [0.0, 0.3, -0.3, pi, -pi])
+
+    def test_empty_block(self, nominal_traj, env_cfg):
+        xi, missed = interception_states(nominal_traj, env_cfg.geom, np.zeros(0))
+        assert xi.shape == (0, 6) and missed == []
 
 
 class TestInterceptionEvent:

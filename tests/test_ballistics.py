@@ -13,6 +13,7 @@ from ttreturn.ballistics import (
     euler_flight,
     euler_landings,
     final_step,
+    final_steps,
     free_flight_step,
     free_flight_step_jacobians,
     landing_state_jacobian,
@@ -129,6 +130,27 @@ class TestRemainingTime:
         with pytest.raises(NegativeDiscriminant):
             remaining_time(xi, 0.76)
 
+
+    def test_final_steps_match_final_step_bit_for_bit(self):
+        # stop states above, at and below the plane, some that cannot reach it,
+        # one with no vertical motion on the plane (dz = 0) and a non-finite one
+        rng = np.random.default_rng(13)
+        n = 300
+        stops = np.column_stack((rng.normal(size=(n, 2)), rng.uniform(0.0, 1.3, n), rng.normal(size=(n, 3)) * 3.0))
+        stops = np.vstack((stops, [[0.1, 0.2, 0.76, 1.0, 1.0, 0.0], [0.0, 0.0, np.nan, 1.0, 0.0, -1.0]]))
+        p = params(k_drag=0.12)
+        landings, discs = final_steps(stops, p)
+        negative = 0
+        for stop, landing, disc in zip(stops.tolist(), landings, discs.tolist()):
+            try:
+                t_last, expected = final_step(stop, p)
+            except NegativeDiscriminant as exc:
+                assert disc < 0.0 and str(exc).endswith(f"discriminant = {disc:.3e}")
+                negative += 1
+                continue
+            assert not disc < 0.0
+            np.testing.assert_array_equal(landing, expected[:2])
+        assert 0 < negative < n
 
 class TestRemainingTimeGradient:
     def test_hand_derived_values(self):

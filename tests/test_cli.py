@@ -55,6 +55,49 @@ def test_missing_model_exits_one(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ('{"meta": {}}', "layers: expected a list of 5 layers"),
+        ("[1, 2]", "expected a JSON object"),
+        ('{"layers": [{"weight": [[1, 2]], "bias": [0]}], "meta": {}}', "layers: expected a list of 5 layers"),
+    ],
+    ids=["no-layers", "top-level-list", "wrong-architecture"],
+)
+def test_malformed_model_exits_one(tmp_path, capsys, doc, message):
+    model = tmp_path / "bad.json"
+    model.write_text(doc + "\n")
+    code = main(["run", "--predictor", "blackbox", "--iters", "1", "--model", str(model),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{model}: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_model_with_wrong_layer_shape_exits_one(tmp_path, capsys):
+    # a saved model whose second layer's weight lost a row
+    main(["gen-data", "--labels", "greybox", "--n", "30", "--out", str(tmp_path)])
+    main(["train-blackbox", "--epochs", "1", "--out", str(tmp_path)])
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["layers"][1]["weight"].pop()
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = main(["run", "--predictor", "blackbox", "--iters", "1", "--out", str(tmp_path)])
+    assert code == 1
+    assert "layers[1].weight: expected 4 x 4 finite numbers" in capsys.readouterr().err
+
+
+def test_short_dataset_row_exits_one(tmp_path, capsys):
+    data = tmp_path / "short.csv"
+    data.write_text("theta1,theta4,land_x,land_y\n0.3,0.1,-1.2\n0.4,0.2,-1.1,0.6\n")
+    code = main(["train-blackbox", "--dataset", str(data), "--epochs", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{data}: line 2: expected 4 numbers, got 3" in err
+    assert "Traceback" not in err
+
 def test_small_run_prints_json_summary(tmp_path, capsys):
     code = main(
         [

@@ -14,7 +14,8 @@ except ImportError:
 from conftest import fine_step_landing
 from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig, SampledTrajectory, launch
-from ttreturn.errors import MissedBall
+from ttreturn.ballistics import FlightParams
+from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SimulationError
 from ttreturn.greybox import (
     GreyboxParams,
     GreyboxPredictor,
@@ -22,6 +23,7 @@ from ttreturn.greybox import (
     frozen_landing_record,
     predict_landing,
     predict_landing_with_gradient,
+    predict_landings,
 )
 from ttreturn.harness import SCENARIO_BOX, sampling_bounds
 from ttreturn.impact import racket_impact
@@ -197,3 +199,34 @@ def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
         assume(hi.k_max == lo.k_max == record.k_max)
         fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "flight,error",
+    [(FlightParams(), None), (FlightParams(z_table=1.3), NegativeDiscriminant),
+     (FlightParams(max_steps=300), MaxStepsExceeded)],
+    ids=["landings", "negative-discriminant", "max-steps"],
+)
+def test_block_labels_match_per_policy_path(nominal_traj, flight, error):
+    # the nominal launch and jittered ones; theta1 over (-pi, 3.0) and theta4
+    # across the box, so that misses of both kinds and landings all occur;
+    # and a row with a non-finite angle each
+    cfg, params = EnvConfig(), GreyboxParams(flight=flight)
+    rng = np.random.default_rng(31)
+    trajs = [nominal_traj] + [launch(cfg.launcher, cfg.truth_flight, rng) for _ in range(2)]
+    t4_lo, t4_hi = SCENARIO_BOX.theta4_bounds
+    kinds = set()
+    for traj in trajs:
+        phis = [InterceptionPolicy(*p) for p in
+                np.column_stack((rng.uniform(-np.pi, 3.0, 400), rng.uniform(t4_lo, t4_hi, 400))).tolist()]
+        phis += [InterceptionPolicy(np.nan, 0.2), InterceptionPolicy(0.5, np.nan)]
+        for phi, got in zip(phis, predict_landings(phis, traj, params), strict=True):
+            try:
+                expected = predict_landing(phi, traj, params)
+            except SimulationError as exc:
+                assert (type(got), str(got)) == (type(exc), str(exc))
+                kinds.add(type(exc))
+                continue
+            np.testing.assert_array_equal(got, expected)
+            kinds.add(None)
+    assert kinds == {None, NoCrossing, OutOfReach, MaxStepsExceeded} | ({error} if error else set())

@@ -6,6 +6,8 @@ import os
 import pathlib
 import signal
 import tempfile
+from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -23,10 +25,10 @@ except ImportError:
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.ballistics import FlightParams
-from ttreturn.blackbox import Dataset
+from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian
 from ttreturn.env import intercept
 from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
-from ttreturn.greybox import GreyboxParams, predict_landing
+from ttreturn.greybox import GreyboxParams, central_difference, predict_landing
 from ttreturn.harness import (
     ExperimentConfig,
     MODES,
@@ -246,13 +248,27 @@ class TestDatasetGeneration:
             gen_dataset(env_cfg, 10, "uniform", np.random.default_rng(4), box)
 
 
+def single_draws(n, sampling, lo, hi, rng):
+    """Test-local one-at-a-time candidate stream: one grid pass, or one
+    rng.uniform(lo, hi) call per policy forever."""
+    if sampling == "grid":
+        side = int(round(np.sqrt(n)))
+        for t1 in np.linspace(lo[0], hi[0], side):
+            for t4 in np.linspace(lo[1], hi[1], side):
+                yield InterceptionPolicy(float(t1), float(t4))
+    else:
+        while True:
+            t1, t4 = rng.uniform(lo, hi)
+            yield InterceptionPolicy(t1, t4)
+
+
 def per_policy_dataset(label, n, sampling, rng, k):
     """Test-local copy of the per-policy sampling loop: label(phi) returns a
     landing point or raises. Also returns the number of attempts."""
     lo, hi = sampling_bounds(k)
     ds = Dataset()
     attempts = misses = 0
-    for phi in ttreturn.harness._policy_stream(n, sampling, lo, hi, rng):
+    for phi in single_draws(n, sampling, lo, hi, rng):
         attempts += 1
         try:
             ds.records.append((phi, label(phi)))
@@ -273,6 +289,32 @@ def raised(call):
     with pytest.raises(SimulationError) as info:
         call()
     return type(info.value), str(info.value)
+
+
+class TestBlockDraws:
+    """A block of k candidates equals k one-at-a-time draws: values and rng stream."""
+
+    def test_uniform_blocks_match_single_draws(self):
+        lo, hi = sampling_bounds(SCENARIO_BOX)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        draw = ttreturn.harness._policy_draws(0, "uniform", lo, hi, rng)
+        ref = single_draws(0, "uniform", lo, hi, ref_rng)
+        for k in (1, 5, 1, 1, 37, 2, 300):
+            block = draw(k)
+            assert [(p.theta1, p.theta4) for p in block] == [(p.theta1, p.theta4) for p in islice(ref, k)]
+            assert all(type(p.theta1) is float and type(p.theta4) is float for p in block)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert rng.normal() == ref_rng.normal()  # other draws in between keep their stream
+
+    def test_grid_blocks_match_single_pass(self):
+        lo, hi = sampling_bounds(SCENARIO_BOX)
+        rng = np.random.default_rng(0)
+        draw = ttreturn.harness._policy_draws(49, "grid", lo, hi, rng)
+        blocks = [draw(k) for k in (1, 10, 3, 40, 5)]
+        assert [len(b) for b in blocks] == [1, 10, 3, 35, 0]
+        got = [(p.theta1, p.theta4) for b in blocks for p in b]
+        assert got == [(p.theta1, p.theta4) for p in single_draws(49, "grid", lo, hi, rng)]
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestBlockedSampling:
@@ -364,6 +406,26 @@ class TestGradCheck:
         report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
         assert len(report.entries) == 10
         assert calls == {"flights": 50, "events": 10}
+
+    def test_blackbox_draw_order(self):
+        # each entry: the random model's weights, its output scaling, then the policy
+        report = grad_check_report("blackbox", 3, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5))
+        lo, hi = sampling_bounds(SCENARIO_BOX)
+        box_lo, box_hi = np.array(SCENARIO_BOX.theta1_bounds + SCENARIO_BOX.theta4_bounds).reshape(2, 2).T
+        sizes = [2, 4, 4, 4, 4, 2]
+        assert len(report.entries) == 3
+        for entry in report.entries:
+            layers = [(rng.uniform(-1.0, 1.0, size=(m, n)), rng.uniform(-1.0, 1.0, size=m))
+                      for n, m in zip(sizes[:-1], sizes[1:])]
+            mean, std = rng.uniform(-1.0, 1.0, size=2), rng.uniform(0.5, 2.0, size=2)
+            t1, t4 = rng.uniform(lo, hi)
+            assert (entry.phi.theta1, entry.phi.theta4) == (t1, t4)
+            model = MlpModel(layers, (box_lo + box_hi) / 2.0, (box_hi - box_lo) / 2.0, mean, std)
+            phi = InterceptionPolicy(t1, t4)
+            fd = central_difference(partial(mlp_forward, model), phi, ttreturn.harness.FD_STEP)
+            rel = np.linalg.norm(mlp_jacobian(model, phi) - fd) / max(np.linalg.norm(fd), 1e-12)
+            assert entry.rel_error == rel and not entry.flagged
 
     def test_deterministic(self, env_cfg):
         a = grad_check_report("greybox", 3, seed=5, env_cfg=env_cfg)

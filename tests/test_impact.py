@@ -7,13 +7,14 @@ import pytest
 
 from ttreturn.arm import (
     ArmGeometry,
+    InterceptionEvent,
     InterceptionPolicy,
     interception_event,
     racket_rotation,
     racket_velocity,
 )
 from ttreturn.ballistics import BallState
-from ttreturn.impact import ImpactParams, impact_state_jacobian, racket_impact
+from ttreturn.impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
 
 
 def rot_z(a):
@@ -68,6 +69,21 @@ class TestRacketImpact:
             out = racket_impact(BallState(p=np.zeros(3), v=v_minus), gamma, v_r, params)
             assert np.linalg.norm(out.v - v_r) <= 0.75 * np.linalg.norm(v_minus - v_r) + 1e-12
 
+
+    def test_stacked_impacts_match_scalar_bit_for_bit(self):
+        # racket_impacts builds each policy's rotation and racket velocity and
+        # takes the stacked ((G M) G^T) rel products: racket_impact's bits
+        rng = np.random.default_rng(12)
+        n = 40
+        xi = np.column_stack((rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 5.0))
+        theta1, theta4 = rng.uniform(-pi, pi, (2, n))
+        geom, params = ArmGeometry(), ImpactParams(restitution=np.array([0.72, -0.78, 0.72]))
+        out = racket_impacts(xi, theta1, theta4, geom, params)
+        for row, x, t1, t4 in zip(out, xi, theta1.tolist(), theta4.tolist()):
+            event = InterceptionEvent(0.0, BallState.from_vector(x), 0.0, 0.0, x[:3])
+            gamma = racket_rotation(InterceptionPolicy(t1, t4))
+            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event, geom), params)
+            np.testing.assert_array_equal(row, ref.as_vector())
 
 def frozen_impact(phi, event, geom, params):
     gamma = racket_rotation(phi)
