@@ -129,6 +129,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -182,12 +184,6 @@ def _init_model(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, k: Feasi
     return model
 
 
-def _views(flat: np.ndarray, layers) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(weight, bias) views into a flat buffer, shaped like the given layers."""
-    parts = np.split(flat, np.cumsum([p.size for pair in layers for p in pair])[:-1])
-    return [(parts[2 * i].reshape(w.shape), parts[2 * i + 1]) for i, (w, _) in enumerate(layers)]
-
-
 def train(
     dataset: Dataset, cfg: TrainConfig, k: FeasibleSet | None = None
 ) -> tuple[MlpModel, dict]:
@@ -217,13 +213,18 @@ def train(
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
-    a_tr = (x_tr - model.input_center) / model.input_half
+    # a trailing ones column carries each bias through the products below
+    a_tr = np.column_stack([(x_tr - model.input_center) / model.input_half, np.ones(len(x_tr))])
     y_tr_n = (y_tr - model.output_mean) / model.output_std
 
-    theta = np.concatenate([p.ravel() for pair in model.layers for p in pair])
-    model.layers = _views(theta, model.layers)
+    # each layer is one row-major (out, in + 1) block [w | b] of the flat theta;
+    # model.layers holds its views (w, b)
+    theta = np.concatenate([np.column_stack([w, b]).ravel() for w, b in model.layers])
+    cuts = np.cumsum([b.size * (w.shape[1] + 1) for w, b in model.layers])[:-1]
     grad = np.zeros_like(theta)
-    grads = _views(grad, model.layers)
+    blocks, g_blocks = ([p.reshape(len(b), -1) for p, (_, b) in zip(np.split(flat, cuts), model.layers)]
+                        for flat in (theta, grad))
+    model.layers = [(block[:, :-1], block[:, -1]) for block in blocks]
     m_adam = np.zeros_like(theta)
     v_adam = np.zeros_like(theta)
     t_step = 0
@@ -235,29 +236,32 @@ def train(
 
     history: dict = {"train_mse": [], "val_mse": []}
     n_tr = len(x_tr)
+    # hidden activations with their ones column, (buffer, tanh view) per layer, for each batch size
+    hidden = {nb: [(h, h[:, :-1]) for h in (np.ones((nb, width + 1)) for width in HIDDEN_LAYERS)]
+              for nb in {min(cfg.batch_size, n_tr), n_tr % cfg.batch_size or cfg.batch_size}}
     for _ in range(cfg.epochs):
         order = rng.permutation(n_tr)
         a_ep, y_ep = a_tr[order], y_tr_n[order]
         for start in range(0, n_tr, cfg.batch_size):
             a = a_ep[start : start + cfg.batch_size]
             yb = y_ep[start : start + cfg.batch_size]
+            hid = hidden[len(a)]
 
-            # forward with caches; np.dot reaches the same BLAS call as @ with less dispatch
+            # forward with caches; the bias is each BLAS sum's last term, which
+            # rounds like the separate + b; np.dot dispatches less than @
             acts = [a]
-            for w, b in model.layers[:-1]:
-                a = np.tanh(np.dot(a, w.T) + b)
-                acts.append(a)
-            w, b = model.layers[-1]
-            out = np.dot(a, w.T) + b
+            for block, (h, t) in zip(blocks, hid):
+                np.tanh(np.dot(acts[-1], block.T), out=t)
+                acts.append(h)
+            out = np.dot(acts[-1], blocks[-1].T)
 
-            # backward: mean over the batch of the squared error sum
+            # backward: mean over the batch of the squared error sum; the ones
+            # column makes each block's gradient [delta.T @ acts | delta.sum]
             delta = 2.0 * (out - yb) / len(yb)
-            for li in range(len(model.layers) - 1, -1, -1):
-                g_w, g_b = grads[li]
-                np.dot(delta.T, acts[li], out=g_w)
-                delta.sum(axis=0, out=g_b)
+            for li in range(len(blocks) - 1, -1, -1):
+                np.dot(delta.T, acts[li], out=g_blocks[li])
                 if li > 0:
-                    delta = np.dot(delta, model.layers[li][0]) * (1.0 - acts[li] ** 2)
+                    delta = np.dot(delta, model.layers[li][0]) * (1.0 - hid[li - 1][1] ** 2)
 
             t_step += 1
             corr1 = 1.0 - cfg.beta1**t_step

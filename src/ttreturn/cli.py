@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success; 1 configuration, input or feasibility error; 2 run
-aborted after too many consecutive missed balls (its CSV keeps the finished
+Exit codes: 0 success; 1 configuration, input or feasibility error, an input
+file that cannot be read or an output that cannot be written; 2 run aborted
+after too many consecutive missed balls (its CSV keeps the finished
 iterations); 3 any other simulation error (a flight that cannot land or step,
 a singular or non-finite gradient or landing point in a run, a degenerate
 training dataset or one with a non-finite value).
@@ -92,7 +93,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_args(args)
         summary = run_experiment(cfg)
-    except (ConfigError, InfeasibleRegion, ValueError) as exc:
+    except (ConfigError, InfeasibleRegion, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AbortedRun as exc:

@@ -1,5 +1,7 @@
 """Landing-point surrogate network: forward pass, exact gradients, training."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(Dataset(), TrainConfig())
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            TrainConfig(batch_size=batch_size)
+
     @pytest.mark.parametrize(
         "record",
         [
@@ -232,21 +239,41 @@ def per_array_adam_train(dataset, cfg):
                     np.sqrt(v_adam[pi] / corr2) + cfg.eps_adam
                 )
         history["train_mse"].append(real_mse(x_tr, y_tr))
-        history["val_mse"].append(real_mse(x_val, y_val))
+        history["val_mse"].append(real_mse(x_val, y_val) if n_val > 0 else float("nan"))
     return model.layers, history
 
 
 class TestFlatAdamOracle:
-    def test_matches_per_array_loop(self):
-        # 135 training points in batches of 32 leave a short last batch
-        ds = affine_dataset(150, seed=6)
-        cfg = TrainConfig(epochs=3, seed=4, batch_size=32)
+    # Batches of one row take BLAS's gemv path instead of gemm, where the
+    # bias column's place in the [w | b] block decides the last bit.
+    @pytest.mark.parametrize(
+        "n,data_seed,cfg",
+        [
+            # 135 training points in batches of 32 leave a short last batch
+            (150, 6, TrainConfig(epochs=3, seed=4, batch_size=32)),
+            # 135 = 2 * 67 + 1: the last batch is one row
+            (150, 6, TrainConfig(epochs=3, seed=4, batch_size=67)),
+            (1, 2, TrainConfig(epochs=5, seed=1)),
+            # 18 training points, fewer than one batch
+            (20, 3, TrainConfig(epochs=4, seed=2, batch_size=64)),
+            (12, 5, TrainConfig(epochs=2, seed=6, batch_size=1)),
+        ],
+        ids=["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one"],
+    )
+    def test_matches_per_array_loop(self, tmp_path, n, data_seed, cfg):
+        ds = affine_dataset(n, seed=data_seed)
         model, history = train(ds, cfg)
         ref_layers, ref_history = per_array_adam_train(ds, cfg)
         for (w, b), (w_ref, b_ref) in zip(model.layers, ref_layers, strict=True):
             np.testing.assert_array_equal(w, w_ref)
             np.testing.assert_array_equal(b, b_ref)
-        assert history == ref_history
+        assert history.keys() == ref_history.keys()
+        for key in history:
+            np.testing.assert_array_equal(history[key], ref_history[key])
+        # the saved file does not depend on the layers being views into one buffer
+        model.save(tmp_path / "trained.json")
+        replace(model, layers=ref_layers).save(tmp_path / "reference.json")
+        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_layers_share_no_memory(self):
         model, _ = train(affine_dataset(50, seed=7), TrainConfig(epochs=1, seed=0))

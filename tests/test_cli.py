@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON summaries, reproducibility."""
 
+import errno
 import json
 
 import numpy as np
@@ -97,6 +98,24 @@ def test_short_dataset_row_exits_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{data}: line 2: expected 4 numbers, got 3" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["run", "--config", "{tmp}/missing.json"], errno.ENOENT),
+        (["train-blackbox", "--dataset", "{tmp}", "--epochs", "1"], errno.EISDIR),
+        (["run", "--predictor", "blackbox", "--iters", "1", "--model", "{tmp}"], errno.EISDIR),
+    ],
+    ids=["missing-config", "dataset-directory", "model-directory"],
+)
+def test_unreadable_input_file_exits_one(tmp_path, capsys, args, code):
+    argv = [a.format(tmp=tmp_path) for a in args] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [Errno {code}] ")
+    assert "Traceback" not in err
+
 
 def test_small_run_prints_json_summary(tmp_path, capsys):
     code = main(
