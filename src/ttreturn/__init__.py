@@ -9,10 +9,8 @@ trained surrogate model.
 
 from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event
 from .ballistics import (
-    BallState,
     FlightParams,
     LandingRecord,
-    free_flight_step,
     free_flight_step_jacobians,
     landing_state_jacobian,
     propagate_to_landing,
@@ -20,7 +18,6 @@ from .ballistics import (
     remaining_time_gradient,
 )
 from .blackbox import (
-    BlackboxPredictor,
     Dataset,
     MlpModel,
     TrainConfig,
@@ -41,7 +38,6 @@ from .errors import (
 )
 from .greybox import (
     GreyboxParams,
-    GreyboxPredictor,
     predict_landing,
     predict_landing_with_gradient,
 )
@@ -55,6 +51,6 @@ from .harness import (
 )
 from .impact import ImpactParams, impact_state_jacobian, racket_impact
 from .metrics import MetricsState, running_metrics
-from .optimizer import FeasibleSet, RunLog, StepSchedule, gd_update, project, run_online, step_length
+from .optimizer import FeasibleSet, RunLog, gd_update, project, run_online
 
 __version__ = "0.1.0"

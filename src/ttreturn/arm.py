@@ -13,7 +13,6 @@ from math import acos, atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
-from .ballistics import BallState
 from .errors import NoCrossing, OutOfReach
 
 REACH_MARGIN = 0.01  # [m] keep-out from both inverse-kinematics singularities
@@ -57,13 +56,9 @@ class InterceptionEvent:
     """Interception time, pre-impact ball state and the solved arm angles."""
 
     t_ic: float
-    xi_minus: BallState
+    xi_minus: np.ndarray  # (6,) p, v; the racket meets the ball at p
     theta2: float
     theta3: float
-    racket_pos: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.racket_pos = np.asarray(self.racket_pos, dtype=float)
 
 
 def base_azimuth(x, y, geom: ArmGeometry):
@@ -126,13 +121,7 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     theta3 = -gamma
     theta2 = atan2(dz, d_h) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
 
-    return InterceptionEvent(
-        t_ic=float(t_ic),
-        xi_minus=BallState(p=np.array(xi[:3]), v=np.array(xi[3:])),
-        theta2=theta2,
-        theta3=theta3,
-        racket_pos=np.array(xi[:3]),
-    )
+    return InterceptionEvent(t_ic=float(t_ic), xi_minus=np.array(xi), theta2=theta2, theta3=theta3)
 
 
 def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tuple[np.ndarray, list]:
@@ -189,6 +178,6 @@ def racket_rotation_jacobian(phi: InterceptionPolicy) -> tuple[np.ndarray, np.nd
 
 def racket_velocity(event: InterceptionEvent, geom: ArmGeometry) -> np.ndarray:
     """Racket center velocity: pure base-yaw rotation, all other joint rates zero."""
-    r = event.racket_pos - geom.base
+    r = event.xi_minus[:3] - geom.base
     return geom.theta1_dot * np.array([-r[1], r[0], 0.0])
 

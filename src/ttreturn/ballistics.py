@@ -28,26 +28,6 @@ LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by o
 
 
 @dataclass
-class BallState:
-    """Position and velocity of the ball in the world frame."""
-
-    p: np.ndarray  # [m]
-    v: np.ndarray  # [m/s]
-
-    def __post_init__(self) -> None:
-        self.p = np.asarray(self.p, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.p, self.v])
-
-    @classmethod
-    def from_vector(cls, xi: np.ndarray) -> "BallState":
-        xi = np.asarray(xi, dtype=float)
-        return cls(p=xi[:3].copy(), v=xi[3:].copy())
-
-
-@dataclass
 class FlightParams:
     """Parameters of the discrete free-flight model."""
 
@@ -71,11 +51,10 @@ class FlightParams:
 
 @dataclass
 class LandingRecord:
-    """Where the full steps of a flight stopped, and its landing state."""
+    """Where the full steps of a flight stopped, and where it landed."""
 
     k_max: int                # number of full steps
     t_last: float             # [s] shortened final step length
-    landing_state: BallState
     landing_point: np.ndarray  # (2,) [m]
     stop: np.ndarray          # (6,) state after the full steps
     tangent: np.ndarray | None = None  # (6, m) tangent pushed through the full steps
@@ -200,18 +179,12 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     return stops, steps
 
 
-def free_flight_step(xi: BallState, params: FlightParams, dt_override: float | None = None) -> BallState:
-    """One explicit Euler step of the drag-affected free flight."""
-    dt = params.dt if dt_override is None else dt_override
-    return BallState.from_vector(euler_flight(xi.as_vector().tolist(), params, dt, 1)[0])
-
-
 def free_flight_step_jacobians(
-    xi: BallState, params: FlightParams, dt_override: float | None = None
+    xi: np.ndarray, params: FlightParams, dt_override: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of one Euler step: (d(next)/d(state), d(next)/d(step length))."""
+    """Jacobians of one Euler step of the 6-state xi: (d(next)/d(state), d(next)/d(step length))."""
     dt = params.dt if dt_override is None else dt_override
-    v = xi.v
+    v = xi[3:]
     speed = float(np.linalg.norm(v))
     J = np.eye(6)
     J[0:3, 3:6] = dt * np.eye(3)
@@ -226,10 +199,10 @@ def free_flight_step_jacobians(
     return J, J_dt
 
 
-def remaining_time(xi: BallState, z_table: float) -> float:
+def remaining_time(xi: np.ndarray, z_table: float) -> float:
     """Drag-free prediction of the time until the ball reaches the table plane."""
-    vz = float(xi.v[2])
-    pz = float(xi.p[2])
+    vz = float(xi[5])
+    pz = float(xi[2])
     disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - z_table) / G_VERTICAL
     if disc < 0.0:
         raise NegativeDiscriminant(
@@ -238,10 +211,10 @@ def remaining_time(xi: BallState, z_table: float) -> float:
     return max(vz / G_VERTICAL + sqrt(disc), 0.0)
 
 
-def remaining_time_gradient(xi: BallState, z_table: float) -> np.ndarray:
+def remaining_time_gradient(xi: np.ndarray, z_table: float) -> np.ndarray:
     """Gradient of the remaining-time prediction with respect to the 6-state."""
-    vz = float(xi.v[2])
-    pz = float(xi.p[2])
+    vz = float(xi[5])
+    pz = float(xi[2])
     disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - z_table) / G_VERTICAL
     if disc <= DISCRIMINANT_FLOOR:
         raise SingularGradient(f"discriminant {disc:.3e} at or below floor")
@@ -253,30 +226,30 @@ def remaining_time_gradient(xi: BallState, z_table: float) -> np.ndarray:
 
 
 def propagate_to_landing(
-    xi_plus: BallState, params: FlightParams, tangent: np.ndarray | None = None
+    xi_plus: np.ndarray, params: FlightParams, tangent: np.ndarray | None = None
 ) -> LandingRecord:
     """Propagate a post-impact state until the ball reaches the table plane.
 
     Full steps of params.dt are taken while the predicted remaining time
     exceeds dt; the last step uses the (shortened) remaining time. Because the
     remaining-time prediction neglects drag, the final state misses the plane
-    by a sub-millimeter residual; the returned landing state is linearly
-    interpolated onto the plane along the last step. A ball that cannot reach
-    the plane raises NegativeDiscriminant from the state the flight stopped at.
+    by a sub-millimeter residual; the landing point is linearly interpolated
+    onto the plane along the last step. A ball that cannot reach the plane
+    raises NegativeDiscriminant from the state the flight stopped at.
     A 6 x m `tangent` is pushed through the full steps (landing_state_jacobian).
     """
-    xi = xi_plus.as_vector().tolist()
+    xi = np.asarray(xi_plus, dtype=float).tolist()
     stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
     t_last, landing = final_step(stop, params)
-    return LandingRecord(k_max=k_max, t_last=t_last, landing_state=BallState.from_vector(landing),
-                         landing_point=landing[:2].copy(), stop=np.array(stop), tangent=pushed)
+    return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing[:2].copy(), stop=np.array(stop),
+                         tangent=pushed)
 
 
 def final_step(stop, params: FlightParams) -> tuple[float, np.ndarray]:
     """Length t_last of the shortened last step from the stop state, and the landing
     6-state interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
     start = np.array(stop, dtype=float)
-    t_last = remaining_time(BallState.from_vector(start), params.z_table)
+    t_last = remaining_time(start, params.z_table)
 
     # shortened final step (drag-affected, so it lands near but not on the plane)
     raw = np.array(euler_flight(stop, params, t_last, 1)[0])
@@ -315,12 +288,11 @@ def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.nd
     if record.tangent is None:
         raise ValueError("record carries no tangent: pass one to propagate_to_landing")
     start = record.stop
-    last = BallState.from_vector(start)
-    A, b = free_flight_step_jacobians(last, params, dt_override=record.t_last)
-    c = remaining_time_gradient(last, params.z_table)
+    A, b = free_flight_step_jacobians(start, params, dt_override=record.t_last)
+    c = remaining_time_gradient(start, params.z_table)
     j_q = A + np.outer(b, c)
 
-    raw = free_flight_step(last, params, dt_override=record.t_last).as_vector()
+    raw = np.array(euler_flight(start.tolist(), params, record.t_last, 1)[0])
     delta = raw - start
     w = raw[2] - start[2]
     if w == 0.0:

@@ -276,13 +276,3 @@ def train(
         history["val_mse"].append(real_mse(x_val, y_val) if n_val > 0 else float("nan"))
 
     return model, history
-
-
-class BlackboxPredictor:
-    """Predictor handle for the online optimizer (ignores the incoming ball)."""
-
-    def __init__(self, model: MlpModel):
-        self.model = model
-
-    def gradient(self, phi: InterceptionPolicy, incoming=None) -> np.ndarray:
-        return mlp_jacobian(self.model, phi)

@@ -76,16 +76,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config) if args.config else ExperimentConfig()
+    # a sweep starts at SWEEP_START unless --phi1 or the config file sets phi1
+    defaults = {"phi1": SWEEP_START} if args.mode == "sweep" else {}
+    cfg = ExperimentConfig.from_json(args.config, **defaults) if args.config else ExperimentConfig(**defaults)
     overrides = {
         name: value
         for name, value in vars(args).items()
         if name not in ("config", "mode") and value is not None
     }
-    cfg = replace(cfg, mode=args.mode, **overrides)
-    if args.mode == "sweep" and getattr(args, "phi1", None) is None and not args.config:
-        cfg = replace(cfg, phi1=SWEEP_START)
-    return cfg
+    return replace(cfg, mode=args.mode, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,7 @@ from math import ceil
 import numpy as np
 
 from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
-from .ballistics import BallState, FlightParams, euler_flight, propagate_to_landing
+from .ballistics import FlightParams, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
 from .metrics import running_metrics
@@ -56,17 +56,14 @@ class SampledTrajectory:
 class LauncherConfig:
     """Nominal launch state plus per-component Gaussian jitter."""
 
-    nominal_state: BallState = field(
-        default_factory=lambda: BallState(
-            p=np.array([-0.15, 3.9, 1.10]), v=np.array([0.0, -8.3, 3.3])
-        )
-    )
+    nominal_state: np.ndarray = field(default_factory=lambda: np.array([-0.15, 3.9, 1.10, 0.0, -8.3, 3.3]))
     jitter_std: np.ndarray = field(
         default_factory=lambda: np.array([0.005, 0.005, 0.005, 0.015, 0.025, 0.015])
     )
     sample_dt: float = 0.002
 
     def __post_init__(self) -> None:
+        self.nominal_state = np.asarray(self.nominal_state, dtype=float)
         self.jitter_std = np.asarray(self.jitter_std, dtype=float)
         if self.sample_dt <= 0:
             raise ValueError("sample_dt must be > 0")
@@ -122,7 +119,7 @@ def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) 
     passed well behind the workspace, or after T_MAX.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    start = cfg.nominal_state.as_vector() + jitter
+    start = cfg.nominal_state + jitter
 
     clock, n_max = sample_clock(cfg.sample_dt)
     rows = start.tolist()  # the flight appends each sample after the start

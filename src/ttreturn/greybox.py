@@ -111,14 +111,3 @@ def frozen_gradient(phi: InterceptionPolicy, event: InterceptionEvent, params: G
     j_impact = impact_state_jacobian(event.xi_minus, phi, event, params.geom, params.impact)
     record = frozen_landing_record(phi, event, params, j_impact)
     return record, landing_state_jacobian(record, params.flight)[:2, :]
-
-
-class GreyboxPredictor:
-    """Predictor handle for the online optimizer."""
-
-    def __init__(self, params: GreyboxParams):
-        self.params = params
-
-    def gradient(self, phi: InterceptionPolicy, incoming) -> np.ndarray:
-        _, jac = predict_landing_with_gradient(phi, incoming, self.params)
-        return jac

@@ -19,21 +19,18 @@ from itertools import islice, product
 import numpy as np
 
 from .arm import InterceptionPolicy, interception_event
-from .ballistics import BallState
-from .blackbox import (
-    BlackboxPredictor, Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train,
-)
+from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import (
     GreyboxParams,
-    GreyboxPredictor,
     central_difference,
     frozen_gradient,
     frozen_landing_record,
+    predict_landing_with_gradient,
     predict_landings,
 )
-from .optimizer import FeasibleSet, RunLog, StepSchedule, csv_artifact, run_online
+from .optimizer import FeasibleSet, RunLog, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
 # the launched ball, and the fixtures used by the shipped experiments.
@@ -137,8 +134,7 @@ class ExperimentConfig:
         if self.jitter_std:
             cfg.launcher.jitter_std = np.asarray(self.jitter_std, dtype=float)
         if self.nominal_state:
-            vec = np.asarray(self.nominal_state, dtype=float)
-            cfg.launcher.nominal_state = BallState.from_vector(vec)
+            cfg.launcher.nominal_state = np.asarray(self.nominal_state, dtype=float)
         return cfg
 
     def resolved_dataset_path(self) -> str:
@@ -201,7 +197,8 @@ class ExperimentConfig:
             raise ConfigError("nominal_state: expected six components")
 
     @classmethod
-    def from_json(cls, path: str) -> "ExperimentConfig":
+    def from_json(cls, path: str, **defaults) -> "ExperimentConfig":
+        """Config from a JSON file; `defaults` fill the fields the file does not set."""
         with open(path) as f:
             try:
                 doc = json.load(f)
@@ -215,7 +212,7 @@ class ExperimentConfig:
         for f in fields(cls):
             if f.type.startswith("tuple") and isinstance(doc.get(f.name), list):
                 doc[f.name] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[f.name])
-        return cls(**doc)
+        return cls(**{**defaults, **doc})
 
 
 def sampling_bounds(k: FeasibleSet, margin: float = SAMPLING_MARGIN) -> tuple[np.ndarray, np.ndarray]:
@@ -335,11 +332,12 @@ class GradCheckReport:
 
     @property
     def median_rel_error(self) -> float:
-        return float(np.median(self.clean_errors))
+        """Median over the clean entries; NaN when every entry is flagged."""
+        return float(np.median(self.clean_errors)) if self.clean_errors.size else math.nan
 
     @property
     def max_rel_error(self) -> float:
-        return float(self.clean_errors.max())
+        return float(self.clean_errors.max()) if self.clean_errors.size else math.nan
 
     def write(self, path: str, comments: tuple[str, ...] = ()) -> None:
         with csv_artifact(path, comments, "index,theta1,theta4,rel_error,flagged") as f:
@@ -433,17 +431,19 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     """Online runs with one predictor, one per (path, target, phi1, seed) row of
     the plan; each log is written to its path, also when the run aborts."""
     if cfg.predictor == "greybox":
-        predictor = GreyboxPredictor(GreyboxParams(couple_geometry=cfg.couple_geometry))
+        params = GreyboxParams(couple_geometry=cfg.couple_geometry)
+        gradient = lambda phi, incoming: predict_landing_with_gradient(phi, incoming, params)[1]
     elif os.path.exists(cfg.resolved_model_path()):
-        predictor = BlackboxPredictor(MlpModel.load(cfg.resolved_model_path()))
+        model = MlpModel.load(cfg.resolved_model_path())
+        gradient = lambda phi, incoming: mlp_jacobian(model, phi)
     else:
         raise ConfigError(f"model_path: no trained model at {cfg.resolved_model_path()}")
     env = lambda phi, rng: intercept(phi, env_cfg, rng)
     logs = []
     for path, target, phi1, seed in plan:
         try:
-            log = run_online(env, predictor, target, phi1, cfg.n_iters, StepSchedule(cfg.alpha1),
-                             cfg.feasible_set(), seed=seed, config_echo=echo)
+            log = run_online(env, gradient, target, phi1, cfg.n_iters, cfg.alpha1, cfg.feasible_set(),
+                             seed=seed, config_echo=echo)
         except AbortedRun as exc:
             exc.log.to_csv(path)
             raise
@@ -520,11 +520,16 @@ def _run(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) 
 def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
     """Derived-seed runs per stored target or per initial policy, then a summary."""
     if cfg.sweep_kind == "targets":
+        name, runs_per = "sweep_targets", cfg.n_seeds
         cases = [(f"target{i}", t, cfg.phi1) for i, t in enumerate(cfg.sweep_targets)]
-        runs_per = cfg.n_seeds
     else:
+        name, runs_per = "initial_policies", cfg.n_replicates
         cases = [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
-        runs_per = cfg.n_replicates
+        for i, p in enumerate(cfg.initial_policies):
+            if not cfg.feasible_set().contains(InterceptionPolicy(*p)):
+                raise ConfigError(f"initial_policies[{i}]: outside the feasible box")
+    if not cases:
+        raise ConfigError(f"{name}: a {cfg.sweep_kind} sweep needs at least one entry")
     seeds = iter(derived_seeds(cfg.seed, len(cases) * runs_per))
     plan = [
         (os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv"), np.asarray(target, dtype=float),

@@ -14,7 +14,6 @@ from .arm import (
     racket_rotation_jacobian,
     racket_velocity,
 )
-from .ballistics import BallState
 
 
 @dataclass
@@ -35,15 +34,14 @@ class ImpactParams:
 
 
 def racket_impact(
-    xi_minus: BallState,
+    xi_minus: np.ndarray,
     gamma: np.ndarray,
     v_racket: np.ndarray,
     params: ImpactParams,
-) -> BallState:
-    """Instantaneous impact: position unchanged, relative velocity reflected."""
+) -> np.ndarray:
+    """Instantaneous impact of the 6-state xi_minus: position unchanged, relative velocity reflected."""
     m = params.matrix
-    v_plus = gamma @ m @ gamma.T @ (xi_minus.v - v_racket) + v_racket
-    return BallState(p=xi_minus.p.copy(), v=v_plus)
+    return np.concatenate([xi_minus[:3], gamma @ m @ gamma.T @ (xi_minus[3:] - v_racket) + v_racket])
 
 
 def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, geom: ArmGeometry,
@@ -61,7 +59,7 @@ def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray,
 
 
 def impact_state_jacobian(
-    xi_minus: BallState,
+    xi_minus: np.ndarray,
     phi: InterceptionPolicy,
     event: InterceptionEvent,
     geom: ArmGeometry,
@@ -76,7 +74,7 @@ def impact_state_jacobian(
     m = params.matrix
     gamma = racket_rotation(phi)
     d_g1, d_g4 = racket_rotation_jacobian(phi)
-    rel = xi_minus.v - racket_velocity(event, geom)
+    rel = xi_minus[3:] - racket_velocity(event, geom)
 
     jac = np.zeros((6, 2))
     for col, d_g in enumerate((d_g1, d_g4)):

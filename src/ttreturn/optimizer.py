@@ -45,28 +45,11 @@ class FeasibleSet:
         )
 
 
-@dataclass
-class StepSchedule:
-    """Diminishing step lengths alpha^i = alpha1 / sqrt(i)."""
-
-    alpha1: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.alpha1 <= 0:
-            raise ValueError("alpha1 must be > 0")
-
-
 def project(phi: InterceptionPolicy, k: FeasibleSet) -> InterceptionPolicy:
     """Closed-form metric projection onto the feasible box."""
     t1 = min(max(phi.theta1, k.theta1_bounds[0]), k.theta1_bounds[1])
     t4 = min(max(phi.theta4, k.theta4_bounds[0]), k.theta4_bounds[1])
     return InterceptionPolicy(theta1=t1, theta4=t4)
-
-
-def step_length(schedule: StepSchedule, i: int) -> float:
-    if i < 1:
-        raise ValueError("iteration index must be >= 1")
-    return schedule.alpha1 / math.sqrt(i)
 
 
 def gd_update(
@@ -158,11 +141,11 @@ class RunLog:
 
 def run_online(
     env,
-    predictor,
+    gradient,
     r_target,
     phi1: InterceptionPolicy,
     n_iters: int,
-    schedule: StepSchedule,
+    alpha1: float,
     k: FeasibleSet,
     seed: int = 0,
     config_echo: str = "",
@@ -172,10 +155,13 @@ def run_online(
     `env` is a callable (phi, rng) -> (r_landing, diagnostics) that may raise
     a MissedBall error; a miss is retried with a fresh launch and no policy
     update, and more than FAILURE_CAP = 20 misses in a row raise AbortedRun with
-    the log so far. `predictor` supplies .gradient(phi, incoming).
+    the log so far. gradient(phi, incoming) gives the predictor's 2x2 Jacobian;
+    iteration i steps alpha1 / sqrt(i).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
+    if alpha1 <= 0:
+        raise ValueError("alpha1 must be > 0")
     if not k.contains(phi1):
         raise ValueError("initial policy outside the feasible set")
 
@@ -198,7 +184,7 @@ def run_online(
                     raise AbortedRun(f"{consecutive} consecutive missed balls at iteration {i}", log)
 
         r_bar, eps, sigma = metrics.update(r_landing)
-        alpha = step_length(schedule, i)
+        alpha = alpha1 / math.sqrt(i)
         loss = 0.5 * float(np.sum((r_landing - r_target) ** 2))
         log.records.append(
             IterationRecord(
@@ -212,7 +198,7 @@ def run_online(
                 r_bar=r_bar,
             )
         )
-        jac = predictor.gradient(phi, diag.incoming)
+        jac = gradient(phi, diag.incoming)
         for name, values in (("r_landing", r_landing), ("jac", jac)):
             if not all(map(math.isfinite, np.ravel(values).tolist())):
                 raise NonFiniteStep(f"iteration {i}: {name} is not finite: {np.ravel(values)}")

@@ -5,19 +5,18 @@ import copy
 import numpy as np
 import pytest
 
-from ttreturn.ballistics import BallState
 from ttreturn.env import EnvConfig
 from ttreturn.greybox import GreyboxParams
 from ttreturn.harness import nominal_trajectory
 
 
-def fine_step_landing(xi_plus: BallState, k_drag: float, z_table: float, dt: float = 1e-5):
+def fine_step_landing(xi_plus: np.ndarray, k_drag: float, z_table: float, dt: float = 1e-5):
     """Reference landing point: plain Euler at a fine step, written without
     reusing any library propagation code, with linear interpolation onto the
-    table plane."""
+    table plane, from the post-impact 6-state xi_plus."""
     g = np.array([0.0, 0.0, -9.8])
-    p = np.array(xi_plus.p, dtype=float)
-    v = np.array(xi_plus.v, dtype=float)
+    p = np.array(xi_plus[:3], dtype=float)
+    v = np.array(xi_plus[3:], dtype=float)
     prev = np.concatenate([p, v])
     t = 0.0
     while t < 30.0:

@@ -48,7 +48,7 @@ def polyline_trajectory(corners, per_leg=50, z=0.9, dt=0.002):
 def reference_event(traj, geom, theta1):
     """Test-local whole-trajectory mask scan: the base azimuth of every sample,
     then the first pair that is no wrap jump and starts on, ends on or
-    straddles theta1. Returns (t_ic, xi, theta2, theta3, racket_pos)."""
+    straddles theta1. Returns (t_ic, xi, theta2, theta3)."""
     times = traj.times
     states = np.array(traj.rows).reshape(-1, 6)
     d = states[:, :3] - geom.base
@@ -71,7 +71,7 @@ def reference_event(traj, geom, theta1):
     c3 = min(1.0, max(-1.0, (dist**2 - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)))
     gamma = np.arccos(c3)
     theta2 = atan2(dp[2], np.hypot(dp[0], dp[1])) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
-    return t_ic, xi, theta2, -gamma, p
+    return t_ic, xi, theta2, -gamma
 
 
 def outcome_matches_reference(traj, geom, theta1):
@@ -83,11 +83,10 @@ def outcome_matches_reference(traj, geom, theta1):
             interception_event(traj, geom, theta1)
         return type(exc)
     ev = interception_event(traj, geom, theta1)
-    t_ic, xi, theta2, theta3, racket_pos = ref
+    t_ic, xi, theta2, theta3 = ref
     assert abs(ev.t_ic - t_ic) <= 1e-12
-    np.testing.assert_allclose(ev.xi_minus.as_vector(), xi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ev.xi_minus, xi, rtol=0, atol=1e-12)
     assert abs(ev.theta2 - theta2) <= 1e-12 and abs(ev.theta3 - theta3) <= 1e-12
-    np.testing.assert_allclose(ev.racket_pos, racket_pos, rtol=0, atol=1e-12)
     return None
 
 
@@ -118,7 +117,7 @@ class TestInterceptionOracle:
         assert outcome_matches_reference(traj, geom, 0.0) is None
         ev = interception_event(traj, geom, 0.0)
         assert ev.t_ic == pytest.approx(traj.times[3], abs=1e-15)
-        np.testing.assert_array_equal(ev.xi_minus.p, [0.0, 0.6, 0.9])
+        np.testing.assert_array_equal(ev.xi_minus[:3], [0.0, 0.6, 0.9])
         # starting on the azimuth intercepts at the first sample
         ev = interception_event(polyline_trajectory([(0.0, 0.6), (-0.3, 0.6)]), geom, 0.0)
         assert ev.t_ic == 0.0
@@ -133,7 +132,7 @@ class TestInterceptionOracle:
         assert outcome_matches_reference(behind, geom, 0.0) is NoCrossing
         around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
         ev = interception_event(around, geom, 0.0)
-        np.testing.assert_allclose(ev.xi_minus.p, [0.0, 0.6, 0.9], atol=1e-12)
+        np.testing.assert_allclose(ev.xi_minus[:3], [0.0, 0.6, 0.9], atol=1e-12)
         assert outcome_matches_reference(around, geom, 0.0) is None
 
     @pytest.mark.parametrize("theta1", [0.0, pi, -pi, 0.3, -0.3, pi / 2])
@@ -161,7 +160,7 @@ def assert_states_match_events(traj, geom, thetas):
             kinds.append(type(exc))
             continue
         assert miss is None
-        np.testing.assert_array_equal(row, ev.xi_minus.as_vector())
+        np.testing.assert_array_equal(row, ev.xi_minus)
         kinds.append(None)
     return kinds
 
@@ -205,8 +204,7 @@ class TestInterceptionEvent:
         y_star = 0.5 * np.tan(theta1 + pi / 2)
         t_star = (2.0 - y_star) / 2.0
         assert ev.t_ic == pytest.approx(t_star, abs=1e-3)
-        assert ev.xi_minus.p[1] == pytest.approx(y_star, abs=2e-3)
-        np.testing.assert_allclose(ev.racket_pos, ev.xi_minus.p, atol=1e-12)
+        assert ev.xi_minus[1] == pytest.approx(y_star, abs=2e-3)
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
         # a SampledTrajectory caches its sample positions, which do not depend
@@ -223,7 +221,7 @@ class TestInterceptionEvent:
             ev = interception_event(traj, g, 0.45)
             ref = uncached(g)
             assert ev.t_ic == ref.t_ic
-            np.testing.assert_array_equal(ev.racket_pos, ref.racket_pos)
+            np.testing.assert_array_equal(ev.xi_minus, ref.xi_minus)
         geom.base[0] += 0.05  # an in-place change of the same object
         ev = interception_event(traj, geom, 0.45)
         assert ev.t_ic == uncached(geom).t_ic
@@ -233,7 +231,7 @@ class TestInterceptionEvent:
         geom = env_cfg.geom
         theta1 = 0.45
         ev = interception_event(nominal_traj, geom, theta1)
-        az = base_azimuth(ev.xi_minus.p[0], ev.xi_minus.p[1], geom)
+        az = base_azimuth(ev.xi_minus[0], ev.xi_minus[1], geom)
         # azimuth is nonlinear in position, so linear state interpolation
         # leaves a small residual at the crossing
         assert az == pytest.approx(theta1, abs=1e-4)
@@ -282,10 +280,10 @@ class TestInterceptionEvent:
             # radial distance and height are solved exactly; the azimuth of
             # the interpolated crossing carries a tiny interpolation residual
             d_fk = pos - geom.base
-            d_ev = ev.racket_pos - geom.base
+            d_ev = ev.xi_minus[:3] - geom.base
             assert np.hypot(*d_fk[:2]) == pytest.approx(np.hypot(*d_ev[:2]), abs=1e-9)
             assert d_fk[2] == pytest.approx(d_ev[2], abs=1e-9)
-            assert np.linalg.norm(pos - ev.racket_pos) < 1e-4
+            assert np.linalg.norm(pos - ev.xi_minus[:3]) < 1e-4
 
 
 class TestRacketRotation:
@@ -332,7 +330,7 @@ class TestRacketRotationJacobian:
 
 class TestRacketVelocity:
     def _event(self, pos):
-        return type("E", (), {"racket_pos": np.asarray(pos, dtype=float)})()
+        return type("E", (), {"xi_minus": np.r_[pos, 0.0, 0.0, 0.0].astype(float)})()
 
     def test_tangential_velocity(self):
         geom = ArmGeometry(base=np.array([0.0, 0.0, 0.8]))

@@ -7,14 +7,12 @@ import pytest
 
 from conftest import fine_step_landing
 from ttreturn.ballistics import (
-    BallState,
     FlightParams,
     LandingRecord,
     euler_flight,
     euler_landings,
     final_step,
     final_steps,
-    free_flight_step,
     free_flight_step_jacobians,
     landing_state_jacobian,
     propagate_to_landing,
@@ -28,51 +26,61 @@ def params(**kw) -> FlightParams:
     return FlightParams(**kw)
 
 
+def state(p, v) -> np.ndarray:
+    """Test-local: the 6-state of position p and velocity v."""
+    return np.concatenate([p, v]).astype(float)
+
+
+def step(xi, p: FlightParams, dt: float | None = None) -> np.ndarray:
+    """Test-local: one Euler step of the 6-state xi, of length dt (params.dt by default)."""
+    return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p, p.dt if dt is None else dt, 1)[0])
+
+
 class TestFreeFlightStep:
     def test_zero_velocity(self):
-        xi = BallState(p=[1.0, 1.0, 1.0], v=[0.0, 0.0, 0.0])
-        nxt = free_flight_step(xi, params(dt=0.01))
-        assert np.array_equal(nxt.p, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(nxt.v, [0.0, 0.0, -0.098], atol=1e-15)
+        xi = state([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+        nxt = step(xi, params(dt=0.01))
+        assert np.array_equal(nxt[:3], [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(nxt[3:], [0.0, 0.0, -0.098], atol=1e-15)
 
     def test_drag_deceleration_values(self):
-        xi = BallState(p=[0.0, 0.0, 1.0], v=[10.0, 0.0, 0.0])
-        nxt = free_flight_step(xi, params(k_drag=0.106, dt=0.01))
-        np.testing.assert_allclose(nxt.v, [9.894, 0.0, -0.098], atol=1e-12)
-        np.testing.assert_allclose(nxt.p, [0.1, 0.0, 1.0], atol=1e-15)
+        xi = state([0.0, 0.0, 1.0], [10.0, 0.0, 0.0])
+        nxt = step(xi, params(k_drag=0.106, dt=0.01))
+        np.testing.assert_allclose(nxt[3:], [9.894, 0.0, -0.098], atol=1e-12)
+        np.testing.assert_allclose(nxt[:3], [0.1, 0.0, 1.0], atol=1e-15)
 
     def test_no_drag_is_pure_ballistic(self):
         rng = np.random.default_rng(0)
         p = params(k_drag=0.0, dt=0.02)
         for _ in range(10):
-            xi = BallState(p=rng.normal(size=3), v=rng.normal(size=3))
-            nxt = free_flight_step(xi, p)
-            np.testing.assert_allclose(nxt.v, xi.v + 0.02 * p.gravity, atol=1e-15)
+            xi = state(rng.normal(size=3), rng.normal(size=3))
+            nxt = step(xi, p)
+            np.testing.assert_allclose(nxt[3:], xi[3:] + 0.02 * p.gravity, atol=1e-15)
 
     def test_dt_override(self):
-        xi = BallState(p=[0.0, 0.0, 1.0], v=[1.0, 0.0, 0.0])
-        nxt = free_flight_step(xi, params(dt=0.01), dt_override=0.5)
-        assert nxt.p[0] == pytest.approx(0.5)
+        xi = state([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        nxt = step(xi, params(dt=0.01), 0.5)
+        assert nxt[0] == pytest.approx(0.5)
 
     def test_speed_dissipation_without_gravity(self):
         p = params(k_drag=0.3)
         p.gravity = np.zeros(3)  # bypass construction check for the pure-drag property
         rng = np.random.default_rng(1)
         for _ in range(50):
-            xi = BallState(p=np.zeros(3), v=rng.normal(size=3) * 5.0)
-            nxt = free_flight_step(xi, p)
-            assert np.linalg.norm(nxt.v) <= np.linalg.norm(xi.v) + 1e-12
+            xi = state(np.zeros(3), rng.normal(size=3) * 5.0)
+            nxt = step(xi, p)
+            assert np.linalg.norm(nxt[3:]) <= np.linalg.norm(xi[3:]) + 1e-12
 
     def test_determinism(self):
-        xi = BallState(p=[0.1, 0.2, 1.3], v=[2.0, -3.0, 1.0])
-        a = free_flight_step(xi, params()).as_vector()
-        b = free_flight_step(xi, params()).as_vector()
+        xi = state([0.1, 0.2, 1.3], [2.0, -3.0, 1.0])
+        a = step(xi, params())
+        b = step(xi, params())
         assert np.array_equal(a, b)
 
 
 class TestFreeFlightStepJacobians:
     def test_zero_velocity(self):
-        xi = BallState(p=np.zeros(3), v=np.zeros(3))
+        xi = state(np.zeros(3), np.zeros(3))
         j, j_dt = free_flight_step_jacobians(xi, params(dt=0.01))
         np.testing.assert_array_equal(j[3:, 3:], np.eye(3))
         np.testing.assert_allclose(j_dt, [0, 0, 0, 0, 0, -9.8], atol=1e-15)
@@ -82,7 +90,7 @@ class TestFreeFlightStepJacobians:
         expected = np.eye(6)
         expected[0:3, 3:6] = 0.05 * np.eye(3)
         for v in ([1.0, 2.0, 3.0], [-4.0, 0.0, 9.0]):
-            j, _ = free_flight_step_jacobians(BallState(p=np.zeros(3), v=v), p)
+            j, _ = free_flight_step_jacobians(state(np.zeros(3), v), p)
             np.testing.assert_array_equal(j, expected)
 
     def test_matches_finite_differences(self):
@@ -91,42 +99,42 @@ class TestFreeFlightStepJacobians:
         h = 1e-6
         for _ in range(20):
             xi = rng.normal(size=6) * 3.0
-            j, _ = free_flight_step_jacobians(BallState.from_vector(xi), p)
+            j, _ = free_flight_step_jacobians(xi, p)
             fd = np.zeros((6, 6))
             for col in range(6):
                 d = np.zeros(6)
                 d[col] = h
-                hi = free_flight_step(BallState.from_vector(xi + d), p).as_vector()
-                lo = free_flight_step(BallState.from_vector(xi - d), p).as_vector()
+                hi = step(xi + d, p)
+                lo = step(xi - d, p)
                 fd[:, col] = (hi - lo) / (2 * h)
             assert np.linalg.norm(j - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_dt_column_matches_finite_differences(self):
-        xi = BallState(p=[0.0, 0.0, 2.0], v=[3.0, -1.0, 0.5])
+        xi = state([0.0, 0.0, 2.0], [3.0, -1.0, 0.5])
         p = params()
         _, j_dt = free_flight_step_jacobians(xi, p, dt_override=0.3)
         h = 1e-6
-        hi = free_flight_step(xi, p, dt_override=0.3 + h).as_vector()
-        lo = free_flight_step(xi, p, dt_override=0.3 - h).as_vector()
+        hi = step(xi, p, 0.3 + h)
+        lo = step(xi, p, 0.3 - h)
         np.testing.assert_allclose(j_dt, (hi - lo) / (2 * h), atol=1e-6)
 
 
 class TestRemainingTime:
     def test_at_table_height(self):
-        xi = BallState(p=[0.0, 0.0, 0.76], v=[1.0, 1.0, 0.0])
+        xi = state([0.0, 0.0, 0.76], [1.0, 1.0, 0.0])
         assert remaining_time(xi, 0.76) == 0.0
 
     def test_pure_drop(self):
-        xi = BallState(p=[0.0, 0.0, 0.76 + 0.49], v=[0.0, 0.0, 0.0])
+        xi = state([0.0, 0.0, 0.76 + 0.49], [0.0, 0.0, 0.0])
         assert remaining_time(xi, 0.76) == pytest.approx(sqrt(2 * 0.49 / 9.8), abs=1e-5)
         assert remaining_time(xi, 0.76) == pytest.approx(0.31623, abs=1e-5)
 
     def test_symmetric_up_down_flight(self):
-        xi = BallState(p=[0.0, 0.0, 0.76], v=[0.0, 0.0, 9.8])
+        xi = state([0.0, 0.0, 0.76], [0.0, 0.0, 9.8])
         assert remaining_time(xi, 0.76) == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_discriminant(self):
-        xi = BallState(p=[0.0, 0.0, 0.0], v=[0.0, 0.0, 0.1])
+        xi = state([0.0, 0.0, 0.0], [0.0, 0.0, 0.1])
         with pytest.raises(NegativeDiscriminant):
             remaining_time(xi, 0.76)
 
@@ -154,7 +162,7 @@ class TestRemainingTime:
 
 class TestRemainingTimeGradient:
     def test_hand_derived_values(self):
-        xi = BallState(p=[0.3, -0.1, 0.76 + 0.49], v=[2.0, 1.0, 0.0])
+        xi = state([0.3, -0.1, 0.76 + 0.49], [2.0, 1.0, 0.0])
         grad = remaining_time_gradient(xi, 0.76)
         assert grad[2] == pytest.approx(1.0 / (9.8 * 0.31623), abs=1e-4)
         assert grad[2] == pytest.approx(0.32275, abs=1e-4)
@@ -169,7 +177,7 @@ class TestRemainingTimeGradient:
             xi = rng.normal(size=6)
             xi[2] = rng.uniform(1.0, 2.5)
             try:
-                grad = remaining_time_gradient(BallState.from_vector(xi), 0.76)
+                grad = remaining_time_gradient(xi, 0.76)
             except SingularGradient:
                 continue
             fd = np.zeros(6)
@@ -177,36 +185,36 @@ class TestRemainingTimeGradient:
                 d = np.zeros(6)
                 d[col] = h
                 fd[col] = (
-                    remaining_time(BallState.from_vector(xi + d), 0.76)
-                    - remaining_time(BallState.from_vector(xi - d), 0.76)
+                    remaining_time(xi + d, 0.76)
+                    - remaining_time(xi - d, 0.76)
                 ) / (2 * h)
             assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
             checked += 1
 
     def test_singular_at_zero_discriminant(self):
-        xi = BallState(p=[0.0, 0.0, 0.76], v=[0.0, 0.0, 0.0])
+        xi = state([0.0, 0.0, 0.76], [0.0, 0.0, 0.0])
         with pytest.raises(SingularGradient):
             remaining_time_gradient(xi, 0.76)
 
 
 class TestPropagateToLanding:
     def test_immediate_landing(self):
-        xi = BallState(p=[0.2, 0.3, 0.761], v=[0.0, 0.0, -1.0])
+        xi = state([0.2, 0.3, 0.761], [0.0, 0.0, -1.0])
         rec = propagate_to_landing(xi, params(dt=0.01))
         assert rec.k_max == 0
-        assert np.array_equal(rec.stop, xi.as_vector())
+        assert np.array_equal(rec.stop, xi)
         assert 0.0 < rec.t_last <= 0.01
 
     def test_drop_time_within_two_percent(self):
-        xi = BallState(p=[0.4, -0.2, 0.76 + 0.49], v=[0.0, 0.0, 0.0])
+        xi = state([0.4, -0.2, 0.76 + 0.49], [0.0, 0.0, 0.0])
         rec = propagate_to_landing(xi, params(dt=0.001))
         np.testing.assert_allclose(rec.landing_point, [0.4, -0.2], atol=1e-12)
         assert rec.k_max * 0.001 + rec.t_last == pytest.approx(0.3162, rel=0.02)
 
     def test_matches_fine_step_reference(self):
         # a launched return at roughly 5 m/s
-        xi = BallState(p=[-0.6, 0.7, 1.1], v=[-3.5, 2.8, 2.0])
-        assert np.linalg.norm(xi.v) == pytest.approx(4.9, abs=0.2)
+        xi = state([-0.6, 0.7, 1.1], [-3.5, 2.8, 2.0])
+        assert np.linalg.norm(xi[3:]) == pytest.approx(4.9, abs=0.2)
         rec = propagate_to_landing(xi, params(dt=1e-3))
         ref = fine_step_landing(xi, 0.106, 0.76)
         assert np.linalg.norm(rec.landing_point - ref) < 5e-3
@@ -214,16 +222,14 @@ class TestPropagateToLanding:
     def test_landing_state_on_plane(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            xi = BallState(
-                p=[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)],
-                v=rng.normal(size=3) * 4.0,
-            )
+            xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             rec = propagate_to_landing(xi, params())
-            assert abs(rec.landing_state.p[2] - 0.76) <= 1e-9
-            assert np.array_equal(rec.landing_point, rec.landing_state.p[:2])
+            _, landing = final_step(rec.stop, params())
+            assert abs(landing[2] - 0.76) <= 1e-9
+            assert np.array_equal(rec.landing_point, landing[:2])
             assert rec.k_max * 1e-3 + rec.t_last > 0.0
             # the flight stops once the drag-free remaining time is at most dt
-            assert remaining_time(BallState.from_vector(rec.stop), 0.76) == rec.t_last <= 1e-3
+            assert remaining_time(rec.stop, 0.76) == rec.t_last <= 1e-3
 
     def test_residual_before_interpolation_below_1mm(self):
         # the drag-free time prediction misses the plane by a small residual
@@ -234,22 +240,21 @@ class TestPropagateToLanding:
             v = rng.normal(size=3)
             v = v / np.linalg.norm(v) * rng.uniform(1.0, 15.0)
             v[2] = abs(v[2])
-            xi = BallState(p=[0.0, 0.0, rng.uniform(1.0, 2.0)], v=v)
+            xi = state([0.0, 0.0, rng.uniform(1.0, 2.0)], v)
             rec = propagate_to_landing(xi, p)
-            last = BallState.from_vector(rec.stop)
-            raw = free_flight_step(last, p, dt_override=rec.t_last)
-            worst = max(worst, abs(raw.p[2] - 0.76))
+            raw = step(rec.stop, p, rec.t_last)
+            worst = max(worst, abs(raw[2] - 0.76))
         assert worst < 1e-3
 
     def test_drag_free_closed_form(self):
         # with zero drag the Euler recursion has an exact closed form
         p = params(k_drag=0.0, dt=0.01)
-        xi = BallState(p=[0.3, -0.2, 1.8], v=[1.2, 0.7, 2.0])
+        xi = state([0.3, -0.2, 1.8], [1.2, 0.7, 2.0])
         rec = propagate_to_landing(xi, p)
         g = p.gravity
         k, dt = rec.k_max, p.dt
-        vk = xi.v + k * dt * g
-        pk = xi.p + k * dt * xi.v + dt * dt * g * (k * (k - 1) / 2)
+        vk = xi[3:] + k * dt * g
+        pk = xi[:3] + k * dt * xi[3:] + dt * dt * g * (k * (k - 1) / 2)
         t = vk[2] / 9.8 + sqrt((vk[2] / 9.8) ** 2 + 2 * (pk[2] - 0.76) / 9.8)
         start = np.concatenate([pk, vk])
         raw = np.concatenate([pk + t * vk, vk + t * g])
@@ -261,12 +266,12 @@ class TestPropagateToLanding:
     @pytest.mark.parametrize("vz", [0.1, 2.0, -1.0])
     def test_below_plane_without_reach_raises(self, vz):
         # the apex of a ball starting at z = 0.5 stays under the plane
-        xi = BallState(p=[0.0, 0.0, 0.5], v=[1.0, 0.0, vz])
+        xi = state([0.0, 0.0, 0.5], [1.0, 0.0, vz])
         with pytest.raises(NegativeDiscriminant):
             propagate_to_landing(xi, params())
 
     def test_max_steps_exceeded(self):
-        xi = BallState(p=[0.0, 0.0, 5.0], v=[0.0, 0.0, 0.0])
+        xi = state([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
         with pytest.raises(MaxStepsExceeded):
             propagate_to_landing(xi, params(dt=1e-4, max_steps=10))
 
@@ -275,12 +280,11 @@ class TestPropagateToLanding:
         rng = np.random.default_rng(11)
         p = params(k_drag=k_drag, dt=dt)
         for _ in range(10):
-            xi = BallState(
-                p=[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], v=rng.normal(size=3) * 4.0
-            )
+            xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             plain = propagate_to_landing(xi, p)
             pushed = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
-            assert np.array_equal(plain.landing_state.as_vector(), pushed.landing_state.as_vector())
+            assert np.array_equal(plain.stop, pushed.stop)
+            assert np.array_equal(plain.landing_point, pushed.landing_point)
             assert (plain.k_max, plain.t_last) == (pushed.k_max, pushed.t_last)
             assert plain.tangent is None and pushed.tangent.shape == (6, 2)
             with pytest.raises(ValueError):
@@ -293,18 +297,18 @@ def _landing_fd(xi_vec, p, h=1e-6):
     for col in range(6):
         d = np.zeros(6)
         d[col] = h
-        rec_hi = propagate_to_landing(BallState.from_vector(xi_vec + d), p)
-        rec_lo = propagate_to_landing(BallState.from_vector(xi_vec - d), p)
+        rec_hi = propagate_to_landing(xi_vec + d, p)
+        rec_lo = propagate_to_landing(xi_vec - d, p)
         k_maxes.update((rec_hi.k_max, rec_lo.k_max))
-        fd[:, col] = (rec_hi.landing_state.as_vector() - rec_lo.landing_state.as_vector()) / (2 * h)
+        fd[:, col] = (final_step(rec_hi.stop, p)[1] - final_step(rec_lo.stop, p)[1]) / (2 * h)
     return fd, k_maxes
 
 
 class TestLandingStateJacobian:
     def test_immediate_landing_matches_fd(self):
         p = params(dt=0.01)
-        xi = BallState(p=[0.2, 0.3, 0.761], v=[1.0, -0.5, -1.0]).as_vector()
-        rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+        xi = state([0.2, 0.3, 0.761], [1.0, -0.5, -1.0])
+        rec = propagate_to_landing(xi, p, np.eye(6))
         assert rec.k_max == 0
         jac = landing_state_jacobian(rec, p)
         fd, _ = _landing_fd(xi, p)
@@ -319,7 +323,7 @@ class TestLandingStateJacobian:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+            rec = propagate_to_landing(xi, p, np.eye(6))
             jac = landing_state_jacobian(rec, p)
             fd, k_maxes = _landing_fd(xi, p)
             if len(k_maxes) > 1 or k_maxes != {rec.k_max}:
@@ -333,7 +337,7 @@ class TestLandingStateJacobian:
     def test_velocity_rows_match_fd(self):
         p = params(dt=1e-3)
         xi = np.array([-0.5, 0.8, 1.2, -2.5, 3.0, 1.5])
-        rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+        rec = propagate_to_landing(xi, p, np.eye(6))
         jac = landing_state_jacobian(rec, p)
         fd, k_maxes = _landing_fd(xi, p)
         assert k_maxes == {rec.k_max}
@@ -353,8 +357,8 @@ def _euler_states(xi, p, n):
 def _step_product(states, p):
     """Test-local 6x6 product of the per-step Jacobians over the full steps."""
     product = np.eye(6)
-    for state in states[:-1]:
-        j, _ = free_flight_step_jacobians(BallState.from_vector(state), p)
+    for row in states[:-1]:
+        j, _ = free_flight_step_jacobians(row, p)
         product = j @ product
     return product
 
@@ -368,21 +372,20 @@ class TestTangentJacobianOracle:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(BallState.from_vector(xi), p, np.eye(6))
+            rec = propagate_to_landing(xi, p, np.eye(6))
             assert rec.k_max > 100
             states = _euler_states(xi, p, rec.k_max)
             np.testing.assert_allclose(states[-1], rec.stop, rtol=0.0, atol=1e-12)
             # with no full steps the tangent push is the identity, leaving
             # only the last-step and interpolation corrections
             last_only = LandingRecord(
-                k_max=0, t_last=rec.t_last, landing_state=rec.landing_state,
-                landing_point=rec.landing_point, stop=rec.stop, tangent=np.eye(6),
+                k_max=0, t_last=rec.t_last, landing_point=rec.landing_point, stop=rec.stop, tangent=np.eye(6)
             )
             oracle = landing_state_jacobian(last_only, p) @ _step_product(states, p)
             full = landing_state_jacobian(rec, p)
             assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
             tangent = rng.normal(size=(6, 2))
-            rec = propagate_to_landing(BallState.from_vector(xi), p, tangent)
+            rec = propagate_to_landing(xi, p, tangent)
             pushed = landing_state_jacobian(rec, p)
             expected = oracle @ tangent
             assert pushed.shape == (6, 2)
@@ -426,10 +429,10 @@ class TestEulerLandingsOracle:
         for row, stop, k in zip(rows, stops.tolist(), steps.tolist()):
             if k < 0:
                 with pytest.raises(MaxStepsExceeded):
-                    propagate_to_landing(BallState.from_vector(np.array(row)), p)
+                    propagate_to_landing(np.array(row), p)
                 continue
             try:
-                rec = propagate_to_landing(BallState.from_vector(np.array(row)), p)
+                rec = propagate_to_landing(np.array(row), p)
             except NegativeDiscriminant:
                 with pytest.raises(NegativeDiscriminant):
                     final_step(stop, p)

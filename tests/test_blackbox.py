@@ -7,7 +7,6 @@ import pytest
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.blackbox import (
-    BlackboxPredictor,
     Dataset,
     MlpModel,
     TrainConfig,
@@ -307,12 +306,3 @@ class TestModelIo:
         np.testing.assert_allclose(mlp_forward(back, phi), mlp_forward(model, phi), atol=1e-15)
         np.testing.assert_allclose(mlp_jacobian(back, phi), mlp_jacobian(model, phi), atol=1e-15)
 
-
-class TestPredictorHandle:
-    def test_ignores_incoming(self):
-        model = random_model(8)
-        pred = BlackboxPredictor(model)
-        phi = InterceptionPolicy(0.2, 0.05)
-        np.testing.assert_array_equal(
-            pred.gradient(phi, incoming="anything"), mlp_jacobian(model, phi)
-        )

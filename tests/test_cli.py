@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import ttreturn.harness
-from ttreturn.cli import main
+from ttreturn.cli import build_parser, config_from_args, main
 from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
-from ttreturn.greybox import GreyboxPredictor
+from ttreturn.harness import RUN_START, SWEEP_START
 from ttreturn.optimizer import RunLog
 
 
@@ -173,10 +173,10 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):
-    def nan_gradient(self, phi, incoming):
-        return np.array([[np.nan, 0.0], [0.0, 1.0]])
+    def nan_gradient(phi, incoming, params):
+        return np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]])
 
-    monkeypatch.setattr(GreyboxPredictor, "gradient", nan_gradient)
+    monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", nan_gradient)
     code = main(["run", "--seed", "1", "--iters", "3", "--out", str(tmp_path / "o")])
     assert code == 3
     assert "error: NonFiniteStep: iteration 1: jac is not finite" in capsys.readouterr().err
@@ -230,10 +230,10 @@ def test_non_finite_dataset_exits_three(tmp_path, capsys):
     "error", [NegativeDiscriminant, SingularGradient, MaxStepsExceeded], ids=lambda e: e.__name__
 )
 def test_flight_error_in_gradient_exits_three(tmp_path, capsys, monkeypatch, error):
-    def failing_gradient(self, phi, incoming):
+    def failing_gradient(phi, incoming, params):
         raise error("injected")
 
-    monkeypatch.setattr(GreyboxPredictor, "gradient", failing_gradient)
+    monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", failing_gradient)
     code = main(["run", "--seed", "1", "--iters", "2", "--out", str(tmp_path / "o")])
     assert code == 3
     assert f"error: {error.__name__}: injected" in capsys.readouterr().err
@@ -243,3 +243,21 @@ def test_non_finite_alpha1_exits_one(tmp_path, capsys):
     code = main(["run", "--alpha1", "nan", "--iters", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "alpha1: must be finite" in capsys.readouterr().err
+
+
+def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
+    base = {"n_seeds": 1, "n_iters": 1, "sweep_targets": [[-1.2, 0.6]]}
+    cases = [(base, [], SWEEP_START), ({**base, "phi1": [0.5, 0.2]}, [], (0.5, 0.2)),
+             ({**base, "phi1": [0.5, 0.2]}, ["--phi1", "0.55,0.25"], (0.55, 0.25))]
+    for n, (doc, flags, start) in enumerate(cases):
+        path = tmp_path / f"f{n}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / f"o{n}"), *flags]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        row = open(summary["artifacts"][0]).read().splitlines()[-1].split(",")
+        assert (float(row[3]), float(row[4])) == start
+    assert config_from_args(build_parser().parse_args(["sweep"])).phi1 == SWEEP_START
+    # a run keeps its own default start, with or without a config file
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == (0.5, 0.2)
+    path.write_text(json.dumps(base))
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START

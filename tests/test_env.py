@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ttreturn.arm import InterceptionPolicy
-from ttreturn.ballistics import BallState, FlightParams, free_flight_step
+from ttreturn.ballistics import FlightParams, euler_flight
 from ttreturn.env import (
     EnvConfig,
     LauncherConfig,
@@ -53,7 +53,7 @@ class TestLaunch:
             noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight, np.random.default_rng(0)
         )
         np.testing.assert_array_equal(
-            states(traj)[0], noiseless_env_cfg.launcher.nominal_state.as_vector()
+            states(traj)[0], noiseless_env_cfg.launcher.nominal_state
         )
 
     def test_uniform_sample_spacing(self, env_cfg):
@@ -82,17 +82,17 @@ class TestLaunch:
 
 
 def reference_launch(cfg, flight, rng):
-    """Test-local launch: one BallState per sample, stepped by free_flight_step."""
+    """Test-local launch: one 6-state per sample, each a single euler_flight step."""
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    state = BallState.from_vector(cfg.nominal_state.as_vector() + jitter)
-    times, rows, t = [0.0], [state.as_vector()], 0.0
+    state = cfg.nominal_state + jitter
+    times, rows, t = [0.0], [state], 0.0
     while t < 3.0:
-        state = free_flight_step(state, flight, dt_override=cfg.sample_dt)
+        state = np.array(euler_flight(state.tolist(), flight, cfg.sample_dt, 1)[0])
         t += cfg.sample_dt
         times.append(t)
-        rows.append(state.as_vector())
-        hit_table = state.p[2] <= flight.z_table and on_table(state.p)
-        if hit_table or state.p[2] <= 0.0 or state.p[1] <= -1.2:
+        rows.append(state)
+        hit_table = state[2] <= flight.z_table and on_table(state)
+        if hit_table or state[2] <= 0.0 or state[1] <= -1.2:
             break
     return np.array(times), np.array(rows)
 
@@ -108,7 +108,7 @@ class TestLaunchOracle:
         ],
     )
     def test_matches_per_object_step_loop(self, env_cfg, nominal, stop):
-        cfg = LauncherConfig(nominal_state=BallState.from_vector(np.array(nominal)))
+        cfg = LauncherConfig(nominal_state=np.array(nominal))
         flight = env_cfg.truth_flight
         for seed in range(3):
             traj = launch(cfg, flight, np.random.default_rng(seed))

@@ -6,6 +6,7 @@ import os
 import pathlib
 import signal
 import tempfile
+import warnings
 from functools import partial
 from itertools import islice
 
@@ -25,10 +26,10 @@ except ImportError:
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.ballistics import FlightParams
-from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian
+from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import intercept
 from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
-from ttreturn.greybox import GreyboxParams, central_difference, predict_landing
+from ttreturn.greybox import GreyboxParams, central_difference, predict_landing, predict_landing_with_gradient
 from ttreturn.harness import (
     ExperimentConfig,
     MODES,
@@ -453,6 +454,18 @@ class TestGradCheck:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
 
+    def test_no_clean_entry_gives_nan_footer(self, tmp_path):
+        # seed 27's only policy is flagged: its finite differences change k_max
+        report = grad_check_report("greybox", 1, seed=27)
+        assert report.n_flagged == 1
+        path = tmp_path / "report.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(report.median_rel_error) and np.isnan(report.max_rel_error)
+            report.write(path)
+        assert path.read_text().splitlines()[-3:] == [
+            "# median_rel_error=nan", "# max_rel_error=nan", "# n_flagged=1"]
+
     def test_report_file(self, tmp_path, env_cfg):
         report = grad_check_report("blackbox", 3, seed=1)
         path = tmp_path / "report.csv"
@@ -600,6 +613,22 @@ class TestRunExperiment:
         starts = sorted((float(l.split(",")[3]), float(l.split(",")[4])) for l in lines)
         assert starts == [(0.40, 0.20), (0.55, 0.30)]
 
+    @pytest.mark.parametrize("kind,field", [("targets", "sweep_targets"), ("inits", "initial_policies")])
+    def test_sweep_rejects_empty_case_list(self, tmp_path, kind, field):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(mode="sweep", out_dir=str(out), sweep_kind=kind, **{field: ()})
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            run_experiment(cfg)
+        assert os.listdir(out) == []
+
+    def test_sweep_inits_rejects_policy_outside_box(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(mode="sweep", out_dir=str(out), sweep_kind="inits", box_theta1=(0.40, 0.72),
+                               phi1=(0.5, 0.2), initial_policies=((0.36, 0.16), (0.50, 0.20)))
+        with pytest.raises(ConfigError, match=r"^initial_policies\[0\]: outside the feasible box$"):
+            run_experiment(cfg)
+        assert os.listdir(out) == []
+
     def test_baseline_variance_mode(self, tmp_path):
         cfg = ExperimentConfig(
             mode="baseline-variance",
@@ -643,3 +672,36 @@ class TestRunExperiment:
             mode="run", predictor="blackbox", seed=1, out_dir=out, n_iters=3, alpha1=0.1
         )
         assert run_experiment(run_cfg)["final_eps"] >= 0.0
+
+
+class _Captured(Exception):
+    """Test-local: carries the gradient that _runs handed to run_online."""
+
+
+def run_gradient(monkeypatch, cfg):
+    def capture(env, gradient, *args, **kwargs):
+        raise _Captured(gradient)
+
+    monkeypatch.setattr(ttreturn.harness, "run_online", capture)
+    with pytest.raises(_Captured) as info:
+        run_experiment(cfg)
+    return info.value.args[0]
+
+
+class TestRunGradients:
+    """run and sweep hand run_online a gradient(phi, incoming) built on the predictor function."""
+
+    def test_greybox_gradient_is_the_predictor_jacobian(self, tmp_path, monkeypatch, nominal_traj):
+        phi = InterceptionPolicy(0.45, 0.2)
+        for coupled in (False, True):
+            cfg = ExperimentConfig(mode="run", out_dir=str(tmp_path), couple_geometry=coupled)
+            _, jac = predict_landing_with_gradient(phi, nominal_traj, GreyboxParams(couple_geometry=coupled))
+            np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, nominal_traj), jac)
+
+    def test_blackbox_gradient_ignores_incoming(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "model.json")
+        random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path)
+        cfg = ExperimentConfig(mode="sweep", predictor="blackbox", model_path=path, out_dir=str(tmp_path))
+        phi = InterceptionPolicy(0.2, 0.05)
+        np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, "anything"),
+                                      mlp_jacobian(MlpModel.load(path), phi))

@@ -3,6 +3,7 @@
 import os
 import tempfile
 from math import pi
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,16 +19,14 @@ except ImportError:
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig, intercept
 from ttreturn.errors import AbortedRun, NonFiniteStep
-from ttreturn.greybox import GreyboxParams, GreyboxPredictor
+from ttreturn.greybox import GreyboxParams, predict_landing_with_gradient
 from ttreturn.optimizer import (
     FeasibleSet,
     IterationRecord,
     RunLog,
-    StepSchedule,
     gd_update,
     project,
     run_online,
-    step_length,
 )
 
 
@@ -92,19 +91,28 @@ class TestProject:
         assert project(once, box) == once
 
 
+def step_lengths(alpha1: float, n_iters: int) -> list[float]:
+    """Test-local: the step lengths of a run_online loop whose landings and gradients are zero."""
+    env = lambda phi, rng: (np.zeros(2), SimpleNamespace(incoming=None))
+    log = run_online(env, lambda phi, incoming: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
+                     n_iters, alpha1, FeasibleSet())
+    return [rec.alpha for rec in log.records]
+
+
 class TestStepLength:
     def test_inverse_sqrt_decay(self):
-        sched = StepSchedule(alpha1=0.05)
-        assert step_length(sched, 1) == pytest.approx(0.05)
-        assert step_length(sched, 4) == pytest.approx(0.025)
-        assert step_length(sched, 9) == pytest.approx(0.05 / 3)
+        alphas = step_lengths(0.05, 9)
+        assert alphas[0] == pytest.approx(0.05)
+        assert alphas[3] == pytest.approx(0.025)
+        assert alphas[8] == pytest.approx(0.05 / 3)
 
     def test_other_base(self):
-        assert step_length(StepSchedule(alpha1=0.15), 4) == pytest.approx(0.075)
+        assert step_lengths(0.15, 4)[3] == pytest.approx(0.075)
 
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            step_length(StepSchedule(), 0)
+    def test_rejects_nonpositive_alpha1(self):
+        for alpha1 in (0.0, -0.1):
+            with pytest.raises(ValueError, match="alpha1 must be > 0"):
+                step_lengths(alpha1, 1)
 
 
 class TestGdUpdate:
@@ -159,6 +167,10 @@ def make_env(cfg):
     return lambda phi, rng: intercept(phi, cfg, rng)
 
 
+def greybox_gradient(phi, incoming):
+    return predict_landing_with_gradient(phi, incoming, GreyboxParams())[1]
+
+
 class TestRunOnline:
     def test_noiseless_convergence(self):
         # target chosen as the reachable landing of a nearby policy, so the
@@ -169,11 +181,11 @@ class TestRunOnline:
         target = diag.noiseless_landing
         log = run_online(
             env=make_env(cfg),
-            predictor=GreyboxPredictor(GreyboxParams()),
+            gradient=greybox_gradient,
             r_target=target,
             phi1=InterceptionPolicy(0.50, 0.25),
             n_iters=5,
-            schedule=StepSchedule(alpha1=0.15),
+            alpha1=0.15,
             k=FeasibleSet(),
             seed=0,
         )
@@ -187,11 +199,11 @@ class TestRunOnline:
         _, diag = intercept(InterceptionPolicy(0.45, 0.20), cfg, rng)
         log = run_online(
             env=make_env(cfg),
-            predictor=GreyboxPredictor(GreyboxParams()),
+            gradient=greybox_gradient,
             r_target=diag.noiseless_landing,
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=5,
-            schedule=StepSchedule(alpha1=0.1),
+            alpha1=0.1,
             k=FeasibleSet(),
             seed=1,
         )
@@ -204,11 +216,11 @@ class TestRunOnline:
         box = FeasibleSet(theta1_bounds=(0.30, 0.60), theta4_bounds=(0.0, 0.35))
         log = run_online(
             env=make_env(cfg),
-            predictor=GreyboxPredictor(GreyboxParams()),
+            gradient=greybox_gradient,
             r_target=np.array([-1.2, 0.6]),
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=15,
-            schedule=StepSchedule(alpha1=0.3),
+            alpha1=0.3,
             k=box,
             seed=5,
         )
@@ -220,11 +232,11 @@ class TestRunOnline:
         with pytest.raises(ValueError):
             run_online(
                 env=make_env(cfg),
-                predictor=GreyboxPredictor(GreyboxParams()),
+                gradient=greybox_gradient,
                 r_target=np.array([-1.2, 0.6]),
                 phi1=InterceptionPolicy(2.0, 0.0),
                 n_iters=1,
-                schedule=StepSchedule(),
+                alpha1=0.05,
                 k=FeasibleSet(),
             )
 
@@ -235,11 +247,11 @@ class TestRunOnline:
         with pytest.raises(AbortedRun):
             run_online(
                 env=make_env(cfg),
-                predictor=GreyboxPredictor(GreyboxParams()),
+                gradient=greybox_gradient,
                 r_target=np.array([-1.2, 0.6]),
                 phi1=InterceptionPolicy(-0.5, 0.0),
                 n_iters=50,
-                schedule=StepSchedule(alpha1=0.1),
+                alpha1=0.1,
                 k=box,
                 seed=2,
             )
@@ -254,18 +266,17 @@ class TestRunOnline:
             r, diag = intercept(phi, cfg, rng)
             return (np.array([np.nan, r[1]]) if source == "r_landing" else r), diag
 
-        class NanGradient:
-            def gradient(self, phi, incoming):
-                return np.array([[np.nan, 0.0], [0.0, 1.0]]) if source == "jac" else np.eye(2)
+        def nan_gradient(phi, incoming):
+            return np.array([[np.nan, 0.0], [0.0, 1.0]]) if source == "jac" else np.eye(2)
 
         with pytest.raises(NonFiniteStep, match=f"^iteration 1: {source} is not finite"):
             run_online(
                 env=env,
-                predictor=NanGradient(),
+                gradient=nan_gradient,
                 r_target=np.array([-1.2, 0.6]),
                 phi1=InterceptionPolicy(0.45, 0.20),
                 n_iters=5,
-                schedule=StepSchedule(alpha1=0.1),
+                alpha1=0.1,
                 k=FeasibleSet(),
                 seed=0,
             )
@@ -274,11 +285,11 @@ class TestRunOnline:
         cfg = EnvConfig()
         kwargs = dict(
             env=make_env(cfg),
-            predictor=GreyboxPredictor(GreyboxParams()),
+            gradient=greybox_gradient,
             r_target=np.array([-1.2, 0.6]),
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=10,
-            schedule=StepSchedule(alpha1=0.1),
+            alpha1=0.1,
             k=FeasibleSet(),
             seed=77,
         )
@@ -295,11 +306,11 @@ class TestRunLog:
         cfg = EnvConfig()
         return run_online(
             env=make_env(cfg),
-            predictor=GreyboxPredictor(GreyboxParams()),
+            gradient=greybox_gradient,
             r_target=np.array([-1.2, 0.6]),
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=8,
-            schedule=StepSchedule(alpha1=0.1),
+            alpha1=0.1,
             k=FeasibleSet(),
             seed=3,
             config_echo="abc123",
