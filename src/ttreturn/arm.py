@@ -27,9 +27,6 @@ class InterceptionPolicy:
     theta1: float  # [rad]
     theta4: float  # [rad]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.theta1, self.theta4])
-
 
 @dataclass
 class ArmGeometry:
@@ -59,6 +56,7 @@ class InterceptionEvent:
     xi_minus: np.ndarray  # (6,) p, v; the racket meets the ball at p
     theta2: float
     theta3: float
+    dxi_dtheta1: tuple | None = None  # 6 floats d(xi_minus)/d(theta1); None for a degenerate pair
 
 
 def base_azimuth(x, y, geom: ArmGeometry):
@@ -81,6 +79,11 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     sign c = ux (y - by) - uy (x - bx), with u the direction of theta1, have
     the same sign wherever |c| exceeds CROSS_TOL, so a pair is a candidate
     unless both of its c, clipped to that band, sit on the same edge.
+
+    xi_minus = row + u (after - row), u = a / (a - b), and a - b is the wrapped
+    difference of the two samples' azimuths, free of theta1: dxi_dtheta1 = (row
+    - after) / (a - b), the same floats for every theta1 on the pair, or None if
+    a == b == 0 (the pair lies on the azimuth).
     """
     bx, by, bz = geom.base.tolist()
     ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
@@ -91,11 +94,12 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
 
     rows, times, tau = incoming.rows, incoming.times, 2.0 * pi
 
-    def rel(i: int) -> float:
-        return float(base_azimuth(rows[6 * i], rows[6 * i + 1], geom) - theta1 + pi) % tau - pi
+    az = lambda i: float(base_azimuth(rows[6 * i], rows[6 * i + 1], geom))
+    wrap = lambda angle: (angle + pi) % tau - pi
 
     for idx in pairs.tolist():
-        a, b = rel(idx), rel(idx + 1)
+        za, zb = az(idx), az(idx + 1)
+        a, b = wrap(za - theta1), wrap(zb - theta1)
         if not abs(b - a) > pi and (a == 0.0 or a * b < 0.0 or b == 0.0):
             break
     else:
@@ -105,6 +109,7 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     t_ic = times[idx] + u * (times[idx + 1] - times[idx])
     row, after = rows[6 * idx : 6 * idx + 6], rows[6 * idx + 6 : 6 * idx + 12]
     xi = [p + u * (q - p) for p, q in zip(row, after)]
+    dxi = None if a == b else tuple([(p - q) / wrap(za - zb) for p, q in zip(row, after)])
     dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
 
     dist = sqrt(dx * dx + dy * dy + dz * dz)
@@ -121,7 +126,7 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     theta3 = -gamma
     theta2 = atan2(dz, d_h) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
 
-    return InterceptionEvent(t_ic=float(t_ic), xi_minus=np.array(xi), theta2=theta2, theta3=theta3)
+    return InterceptionEvent(float(t_ic), np.array(xi), theta2, theta3, dxi)
 
 
 def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tuple[np.ndarray, list]:

@@ -179,11 +179,8 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     return stops, steps
 
 
-def free_flight_step_jacobians(
-    xi: np.ndarray, params: FlightParams, dt_override: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of one Euler step of the 6-state xi: (d(next)/d(state), d(next)/d(step length))."""
-    dt = params.dt if dt_override is None else dt_override
+def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobians of one Euler step of length dt of the 6-state xi: (d(next)/d(state), d(next)/d(step length))."""
     v = xi[3:]
     speed = float(np.linalg.norm(v))
     J = np.eye(6)
@@ -288,7 +285,7 @@ def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.nd
     if record.tangent is None:
         raise ValueError("record carries no tangent: pass one to propagate_to_landing")
     start = record.stop
-    A, b = free_flight_step_jacobians(start, params, dt_override=record.t_last)
+    A, b = free_flight_step_jacobians(start, params, record.t_last)
     c = remaining_time_gradient(start, params.z_table)
     j_q = A + np.outer(b, c)
 

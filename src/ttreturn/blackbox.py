@@ -150,13 +150,13 @@ def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.
 
 def mlp_forward(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     """Predicted landing point for one policy."""
-    out, _ = _forward_batch(model, phi.as_array()[None, :])
+    out, _ = _forward_batch(model, np.array([[phi.theta1, phi.theta4]]))
     return out[0] * model.output_std + model.output_mean
 
 
 def mlp_jacobian(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     """Exact 2x2 derivative of the prediction w.r.t. the policy."""
-    _, activations = _forward_batch(model, phi.as_array()[None, :])
+    _, activations = _forward_batch(model, np.array([[phi.theta1, phi.theta4]]))
     jac = np.diag(1.0 / model.input_half)
     for (w, _), a in zip(model.layers[:-1], activations):
         jac = (1.0 - a[0] ** 2)[:, None] * (w @ jac)

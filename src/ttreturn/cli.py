@@ -101,7 +101,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(summary, indent=1, default=str))
+    # NaN and Infinity are no JSON tokens: the summary prints them as null
+    strict = json.loads(json.dumps(summary, default=str), parse_constant=lambda token: None)
+    print(json.dumps(strict, indent=1))
     return 0
 
 

@@ -11,21 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arm import (
-    ArmGeometry,
-    InterceptionEvent,
-    InterceptionPolicy,
-    interception_event,
-    interception_states,
-    racket_rotation,
-    racket_velocity,
-)
+from .arm import (ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, interception_states,
+                  racket_rotation, racket_velocity)
 from .ballistics import (FlightParams, LandingRecord, euler_landings, final_steps, landing_state_jacobian,
                          propagate_to_landing)
 from .errors import MaxStepsExceeded, NegativeDiscriminant
 from .impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
-
-COUPLED_FD_STEP = 1e-6  # [rad] central-difference step of the geometry-coupled mode
 
 
 @dataclass
@@ -67,9 +58,10 @@ def frozen_landing_record(
     """Flight record with the interception event frozen at a base policy.
 
     Only the racket orientation varies with the policy; the pre-impact state,
-    racket position and racket velocity are taken from the given event. This
-    is the mathematical object the analytic gradient differentiates. A 6 x m
-    `tangent` is pushed through the flight (see propagate_to_landing).
+    racket position and racket velocity are taken from the given event. At
+    the base policy it is the full pipeline's flight; its finite differences
+    are what the frozen-event gradient matches. A 6 x m `tangent` is pushed
+    through the flight (see propagate_to_landing).
     """
     gamma = racket_rotation(phi)
     v_r = racket_velocity(event, params.geom)
@@ -90,24 +82,17 @@ def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
 def predict_landing_with_gradient(
     phi: InterceptionPolicy, incoming, params: GreyboxParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Landing point and its 2x2 policy Jacobian.
-
-    Default mode pushes the impact Jacobian through the flight steps and the
-    shortened-last-step correction under the frozen-event convention. The
-    geometry-coupled mode instead differentiates the full pipeline,
-    interception event included, by central differences.
-    """
-    if params.couple_geometry:
-        jac = central_difference(lambda p: predict_landing(p, incoming, params), phi, COUPLED_FD_STEP)
-        return predict_landing(phi, incoming, params), jac
-
-    record, jac = frozen_gradient(phi, interception_event(incoming, params.geom, phi.theta1), params)
+    """Landing point and its 2x2 policy Jacobian: the interception event, then
+    landing_gradient, in both modes."""
+    record, jac = landing_gradient(phi, interception_event(incoming, params.geom, phi.theta1), params)
     return record.landing_point, jac
 
 
-def frozen_gradient(phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams):
-    """Flight record at the policy and the 2x2 frozen-event Jacobian of its
-    landing point (the impact Jacobian pushed through the flight)."""
-    j_impact = impact_state_jacobian(event.xi_minus, phi, event, params.geom, params.impact)
+def landing_gradient(phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams):
+    """Flight record at the policy and the 2x2 Jacobian of its landing point by
+    the chain rule: the impact Jacobian (with the event tangent if
+    params.couple_geometry) pushed through the flight steps, plus the
+    shortened-last-step correction."""
+    j_impact = impact_state_jacobian(phi, event, params.geom, params.impact, params.couple_geometry)
     record = frozen_landing_record(phi, event, params, j_impact)
     return record, landing_state_jacobian(record, params.flight)[:2, :]

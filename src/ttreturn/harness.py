@@ -22,14 +22,8 @@ from .arm import InterceptionPolicy, interception_event
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
-from .greybox import (
-    GreyboxParams,
-    central_difference,
-    frozen_gradient,
-    frozen_landing_record,
-    predict_landing_with_gradient,
-    predict_landings,
-)
+from .greybox import (GreyboxParams, central_difference, frozen_landing_record, landing_gradient,
+                      predict_landing_with_gradient, predict_landings)
 from .optimizer import FeasibleSet, RunLog, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
@@ -369,8 +363,10 @@ def grad_check_report(
 ) -> GradCheckReport:
     """Compare analytic 2x2 gradients against central finite differences.
 
-    Grey-box checks run under the frozen-event convention; policies where a
-    finite-difference evaluation changes the flight step count k_max are
+    Grey-box checks differentiate in params' mode: the frozen-event
+    convention, or with couple_geometry a new interception event at each
+    difference. Policies where a finite-difference evaluation changes the
+    flight step count k_max or the crossing pair (the event's dxi_dtheta1) are
     flagged instead of failing the tolerance. Their policies come from the
     dataset sampler, so a missed ball is redrawn and InfeasibleRegion is
     raised when over 90% of the draws miss.
@@ -398,16 +394,17 @@ def grad_check_report(
 
     def check(phi):
         event = interception_event(traj, params.geom, phi.theta1)
-        base, jac = frozen_gradient(phi, event, params)
-        k_maxes = set()
+        base, jac = landing_gradient(phi, event, params)
+        seen = set()
 
         def landing(p):
-            rec = frozen_landing_record(p, event, params)
-            k_maxes.add(rec.k_max)
+            ev = interception_event(traj, params.geom, p.theta1) if params.couple_geometry else event
+            rec = frozen_landing_record(p, ev, params)
+            seen.add((rec.k_max, ev.dxi_dtheta1))
             return rec.landing_point
 
         rel = _rel_error(jac, landing, phi)
-        return GradCheckEntry(phi, rel, k_maxes != {base.k_max})
+        return GradCheckEntry(phi, rel, seen != {(base.k_max, event.dxi_dtheta1)})
 
     pairs = _sample(_one_by_one(check), n_points, "uniform", rng, k)
     return GradCheckReport(kind, [entry for _, entry in pairs])
@@ -453,7 +450,8 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
 
 
 def _grad_check(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
-    report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set())
+    report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set(),
+                               GreyboxParams(couple_geometry=cfg.couple_geometry))
     path = os.path.join(cfg.out_dir, f"grad_check_{cfg.predictor}.csv")
     report.write(path, comments)
     return {

@@ -6,14 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arm import (
-    ArmGeometry,
-    InterceptionEvent,
-    InterceptionPolicy,
-    racket_rotation,
-    racket_rotation_jacobian,
-    racket_velocity,
-)
+from .arm import (ArmGeometry, InterceptionEvent, InterceptionPolicy, racket_rotation, racket_rotation_jacobian,
+                  racket_velocity)
+from .errors import SingularGradient
 
 
 @dataclass
@@ -59,24 +54,30 @@ def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray,
 
 
 def impact_state_jacobian(
-    xi_minus: np.ndarray,
-    phi: InterceptionPolicy,
-    event: InterceptionEvent,
-    geom: ArmGeometry,
-    params: ImpactParams,
+    phi: InterceptionPolicy, event: InterceptionEvent, geom: ArmGeometry, params: ImpactParams, coupled: bool
 ) -> np.ndarray:
     """Derivative of the post-impact 6-state w.r.t. the policy (6x2).
 
     Frozen-event convention: the interception point and pre-impact velocity
-    are treated as policy-independent, so the position rows are zero and the
-    racket velocity contributes no derivative.
+    are treated as policy-independent, so only the racket rotation is
+    differentiated and the position rows are zero. `coupled` adds the event's
+    motion to the theta1 column: dxi = event.dxi_dtheta1 in the position rows
+    and G M G^T (dxi[3:] - dv_r) + dv_r in the velocity rows, where dv_r =
+    theta1_dot (-dxi[1], dxi[0], 0); SingularGradient if dxi is None.
     """
     m = params.matrix
     gamma = racket_rotation(phi)
     d_g1, d_g4 = racket_rotation_jacobian(phi)
-    rel = xi_minus[3:] - racket_velocity(event, geom)
+    rel = event.xi_minus[3:] - racket_velocity(event, geom)
 
     jac = np.zeros((6, 2))
     for col, d_g in enumerate((d_g1, d_g4)):
         jac[3:, col] = (d_g @ m @ gamma.T + gamma @ m @ d_g.T) @ rel
+    if coupled:
+        if event.dxi_dtheta1 is None:
+            raise SingularGradient("crossing pair lies on the theta1 azimuth: no event tangent")
+        dxi = np.array(event.dxi_dtheta1)
+        dv_r = geom.theta1_dot * np.array([-dxi[1], dxi[0], 0.0])
+        jac[:3, 0] = dxi[:3]
+        jac[3:, 0] += gamma @ m @ gamma.T @ (dxi[3:] - dv_r) + dv_r
     return jac

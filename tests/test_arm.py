@@ -272,6 +272,17 @@ class TestInterceptionEvent:
         ev_mid = interception_event(traj_mid, geom, -pi / 2)
         assert abs(ev.theta3) < abs(ev_mid.theta3)
 
+    def test_theta1_tangent_of_the_crossing(self, nominal_traj, env_cfg):
+        # within one crossing pair xi_minus is linear in theta1: dxi_dtheta1 is
+        # its slope, and the same floats for every theta1 on that pair
+        geom, h = env_cfg.geom, 1e-7
+        for t1 in (0.30, 0.45, 0.60, 0.70):
+            ev = interception_event(nominal_traj, geom, t1)
+            hi, lo = (interception_event(nominal_traj, geom, t1 + d) for d in (h, -h))
+            assert hi.dxi_dtheta1 == lo.dxi_dtheta1 == ev.dxi_dtheta1
+            assert len(ev.dxi_dtheta1) == 6 and all(type(d) is float for d in ev.dxi_dtheta1)
+            np.testing.assert_allclose(ev.dxi_dtheta1, (hi.xi_minus - lo.xi_minus) / (2 * h), rtol=0, atol=1e-7)
+
     def test_ik_residual(self, nominal_traj, env_cfg):
         geom = env_cfg.geom
         for t1 in (0.30, 0.45, 0.60, 0.70):

@@ -81,7 +81,7 @@ class TestFreeFlightStep:
 class TestFreeFlightStepJacobians:
     def test_zero_velocity(self):
         xi = state(np.zeros(3), np.zeros(3))
-        j, j_dt = free_flight_step_jacobians(xi, params(dt=0.01))
+        j, j_dt = free_flight_step_jacobians(xi, params(dt=0.01), 0.01)
         np.testing.assert_array_equal(j[3:, 3:], np.eye(3))
         np.testing.assert_allclose(j_dt, [0, 0, 0, 0, 0, -9.8], atol=1e-15)
 
@@ -90,7 +90,7 @@ class TestFreeFlightStepJacobians:
         expected = np.eye(6)
         expected[0:3, 3:6] = 0.05 * np.eye(3)
         for v in ([1.0, 2.0, 3.0], [-4.0, 0.0, 9.0]):
-            j, _ = free_flight_step_jacobians(state(np.zeros(3), v), p)
+            j, _ = free_flight_step_jacobians(state(np.zeros(3), v), p, p.dt)
             np.testing.assert_array_equal(j, expected)
 
     def test_matches_finite_differences(self):
@@ -99,7 +99,7 @@ class TestFreeFlightStepJacobians:
         h = 1e-6
         for _ in range(20):
             xi = rng.normal(size=6) * 3.0
-            j, _ = free_flight_step_jacobians(xi, p)
+            j, _ = free_flight_step_jacobians(xi, p, p.dt)
             fd = np.zeros((6, 6))
             for col in range(6):
                 d = np.zeros(6)
@@ -112,7 +112,7 @@ class TestFreeFlightStepJacobians:
     def test_dt_column_matches_finite_differences(self):
         xi = state([0.0, 0.0, 2.0], [3.0, -1.0, 0.5])
         p = params()
-        _, j_dt = free_flight_step_jacobians(xi, p, dt_override=0.3)
+        _, j_dt = free_flight_step_jacobians(xi, p, 0.3)
         h = 1e-6
         hi = step(xi, p, 0.3 + h)
         lo = step(xi, p, 0.3 - h)
@@ -358,7 +358,7 @@ def _step_product(states, p):
     """Test-local 6x6 product of the per-step Jacobians over the full steps."""
     product = np.eye(6)
     for row in states[:-1]:
-        j, _ = free_flight_step_jacobians(row, p)
+        j, _ = free_flight_step_jacobians(row, p, p.dt)
         product = j @ product
     return product
 

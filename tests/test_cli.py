@@ -261,3 +261,28 @@ def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == (0.5, 0.2)
     path.write_text(json.dumps(base))
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
+
+
+def strict_json(text: str):
+    """Parse a summary as RFC 8259 JSON: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_grad_check_without_clean_entry_prints_null(tmp_path, capsys):
+    # seed 27's only grey-box policy is flagged, so its error statistics are NaN
+    assert main(["grad-check", "--seed", "27", "--n", "1", "--out", str(tmp_path / "o")]) == 0
+    summary = strict_json(capsys.readouterr().out)
+    assert summary["median_rel_error"] is None and summary["max_rel_error"] is None
+    assert summary["n_flagged"] == 1
+
+
+def test_train_without_validation_records_prints_null(tmp_path, capsys):
+    data = tmp_path / "five.csv"
+    rows = ["0.3,0.1,-1.2,0.8", "0.4,0.2,-1.1,0.6", "0.5,0.3,-1.0,1.0", "0.6,0.1,-0.9,0.7", "0.35,0.25,-1.3,0.9"]
+    data.write_text("theta1,theta4,land_x,land_y\n" + "\n".join(rows) + "\n")
+    code = main(["train-blackbox", "--dataset", str(data), "--epochs", "1", "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert strict_json(capsys.readouterr().out)["final_val_mse"] is None

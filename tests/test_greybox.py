@@ -15,17 +15,21 @@ from conftest import fine_step_landing
 from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig, SampledTrajectory, launch
 from ttreturn.ballistics import FlightParams
-from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SimulationError
+from ttreturn.errors import (MaxStepsExceeded, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SimulationError,
+                             SingularGradient)
 from ttreturn.greybox import (
     GreyboxParams,
-    frozen_gradient,
+    central_difference,
     frozen_landing_record,
+    landing_gradient,
     predict_landing,
     predict_landing_with_gradient,
     predict_landings,
 )
 from ttreturn.harness import SCENARIO_BOX, sampling_bounds
 from ttreturn.impact import racket_impact
+
+LO, HI = sampling_bounds(SCENARIO_BOX)
 
 
 def test_vertical_return_lands_below_interception():
@@ -155,6 +159,67 @@ def test_coupled_mode_gradient(nominal_traj):
     np.testing.assert_allclose(value, predict_landing(phi, nominal_traj, params), atol=1e-15)
 
 
+def coupled_policies(traj, rng, n, params):
+    """The first n policies drawn uniformly over the sampling box that intercept traj."""
+    phis = []
+    while len(phis) < n:
+        phi = InterceptionPolicy(*rng.uniform(LO, HI).tolist())
+        try:
+            interception_event(traj, params.geom, phi.theta1)
+        except MissedBall:
+            continue
+        phis.append(phi)
+    return phis
+
+
+def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
+    # 40 policies on the nominal trajectory and 40 on jittered launches, against
+    # a 1e-6 rad central difference of the whole pipeline, event included; as in
+    # grad_check_report, a policy whose differences change the flight's step
+    # count or the crossing pair is set aside (one of the 80 here)
+    cfg, params, h = EnvConfig(), GreyboxParams(couple_geometry=True), 1e-6
+    rng = np.random.default_rng(41)
+    cases = [(nominal_traj, phi) for phi in coupled_policies(nominal_traj, rng, 40, params)]
+    while len(cases) < 80:
+        traj = launch(cfg.launcher, cfg.truth_flight, rng)
+        cases += [(traj, phi) for phi in coupled_policies(traj, rng, 1, params)]
+    clean = 0
+    for traj, phi in cases:
+        value, jac = predict_landing_with_gradient(phi, traj, params)
+        assert np.array_equal(value, predict_landing(phi, traj, params))
+        seen = set()
+
+        def landing(p):
+            event = interception_event(traj, params.geom, p.theta1)
+            record = frozen_landing_record(p, event, params)
+            seen.add((record.k_max, event.dxi_dtheta1))
+            return record.landing_point
+
+        fd = central_difference(landing, phi, h)
+        landing(phi)  # the base policy's step count and pair join the differences' in `seen`
+        if len(seen) == 1:
+            clean += 1
+            assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) <= 1e-8
+    assert clean >= 78
+
+
+def test_degenerate_crossing_pair_has_no_coupled_gradient():
+    # the path runs along the theta1 = 0 ray (+y from the base pivot), so its
+    # first pair lies on that azimuth (a == b == 0) and has no event tangent
+    geom, n = ArmGeometry(), 300
+    times = np.arange(n) * 0.002
+    z, o = np.zeros(n), np.ones(n)
+    rows = np.column_stack([z, 0.8 - 0.5 * times, 0.8 * o, z, -0.5 * o, z])
+    traj = SampledTrajectory(times=times, rows=rows.ravel().tolist())
+    phi = InterceptionPolicy(0.0, 0.2)
+    event = interception_event(traj, geom, phi.theta1)
+    assert event.dxi_dtheta1 is None
+    _, jac = predict_landing_with_gradient(phi, traj, GreyboxParams(geom=geom))
+    assert np.all(np.isfinite(jac))
+    with pytest.raises(SingularGradient):
+        predict_landing_with_gradient(phi, traj, GreyboxParams(geom=geom, couple_geometry=True))
+
+
 def test_frozen_record_matches_pipeline_at_base_policy(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.5, 0.25)
     event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
@@ -162,9 +227,6 @@ def test_frozen_record_matches_pipeline_at_base_policy(nominal_traj, greybox_par
     np.testing.assert_allclose(
         rec.landing_point, predict_landing(phi, nominal_traj, greybox_params), atol=1e-12
     )
-
-
-LO, HI = sampling_bounds(SCENARIO_BOX)
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -183,11 +245,39 @@ def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
         event = interception_event(traj, params.geom, t1)
     except MissedBall:
         assume(False)
-    record, jac = frozen_gradient(InterceptionPolicy(t1, t4), event, params)
+    record, jac = landing_gradient(InterceptionPolicy(t1, t4), event, params)
     fd = np.zeros((2, 2))
     for col, d in enumerate(((h, 0.0), (0.0, h))):
         hi = frozen_landing_record(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params)
         lo = frozen_landing_record(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params)
+        assume(hi.k_max == lo.k_max == record.k_max)
+        fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(LO[0], HI[0], allow_nan=False),
+    st.floats(LO[1], HI[1], allow_nan=False),
+)
+def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
+    # as the frozen property, but each difference re-intercepts; draws where a
+    # difference changes the step count or the crossing pair are set aside
+    cfg, params, h = EnvConfig(), GreyboxParams(couple_geometry=True), 1e-5
+    traj = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(seed))
+    try:
+        event = interception_event(traj, params.geom, t1)
+        events = [interception_event(traj, params.geom, t1 + d) for d in (h, -h)]
+    except MissedBall:
+        assume(False)
+    assume(all(ev.dxi_dtheta1 == event.dxi_dtheta1 for ev in events))
+    record, jac = landing_gradient(InterceptionPolicy(t1, t4), event, params)
+    fd = np.zeros((2, 2))
+    for col, (d1, d4) in enumerate(((h, 0.0), (0.0, h))):
+        hi = frozen_landing_record(InterceptionPolicy(t1 + d1, t4 + d4), events[0] if d1 else event, params)
+        lo = frozen_landing_record(InterceptionPolicy(t1 - d1, t4 - d4), events[1] if d1 else event, params)
         assume(hi.k_max == lo.k_max == record.k_max)
         fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4

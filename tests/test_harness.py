@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pathlib
+import re
 import signal
 import tempfile
 import warnings
@@ -24,7 +25,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from ttreturn.arm import InterceptionPolicy
+from ttreturn.arm import InterceptionPolicy, base_azimuth
 from ttreturn.ballistics import FlightParams
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import intercept
@@ -57,6 +58,14 @@ def to_json(cfg: ExperimentConfig, path) -> None:
 class TestConfigValidation:
     def test_defaults_are_valid(self):
         ExperimentConfig().validate()
+
+    def test_readme_table_names_every_field(self):
+        # README's configuration table keeps up with ExperimentConfig
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        names = {name for line in table.splitlines() if line.startswith("| `")
+                 for name in re.findall(r"`(\w+)`", line.split("|")[1])}
+        assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in names] == []
 
     @pytest.mark.parametrize(
         "field,value,prefix",
@@ -407,6 +416,27 @@ class TestGradCheck:
         report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
         assert len(report.entries) == 10
         assert calls == {"flights": 50, "events": 10}
+
+    def test_coupled_mode_checks_the_coupled_gradient(self, tmp_path, env_cfg):
+        # the grad-check driver passes couple_geometry on: its summary is the
+        # coupled report's, whose differences re-intercept the ball
+        coupled = GreyboxParams(couple_geometry=True)
+        report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg, params=coupled)
+        frozen = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
+        assert [e.phi for e in report.entries] == [e.phi for e in frozen.entries]
+        assert report.median_rel_error < 1e-5 and report.max_rel_error < 1e-4
+        assert report.median_rel_error != frozen.median_rel_error
+        cfg = ExperimentConfig(mode="grad-check", out_dir=str(tmp_path), n_points=10, seed=0, couple_geometry=True)
+        summary = run_experiment(cfg)
+        assert (summary["median_rel_error"], summary["max_rel_error"]) == (report.median_rel_error,
+                                                                         report.max_rel_error)
+        # every theta1 of this box lies within 1e-6 rad of one sample's azimuth,
+        # so each +-1e-5 difference crosses into the next pair: all flagged
+        x, y = nominal_trajectory(env_cfg).xy()
+        az = float(base_azimuth(x[272], y[272], coupled.geom))
+        k = FeasibleSet((az - SAMPLING_MARGIN - 1e-6, az + SAMPLING_MARGIN + 1e-6), SCENARIO_BOX.theta4_bounds)
+        assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k, params=coupled).n_flagged == 5
+        assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k).n_flagged < 5
 
     def test_blackbox_draw_order(self):
         # each entry: the random model's weights, its output scaling, then the policy

@@ -100,7 +100,7 @@ class TestImpactStateJacobian:
             t1, t4 = rng.uniform([0.30, 0.0], [0.70, 0.4])
             event = interception_event(nominal_traj, geom, t1)
             phi = InterceptionPolicy(t1, t4)
-            jac = impact_state_jacobian(event.xi_minus, phi, event, geom, params)
+            jac = impact_state_jacobian(phi, event, geom, params, False)
             assert np.array_equal(jac[:3, :], np.zeros((3, 2)))
             fd = np.zeros((6, 2))
             for col, d in enumerate(((h, 0.0), (0.0, h))):
@@ -117,7 +117,7 @@ class TestImpactStateJacobian:
         t1, t4 = 0.45, 0.2
         event = interception_event(nominal_traj, geom, t1)
         phi = InterceptionPolicy(t1, t4)
-        jac = impact_state_jacobian(event.xi_minus, phi, event, geom, params)
+        jac = impact_state_jacobian(phi, event, geom, params, False)
         from ttreturn.arm import racket_rotation_jacobian
 
         gamma = racket_rotation(phi)
@@ -133,5 +133,5 @@ class TestImpactStateJacobian:
         event = interception_event(nominal_traj, geom, t1)
         event.xi_minus[3:] = racket_velocity(event, geom)  # force v_minus == v_R
         phi = InterceptionPolicy(t1, 0.2)
-        jac = impact_state_jacobian(event.xi_minus, phi, event, geom, ImpactParams())
+        jac = impact_state_jacobian(phi, event, geom, ImpactParams(), False)
         np.testing.assert_allclose(jac, np.zeros((6, 2)), atol=1e-12)
