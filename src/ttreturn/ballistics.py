@@ -57,7 +57,7 @@ class LandingRecord:
     t_last: float             # [s] shortened final step length
     landing_point: np.ndarray  # (2,) [m]
     stop: np.ndarray          # (6,) state after the full steps
-    tangent: np.ndarray | None = None  # (6, m) tangent pushed through the full steps
+    tangent: np.ndarray | None = None  # (6, 2) tangent pushed through the full steps
 
 
 def euler_flight(
@@ -80,9 +80,9 @@ def euler_flight(
       or below the floor z = 0, or at y <= y_stop; at most `max_steps`.
 
     `samples`, if given, is extended by the six floats of each state stepped
-    to. A 6 x m `tangent` is pushed through the steps, each mapping (dp, dv)
-    to (dp + dt dv, dv - dt k (|v| dv + v (v . dv) / |v|)), on plain floats
-    after the loop; the product of the step Jacobians is never formed.
+    to. A 6x2 `tangent` is pushed through the steps inside the loop on 12 plain
+    floats (ValueError for another shape): each step maps (dp, dv) to (dp + dt dv,
+    dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
     """
     px, py, pz, vx, vy, vz = row
     k_drag = float(params.k_drag)
@@ -95,14 +95,28 @@ def euler_flight(
     contact = table is not None
     if contact:
         cx, cy, hx, hy, y_stop = table
-    keep, push = samples is not None, tangent is not None
-    scale, coef = dt * k_drag, []  # per step: v, dt k |v|, dt k / |v|
+    keep, push, scale = samples is not None, tangent is not None, dt * k_drag
+    if push:
+        if np.shape(tangent) != (6, 2):
+            raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
+        (pxa, pxb), (pya, pyb), (pza, pzb), (ax, bx), (ay, by), (az, bz) = np.asarray(tangent, dtype=float).tolist()
+        sax = say = saz = sbx = sby = sbz = 0.0  # sums of the columns' dv; dp moves by dt times them
     for n in range(max_steps):
         if land and vz <= vz_top and pz + dt * vz <= z_top:
             break
         speed = sqrt(vx * vx + vy * vy + vz * vz)
-        if push:
-            coef.append((vx, vy, vz, scale * speed, scale / speed if speed > 0.0 else 0.0))
+        if push:  # dv -= dt k |v| dv + (dt k / |v|) (v . dv) v, column a then column b
+            damp, cross = scale * speed, scale / speed if speed > 0.0 else 0.0
+            along = cross * (vx * ax + vy * ay + vz * az)
+            sax, say, saz = sax + ax, say + ay, saz + az
+            ax -= damp * ax + along * vx
+            ay -= damp * ay + along * vy
+            az -= damp * az + along * vz
+            along = cross * (vx * bx + vy * by + vz * bz)
+            sbx, sby, sbz = sbx + bx, sby + by, sbz + bz
+            bx -= damp * bx + along * vx
+            by -= damp * by + along * vy
+            bz -= damp * bz + along * vz
         drag = k_drag * speed
         px += dt * vx
         py += dt * vy
@@ -124,18 +138,8 @@ def euler_flight(
     stop = (px, py, pz, vx, vy, vz)
     if not push:
         return stop, n, None
-    columns = []
-    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
-        sx = sy = sz = 0.0  # sum of dv over the steps; dp moves by dt times it
-        for vx, vy, vz, damp, cross in coef:
-            along = cross * (vx * dvx + vy * dvy + vz * dvz)
-            sx += dvx
-            sy += dvy
-            sz += dvz
-            dvx -= damp * dvx + along * vx
-            dvy -= damp * dvy + along * vy
-            dvz -= damp * dvz + along * vz
-        columns.append((dpx + dt * sx, dpy + dt * sy, dpz + dt * sz, dvx, dvy, dvz))
+    columns = ((pxa + dt * sax, pya + dt * say, pza + dt * saz, ax, ay, az),
+               (pxb + dt * sbx, pyb + dt * sby, pzb + dt * sbz, bx, by, bz))
     return stop, n, np.array(columns).T
 
 
@@ -233,7 +237,7 @@ def propagate_to_landing(
     by a sub-millimeter residual; the landing point is linearly interpolated
     onto the plane along the last step. A ball that cannot reach the plane
     raises NegativeDiscriminant from the state the flight stopped at.
-    A 6 x m `tangent` is pushed through the full steps (landing_state_jacobian).
+    A 6x2 `tangent` is pushed through the full steps (landing_state_jacobian).
     """
     xi = np.asarray(xi_plus, dtype=float).tolist()
     stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
@@ -273,8 +277,8 @@ def final_steps(stops: np.ndarray, params: FlightParams) -> tuple[np.ndarray, np
 
 def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
     """Sensitivity of the landing state to the post-impact state, applied to
-    the tangent given to propagate_to_landing (the identity gives the 6x6
-    Jacobian).
+    the 6x2 tangent given to propagate_to_landing (column pairs of the
+    identity give the 6x6 Jacobian two columns at a time).
 
     The flight pushed the tangent through the full steps. This corrects the
     last, shortened step for the state dependence of its step length, and

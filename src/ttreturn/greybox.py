@@ -60,7 +60,7 @@ def frozen_landing_record(
     Only the racket orientation varies with the policy; the pre-impact state,
     racket position and racket velocity are taken from the given event. At
     the base policy it is the full pipeline's flight; its finite differences
-    are what the frozen-event gradient matches. A 6 x m `tangent` is pushed
+    are what the frozen-event gradient matches. A 6x2 `tangent` is pushed
     through the flight (see propagate_to_landing).
     """
     gamma = racket_rotation(phi)
@@ -80,19 +80,12 @@ def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
 
 
 def predict_landing_with_gradient(
-    phi: InterceptionPolicy, incoming, params: GreyboxParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Landing point and its 2x2 policy Jacobian: the interception event, then
-    landing_gradient, in both modes."""
-    record, jac = landing_gradient(phi, interception_event(incoming, params.geom, phi.theta1), params)
-    return record.landing_point, jac
-
-
-def landing_gradient(phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams):
-    """Flight record at the policy and the 2x2 Jacobian of its landing point by
-    the chain rule: the impact Jacobian (with the event tangent if
-    params.couple_geometry) pushed through the flight steps, plus the
-    shortened-last-step correction."""
+    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams
+) -> tuple[LandingRecord, np.ndarray]:
+    """Flight record at the policy, intercepted at `event`, and the 2x2 Jacobian
+    of its landing point by the chain rule, in both modes: the impact Jacobian
+    (with the event tangent if params.couple_geometry) pushed through the
+    flight steps, plus the shortened-last-step correction."""
     j_impact = impact_state_jacobian(phi, event, params.geom, params.impact, params.couple_geometry)
     record = frozen_landing_record(phi, event, params, j_impact)
     return record, landing_state_jacobian(record, params.flight)[:2, :]

@@ -22,8 +22,8 @@ from .arm import InterceptionPolicy, interception_event
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
-from .greybox import (GreyboxParams, central_difference, frozen_landing_record, landing_gradient,
-                      predict_landing_with_gradient, predict_landings)
+from .greybox import (GreyboxParams, central_difference, frozen_landing_record, predict_landing_with_gradient,
+                      predict_landings)
 from .optimizer import FeasibleSet, RunLog, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
@@ -394,7 +394,7 @@ def grad_check_report(
 
     def check(phi):
         event = interception_event(traj, params.geom, phi.theta1)
-        base, jac = landing_gradient(phi, event, params)
+        base, jac = predict_landing_with_gradient(phi, event, params)
         seen = set()
 
         def landing(p):
@@ -428,11 +428,12 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     """Online runs with one predictor, one per (path, target, phi1, seed) row of
     the plan; each log is written to its path, also when the run aborts."""
     if cfg.predictor == "greybox":
-        params = GreyboxParams(couple_geometry=cfg.couple_geometry)
-        gradient = lambda phi, incoming: predict_landing_with_gradient(phi, incoming, params)[1]
+        # the env's geometry, so the env's interception event is the predictor's own
+        params = GreyboxParams(geom=env_cfg.geom, couple_geometry=cfg.couple_geometry)
+        gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, params)[1]
     elif os.path.exists(cfg.resolved_model_path()):
         model = MlpModel.load(cfg.resolved_model_path())
-        gradient = lambda phi, incoming: mlp_jacobian(model, phi)
+        gradient = lambda phi, diag: mlp_jacobian(model, phi)
     else:
         raise ConfigError(f"model_path: no trained model at {cfg.resolved_model_path()}")
     env = lambda phi, rng: intercept(phi, env_cfg, rng)

@@ -155,8 +155,9 @@ def run_online(
     `env` is a callable (phi, rng) -> (r_landing, diagnostics) that may raise
     a MissedBall error; a miss is retried with a fresh launch and no policy
     update, and more than FAILURE_CAP = 20 misses in a row raise AbortedRun with
-    the log so far. gradient(phi, incoming) gives the predictor's 2x2 Jacobian;
-    iteration i steps alpha1 / sqrt(i).
+    the log so far. gradient(phi, diagnostics) gives the predictor's 2x2 Jacobian
+    at the env's interception; iteration i steps alpha1 / sqrt(i). A non-finite
+    landing or Jacobian raises NonFiniteStep before the metrics or gradient see it.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -183,6 +184,8 @@ def run_online(
                 if consecutive > FAILURE_CAP:
                     raise AbortedRun(f"{consecutive} consecutive missed balls at iteration {i}", log)
 
+        if not all(map(math.isfinite, np.ravel(r_landing).tolist())):
+            raise NonFiniteStep(f"iteration {i}: r_landing is not finite: {np.ravel(r_landing)}")
         r_bar, eps, sigma = metrics.update(r_landing)
         alpha = alpha1 / math.sqrt(i)
         loss = 0.5 * float(np.sum((r_landing - r_target) ** 2))
@@ -198,9 +201,8 @@ def run_online(
                 r_bar=r_bar,
             )
         )
-        jac = gradient(phi, diag.incoming)
-        for name, values in (("r_landing", r_landing), ("jac", jac)):
-            if not all(map(math.isfinite, np.ravel(values).tolist())):
-                raise NonFiniteStep(f"iteration {i}: {name} is not finite: {np.ravel(values)}")
+        jac = gradient(phi, diag)
+        if not all(map(math.isfinite, np.ravel(jac).tolist())):
+            raise NonFiniteStep(f"iteration {i}: jac is not finite: {np.ravel(jac)}")
         phi = gd_update(phi, r_landing, r_target, jac, alpha, k)
     return log

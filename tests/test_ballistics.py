@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fine_step_landing
+from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
     FlightParams,
     LandingRecord,
@@ -19,7 +20,9 @@ from ttreturn.ballistics import (
     remaining_time,
     remaining_time_gradient,
 )
-from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
+from ttreturn.env import EnvConfig, launch
+from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, SingularGradient
+from ttreturn.impact import ImpactParams, impact_state_jacobian, racket_impact
 
 
 def params(**kw) -> FlightParams:
@@ -304,13 +307,23 @@ def _landing_fd(xi_vec, p, h=1e-6):
     return fd, k_maxes
 
 
+# the 6x6 identity as the three 6x2 column pairs a flight pushes
+IDENTITY_PAIRS = [np.eye(6)[:, c:c + 2] for c in (0, 2, 4)]
+
+
+def pushed_identity(xi, p):
+    """Test-local: the record of the flight from xi and the 6x6 landing-state
+    Jacobian, pushed as three 6x2 column pairs of the identity."""
+    records = [propagate_to_landing(xi, p, pair) for pair in IDENTITY_PAIRS]
+    return records[0], np.hstack([landing_state_jacobian(rec, p) for rec in records])
+
+
 class TestLandingStateJacobian:
     def test_immediate_landing_matches_fd(self):
         p = params(dt=0.01)
         xi = state([0.2, 0.3, 0.761], [1.0, -0.5, -1.0])
-        rec = propagate_to_landing(xi, p, np.eye(6))
+        rec, jac = pushed_identity(xi, p)
         assert rec.k_max == 0
-        jac = landing_state_jacobian(rec, p)
         fd, _ = _landing_fd(xi, p)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
 
@@ -323,8 +336,7 @@ class TestLandingStateJacobian:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(xi, p, np.eye(6))
-            jac = landing_state_jacobian(rec, p)
+            rec, jac = pushed_identity(xi, p)
             fd, k_maxes = _landing_fd(xi, p)
             if len(k_maxes) > 1 or k_maxes != {rec.k_max}:
                 boundary_cases += 1  # FD stepped across a step-count change
@@ -337,8 +349,7 @@ class TestLandingStateJacobian:
     def test_velocity_rows_match_fd(self):
         p = params(dt=1e-3)
         xi = np.array([-0.5, 0.8, 1.2, -2.5, 3.0, 1.5])
-        rec = propagate_to_landing(xi, p, np.eye(6))
-        jac = landing_state_jacobian(rec, p)
+        rec, jac = pushed_identity(xi, p)
         fd, k_maxes = _landing_fd(xi, p)
         assert k_maxes == {rec.k_max}
         assert np.linalg.norm(jac[3:, :] - fd[3:, :]) / np.linalg.norm(fd[3:, :]) < 1e-4
@@ -372,17 +383,16 @@ class TestTangentJacobianOracle:
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
             )
-            rec = propagate_to_landing(xi, p, np.eye(6))
+            rec, full = pushed_identity(xi, p)
             assert rec.k_max > 100
             states = _euler_states(xi, p, rec.k_max)
             np.testing.assert_allclose(states[-1], rec.stop, rtol=0.0, atol=1e-12)
             # with no full steps the tangent push is the identity, leaving
             # only the last-step and interpolation corrections
-            last_only = LandingRecord(
-                k_max=0, t_last=rec.t_last, landing_point=rec.landing_point, stop=rec.stop, tangent=np.eye(6)
-            )
-            oracle = landing_state_jacobian(last_only, p) @ _step_product(states, p)
-            full = landing_state_jacobian(rec, p)
+            last_only = np.hstack([landing_state_jacobian(LandingRecord(
+                k_max=0, t_last=rec.t_last, landing_point=rec.landing_point, stop=rec.stop, tangent=pair
+            ), p) for pair in IDENTITY_PAIRS])
+            oracle = last_only @ _step_product(states, p)
             assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
             tangent = rng.normal(size=(6, 2))
             rec = propagate_to_landing(xi, p, tangent)
@@ -390,6 +400,69 @@ class TestTangentJacobianOracle:
             expected = oracle @ tangent
             assert pushed.shape == (6, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12
+
+
+def post_loop_push(row, p, tangent):
+    """Test-local: the landing flight with the tangent pushed after the loop,
+    column by column, through the velocity and drag factors kept per step."""
+    px, py, pz, vx, vy, vz = row
+    vz_top, z_top = 9.8 * p.dt, p.z_table + 0.5 * 9.8 * p.dt * p.dt
+    gx, gy, gz = p.gravity.tolist()
+    scale, coef = p.dt * p.k_drag, []
+    for n in range(p.max_steps):
+        if vz <= vz_top and pz + p.dt * vz <= z_top:
+            break
+        speed = sqrt(vx * vx + vy * vy + vz * vz)
+        coef.append((vx, vy, vz, scale * speed, scale / speed if speed > 0.0 else 0.0))
+        drag = p.k_drag * speed
+        px, py, pz = px + p.dt * vx, py + p.dt * vy, pz + p.dt * vz
+        vx, vy, vz = vx + p.dt * (gx - drag * vx), vy + p.dt * (gy - drag * vy), vz + p.dt * (gz - drag * vz)
+    columns = []
+    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
+        sx = sy = sz = 0.0
+        for vx_, vy_, vz_, damp, cross in coef:
+            along = cross * (vx_ * dvx + vy_ * dvy + vz_ * dvz)
+            sx, sy, sz = sx + dvx, sy + dvy, sz + dvz
+            dvx -= damp * dvx + along * vx_
+            dvy -= damp * dvy + along * vy_
+            dvz -= damp * dvz + along * vz_
+        columns.append((dpx + p.dt * sx, dpy + p.dt * sy, dpz + p.dt * sz, dvx, dvy, dvz))
+    return (px, py, pz, vx, vy, vz), n, np.array(columns).T
+
+
+class TestInLoopTangent:
+    @pytest.mark.parametrize("shape", [(6, 6), (6, 1), (6, 3), (2, 6), (12,)], ids=str)
+    def test_rejects_other_shapes(self, shape):
+        xi = state([0.0, 0.0, 1.2], [-2.0, 1.0, 2.0])
+        with pytest.raises(ValueError, match=rf"6x2, got shape \({shape[0]},"):
+            propagate_to_landing(xi, params(), np.zeros(shape))
+        with pytest.raises(ValueError, match="6x2"):
+            euler_flight(xi.tolist(), params(), 1e-3, 10, tangent=np.zeros(shape))
+
+    def test_matches_post_loop_push_bit_for_bit(self):
+        # jittered launches intercepted at random policies; the post-impact
+        # state flies at the model's parameters with the impact Jacobian of
+        # either mode as its tangent, as the grey-box gradient pushes it
+        cfg, p, impact = EnvConfig(), FlightParams(), ImpactParams()
+        rng = np.random.default_rng(29)
+        launches = 0
+        while launches < 200:
+            traj = launch(cfg.launcher, cfg.truth_flight, rng)
+            phi = InterceptionPolicy(*rng.uniform([0.31, 0.0], [0.67, 0.40]).tolist())
+            try:
+                event = interception_event(traj, cfg.geom, phi.theta1)
+            except MissedBall:
+                continue
+            launches += 1
+            xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event, cfg.geom), impact)
+            for coupled in (False, True):
+                if coupled and event.dxi_dtheta1 is None:
+                    continue
+                tangent = impact_state_jacobian(phi, event, cfg.geom, impact, coupled)
+                stop, n, pushed = euler_flight(xi.tolist(), p, p.dt, p.max_steps, land=True, tangent=tangent)
+                want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
+                assert (stop, n) == (want_stop, want_n)
+                assert np.array_equal(pushed, want) and pushed.shape == (6, 2)
 
 
 class TestEulerLandingsOracle:

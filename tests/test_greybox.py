@@ -21,7 +21,6 @@ from ttreturn.greybox import (
     GreyboxParams,
     central_difference,
     frozen_landing_record,
-    landing_gradient,
     predict_landing,
     predict_landing_with_gradient,
     predict_landings,
@@ -30,6 +29,12 @@ from ttreturn.harness import SCENARIO_BOX, sampling_bounds
 from ttreturn.impact import racket_impact
 
 LO, HI = sampling_bounds(SCENARIO_BOX)
+
+
+def landing_and_gradient(phi, traj, params):
+    """Test-local: the landing point and Jacobian of predict_landing_with_gradient at traj's event."""
+    record, jac = predict_landing_with_gradient(phi, interception_event(traj, params.geom, phi.theta1), params)
+    return record.landing_point, jac
 
 
 def test_vertical_return_lands_below_interception():
@@ -85,7 +90,7 @@ def test_gradient_matches_frozen_fd(nominal_traj, greybox_params):
     for _ in range(10):
         t1, t4 = rng.uniform([0.30, 0.0], [0.70, 0.40])
         phi = InterceptionPolicy(t1, t4)
-        _, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
+        _, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
         event = interception_event(nominal_traj, greybox_params.geom, t1)
         fd = np.zeros((2, 2))
         for col, d in enumerate(((h, 0.0), (0.0, h))):
@@ -102,7 +107,7 @@ def test_gradient_matches_frozen_fd(nominal_traj, greybox_params):
 def test_tilt_column_dominates_range_direction(nominal_traj, greybox_params):
     for t1, t4 in ((0.35, 0.10), (0.45, 0.20), (0.60, 0.30)):
         phi = InterceptionPolicy(t1, t4)
-        landing, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
+        landing, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
         event = interception_event(nominal_traj, greybox_params.geom, t1)
         u = landing - event.xi_minus[:2]
         u = u / np.linalg.norm(u)
@@ -113,7 +118,7 @@ def test_first_order_taylor_consistency(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.48, 0.22)
     event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
     base = frozen_landing_record(phi, event, greybox_params).landing_point
-    _, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
+    _, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
     direction = np.array([0.7, -0.4])
     errs = []
     for scale in (2e-3, 1e-3):
@@ -139,7 +144,7 @@ def test_prediction_independent_of_sampling_density(nominal_traj, greybox_params
 def test_value_unchanged_by_gradient_request(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.52, 0.18)
     value_only = predict_landing(phi, nominal_traj, greybox_params)
-    value, jac = predict_landing_with_gradient(phi, nominal_traj, greybox_params)
+    value, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
     assert np.array_equal(value, value_only)
     assert np.all(np.isfinite(jac))
 
@@ -147,7 +152,7 @@ def test_value_unchanged_by_gradient_request(nominal_traj, greybox_params):
 def test_coupled_mode_gradient(nominal_traj):
     params = GreyboxParams(couple_geometry=True)
     phi = InterceptionPolicy(0.45, 0.2)
-    value, jac = predict_landing_with_gradient(phi, nominal_traj, params)
+    value, jac = landing_and_gradient(phi, nominal_traj, params)
     # independent full-pipeline finite difference at a different step
     h = 5e-6
     fd = np.zeros((2, 2))
@@ -185,7 +190,7 @@ def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
         cases += [(traj, phi) for phi in coupled_policies(traj, rng, 1, params)]
     clean = 0
     for traj, phi in cases:
-        value, jac = predict_landing_with_gradient(phi, traj, params)
+        value, jac = landing_and_gradient(phi, traj, params)
         assert np.array_equal(value, predict_landing(phi, traj, params))
         seen = set()
 
@@ -214,10 +219,10 @@ def test_degenerate_crossing_pair_has_no_coupled_gradient():
     phi = InterceptionPolicy(0.0, 0.2)
     event = interception_event(traj, geom, phi.theta1)
     assert event.dxi_dtheta1 is None
-    _, jac = predict_landing_with_gradient(phi, traj, GreyboxParams(geom=geom))
+    _, jac = landing_and_gradient(phi, traj, GreyboxParams(geom=geom))
     assert np.all(np.isfinite(jac))
     with pytest.raises(SingularGradient):
-        predict_landing_with_gradient(phi, traj, GreyboxParams(geom=geom, couple_geometry=True))
+        landing_and_gradient(phi, traj, GreyboxParams(geom=geom, couple_geometry=True))
 
 
 def test_frozen_record_matches_pipeline_at_base_policy(nominal_traj, greybox_params):
@@ -245,7 +250,7 @@ def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
         event = interception_event(traj, params.geom, t1)
     except MissedBall:
         assume(False)
-    record, jac = landing_gradient(InterceptionPolicy(t1, t4), event, params)
+    record, jac = predict_landing_with_gradient(InterceptionPolicy(t1, t4), event, params)
     fd = np.zeros((2, 2))
     for col, d in enumerate(((h, 0.0), (0.0, h))):
         hi = frozen_landing_record(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params)
@@ -273,7 +278,7 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
     except MissedBall:
         assume(False)
     assume(all(ev.dxi_dtheta1 == event.dxi_dtheta1 for ev in events))
-    record, jac = landing_gradient(InterceptionPolicy(t1, t4), event, params)
+    record, jac = predict_landing_with_gradient(InterceptionPolicy(t1, t4), event, params)
     fd = np.zeros((2, 2))
     for col, (d1, d4) in enumerate(((h, 0.0), (0.0, h))):
         hi = frozen_landing_record(InterceptionPolicy(t1 + d1, t4 + d4), events[0] if d1 else event, params)

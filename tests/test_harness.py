@@ -10,6 +10,7 @@ import tempfile
 import warnings
 from functools import partial
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from ttreturn.arm import InterceptionPolicy, base_azimuth
+from ttreturn.arm import InterceptionPolicy, base_azimuth, interception_event
 from ttreturn.ballistics import FlightParams
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import intercept
@@ -719,14 +720,48 @@ def run_gradient(monkeypatch, cfg):
 
 
 class TestRunGradients:
-    """run and sweep hand run_online a gradient(phi, incoming) built on the predictor function."""
+    """run and sweep hand run_online a gradient(phi, diag) built on the predictor function."""
 
     def test_greybox_gradient_is_the_predictor_jacobian(self, tmp_path, monkeypatch, nominal_traj):
         phi = InterceptionPolicy(0.45, 0.2)
         for coupled in (False, True):
             cfg = ExperimentConfig(mode="run", out_dir=str(tmp_path), couple_geometry=coupled)
-            _, jac = predict_landing_with_gradient(phi, nominal_traj, GreyboxParams(couple_geometry=coupled))
-            np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, nominal_traj), jac)
+            params = GreyboxParams(couple_geometry=coupled)
+            event = interception_event(nominal_traj, params.geom, phi.theta1)
+            _, jac = predict_landing_with_gradient(phi, event, params)
+            diag = SimpleNamespace(event=event)
+            np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, diag), jac)
+
+    @pytest.mark.parametrize("coupled", [False, True], ids=["frozen", "coupled"])
+    def test_greybox_gradient_reuses_the_env_event(self, tmp_path, monkeypatch, coupled):
+        # each iteration's gradient gets the diagnostics the env just returned and
+        # differentiates at their event, which a fresh interception of the same
+        # ball reproduces; so the Jacobian is the one a second interception gave
+        intercepts, gradients = [], []
+        real_intercept, real_gradient = ttreturn.harness.intercept, ttreturn.harness.predict_landing_with_gradient
+
+        def spy_intercept(phi, cfg, rng):
+            r_landing, diag = real_intercept(phi, cfg, rng)
+            intercepts.append((phi, diag))
+            return r_landing, diag
+
+        def spy_gradient(phi, event, params):
+            record, jac = real_gradient(phi, event, params)
+            gradients.append((phi, event, params, jac))
+            return record, jac
+
+        monkeypatch.setattr(ttreturn.harness, "intercept", spy_intercept)
+        monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", spy_gradient)
+        run_experiment(ExperimentConfig(mode="run", out_dir=str(tmp_path), n_iters=6, couple_geometry=coupled))
+        assert len(intercepts) == len(gradients) == 6
+        fresh_params = GreyboxParams(couple_geometry=coupled)
+        for (phi, diag), (grad_phi, event, params, jac) in zip(intercepts, gradients):
+            assert grad_phi is phi and event is diag.event and params.couple_geometry is coupled
+            fresh = interception_event(diag.incoming, fresh_params.geom, phi.theta1)
+            assert (fresh.t_ic, fresh.theta2, fresh.theta3, fresh.dxi_dtheta1) == (
+                event.t_ic, event.theta2, event.theta3, event.dxi_dtheta1)
+            assert np.array_equal(fresh.xi_minus, event.xi_minus)
+            assert np.array_equal(real_gradient(phi, fresh, fresh_params)[1], jac)
 
     def test_blackbox_gradient_ignores_incoming(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.json")

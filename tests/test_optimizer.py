@@ -18,8 +18,9 @@ except ImportError:
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig, intercept
-from ttreturn.errors import AbortedRun, NonFiniteStep
+from ttreturn.errors import AbortedRun, NonFiniteStep, SingularGradient
 from ttreturn.greybox import GreyboxParams, predict_landing_with_gradient
+from ttreturn.metrics import MetricsState
 from ttreturn.optimizer import (
     FeasibleSet,
     IterationRecord,
@@ -93,8 +94,8 @@ class TestProject:
 
 def step_lengths(alpha1: float, n_iters: int) -> list[float]:
     """Test-local: the step lengths of a run_online loop whose landings and gradients are zero."""
-    env = lambda phi, rng: (np.zeros(2), SimpleNamespace(incoming=None))
-    log = run_online(env, lambda phi, incoming: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
+    env = lambda phi, rng: (np.zeros(2), SimpleNamespace(event=None))
+    log = run_online(env, lambda phi, diag: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
                      n_iters, alpha1, FeasibleSet())
     return [rec.alpha for rec in log.records]
 
@@ -167,8 +168,8 @@ def make_env(cfg):
     return lambda phi, rng: intercept(phi, cfg, rng)
 
 
-def greybox_gradient(phi, incoming):
-    return predict_landing_with_gradient(phi, incoming, GreyboxParams())[1]
+def greybox_gradient(phi, diag):
+    return predict_landing_with_gradient(phi, diag.event, GreyboxParams())[1]
 
 
 class TestRunOnline:
@@ -266,7 +267,7 @@ class TestRunOnline:
             r, diag = intercept(phi, cfg, rng)
             return (np.array([np.nan, r[1]]) if source == "r_landing" else r), diag
 
-        def nan_gradient(phi, incoming):
+        def nan_gradient(phi, diag):
             return np.array([[np.nan, 0.0], [0.0, 1.0]]) if source == "jac" else np.eye(2)
 
         with pytest.raises(NonFiniteStep, match=f"^iteration 1: {source} is not finite"):
@@ -280,6 +281,41 @@ class TestRunOnline:
                 k=FeasibleSet(),
                 seed=0,
             )
+
+    def test_non_finite_landing_stops_before_metrics_and_gradient(self, monkeypatch):
+        # a NaN landing is reported as such even when the gradient would fail,
+        # and never enters the metrics buffer
+        cfg = make_noiseless_cfg()
+        updates = []
+        monkeypatch.setattr(MetricsState, "update", lambda self, r: updates.append(r))
+
+        def env(phi, rng):
+            r, diag = intercept(phi, cfg, rng)
+            return np.array([r[0], np.nan]), diag
+
+        def failing_gradient(phi, diag):
+            raise SingularGradient("gradient reached")
+
+        with pytest.raises(NonFiniteStep, match="^iteration 1: r_landing is not finite"):
+            run_online(env, failing_gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 5, 0.1,
+                       FeasibleSet())
+        assert updates == []
+
+    def test_gradient_sees_the_env_diagnostics(self):
+        cfg = make_noiseless_cfg()
+        seen = []
+
+        def env(phi, rng):
+            r, diag = intercept(phi, cfg, rng)
+            seen.append(diag)
+            return r, diag
+
+        def gradient(phi, diag):
+            assert diag is seen[-1]
+            return greybox_gradient(phi, diag)
+
+        log = run_online(env, gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 4, 0.1, FeasibleSet())
+        assert len(log.records) == len(seen) == 4
 
     def test_replay_determinism(self):
         cfg = EnvConfig()
