@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import ceil
+from math import atan2, ceil, cos, hypot, sin
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class EnvConfig:
 
 @dataclass
 class InterceptDiagnostics:
-    """Side information of one interception (noise-free landing included)."""
+    """Side information of one interception (noise-free landing included). The
+    `incoming` launch was aimed at the policy's theta1, so it ends shortly after
+    the ball crosses that azimuth."""
 
     noiseless_landing: np.ndarray
     event: InterceptionEvent
@@ -112,18 +114,44 @@ def sample_clock(sample_dt: float) -> tuple[np.ndarray, int]:
     return clock, int(np.count_nonzero(clock < T_MAX))
 
 
-def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator) -> SampledTrajectory:
+def stop_past(start, flight: FlightParams, dt: float, geom: ArmGeometry, theta1: float) -> float:
+    """y past which a launch from the 6-state `start` has crossed base azimuth theta1.
+
+    With no horizontal gravity each Euler step keeps the direction of the horizontal
+    velocity, so the ball stays on the line p0 + s v0. If that line meets the theta1
+    ray (s, r >= 0) at y_c, the first crossing pair lies above y_c + 2 dt vy0 - 1 mm.
+    Otherwise, or if vy0 >= 0 or the path is within 1e-6 rad of parallel to the ray,
+    the stop is CONTACT's y.
+    """
+    y_far, (gx, gy, _), (bx, by, _) = CONTACT[4], flight.gravity.tolist(), geom.base.tolist()
+    x0, y0, _, vx, vy, _ = start
+    ref = atan2(geom.rest_normal[1], geom.rest_normal[0]) + theta1
+    ux, uy = cos(ref), sin(ref)
+    det = vx * uy - vy * ux
+    if gx != 0.0 or gy != 0.0 or not (vy < 0.0 and abs(det) > 1e-6 * hypot(vx, vy)):
+        return y_far
+    dx, dy = bx - x0, by - y0
+    s, r = (dx * uy - dy * ux) / det, (dx * vy - dy * vx) / det
+    if not (s >= 0.0 and r >= 0.0):
+        return y_far
+    return max(y_far, y0 + s * vy + 2.0 * dt * vy - 1e-3)
+
+
+def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
+           aim: tuple[ArmGeometry, float] | None = None) -> SampledTrajectory:
     """Launch one ball: jitter the nominal state, integrate, sample densely.
 
     Sampling stops once the ball meets the table, drops to the floor or has
-    passed well behind the workspace, or after T_MAX.
+    passed well behind the workspace, or after T_MAX. With `aim=(geom, theta1)`
+    it also stops shortly after the ball crosses base azimuth theta1
+    (`stop_past`): the samples are a prefix of the unaimed launch's that holds
+    its first crossing pair.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    start = cfg.nominal_state + jitter
-
+    rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
     clock, n_max = sample_clock(cfg.sample_dt)
-    rows = start.tolist()  # the flight appends each sample after the start
-    euler_flight(rows, flight, cfg.sample_dt, n_max, table=CONTACT, samples=rows)
+    y_stop = CONTACT[4] if aim is None else stop_past(rows, flight, cfg.sample_dt, *aim)
+    euler_flight(rows, flight, cfg.sample_dt, n_max, table=(*CONTACT[:4], y_stop), samples=rows)
     return SampledTrajectory(times=clock[: len(rows) // 6], rows=rows)
 
 
@@ -135,7 +163,7 @@ def intercept(
     Raises NoCrossing/OutOfReach (a missed ball) when the policy cannot
     intercept the launched trajectory.
     """
-    incoming = launch(cfg.launcher, cfg.truth_flight, rng)
+    incoming = launch(cfg.launcher, cfg.truth_flight, rng, aim=(cfg.geom, phi.theta1))
     event = interception_event(incoming, cfg.geom, phi.theta1)
     gamma = racket_rotation(phi)
     v_r = racket_velocity(event, cfg.geom)

@@ -160,6 +160,9 @@ class ExperimentConfig:
                      "sweep_targets", "initial_policies", "landing_noise_std", "jitter_std", "nominal_state"):
             if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
                 raise ConfigError(f"{name}: must be finite")
+        for name in ("landing_noise_std", "jitter_std"):
+            if np.any(np.asarray(getattr(self, name), dtype=float) < 0):
+                raise ConfigError(f"{name}: must be >= 0")
         if self.alpha1 <= 0:
             raise ConfigError("alpha1: must be > 0")
         if self.n_iters < 1:

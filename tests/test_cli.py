@@ -245,6 +245,19 @@ def test_non_finite_alpha1_exits_one(tmp_path, capsys):
     assert "alpha1: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,value", [("jitter_std", [-0.005, 0.005, 0.005, 0.015, 0.025, 0.015]),
+                                        ("landing_noise_std", [-0.1, 0.2])])
+def test_negative_noise_override_exits_one(tmp_path, capsys, name, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    code = main(["run", "--config", str(cfg), "--iters", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{name}: must be >= 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     base = {"n_seeds": 1, "n_iters": 1, "sweep_targets": [[-1.2, 0.6]]}
     cases = [(base, [], SWEEP_START), ({**base, "phi1": [0.5, 0.2]}, [], (0.5, 0.2)),

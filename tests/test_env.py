@@ -1,13 +1,24 @@
 """Simulated environment: launches, interceptions, noise, scatter estimate."""
 
 import copy
+from math import atan2, cos, pi, sin
 
 import numpy as np
 import pytest
 
-from ttreturn.arm import InterceptionPolicy
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
+import ttreturn.env
+from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event
 from ttreturn.ballistics import FlightParams, euler_flight
 from ttreturn.env import (
+    CONTACT,
     EnvConfig,
     LauncherConfig,
     TABLE_CENTER,
@@ -15,8 +26,9 @@ from ttreturn.env import (
     estimate_variance,
     intercept,
     launch,
+    stop_past,
 )
-from ttreturn.errors import InfeasibleRegion
+from ttreturn.errors import InfeasibleRegion, MissedBall, NoCrossing, OutOfReach
 from ttreturn.greybox import GreyboxParams, predict_landing
 from ttreturn.impact import ImpactParams
 
@@ -124,6 +136,147 @@ class TestLaunchOracle:
             "t_max": traj.times[-1] >= 3.0,
         }
         assert [name for name, hit in reached.items() if hit] == [stop]
+
+
+def event_or_error(traj, geom, theta1):
+    """interception_event's fields as plain values, or the type of what it raised."""
+    try:
+        e = interception_event(traj, geom, theta1)
+    except Exception as exc:  # the aimed and the full launch must fail alike, whatever the failure
+        return type(exc)
+    return e.t_ic, e.xi_minus.tolist(), e.theta2, e.theta3, e.dxi_dtheta1
+
+
+def aimed_and_full(cfg, flight, geom, theta1, seed=0):
+    """The aimed launch and the unaimed one of the same rng seed."""
+    aimed = launch(cfg, flight, np.random.default_rng(seed), aim=(geom, theta1))
+    return aimed, launch(cfg, flight, np.random.default_rng(seed))
+
+
+def ray_direction(geom, theta1):
+    """Horizontal unit vector of the base azimuth theta1."""
+    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
+    return np.array([cos(ref + theta1), sin(ref + theta1)])
+
+
+# across the box and beyond: negative, near +-pi/2, and rays opposite the ball (|theta1| > pi/2)
+THETA1_GRID = (-3.0, -2.0, -pi / 2 - 1e-9, -pi / 2 + 1e-9, -1.0, -0.4, -0.05, 0.0, 0.1, 0.26, 0.35,
+               0.45, 0.55, 0.62, 0.72, 0.85, 1.0, 1.3, pi / 2 - 1e-9, pi / 2 + 1e-9, 2.0, 2.8, pi - 1e-9, 3.1)
+
+
+class TestAimedLaunch:
+    def test_matches_the_full_launch(self, env_cfg, monkeypatch):
+        # 12 jittered launches per theta1, 288 in all: the aimed samples are a prefix
+        # of the full ones, with the same event (or miss) and the same landing
+        geom, flight, shorter, kinds = env_cfg.geom, env_cfg.truth_flight, [], set()
+        cases = [(seed, t1) for seed in range(12) for t1 in THETA1_GRID]
+        for seed, t1 in cases:
+            aimed, full = aimed_and_full(env_cfg.launcher, flight, geom, t1, seed)
+            assert aimed.rows == full.rows[: len(aimed.rows)]
+            assert np.array_equal(aimed.times, full.times[: len(aimed)])
+            got = event_or_error(aimed, geom, t1)
+            assert got == event_or_error(full, geom, t1)
+            kinds.add(got if isinstance(got, type) else "event")
+            if 0.26 <= t1 <= 0.72:
+                shorter.append(len(aimed) < 0.7 * len(full))
+        assert all(shorter) and kinds == {"event", NoCrossing, OutOfReach}
+
+        def landings():
+            out = []
+            for seed, t1 in cases:
+                try:
+                    r, diag = intercept(InterceptionPolicy(t1, 0.2), env_cfg, np.random.default_rng(seed))
+                    out.append((r.tolist(), diag.noiseless_landing.tolist()))
+                except MissedBall as exc:
+                    out.append(type(exc))
+            return out
+
+        aimed_landings = landings()
+        monkeypatch.setattr(ttreturn.env, "launch", lambda cfg, flight, rng, aim=None: launch(cfg, flight, rng))
+        assert aimed_landings == landings()
+
+    @pytest.mark.parametrize("nominal", [(-0.15, 3.9, 1.1, 0.0, 0.0, 3.3), (0.4, -0.6, 1.1, -0.5, 6.0, 3.3)],
+                             ids=["vy0_zero", "vy0_positive"])
+    def test_upward_start_flies_the_full_path(self, env_cfg, nominal):
+        cfg = LauncherConfig(nominal_state=np.array(nominal))
+        for t1 in THETA1_GRID:
+            assert stop_past(list(nominal), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+            aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
+            assert aimed.rows == full.rows
+
+    @pytest.mark.parametrize("gravity", [(0.0, -0.3, -9.8), (0.2, 0.0, -9.8)], ids=["gy", "gx"])
+    def test_horizontal_gravity_flies_the_full_path(self, env_cfg, gravity):
+        flight = FlightParams(k_drag=env_cfg.truth_flight.k_drag, gravity=np.array(gravity), dt=env_cfg.truth_flight.dt)
+        for t1 in (0.26, 0.45, 0.72):
+            aimed, full = aimed_and_full(env_cfg.launcher, flight, env_cfg.geom, t1, seed=5)
+            assert aimed.rows == full.rows
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["toward_base", "away_from_base"])
+    def test_start_parallel_to_the_ray_flies_the_full_path(self, env_cfg, sign):
+        geom, t1 = env_cfg.geom, 0.45
+        vx, vy = sign * 8.3 * ray_direction(geom, t1)
+        cfg = LauncherConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
+        assert stop_past(cfg.nominal_state.tolist(), env_cfg.truth_flight, cfg.sample_dt, geom, t1) == CONTACT[4]
+        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, geom, t1)
+        assert aimed.rows == full.rows
+
+    def test_path_along_the_ray_line_matches_the_full_launch(self, env_cfg):
+        # a start on the theta1 line through the base, heading along the ray within
+        # 1e-10 rad: the samples sit on the ray to rounding, where the azimuth test
+        # may flip anywhere; such near-parallel paths must fly in full
+        geom, flight = env_cfg.geom, env_cfg.truth_flight
+        for t1 in np.linspace(-pi, pi, 40):
+            for tilt in (0.0, 1e-13, -1e-12, 1e-10):
+                for dist in (1.0, 2.0, 3.0, 4.0):
+                    vx, vy = 8.3 * ray_direction(geom, t1 + tilt)
+                    if vy >= 0.0:
+                        continue
+                    x, y = geom.base[:2] - dist * ray_direction(geom, t1)
+                    cfg = LauncherConfig(nominal_state=np.array([x, y, 1.1, vx, vy, 2.0]), jitter_std=np.zeros(6))
+                    aimed, full = aimed_and_full(cfg, flight, geom, t1)
+                    assert aimed.rows == full.rows[: len(aimed.rows)]
+                    assert event_or_error(aimed, geom, t1) == event_or_error(full, geom, t1)
+
+    @pytest.mark.parametrize("nominal,t1", [((-0.15, -0.3, 1.1, 0.0, -8.3, 3.3), 0.45),  # crossing behind the start
+                                            ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
+    def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
+        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
+        assert stop_past(list(nominal), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
+        assert aimed.rows == full.rows
+
+    def test_stop_lies_two_samples_and_a_millimeter_past_the_crossing(self, env_cfg):
+        # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
+        # theta1 ray from the origin is at y = 0.15 / tan(theta1)
+        cfg, t1 = env_cfg.launcher, 0.45
+        y_stop = stop_past(cfg.nominal_state.tolist(), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1)
+        assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * cfg.sample_dt * 8.3 - 1e-3, abs=1e-12)
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-10.0, 10.0), st.floats(-12.0, 2.0), st.floats(-2.0, 6.0), st.floats(-pi, pi),
+    st.sampled_from(["free", "along", "against"]),
+    st.sampled_from([0.0, 1e-13, -1e-10, 1e-8, -1e-6, 1.01e-6, 1e-5]),
+    st.floats(0.3, 4.0),
+)
+def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode, tilt, dist):
+    # "free": the nominal start, theta1 anywhere; otherwise the start lies `dist` from
+    # the base on the line of its velocity, and theta1 is that line's azimuth (along or
+    # against the motion) turned by `tilt`, so the path runs on or near the ray
+    geom, flight = ArmGeometry(), EnvConfig().truth_flight
+    start = np.array([-0.15, 3.9, 1.1, vx, vy, vz])
+    if mode != "free" and np.hypot(vx, vy) > 0.0:
+        heading = np.array([vx, vy]) / np.hypot(vx, vy)
+        start[:2] = geom.base[:2] - dist * heading
+        ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
+        t1 = atan2(heading[1], heading[0]) - ref + tilt + (pi if mode == "against" else 0.0)
+        t1 = (t1 + pi) % (2 * pi) - pi
+    cfg = LauncherConfig(nominal_state=start, jitter_std=np.zeros(6))
+    aimed, full = aimed_and_full(cfg, flight, geom, t1)
+    assert aimed.rows == full.rows[: len(aimed.rows)]
+    assert event_or_error(aimed, geom, t1) == event_or_error(full, geom, t1)
 
 
 class TestIntercept:
