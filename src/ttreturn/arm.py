@@ -1,23 +1,26 @@
 """Kinematics of the 4-DoF interception arm.
 
 The base yaw angle selects where along the incoming ball path the racket
-meets the ball (azimuth crossing); the two link angles follow from planar
-inverse kinematics; the wrist angle tilts the racket. Only the base yaw
-carries a nonzero rate at interception time.
+meets the ball (azimuth crossing), which must lie within the two links'
+reach; the wrist angle tilts the racket. Only the base yaw carries a nonzero
+rate at interception time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import acos, atan2, cos, pi, sin, sqrt
+from math import cos, pi, sin, sqrt
 
 import numpy as np
 
 from .errors import NoCrossing, OutOfReach
 
-REACH_MARGIN = 0.01  # [m] keep-out from both inverse-kinematics singularities
+REACH_MARGIN = 0.01  # [m] keep-out from the fully folded and fully stretched arm
 CROSS_TOL = 1e-9     # [m] |c| below which a sample may lie on either side of theta1
 SEARCH_CHUNK = 64    # policies per (chunk, samples) array of the block crossing search
+# Base azimuth of the racket normal at rest, +y (racket_rotation rotates from it,
+# and the impact model's normal restitution acts along the racket's y axis).
+REST_AZIMUTH = pi / 2  # [rad]
 
 
 @dataclass
@@ -30,32 +33,24 @@ class InterceptionPolicy:
 
 @dataclass
 class ArmGeometry:
-    """Concrete arm realization: base pivot, link lengths, rest orientation."""
+    """Concrete arm realization: base pivot, link lengths, base yaw rate."""
 
     base: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.8]))
     l1: float = 0.5    # [m]
     l2: float = 0.45   # [m] includes the racket offset
-    rest_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     theta1_dot: float = 6.0  # [rad/s] base yaw rate at interception
 
     def __post_init__(self) -> None:
         self.base = np.asarray(self.base, dtype=float)
-        self.rest_normal = np.asarray(self.rest_normal, dtype=float)
         if self.l1 <= 0 or self.l2 <= 0:
             raise ValueError("link lengths must be positive")
-        n = np.linalg.norm(self.rest_normal)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("rest_normal must be a unit vector")
 
 
 @dataclass
 class InterceptionEvent:
-    """Interception time, pre-impact ball state and the solved arm angles."""
+    """Pre-impact ball state at the crossing, and its slope in theta1."""
 
-    t_ic: float
     xi_minus: np.ndarray  # (6,) p, v; the racket meets the ball at p
-    theta2: float
-    theta3: float
     dxi_dtheta1: tuple | None = None  # 6 floats d(xi_minus)/d(theta1); None for a degenerate pair
 
 
@@ -63,10 +58,9 @@ def base_azimuth(x, y, geom: ArmGeometry):
     """Azimuth of the horizontal position (x, y), scalars or arrays, as seen
     from the base pivot.
 
-    Zero along the rest-normal direction, positive counterclockwise about +z.
+    Zero along the racket's rest normal (REST_AZIMUTH), positive counterclockwise about +z.
     """
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    return (np.arctan2(y - geom.base[1], x - geom.base[0]) - ref + pi) % (2.0 * pi) - pi
+    return (np.arctan2(y - geom.base[1], x - geom.base[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
 
 
 def interception_event(incoming, geom: ArmGeometry, theta1: float) -> InterceptionEvent:
@@ -83,16 +77,15 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     xi_minus = row + u (after - row), u = a / (a - b), and a - b is the wrapped
     difference of the two samples' azimuths, free of theta1: dxi_dtheta1 = (row
     - after) / (a - b), the same floats for every theta1 on the pair, or None if
-    a == b == 0 (the pair lies on the azimuth).
+    a == b == 0 (the pair lies on the azimuth) or a - b rounds to 0.
     """
     bx, by, bz = geom.base.tolist()
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
     xy = incoming.xy()
-    c = cos(ref + theta1) * (xy[1] - by) - sin(ref + theta1) * (xy[0] - bx)
+    c = cos(REST_AZIMUTH + theta1) * (xy[1] - by) - sin(REST_AZIMUTH + theta1) * (xy[0] - bx)
     c = np.minimum(np.maximum(c, -CROSS_TOL), CROSS_TOL)
     pairs = (c[:-1] * c[1:] < CROSS_TOL**2).nonzero()[0]
 
-    rows, times, tau = incoming.rows, incoming.times, 2.0 * pi
+    rows, tau = incoming.rows, 2.0 * pi
 
     az = lambda i: float(base_azimuth(rows[6 * i], rows[6 * i + 1], geom))
     wrap = lambda angle: (angle + pi) % tau - pi
@@ -106,10 +99,10 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
         raise NoCrossing(f"ball path never reaches base azimuth {theta1:.3f} rad")
     u = 0.0 if a == 0.0 else a / (a - b)
 
-    t_ic = times[idx] + u * (times[idx + 1] - times[idx])
     row, after = rows[6 * idx : 6 * idx + 6], rows[6 * idx + 6 : 6 * idx + 12]
     xi = [p + u * (q - p) for p, q in zip(row, after)]
-    dxi = None if a == b else tuple([(p - q) / wrap(za - zb) for p, q in zip(row, after)])
+    span = wrap(za - zb)  # a - b, free of theta1
+    dxi = None if a == b or span == 0.0 else tuple([(p - q) / span for p, q in zip(row, after)])
     dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
 
     dist = sqrt(dx * dx + dy * dy + dz * dz)
@@ -117,27 +110,18 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     hi = geom.l1 + geom.l2 - REACH_MARGIN
     if not (lo <= dist <= hi):
         raise OutOfReach(f"target at {dist:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
-
-    # planar two-link inverse kinematics in the yawed vertical plane, elbow up
-    d_h = sqrt(dx**2 + dy**2)
-    c3 = (dist**2 - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)
-    c3 = min(1.0, max(-1.0, c3))
-    gamma = acos(c3)
-    theta3 = -gamma
-    theta2 = atan2(dz, d_h) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
-
-    return InterceptionEvent(float(t_ic), np.array(xi), theta2, theta3, dxi)
+    return InterceptionEvent(np.array(xi), dxi)
 
 
 def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tuple[np.ndarray, list]:
     """interception_event's crossing search, interpolation and reach check for an
     array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
     pre-impact states and each policy's MissedBall (its row is then junk) or None."""
-    (x, y), ref = incoming.xy(), atan2(geom.rest_normal[1], geom.rest_normal[0])
+    x, y = incoming.xy()
     az, idx, u = base_azimuth(x, y, geom), np.full(len(theta1), -1), np.zeros(len(theta1))
     for s in range(0, len(theta1), SEARCH_CHUNK):
         t = theta1[s : s + SEARCH_CHUNK, None]
-        c = np.cos(ref + t) * (y - geom.base[1]) - np.sin(ref + t) * (x - geom.base[0])
+        c = np.cos(REST_AZIMUTH + t) * (y - geom.base[1]) - np.sin(REST_AZIMUTH + t) * (x - geom.base[0])
         c = np.clip(c, -CROSS_TOL, CROSS_TOL)  # the values of interception_event's minimum(maximum())
         row, i = np.divmod(np.flatnonzero(c[:, :-1] * c[:, 1:] < CROSS_TOL**2), len(x) - 1)  # candidates
         a, b = ((az[i + j] - t[row, 0] + pi) % (2.0 * pi) - pi for j in (0, 1))

@@ -12,14 +12,14 @@ the shortened last step; no per-step state is stored.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
 
-# Vertical acceleration magnitude used by the drag-free drop prediction.
+# Gravity points along -z with this magnitude, in the flight and its drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
 
 # Numerical thresholds of the flight kernels.
@@ -29,22 +29,18 @@ LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by o
 
 @dataclass
 class FlightParams:
-    """Parameters of the discrete free-flight model."""
+    """Parameters of the discrete free-flight model; gravity is G_VERTICAL along -z."""
 
     k_drag: float = 0.106             # [1/m]
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, -9.8]))
     dt: float = 1e-3                  # [s]
     z_table: float = 0.76             # [m]
     max_steps: int = 4000
 
     def __post_init__(self) -> None:
-        self.gravity = np.asarray(self.gravity, dtype=float)
         if self.k_drag < 0:
             raise ValueError("k_drag must be >= 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
-        if self.gravity[2] >= 0:
-            raise ValueError("gravity_z must be < 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -86,7 +82,6 @@ def euler_flight(
     """
     px, py, pz, vx, vy, vz = row
     k_drag = float(params.k_drag)
-    gx, gy, gz = params.gravity.tolist()
     z_table = float(params.z_table)
     if land:
         # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= z_table
@@ -121,9 +116,9 @@ def euler_flight(
         px += dt * vx
         py += dt * vy
         pz += dt * vz
-        vx += dt * (gx - drag * vx)
-        vy += dt * (gy - drag * vy)
-        vz += dt * (gz - drag * vz)
+        vx -= dt * (drag * vx)
+        vy -= dt * (drag * vy)
+        vz += dt * (-G_VERTICAL - drag * vz)
         if keep:
             samples.extend((px, py, pz, vx, vy, vz))
         if contact and (
@@ -151,7 +146,6 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     counts; a row still flying after max_steps has count -1 and keeps its start.
     """
     dt, k_drag = params.dt, float(params.k_drag)
-    gx, gy, gz = params.gravity.tolist()
     vz_top = G_VERTICAL * dt
     z_top = float(params.z_table) + 0.5 * G_VERTICAL * dt * dt
     stops = np.array(starts, dtype=float).reshape(-1, 6)
@@ -173,9 +167,9 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
             px += dt * vx
             py += dt * vy
             pz += dt * vz
-            vx += dt * (gx - drag * vx)
-            vy += dt * (gy - drag * vy)
-            vz += dt * (gz - drag * vz)
+            vx -= dt * (drag * vx)
+            vy -= dt * (drag * vy)
+            vz += dt * (-G_VERTICAL - drag * vz)
     for j, row in zip(active.tolist(), np.column_stack((px, py, pz, vx, vy, vz)).tolist()):
         with suppress(MaxStepsExceeded):
             stops[j], k, _ = euler_flight(row, params, dt, params.max_steps - n, land=True)
@@ -195,7 +189,7 @@ def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) 
         # quadratic drag is differentiable at v = 0 with derivative 0
         drag_jac = np.zeros((3, 3))
     J[3:6, 3:6] = np.eye(3) - dt * params.k_drag * drag_jac
-    acc = -params.k_drag * speed * v + params.gravity
+    acc = -params.k_drag * speed * v + (0.0, 0.0, -G_VERTICAL)
     J_dt = np.concatenate([v, acc])
     return J, J_dt
 

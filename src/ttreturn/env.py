@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import atan2, ceil, cos, hypot, sin
+from math import ceil, cos, hypot, sin
 
 import numpy as np
 
-from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
+from .arm import (REST_AZIMUTH, ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation,
+                  racket_velocity)
 from .ballistics import FlightParams, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
 from .impact import ImpactParams, racket_impact
@@ -38,8 +39,7 @@ MISS_TOLERANCE = 0.1  # share of missed trials at which a variance estimate is r
 class SampledTrajectory:
     """Dense time-sampled ball trajectory, kept as the flight kernel wrote it."""
 
-    times: np.ndarray  # (n,)
-    rows: list         # 6 n floats: p, v of each sample in turn
+    rows: list  # 6 n floats: p, v of each sample in turn
     _xy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def xy(self) -> np.ndarray:
@@ -49,7 +49,7 @@ class SampledTrajectory:
         return self._xy
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.rows) // 6
 
 
 @dataclass
@@ -106,29 +106,27 @@ CONTACT = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), -1.2)
 
 
 @lru_cache
-def sample_clock(sample_dt: float) -> tuple[np.ndarray, int]:
-    """Launch sample clock, accumulated step by step, and the number of steps
-    taken while it reads < T_MAX."""
+def sample_clock(sample_dt: float) -> int:
+    """Number of launch steps taken while the sample clock, accumulated step by
+    step, reads < T_MAX."""
     clock = np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / sample_dt) + 1, sample_dt)])
-    clock.flags.writeable = False
-    return clock, int(np.count_nonzero(clock < T_MAX))
+    return int(np.count_nonzero(clock < T_MAX))
 
 
-def stop_past(start, flight: FlightParams, dt: float, geom: ArmGeometry, theta1: float) -> float:
+def stop_past(start, dt: float, geom: ArmGeometry, theta1: float) -> float:
     """y past which a launch from the 6-state `start` has crossed base azimuth theta1.
 
-    With no horizontal gravity each Euler step keeps the direction of the horizontal
-    velocity, so the ball stays on the line p0 + s v0. If that line meets the theta1
+    Gravity is vertical, so each Euler step keeps the direction of the horizontal
+    velocity, and the ball stays on the line p0 + s v0. If that line meets the theta1
     ray (s, r >= 0) at y_c, the first crossing pair lies above y_c + 2 dt vy0 - 1 mm.
     Otherwise, or if vy0 >= 0 or the path is within 1e-6 rad of parallel to the ray,
     the stop is CONTACT's y.
     """
-    y_far, (gx, gy, _), (bx, by, _) = CONTACT[4], flight.gravity.tolist(), geom.base.tolist()
+    y_far, (bx, by, _) = CONTACT[4], geom.base.tolist()
     x0, y0, _, vx, vy, _ = start
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0]) + theta1
-    ux, uy = cos(ref), sin(ref)
+    ux, uy = cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)
     det = vx * uy - vy * ux
-    if gx != 0.0 or gy != 0.0 or not (vy < 0.0 and abs(det) > 1e-6 * hypot(vx, vy)):
+    if not (vy < 0.0 and abs(det) > 1e-6 * hypot(vx, vy)):
         return y_far
     dx, dy = bx - x0, by - y0
     s, r = (dx * uy - dy * ux) / det, (dx * vy - dy * vx) / det
@@ -149,10 +147,9 @@ def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
-    clock, n_max = sample_clock(cfg.sample_dt)
-    y_stop = CONTACT[4] if aim is None else stop_past(rows, flight, cfg.sample_dt, *aim)
-    euler_flight(rows, flight, cfg.sample_dt, n_max, table=(*CONTACT[:4], y_stop), samples=rows)
-    return SampledTrajectory(times=clock[: len(rows) // 6], rows=rows)
+    y_stop = CONTACT[4] if aim is None else stop_past(rows, cfg.sample_dt, *aim)
+    euler_flight(rows, flight, cfg.sample_dt, sample_clock(cfg.sample_dt), table=(*CONTACT[:4], y_stop), samples=rows)
+    return SampledTrajectory(rows)
 
 
 def intercept(

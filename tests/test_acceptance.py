@@ -6,6 +6,7 @@ first-principles labels.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import ttreturn
 from conftest import fine_step_landing
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig
@@ -250,6 +252,9 @@ def test_criterion_9_seeded_determinism(tmp_path):
         ["gen-data", "--seed", "9", "--n", "25", "--labels", "greybox"],
         ["grad-check", "--seed", "1", "--predictor", "blackbox", "--n", "10"],
     ]
+    # the CLI runs in a child process, which must import the package the tests import
+    src = os.path.dirname(os.path.dirname(ttreturn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     checks = []
     for ci, cmd in enumerate(commands):
         outputs = []
@@ -257,7 +262,7 @@ def test_criterion_9_seeded_determinism(tmp_path):
             out = tmp_path / f"c{ci}{rep}"
             proc = subprocess.run(
                 [sys.executable, "-m", "ttreturn.cli", *cmd, "--out", str(out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             checks.append((proc.returncode == 0, f"{cmd[0]}: exit {proc.returncode}"))
             files = sorted(p.name for p in out.iterdir())

@@ -1,11 +1,12 @@
 """Interception geometry, racket orientation and racket velocity."""
 
-from math import atan2, cos, pi, sin
+from math import cos, pi, sin
 
 import numpy as np
 import pytest
 
 from ttreturn.arm import (
+    REST_AZIMUTH,
     SEARCH_CHUNK,
     ArmGeometry,
     InterceptionPolicy,
@@ -20,40 +21,29 @@ from ttreturn.env import EnvConfig, LauncherConfig, SampledTrajectory, launch
 from ttreturn.errors import MissedBall, NoCrossing, OutOfReach
 
 
-def forward_kinematics(geom, theta1, theta2, theta3):
-    """Racket center position for the given joint angles."""
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    u_r = np.array([cos(ref + theta1), sin(ref + theta1), 0.0])
-    radial = geom.l1 * cos(theta2) + geom.l2 * cos(theta2 + theta3)
-    height = geom.l1 * sin(theta2) + geom.l2 * sin(theta2 + theta3)
-    return geom.base + radial * u_r + np.array([0.0, 0.0, height])
-
-
 def straight_trajectory(p0, v, n=200, dt=0.002):
     """Constant-velocity sampled trajectory."""
     times = np.arange(n) * dt
     v = np.asarray(v, dtype=float)
     pos = np.asarray(p0, dtype=float) + times[:, None] * v
-    return SampledTrajectory(times=times, rows=np.hstack([pos, np.tile(v, (n, 1))]).ravel().tolist())
+    return SampledTrajectory(np.hstack([pos, np.tile(v, (n, 1))]).ravel().tolist())
 
 
-def polyline_trajectory(corners, per_leg=50, z=0.9, dt=0.002):
+def polyline_trajectory(corners, per_leg=50, z=0.9):
     """Horizontal path through the given (x, y) corners at height z."""
     pts = [np.linspace(a, b, per_leg, endpoint=False) for a, b in zip(corners, corners[1:])]
     xy = np.vstack(pts + [np.array(corners[-1:], dtype=float)])
     rows = np.column_stack([xy, np.full(len(xy), z), np.zeros((len(xy), 3))])
-    return SampledTrajectory(times=np.arange(len(xy)) * dt, rows=rows.ravel().tolist())
+    return SampledTrajectory(rows.ravel().tolist())
 
 
 def reference_event(traj, geom, theta1):
     """Test-local whole-trajectory mask scan: the base azimuth of every sample,
     then the first pair that is no wrap jump and starts on, ends on or
-    straddles theta1. Returns (t_ic, xi, theta2, theta3)."""
-    times = traj.times
+    straddles theta1. Returns the interpolated pre-impact state."""
     states = np.array(traj.rows).reshape(-1, 6)
     d = states[:, :3] - geom.base
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    az = np.mod(np.arctan2(d[:, 1], d[:, 0]) - ref + pi, 2.0 * pi) - pi
+    az = np.mod(np.arctan2(d[:, 1], d[:, 0]) - REST_AZIMUTH + pi, 2.0 * pi) - pi
     rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
     a, b = rel[:-1], rel[1:]
     hit = ~(np.abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0))
@@ -61,17 +51,11 @@ def reference_event(traj, geom, theta1):
         raise NoCrossing("reference")
     idx = int(hit.argmax())
     u = 0.0 if a[idx] == 0.0 else a[idx] / (a[idx] - b[idx])
-    t_ic = times[idx] + u * (times[idx + 1] - times[idx])
     xi = states[idx] + u * (states[idx + 1] - states[idx])
-    p = xi[:3]
-    dist = float(np.linalg.norm(p - geom.base))
+    dist = float(np.linalg.norm(xi[:3] - geom.base))
     if not (abs(geom.l1 - geom.l2) + 0.01 <= dist <= geom.l1 + geom.l2 - 0.01):
         raise OutOfReach("reference")
-    dp = p - geom.base
-    c3 = min(1.0, max(-1.0, (dist**2 - geom.l1**2 - geom.l2**2) / (2.0 * geom.l1 * geom.l2)))
-    gamma = np.arccos(c3)
-    theta2 = atan2(dp[2], np.hypot(dp[0], dp[1])) + atan2(geom.l2 * sin(gamma), geom.l1 + geom.l2 * c3)
-    return t_ic, xi, theta2, -gamma
+    return xi
 
 
 def outcome_matches_reference(traj, geom, theta1):
@@ -83,10 +67,7 @@ def outcome_matches_reference(traj, geom, theta1):
             interception_event(traj, geom, theta1)
         return type(exc)
     ev = interception_event(traj, geom, theta1)
-    t_ic, xi, theta2, theta3 = ref
-    assert abs(ev.t_ic - t_ic) <= 1e-12
-    np.testing.assert_allclose(ev.xi_minus, xi, rtol=0, atol=1e-12)
-    assert abs(ev.theta2 - theta2) <= 1e-12 and abs(ev.theta3 - theta3) <= 1e-12
+    np.testing.assert_allclose(ev.xi_minus, ref, rtol=0, atol=1e-12)
     return None
 
 
@@ -116,11 +97,11 @@ class TestInterceptionOracle:
         assert traj.rows[18:20] == [0.0, 0.6]
         assert outcome_matches_reference(traj, geom, 0.0) is None
         ev = interception_event(traj, geom, 0.0)
-        assert ev.t_ic == pytest.approx(traj.times[3], abs=1e-15)
+        np.testing.assert_array_equal(ev.xi_minus, traj.rows[18:24])
         np.testing.assert_array_equal(ev.xi_minus[:3], [0.0, 0.6, 0.9])
         # starting on the azimuth intercepts at the first sample
-        ev = interception_event(polyline_trajectory([(0.0, 0.6), (-0.3, 0.6)]), geom, 0.0)
-        assert ev.t_ic == 0.0
+        start = polyline_trajectory([(0.0, 0.6), (-0.3, 0.6)])
+        np.testing.assert_array_equal(interception_event(start, geom, 0.0).xi_minus, start.rows[:6])
 
     def test_wrap_jump_is_no_crossing(self):
         # crossing the opposite ray (-y) flips the azimuth from +pi to -pi;
@@ -196,36 +177,34 @@ class TestInterceptionStatesOracle:
 class TestInterceptionEvent:
     def test_straight_path_crossing_time(self):
         # ball flying along -y at a fixed x offset sweeps the azimuth toward
-        # -pi/2; the crossing point and time have a closed form
+        # -pi/2; the crossing point and time have a closed form, and at constant
+        # velocity the time is where the interpolated state lies on the path
         geom = ArmGeometry()
         theta1 = -0.8
         traj = straight_trajectory([0.5, 2.0, 1.0], [0.0, -2.0, 0.0], n=600)
         ev = interception_event(traj, geom, theta1)
         y_star = 0.5 * np.tan(theta1 + pi / 2)
         t_star = (2.0 - y_star) / 2.0
-        assert ev.t_ic == pytest.approx(t_star, abs=1e-3)
+        assert (2.0 - ev.xi_minus[1]) / 2.0 == pytest.approx(t_star, abs=1e-3)
         assert ev.xi_minus[1] == pytest.approx(y_star, abs=2e-3)
+        np.testing.assert_array_equal(ev.xi_minus[[0, 2, 3, 4, 5]], [0.5, 1.0, 0.0, -2.0, 0.0])
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
         # a SampledTrajectory caches its sample positions, which do not depend
         # on the geometry; every event must equal the one from a fresh trajectory
-        traj = SampledTrajectory(times=nominal_traj.times, rows=nominal_traj.rows)
+        traj = SampledTrajectory(nominal_traj.rows)
 
         def uncached(g):
-            fresh = SampledTrajectory(times=nominal_traj.times, rows=nominal_traj.rows)
-            return interception_event(fresh, g, 0.45)
+            return interception_event(SampledTrajectory(nominal_traj.rows), g, 0.45).xi_minus
 
         geom = ArmGeometry()
         shifted = ArmGeometry(base=np.array([0.05, -0.05, 0.8]))
         for g in (geom, shifted, geom):
-            ev = interception_event(traj, g, 0.45)
-            ref = uncached(g)
-            assert ev.t_ic == ref.t_ic
-            np.testing.assert_array_equal(ev.xi_minus, ref.xi_minus)
+            np.testing.assert_array_equal(interception_event(traj, g, 0.45).xi_minus, uncached(g))
         geom.base[0] += 0.05  # an in-place change of the same object
-        ev = interception_event(traj, geom, 0.45)
-        assert ev.t_ic == uncached(geom).t_ic
-        assert ev.t_ic != uncached(ArmGeometry()).t_ic
+        xi = interception_event(traj, geom, 0.45).xi_minus
+        np.testing.assert_array_equal(xi, uncached(geom))
+        assert not np.array_equal(xi, uncached(ArmGeometry()))
 
     def test_interpolated_crossing(self, nominal_traj, env_cfg):
         geom = env_cfg.geom
@@ -235,21 +214,22 @@ class TestInterceptionEvent:
         # azimuth is nonlinear in position, so linear state interpolation
         # leaves a small residual at the crossing
         assert az == pytest.approx(theta1, abs=1e-4)
-        # dense re-sampling reference for the crossing time
-        times = nominal_traj.times
+        # dense re-sampling reference for the crossing state
         states = np.array(nominal_traj.rows).reshape(-1, 6)
         azs = base_azimuth(states[:, 0], states[:, 1], geom) - theta1
         idx = np.nonzero((azs[:-1] <= 0) & (azs[1:] > 0))[0][0]
         u = -azs[idx] / (azs[idx + 1] - azs[idx])
-        t_ref = times[idx] + u * (times[idx + 1] - times[idx])
-        assert ev.t_ic == pytest.approx(t_ref, abs=1e-4)
+        xi_ref = states[idx] + u * (states[idx + 1] - states[idx])
+        np.testing.assert_allclose(ev.xi_minus, xi_ref, rtol=0, atol=1e-9)
 
     def test_monotone_in_theta1(self, nominal_traj, env_cfg):
-        t_ics = [
-            interception_event(nominal_traj, env_cfg.geom, t1).t_ic
+        # the ball flies toward -y throughout, so a later crossing lies at a smaller y
+        ys = [
+            interception_event(nominal_traj, env_cfg.geom, t1).xi_minus[1]
             for t1 in (0.30, 0.40, 0.50, 0.60, 0.70)
         ]
-        assert all(a < b for a, b in zip(t_ics, t_ics[1:]))
+        assert all(a > b for a, b in zip(ys, ys[1:]))
+        assert np.all(np.array(nominal_traj.rows[4::6]) < 0.0)
 
     def test_no_crossing(self, nominal_traj, env_cfg):
         with pytest.raises(NoCrossing):
@@ -260,17 +240,6 @@ class TestInterceptionEvent:
         traj = straight_trajectory([0.0, 3.0, 1.0], [0.0, -0.1, 0.0], n=10)
         with pytest.raises(OutOfReach):
             interception_event(traj, geom, 0.0)
-
-    def test_full_extension_straightens_elbow(self):
-        geom = ArmGeometry()
-        dist = geom.l1 + geom.l2 - 0.01  # exactly at the allowed reach boundary
-        traj = straight_trajectory([dist, 2.0, geom.base[2]], [0.0, -2.0, 0.0], n=550)
-        ev = interception_event(traj, geom, -pi / 2)
-        assert abs(ev.theta3) < 0.3
-        # closer to the boundary than any interior reach value
-        traj_mid = straight_trajectory([0.7, 2.0, geom.base[2]], [0.0, -2.0, 0.0], n=550)
-        ev_mid = interception_event(traj_mid, geom, -pi / 2)
-        assert abs(ev.theta3) < abs(ev_mid.theta3)
 
     def test_theta1_tangent_of_the_crossing(self, nominal_traj, env_cfg):
         # within one crossing pair xi_minus is linear in theta1: dxi_dtheta1 is
@@ -283,19 +252,6 @@ class TestInterceptionEvent:
             assert len(ev.dxi_dtheta1) == 6 and all(type(d) is float for d in ev.dxi_dtheta1)
             np.testing.assert_allclose(ev.dxi_dtheta1, (hi.xi_minus - lo.xi_minus) / (2 * h), rtol=0, atol=1e-7)
 
-    def test_ik_residual(self, nominal_traj, env_cfg):
-        geom = env_cfg.geom
-        for t1 in (0.30, 0.45, 0.60, 0.70):
-            ev = interception_event(nominal_traj, geom, t1)
-            pos = forward_kinematics(geom, t1, ev.theta2, ev.theta3)
-            # radial distance and height are solved exactly; the azimuth of
-            # the interpolated crossing carries a tiny interpolation residual
-            d_fk = pos - geom.base
-            d_ev = ev.xi_minus[:3] - geom.base
-            assert np.hypot(*d_fk[:2]) == pytest.approx(np.hypot(*d_ev[:2]), abs=1e-9)
-            assert d_fk[2] == pytest.approx(d_ev[2], abs=1e-9)
-            assert np.linalg.norm(pos - ev.xi_minus[:3]) < 1e-4
-
 
 class TestRacketRotation:
     def test_rest_configuration(self):
@@ -304,6 +260,16 @@ class TestRacketRotation:
     def test_quarter_turn(self):
         g = racket_rotation(InterceptionPolicy(pi / 2, 0.0))
         np.testing.assert_allclose(g @ np.array([0.0, 1.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("theta1", [-3.0, -2.0, -0.5, 0.0, 0.26, 0.45, 0.72, pi / 2, 2.5])
+    def test_normal_points_along_base_azimuth(self, theta1):
+        # the impact model's racket normal is +y at rest; base azimuths are measured
+        # from REST_AZIMUTH, so the yawed normal points along the azimuth theta1
+        normal = racket_rotation(InterceptionPolicy(theta1, 0.0)) @ np.array([0.0, 1.0, 0.0])
+        np.testing.assert_allclose(normal, [cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1), 0.0],
+                                   rtol=0, atol=1e-15)
+        assert base_azimuth(normal[0], normal[1], ArmGeometry(base=np.zeros(3))) == pytest.approx(
+            (theta1 + pi) % (2 * pi) - pi, abs=1e-12)
 
     def test_proper_rotation(self):
         rng = np.random.default_rng(7)

@@ -239,6 +239,24 @@ def test_flight_error_in_gradient_exits_three(tmp_path, capsys, monkeypatch, err
     assert f"error: {error.__name__}: injected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coupled,code", [(False, 0), (True, 3)], ids=["frozen", "coupled"])
+def test_crossing_pair_with_equal_azimuths_has_no_coupled_gradient(tmp_path, capsys, coupled, code):
+    # the launch runs along the phi1 ray through the base: the crossing pair's two
+    # azimuths differ by less than half an ulp of pi, so the pair has no event tangent;
+    # the frozen run goes on, and the coupled one stops with a typed error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "nominal_state": [-1.4997491471980289, 0.5722922766339329, 1.1, 10.110324594200835, -3.85801898293011,
+                          -0.682025675489454],
+        "jitter_std": [0.0] * 6, "box_theta1": [-2.5, 0.5], "phi1": [-1.9353337228680267, 0.0],
+        "couple_geometry": coupled,
+    }))
+    assert main(["run", "--config", str(cfg), "--iters", "1", "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: SingularGradient: ") if coupled else err == ""
+
+
 def test_non_finite_alpha1_exits_one(tmp_path, capsys):
     code = main(["run", "--alpha1", "nan", "--iters", "1", "--out", str(tmp_path / "o")])
     assert code == 1

@@ -15,7 +15,7 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 import ttreturn.env
-from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event
+from ttreturn.arm import REST_AZIMUTH, ArmGeometry, InterceptionPolicy, interception_event
 from ttreturn.ballistics import FlightParams, euler_flight
 from ttreturn.env import (
     CONTACT,
@@ -57,7 +57,6 @@ class TestLaunch:
     def test_deterministic_given_seed(self, env_cfg):
         a = launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(3))
         b = launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(3))
-        assert np.array_equal(a.times, b.times)
         assert a.rows == b.rows
 
     def test_zero_jitter_starts_at_nominal(self, noiseless_env_cfg):
@@ -69,9 +68,10 @@ class TestLaunch:
         )
 
     def test_uniform_sample_spacing(self, env_cfg):
-        traj = launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(1))
+        # consecutive samples are one Euler step of sample_dt apart
+        s = states(launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(1)))
         np.testing.assert_allclose(
-            np.diff(traj.times), env_cfg.launcher.sample_dt, atol=1e-12
+            s[1:, :3], s[:-1, :3] + env_cfg.launcher.sample_dt * s[:-1, 3:], rtol=0, atol=1e-12
         )
 
     def test_jitter_spreads_initial_state(self, env_cfg):
@@ -126,14 +126,13 @@ class TestLaunchOracle:
             traj = launch(cfg, flight, np.random.default_rng(seed))
             times, ref = reference_launch(cfg, flight, np.random.default_rng(seed))
             assert len(traj) == len(times)
-            assert np.array_equal(traj.times, times)
             assert np.max(np.abs(states(traj) - ref)) <= 1e-12
         last = states(traj)[-1]
         reached = {
             "y_stop": last[1] <= -1.2,
             "table": last[2] <= flight.z_table and on_table(last),
             "floor": last[2] <= 0.0,
-            "t_max": traj.times[-1] >= 3.0,
+            "t_max": times[-1] >= 3.0,
         }
         assert [name for name, hit in reached.items() if hit] == [stop]
 
@@ -144,7 +143,7 @@ def event_or_error(traj, geom, theta1):
         e = interception_event(traj, geom, theta1)
     except Exception as exc:  # the aimed and the full launch must fail alike, whatever the failure
         return type(exc)
-    return e.t_ic, e.xi_minus.tolist(), e.theta2, e.theta3, e.dxi_dtheta1
+    return e.xi_minus.tolist(), e.dxi_dtheta1
 
 
 def aimed_and_full(cfg, flight, geom, theta1, seed=0):
@@ -155,8 +154,7 @@ def aimed_and_full(cfg, flight, geom, theta1, seed=0):
 
 def ray_direction(geom, theta1):
     """Horizontal unit vector of the base azimuth theta1."""
-    ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-    return np.array([cos(ref + theta1), sin(ref + theta1)])
+    return np.array([cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)])
 
 
 # across the box and beyond: negative, near +-pi/2, and rays opposite the ball (|theta1| > pi/2)
@@ -173,7 +171,6 @@ class TestAimedLaunch:
         for seed, t1 in cases:
             aimed, full = aimed_and_full(env_cfg.launcher, flight, geom, t1, seed)
             assert aimed.rows == full.rows[: len(aimed.rows)]
-            assert np.array_equal(aimed.times, full.times[: len(aimed)])
             got = event_or_error(aimed, geom, t1)
             assert got == event_or_error(full, geom, t1)
             kinds.add(got if isinstance(got, type) else "event")
@@ -200,15 +197,8 @@ class TestAimedLaunch:
     def test_upward_start_flies_the_full_path(self, env_cfg, nominal):
         cfg = LauncherConfig(nominal_state=np.array(nominal))
         for t1 in THETA1_GRID:
-            assert stop_past(list(nominal), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+            assert stop_past(list(nominal), cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
             aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
-            assert aimed.rows == full.rows
-
-    @pytest.mark.parametrize("gravity", [(0.0, -0.3, -9.8), (0.2, 0.0, -9.8)], ids=["gy", "gx"])
-    def test_horizontal_gravity_flies_the_full_path(self, env_cfg, gravity):
-        flight = FlightParams(k_drag=env_cfg.truth_flight.k_drag, gravity=np.array(gravity), dt=env_cfg.truth_flight.dt)
-        for t1 in (0.26, 0.45, 0.72):
-            aimed, full = aimed_and_full(env_cfg.launcher, flight, env_cfg.geom, t1, seed=5)
             assert aimed.rows == full.rows
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["toward_base", "away_from_base"])
@@ -216,7 +206,7 @@ class TestAimedLaunch:
         geom, t1 = env_cfg.geom, 0.45
         vx, vy = sign * 8.3 * ray_direction(geom, t1)
         cfg = LauncherConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
-        assert stop_past(cfg.nominal_state.tolist(), env_cfg.truth_flight, cfg.sample_dt, geom, t1) == CONTACT[4]
+        assert stop_past(cfg.nominal_state.tolist(), cfg.sample_dt, geom, t1) == CONTACT[4]
         aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, geom, t1)
         assert aimed.rows == full.rows
 
@@ -241,7 +231,7 @@ class TestAimedLaunch:
                                             ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
     def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
         cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
-        assert stop_past(list(nominal), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+        assert stop_past(list(nominal), cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
         aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
         assert aimed.rows == full.rows
 
@@ -249,7 +239,7 @@ class TestAimedLaunch:
         # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
         # theta1 ray from the origin is at y = 0.15 / tan(theta1)
         cfg, t1 = env_cfg.launcher, 0.45
-        y_stop = stop_past(cfg.nominal_state.tolist(), env_cfg.truth_flight, cfg.sample_dt, env_cfg.geom, t1)
+        y_stop = stop_past(cfg.nominal_state.tolist(), cfg.sample_dt, env_cfg.geom, t1)
         assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * cfg.sample_dt * 8.3 - 1e-3, abs=1e-12)
 
 
@@ -270,8 +260,7 @@ def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode
     if mode != "free" and np.hypot(vx, vy) > 0.0:
         heading = np.array([vx, vy]) / np.hypot(vx, vy)
         start[:2] = geom.base[:2] - dist * heading
-        ref = atan2(geom.rest_normal[1], geom.rest_normal[0])
-        t1 = atan2(heading[1], heading[0]) - ref + tilt + (pi if mode == "against" else 0.0)
+        t1 = atan2(heading[1], heading[0]) - REST_AZIMUTH + tilt + (pi if mode == "against" else 0.0)
         t1 = (t1 + pi) % (2 * pi) - pi
     cfg = LauncherConfig(nominal_state=start, jitter_std=np.zeros(6))
     aimed, full = aimed_and_full(cfg, flight, geom, t1)
@@ -286,7 +275,7 @@ class TestIntercept:
         r2, d2 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
         assert np.array_equal(r1, r2)
         assert np.array_equal(r1, d1.noiseless_landing)
-        assert d1.event.t_ic == d2.event.t_ic
+        assert np.array_equal(d1.event.xi_minus, d2.event.xi_minus)
 
     def test_noise_is_additive_with_stated_scale(self, env_cfg):
         cfg = copy.deepcopy(env_cfg)

@@ -47,7 +47,7 @@ def test_vertical_return_lands_below_interception():
                    0.95 - 1.0 * times, np.zeros_like(times),
                    np.zeros_like(times), np.zeros_like(times) - 1.0], axis=1)]
     )[0]
-    traj = SampledTrajectory(times=times, rows=states.ravel().tolist())
+    traj = SampledTrajectory(states.ravel().tolist())
     params = GreyboxParams(geom=geom)
     phi = InterceptionPolicy(0.0, 0.0)
     event = interception_event(traj, geom, 0.0)
@@ -134,7 +134,7 @@ def test_prediction_independent_of_sampling_density(nominal_traj, greybox_params
     # thinning the same trajectory must barely move the prediction, since the
     # crossing is interpolated between samples
     states = np.array(nominal_traj.rows).reshape(-1, 6)
-    thin = SampledTrajectory(times=nominal_traj.times[::2], rows=states[::2].ravel().tolist())
+    thin = SampledTrajectory(states[::2].ravel().tolist())
     for t1, t4 in ((0.35, 0.1), (0.55, 0.3)):
         a = predict_landing(InterceptionPolicy(t1, t4), nominal_traj, greybox_params)
         b = predict_landing(InterceptionPolicy(t1, t4), thin, greybox_params)
@@ -215,7 +215,7 @@ def test_degenerate_crossing_pair_has_no_coupled_gradient():
     times = np.arange(n) * 0.002
     z, o = np.zeros(n), np.ones(n)
     rows = np.column_stack([z, 0.8 - 0.5 * times, 0.8 * o, z, -0.5 * o, z])
-    traj = SampledTrajectory(times=times, rows=rows.ravel().tolist())
+    traj = SampledTrajectory(rows.ravel().tolist())
     phi = InterceptionPolicy(0.0, 0.2)
     event = interception_event(traj, geom, phi.theta1)
     assert event.dxi_dtheta1 is None

@@ -79,7 +79,7 @@ class TestRacketImpact:
         geom, params = ArmGeometry(), ImpactParams(restitution=np.array([0.72, -0.78, 0.72]))
         out = racket_impacts(xi, theta1, theta4, geom, params)
         for row, x, t1, t4 in zip(out, xi, theta1.tolist(), theta4.tolist()):
-            event = InterceptionEvent(0.0, x, 0.0, 0.0)
+            event = InterceptionEvent(x)
             gamma = racket_rotation(InterceptionPolicy(t1, t4))
             ref = racket_impact(event.xi_minus, gamma, racket_velocity(event, geom), params)
             np.testing.assert_array_equal(row, ref)
