@@ -11,7 +11,7 @@ from .arm import ArmGeometry, InterceptionEvent, InterceptionPolicy, base_azimut
 from .ballistics import (
     FlightParams,
     LandingRecord,
-    free_flight_step_jacobians,
+    final_step,
     landing_state_jacobian,
     propagate_to_landing,
     remaining_time,

@@ -2,11 +2,12 @@
 
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
-shortened accordingly. One scalar kernel, `euler_flight`, takes every step
-of the package but those of grey-box dataset labels, which `euler_landings`
-flies in lockstep on arrays. Analytic Jacobians of the whole flight push a
-tangent through the steps as the flight takes them, plus a correction for
-the shortened last step; no per-step state is stored.
+shortened accordingly. One scalar kernel, `euler_flight`, takes every full
+step of the package but those of grey-box dataset labels, which
+`euler_landings` flies in lockstep on arrays; every flight ends in the one
+closed-form last step, `final_step`. The analytic Jacobian of the landing
+point pushes a tangent through the full steps as the flight takes them, then
+differentiates the last step's position rows; no per-step state is stored.
 """
 
 from __future__ import annotations
@@ -177,23 +178,6 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     return stops, steps
 
 
-def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobians of one Euler step of length dt of the 6-state xi: (d(next)/d(state), d(next)/d(step length))."""
-    v = xi[3:]
-    speed = float(np.linalg.norm(v))
-    J = np.eye(6)
-    J[0:3, 3:6] = dt * np.eye(3)
-    if speed > 0.0:
-        drag_jac = speed * np.eye(3) + np.outer(v, v) / speed
-    else:
-        # quadratic drag is differentiable at v = 0 with derivative 0
-        drag_jac = np.zeros((3, 3))
-    J[3:6, 3:6] = np.eye(3) - dt * params.k_drag * drag_jac
-    acc = -params.k_drag * speed * v + (0.0, 0.0, -G_VERTICAL)
-    J_dt = np.concatenate([v, acc])
-    return J, J_dt
-
-
 def remaining_time(xi: np.ndarray, z_table: float) -> float:
     """Drag-free prediction of the time until the ball reaches the table plane."""
     vz = float(xi[5])
@@ -226,76 +210,50 @@ def propagate_to_landing(
     """Propagate a post-impact state until the ball reaches the table plane.
 
     Full steps of params.dt are taken while the predicted remaining time
-    exceeds dt; the last step uses the (shortened) remaining time. Because the
-    remaining-time prediction neglects drag, the final state misses the plane
-    by a sub-millimeter residual; the landing point is linearly interpolated
-    onto the plane along the last step. A ball that cannot reach the plane
-    raises NegativeDiscriminant from the state the flight stopped at.
+    exceeds dt; the last step (final_step) uses the (shortened) remaining time.
+    Its Euler position update misses the plane by a sub-millimeter residual,
+    so the landing point is linearly interpolated onto the plane along the
+    last step. A ball that cannot reach the plane raises NegativeDiscriminant
+    from the state the flight stopped at.
     A 6x2 `tangent` is pushed through the full steps (landing_state_jacobian).
     """
     xi = np.asarray(xi_plus, dtype=float).tolist()
     stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
     t_last, landing = final_step(stop, params)
-    return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing[:2].copy(), stop=np.array(stop),
-                         tangent=pushed)
+    return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing, stop=np.array(stop), tangent=pushed)
 
 
 def final_step(stop, params: FlightParams) -> tuple[float, np.ndarray]:
-    """Length t_last of the shortened last step from the stop state, and the landing
-    6-state interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
-    start = np.array(stop, dtype=float)
-    t_last = remaining_time(start, params.z_table)
-
-    # shortened final step (drag-affected, so it lands near but not on the plane)
-    raw = np.array(euler_flight(stop, params, t_last, 1)[0])
-
-    dz = raw[2] - start[2]
-    frac = (params.z_table - start[2]) / dz if dz != 0.0 else 1.0
-    landing = start + frac * (raw - start)
-    landing[2] = params.z_table
-    return t_last, landing
-
-
-def final_steps(stops: np.ndarray, params: FlightParams) -> tuple[np.ndarray, np.ndarray]:
-    """final_step's arithmetic on (B, 6) stop states: the (B, 2) landing points and the
-    (B,) discriminants; a row whose discriminant is negative has no landing point."""
-    px, py, pz, vx, vy, vz = stops.T
-    # float_power is libm's pow, as Python's ** on floats (x * x differs in the last bit)
-    disc = np.float_power(vz / G_VERTICAL, 2) + 2.0 * (pz - params.z_table) / G_VERTICAL
-    with np.errstate(all="ignore"):
-        t_last = np.maximum(vz / G_VERTICAL + np.sqrt(disc), 0.0)
-        dz = (pz + t_last * vz) - pz
-        frac = np.where(dz != 0.0, (params.z_table - pz) / dz, 1.0)
-        return np.column_stack([p + frac * ((p + t_last * v) - p) for p, v in ((px, vx), (py, vy))]), disc
+    """The shortened last step from the stop state, in closed form: its length t_last
+    and the (2,) landing point, where the step's position update p + t_last v is
+    interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
+    px, py, pz, vx, vy, vz = stop
+    t_last = remaining_time(stop, params.z_table)
+    # Euler's position update leaves out the g t_last^2 / 2 drop that t_last solves for
+    dz = (pz + t_last * vz) - pz
+    frac = (params.z_table - pz) / dz if dz != 0.0 else 1.0
+    return t_last, np.array((px + frac * ((px + t_last * vx) - px), py + frac * ((py + t_last * vy) - py)))
 
 
 def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
-    """Sensitivity of the landing state to the post-impact state, applied to
-    the 6x2 tangent given to propagate_to_landing (column pairs of the
-    identity give the 6x6 Jacobian two columns at a time).
+    """Sensitivity of the landing point to the post-impact state, applied to
+    the 6x2 tangent given to propagate_to_landing: the 2x2 landing-point
+    Jacobian (column pairs of the identity give the 2x6 one two columns at a time).
 
-    The flight pushed the tangent through the full steps. This corrects the
-    last, shortened step for the state dependence of its step length, and
-    differentiates the interpolation onto the plane (its z row is pinned, so
-    the exact row is zero and the x/y rows pick up an O(k_drag dt) term that
-    finite differences of the landing state do see).
+    The flight pushed the tangent through the full steps. The last step's
+    position rows, with the state dependence of its length t_last, are
+    [I | t_last I] + v (dt_last/dxi); this differentiates them and the
+    interpolation onto the plane (its fraction follows the z row).
     """
     if record.tangent is None:
         raise ValueError("record carries no tangent: pass one to propagate_to_landing")
-    start = record.stop
-    A, b = free_flight_step_jacobians(start, params, record.t_last)
-    c = remaining_time_gradient(start, params.z_table)
-    j_q = A + np.outer(b, c)
-
-    raw = np.array(euler_flight(start.tolist(), params, record.t_last, 1)[0])
-    delta = raw - start
-    w = raw[2] - start[2]
+    start, t = record.stop, record.t_last
+    j_q = np.hstack((np.eye(3), t * np.eye(3))) + np.outer(start[3:], remaining_time_gradient(start, params.z_table))
+    delta = (start[:3] + t * start[3:]) - start[:3]
+    w = delta[2]
     if w == 0.0:
-        return j_q @ record.tangent
+        return j_q[:2] @ record.tangent
     u = params.z_table - start[2]
     s = u / w
-    e_z = np.zeros(6)
-    e_z[2] = 1.0
-    ds_dxi = ((u - w) * e_z - u * j_q[2, :]) / w**2
-    j_land = s * j_q + (1.0 - s) * np.eye(6) + np.outer(delta, ds_dxi)
-    return j_land @ record.tangent
+    ds_dxi = ((u - w) * np.eye(6)[2] - u * j_q[2]) / w**2
+    return (s * j_q[:2] + (1.0 - s) * np.eye(2, 6) + np.outer(delta[:2], ds_dxi)) @ record.tangent

@@ -13,7 +13,7 @@ import numpy as np
 
 from .arm import (ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, interception_states,
                   racket_rotation, racket_velocity)
-from .ballistics import (FlightParams, LandingRecord, euler_landings, final_steps, landing_state_jacobian,
+from .ballistics import (FlightParams, LandingRecord, euler_landings, final_step, landing_state_jacobian,
                          propagate_to_landing)
 from .errors import MaxStepsExceeded, NegativeDiscriminant
 from .impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
@@ -37,17 +37,19 @@ def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) ->
 
 def predict_landings(phis: list[InterceptionPolicy], incoming, params: GreyboxParams) -> list:
     """predict_landing of each policy, or the SimulationError it raised, as array code on the
-    block: interception_states, racket_impacts, lockstep flights (euler_landings), final_steps."""
+    block: interception_states, racket_impacts and lockstep flights (euler_landings), then
+    each row's final_step."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
     xi, outcomes = interception_states(incoming, params.geom, theta1)
     hit = np.array([o is None for o in outcomes], dtype=bool)
     starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], params.geom, params.impact)
     stops, steps = euler_landings(starts, params.flight)
-    landings, discs = final_steps(stops, params.flight)
-    for i, k, disc, landing in zip(np.flatnonzero(hit).tolist(), steps.tolist(), discs.tolist(), landings):
-        outcomes[i] = (MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps") if k < 0 else
-                       NegativeDiscriminant(f"ball cannot reach the table plane: discriminant = {disc:.3e}")
-                       if disc < 0.0 else landing)
+    for i, k, stop in zip(np.flatnonzero(hit).tolist(), steps.tolist(), stops.tolist()):
+        try:
+            outcomes[i] = (final_step(stop, params.flight)[1] if k >= 0 else
+                           MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps"))
+        except NegativeDiscriminant as exc:
+            outcomes[i] = exc
     return outcomes
 
 
@@ -85,7 +87,7 @@ def predict_landing_with_gradient(
     """Flight record at the policy, intercepted at `event`, and the 2x2 Jacobian
     of its landing point by the chain rule, in both modes: the impact Jacobian
     (with the event tangent if params.couple_geometry) pushed through the
-    flight steps, plus the shortened-last-step correction."""
+    flight steps, then through the shortened last step."""
     j_impact = impact_state_jacobian(phi, event, params.geom, params.impact, params.couple_geometry)
     record = frozen_landing_record(phi, event, params, j_impact)
-    return record, landing_state_jacobian(record, params.flight)[:2, :]
+    return record, landing_state_jacobian(record, params.flight)

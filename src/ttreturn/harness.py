@@ -170,7 +170,9 @@ class ExperimentConfig:
         for name, lohi in (("box_theta1", self.box_theta1), ("box_theta4", self.box_theta4)):
             if not lohi[0] < lohi[1]:
                 raise ConfigError(f"{name}: expected (lower, upper) with lower < upper")
-        if not self.feasible_set().contains(InterceptionPolicy(*self.phi1)):
+        # only a run and a targets sweep start from phi1
+        starts_at_phi1 = self.mode == "run" or (self.mode == "sweep" and self.sweep_kind == "targets")
+        if starts_at_phi1 and not self.feasible_set().contains(InterceptionPolicy(*self.phi1)):
             raise ConfigError("phi1: outside the feasible box")
         if self.n_points < 1:
             raise ConfigError("n_points: must be >= 1")

@@ -5,6 +5,14 @@ from math import sqrt
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 from conftest import fine_step_landing
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
@@ -13,8 +21,6 @@ from ttreturn.ballistics import (
     euler_flight,
     euler_landings,
     final_step,
-    final_steps,
-    free_flight_step_jacobians,
     landing_state_jacobian,
     propagate_to_landing,
     remaining_time,
@@ -40,6 +46,57 @@ def state(p, v) -> np.ndarray:
 def step(xi, p: FlightParams, dt: float | None = None) -> np.ndarray:
     """Test-local: one Euler step of the 6-state xi, of length dt (params.dt by default)."""
     return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p, p.dt if dt is None else dt, 1)[0])
+
+
+def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Test-local: Jacobians of one Euler step of length dt of the 6-state xi,
+    (d(next)/d(state), d(next)/d(step length))."""
+    v = xi[3:]
+    speed = float(np.linalg.norm(v))
+    J = np.eye(6)
+    J[0:3, 3:6] = dt * np.eye(3)
+    if speed > 0.0:
+        drag_jac = speed * np.eye(3) + np.outer(v, v) / speed
+    else:
+        # quadratic drag is differentiable at v = 0 with derivative 0
+        drag_jac = np.zeros((3, 3))
+    J[3:6, 3:6] = np.eye(3) - dt * params.k_drag * drag_jac
+    acc = -params.k_drag * speed * v + GRAVITY
+    J_dt = np.concatenate([v, acc])
+    return J, J_dt
+
+
+def one_step_final_step(stop, p: FlightParams) -> tuple[float, np.ndarray]:
+    """Test-local: the last step as a one-step Euler flight of length t_last,
+    its 6-state interpolated onto the plane."""
+    start = np.array(stop, dtype=float)
+    t_last = remaining_time(start, p.z_table)
+    raw = step(start, p, t_last)
+    dz = raw[2] - start[2]
+    frac = (p.z_table - start[2]) / dz if dz != 0.0 else 1.0
+    landing = start + frac * (raw - start)
+    landing[2] = p.z_table
+    return t_last, landing
+
+
+def six_row_landing_jacobian(record: LandingRecord, p: FlightParams) -> np.ndarray:
+    """Test-local: the 6-row landing-state Jacobian applied to the record's
+    tangent, from the full step Jacobians of a re-flown last step."""
+    start = record.stop
+    A, b = free_flight_step_jacobians(start, p, record.t_last)
+    j_q = A + np.outer(b, remaining_time_gradient(start, p.z_table))
+    raw = step(start, p, record.t_last)
+    delta = raw - start
+    w = raw[2] - start[2]
+    if w == 0.0:
+        return j_q @ record.tangent
+    u = p.z_table - start[2]
+    s = u / w
+    e_z = np.zeros(6)
+    e_z[2] = 1.0
+    ds_dxi = ((u - w) * e_z - u * j_q[2, :]) / w**2
+    j_land = s * j_q + (1.0 - s) * np.eye(6) + np.outer(delta, ds_dxi)
+    return j_land @ record.tangent
 
 
 class TestFreeFlightStep:
@@ -145,26 +202,49 @@ class TestRemainingTime:
             remaining_time(xi, 0.76)
 
 
-    def test_final_steps_match_final_step_bit_for_bit(self):
-        # stop states above, at and below the plane, some that cannot reach it,
-        # one with no vertical motion on the plane (dz = 0) and a non-finite one
-        rng = np.random.default_rng(13)
-        n = 300
-        stops = np.column_stack((rng.normal(size=(n, 2)), rng.uniform(0.0, 1.3, n), rng.normal(size=(n, 3)) * 3.0))
-        stops = np.vstack((stops, [[0.1, 0.2, 0.76, 1.0, 1.0, 0.0], [0.0, 0.0, np.nan, 1.0, 0.0, -1.0]]))
-        p = params(k_drag=0.12)
-        landings, discs = final_steps(stops, p)
-        negative = 0
-        for stop, landing, disc in zip(stops.tolist(), landings, discs.tolist()):
-            try:
-                t_last, expected = final_step(stop, p)
-            except NegativeDiscriminant as exc:
-                assert disc < 0.0 and str(exc).endswith(f"discriminant = {disc:.3e}")
-                negative += 1
-                continue
-            assert not disc < 0.0
-            np.testing.assert_array_equal(landing, expected[:2])
-        assert 0 < negative < n
+# stop states of the last step's edge cases: below the plane and falling (t_last = 0,
+# so dz = 0 as well), level above the plane (dz = 0 with t_last > 0), and under the
+# plane with an apex below it (negative discriminant)
+FINAL_STEP_EDGES = {
+    "t_last_zero": (0.1, 0.2, 0.5, 1.0, 1.0, -5.0),
+    "dz_zero": (0.1, 0.2, 1.0, 1.0, -1.0, 0.0),
+    "negative_discriminant": (0.0, 0.0, 0.5, 1.0, 0.0, 0.1),
+}
+
+
+class TestFinalStep:
+    def test_edge_cases_reach_their_branch(self):
+        p = params()
+        assert final_step(FINAL_STEP_EDGES["t_last_zero"], p)[0] == 0.0
+        t_last, landing = final_step(FINAL_STEP_EDGES["dz_zero"], p)
+        assert t_last > 0.0
+        np.testing.assert_allclose(landing, [0.1 + t_last, 0.2 - t_last], rtol=0.0, atol=1e-15)
+        with pytest.raises(NegativeDiscriminant):
+            final_step(FINAL_STEP_EDGES["negative_discriminant"], p)
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 1.6),
+                  st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        st.floats(0.0, 0.3),
+    )
+    @example(FINAL_STEP_EDGES["t_last_zero"], 0.106)
+    @example(FINAL_STEP_EDGES["dz_zero"], 0.106)
+    @example(FINAL_STEP_EDGES["negative_discriminant"], 0.106)
+    def test_matches_one_step_flight_bit_for_bit(self, stop, k_drag):
+        p = params(k_drag=k_drag)
+        try:
+            expected = one_step_final_step(stop, p)
+        except NegativeDiscriminant as exc:
+            with pytest.raises(NegativeDiscriminant) as raised:
+                final_step(stop, p)
+            assert str(raised.value) == str(exc)
+            return
+        t_last, landing = final_step(stop, p)
+        assert t_last == expected[0]
+        assert landing.shape == (2,)
+        np.testing.assert_array_equal(landing, expected[1][:2])
 
 class TestRemainingTimeGradient:
     def test_hand_derived_values(self):
@@ -231,8 +311,7 @@ class TestPropagateToLanding:
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             rec = propagate_to_landing(xi, params())
             _, landing = final_step(rec.stop, params())
-            assert abs(landing[2] - 0.76) <= 1e-9
-            assert np.array_equal(rec.landing_point, landing[:2])
+            assert np.array_equal(rec.landing_point, landing)
             assert rec.k_max * 1e-3 + rec.t_last > 0.0
             # the flight stops once the drag-free remaining time is at most dt
             assert remaining_time(rec.stop, 0.76) == rec.t_last <= 1e-3
@@ -298,7 +377,7 @@ class TestPropagateToLanding:
 
 
 def _landing_fd(xi_vec, p, h=1e-6):
-    fd = np.zeros((6, 6))
+    fd = np.zeros((2, 6))
     k_maxes = set()
     for col in range(6):
         d = np.zeros(6)
@@ -306,7 +385,7 @@ def _landing_fd(xi_vec, p, h=1e-6):
         rec_hi = propagate_to_landing(xi_vec + d, p)
         rec_lo = propagate_to_landing(xi_vec - d, p)
         k_maxes.update((rec_hi.k_max, rec_lo.k_max))
-        fd[:, col] = (final_step(rec_hi.stop, p)[1] - final_step(rec_lo.stop, p)[1]) / (2 * h)
+        fd[:, col] = (rec_hi.landing_point - rec_lo.landing_point) / (2 * h)
     return fd, k_maxes
 
 
@@ -315,7 +394,7 @@ IDENTITY_PAIRS = [np.eye(6)[:, c:c + 2] for c in (0, 2, 4)]
 
 
 def pushed_identity(xi, p):
-    """Test-local: the record of the flight from xi and the 6x6 landing-state
+    """Test-local: the record of the flight from xi and the 2x6 landing-point
     Jacobian, pushed as three 6x2 column pairs of the identity."""
     records = [propagate_to_landing(xi, p, pair) for pair in IDENTITY_PAIRS]
     return records[0], np.hstack([landing_state_jacobian(rec, p) for rec in records])
@@ -349,13 +428,18 @@ class TestLandingStateJacobian:
         assert checked >= 95
         assert boundary_cases <= 5
 
-    def test_velocity_rows_match_fd(self):
-        p = params(dt=1e-3)
-        xi = np.array([-0.5, 0.8, 1.2, -2.5, 3.0, 1.5])
-        rec, jac = pushed_identity(xi, p)
-        fd, k_maxes = _landing_fd(xi, p)
-        assert k_maxes == {rec.k_max}
-        assert np.linalg.norm(jac[3:, :] - fd[3:, :]) / np.linalg.norm(fd[3:, :]) < 1e-4
+    @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
+    def test_matches_six_row_rows_bit_for_bit(self, k_drag, dt):
+        # the closed-form position rows give rows 0-1 of the 6-row landing-state
+        # Jacobian of a re-flown last step, bit for bit
+        rng = np.random.default_rng(14)
+        p = params(k_drag=k_drag, dt=dt)
+        for _ in range(50):
+            xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
+            rec = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
+            jac = landing_state_jacobian(rec, p)
+            assert jac.shape == (2, 2)
+            np.testing.assert_array_equal(jac, six_row_landing_jacobian(rec, p)[:2])
 
 
 def _euler_states(xi, p, n):
@@ -401,7 +485,7 @@ class TestTangentJacobianOracle:
             rec = propagate_to_landing(xi, p, tangent)
             pushed = landing_state_jacobian(rec, p)
             expected = oracle @ tangent
-            assert pushed.shape == (6, 2)
+            assert pushed.shape == (2, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12
 
 

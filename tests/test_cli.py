@@ -276,6 +276,22 @@ def test_negative_noise_override_exits_one(tmp_path, capsys, name, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["gen-data", "--n", "5"], ["grad-check", "--n", "2"], ["baseline-variance", "--trials", "2"],
+     ["sweep", "--kind", "inits", "--iters", "1"]],
+    ids=["gen-data", "grad-check", "baseline-variance", "sweep-inits"],
+)
+def test_phi1_outside_the_box_only_stops_modes_that_start_there(tmp_path, capsys, args):
+    # RUN_START's theta1 (0.66) lies outside this box; only a run or a targets sweep starts at phi1
+    cfg = tmp_path / "box.json"
+    cfg.write_text('{"box_theta1": [0.26, 0.6]}\n')
+    assert main([*args, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    capsys.readouterr()
+    assert main(["run", "--iters", "1", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert "error: phi1: outside the feasible box" in capsys.readouterr().err
+
+
 def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     base = {"n_seeds": 1, "n_iters": 1, "sweep_targets": [[-1.2, 0.6]]}
     cases = [(base, [], SWEEP_START), ({**base, "phi1": [0.5, 0.2]}, [], (0.5, 0.2)),

@@ -471,7 +471,7 @@ class TestGradCheck:
     def test_greybox_infeasible_box_raises(self, tmp_path):
         # no policy in this box intercepts the ball: the sampler's miss rule stops the check
         cfg = ExperimentConfig(mode="grad-check", predictor="greybox", out_dir=str(tmp_path),
-                               n_points=10, box_theta1=(-1.6, -1.2), phi1=(-1.4, 0.2))
+                               n_points=10, box_theta1=(-1.6, -1.2))
 
         def timeout(signum, frame):
             raise AssertionError("grad-check did not stop")
