@@ -8,7 +8,6 @@ parameters, and additive anisotropic landing noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import ceil, cos, hypot, sin
 
 import numpy as np
@@ -60,13 +59,10 @@ class LauncherConfig:
     jitter_std: np.ndarray = field(
         default_factory=lambda: np.array([0.005, 0.005, 0.005, 0.015, 0.025, 0.015])
     )
-    sample_dt: float = 0.002
 
     def __post_init__(self) -> None:
         self.nominal_state = np.asarray(self.nominal_state, dtype=float)
         self.jitter_std = np.asarray(self.jitter_std, dtype=float)
-        if self.sample_dt <= 0:
-            raise ValueError("sample_dt must be > 0")
         if np.any(self.jitter_std < 0):
             raise ValueError("jitter_std must be >= 0")
 
@@ -91,36 +87,28 @@ class EnvConfig:
 
 @dataclass
 class InterceptDiagnostics:
-    """Side information of one interception (noise-free landing included). The
-    `incoming` launch was aimed at the policy's theta1, so it ends shortly after
-    the ball crosses that azimuth."""
+    """Side information of one interception: the noise-free landing and the event."""
 
     noiseless_landing: np.ndarray
     event: InterceptionEvent
-    incoming: SampledTrajectory
 
 
 T_MAX = 3.0  # [s] launch sampling horizon
+SAMPLE_DT = 0.002  # [s] launch integration step, one sample per step
+# launch steps taken while the sample clock, accumulated step by step, reads < T_MAX
+LAUNCH_STEPS = int(np.count_nonzero(np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / SAMPLE_DT) + 1, SAMPLE_DT)]) < T_MAX))
 # table footprint (center, half size), then a y well past the arm workspace [m]
 CONTACT = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), -1.2)
 
 
-@lru_cache
-def sample_clock(sample_dt: float) -> int:
-    """Number of launch steps taken while the sample clock, accumulated step by
-    step, reads < T_MAX."""
-    clock = np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / sample_dt) + 1, sample_dt)])
-    return int(np.count_nonzero(clock < T_MAX))
-
-
-def stop_past(start, dt: float, geom: ArmGeometry, theta1: float) -> float:
+def stop_past(start, geom: ArmGeometry, theta1: float) -> float:
     """y past which a launch from the 6-state `start` has crossed base azimuth theta1.
 
     Gravity is vertical, so each Euler step keeps the direction of the horizontal
     velocity, and the ball stays on the line p0 + s v0. If that line meets the theta1
-    ray (s, r >= 0) at y_c, the first crossing pair lies above y_c + 2 dt vy0 - 1 mm.
-    Otherwise, or if vy0 >= 0 or the path is within 1e-6 rad of parallel to the ray,
-    the stop is CONTACT's y.
+    ray (s, r >= 0) at y_c, the first crossing pair of a launch stepped at SAMPLE_DT
+    lies above y_c + 2 SAMPLE_DT vy0 - 1 mm. Otherwise, or if vy0 >= 0 or the path
+    is within 1e-6 rad of parallel to the ray, the stop is CONTACT's y.
     """
     y_far, (bx, by, _) = CONTACT[4], geom.base.tolist()
     x0, y0, _, vx, vy, _ = start
@@ -132,23 +120,23 @@ def stop_past(start, dt: float, geom: ArmGeometry, theta1: float) -> float:
     s, r = (dx * uy - dy * ux) / det, (dx * vy - dy * vx) / det
     if not (s >= 0.0 and r >= 0.0):
         return y_far
-    return max(y_far, y0 + s * vy + 2.0 * dt * vy - 1e-3)
+    return max(y_far, y0 + s * vy + 2.0 * SAMPLE_DT * vy - 1e-3)
 
 
 def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
            aim: tuple[ArmGeometry, float] | None = None) -> SampledTrajectory:
-    """Launch one ball: jitter the nominal state, integrate, sample densely.
+    """Launch one ball: jitter the nominal state, integrate at SAMPLE_DT, keep every step.
 
     Sampling stops once the ball meets the table, drops to the floor or has
-    passed well behind the workspace, or after T_MAX. With `aim=(geom, theta1)`
-    it also stops shortly after the ball crosses base azimuth theta1
-    (`stop_past`): the samples are a prefix of the unaimed launch's that holds
-    its first crossing pair.
+    passed well behind the workspace, or after LAUNCH_STEPS steps (T_MAX). With
+    `aim=(geom, theta1)` it also stops shortly after the ball crosses base
+    azimuth theta1 (`stop_past`): the samples are a prefix of the unaimed
+    launch's that holds its first crossing pair.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
-    y_stop = CONTACT[4] if aim is None else stop_past(rows, cfg.sample_dt, *aim)
-    euler_flight(rows, flight, cfg.sample_dt, sample_clock(cfg.sample_dt), table=(*CONTACT[:4], y_stop), samples=rows)
+    y_stop = CONTACT[4] if aim is None else stop_past(rows, *aim)
+    euler_flight(rows, flight, SAMPLE_DT, LAUNCH_STEPS, table=(*CONTACT[:4], y_stop), samples=rows)
     return SampledTrajectory(rows)
 
 
@@ -172,7 +160,6 @@ def intercept(
     return r_landing, InterceptDiagnostics(
         noiseless_landing=record.landing_point,
         event=event,
-        incoming=incoming,
     )
 
 

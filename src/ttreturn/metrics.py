@@ -29,7 +29,4 @@ class MetricsState:
             self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
         self._buf[self.count] = r_landing
         self.count += 1
-        return self.current()
-
-    def current(self) -> tuple[np.ndarray, float, float]:
         return running_metrics(self._buf[: self.count], self.target)

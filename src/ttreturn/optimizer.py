@@ -108,36 +108,6 @@ class RunLog:
                 ]
                 f.write(f"{rec.i}," + ",".join(f"{v:.9g}" for v in vals) + "\n")
 
-    @classmethod
-    def from_csv(cls, path) -> "RunLog":
-        log = cls()
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if line.startswith("# seed="):
-                    log.seed = int(line.split("=", 1)[1])
-                elif line.startswith("# config="):
-                    log.config_echo = line.split("=", 1)[1]
-                elif line.startswith("# failures="):
-                    log.n_failures = int(line.split("=", 1)[1])
-                elif not line or line.startswith("#") or line.startswith("iter,"):
-                    continue
-                else:
-                    parts = line.split(",")
-                    log.records.append(
-                        IterationRecord(
-                            i=int(parts[0]),
-                            phi=InterceptionPolicy(float(parts[1]), float(parts[2])),
-                            r_landing=np.array([float(parts[3]), float(parts[4])]),
-                            alpha=float(parts[5]),
-                            loss=float(parts[6]),
-                            eps=float(parts[7]),
-                            sigma=float(parts[8]),
-                            r_bar=np.array([float(parts[9]), float(parts[10])]),
-                        )
-                    )
-        return log
-
 
 def run_online(
     env,

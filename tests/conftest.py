@@ -1,13 +1,15 @@
-"""Shared fixtures and the independent fine-step reference integrator."""
+"""Shared fixtures, the independent fine-step reference integrator and a run-CSV reader."""
 
 import copy
 
 import numpy as np
 import pytest
 
+from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig
 from ttreturn.greybox import GreyboxParams
 from ttreturn.harness import nominal_trajectory
+from ttreturn.optimizer import CSV_HEADER, IterationRecord, RunLog
 
 
 def fine_step_landing(xi_plus: np.ndarray, k_drag: float, z_table: float, dt: float = 1e-5):
@@ -30,6 +32,25 @@ def fine_step_landing(xi_plus: np.ndarray, k_drag: float, z_table: float, dt: fl
             return (prev + s * (cur - prev))[:2]
         prev = cur
     raise AssertionError("reference integration did not land")
+
+
+def read_run_csv(path) -> RunLog:
+    """Parse a run CSV written by RunLog.to_csv back into a RunLog."""
+    provenance, records = {}, []
+    with open(path) as f:
+        for line in f.read().splitlines():
+            if line.startswith("# "):
+                key, value = line[2:].split("=", 1)
+                provenance[key] = value
+            elif line != CSV_HEADER:
+                i, t1, t4, lx, ly, alpha, loss, eps, sigma, bx, by = line.split(",")
+                records.append(IterationRecord(
+                    i=int(i), phi=InterceptionPolicy(float(t1), float(t4)),
+                    r_landing=np.array([float(lx), float(ly)]), alpha=float(alpha), loss=float(loss),
+                    eps=float(eps), sigma=float(sigma), r_bar=np.array([float(bx), float(by)]),
+                ))
+    return RunLog(records, seed=int(provenance["seed"]), config_echo=provenance["config"],
+                  n_failures=int(provenance["failures"]))
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ttreturn
-from conftest import fine_step_landing
+from conftest import fine_step_landing, read_run_csv
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig
 from ttreturn.greybox import GreyboxParams, predict_landing
@@ -30,7 +30,6 @@ from ttreturn.harness import (
     sampling_bounds,
 )
 from ttreturn.impact import racket_impact
-from ttreturn.optimizer import RunLog
 
 
 def report(num: int, name: str, checks: list, detail: str = "") -> None:
@@ -128,7 +127,7 @@ def test_criterion_4_long_run_robustness(tmp_path, surrogate):
                 out_dir=str(tmp_path), model_path=surrogate["model_path"],
             )
             summary = run_experiment(cfg)
-            log = RunLog.from_csv(summary["artifacts"][0])
+            log = read_run_csv(summary["artifacts"][0])
             eps = np.array([r.eps for r in log.records])
             sigma = log.records[-1].sigma
             finals.append(eps[-1])

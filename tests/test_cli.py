@@ -1,16 +1,31 @@
 """Command-line interface: exit codes, JSON summaries, reproducibility."""
 
 import errno
+import io
 import json
+import math
+import pathlib
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 import ttreturn.harness
+from conftest import read_run_csv
+from ttreturn.blackbox import random_model
 from ttreturn.cli import build_parser, config_from_args, main
+from ttreturn.env import LauncherConfig
 from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
-from ttreturn.harness import RUN_START, SWEEP_START
-from ttreturn.optimizer import RunLog
+from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START
 
 
 def test_bad_parameter_exits_one(tmp_path, capsys):
@@ -166,7 +181,7 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
     code = main(["run", "--seed", "1", "--iters", "10", "--out", str(out)])
     assert code == 2
     assert "21 consecutive missed balls at iteration 4" in capsys.readouterr().err
-    log = RunLog.from_csv(out / "run_greybox_seed1.csv")
+    log = read_run_csv(out / "run_greybox_seed1.csv")
     assert [rec.i for rec in log.records] == [1, 2, 3]
     assert log.n_failures == 21
     assert "# failures=21\n" in (out / "run_greybox_seed1.csv").read_text()
@@ -333,3 +348,69 @@ def test_train_without_validation_records_prints_null(tmp_path, capsys):
     code = main(["train-blackbox", "--dataset", str(data), "--epochs", "1", "--out", str(tmp_path / "o")])
     assert code == 0
     assert strict_json(capsys.readouterr().out)["final_val_mse"] is None
+
+
+@pytest.fixture(scope="module")
+def random_model_path(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("model") / "model.json")
+    random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path)
+    return path
+
+
+MODE_ARGS = (("run",), ("grad-check",), ("baseline-variance",), ("gen-data", "--labels", "env"),
+             ("gen-data", "--labels", "greybox"), ("sweep", "--kind", "targets"), ("sweep", "--kind", "inits"))
+
+
+def box_bounds(lo_range, max_width, scenario):
+    """The scenario box's bounds, or drawn ones that may be empty or too small to sample."""
+    drawn = st.tuples(st.floats(*lo_range), st.floats(0.0, max_width)).map(lambda lw: (lw[0], lw[0] + lw[1]))
+    return st.one_of(st.just(scenario), drawn)
+
+
+@st.composite
+def cli_case(draw, model_path):
+    """A mode's arguments and a small config: box, start, target, step, launch and run lengths."""
+    box1 = draw(box_bounds((0.0, 0.7), 0.8, SCENARIO_BOX.theta1_bounds))
+    box4 = draw(box_bounds((-0.3, 0.3), 0.6, SCENARIO_BOX.theta4_bounds))
+    # mostly inside the box, sometimes just outside it
+    u1, u4 = draw(st.floats(-0.1, 1.1)), draw(st.floats(-0.1, 1.1))
+    velocity_jitter = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    cfg = {
+        "seed": draw(st.integers(0, 2**16)),
+        "predictor": draw(st.sampled_from(["greybox", "blackbox"])),
+        "model_path": model_path,
+        "box_theta1": box1,
+        "box_theta4": box4,
+        "phi1": (box1[0] + u1 * (box1[1] - box1[0]), box4[0] + u4 * (box4[1] - box4[0])),
+        "target": (draw(st.floats(-2.0, 0.0)), draw(st.floats(-0.5, 1.5))),
+        "alpha1": draw(st.floats(1e-3, 2.0)),
+        "nominal_state": (LauncherConfig().nominal_state + np.r_[0.0, 0.0, 0.0, velocity_jitter]).tolist(),
+        "jitter_std": draw(st.lists(st.floats(0.0, 0.05), min_size=6, max_size=6)),
+        "couple_geometry": draw(st.booleans()),
+        "n_iters": draw(st.integers(1, 8)),
+        "n_points": draw(st.integers(1, 6)),
+        "n_trials": draw(st.integers(2, 6)),
+        "n_seeds": draw(st.integers(1, 2)),
+        "n_replicates": 1,
+    }
+    return draw(st.sampled_from(MODE_ARGS)), cfg
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_outcome_is_a_documented_exit_code_property(random_model_path, data):
+    # the typed-error contract: no traceback, an exit code of 0-3, strict JSON on
+    # success, and finite policies in every run CSV written, whatever the outcome
+    args, cfg = data.draw(cli_case(random_model_path))
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out_dir = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "o")
+        config.write_text(json.dumps(cfg))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([*args, "--config", str(config), "--out", str(out_dir)])
+        assert code in (0, 1, 2, 3), stderr.getvalue()
+        if code == 0:
+            strict_json(stdout.getvalue())
+        for path in [*out_dir.glob("run_*.csv"), *out_dir.glob("sweep_*_rep*.csv")]:
+            assert all(math.isfinite(r.phi.theta1) and math.isfinite(r.phi.theta4) for r in read_run_csv(path).records)

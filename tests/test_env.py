@@ -20,7 +20,9 @@ from ttreturn.ballistics import FlightParams, euler_flight
 from ttreturn.env import (
     CONTACT,
     EnvConfig,
+    LAUNCH_STEPS,
     LauncherConfig,
+    SAMPLE_DT,
     TABLE_CENTER,
     TABLE_SIZE,
     estimate_variance,
@@ -68,10 +70,10 @@ class TestLaunch:
         )
 
     def test_uniform_sample_spacing(self, env_cfg):
-        # consecutive samples are one Euler step of sample_dt apart
+        # consecutive samples are one Euler step of SAMPLE_DT apart
         s = states(launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(1)))
         np.testing.assert_allclose(
-            s[1:, :3], s[:-1, :3] + env_cfg.launcher.sample_dt * s[:-1, 3:], rtol=0, atol=1e-12
+            s[1:, :3], s[:-1, :3] + SAMPLE_DT * s[:-1, 3:], rtol=0, atol=1e-12
         )
 
     def test_jitter_spreads_initial_state(self, env_cfg):
@@ -99,8 +101,8 @@ def reference_launch(cfg, flight, rng):
     state = cfg.nominal_state + jitter
     times, rows, t = [0.0], [state], 0.0
     while t < 3.0:
-        state = np.array(euler_flight(state.tolist(), flight, cfg.sample_dt, 1)[0])
-        t += cfg.sample_dt
+        state = np.array(euler_flight(state.tolist(), flight, SAMPLE_DT, 1)[0])
+        t += SAMPLE_DT
         times.append(t)
         rows.append(state)
         hit_table = state[2] <= flight.z_table and on_table(state)
@@ -135,6 +137,8 @@ class TestLaunchOracle:
             "t_max": times[-1] >= 3.0,
         }
         assert [name for name, hit in reached.items() if hit] == [stop]
+        # the reference's own accumulated clock checks the step cap
+        assert (len(traj) - 1 == LAUNCH_STEPS) == (stop == "t_max")
 
 
 def event_or_error(traj, geom, theta1):
@@ -197,7 +201,7 @@ class TestAimedLaunch:
     def test_upward_start_flies_the_full_path(self, env_cfg, nominal):
         cfg = LauncherConfig(nominal_state=np.array(nominal))
         for t1 in THETA1_GRID:
-            assert stop_past(list(nominal), cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+            assert stop_past(list(nominal), env_cfg.geom, t1) == CONTACT[4]
             aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
             assert aimed.rows == full.rows
 
@@ -206,7 +210,7 @@ class TestAimedLaunch:
         geom, t1 = env_cfg.geom, 0.45
         vx, vy = sign * 8.3 * ray_direction(geom, t1)
         cfg = LauncherConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
-        assert stop_past(cfg.nominal_state.tolist(), cfg.sample_dt, geom, t1) == CONTACT[4]
+        assert stop_past(cfg.nominal_state.tolist(), geom, t1) == CONTACT[4]
         aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, geom, t1)
         assert aimed.rows == full.rows
 
@@ -231,7 +235,7 @@ class TestAimedLaunch:
                                             ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
     def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
         cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
-        assert stop_past(list(nominal), cfg.sample_dt, env_cfg.geom, t1) == CONTACT[4]
+        assert stop_past(list(nominal), env_cfg.geom, t1) == CONTACT[4]
         aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
         assert aimed.rows == full.rows
 
@@ -239,8 +243,8 @@ class TestAimedLaunch:
         # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
         # theta1 ray from the origin is at y = 0.15 / tan(theta1)
         cfg, t1 = env_cfg.launcher, 0.45
-        y_stop = stop_past(cfg.nominal_state.tolist(), cfg.sample_dt, env_cfg.geom, t1)
-        assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * cfg.sample_dt * 8.3 - 1e-3, abs=1e-12)
+        y_stop = stop_past(cfg.nominal_state.tolist(), env_cfg.geom, t1)
+        assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * SAMPLE_DT * 8.3 - 1e-3, abs=1e-12)
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
@@ -299,8 +303,10 @@ class TestIntercept:
         cfg.truth_flight = FlightParams(k_drag=params.flight.k_drag, dt=cfg.truth_flight.dt)
         cfg.truth_impact = ImpactParams()
         phi = InterceptionPolicy(0.45, 0.2)
-        r, diag = intercept(phi, cfg, np.random.default_rng(0))
-        pred = predict_landing(phi, diag.incoming, params)
+        r, _ = intercept(phi, cfg, np.random.default_rng(0))
+        # the same seed launches the same ball again
+        incoming = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(0), aim=(cfg.geom, phi.theta1))
+        pred = predict_landing(phi, incoming, params)
         assert np.linalg.norm(r - pred) < 5e-3
 
     def test_mismatched_parameters_stay_close(self, noiseless_env_cfg, greybox_params):
@@ -309,8 +315,10 @@ class TestIntercept:
         for t1 in (0.35, 0.50, 0.65):
             for t4 in (0.05, 0.20, 0.35):
                 phi = InterceptionPolicy(t1, t4)
-                r, diag = intercept(phi, noiseless_env_cfg, np.random.default_rng(0))
-                pred = predict_landing(phi, diag.incoming, greybox_params)
+                r, _ = intercept(phi, noiseless_env_cfg, np.random.default_rng(0))
+                incoming = launch(noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight,
+                                  np.random.default_rng(0), aim=(noiseless_env_cfg.geom, t1))
+                pred = predict_landing(phi, incoming, greybox_params)
                 gap = np.linalg.norm(r - pred)
                 assert 0.0 < gap < 0.4
 

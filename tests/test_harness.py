@@ -15,8 +15,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ttreturn.env
 import ttreturn.greybox
 import ttreturn.harness
+from conftest import read_run_csv
 
 try:
     from hypothesis import given, settings
@@ -588,7 +590,7 @@ class TestRunExperiment:
             mode="run", seed=6, out_dir=str(tmp_path / "out"), n_iters=10, alpha1=0.1
         )
         summary = run_experiment(cfg)
-        log = RunLog.from_csv(summary["artifacts"][0])
+        log = read_run_csv(summary["artifacts"][0])
         target = np.asarray(cfg.target)
         pts = np.array([rec.r_landing for rec in log.records])
         for i, rec in enumerate(log.records):
@@ -737,12 +739,17 @@ class TestRunGradients:
         # each iteration's gradient gets the diagnostics the env just returned and
         # differentiates at their event, which a fresh interception of the same
         # ball reproduces; so the Jacobian is the one a second interception gave
-        intercepts, gradients = [], []
-        real_intercept, real_gradient = ttreturn.harness.intercept, ttreturn.harness.predict_landing_with_gradient
+        launches, intercepts, gradients = [], [], []
+        real_launch, real_intercept = ttreturn.env.launch, ttreturn.harness.intercept
+        real_gradient = ttreturn.harness.predict_landing_with_gradient
+
+        def spy_launch(*args, **kwargs):
+            launches.append(real_launch(*args, **kwargs))
+            return launches[-1]
 
         def spy_intercept(phi, cfg, rng):
             r_landing, diag = real_intercept(phi, cfg, rng)
-            intercepts.append((phi, diag))
+            intercepts.append((phi, diag, launches[-1]))
             return r_landing, diag
 
         def spy_gradient(phi, event, params):
@@ -750,14 +757,15 @@ class TestRunGradients:
             gradients.append((phi, event, params, jac))
             return record, jac
 
+        monkeypatch.setattr(ttreturn.env, "launch", spy_launch)
         monkeypatch.setattr(ttreturn.harness, "intercept", spy_intercept)
         monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", spy_gradient)
         run_experiment(ExperimentConfig(mode="run", out_dir=str(tmp_path), n_iters=6, couple_geometry=coupled))
         assert len(intercepts) == len(gradients) == 6
         fresh_params = GreyboxParams(couple_geometry=coupled)
-        for (phi, diag), (grad_phi, event, params, jac) in zip(intercepts, gradients):
+        for (phi, diag, incoming), (grad_phi, event, params, jac) in zip(intercepts, gradients):
             assert grad_phi is phi and event is diag.event and params.couple_geometry is coupled
-            fresh = interception_event(diag.incoming, fresh_params.geom, phi.theta1)
+            fresh = interception_event(incoming, fresh_params.geom, phi.theta1)
             assert fresh.dxi_dtheta1 == event.dxi_dtheta1
             assert np.array_equal(fresh.xi_minus, event.xi_minus)
             assert np.array_equal(real_gradient(phi, fresh, fresh_params)[1], jac)

@@ -62,11 +62,3 @@ class TestMetricsState:
             assert eps == ref[1]
             assert sigma == ref[2]
         assert state.count == 500
-
-    def test_current_without_update(self):
-        state = MetricsState([0.0, 0.0])
-        state.update([2.0, 0.0])
-        r_bar, eps, sigma = state.current()
-        np.testing.assert_array_equal(r_bar, [2.0, 0.0])
-        assert eps == 2.0
-        assert sigma == 0.0
