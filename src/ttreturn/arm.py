@@ -8,7 +8,7 @@ rate at interception time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -21,6 +21,11 @@ SEARCH_CHUNK = 64    # policies per (chunk, samples) array of the block crossing
 # Base azimuth of the racket normal at rest, +y (racket_rotation rotates from it,
 # and the impact model's normal restitution acts along the racket's y axis).
 REST_AZIMUTH = pi / 2  # [rad]
+# The rig: base pivot, reach of the 0.5 m and 0.45 m links (the latter includes the
+# racket offset) less REACH_MARGIN, and the base yaw rate at interception.
+BASE = np.array([0.0, 0.0, 0.8])  # [m]
+REACH = (abs(0.5 - 0.45) + REACH_MARGIN, 0.5 + 0.45 - REACH_MARGIN)  # [m]
+THETA1_DOT = 6.0  # [rad/s]
 
 
 @dataclass
@@ -32,21 +37,6 @@ class InterceptionPolicy:
 
 
 @dataclass
-class ArmGeometry:
-    """Concrete arm realization: base pivot, link lengths, base yaw rate."""
-
-    base: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 0.8]))
-    l1: float = 0.5    # [m]
-    l2: float = 0.45   # [m] includes the racket offset
-    theta1_dot: float = 6.0  # [rad/s] base yaw rate at interception
-
-    def __post_init__(self) -> None:
-        self.base = np.asarray(self.base, dtype=float)
-        if self.l1 <= 0 or self.l2 <= 0:
-            raise ValueError("link lengths must be positive")
-
-
-@dataclass
 class InterceptionEvent:
     """Pre-impact ball state at the crossing, and its slope in theta1."""
 
@@ -54,16 +44,16 @@ class InterceptionEvent:
     dxi_dtheta1: tuple | None = None  # 6 floats d(xi_minus)/d(theta1); None for a degenerate pair
 
 
-def base_azimuth(x, y, geom: ArmGeometry):
+def base_azimuth(x, y):
     """Azimuth of the horizontal position (x, y), scalars or arrays, as seen
     from the base pivot.
 
     Zero along the racket's rest normal (REST_AZIMUTH), positive counterclockwise about +z.
     """
-    return (np.arctan2(y - geom.base[1], x - geom.base[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
+    return (np.arctan2(y - BASE[1], x - BASE[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
 
 
-def interception_event(incoming, geom: ArmGeometry, theta1: float) -> InterceptionEvent:
+def interception_event(incoming, theta1: float) -> InterceptionEvent:
     """First (interpolated) sample at which the ball crosses base azimuth theta1.
 
     `incoming` is a SampledTrajectory. With a and b the base azimuths of two
@@ -79,7 +69,7 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     - after) / (a - b), the same floats for every theta1 on the pair, or None if
     a == b == 0 (the pair lies on the azimuth) or a - b rounds to 0.
     """
-    bx, by, bz = geom.base.tolist()
+    bx, by, bz = BASE.tolist()
     xy = incoming.xy()
     c = cos(REST_AZIMUTH + theta1) * (xy[1] - by) - sin(REST_AZIMUTH + theta1) * (xy[0] - bx)
     c = np.minimum(np.maximum(c, -CROSS_TOL), CROSS_TOL)
@@ -87,7 +77,7 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
 
     rows, tau = incoming.rows, 2.0 * pi
 
-    az = lambda i: float(base_azimuth(rows[6 * i], rows[6 * i + 1], geom))
+    az = lambda i: float(base_azimuth(rows[6 * i], rows[6 * i + 1]))
     wrap = lambda angle: (angle + pi) % tau - pi
 
     for idx in pairs.tolist():
@@ -106,22 +96,21 @@ def interception_event(incoming, geom: ArmGeometry, theta1: float) -> Intercepti
     dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
 
     dist = sqrt(dx * dx + dy * dy + dz * dz)
-    lo = abs(geom.l1 - geom.l2) + REACH_MARGIN
-    hi = geom.l1 + geom.l2 - REACH_MARGIN
+    lo, hi = REACH
     if not (lo <= dist <= hi):
         raise OutOfReach(f"target at {dist:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
     return InterceptionEvent(np.array(xi), dxi)
 
 
-def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tuple[np.ndarray, list]:
+def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, list]:
     """interception_event's crossing search, interpolation and reach check for an
     array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
     pre-impact states and each policy's MissedBall (its row is then junk) or None."""
     x, y = incoming.xy()
-    az, idx, u = base_azimuth(x, y, geom), np.full(len(theta1), -1), np.zeros(len(theta1))
+    az, idx, u = base_azimuth(x, y), np.full(len(theta1), -1), np.zeros(len(theta1))
     for s in range(0, len(theta1), SEARCH_CHUNK):
         t = theta1[s : s + SEARCH_CHUNK, None]
-        c = np.cos(REST_AZIMUTH + t) * (y - geom.base[1]) - np.sin(REST_AZIMUTH + t) * (x - geom.base[0])
+        c = np.cos(REST_AZIMUTH + t) * (y - BASE[1]) - np.sin(REST_AZIMUTH + t) * (x - BASE[0])
         c = np.clip(c, -CROSS_TOL, CROSS_TOL)  # the values of interception_event's minimum(maximum())
         row, i = np.divmod(np.flatnonzero(c[:, :-1] * c[:, 1:] < CROSS_TOL**2), len(x) - 1)  # candidates
         a, b = ((az[i + j] - t[row, 0] + pi) % (2.0 * pi) - pi for j in (0, 1))
@@ -131,9 +120,9 @@ def interception_states(incoming, geom: ArmGeometry, theta1: np.ndarray) -> tupl
         u[s + row] = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
     states = np.array(incoming.rows).reshape(-1, 6)
     xi = states[idx] + u[:, None] * (states[idx + 1] - states[idx])
-    d = xi[:, :3] - geom.base
+    d = xi[:, :3] - BASE
     dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    lo, hi = abs(geom.l1 - geom.l2) + REACH_MARGIN, geom.l1 + geom.l2 - REACH_MARGIN
+    lo, hi = REACH
     missed = [None] * len(theta1)
     for j in np.flatnonzero((idx < 0) | ~((lo <= dist) & (dist <= hi))).tolist():
         missed[j] = (NoCrossing(f"ball path never reaches base azimuth {theta1[j]:.3f} rad") if idx[j] < 0 else
@@ -165,8 +154,8 @@ def racket_rotation_jacobian(phi: InterceptionPolicy) -> tuple[np.ndarray, np.nd
     return d_rz @ _rot_x(phi.theta4), _rot_z(phi.theta1) @ d_rx
 
 
-def racket_velocity(event: InterceptionEvent, geom: ArmGeometry) -> np.ndarray:
-    """Racket center velocity: pure base-yaw rotation, all other joint rates zero."""
-    r = event.xi_minus[:3] - geom.base
-    return geom.theta1_dot * np.array([-r[1], r[0], 0.0])
+def racket_velocity(event: InterceptionEvent) -> np.ndarray:
+    """Racket center velocity: pure base-yaw rotation at THETA1_DOT, all other joint rates zero."""
+    r = event.xi_minus[:3] - BASE
+    return THETA1_DOT * np.array([-r[1], r[0], 0.0])
 

@@ -22,6 +22,7 @@ from .errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
 
 # Gravity points along -z with this magnitude, in the flight and its drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
+Z_TABLE = 0.76  # [m] height of the table plane every flight lands on
 
 # Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
@@ -30,11 +31,11 @@ LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by o
 
 @dataclass
 class FlightParams:
-    """Parameters of the discrete free-flight model; gravity is G_VERTICAL along -z."""
+    """Parameters of the discrete free-flight model; gravity is G_VERTICAL along -z
+    and the table plane is at z = Z_TABLE."""
 
     k_drag: float = 0.106             # [1/m]
     dt: float = 1e-3                  # [s]
-    z_table: float = 0.76             # [m]
     max_steps: int = 4000
 
     def __post_init__(self) -> None:
@@ -82,12 +83,11 @@ def euler_flight(
     dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
     """
     px, py, pz, vx, vy, vz = row
-    k_drag = float(params.k_drag)
-    z_table = float(params.z_table)
+    k_drag, z_plane = float(params.k_drag), Z_TABLE  # locals: read on every step
     if land:
-        # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= z_table
+        # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= Z_TABLE
         vz_top = G_VERTICAL * dt
-        z_top = z_table + 0.5 * G_VERTICAL * dt * dt
+        z_top = z_plane + 0.5 * G_VERTICAL * dt * dt
     contact = table is not None
     if contact:
         cx, cy, hx, hy, y_stop = table
@@ -123,7 +123,7 @@ def euler_flight(
         if keep:
             samples.extend((px, py, pz, vx, vy, vz))
         if contact and (
-            pz <= 0.0 or py <= y_stop or (pz <= z_table and abs(px - cx) <= hx and abs(py - cy) <= hy)
+            pz <= 0.0 or py <= y_stop or (pz <= z_plane and abs(px - cx) <= hx and abs(py - cy) <= hy)
         ):
             n += 1
             break
@@ -148,7 +148,7 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     """
     dt, k_drag = params.dt, float(params.k_drag)
     vz_top = G_VERTICAL * dt
-    z_top = float(params.z_table) + 0.5 * G_VERTICAL * dt * dt
+    z_top = Z_TABLE + 0.5 * G_VERTICAL * dt * dt
     stops = np.array(starts, dtype=float).reshape(-1, 6)
     steps = np.full(len(stops), -1)
     active = np.arange(len(stops))
@@ -178,11 +178,11 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     return stops, steps
 
 
-def remaining_time(xi: np.ndarray, z_table: float) -> float:
+def remaining_time(xi: np.ndarray) -> float:
     """Drag-free prediction of the time until the ball reaches the table plane."""
     vz = float(xi[5])
     pz = float(xi[2])
-    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - z_table) / G_VERTICAL
+    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - Z_TABLE) / G_VERTICAL
     if disc < 0.0:
         raise NegativeDiscriminant(
             f"ball cannot reach the table plane: discriminant = {disc:.3e}"
@@ -190,11 +190,11 @@ def remaining_time(xi: np.ndarray, z_table: float) -> float:
     return max(vz / G_VERTICAL + sqrt(disc), 0.0)
 
 
-def remaining_time_gradient(xi: np.ndarray, z_table: float) -> np.ndarray:
+def remaining_time_gradient(xi: np.ndarray) -> np.ndarray:
     """Gradient of the remaining-time prediction with respect to the 6-state."""
     vz = float(xi[5])
     pz = float(xi[2])
-    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - z_table) / G_VERTICAL
+    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - Z_TABLE) / G_VERTICAL
     if disc <= DISCRIMINANT_FLOOR:
         raise SingularGradient(f"discriminant {disc:.3e} at or below floor")
     s = sqrt(disc)
@@ -219,23 +219,23 @@ def propagate_to_landing(
     """
     xi = np.asarray(xi_plus, dtype=float).tolist()
     stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
-    t_last, landing = final_step(stop, params)
+    t_last, landing = final_step(stop)
     return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing, stop=np.array(stop), tangent=pushed)
 
 
-def final_step(stop, params: FlightParams) -> tuple[float, np.ndarray]:
+def final_step(stop) -> tuple[float, np.ndarray]:
     """The shortened last step from the stop state, in closed form: its length t_last
     and the (2,) landing point, where the step's position update p + t_last v is
     interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
     px, py, pz, vx, vy, vz = stop
-    t_last = remaining_time(stop, params.z_table)
+    t_last = remaining_time(stop)
     # Euler's position update leaves out the g t_last^2 / 2 drop that t_last solves for
     dz = (pz + t_last * vz) - pz
-    frac = (params.z_table - pz) / dz if dz != 0.0 else 1.0
+    frac = (Z_TABLE - pz) / dz if dz != 0.0 else 1.0
     return t_last, np.array((px + frac * ((px + t_last * vx) - px), py + frac * ((py + t_last * vy) - py)))
 
 
-def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.ndarray:
+def landing_state_jacobian(record: LandingRecord) -> np.ndarray:
     """Sensitivity of the landing point to the post-impact state, applied to
     the 6x2 tangent given to propagate_to_landing: the 2x2 landing-point
     Jacobian (column pairs of the identity give the 2x6 one two columns at a time).
@@ -248,12 +248,12 @@ def landing_state_jacobian(record: LandingRecord, params: FlightParams) -> np.nd
     if record.tangent is None:
         raise ValueError("record carries no tangent: pass one to propagate_to_landing")
     start, t = record.stop, record.t_last
-    j_q = np.hstack((np.eye(3), t * np.eye(3))) + np.outer(start[3:], remaining_time_gradient(start, params.z_table))
+    j_q = np.hstack((np.eye(3), t * np.eye(3))) + np.outer(start[3:], remaining_time_gradient(start))
     delta = (start[:3] + t * start[3:]) - start[:3]
     w = delta[2]
     if w == 0.0:
         return j_q[:2] @ record.tangent
-    u = params.z_table - start[2]
+    u = Z_TABLE - start[2]
     s = u / w
     ds_dxi = ((u - w) * np.eye(6)[2] - u * j_q[2]) / w**2
     return (s * j_q[:2] + (1.0 - s) * np.eye(2, 6) + np.outer(delta[:2], ds_dxi)) @ record.tangent

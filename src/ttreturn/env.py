@@ -12,11 +12,12 @@ from math import ceil, cos, hypot, sin
 
 import numpy as np
 
-from .arm import (REST_AZIMUTH, ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation,
-                  racket_velocity)
-from .ballistics import FlightParams, euler_flight, propagate_to_landing
+from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
+# bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
+from .ballistics import FlightParams, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
-from .impact import ImpactParams, racket_impact
+from .greybox import GreyboxParams, frozen_landing_record
+from .impact import ImpactParams
 from .metrics import running_metrics
 
 # Default ground truth deliberately differs from the predictor models
@@ -26,8 +27,8 @@ TRUTH_K_DRAG = 0.12
 TRUTH_RESTITUTION = (0.72, -0.78, 0.72)
 TRUTH_DT = 5e-4
 
-# Standard table footprint in the world frame (surface height lives in
-# FlightParams.z_table); the arm stands beside the table, base ground
+# Standard table footprint in the world frame (surface height is
+# ballistics.Z_TABLE); the arm stands beside the table, base ground
 # point at the origin.
 TABLE_CENTER = np.array([-1.1, 0.25])
 TABLE_SIZE = np.array([1.525, 2.74])
@@ -75,7 +76,6 @@ class EnvConfig:
     truth_impact: ImpactParams = field(
         default_factory=lambda: ImpactParams(restitution=np.array(TRUTH_RESTITUTION))
     )
-    geom: ArmGeometry = field(default_factory=ArmGeometry)
     landing_noise_std: np.ndarray = field(default_factory=lambda: np.array([0.10, 0.23]))
     launcher: LauncherConfig = field(default_factory=LauncherConfig)
 
@@ -101,7 +101,7 @@ LAUNCH_STEPS = int(np.count_nonzero(np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / SA
 CONTACT = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), -1.2)
 
 
-def stop_past(start, geom: ArmGeometry, theta1: float) -> float:
+def stop_past(start, theta1: float) -> float:
     """y past which a launch from the 6-state `start` has crossed base azimuth theta1.
 
     Gravity is vertical, so each Euler step keeps the direction of the horizontal
@@ -110,7 +110,7 @@ def stop_past(start, geom: ArmGeometry, theta1: float) -> float:
     lies above y_c + 2 SAMPLE_DT vy0 - 1 mm. Otherwise, or if vy0 >= 0 or the path
     is within 1e-6 rad of parallel to the ray, the stop is CONTACT's y.
     """
-    y_far, (bx, by, _) = CONTACT[4], geom.base.tolist()
+    y_far, (bx, by, _) = CONTACT[4], BASE.tolist()
     x0, y0, _, vx, vy, _ = start
     ux, uy = cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)
     det = vx * uy - vy * ux
@@ -124,18 +124,18 @@ def stop_past(start, geom: ArmGeometry, theta1: float) -> float:
 
 
 def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
-           aim: tuple[ArmGeometry, float] | None = None) -> SampledTrajectory:
+           aim: float | None = None) -> SampledTrajectory:
     """Launch one ball: jitter the nominal state, integrate at SAMPLE_DT, keep every step.
 
     Sampling stops once the ball meets the table, drops to the floor or has
     passed well behind the workspace, or after LAUNCH_STEPS steps (T_MAX). With
-    `aim=(geom, theta1)` it also stops shortly after the ball crosses base
+    `aim=theta1` it also stops shortly after the ball crosses base
     azimuth theta1 (`stop_past`): the samples are a prefix of the unaimed
     launch's that holds its first crossing pair.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
-    y_stop = CONTACT[4] if aim is None else stop_past(rows, *aim)
+    y_stop = CONTACT[4] if aim is None else stop_past(rows, aim)
     euler_flight(rows, flight, SAMPLE_DT, LAUNCH_STEPS, table=(*CONTACT[:4], y_stop), samples=rows)
     return SampledTrajectory(rows)
 
@@ -145,15 +145,13 @@ def intercept(
 ) -> tuple[np.ndarray, InterceptDiagnostics]:
     """One full interception: launch, hit, fly, land, add landing noise.
 
-    Raises NoCrossing/OutOfReach (a missed ball) when the policy cannot
-    intercept the launched trajectory.
+    The hit and the flight are the grey-box return (frozen_landing_record) at
+    the truth's flight and impact parameters. Raises NoCrossing/OutOfReach (a
+    missed ball) when the policy cannot intercept the launched trajectory.
     """
-    incoming = launch(cfg.launcher, cfg.truth_flight, rng, aim=(cfg.geom, phi.theta1))
-    event = interception_event(incoming, cfg.geom, phi.theta1)
-    gamma = racket_rotation(phi)
-    v_r = racket_velocity(event, cfg.geom)
-    xi_plus = racket_impact(event.xi_minus, gamma, v_r, cfg.truth_impact)
-    record = propagate_to_landing(xi_plus, cfg.truth_flight)
+    incoming = launch(cfg.launcher, cfg.truth_flight, rng, aim=phi.theta1)
+    event = interception_event(incoming, phi.theta1)
+    record = frozen_landing_record(phi, event, GreyboxParams(cfg.truth_flight, cfg.truth_impact))
 
     noise = rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std
     r_landing = record.landing_point + noise

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arm import (ArmGeometry, InterceptionEvent, InterceptionPolicy, interception_event, interception_states,
-                  racket_rotation, racket_velocity)
+from .arm import (InterceptionEvent, InterceptionPolicy, interception_event, interception_states, racket_rotation,
+                  racket_velocity)
 from .ballistics import (FlightParams, LandingRecord, euler_landings, final_step, landing_state_jacobian,
                          propagate_to_landing)
 from .errors import MaxStepsExceeded, NegativeDiscriminant
@@ -21,17 +21,16 @@ from .impact import ImpactParams, impact_state_jacobian, racket_impact, racket_i
 
 @dataclass
 class GreyboxParams:
-    """Everything the predictor needs: flight, impact and arm models."""
+    """Everything the predictor needs: flight and impact models, and the gradient mode."""
 
     flight: FlightParams = field(default_factory=FlightParams)
     impact: ImpactParams = field(default_factory=ImpactParams)
-    geom: ArmGeometry = field(default_factory=ArmGeometry)
     couple_geometry: bool = False
 
 
 def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) -> np.ndarray:
     """Landing point of the return for the given policy and incoming ball."""
-    event = interception_event(incoming, params.geom, phi.theta1)
+    event = interception_event(incoming, phi.theta1)
     return frozen_landing_record(phi, event, params).landing_point
 
 
@@ -40,13 +39,13 @@ def predict_landings(phis: list[InterceptionPolicy], incoming, params: GreyboxPa
     block: interception_states, racket_impacts and lockstep flights (euler_landings), then
     each row's final_step."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
-    xi, outcomes = interception_states(incoming, params.geom, theta1)
+    xi, outcomes = interception_states(incoming, theta1)
     hit = np.array([o is None for o in outcomes], dtype=bool)
-    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], params.geom, params.impact)
+    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], params.impact)
     stops, steps = euler_landings(starts, params.flight)
     for i, k, stop in zip(np.flatnonzero(hit).tolist(), steps.tolist(), stops.tolist()):
         try:
-            outcomes[i] = (final_step(stop, params.flight)[1] if k >= 0 else
+            outcomes[i] = (final_step(stop)[1] if k >= 0 else
                            MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps"))
         except NegativeDiscriminant as exc:
             outcomes[i] = exc
@@ -66,7 +65,7 @@ def frozen_landing_record(
     through the flight (see propagate_to_landing).
     """
     gamma = racket_rotation(phi)
-    v_r = racket_velocity(event, params.geom)
+    v_r = racket_velocity(event)
     xi_plus = racket_impact(event.xi_minus, gamma, v_r, params.impact)
     return propagate_to_landing(xi_plus, params.flight, tangent)
 
@@ -88,6 +87,6 @@ def predict_landing_with_gradient(
     of its landing point by the chain rule, in both modes: the impact Jacobian
     (with the event tangent if params.couple_geometry) pushed through the
     flight steps, then through the shortened last step."""
-    j_impact = impact_state_jacobian(phi, event, params.geom, params.impact, params.couple_geometry)
+    j_impact = impact_state_jacobian(phi, event, params.impact, params.couple_geometry)
     record = frozen_landing_record(phi, event, params, j_impact)
-    return record, landing_state_jacobian(record, params.flight)
+    return record, landing_state_jacobian(record)

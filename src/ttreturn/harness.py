@@ -398,12 +398,12 @@ def grad_check_report(
     traj = nominal_trajectory(env_cfg or EnvConfig())
 
     def check(phi):
-        event = interception_event(traj, params.geom, phi.theta1)
+        event = interception_event(traj, phi.theta1)
         base, jac = predict_landing_with_gradient(phi, event, params)
         seen = set()
 
         def landing(p):
-            ev = interception_event(traj, params.geom, p.theta1) if params.couple_geometry else event
+            ev = interception_event(traj, p.theta1) if params.couple_geometry else event
             rec = frozen_landing_record(p, ev, params)
             seen.add((rec.k_max, ev.dxi_dtheta1))
             return rec.landing_point
@@ -433,8 +433,7 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     """Online runs with one predictor, one per (path, target, phi1, seed) row of
     the plan; each log is written to its path, also when the run aborts."""
     if cfg.predictor == "greybox":
-        # the env's geometry, so the env's interception event is the predictor's own
-        params = GreyboxParams(geom=env_cfg.geom, couple_geometry=cfg.couple_geometry)
+        params = GreyboxParams(couple_geometry=cfg.couple_geometry)
         gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, params)[1]
     elif os.path.exists(cfg.resolved_model_path()):
         model = MlpModel.load(cfg.resolved_model_path())

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arm import (ArmGeometry, InterceptionEvent, InterceptionPolicy, racket_rotation, racket_rotation_jacobian,
+from .arm import (BASE, THETA1_DOT, InterceptionEvent, InterceptionPolicy, racket_rotation, racket_rotation_jacobian,
                   racket_velocity)
 from .errors import SingularGradient
 
@@ -39,22 +39,21 @@ def racket_impact(
     return np.concatenate([xi_minus[:3], gamma @ m @ gamma.T @ (xi_minus[3:] - v_racket) + v_racket])
 
 
-def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, geom: ArmGeometry,
-                   params: ImpactParams) -> np.ndarray:
+def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, params: ImpactParams) -> np.ndarray:
     """racket_impact of (B, 6) pre-impact states with each policy's racket_rotation and
     racket_velocity, as stacked products in their order: (B, 6) post-impact states."""
     c1, s1, c4, s4 = np.cos(theta1), np.sin(theta1), np.cos(theta4), np.sin(theta4)
     o, z = np.ones(len(theta1)), np.zeros(len(theta1))
     rz = np.stack((c1, -s1, z, s1, c1, z, z, z, o), axis=-1).reshape(-1, 3, 3)
     gamma = np.matmul(rz, np.stack((o, z, z, z, c4, -s4, z, s4, c4), axis=-1).reshape(-1, 3, 3))
-    r = xi_minus[:, :3] - geom.base
-    v_r = geom.theta1_dot * np.column_stack((-r[:, 1], r[:, 0], z))
+    r = xi_minus[:, :3] - BASE
+    v_r = THETA1_DOT * np.column_stack((-r[:, 1], r[:, 0], z))
     m = np.matmul(np.matmul(gamma, params.matrix), gamma.transpose(0, 2, 1))
     return np.hstack((xi_minus[:, :3], np.matmul(m, (xi_minus[:, 3:] - v_r)[:, :, None])[:, :, 0] + v_r))
 
 
 def impact_state_jacobian(
-    phi: InterceptionPolicy, event: InterceptionEvent, geom: ArmGeometry, params: ImpactParams, coupled: bool
+    phi: InterceptionPolicy, event: InterceptionEvent, params: ImpactParams, coupled: bool
 ) -> np.ndarray:
     """Derivative of the post-impact 6-state w.r.t. the policy (6x2).
 
@@ -63,12 +62,12 @@ def impact_state_jacobian(
     differentiated and the position rows are zero. `coupled` adds the event's
     motion to the theta1 column: dxi = event.dxi_dtheta1 in the position rows
     and G M G^T (dxi[3:] - dv_r) + dv_r in the velocity rows, where dv_r =
-    theta1_dot (-dxi[1], dxi[0], 0); SingularGradient if dxi is None.
+    THETA1_DOT (-dxi[1], dxi[0], 0); SingularGradient if dxi is None.
     """
     m = params.matrix
     gamma = racket_rotation(phi)
     d_g1, d_g4 = racket_rotation_jacobian(phi)
-    rel = event.xi_minus[3:] - racket_velocity(event, geom)
+    rel = event.xi_minus[3:] - racket_velocity(event)
 
     jac = np.zeros((6, 2))
     for col, d_g in enumerate((d_g1, d_g4)):
@@ -77,7 +76,7 @@ def impact_state_jacobian(
         if event.dxi_dtheta1 is None:
             raise SingularGradient("crossing pair lies on the theta1 azimuth: no event tangent")
         dxi = np.array(event.dxi_dtheta1)
-        dv_r = geom.theta1_dot * np.array([-dxi[1], dxi[0], 0.0])
+        dv_r = THETA1_DOT * np.array([-dxi[1], dxi[0], 0.0])
         jac[:3, 0] = dxi[:3]
         jac[3:, 0] += gamma @ m @ gamma.T @ (dxi[3:] - dv_r) + dv_r
     return jac

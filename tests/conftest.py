@@ -1,6 +1,7 @@
 """Shared fixtures, the independent fine-step reference integrator and a run-CSV reader."""
 
 import copy
+import sys
 
 import numpy as np
 import pytest
@@ -74,3 +75,11 @@ def nominal_traj(env_cfg):
 @pytest.fixture(scope="session")
 def greybox_params() -> GreyboxParams:
     return GreyboxParams()
+
+
+@pytest.fixture
+def zero_yaw_rate(monkeypatch):
+    """THETA1_DOT = 0 in every ttreturn module that binds it: the racket stands still at impact."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ttreturn") and hasattr(module, "THETA1_DOT"):
+            monkeypatch.setattr(module, "THETA1_DOT", 0.0)

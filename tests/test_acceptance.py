@@ -17,6 +17,7 @@ import pytest
 import ttreturn
 from conftest import fine_step_landing, read_run_csv
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
+from ttreturn.ballistics import Z_TABLE
 from ttreturn.env import EnvConfig
 from ttreturn.greybox import GreyboxParams, predict_landing
 from ttreturn.harness import (
@@ -224,16 +225,14 @@ def test_criterion_8_physics_oracle_equivalence(env_cfg, nominal_traj, greybox_p
     for t1 in np.linspace(lo[0], hi[0], 5):
         for t4 in np.linspace(lo[1], hi[1], 5):
             phi = InterceptionPolicy(float(t1), float(t4))
-            event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
+            event = interception_event(nominal_traj, phi.theta1)
             xi_plus = racket_impact(
                 event.xi_minus,
                 racket_rotation(phi),
-                racket_velocity(event, greybox_params.geom),
+                racket_velocity(event),
                 greybox_params.impact,
             )
-            ref = fine_step_landing(
-                xi_plus, greybox_params.flight.k_drag, greybox_params.flight.z_table
-            )
+            ref = fine_step_landing(xi_plus, greybox_params.flight.k_drag, Z_TABLE)
             pred = predict_landing(phi, nominal_traj, greybox_params)
             worst = max(worst, float(np.linalg.norm(pred - ref)))
     elapsed = time.perf_counter() - t0

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from ttreturn.arm import (
+    BASE,
     REST_AZIMUTH,
     SEARCH_CHUNK,
-    ArmGeometry,
+    THETA1_DOT,
     InterceptionPolicy,
     base_azimuth,
     interception_event,
@@ -29,7 +30,7 @@ def straight_trajectory(p0, v, n=200, dt=0.002):
     return SampledTrajectory(np.hstack([pos, np.tile(v, (n, 1))]).ravel().tolist())
 
 
-def polyline_trajectory(corners, per_leg=50, z=0.9):
+def polyline_trajectory(corners, per_leg=50, z=float(BASE[2])):
     """Horizontal path through the given (x, y) corners at height z."""
     pts = [np.linspace(a, b, per_leg, endpoint=False) for a, b in zip(corners, corners[1:])]
     xy = np.vstack(pts + [np.array(corners[-1:], dtype=float)])
@@ -37,12 +38,20 @@ def polyline_trajectory(corners, per_leg=50, z=0.9):
     return SampledTrajectory(rows.ravel().tolist())
 
 
-def reference_event(traj, geom, theta1):
+def shifted(traj, dx, dy):
+    """The trajectory translated horizontally by (dx, dy): seen from BASE, the
+    same path as seen from a base moved by (-dx, -dy)."""
+    states = np.array(traj.rows).reshape(-1, 6) + [dx, dy, 0.0, 0.0, 0.0, 0.0]
+    return SampledTrajectory(states.ravel().tolist())
+
+
+def reference_event(traj, theta1, l1=0.5, l2=0.45):
     """Test-local whole-trajectory mask scan: the base azimuth of every sample,
     then the first pair that is no wrap jump and starts on, ends on or
-    straddles theta1. Returns the interpolated pre-impact state."""
+    straddles theta1. Returns the interpolated pre-impact state, checked
+    against the reach of links l1 and l2."""
     states = np.array(traj.rows).reshape(-1, 6)
-    d = states[:, :3] - geom.base
+    d = states[:, :3] - BASE
     az = np.mod(np.arctan2(d[:, 1], d[:, 0]) - REST_AZIMUTH + pi, 2.0 * pi) - pi
     rel = np.mod(az - theta1 + pi, 2.0 * pi) - pi
     a, b = rel[:-1], rel[1:]
@@ -52,21 +61,21 @@ def reference_event(traj, geom, theta1):
     idx = int(hit.argmax())
     u = 0.0 if a[idx] == 0.0 else a[idx] / (a[idx] - b[idx])
     xi = states[idx] + u * (states[idx + 1] - states[idx])
-    dist = float(np.linalg.norm(xi[:3] - geom.base))
-    if not (abs(geom.l1 - geom.l2) + 0.01 <= dist <= geom.l1 + geom.l2 - 0.01):
+    dist = float(np.linalg.norm(xi[:3] - BASE))
+    if not (abs(l1 - l2) + 0.01 <= dist <= l1 + l2 - 0.01):
         raise OutOfReach("reference")
     return xi
 
 
-def outcome_matches_reference(traj, geom, theta1):
+def outcome_matches_reference(traj, theta1):
     """Assert both scans end alike; return the exception type or None."""
     try:
-        ref = reference_event(traj, geom, theta1)
+        ref = reference_event(traj, theta1)
     except MissedBall as exc:
         with pytest.raises(type(exc)):
-            interception_event(traj, geom, theta1)
+            interception_event(traj, theta1)
         return type(exc)
-    ev = interception_event(traj, geom, theta1)
+    ev = interception_event(traj, theta1)
     np.testing.assert_allclose(ev.xi_minus, ref, rtol=0, atol=1e-12)
     return None
 
@@ -75,46 +84,44 @@ class TestInterceptionOracle:
     def test_matches_mask_scan_over_jittered_launches(self):
         cfg = EnvConfig()
         # triple jitter for a wider spread of paths; theta1 spans the policy
-        # box (0.26, 0.72) and well beyond it, both sides of the base
+        # box (0.26, 0.72) and well beyond it, both sides of the base; every
+        # fourth path is moved off centre, as if the base stood at (0.05, -0.1)
         launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
-        shifted = ArmGeometry(base=np.array([0.05, -0.1, 0.8]))
         thetas = np.r_[np.linspace(-0.6, 1.6, 23), -pi, -pi / 2, pi / 2, 3.0]
         rng = np.random.default_rng(11)
         seen = {}
         for n in range(200):
             traj = launch(launcher, cfg.truth_flight, rng)
-            geom = shifted if n % 4 == 3 else cfg.geom
+            traj = shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj
             for theta1 in thetas:
-                kind = outcome_matches_reference(traj, geom, float(theta1))
+                kind = outcome_matches_reference(traj, float(theta1))
                 seen[kind] = seen.get(kind, 0) + 1
         assert set(seen) == {None, NoCrossing, OutOfReach}
 
     def test_sample_exactly_on_the_azimuth(self):
         # base at the origin facing +y: theta1 = 0 is the +y ray, which the
         # fourth sample sits on exactly
-        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
         traj = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
         assert traj.rows[18:20] == [0.0, 0.6]
-        assert outcome_matches_reference(traj, geom, 0.0) is None
-        ev = interception_event(traj, geom, 0.0)
+        assert outcome_matches_reference(traj, 0.0) is None
+        ev = interception_event(traj, 0.0)
         np.testing.assert_array_equal(ev.xi_minus, traj.rows[18:24])
-        np.testing.assert_array_equal(ev.xi_minus[:3], [0.0, 0.6, 0.9])
+        np.testing.assert_array_equal(ev.xi_minus[:3], [0.0, 0.6, BASE[2]])
         # starting on the azimuth intercepts at the first sample
         start = polyline_trajectory([(0.0, 0.6), (-0.3, 0.6)])
-        np.testing.assert_array_equal(interception_event(start, geom, 0.0).xi_minus, start.rows[:6])
+        np.testing.assert_array_equal(interception_event(start, 0.0).xi_minus, start.rows[:6])
 
     def test_wrap_jump_is_no_crossing(self):
         # crossing the opposite ray (-y) flips the azimuth from +pi to -pi;
         # that pair is skipped and the later +y crossing is the event
-        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
         behind = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6)])
         with pytest.raises(NoCrossing):
-            interception_event(behind, geom, 0.0)
-        assert outcome_matches_reference(behind, geom, 0.0) is NoCrossing
+            interception_event(behind, 0.0)
+        assert outcome_matches_reference(behind, 0.0) is NoCrossing
         around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
-        ev = interception_event(around, geom, 0.0)
-        np.testing.assert_allclose(ev.xi_minus[:3], [0.0, 0.6, 0.9], atol=1e-12)
-        assert outcome_matches_reference(around, geom, 0.0) is None
+        ev = interception_event(around, 0.0)
+        np.testing.assert_allclose(ev.xi_minus[:3], [0.0, 0.6, BASE[2]], atol=1e-12)
+        assert outcome_matches_reference(around, 0.0) is None
 
     @pytest.mark.parametrize("theta1", [0.0, pi, -pi, 0.3, -0.3, pi / 2])
     @pytest.mark.parametrize("y0,vy", [(0.8, -0.5), (3.0, -0.1), (1.0, -4.0), (-0.8, 0.5)])
@@ -122,20 +129,19 @@ class TestInterceptionOracle:
         # every sample lies on the theta1 = 0 ray or on its opposite, where
         # the half-plane sign is a rounding residue; (1.0, -4.0) passes
         # through the base pivot itself
-        geom = ArmGeometry()
-        traj = straight_trajectory([geom.base[0], y0, geom.base[2]], [0.0, vy, 0.0], n=300)
-        outcome_matches_reference(traj, geom, theta1)
+        traj = straight_trajectory([BASE[0], y0, BASE[2]], [0.0, vy, 0.0], n=300)
+        outcome_matches_reference(traj, theta1)
 
 
-def assert_states_match_events(traj, geom, thetas):
+def assert_states_match_events(traj, thetas):
     """interception_states gives interception_event's pre-impact state, or its
     MissedBall with the same message, bit for bit; returns the outcome kinds."""
-    xi, missed = interception_states(traj, geom, np.array(thetas))
+    xi, missed = interception_states(traj, np.array(thetas))
     assert xi.shape == (len(thetas), 6) and len(missed) == len(thetas)
     kinds = []
     for theta1, row, miss in zip(thetas, xi, missed):
         try:
-            ev = interception_event(traj, geom, theta1)
+            ev = interception_event(traj, theta1)
         except MissedBall as exc:
             assert (type(miss), str(miss)) == (type(exc), str(exc))
             kinds.append(type(exc))
@@ -152,25 +158,23 @@ class TestInterceptionStatesOracle:
     def test_matches_scalar_event_over_jittered_launches(self):
         cfg = EnvConfig()
         launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
-        shifted = ArmGeometry(base=np.array([0.05, -0.1, 0.8]))
         rng = np.random.default_rng(21)
         # more policies than one search chunk, theta1 on both sides of the base
         thetas = np.r_[rng.uniform(-pi, 3.0, 2 * SEARCH_CHUNK + 7), -pi, -pi / 2, pi / 2, 3.0, np.nan].tolist()
         seen = set()
         for n in range(12):
             traj = launch(launcher, cfg.truth_flight, rng)
-            seen |= set(assert_states_match_events(traj, shifted if n % 4 == 3 else cfg.geom, thetas))
+            seen |= set(assert_states_match_events(shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj, thetas))
         assert seen == {None, NoCrossing, OutOfReach}
 
     def test_exact_sample_and_wrap_jump(self):
-        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.9]))
         on_ray = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
         around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
         for traj in (on_ray, around, polyline_trajectory([(0.3, -0.6), (-0.3, -0.6)])):
-            assert_states_match_events(traj, geom, [0.0, 0.3, -0.3, pi, -pi])
+            assert_states_match_events(traj, [0.0, 0.3, -0.3, pi, -pi])
 
-    def test_empty_block(self, nominal_traj, env_cfg):
-        xi, missed = interception_states(nominal_traj, env_cfg.geom, np.zeros(0))
+    def test_empty_block(self, nominal_traj):
+        xi, missed = interception_states(nominal_traj, np.zeros(0))
         assert xi.shape == (0, 6) and missed == []
 
 
@@ -179,10 +183,9 @@ class TestInterceptionEvent:
         # ball flying along -y at a fixed x offset sweeps the azimuth toward
         # -pi/2; the crossing point and time have a closed form, and at constant
         # velocity the time is where the interpolated state lies on the path
-        geom = ArmGeometry()
         theta1 = -0.8
         traj = straight_trajectory([0.5, 2.0, 1.0], [0.0, -2.0, 0.0], n=600)
-        ev = interception_event(traj, geom, theta1)
+        ev = interception_event(traj, theta1)
         y_star = 0.5 * np.tan(theta1 + pi / 2)
         t_star = (2.0 - y_star) / 2.0
         assert (2.0 - ev.xi_minus[1]) / 2.0 == pytest.approx(t_star, abs=1e-3)
@@ -190,64 +193,53 @@ class TestInterceptionEvent:
         np.testing.assert_array_equal(ev.xi_minus[[0, 2, 3, 4, 5]], [0.5, 1.0, 0.0, -2.0, 0.0])
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
-        # a SampledTrajectory caches its sample positions, which do not depend
-        # on the geometry; every event must equal the one from a fresh trajectory
+        # a SampledTrajectory caches its sample positions on the first search;
+        # every later event must equal the one from a fresh trajectory
         traj = SampledTrajectory(nominal_traj.rows)
+        for theta1 in (0.45, 0.30, 0.60, 0.45):
+            fresh = interception_event(SampledTrajectory(nominal_traj.rows), theta1).xi_minus
+            np.testing.assert_array_equal(interception_event(traj, theta1).xi_minus, fresh)
 
-        def uncached(g):
-            return interception_event(SampledTrajectory(nominal_traj.rows), g, 0.45).xi_minus
-
-        geom = ArmGeometry()
-        shifted = ArmGeometry(base=np.array([0.05, -0.05, 0.8]))
-        for g in (geom, shifted, geom):
-            np.testing.assert_array_equal(interception_event(traj, g, 0.45).xi_minus, uncached(g))
-        geom.base[0] += 0.05  # an in-place change of the same object
-        xi = interception_event(traj, geom, 0.45).xi_minus
-        np.testing.assert_array_equal(xi, uncached(geom))
-        assert not np.array_equal(xi, uncached(ArmGeometry()))
-
-    def test_interpolated_crossing(self, nominal_traj, env_cfg):
-        geom = env_cfg.geom
+    def test_interpolated_crossing(self, nominal_traj):
         theta1 = 0.45
-        ev = interception_event(nominal_traj, geom, theta1)
-        az = base_azimuth(ev.xi_minus[0], ev.xi_minus[1], geom)
+        ev = interception_event(nominal_traj, theta1)
+        az = base_azimuth(ev.xi_minus[0], ev.xi_minus[1])
         # azimuth is nonlinear in position, so linear state interpolation
         # leaves a small residual at the crossing
         assert az == pytest.approx(theta1, abs=1e-4)
         # dense re-sampling reference for the crossing state
         states = np.array(nominal_traj.rows).reshape(-1, 6)
-        azs = base_azimuth(states[:, 0], states[:, 1], geom) - theta1
+        azs = base_azimuth(states[:, 0], states[:, 1]) - theta1
         idx = np.nonzero((azs[:-1] <= 0) & (azs[1:] > 0))[0][0]
         u = -azs[idx] / (azs[idx + 1] - azs[idx])
         xi_ref = states[idx] + u * (states[idx + 1] - states[idx])
         np.testing.assert_allclose(ev.xi_minus, xi_ref, rtol=0, atol=1e-9)
 
-    def test_monotone_in_theta1(self, nominal_traj, env_cfg):
+    def test_monotone_in_theta1(self, nominal_traj):
         # the ball flies toward -y throughout, so a later crossing lies at a smaller y
         ys = [
-            interception_event(nominal_traj, env_cfg.geom, t1).xi_minus[1]
+            interception_event(nominal_traj, t1).xi_minus[1]
             for t1 in (0.30, 0.40, 0.50, 0.60, 0.70)
         ]
         assert all(a > b for a, b in zip(ys, ys[1:]))
         assert np.all(np.array(nominal_traj.rows[4::6]) < 0.0)
 
-    def test_no_crossing(self, nominal_traj, env_cfg):
+    def test_no_crossing(self, nominal_traj):
         with pytest.raises(NoCrossing):
-            interception_event(nominal_traj, env_cfg.geom, -0.5)
+            interception_event(nominal_traj, -0.5)
 
     def test_out_of_reach(self):
-        geom = ArmGeometry()
         traj = straight_trajectory([0.0, 3.0, 1.0], [0.0, -0.1, 0.0], n=10)
         with pytest.raises(OutOfReach):
-            interception_event(traj, geom, 0.0)
+            interception_event(traj, 0.0)
 
-    def test_theta1_tangent_of_the_crossing(self, nominal_traj, env_cfg):
+    def test_theta1_tangent_of_the_crossing(self, nominal_traj):
         # within one crossing pair xi_minus is linear in theta1: dxi_dtheta1 is
         # its slope, and the same floats for every theta1 on that pair
-        geom, h = env_cfg.geom, 1e-7
+        h = 1e-7
         for t1 in (0.30, 0.45, 0.60, 0.70):
-            ev = interception_event(nominal_traj, geom, t1)
-            hi, lo = (interception_event(nominal_traj, geom, t1 + d) for d in (h, -h))
+            ev = interception_event(nominal_traj, t1)
+            hi, lo = (interception_event(nominal_traj, t1 + d) for d in (h, -h))
             assert hi.dxi_dtheta1 == lo.dxi_dtheta1 == ev.dxi_dtheta1
             assert len(ev.dxi_dtheta1) == 6 and all(type(d) is float for d in ev.dxi_dtheta1)
             np.testing.assert_allclose(ev.dxi_dtheta1, (hi.xi_minus - lo.xi_minus) / (2 * h), rtol=0, atol=1e-7)
@@ -268,7 +260,8 @@ class TestRacketRotation:
         normal = racket_rotation(InterceptionPolicy(theta1, 0.0)) @ np.array([0.0, 1.0, 0.0])
         np.testing.assert_allclose(normal, [cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1), 0.0],
                                    rtol=0, atol=1e-15)
-        assert base_azimuth(normal[0], normal[1], ArmGeometry(base=np.zeros(3))) == pytest.approx(
+        # the base pivot stands above the origin, so the normal's azimuth is the base azimuth
+        assert base_azimuth(normal[0], normal[1]) == pytest.approx(
             (theta1 + pi) % (2 * pi) - pi, abs=1e-12)
 
     def test_proper_rotation(self):
@@ -310,21 +303,19 @@ class TestRacketVelocity:
         return type("E", (), {"xi_minus": np.r_[pos, 0.0, 0.0, 0.0].astype(float)})()
 
     def test_tangential_velocity(self):
-        geom = ArmGeometry(base=np.array([0.0, 0.0, 0.8]))
-        v = racket_velocity(self._event([0.7, 0.0, 1.3]), geom)
+        # base pivot (0, 0, 0.8), yaw rate 6 rad/s
+        v = racket_velocity(self._event([0.7, 0.0, 1.3]))
         np.testing.assert_allclose(v, [0.0, 4.2, 0.0], atol=1e-12)
 
     def test_zero_lever_arm(self):
-        geom = ArmGeometry()
-        v = racket_velocity(self._event(geom.base), geom)
+        v = racket_velocity(self._event(BASE))
         np.testing.assert_array_equal(v, np.zeros(3))
 
     def test_speed_proportional_to_horizontal_distance(self):
-        geom = ArmGeometry()
         rng = np.random.default_rng(9)
         for _ in range(10):
-            pos = geom.base + rng.normal(size=3)
-            v = racket_velocity(self._event(pos), geom)
-            d_h = np.linalg.norm((pos - geom.base)[:2])
-            assert np.linalg.norm(v) == pytest.approx(geom.theta1_dot * d_h, abs=1e-12)
+            pos = BASE + rng.normal(size=3)
+            v = racket_velocity(self._event(pos))
+            d_h = np.linalg.norm((pos - BASE)[:2])
+            assert np.linalg.norm(v) == pytest.approx(THETA1_DOT * d_h, abs=1e-12)
 

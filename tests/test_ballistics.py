@@ -16,6 +16,7 @@ except ImportError:
 from conftest import fine_step_landing
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
+    Z_TABLE,
     FlightParams,
     LandingRecord,
     euler_flight,
@@ -70,12 +71,12 @@ def one_step_final_step(stop, p: FlightParams) -> tuple[float, np.ndarray]:
     """Test-local: the last step as a one-step Euler flight of length t_last,
     its 6-state interpolated onto the plane."""
     start = np.array(stop, dtype=float)
-    t_last = remaining_time(start, p.z_table)
+    t_last = remaining_time(start)
     raw = step(start, p, t_last)
     dz = raw[2] - start[2]
-    frac = (p.z_table - start[2]) / dz if dz != 0.0 else 1.0
+    frac = (Z_TABLE - start[2]) / dz if dz != 0.0 else 1.0
     landing = start + frac * (raw - start)
-    landing[2] = p.z_table
+    landing[2] = Z_TABLE
     return t_last, landing
 
 
@@ -84,13 +85,13 @@ def six_row_landing_jacobian(record: LandingRecord, p: FlightParams) -> np.ndarr
     tangent, from the full step Jacobians of a re-flown last step."""
     start = record.stop
     A, b = free_flight_step_jacobians(start, p, record.t_last)
-    j_q = A + np.outer(b, remaining_time_gradient(start, p.z_table))
+    j_q = A + np.outer(b, remaining_time_gradient(start))
     raw = step(start, p, record.t_last)
     delta = raw - start
     w = raw[2] - start[2]
     if w == 0.0:
         return j_q @ record.tangent
-    u = p.z_table - start[2]
+    u = Z_TABLE - start[2]
     s = u / w
     e_z = np.zeros(6)
     e_z[2] = 1.0
@@ -185,21 +186,21 @@ class TestFreeFlightStepJacobians:
 class TestRemainingTime:
     def test_at_table_height(self):
         xi = state([0.0, 0.0, 0.76], [1.0, 1.0, 0.0])
-        assert remaining_time(xi, 0.76) == 0.0
+        assert remaining_time(xi) == 0.0
 
     def test_pure_drop(self):
         xi = state([0.0, 0.0, 0.76 + 0.49], [0.0, 0.0, 0.0])
-        assert remaining_time(xi, 0.76) == pytest.approx(sqrt(2 * 0.49 / 9.8), abs=1e-5)
-        assert remaining_time(xi, 0.76) == pytest.approx(0.31623, abs=1e-5)
+        assert remaining_time(xi) == pytest.approx(sqrt(2 * 0.49 / 9.8), abs=1e-5)
+        assert remaining_time(xi) == pytest.approx(0.31623, abs=1e-5)
 
     def test_symmetric_up_down_flight(self):
         xi = state([0.0, 0.0, 0.76], [0.0, 0.0, 9.8])
-        assert remaining_time(xi, 0.76) == pytest.approx(2.0, abs=1e-12)
+        assert remaining_time(xi) == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_discriminant(self):
         xi = state([0.0, 0.0, 0.0], [0.0, 0.0, 0.1])
         with pytest.raises(NegativeDiscriminant):
-            remaining_time(xi, 0.76)
+            remaining_time(xi)
 
 
 # stop states of the last step's edge cases: below the plane and falling (t_last = 0,
@@ -214,13 +215,12 @@ FINAL_STEP_EDGES = {
 
 class TestFinalStep:
     def test_edge_cases_reach_their_branch(self):
-        p = params()
-        assert final_step(FINAL_STEP_EDGES["t_last_zero"], p)[0] == 0.0
-        t_last, landing = final_step(FINAL_STEP_EDGES["dz_zero"], p)
+        assert final_step(FINAL_STEP_EDGES["t_last_zero"])[0] == 0.0
+        t_last, landing = final_step(FINAL_STEP_EDGES["dz_zero"])
         assert t_last > 0.0
         np.testing.assert_allclose(landing, [0.1 + t_last, 0.2 - t_last], rtol=0.0, atol=1e-15)
         with pytest.raises(NegativeDiscriminant):
-            final_step(FINAL_STEP_EDGES["negative_discriminant"], p)
+            final_step(FINAL_STEP_EDGES["negative_discriminant"])
 
     @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
     @settings(max_examples=300, deadline=None)
@@ -238,10 +238,10 @@ class TestFinalStep:
             expected = one_step_final_step(stop, p)
         except NegativeDiscriminant as exc:
             with pytest.raises(NegativeDiscriminant) as raised:
-                final_step(stop, p)
+                final_step(stop)
             assert str(raised.value) == str(exc)
             return
-        t_last, landing = final_step(stop, p)
+        t_last, landing = final_step(stop)
         assert t_last == expected[0]
         assert landing.shape == (2,)
         np.testing.assert_array_equal(landing, expected[1][:2])
@@ -249,7 +249,7 @@ class TestFinalStep:
 class TestRemainingTimeGradient:
     def test_hand_derived_values(self):
         xi = state([0.3, -0.1, 0.76 + 0.49], [2.0, 1.0, 0.0])
-        grad = remaining_time_gradient(xi, 0.76)
+        grad = remaining_time_gradient(xi)
         assert grad[2] == pytest.approx(1.0 / (9.8 * 0.31623), abs=1e-4)
         assert grad[2] == pytest.approx(0.32275, abs=1e-4)
         assert grad[5] == pytest.approx(0.10204, abs=1e-4)
@@ -263,7 +263,7 @@ class TestRemainingTimeGradient:
             xi = rng.normal(size=6)
             xi[2] = rng.uniform(1.0, 2.5)
             try:
-                grad = remaining_time_gradient(xi, 0.76)
+                grad = remaining_time_gradient(xi)
             except SingularGradient:
                 continue
             fd = np.zeros(6)
@@ -271,8 +271,8 @@ class TestRemainingTimeGradient:
                 d = np.zeros(6)
                 d[col] = h
                 fd[col] = (
-                    remaining_time(xi + d, 0.76)
-                    - remaining_time(xi - d, 0.76)
+                    remaining_time(xi + d)
+                    - remaining_time(xi - d)
                 ) / (2 * h)
             assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-6
             checked += 1
@@ -280,7 +280,7 @@ class TestRemainingTimeGradient:
     def test_singular_at_zero_discriminant(self):
         xi = state([0.0, 0.0, 0.76], [0.0, 0.0, 0.0])
         with pytest.raises(SingularGradient):
-            remaining_time_gradient(xi, 0.76)
+            remaining_time_gradient(xi)
 
 
 class TestPropagateToLanding:
@@ -310,11 +310,11 @@ class TestPropagateToLanding:
         for _ in range(20):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             rec = propagate_to_landing(xi, params())
-            _, landing = final_step(rec.stop, params())
+            _, landing = final_step(rec.stop)
             assert np.array_equal(rec.landing_point, landing)
             assert rec.k_max * 1e-3 + rec.t_last > 0.0
             # the flight stops once the drag-free remaining time is at most dt
-            assert remaining_time(rec.stop, 0.76) == rec.t_last <= 1e-3
+            assert remaining_time(rec.stop) == rec.t_last <= 1e-3
 
     def test_residual_before_interpolation_below_1mm(self):
         # the drag-free time prediction misses the plane by a small residual
@@ -373,7 +373,7 @@ class TestPropagateToLanding:
             assert (plain.k_max, plain.t_last) == (pushed.k_max, pushed.t_last)
             assert plain.tangent is None and pushed.tangent.shape == (6, 2)
             with pytest.raises(ValueError):
-                landing_state_jacobian(plain, p)
+                landing_state_jacobian(plain)
 
 
 def _landing_fd(xi_vec, p, h=1e-6):
@@ -397,7 +397,7 @@ def pushed_identity(xi, p):
     """Test-local: the record of the flight from xi and the 2x6 landing-point
     Jacobian, pushed as three 6x2 column pairs of the identity."""
     records = [propagate_to_landing(xi, p, pair) for pair in IDENTITY_PAIRS]
-    return records[0], np.hstack([landing_state_jacobian(rec, p) for rec in records])
+    return records[0], np.hstack([landing_state_jacobian(rec) for rec in records])
 
 
 class TestLandingStateJacobian:
@@ -437,7 +437,7 @@ class TestLandingStateJacobian:
         for _ in range(50):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             rec = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
-            jac = landing_state_jacobian(rec, p)
+            jac = landing_state_jacobian(rec)
             assert jac.shape == (2, 2)
             np.testing.assert_array_equal(jac, six_row_landing_jacobian(rec, p)[:2])
 
@@ -478,12 +478,12 @@ class TestTangentJacobianOracle:
             # only the last-step and interpolation corrections
             last_only = np.hstack([landing_state_jacobian(LandingRecord(
                 k_max=0, t_last=rec.t_last, landing_point=rec.landing_point, stop=rec.stop, tangent=pair
-            ), p) for pair in IDENTITY_PAIRS])
+            )) for pair in IDENTITY_PAIRS])
             oracle = last_only @ _step_product(states, p)
             assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
             tangent = rng.normal(size=(6, 2))
             rec = propagate_to_landing(xi, p, tangent)
-            pushed = landing_state_jacobian(rec, p)
+            pushed = landing_state_jacobian(rec)
             expected = oracle @ tangent
             assert pushed.shape == (2, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12
@@ -493,7 +493,7 @@ def post_loop_push(row, p, tangent):
     """Test-local: the landing flight with the tangent pushed after the loop,
     column by column, through the velocity and drag factors kept per step."""
     px, py, pz, vx, vy, vz = row
-    vz_top, z_top = 9.8 * p.dt, p.z_table + 0.5 * 9.8 * p.dt * p.dt
+    vz_top, z_top = 9.8 * p.dt, Z_TABLE + 0.5 * 9.8 * p.dt * p.dt
     gx, gy, gz = GRAVITY.tolist()
     scale, coef = p.dt * p.k_drag, []
     for n in range(p.max_steps):
@@ -537,15 +537,15 @@ class TestInLoopTangent:
             traj = launch(cfg.launcher, cfg.truth_flight, rng)
             phi = InterceptionPolicy(*rng.uniform([0.31, 0.0], [0.67, 0.40]).tolist())
             try:
-                event = interception_event(traj, cfg.geom, phi.theta1)
+                event = interception_event(traj, phi.theta1)
             except MissedBall:
                 continue
             launches += 1
-            xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event, cfg.geom), impact)
+            xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), impact)
             for coupled in (False, True):
                 if coupled and event.dxi_dtheta1 is None:
                     continue
-                tangent = impact_state_jacobian(phi, event, cfg.geom, impact, coupled)
+                tangent = impact_state_jacobian(phi, event, impact, coupled)
                 stop, n, pushed = euler_flight(xi.tolist(), p, p.dt, p.max_steps, land=True, tangent=tangent)
                 want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
                 assert (stop, n) == (want_stop, want_n)
@@ -595,10 +595,10 @@ class TestEulerLandingsOracle:
                 rec = propagate_to_landing(np.array(row), p)
             except NegativeDiscriminant:
                 with pytest.raises(NegativeDiscriminant):
-                    final_step(stop, p)
+                    final_step(stop)
                 assert row == rows[n_rows + 1]
                 continue
-            t_last, landing = final_step(stop, p)
+            t_last, landing = final_step(stop)
             assert (t_last, k) == (rec.t_last, rec.k_max)
             np.testing.assert_array_equal(landing[:2], rec.landing_point)
 

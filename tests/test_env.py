@@ -15,8 +15,8 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 import ttreturn.env
-from ttreturn.arm import REST_AZIMUTH, ArmGeometry, InterceptionPolicy, interception_event
-from ttreturn.ballistics import FlightParams, euler_flight
+from ttreturn.arm import BASE, REST_AZIMUTH, InterceptionPolicy, interception_event
+from ttreturn.ballistics import Z_TABLE, FlightParams, euler_flight
 from ttreturn.env import (
     CONTACT,
     EnvConfig,
@@ -91,7 +91,7 @@ class TestLaunch:
             noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight, np.random.default_rng(0)
         )
         # ball must pass through the reachable band around the arm base
-        d = np.linalg.norm(states(traj)[:, :3] - noiseless_env_cfg.geom.base, axis=1)
+        d = np.linalg.norm(states(traj)[:, :3] - BASE, axis=1)
         assert d.min() < 0.9
 
 
@@ -105,7 +105,7 @@ def reference_launch(cfg, flight, rng):
         t += SAMPLE_DT
         times.append(t)
         rows.append(state)
-        hit_table = state[2] <= flight.z_table and on_table(state)
+        hit_table = state[2] <= Z_TABLE and on_table(state)
         if hit_table or state[2] <= 0.0 or state[1] <= -1.2:
             break
     return np.array(times), np.array(rows)
@@ -132,7 +132,7 @@ class TestLaunchOracle:
         last = states(traj)[-1]
         reached = {
             "y_stop": last[1] <= -1.2,
-            "table": last[2] <= flight.z_table and on_table(last),
+            "table": last[2] <= Z_TABLE and on_table(last),
             "floor": last[2] <= 0.0,
             "t_max": times[-1] >= 3.0,
         }
@@ -141,22 +141,22 @@ class TestLaunchOracle:
         assert (len(traj) - 1 == LAUNCH_STEPS) == (stop == "t_max")
 
 
-def event_or_error(traj, geom, theta1):
+def event_or_error(traj, theta1):
     """interception_event's fields as plain values, or the type of what it raised."""
     try:
-        e = interception_event(traj, geom, theta1)
+        e = interception_event(traj, theta1)
     except Exception as exc:  # the aimed and the full launch must fail alike, whatever the failure
         return type(exc)
     return e.xi_minus.tolist(), e.dxi_dtheta1
 
 
-def aimed_and_full(cfg, flight, geom, theta1, seed=0):
+def aimed_and_full(cfg, flight, theta1, seed=0):
     """The aimed launch and the unaimed one of the same rng seed."""
-    aimed = launch(cfg, flight, np.random.default_rng(seed), aim=(geom, theta1))
+    aimed = launch(cfg, flight, np.random.default_rng(seed), aim=theta1)
     return aimed, launch(cfg, flight, np.random.default_rng(seed))
 
 
-def ray_direction(geom, theta1):
+def ray_direction(theta1):
     """Horizontal unit vector of the base azimuth theta1."""
     return np.array([cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)])
 
@@ -170,13 +170,13 @@ class TestAimedLaunch:
     def test_matches_the_full_launch(self, env_cfg, monkeypatch):
         # 12 jittered launches per theta1, 288 in all: the aimed samples are a prefix
         # of the full ones, with the same event (or miss) and the same landing
-        geom, flight, shorter, kinds = env_cfg.geom, env_cfg.truth_flight, [], set()
+        flight, shorter, kinds = env_cfg.truth_flight, [], set()
         cases = [(seed, t1) for seed in range(12) for t1 in THETA1_GRID]
         for seed, t1 in cases:
-            aimed, full = aimed_and_full(env_cfg.launcher, flight, geom, t1, seed)
+            aimed, full = aimed_and_full(env_cfg.launcher, flight, t1, seed)
             assert aimed.rows == full.rows[: len(aimed.rows)]
-            got = event_or_error(aimed, geom, t1)
-            assert got == event_or_error(full, geom, t1)
+            got = event_or_error(aimed, t1)
+            assert got == event_or_error(full, t1)
             kinds.add(got if isinstance(got, type) else "event")
             if 0.26 <= t1 <= 0.72:
                 shorter.append(len(aimed) < 0.7 * len(full))
@@ -201,49 +201,49 @@ class TestAimedLaunch:
     def test_upward_start_flies_the_full_path(self, env_cfg, nominal):
         cfg = LauncherConfig(nominal_state=np.array(nominal))
         for t1 in THETA1_GRID:
-            assert stop_past(list(nominal), env_cfg.geom, t1) == CONTACT[4]
-            aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
+            assert stop_past(list(nominal), t1) == CONTACT[4]
+            aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
             assert aimed.rows == full.rows
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["toward_base", "away_from_base"])
     def test_start_parallel_to_the_ray_flies_the_full_path(self, env_cfg, sign):
-        geom, t1 = env_cfg.geom, 0.45
-        vx, vy = sign * 8.3 * ray_direction(geom, t1)
+        t1 = 0.45
+        vx, vy = sign * 8.3 * ray_direction(t1)
         cfg = LauncherConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
-        assert stop_past(cfg.nominal_state.tolist(), geom, t1) == CONTACT[4]
-        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, geom, t1)
+        assert stop_past(cfg.nominal_state.tolist(), t1) == CONTACT[4]
+        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
         assert aimed.rows == full.rows
 
     def test_path_along_the_ray_line_matches_the_full_launch(self, env_cfg):
         # a start on the theta1 line through the base, heading along the ray within
         # 1e-10 rad: the samples sit on the ray to rounding, where the azimuth test
         # may flip anywhere; such near-parallel paths must fly in full
-        geom, flight = env_cfg.geom, env_cfg.truth_flight
+        flight = env_cfg.truth_flight
         for t1 in np.linspace(-pi, pi, 40):
             for tilt in (0.0, 1e-13, -1e-12, 1e-10):
                 for dist in (1.0, 2.0, 3.0, 4.0):
-                    vx, vy = 8.3 * ray_direction(geom, t1 + tilt)
+                    vx, vy = 8.3 * ray_direction(t1 + tilt)
                     if vy >= 0.0:
                         continue
-                    x, y = geom.base[:2] - dist * ray_direction(geom, t1)
+                    x, y = BASE[:2] - dist * ray_direction(t1)
                     cfg = LauncherConfig(nominal_state=np.array([x, y, 1.1, vx, vy, 2.0]), jitter_std=np.zeros(6))
-                    aimed, full = aimed_and_full(cfg, flight, geom, t1)
+                    aimed, full = aimed_and_full(cfg, flight, t1)
                     assert aimed.rows == full.rows[: len(aimed.rows)]
-                    assert event_or_error(aimed, geom, t1) == event_or_error(full, geom, t1)
+                    assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
     @pytest.mark.parametrize("nominal,t1", [((-0.15, -0.3, 1.1, 0.0, -8.3, 3.3), 0.45),  # crossing behind the start
                                             ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
     def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
         cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
-        assert stop_past(list(nominal), env_cfg.geom, t1) == CONTACT[4]
-        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, env_cfg.geom, t1)
+        assert stop_past(list(nominal), t1) == CONTACT[4]
+        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
         assert aimed.rows == full.rows
 
     def test_stop_lies_two_samples_and_a_millimeter_past_the_crossing(self, env_cfg):
         # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
         # theta1 ray from the origin is at y = 0.15 / tan(theta1)
         cfg, t1 = env_cfg.launcher, 0.45
-        y_stop = stop_past(cfg.nominal_state.tolist(), env_cfg.geom, t1)
+        y_stop = stop_past(cfg.nominal_state.tolist(), t1)
         assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * SAMPLE_DT * 8.3 - 1e-3, abs=1e-12)
 
 
@@ -259,17 +259,17 @@ def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode
     # "free": the nominal start, theta1 anywhere; otherwise the start lies `dist` from
     # the base on the line of its velocity, and theta1 is that line's azimuth (along or
     # against the motion) turned by `tilt`, so the path runs on or near the ray
-    geom, flight = ArmGeometry(), EnvConfig().truth_flight
+    flight = EnvConfig().truth_flight
     start = np.array([-0.15, 3.9, 1.1, vx, vy, vz])
     if mode != "free" and np.hypot(vx, vy) > 0.0:
         heading = np.array([vx, vy]) / np.hypot(vx, vy)
-        start[:2] = geom.base[:2] - dist * heading
+        start[:2] = BASE[:2] - dist * heading
         t1 = atan2(heading[1], heading[0]) - REST_AZIMUTH + tilt + (pi if mode == "against" else 0.0)
         t1 = (t1 + pi) % (2 * pi) - pi
     cfg = LauncherConfig(nominal_state=start, jitter_std=np.zeros(6))
-    aimed, full = aimed_and_full(cfg, flight, geom, t1)
+    aimed, full = aimed_and_full(cfg, flight, t1)
     assert aimed.rows == full.rows[: len(aimed.rows)]
-    assert event_or_error(aimed, geom, t1) == event_or_error(full, geom, t1)
+    assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
 
 class TestIntercept:
@@ -305,7 +305,7 @@ class TestIntercept:
         phi = InterceptionPolicy(0.45, 0.2)
         r, _ = intercept(phi, cfg, np.random.default_rng(0))
         # the same seed launches the same ball again
-        incoming = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(0), aim=(cfg.geom, phi.theta1))
+        incoming = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(0), aim=phi.theta1)
         pred = predict_landing(phi, incoming, params)
         assert np.linalg.norm(r - pred) < 5e-3
 
@@ -317,7 +317,7 @@ class TestIntercept:
                 phi = InterceptionPolicy(t1, t4)
                 r, _ = intercept(phi, noiseless_env_cfg, np.random.default_rng(0))
                 incoming = launch(noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight,
-                                  np.random.default_rng(0), aim=(noiseless_env_cfg.geom, t1))
+                                  np.random.default_rng(0), aim=t1)
                 pred = predict_landing(phi, incoming, greybox_params)
                 gap = np.linalg.norm(r - pred)
                 assert 0.0 < gap < 0.4

@@ -12,9 +12,10 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from conftest import fine_step_landing
-from ttreturn.arm import ArmGeometry, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
+from ttreturn import ballistics
+from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig, SampledTrajectory, launch
-from ttreturn.ballistics import FlightParams
+from ttreturn.ballistics import Z_TABLE, FlightParams
 from ttreturn.errors import (MaxStepsExceeded, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SimulationError,
                              SingularGradient)
 from ttreturn.greybox import (
@@ -33,14 +34,13 @@ LO, HI = sampling_bounds(SCENARIO_BOX)
 
 def landing_and_gradient(phi, traj, params):
     """Test-local: the landing point and Jacobian of predict_landing_with_gradient at traj's event."""
-    record, jac = predict_landing_with_gradient(phi, interception_event(traj, params.geom, phi.theta1), params)
+    record, jac = predict_landing_with_gradient(phi, interception_event(traj, phi.theta1), params)
     return record.landing_point, jac
 
 
-def test_vertical_return_lands_below_interception():
+def test_vertical_return_lands_below_interception(zero_yaw_rate):
     # a ball dropping straight down onto a flat resting racket with zero
     # racket velocity bounces straight down again
-    geom = ArmGeometry(theta1_dot=0.0)
     times = np.arange(60) * 0.002
     states = np.stack(
         [np.stack([np.zeros_like(times) + 0.0, np.zeros_like(times) + 0.9,
@@ -48,11 +48,11 @@ def test_vertical_return_lands_below_interception():
                    np.zeros_like(times), np.zeros_like(times) - 1.0], axis=1)]
     )[0]
     traj = SampledTrajectory(states.ravel().tolist())
-    params = GreyboxParams(geom=geom)
+    params = GreyboxParams()
     phi = InterceptionPolicy(0.0, 0.0)
-    event = interception_event(traj, geom, 0.0)
+    event = interception_event(traj, 0.0)
     xi_plus = racket_impact(
-        event.xi_minus, racket_rotation(phi), racket_velocity(event, geom), params.impact
+        event.xi_minus, racket_rotation(phi), racket_velocity(event), params.impact
     )
     np.testing.assert_allclose(xi_plus[3:5], np.zeros(2), atol=1e-12)
     landing = predict_landing(phi, traj, params)
@@ -61,15 +61,15 @@ def test_vertical_return_lands_below_interception():
 
 def test_matches_fine_step_oracle_pipeline(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.40, 0.0)
-    event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
+    event = interception_event(nominal_traj, phi.theta1)
     xi_plus = racket_impact(
         event.xi_minus,
         racket_rotation(phi),
-        racket_velocity(event, greybox_params.geom),
+        racket_velocity(event),
         greybox_params.impact,
     )
     landing = predict_landing(phi, nominal_traj, greybox_params)
-    ref = fine_step_landing(xi_plus, greybox_params.flight.k_drag, greybox_params.flight.z_table)
+    ref = fine_step_landing(xi_plus, greybox_params.flight.k_drag, Z_TABLE)
     assert np.linalg.norm(landing - ref) < 5e-3
 
 
@@ -78,7 +78,7 @@ def test_more_tilt_gives_longer_range(nominal_traj, greybox_params):
         ranges = []
         for t4 in (0.0, 0.1, 0.2, 0.3):
             phi = InterceptionPolicy(t1, t4)
-            event = interception_event(nominal_traj, greybox_params.geom, t1)
+            event = interception_event(nominal_traj, t1)
             landing = predict_landing(phi, nominal_traj, greybox_params)
             ranges.append(float(np.linalg.norm(landing - event.xi_minus[:2])))
         assert all(a < b for a, b in zip(ranges, ranges[1:]))
@@ -91,7 +91,7 @@ def test_gradient_matches_frozen_fd(nominal_traj, greybox_params):
         t1, t4 = rng.uniform([0.30, 0.0], [0.70, 0.40])
         phi = InterceptionPolicy(t1, t4)
         _, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
-        event = interception_event(nominal_traj, greybox_params.geom, t1)
+        event = interception_event(nominal_traj, t1)
         fd = np.zeros((2, 2))
         for col, d in enumerate(((h, 0.0), (0.0, h))):
             hi = frozen_landing_record(
@@ -108,7 +108,7 @@ def test_tilt_column_dominates_range_direction(nominal_traj, greybox_params):
     for t1, t4 in ((0.35, 0.10), (0.45, 0.20), (0.60, 0.30)):
         phi = InterceptionPolicy(t1, t4)
         landing, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
-        event = interception_event(nominal_traj, greybox_params.geom, t1)
+        event = interception_event(nominal_traj, t1)
         u = landing - event.xi_minus[:2]
         u = u / np.linalg.norm(u)
         assert abs(u @ jac[:, 1]) > abs(u @ jac[:, 0])
@@ -116,7 +116,7 @@ def test_tilt_column_dominates_range_direction(nominal_traj, greybox_params):
 
 def test_first_order_taylor_consistency(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.48, 0.22)
-    event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
+    event = interception_event(nominal_traj, phi.theta1)
     base = frozen_landing_record(phi, event, greybox_params).landing_point
     _, jac = landing_and_gradient(phi, nominal_traj, greybox_params)
     direction = np.array([0.7, -0.4])
@@ -164,13 +164,13 @@ def test_coupled_mode_gradient(nominal_traj):
     np.testing.assert_allclose(value, predict_landing(phi, nominal_traj, params), atol=1e-15)
 
 
-def coupled_policies(traj, rng, n, params):
+def coupled_policies(traj, rng, n):
     """The first n policies drawn uniformly over the sampling box that intercept traj."""
     phis = []
     while len(phis) < n:
         phi = InterceptionPolicy(*rng.uniform(LO, HI).tolist())
         try:
-            interception_event(traj, params.geom, phi.theta1)
+            interception_event(traj, phi.theta1)
         except MissedBall:
             continue
         phis.append(phi)
@@ -184,10 +184,10 @@ def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
     # count or the crossing pair is set aside (one of the 80 here)
     cfg, params, h = EnvConfig(), GreyboxParams(couple_geometry=True), 1e-6
     rng = np.random.default_rng(41)
-    cases = [(nominal_traj, phi) for phi in coupled_policies(nominal_traj, rng, 40, params)]
+    cases = [(nominal_traj, phi) for phi in coupled_policies(nominal_traj, rng, 40)]
     while len(cases) < 80:
         traj = launch(cfg.launcher, cfg.truth_flight, rng)
-        cases += [(traj, phi) for phi in coupled_policies(traj, rng, 1, params)]
+        cases += [(traj, phi) for phi in coupled_policies(traj, rng, 1)]
     clean = 0
     for traj, phi in cases:
         value, jac = landing_and_gradient(phi, traj, params)
@@ -195,7 +195,7 @@ def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
         seen = set()
 
         def landing(p):
-            event = interception_event(traj, params.geom, p.theta1)
+            event = interception_event(traj, p.theta1)
             record = frozen_landing_record(p, event, params)
             seen.add((record.k_max, event.dxi_dtheta1))
             return record.landing_point
@@ -211,23 +211,23 @@ def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
 def test_degenerate_crossing_pair_has_no_coupled_gradient():
     # the path runs along the theta1 = 0 ray (+y from the base pivot), so its
     # first pair lies on that azimuth (a == b == 0) and has no event tangent
-    geom, n = ArmGeometry(), 300
+    n = 300
     times = np.arange(n) * 0.002
     z, o = np.zeros(n), np.ones(n)
     rows = np.column_stack([z, 0.8 - 0.5 * times, 0.8 * o, z, -0.5 * o, z])
     traj = SampledTrajectory(rows.ravel().tolist())
     phi = InterceptionPolicy(0.0, 0.2)
-    event = interception_event(traj, geom, phi.theta1)
+    event = interception_event(traj, phi.theta1)
     assert event.dxi_dtheta1 is None
-    _, jac = landing_and_gradient(phi, traj, GreyboxParams(geom=geom))
+    _, jac = landing_and_gradient(phi, traj, GreyboxParams())
     assert np.all(np.isfinite(jac))
     with pytest.raises(SingularGradient):
-        landing_and_gradient(phi, traj, GreyboxParams(geom=geom, couple_geometry=True))
+        landing_and_gradient(phi, traj, GreyboxParams(couple_geometry=True))
 
 
 def test_frozen_record_matches_pipeline_at_base_policy(nominal_traj, greybox_params):
     phi = InterceptionPolicy(0.5, 0.25)
-    event = interception_event(nominal_traj, greybox_params.geom, phi.theta1)
+    event = interception_event(nominal_traj, phi.theta1)
     rec = frozen_landing_record(phi, event, greybox_params)
     np.testing.assert_allclose(
         rec.landing_point, predict_landing(phi, nominal_traj, greybox_params), atol=1e-12
@@ -247,7 +247,7 @@ def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
     cfg, params, h = EnvConfig(), GreyboxParams(), 1e-5
     traj = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(seed))
     try:
-        event = interception_event(traj, params.geom, t1)
+        event = interception_event(traj, t1)
     except MissedBall:
         assume(False)
     record, jac = predict_landing_with_gradient(InterceptionPolicy(t1, t4), event, params)
@@ -273,8 +273,8 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
     cfg, params, h = EnvConfig(), GreyboxParams(couple_geometry=True), 1e-5
     traj = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(seed))
     try:
-        event = interception_event(traj, params.geom, t1)
-        events = [interception_event(traj, params.geom, t1 + d) for d in (h, -h)]
+        event = interception_event(traj, t1)
+        events = [interception_event(traj, t1 + d) for d in (h, -h)]
     except MissedBall:
         assume(False)
     assume(all(ev.dxi_dtheta1 == event.dxi_dtheta1 for ev in events))
@@ -289,18 +289,20 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
 
 
 @pytest.mark.parametrize(
-    "flight,error",
-    [(FlightParams(), None), (FlightParams(z_table=1.3), NegativeDiscriminant),
-     (FlightParams(max_steps=300), MaxStepsExceeded)],
+    "flight,z_table,error",
+    [(FlightParams(), Z_TABLE, None), (FlightParams(), 1.3, NegativeDiscriminant),
+     (FlightParams(max_steps=300), Z_TABLE, MaxStepsExceeded)],
     ids=["landings", "negative-discriminant", "max-steps"],
 )
-def test_block_labels_match_per_policy_path(nominal_traj, flight, error):
+def test_block_labels_match_per_policy_path(nominal_traj, monkeypatch, flight, z_table, error):
     # the nominal launch and jittered ones; theta1 over (-pi, 3.0) and theta4
     # across the box, so that misses of both kinds and landings all occur;
-    # and a row with a non-finite angle each
+    # and a row with a non-finite angle each. The launches fly to the usual
+    # table; only the returns land on a plane at z_table.
     cfg, params = EnvConfig(), GreyboxParams(flight=flight)
     rng = np.random.default_rng(31)
     trajs = [nominal_traj] + [launch(cfg.launcher, cfg.truth_flight, rng) for _ in range(2)]
+    monkeypatch.setattr(ballistics, "Z_TABLE", z_table)
     t4_lo, t4_hi = SCENARIO_BOX.theta4_bounds
     kinds = set()
     for traj in trajs:

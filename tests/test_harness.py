@@ -1,9 +1,11 @@
 """Experiment configuration, dataset generation, gradient reports, drivers."""
 
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import signal
 import tempfile
@@ -15,6 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import ttreturn.ballistics
 import ttreturn.env
 import ttreturn.greybox
 import ttreturn.harness
@@ -29,7 +32,7 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ttreturn.arm import InterceptionPolicy, base_azimuth, interception_event
-from ttreturn.ballistics import FlightParams
+from ttreturn.ballistics import Z_TABLE, FlightParams
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import intercept
 from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
@@ -69,6 +72,26 @@ class TestConfigValidation:
         names = {name for line in table.splitlines() if line.startswith("| `")
                  for name in re.findall(r"`(\w+)`", line.split("|")[1])}
         assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in names] == []
+
+    def test_readme_package_names_resolve(self):
+        # every backticked `module.name` or `module.Class.attr` of the package in
+        # README exists, so a rename cannot leave a stale name behind
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+        modules = {m.name for m in pkgutil.iter_modules(ttreturn.__path__)}
+        refs = [m.group(0) for span in spans for m in re.finditer(r"(?<![\w./])(\w+)\.\w+(?:\.\w+)?", span)
+                if m.group(1) in modules]
+
+        def resolves(ref):
+            module, *path = ref.split(".")
+            value = importlib.import_module(f"ttreturn.{module}")
+            for part in path:
+                if not hasattr(value, part):
+                    return False
+                value = getattr(value, part)
+            return True
+
+        assert len(refs) > 30 and [ref for ref in refs if not resolves(ref)] == []
 
     @pytest.mark.parametrize(
         "field,value,prefix",
@@ -360,13 +383,16 @@ class TestBlockedSampling:
         assert got == ref == (InfeasibleRegion, "46 of 51 sampled policies missed the ball")
 
     @pytest.mark.parametrize(
-        "flight,error",
-        [(FlightParams(z_table=1.3), "NegativeDiscriminant"),
-         (FlightParams(max_steps=300), "MaxStepsExceeded")],
+        "flight,error",  # flight: the labels' flight parameters and table height
+        [((FlightParams(), 1.3), "NegativeDiscriminant"),
+         ((FlightParams(max_steps=300), Z_TABLE), "MaxStepsExceeded")],
     )
     def test_landing_error_raised_in_draw_order(self, env_cfg, monkeypatch, flight, error):
+        flight, z_table = flight
         traj, params = nominal_trajectory(env_cfg), GreyboxParams(flight=flight)
         monkeypatch.setattr(ttreturn.harness, "GreyboxParams", lambda: params)
+        monkeypatch.setattr(ttreturn.ballistics, "Z_TABLE", z_table)
+        assert nominal_trajectory(env_cfg).rows == traj.rows  # the launch passes the table either way
         calls = []
 
         def label(phi):
@@ -436,7 +462,7 @@ class TestGradCheck:
         # every theta1 of this box lies within 1e-6 rad of one sample's azimuth,
         # so each +-1e-5 difference crosses into the next pair: all flagged
         x, y = nominal_trajectory(env_cfg).xy()
-        az = float(base_azimuth(x[272], y[272], coupled.geom))
+        az = float(base_azimuth(x[272], y[272]))
         k = FeasibleSet((az - SAMPLING_MARGIN - 1e-6, az + SAMPLING_MARGIN + 1e-6), SCENARIO_BOX.theta4_bounds)
         assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k, params=coupled).n_flagged == 5
         assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k).n_flagged < 5
@@ -729,7 +755,7 @@ class TestRunGradients:
         for coupled in (False, True):
             cfg = ExperimentConfig(mode="run", out_dir=str(tmp_path), couple_geometry=coupled)
             params = GreyboxParams(couple_geometry=coupled)
-            event = interception_event(nominal_traj, params.geom, phi.theta1)
+            event = interception_event(nominal_traj, phi.theta1)
             _, jac = predict_landing_with_gradient(phi, event, params)
             diag = SimpleNamespace(event=event)
             np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, diag), jac)
@@ -765,7 +791,7 @@ class TestRunGradients:
         fresh_params = GreyboxParams(couple_geometry=coupled)
         for (phi, diag, incoming), (grad_phi, event, params, jac) in zip(intercepts, gradients):
             assert grad_phi is phi and event is diag.event and params.couple_geometry is coupled
-            fresh = interception_event(incoming, fresh_params.geom, phi.theta1)
+            fresh = interception_event(incoming, phi.theta1)
             assert fresh.dxi_dtheta1 == event.dxi_dtheta1
             assert np.array_equal(fresh.xi_minus, event.xi_minus)
             assert np.array_equal(real_gradient(phi, fresh, fresh_params)[1], jac)

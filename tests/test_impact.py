@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ttreturn.arm import (
-    ArmGeometry,
     InterceptionEvent,
     InterceptionPolicy,
     interception_event,
@@ -76,48 +75,46 @@ class TestRacketImpact:
         n = 40
         xi = np.column_stack((rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 5.0))
         theta1, theta4 = rng.uniform(-pi, pi, (2, n))
-        geom, params = ArmGeometry(), ImpactParams(restitution=np.array([0.72, -0.78, 0.72]))
-        out = racket_impacts(xi, theta1, theta4, geom, params)
+        params = ImpactParams(restitution=np.array([0.72, -0.78, 0.72]))
+        out = racket_impacts(xi, theta1, theta4, params)
         for row, x, t1, t4 in zip(out, xi, theta1.tolist(), theta4.tolist()):
             event = InterceptionEvent(x)
             gamma = racket_rotation(InterceptionPolicy(t1, t4))
-            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event, geom), params)
+            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event), params)
             np.testing.assert_array_equal(row, ref)
 
-def frozen_impact(phi, event, geom, params):
+def frozen_impact(phi, event, params):
     gamma = racket_rotation(phi)
-    v_r = racket_velocity(event, geom)
+    v_r = racket_velocity(event)
     return racket_impact(event.xi_minus, gamma, v_r, params)
 
 
 class TestImpactStateJacobian:
-    def test_matches_fd_on_frozen_event(self, nominal_traj, env_cfg):
-        geom = env_cfg.geom
+    def test_matches_fd_on_frozen_event(self, nominal_traj):
         params = ImpactParams()
         rng = np.random.default_rng(12)
         h = 1e-6
         for _ in range(20):
             t1, t4 = rng.uniform([0.30, 0.0], [0.70, 0.4])
-            event = interception_event(nominal_traj, geom, t1)
+            event = interception_event(nominal_traj, t1)
             phi = InterceptionPolicy(t1, t4)
-            jac = impact_state_jacobian(phi, event, geom, params, False)
+            jac = impact_state_jacobian(phi, event, params, False)
             assert np.array_equal(jac[:3, :], np.zeros((3, 2)))
             fd = np.zeros((6, 2))
             for col, d in enumerate(((h, 0.0), (0.0, h))):
-                hi = frozen_impact(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, geom, params)
-                lo = frozen_impact(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, geom, params)
+                hi = frozen_impact(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params)
+                lo = frozen_impact(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params)
                 fd[:, col] = (hi - lo) / (2 * h)
             assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
 
-    def test_zero_yaw_rate_reduction(self, nominal_traj, env_cfg):
-        # with theta1_dot = 0 the racket velocity vanishes and only the
+    def test_zero_yaw_rate_reduction(self, nominal_traj, zero_yaw_rate):
+        # with THETA1_DOT = 0 the racket velocity vanishes and only the
         # rotation-derivative terms remain
-        geom = ArmGeometry(theta1_dot=0.0)
         params = ImpactParams()
         t1, t4 = 0.45, 0.2
-        event = interception_event(nominal_traj, geom, t1)
+        event = interception_event(nominal_traj, t1)
         phi = InterceptionPolicy(t1, t4)
-        jac = impact_state_jacobian(phi, event, geom, params, False)
+        jac = impact_state_jacobian(phi, event, params, False)
         from ttreturn.arm import racket_rotation_jacobian
 
         gamma = racket_rotation(phi)
@@ -127,11 +124,10 @@ class TestImpactStateJacobian:
             expected = (d_g @ m @ gamma.T + gamma @ m @ d_g.T) @ event.xi_minus[3:]
             np.testing.assert_allclose(jac[3:, col], expected, atol=1e-12)
 
-    def test_zero_relative_velocity_kills_rotation_terms(self, nominal_traj, env_cfg):
-        geom = env_cfg.geom
+    def test_zero_relative_velocity_kills_rotation_terms(self, nominal_traj):
         t1 = 0.45
-        event = interception_event(nominal_traj, geom, t1)
-        event.xi_minus[3:] = racket_velocity(event, geom)  # force v_minus == v_R
+        event = interception_event(nominal_traj, t1)
+        event.xi_minus[3:] = racket_velocity(event)  # force v_minus == v_R
         phi = InterceptionPolicy(t1, 0.2)
-        jac = impact_state_jacobian(phi, event, geom, ImpactParams(), False)
+        jac = impact_state_jacobian(phi, event, ImpactParams(), False)
         np.testing.assert_allclose(jac, np.zeros((6, 2)), atol=1e-12)
