@@ -14,7 +14,7 @@ import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 # bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
-from .ballistics import FlightParams, euler_flight, propagate_to_landing  # noqa: F401
+from .ballistics import Z_TABLE, FlightParams, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
 from .greybox import GreyboxParams, frozen_landing_record
 from .impact import ImpactParams
@@ -37,7 +37,8 @@ MISS_TOLERANCE = 0.1  # share of missed trials at which a variance estimate is r
 
 @dataclass
 class SampledTrajectory:
-    """Dense time-sampled ball trajectory, kept as the flight kernel wrote it."""
+    """Ball samples SAMPLE_DT apart, kept as the flight kernel wrote them: the whole
+    unaimed flight, or an aimed launch's window around its crossing (`launch`)."""
 
     rows: list  # 6 n floats: p, v of each sample in turn
     _xy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
@@ -125,18 +126,27 @@ def stop_past(start, theta1: float) -> float:
 
 def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
            aim: float | None = None) -> SampledTrajectory:
-    """Launch one ball: jitter the nominal state, integrate at SAMPLE_DT, keep every step.
+    """Launch one ball: jitter the nominal state and integrate at SAMPLE_DT.
 
-    Sampling stops once the ball meets the table, drops to the floor or has
-    passed well behind the workspace, or after LAUNCH_STEPS steps (T_MAX). With
-    `aim=theta1` it also stops shortly after the ball crosses base
-    azimuth theta1 (`stop_past`): the samples are a prefix of the unaimed
-    launch's that holds its first crossing pair.
+    The flight stops at the table, the floor or a y well behind the workspace, or
+    after LAUNCH_STEPS steps (T_MAX); unaimed, it keeps every step. `aim=theta1`
+    also stops it at y_stop = `stop_past`, just past base azimuth theta1, and keeps
+    a window of whole samples of the unaimed launch that holds its first crossing
+    pair: unsampled to y_keep, two samples and 1 mm above the crossing, then sampled
+    to y_stop. It samples from the start if the start lies at or below y_keep or
+    y_stop is CONTACT's, and keeps one sample if the ball meets the floor or the
+    table, or the step cap runs out, before y_keep.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
     y_stop = CONTACT[4] if aim is None else stop_past(rows, aim)
-    euler_flight(rows, flight, SAMPLE_DT, LAUNCH_STEPS, table=(*CONTACT[:4], y_stop), samples=rows)
+    y_keep, steps, (cx, cy, hx, hy, _) = y_stop - 4.0 * SAMPLE_DT * rows[4] + 2e-3, LAUNCH_STEPS, CONTACT
+    if y_stop > CONTACT[4] and rows[1] > y_keep:  # fly unsampled to the window's first sample
+        stop, n, _ = euler_flight(rows, flight, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_keep))
+        (px, py, pz, *_), rows, steps = stop, list(stop), steps - n  # no steps left: one sample
+        if pz <= 0.0 or (pz <= Z_TABLE and abs(px - cx) <= hx and abs(py - cy) <= hy):
+            return SampledTrajectory(rows)  # floor or table before the window: as the full launch ends
+    euler_flight(rows, flight, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_stop), samples=rows)
     return SampledTrajectory(rows)
 
 

@@ -1,13 +1,14 @@
 """Simulated environment: launches, interceptions, noise, scatter estimate."""
 
 import copy
-from math import atan2, cos, pi, sin
+import re
+from math import atan, atan2, cos, pi, sin
 
 import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -156,6 +157,12 @@ def aimed_and_full(cfg, flight, theta1, seed=0):
     return aimed, launch(cfg, flight, np.random.default_rng(seed))
 
 
+def is_window(aimed, full):
+    """Whether the aimed rows are a contiguous run of whole samples of the full rows."""
+    n = len(aimed.rows)
+    return any(full.rows[off : off + n] == aimed.rows for off in range(0, len(full.rows) - n + 1, 6))
+
+
 def ray_direction(theta1):
     """Horizontal unit vector of the base azimuth theta1."""
     return np.array([cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)])
@@ -165,16 +172,26 @@ def ray_direction(theta1):
 THETA1_GRID = (-3.0, -2.0, -pi / 2 - 1e-9, -pi / 2 + 1e-9, -1.0, -0.4, -0.05, 0.0, 0.1, 0.26, 0.35,
                0.45, 0.55, 0.62, 0.72, 0.85, 1.0, 1.3, pi / 2 - 1e-9, pi / 2 + 1e-9, 2.0, 2.8, pi - 1e-9, 3.1)
 
+# zero-jitter starts with a real stop whose aimed launch leaves its window early:
+# the crossing within the first step, so it samples from the start (exit a), or the
+# floor, the table or the step cap before the window, so it keeps one sample (exit b)
+WINDOW_EXITS = {
+    "crossing_in_first_step": ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), atan(0.15 / 3.89)),
+    "floor": ((-0.15, 3.9, 1.1, 0.0, -1.0, -5.0), 0.45),
+    "table": ((-1.0, 1.5, 0.8, 0.0, -8.3, -2.0), 1.2),
+    "step_cap": ((-0.15, 3.9, 6.0, 0.0, -0.5, 20.0), 0.45),
+}
+
 
 class TestAimedLaunch:
     def test_matches_the_full_launch(self, env_cfg, monkeypatch):
-        # 12 jittered launches per theta1, 288 in all: the aimed samples are a prefix
+        # 12 jittered launches per theta1, 288 in all: the aimed samples are a window
         # of the full ones, with the same event (or miss) and the same landing
         flight, shorter, kinds = env_cfg.truth_flight, [], set()
         cases = [(seed, t1) for seed in range(12) for t1 in THETA1_GRID]
         for seed, t1 in cases:
             aimed, full = aimed_and_full(env_cfg.launcher, flight, t1, seed)
-            assert aimed.rows == full.rows[: len(aimed.rows)]
+            assert is_window(aimed, full)
             got = event_or_error(aimed, t1)
             assert got == event_or_error(full, t1)
             kinds.add(got if isinstance(got, type) else "event")
@@ -196,10 +213,11 @@ class TestAimedLaunch:
         monkeypatch.setattr(ttreturn.env, "launch", lambda cfg, flight, rng, aim=None: launch(cfg, flight, rng))
         assert aimed_landings == landings()
 
-    @pytest.mark.parametrize("nominal", [(-0.15, 3.9, 1.1, 0.0, 0.0, 3.3), (0.4, -0.6, 1.1, -0.5, 6.0, 3.3)],
+    @pytest.mark.parametrize("nominal,jitter", [((-0.15, 3.9, 1.1, 0.0, 0.0, 3.3), np.zeros(6)),
+                                                ((0.4, -0.6, 1.1, -0.5, 6.0, 3.3), LauncherConfig().jitter_std)],
                              ids=["vy0_zero", "vy0_positive"])
-    def test_upward_start_flies_the_full_path(self, env_cfg, nominal):
-        cfg = LauncherConfig(nominal_state=np.array(nominal))
+    def test_upward_start_flies_the_full_path(self, env_cfg, nominal, jitter):
+        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=jitter)
         for t1 in THETA1_GRID:
             assert stop_past(list(nominal), t1) == CONTACT[4]
             aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
@@ -246,6 +264,23 @@ class TestAimedLaunch:
         y_stop = stop_past(cfg.nominal_state.tolist(), t1)
         assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * SAMPLE_DT * 8.3 - 1e-3, abs=1e-12)
 
+    @pytest.mark.parametrize("name", list(WINDOW_EXITS))
+    def test_window_exits_miss_as_the_full_launch(self, env_cfg, name):
+        nominal, t1 = WINDOW_EXITS[name]
+        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
+        assert stop_past(list(nominal), t1) > CONTACT[4]
+        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
+        assert is_window(aimed, full)
+        with pytest.raises(MissedBall) as missed:
+            interception_event(full, t1)
+        with pytest.raises(missed.type, match=f"^{re.escape(str(missed.value))}$"):
+            interception_event(aimed, t1)
+        if name == "crossing_in_first_step":
+            assert aimed.rows[:6] == list(nominal) and missed.type is OutOfReach
+            assert "target at 3.905 m" in str(missed.value)
+        else:
+            assert len(aimed) == 1 and aimed.rows == full.rows[-6:] and missed.type is NoCrossing
+
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 @settings(max_examples=200, deadline=None)
@@ -255,10 +290,14 @@ class TestAimedLaunch:
     st.sampled_from([0.0, 1e-13, -1e-10, 1e-8, -1e-6, 1.01e-6, 1e-5]),
     st.floats(0.3, 4.0),
 )
+@example(*WINDOW_EXITS["crossing_in_first_step"][0][3:], WINDOW_EXITS["crossing_in_first_step"][1],
+         "free", 0.0, 1.0)
+@example(*WINDOW_EXITS["floor"][0][3:], WINDOW_EXITS["floor"][1], "free", 0.0, 1.0)
 def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode, tilt, dist):
-    # "free": the nominal start, theta1 anywhere; otherwise the start lies `dist` from
-    # the base on the line of its velocity, and theta1 is that line's azimuth (along or
-    # against the motion) turned by `tilt`, so the path runs on or near the ray
+    # "free": the nominal start, theta1 anywhere (the examples are the WINDOW_EXITS that
+    # start there); otherwise the start lies `dist` from the base on the line of its
+    # velocity, and theta1 is that line's azimuth (along or against the motion) turned
+    # by `tilt`, so the path runs on or near the ray
     flight = EnvConfig().truth_flight
     start = np.array([-0.15, 3.9, 1.1, vx, vy, vz])
     if mode != "free" and np.hypot(vx, vy) > 0.0:
@@ -268,7 +307,7 @@ def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode
         t1 = (t1 + pi) % (2 * pi) - pi
     cfg = LauncherConfig(nominal_state=start, jitter_std=np.zeros(6))
     aimed, full = aimed_and_full(cfg, flight, t1)
-    assert aimed.rows == full.rows[: len(aimed.rows)]
+    assert is_window(aimed, full)
     assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
 
