@@ -131,10 +131,15 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
+        for name in ("beta1", "beta2"):  # 1 would divide by a zero bias correction
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1)")
+        if not self.eps_adam > 0:
+            raise ValueError("eps_adam must be > 0")
 
 
 def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -214,46 +219,56 @@ def train(
     x_tr, y_tr = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
     # a trailing ones column carries each bias through the products below
-    a_tr = np.column_stack([(x_tr - model.input_center) / model.input_half, np.ones(len(x_tr))])
+    a_tr, a_val = (np.column_stack([(xs - model.input_center) / model.input_half, np.ones(len(xs))])
+                   for xs in (x_tr, x_val))
     y_tr_n = (y_tr - model.output_mean) / model.output_std
 
     # each layer is one row-major (out, in + 1) block [w | b] of the flat theta;
-    # model.layers holds its views (w, b)
+    # model.layers holds its views (w, b); theta changes only in place, so every view stays valid
     theta = np.concatenate([np.column_stack([w, b]).ravel() for w, b in model.layers])
     cuts = np.cumsum([b.size * (w.shape[1] + 1) for w, b in model.layers])[:-1]
     grad = np.zeros_like(theta)
     blocks, g_blocks = ([p.reshape(len(b), -1) for p, (_, b) in zip(np.split(flat, cuts), model.layers)]
                         for flat in (theta, grad))
     model.layers = [(block[:, :-1], block[:, -1]) for block in blocks]
+    blocks_t, weights = [block.T for block in blocks], [w for w, _ in model.layers]
     m_adam = np.zeros_like(theta)
     v_adam = np.zeros_like(theta)
     t_step = 0
 
-    def real_mse(xs: np.ndarray, ys: np.ndarray) -> float:
-        out, _ = _forward_batch(model, xs)
-        pred = out * model.output_std + model.output_mean
-        return float(np.mean(np.sum((pred - ys) ** 2, axis=1)))
+    def real_mse(a: np.ndarray, h: np.ndarray, ys: np.ndarray) -> float:
+        # the batches' products on inputs a with their ones column; h is a ones buffer of a's rows
+        for block_t in blocks_t[:-1]:
+            np.tanh(np.dot(a, block_t), out=h[:, :-1])
+            a = h
+        err = np.square(np.dot(a, blocks_t[-1]) * model.output_std + model.output_mean - ys)
+        return float(np.mean(err[:, 0] + err[:, 1]))
 
     history: dict = {"train_mse": [], "val_mse": []}
     n_tr = len(x_tr)
-    # hidden activations with their ones column, (buffer, tanh view) per layer, for each batch size
-    hidden = {nb: [(h, h[:, :-1]) for h in (np.ones((nb, width + 1)) for width in HIDDEN_LAYERS)]
-              for nb in {min(cfg.batch_size, n_tr), n_tr % cfg.batch_size or cfg.batch_size}}
+    (width,) = set(HIDDEN_LAYERS)  # one array holds every hidden layer, so the widths must be equal
+    h_mse = np.ones((n_tr, width + 1))  # the epoch MSE's hidden buffer; n_val < n_tr
+    # per batch size, one buffer holds the hidden activations with their ones column over their
+    # tanh derivatives, layer-major so that each layer stays a contiguous BLAS operand; and its views
+    hidden = {nb: (buf, [(h, h[:, :-1]) for h in buf[0]], [d[:, :-1] for d in buf[1]])
+              for nb in {min(cfg.batch_size, n_tr), n_tr % cfg.batch_size or cfg.batch_size}
+              for buf in [np.ones((2, len(HIDDEN_LAYERS), nb, width + 1))]}
     for _ in range(cfg.epochs):
         order = rng.permutation(n_tr)
         a_ep, y_ep = a_tr[order], y_tr_n[order]
         for start in range(0, n_tr, cfg.batch_size):
             a = a_ep[start : start + cfg.batch_size]
             yb = y_ep[start : start + cfg.batch_size]
-            hid = hidden[len(a)]
+            (whole, deriv), hid, d_tanh = hidden[len(a)]
 
             # forward with caches; the bias is each BLAS sum's last term, which
             # rounds like the separate + b; np.dot dispatches less than @
             acts = [a]
-            for block, (h, t) in zip(blocks, hid):
-                np.tanh(np.dot(acts[-1], block.T), out=t)
+            for block_t, (h, t) in zip(blocks_t, hid):
+                np.tanh(np.dot(acts[-1], block_t), out=t)
                 acts.append(h)
-            out = np.dot(acts[-1], blocks[-1].T)
+            out = np.dot(acts[-1], blocks_t[-1])
+            np.subtract(1.0, np.square(whole, out=deriv), out=deriv)
 
             # backward: mean over the batch of the squared error sum; the ones
             # column makes each block's gradient [delta.T @ acts | delta.sum]
@@ -261,7 +276,7 @@ def train(
             for li in range(len(blocks) - 1, -1, -1):
                 np.dot(delta.T, acts[li], out=g_blocks[li])
                 if li > 0:
-                    delta = np.dot(delta, model.layers[li][0]) * (1.0 - hid[li - 1][1] ** 2)
+                    delta = np.dot(delta, weights[li]) * d_tanh[li - 1]
 
             t_step += 1
             corr1 = 1.0 - cfg.beta1**t_step
@@ -272,7 +287,7 @@ def train(
                 np.sqrt(v_adam / corr2) + cfg.eps_adam
             )
 
-        history["train_mse"].append(real_mse(x_tr, y_tr))
-        history["val_mse"].append(real_mse(x_val, y_val) if n_val > 0 else float("nan"))
+        history["train_mse"].append(real_mse(a_tr, h_mse, y_tr))
+        history["val_mse"].append(real_mse(a_val, h_mse[:n_val], y_val) if n_val > 0 else float("nan"))
 
     return model, history

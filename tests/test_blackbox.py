@@ -149,6 +149,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=batch_size)
 
+    # beta = 1 zeroes Adam's bias correction and a NaN learning rate passed
+    # the <= 0 check: either way train returned all-NaN weights and history
+    # without an error; eps_adam <= 0 lets a zero gradient divide 0 by 0
+    @pytest.mark.parametrize(
+        "field,value",
+        [("beta1", 1.0), ("beta1", -0.1), ("beta2", 1.0), ("beta2", 1.5), ("beta2", np.nan),
+         ("eps_adam", 0.0), ("eps_adam", -1e-8), ("learning_rate", np.nan)],
+    )
+    def test_rejects_adam_constants_outside_their_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
     @pytest.mark.parametrize(
         "record",
         [
@@ -244,7 +256,13 @@ def per_array_adam_train(dataset, cfg):
 
 class TestFlatAdamOracle:
     # Batches of one row take BLAS's gemv path instead of gemm, where the
-    # bias column's place in the [w | b] block decides the last bit.
+    # bias column's place in the [w | b] block decides the last bit. The
+    # epoch MSE history runs the same ones-column products on the whole
+    # training and validation splits, and the oracle's history runs
+    # _forward_batch's a @ w.T + b, so the history is pinned too: on one
+    # row (the validation split of batch-of-one, n_val = 1, and the
+    # training split of one-record, n_tr = 1) through gemv, and on 1350
+    # and 150 rows (benchmark-scale) through gemm.
     @pytest.mark.parametrize(
         "n,data_seed,cfg",
         [
@@ -256,8 +274,11 @@ class TestFlatAdamOracle:
             # 18 training points, fewer than one batch
             (20, 3, TrainConfig(epochs=4, seed=2, batch_size=64)),
             (12, 5, TrainConfig(epochs=2, seed=6, batch_size=1)),
+            # the surrogate-build benchmark's dataset size: 1350 training and 150 validation rows
+            (1500, 9, TrainConfig(epochs=2, seed=3)),
         ],
-        ids=["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one"],
+        ids=["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one",
+             "benchmark-scale"],
     )
     def test_matches_per_array_loop(self, tmp_path, n, data_seed, cfg):
         ds = affine_dataset(n, seed=data_seed)
