@@ -9,8 +9,8 @@ trained surrogate model.
 
 from .arm import InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event
 from .ballistics import (
-    FlightParams,
     LandingRecord,
+    Physics,
     final_step,
     landing_state_jacobian,
     propagate_to_landing,
@@ -25,7 +25,7 @@ from .blackbox import (
     mlp_jacobian,
     train,
 )
-from .env import EnvConfig, LauncherConfig, estimate_variance, intercept, launch
+from .env import TRUTH, EnvConfig, estimate_variance, intercept, launch
 from .errors import (
     AbortedRun,
     ConfigError,
@@ -37,7 +37,7 @@ from .errors import (
     SimulationError,
 )
 from .greybox import (
-    GreyboxParams,
+    MODEL,
     predict_landing,
     predict_landing_with_gradient,
 )
@@ -49,7 +49,7 @@ from .harness import (
     grad_check_report,
     run_experiment,
 )
-from .impact import ImpactParams, impact_state_jacobian, racket_impact
+from .impact import impact_state_jacobian, racket_impact
 from .metrics import MetricsState, running_metrics
 from .optimizer import FeasibleSet, RunLog, gd_update, project, run_online
 

@@ -29,22 +29,18 @@ DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singul
 LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by one (crossover 80-160)
 
 
-@dataclass
-class FlightParams:
-    """Parameters of the discrete free-flight model; gravity is G_VERTICAL along -z
-    and the table plane is at z = Z_TABLE."""
+MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
 
-    k_drag: float = 0.106             # [1/m]
-    dt: float = 1e-3                  # [s]
-    max_steps: int = 4000
 
-    def __post_init__(self) -> None:
-        if self.k_drag < 0:
-            raise ValueError("k_drag must be >= 0")
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+@dataclass(frozen=True)
+class Physics:
+    """The physics in which the grey-box model (greybox.MODEL) and the simulated
+    truth (env.TRUTH) differ; gravity is G_VERTICAL along -z and the table plane
+    is at z = Z_TABLE for both."""
+
+    k_drag: float                             # [1/m] quadratic drag
+    dt: float                                 # [s] full step of the return flight
+    restitution: tuple[float, float, float]   # racket rest frame diagonal; the negative entry is along the normal
 
 
 @dataclass
@@ -59,7 +55,7 @@ class LandingRecord:
 
 
 def euler_flight(
-    row, params: FlightParams, dt: float, max_steps: int, land: bool = False, table: tuple | None = None,
+    row, k_drag: float, dt: float, max_steps: int, land: bool = False, table: tuple | None = None,
     samples: list | None = None, tangent: np.ndarray | None = None,
 ) -> tuple[tuple, int, np.ndarray | None]:
     """Explicit Euler steps of the drag flight on plain floats.
@@ -83,7 +79,7 @@ def euler_flight(
     dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
     """
     px, py, pz, vx, vy, vz = row
-    k_drag, z_plane = float(params.k_drag), Z_TABLE  # locals: read on every step
+    k_drag, z_plane = float(k_drag), Z_TABLE  # locals: read on every step
     if land:
         # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= Z_TABLE
         vz_top = G_VERTICAL * dt
@@ -139,14 +135,14 @@ def euler_flight(
     return stop, n, np.array(columns).T
 
 
-def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray, np.ndarray]:
-    """`euler_flight(row, params, params.dt, params.max_steps, land=True)` for
+def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np.ndarray]:
+    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS, land=True)` for
     each row of a (B, 6) array: in lockstep on (B,) arrays, with the same
     arithmetic in the same order, while at least LOCKSTEP_MIN rows fly, then
     row by row in euler_flight. Returns (B, 6) stop states and (B,) step
-    counts; a row still flying after max_steps has count -1 and keeps its start.
+    counts; a row still flying after MAX_STEPS has count -1 and keeps its start.
     """
-    dt, k_drag = params.dt, float(params.k_drag)
+    dt, k_drag, max_steps = physics.dt, float(physics.k_drag), MAX_STEPS
     vz_top = G_VERTICAL * dt
     z_top = Z_TABLE + 0.5 * G_VERTICAL * dt * dt
     stops = np.array(starts, dtype=float).reshape(-1, 6)
@@ -154,7 +150,7 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
     active = np.arange(len(stops))
     px, py, pz, vx, vy, vz = stops.T.copy()
     with np.errstate(all="ignore"):  # a non-finite row goes on as NaN, as in euler_flight
-        for n in range(params.max_steps + 1):
+        for n in range(max_steps + 1):
             landed = (vz <= vz_top) & (pz + dt * vz <= z_top)
             if landed.any():
                 stops[active[landed]] = np.column_stack((px, py, pz, vx, vy, vz))[landed]
@@ -162,7 +158,7 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
                 flying = ~landed
                 active = active[flying]
                 px, py, pz, vx, vy, vz = (c[flying] for c in (px, py, pz, vx, vy, vz))
-            if n == params.max_steps or len(active) < LOCKSTEP_MIN:
+            if n == max_steps or len(active) < LOCKSTEP_MIN:
                 break
             drag = k_drag * np.sqrt(vx * vx + vy * vy + vz * vz)
             px += dt * vx
@@ -173,7 +169,7 @@ def euler_landings(starts: np.ndarray, params: FlightParams) -> tuple[np.ndarray
             vz += dt * (-G_VERTICAL - drag * vz)
     for j, row in zip(active.tolist(), np.column_stack((px, py, pz, vx, vy, vz)).tolist()):
         with suppress(MaxStepsExceeded):
-            stops[j], k, _ = euler_flight(row, params, dt, params.max_steps - n, land=True)
+            stops[j], k, _ = euler_flight(row, k_drag, dt, max_steps - n, land=True)
             steps[j] = n + k
     return stops, steps
 
@@ -205,20 +201,20 @@ def remaining_time_gradient(xi: np.ndarray) -> np.ndarray:
 
 
 def propagate_to_landing(
-    xi_plus: np.ndarray, params: FlightParams, tangent: np.ndarray | None = None
+    xi_plus: np.ndarray, physics: Physics, tangent: np.ndarray | None = None
 ) -> LandingRecord:
     """Propagate a post-impact state until the ball reaches the table plane.
 
-    Full steps of params.dt are taken while the predicted remaining time
-    exceeds dt; the last step (final_step) uses the (shortened) remaining time.
-    Its Euler position update misses the plane by a sub-millimeter residual,
-    so the landing point is linearly interpolated onto the plane along the
-    last step. A ball that cannot reach the plane raises NegativeDiscriminant
-    from the state the flight stopped at.
+    Full steps of physics.dt, at most MAX_STEPS, are taken while the predicted
+    remaining time exceeds dt; the last step (final_step) uses the (shortened)
+    remaining time. Its Euler position update misses the plane by a
+    sub-millimeter residual, so the landing point is linearly interpolated
+    onto the plane along the last step. A ball that cannot reach the plane
+    raises NegativeDiscriminant from the state the flight stopped at.
     A 6x2 `tangent` is pushed through the full steps (landing_state_jacobian).
     """
     xi = np.asarray(xi_plus, dtype=float).tolist()
-    stop, k_max, pushed = euler_flight(xi, params, params.dt, params.max_steps, land=True, tangent=tangent)
+    stop, k_max, pushed = euler_flight(xi, physics.k_drag, physics.dt, MAX_STEPS, land=True, tangent=tangent)
     t_last, landing = final_step(stop)
     return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing, stop=np.array(stop), tangent=pushed)
 

@@ -117,29 +117,18 @@ class Dataset:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 500
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
-    batch_size: int = 64
-    seed: int = 0
-    validation_fraction: float = 0.1
+    """The training run's epochs and seed; Adam's settings, the batch size and the
+    validation share are class constants."""
 
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in (0, 1)")
-        for name in ("beta1", "beta2"):  # 1 would divide by a zero bias correction
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1)")
-        if not self.eps_adam > 0:
-            raise ValueError("eps_adam must be > 0")
+    epochs: int = 500
+    seed: int = 0
+
+    learning_rate = 1e-3
+    beta1 = 0.9
+    beta2 = 0.999
+    eps_adam = 1e-8
+    batch_size = 64
+    validation_fraction = 0.1
 
 
 def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -1,11 +1,12 @@
 """Command-line entry point for the experiment harness.
 
-Exit codes: 0 success; 1 configuration, input or feasibility error, an input
-file that cannot be read or an output that cannot be written; 2 run aborted
-after too many consecutive missed balls (its CSV keeps the finished
-iterations); 3 any other simulation error (a flight that cannot land or step,
-a singular or non-finite gradient or landing point in a run, a degenerate
-training dataset or one with a non-finite value).
+Exit codes: 0 success (also after --help); 1 configuration, input or
+feasibility error, a command-line usage error (argparse's usage message goes
+to stderr), an input file that cannot be read or an output that cannot be
+written; 2 run aborted after too many consecutive missed balls (its CSV keeps
+the finished iterations); 3 any other simulation error (a flight that cannot
+land or step, a singular or non-finite gradient or landing point in a run, a
+degenerate training dataset or one with a non-finite value).
 """
 
 from __future__ import annotations
@@ -88,7 +89,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 after a usage error: an input error here
+        return 1 if exc.code else 0
     try:
         cfg = config_from_args(args)
         summary = run_experiment(cfg)

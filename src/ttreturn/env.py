@@ -14,18 +14,15 @@ import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 # bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
-from .ballistics import Z_TABLE, FlightParams, euler_flight, propagate_to_landing  # noqa: F401
+from .ballistics import Z_TABLE, Physics, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
-from .greybox import GreyboxParams, frozen_landing_record
-from .impact import ImpactParams
+from .greybox import frozen_landing_record
 from .metrics import running_metrics
 
-# Default ground truth deliberately differs from the predictor models
-# (drag 0.12 vs 0.106, restitution 0.72/-0.78/0.72 vs 0.75) so that the
+# The ground truth deliberately differs from greybox.MODEL (drag 0.12 vs
+# 0.106, restitution 0.72/-0.78/0.72 vs 0.75, a finer step) so that the
 # online optimizer only ever sees approximate gradients.
-TRUTH_K_DRAG = 0.12
-TRUTH_RESTITUTION = (0.72, -0.78, 0.72)
-TRUTH_DT = 5e-4
+TRUTH = Physics(k_drag=0.12, dt=5e-4, restitution=(0.72, -0.78, 0.72))
 
 # Standard table footprint in the world frame (surface height is
 # ballistics.Z_TABLE); the arm stands beside the table, base ground
@@ -54,36 +51,12 @@ class SampledTrajectory:
 
 
 @dataclass
-class LauncherConfig:
-    """Nominal launch state plus per-component Gaussian jitter."""
+class EnvConfig:
+    """The launcher's nominal state and per-component Gaussian jitter, and the landing noise."""
 
     nominal_state: np.ndarray = field(default_factory=lambda: np.array([-0.15, 3.9, 1.10, 0.0, -8.3, 3.3]))
-    jitter_std: np.ndarray = field(
-        default_factory=lambda: np.array([0.005, 0.005, 0.005, 0.015, 0.025, 0.015])
-    )
-
-    def __post_init__(self) -> None:
-        self.nominal_state = np.asarray(self.nominal_state, dtype=float)
-        self.jitter_std = np.asarray(self.jitter_std, dtype=float)
-        if np.any(self.jitter_std < 0):
-            raise ValueError("jitter_std must be >= 0")
-
-
-@dataclass
-class EnvConfig:
-    truth_flight: FlightParams = field(
-        default_factory=lambda: FlightParams(k_drag=TRUTH_K_DRAG, dt=TRUTH_DT)
-    )
-    truth_impact: ImpactParams = field(
-        default_factory=lambda: ImpactParams(restitution=np.array(TRUTH_RESTITUTION))
-    )
+    jitter_std: np.ndarray = field(default_factory=lambda: np.array([0.005, 0.005, 0.005, 0.015, 0.025, 0.015]))
     landing_noise_std: np.ndarray = field(default_factory=lambda: np.array([0.10, 0.23]))
-    launcher: LauncherConfig = field(default_factory=LauncherConfig)
-
-    def __post_init__(self) -> None:
-        self.landing_noise_std = np.asarray(self.landing_noise_std, dtype=float)
-        if np.any(self.landing_noise_std < 0):
-            raise ValueError("landing_noise_std must be >= 0")
 
 
 @dataclass
@@ -124,9 +97,8 @@ def stop_past(start, theta1: float) -> float:
     return max(y_far, y0 + s * vy + 2.0 * SAMPLE_DT * vy - 1e-3)
 
 
-def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
-           aim: float | None = None) -> SampledTrajectory:
-    """Launch one ball: jitter the nominal state and integrate at SAMPLE_DT.
+def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -> SampledTrajectory:
+    """Launch one ball: jitter the nominal state and integrate at SAMPLE_DT with TRUTH's drag.
 
     The flight stops at the table, the floor or a y well behind the workspace, or
     after LAUNCH_STEPS steps (T_MAX); unaimed, it keeps every step. `aim=theta1`
@@ -142,11 +114,11 @@ def launch(cfg: LauncherConfig, flight: FlightParams, rng: np.random.Generator,
     y_stop = CONTACT[4] if aim is None else stop_past(rows, aim)
     y_keep, steps, (cx, cy, hx, hy, _) = y_stop - 4.0 * SAMPLE_DT * rows[4] + 2e-3, LAUNCH_STEPS, CONTACT
     if y_stop > CONTACT[4] and rows[1] > y_keep:  # fly unsampled to the window's first sample
-        stop, n, _ = euler_flight(rows, flight, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_keep))
+        stop, n, _ = euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_keep))
         (px, py, pz, *_), rows, steps = stop, list(stop), steps - n  # no steps left: one sample
         if pz <= 0.0 or (pz <= Z_TABLE and abs(px - cx) <= hx and abs(py - cy) <= hy):
             return SampledTrajectory(rows)  # floor or table before the window: as the full launch ends
-    euler_flight(rows, flight, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_stop), samples=rows)
+    euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_stop), samples=rows)
     return SampledTrajectory(rows)
 
 
@@ -156,12 +128,12 @@ def intercept(
     """One full interception: launch, hit, fly, land, add landing noise.
 
     The hit and the flight are the grey-box return (frozen_landing_record) at
-    the truth's flight and impact parameters. Raises NoCrossing/OutOfReach (a
-    missed ball) when the policy cannot intercept the launched trajectory.
+    TRUTH's physics. Raises NoCrossing/OutOfReach (a missed ball) when the
+    policy cannot intercept the launched trajectory.
     """
-    incoming = launch(cfg.launcher, cfg.truth_flight, rng, aim=phi.theta1)
+    incoming = launch(cfg, rng, aim=phi.theta1)
     event = interception_event(incoming, phi.theta1)
-    record = frozen_landing_record(phi, event, GreyboxParams(cfg.truth_flight, cfg.truth_impact))
+    record = frozen_landing_record(phi, event, TRUTH)
 
     noise = rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std
     r_landing = record.landing_point + noise

@@ -7,53 +7,45 @@ into a map from the two-dimensional policy to the landing point, plus its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .arm import (InterceptionEvent, InterceptionPolicy, interception_event, interception_states, racket_rotation,
                   racket_velocity)
-from .ballistics import (FlightParams, LandingRecord, euler_landings, final_step, landing_state_jacobian,
-                         propagate_to_landing)
+from . import ballistics
+from .ballistics import LandingRecord, Physics, euler_landings, final_step, landing_state_jacobian, propagate_to_landing
 from .errors import MaxStepsExceeded, NegativeDiscriminant
-from .impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
+from .impact import impact_state_jacobian, racket_impact, racket_impacts
+
+# The predictor's physics: drag, return-flight step and restitution of the first-principles model.
+MODEL = Physics(k_drag=0.106, dt=1e-3, restitution=(0.75, -0.75, 0.75))
 
 
-@dataclass
-class GreyboxParams:
-    """Everything the predictor needs: flight and impact models, and the gradient mode."""
-
-    flight: FlightParams = field(default_factory=FlightParams)
-    impact: ImpactParams = field(default_factory=ImpactParams)
-    couple_geometry: bool = False
-
-
-def predict_landing(phi: InterceptionPolicy, incoming, params: GreyboxParams) -> np.ndarray:
+def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.ndarray:
     """Landing point of the return for the given policy and incoming ball."""
     event = interception_event(incoming, phi.theta1)
-    return frozen_landing_record(phi, event, params).landing_point
+    return frozen_landing_record(phi, event, physics).landing_point
 
 
-def predict_landings(phis: list[InterceptionPolicy], incoming, params: GreyboxParams) -> list:
+def predict_landings(phis: list[InterceptionPolicy], incoming, physics: Physics) -> list:
     """predict_landing of each policy, or the SimulationError it raised, as array code on the
     block: interception_states, racket_impacts and lockstep flights (euler_landings), then
     each row's final_step."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
     xi, outcomes = interception_states(incoming, theta1)
     hit = np.array([o is None for o in outcomes], dtype=bool)
-    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], params.impact)
-    stops, steps = euler_landings(starts, params.flight)
+    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], physics)
+    stops, steps = euler_landings(starts, physics)
     for i, k, stop in zip(np.flatnonzero(hit).tolist(), steps.tolist(), stops.tolist()):
         try:
             outcomes[i] = (final_step(stop)[1] if k >= 0 else
-                           MaxStepsExceeded(f"no landing within {params.flight.max_steps} steps"))
+                           MaxStepsExceeded(f"no landing within {ballistics.MAX_STEPS} steps"))
         except NegativeDiscriminant as exc:
             outcomes[i] = exc
     return outcomes
 
 
 def frozen_landing_record(
-    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams,
+    phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics,
     tangent: np.ndarray | None = None,
 ) -> LandingRecord:
     """Flight record with the interception event frozen at a base policy.
@@ -66,8 +58,8 @@ def frozen_landing_record(
     """
     gamma = racket_rotation(phi)
     v_r = racket_velocity(event)
-    xi_plus = racket_impact(event.xi_minus, gamma, v_r, params.impact)
-    return propagate_to_landing(xi_plus, params.flight, tangent)
+    xi_plus = racket_impact(event.xi_minus, gamma, v_r, physics)
+    return propagate_to_landing(xi_plus, physics, tangent)
 
 
 def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
@@ -81,12 +73,12 @@ def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
 
 
 def predict_landing_with_gradient(
-    phi: InterceptionPolicy, event: InterceptionEvent, params: GreyboxParams
+    phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics, coupled: bool = False
 ) -> tuple[LandingRecord, np.ndarray]:
     """Flight record at the policy, intercepted at `event`, and the 2x2 Jacobian
     of its landing point by the chain rule, in both modes: the impact Jacobian
-    (with the event tangent if params.couple_geometry) pushed through the
-    flight steps, then through the shortened last step."""
-    j_impact = impact_state_jacobian(phi, event, params.impact, params.couple_geometry)
-    record = frozen_landing_record(phi, event, params, j_impact)
+    (with the event tangent if `coupled`) pushed through the flight steps, then
+    through the shortened last step."""
+    j_impact = impact_state_jacobian(phi, event, physics, coupled)
+    record = frozen_landing_record(phi, event, physics, j_impact)
     return record, landing_state_jacobian(record)

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from itertools import islice, product
 
@@ -22,8 +22,7 @@ from .arm import InterceptionPolicy, interception_event
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
-from .greybox import (GreyboxParams, central_difference, frozen_landing_record, predict_landing_with_gradient,
-                      predict_landings)
+from .greybox import MODEL, central_difference, frozen_landing_record, predict_landing_with_gradient, predict_landings
 from .optimizer import FeasibleSet, RunLog, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
@@ -59,6 +58,13 @@ def _real(v) -> bool:
 
 def _reals(v) -> bool:
     return isinstance(v, (tuple, list)) and all(map(_real, v))
+
+
+def _as_floats(v):
+    """v with every number in it, also inside nested tuples and lists, a float."""
+    if isinstance(v, (tuple, list)):
+        return [_as_floats(x) for x in v]
+    return float(v) if _real(v) else v
 
 
 # what a config field of each annotated type must hold: (description, test)
@@ -122,14 +128,10 @@ class ExperimentConfig:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
 
     def env_config(self) -> EnvConfig:
-        cfg = EnvConfig()
-        if self.landing_noise_std:
-            cfg.landing_noise_std = np.asarray(self.landing_noise_std, dtype=float)
-        if self.jitter_std:
-            cfg.launcher.jitter_std = np.asarray(self.jitter_std, dtype=float)
-        if self.nominal_state:
-            cfg.launcher.nominal_state = np.asarray(self.nominal_state, dtype=float)
-        return cfg
+        """The environment with this config's overrides; an empty override keeps the default."""
+        overrides = ("nominal_state", "jitter_std", "landing_noise_std")
+        return EnvConfig(**{name: np.asarray(getattr(self, name), dtype=float)
+                            for name in overrides if getattr(self, name)})
 
     def resolved_dataset_path(self) -> str:
         return self.dataset_path or os.path.join(self.out_dir, "dataset.csv")
@@ -138,9 +140,10 @@ class ExperimentConfig:
         return self.model_path or os.path.join(self.out_dir, "model.json")
 
     def config_hash(self) -> str:
-        # paths only say where artifacts live, not what the experiment is
-        doc = {k: v for k, v in asdict(self).items()
-               if k not in ("out_dir", "dataset_path", "model_path")}
+        # paths only say where artifacts live, not what the experiment is; a float
+        # field hashes alike however its numbers are spelled (1 or 1.0)
+        doc = {f.name: _as_floats(getattr(self, f.name)) if "float" in f.type else getattr(self, f.name)
+               for f in fields(self) if f.name not in ("out_dir", "dataset_path", "model_path")}
         return hashlib.sha256(
             json.dumps(doc, sort_keys=True, default=list).encode()
         ).hexdigest()[:16]
@@ -214,10 +217,10 @@ class ExperimentConfig:
         return cls(**{**defaults, **doc})
 
 
-def sampling_bounds(k: FeasibleSet, margin: float = SAMPLING_MARGIN) -> tuple[np.ndarray, np.ndarray]:
-    """Policy-box bounds pulled inward by the sampling margin."""
-    lo = np.array([k.theta1_bounds[0] + margin, k.theta4_bounds[0] + margin])
-    hi = np.array([k.theta1_bounds[1] - margin, k.theta4_bounds[1] - margin])
+def sampling_bounds(k: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
+    """Policy-box bounds pulled inward by SAMPLING_MARGIN."""
+    lo = np.array([k.theta1_bounds[0] + SAMPLING_MARGIN, k.theta4_bounds[0] + SAMPLING_MARGIN])
+    hi = np.array([k.theta1_bounds[1] - SAMPLING_MARGIN, k.theta4_bounds[1] - SAMPLING_MARGIN])
     if np.any(lo >= hi):
         raise ConfigError("box: too small for the sampling margin")
     return lo, hi
@@ -225,8 +228,7 @@ def sampling_bounds(k: FeasibleSet, margin: float = SAMPLING_MARGIN) -> tuple[np
 
 def nominal_trajectory(env_cfg: EnvConfig):
     """Jitter-free launch of the configured nominal ball."""
-    jitter_free = replace(env_cfg.launcher, jitter_std=np.zeros(6))
-    return launch(jitter_free, env_cfg.truth_flight, np.random.default_rng(0))
+    return launch(replace(env_cfg, jitter_std=np.zeros(6)), np.random.default_rng(0))
 
 
 def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator):
@@ -303,8 +305,8 @@ def gen_dataset_greybox(
 ) -> Dataset:
     """Like gen_dataset, but with noiseless first-principles labels; they draw
     nothing, so all the candidates still needed are labeled as one batch."""
-    params, traj = GreyboxParams(), nominal_trajectory(env_cfg)
-    return Dataset(_sample(lambda phis: predict_landings(phis, traj, params), n, sampling, rng, k, block=n))
+    traj = nominal_trajectory(env_cfg)
+    return Dataset(_sample(lambda phis: predict_landings(phis, traj, MODEL), n, sampling, rng, k, block=n))
 
 
 @dataclass
@@ -364,12 +366,12 @@ def grad_check_report(
     seed: int,
     env_cfg: EnvConfig | None = None,
     k: FeasibleSet | None = None,
-    params: GreyboxParams | None = None,
+    coupled: bool = False,
 ) -> GradCheckReport:
     """Compare analytic 2x2 gradients against central finite differences.
 
-    Grey-box checks differentiate in params' mode: the frozen-event
-    convention, or with couple_geometry a new interception event at each
+    Grey-box checks differentiate greybox.MODEL in the frozen-event
+    convention, or if `coupled` with a new interception event at each
     difference. Policies where a finite-difference evaluation changes the
     flight step count k_max or the crossing pair (the event's dxi_dtheta1) are
     flagged instead of failing the tolerance. Their policies come from the
@@ -394,17 +396,16 @@ def grad_check_report(
             report.entries.append(GradCheckEntry(phi, rel, False))
         return report
 
-    params = params or GreyboxParams()
     traj = nominal_trajectory(env_cfg or EnvConfig())
 
     def check(phi):
         event = interception_event(traj, phi.theta1)
-        base, jac = predict_landing_with_gradient(phi, event, params)
+        base, jac = predict_landing_with_gradient(phi, event, MODEL, coupled)
         seen = set()
 
         def landing(p):
-            ev = interception_event(traj, p.theta1) if params.couple_geometry else event
-            rec = frozen_landing_record(p, ev, params)
+            ev = interception_event(traj, p.theta1) if coupled else event
+            rec = frozen_landing_record(p, ev, MODEL)
             seen.add((rec.k_max, ev.dxi_dtheta1))
             return rec.landing_point
 
@@ -433,8 +434,7 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     """Online runs with one predictor, one per (path, target, phi1, seed) row of
     the plan; each log is written to its path, also when the run aborts."""
     if cfg.predictor == "greybox":
-        params = GreyboxParams(couple_geometry=cfg.couple_geometry)
-        gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, params)[1]
+        gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, MODEL, cfg.couple_geometry)[1]
     elif os.path.exists(cfg.resolved_model_path()):
         model = MlpModel.load(cfg.resolved_model_path())
         gradient = lambda phi, diag: mlp_jacobian(model, phi)
@@ -456,7 +456,7 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
 
 def _grad_check(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
     report = grad_check_report(cfg.predictor, cfg.n_points, cfg.seed, env_cfg, cfg.feasible_set(),
-                               GreyboxParams(couple_geometry=cfg.couple_geometry))
+                               cfg.couple_geometry)
     path = os.path.join(cfg.out_dir, f"grad_check_{cfg.predictor}.csv")
     report.write(path, comments)
     return {

@@ -2,44 +2,27 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .arm import (BASE, THETA1_DOT, InterceptionEvent, InterceptionPolicy, racket_rotation, racket_rotation_jacobian,
                   racket_velocity)
+from .ballistics import Physics
 from .errors import SingularGradient
-
-
-@dataclass
-class ImpactParams:
-    """Diagonal restitution map applied in the racket rest frame.
-
-    The negative entry acts along the racket normal in its rest position.
-    """
-
-    restitution: np.ndarray = field(default_factory=lambda: np.array([0.75, -0.75, 0.75]))
-
-    def __post_init__(self) -> None:
-        self.restitution = np.asarray(self.restitution, dtype=float)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.restitution)
 
 
 def racket_impact(
     xi_minus: np.ndarray,
     gamma: np.ndarray,
     v_racket: np.ndarray,
-    params: ImpactParams,
+    physics: Physics,
 ) -> np.ndarray:
-    """Instantaneous impact of the 6-state xi_minus: position unchanged, relative velocity reflected."""
-    m = params.matrix
+    """Instantaneous impact of the 6-state xi_minus: position unchanged, relative
+    velocity mapped by the diagonal physics.restitution in the racket rest frame."""
+    m = np.diag(physics.restitution)
     return np.concatenate([xi_minus[:3], gamma @ m @ gamma.T @ (xi_minus[3:] - v_racket) + v_racket])
 
 
-def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, params: ImpactParams) -> np.ndarray:
+def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray, physics: Physics) -> np.ndarray:
     """racket_impact of (B, 6) pre-impact states with each policy's racket_rotation and
     racket_velocity, as stacked products in their order: (B, 6) post-impact states."""
     c1, s1, c4, s4 = np.cos(theta1), np.sin(theta1), np.cos(theta4), np.sin(theta4)
@@ -48,12 +31,12 @@ def racket_impacts(xi_minus: np.ndarray, theta1: np.ndarray, theta4: np.ndarray,
     gamma = np.matmul(rz, np.stack((o, z, z, z, c4, -s4, z, s4, c4), axis=-1).reshape(-1, 3, 3))
     r = xi_minus[:, :3] - BASE
     v_r = THETA1_DOT * np.column_stack((-r[:, 1], r[:, 0], z))
-    m = np.matmul(np.matmul(gamma, params.matrix), gamma.transpose(0, 2, 1))
+    m = np.matmul(np.matmul(gamma, np.diag(physics.restitution)), gamma.transpose(0, 2, 1))
     return np.hstack((xi_minus[:, :3], np.matmul(m, (xi_minus[:, 3:] - v_r)[:, :, None])[:, :, 0] + v_r))
 
 
 def impact_state_jacobian(
-    phi: InterceptionPolicy, event: InterceptionEvent, params: ImpactParams, coupled: bool
+    phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics, coupled: bool
 ) -> np.ndarray:
     """Derivative of the post-impact 6-state w.r.t. the policy (6x2).
 
@@ -64,7 +47,7 @@ def impact_state_jacobian(
     and G M G^T (dxi[3:] - dv_r) + dv_r in the velocity rows, where dv_r =
     THETA1_DOT (-dxi[1], dxi[0], 0); SingularGradient if dxi is None.
     """
-    m = params.matrix
+    m = np.diag(physics.restitution)
     gamma = racket_rotation(phi)
     d_g1, d_g4 = racket_rotation_jacobian(phi)
     rel = event.xi_minus[3:] - racket_velocity(event)

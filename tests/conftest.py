@@ -8,7 +8,6 @@ import pytest
 
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig
-from ttreturn.greybox import GreyboxParams
 from ttreturn.harness import nominal_trajectory
 from ttreturn.optimizer import CSV_HEADER, IterationRecord, RunLog
 
@@ -63,18 +62,13 @@ def env_cfg() -> EnvConfig:
 def noiseless_env_cfg(env_cfg) -> EnvConfig:
     cfg = copy.deepcopy(env_cfg)
     cfg.landing_noise_std = np.zeros(2)
-    cfg.launcher.jitter_std = np.zeros(6)
+    cfg.jitter_std = np.zeros(6)
     return cfg
 
 
 @pytest.fixture(scope="session")
 def nominal_traj(env_cfg):
     return nominal_trajectory(env_cfg)
-
-
-@pytest.fixture(scope="session")
-def greybox_params() -> GreyboxParams:
-    return GreyboxParams()
 
 
 @pytest.fixture

@@ -18,8 +18,7 @@ import ttreturn
 from conftest import fine_step_landing, read_run_csv
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import Z_TABLE
-from ttreturn.env import EnvConfig
-from ttreturn.greybox import GreyboxParams, predict_landing
+from ttreturn.greybox import MODEL, predict_landing
 from ttreturn.harness import (
     ExperimentConfig,
     RUN_START,
@@ -218,7 +217,7 @@ def test_criterion_7_blackbox_training(tmp_path, surrogate, env_cfg):
            f"clean_rmse={clean_rmse:.4f} noisy_rmse={noisy_rmse:.3f} {train_seconds:.1f}s")
 
 
-def test_criterion_8_physics_oracle_equivalence(env_cfg, nominal_traj, greybox_params):
+def test_criterion_8_physics_oracle_equivalence(env_cfg, nominal_traj):
     t0 = time.perf_counter()
     lo, hi = sampling_bounds(SCENARIO_BOX)
     worst = 0.0
@@ -230,10 +229,10 @@ def test_criterion_8_physics_oracle_equivalence(env_cfg, nominal_traj, greybox_p
                 event.xi_minus,
                 racket_rotation(phi),
                 racket_velocity(event),
-                greybox_params.impact,
+                MODEL,
             )
-            ref = fine_step_landing(xi_plus, greybox_params.flight.k_drag, Z_TABLE)
-            pred = predict_landing(phi, nominal_traj, greybox_params)
+            ref = fine_step_landing(xi_plus, MODEL.k_drag, Z_TABLE)
+            pred = predict_landing(phi, nominal_traj, MODEL)
             worst = max(worst, float(np.linalg.norm(pred - ref)))
     elapsed = time.perf_counter() - t0
     checks = [

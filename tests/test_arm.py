@@ -18,7 +18,7 @@ from ttreturn.arm import (
     racket_rotation_jacobian,
     racket_velocity,
 )
-from ttreturn.env import EnvConfig, LauncherConfig, SampledTrajectory, launch
+from ttreturn.env import EnvConfig, SampledTrajectory, launch
 from ttreturn.errors import MissedBall, NoCrossing, OutOfReach
 
 
@@ -82,16 +82,15 @@ def outcome_matches_reference(traj, theta1):
 
 class TestInterceptionOracle:
     def test_matches_mask_scan_over_jittered_launches(self):
-        cfg = EnvConfig()
         # triple jitter for a wider spread of paths; theta1 spans the policy
         # box (0.26, 0.72) and well beyond it, both sides of the base; every
         # fourth path is moved off centre, as if the base stood at (0.05, -0.1)
-        launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
+        cfg = EnvConfig(jitter_std=3.0 * EnvConfig().jitter_std)
         thetas = np.r_[np.linspace(-0.6, 1.6, 23), -pi, -pi / 2, pi / 2, 3.0]
         rng = np.random.default_rng(11)
         seen = {}
         for n in range(200):
-            traj = launch(launcher, cfg.truth_flight, rng)
+            traj = launch(cfg, rng)
             traj = shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj
             for theta1 in thetas:
                 kind = outcome_matches_reference(traj, float(theta1))
@@ -156,14 +155,13 @@ class TestInterceptionStatesOracle:
     """The block crossing search is interception_event on arrays, bit for bit."""
 
     def test_matches_scalar_event_over_jittered_launches(self):
-        cfg = EnvConfig()
-        launcher = LauncherConfig(jitter_std=3.0 * cfg.launcher.jitter_std)
+        cfg = EnvConfig(jitter_std=3.0 * EnvConfig().jitter_std)
         rng = np.random.default_rng(21)
         # more policies than one search chunk, theta1 on both sides of the base
         thetas = np.r_[rng.uniform(-pi, 3.0, 2 * SEARCH_CHUNK + 7), -pi, -pi / 2, pi / 2, 3.0, np.nan].tolist()
         seen = set()
         for n in range(12):
-            traj = launch(launcher, cfg.truth_flight, rng)
+            traj = launch(cfg, rng)
             seen |= set(assert_states_match_events(shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj, thetas))
         assert seen == {None, NoCrossing, OutOfReach}
 

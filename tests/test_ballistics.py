@@ -1,5 +1,6 @@
 """Free-flight dynamics, landing propagation and flight Jacobians."""
 
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -14,11 +15,12 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from conftest import fine_step_landing
+from ttreturn import ballistics
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
     Z_TABLE,
-    FlightParams,
     LandingRecord,
+    Physics,
     euler_flight,
     euler_landings,
     final_step,
@@ -29,14 +31,16 @@ from ttreturn.ballistics import (
 )
 from ttreturn.env import EnvConfig, launch
 from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, SingularGradient
-from ttreturn.impact import ImpactParams, impact_state_jacobian, racket_impact
+from ttreturn.greybox import MODEL
+from ttreturn.impact import impact_state_jacobian, racket_impact
 
 
 GRAVITY = np.array([0.0, 0.0, -9.8])  # test-local: the flight's gravity vector [m/s^2]
 
 
-def params(**kw) -> FlightParams:
-    return FlightParams(**kw)
+def physics(**kw) -> Physics:
+    """Test-local: greybox.MODEL with the given fields replaced."""
+    return replace(MODEL, **kw)
 
 
 def state(p, v) -> np.ndarray:
@@ -44,12 +48,12 @@ def state(p, v) -> np.ndarray:
     return np.concatenate([p, v]).astype(float)
 
 
-def step(xi, p: FlightParams, dt: float | None = None) -> np.ndarray:
-    """Test-local: one Euler step of the 6-state xi, of length dt (params.dt by default)."""
-    return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p, p.dt if dt is None else dt, 1)[0])
+def step(xi, p: Physics, dt: float | None = None) -> np.ndarray:
+    """Test-local: one Euler step of the 6-state xi, of length dt (p.dt by default)."""
+    return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt if dt is None else dt, 1)[0])
 
 
-def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def free_flight_step_jacobians(xi: np.ndarray, p: Physics, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Test-local: Jacobians of one Euler step of length dt of the 6-state xi,
     (d(next)/d(state), d(next)/d(step length))."""
     v = xi[3:]
@@ -61,13 +65,13 @@ def free_flight_step_jacobians(xi: np.ndarray, params: FlightParams, dt: float) 
     else:
         # quadratic drag is differentiable at v = 0 with derivative 0
         drag_jac = np.zeros((3, 3))
-    J[3:6, 3:6] = np.eye(3) - dt * params.k_drag * drag_jac
-    acc = -params.k_drag * speed * v + GRAVITY
+    J[3:6, 3:6] = np.eye(3) - dt * p.k_drag * drag_jac
+    acc = -p.k_drag * speed * v + GRAVITY
     J_dt = np.concatenate([v, acc])
     return J, J_dt
 
 
-def one_step_final_step(stop, p: FlightParams) -> tuple[float, np.ndarray]:
+def one_step_final_step(stop, p: Physics) -> tuple[float, np.ndarray]:
     """Test-local: the last step as a one-step Euler flight of length t_last,
     its 6-state interpolated onto the plane."""
     start = np.array(stop, dtype=float)
@@ -80,7 +84,7 @@ def one_step_final_step(stop, p: FlightParams) -> tuple[float, np.ndarray]:
     return t_last, landing
 
 
-def six_row_landing_jacobian(record: LandingRecord, p: FlightParams) -> np.ndarray:
+def six_row_landing_jacobian(record: LandingRecord, p: Physics) -> np.ndarray:
     """Test-local: the 6-row landing-state Jacobian applied to the record's
     tangent, from the full step Jacobians of a re-flown last step."""
     start = record.stop
@@ -103,19 +107,19 @@ def six_row_landing_jacobian(record: LandingRecord, p: FlightParams) -> np.ndarr
 class TestFreeFlightStep:
     def test_zero_velocity(self):
         xi = state([1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-        nxt = step(xi, params(dt=0.01))
+        nxt = step(xi, physics(dt=0.01))
         assert np.array_equal(nxt[:3], [1.0, 1.0, 1.0])
         np.testing.assert_allclose(nxt[3:], [0.0, 0.0, -0.098], atol=1e-15)
 
     def test_drag_deceleration_values(self):
         xi = state([0.0, 0.0, 1.0], [10.0, 0.0, 0.0])
-        nxt = step(xi, params(k_drag=0.106, dt=0.01))
+        nxt = step(xi, physics(k_drag=0.106, dt=0.01))
         np.testing.assert_allclose(nxt[3:], [9.894, 0.0, -0.098], atol=1e-12)
         np.testing.assert_allclose(nxt[:3], [0.1, 0.0, 1.0], atol=1e-15)
 
     def test_no_drag_is_pure_ballistic(self):
         rng = np.random.default_rng(0)
-        p = params(k_drag=0.0, dt=0.02)
+        p = physics(k_drag=0.0, dt=0.02)
         for _ in range(10):
             xi = state(rng.normal(size=3), rng.normal(size=3))
             nxt = step(xi, p)
@@ -123,7 +127,7 @@ class TestFreeFlightStep:
 
     def test_speed_dissipation_without_gravity(self):
         # with gravity's share dt g taken out of the step, drag alone shrinks the speed
-        p = params(k_drag=0.3)
+        p = physics(k_drag=0.3)
         rng = np.random.default_rng(1)
         for _ in range(50):
             xi = state(np.zeros(3), rng.normal(size=3) * 5.0)
@@ -132,25 +136,25 @@ class TestFreeFlightStep:
 
     def test_dt_override(self):
         xi = state([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
-        nxt = step(xi, params(dt=0.01), 0.5)
+        nxt = step(xi, physics(dt=0.01), 0.5)
         assert nxt[0] == pytest.approx(0.5)
 
     def test_determinism(self):
         xi = state([0.1, 0.2, 1.3], [2.0, -3.0, 1.0])
-        a = step(xi, params())
-        b = step(xi, params())
+        a = step(xi, physics())
+        b = step(xi, physics())
         assert np.array_equal(a, b)
 
 
 class TestFreeFlightStepJacobians:
     def test_zero_velocity(self):
         xi = state(np.zeros(3), np.zeros(3))
-        j, j_dt = free_flight_step_jacobians(xi, params(dt=0.01), 0.01)
+        j, j_dt = free_flight_step_jacobians(xi, physics(dt=0.01), 0.01)
         np.testing.assert_array_equal(j[3:, 3:], np.eye(3))
         np.testing.assert_allclose(j_dt, [0, 0, 0, 0, 0, -9.8], atol=1e-15)
 
     def test_no_drag_constant_matrix(self):
-        p = params(k_drag=0.0, dt=0.05)
+        p = physics(k_drag=0.0, dt=0.05)
         expected = np.eye(6)
         expected[0:3, 3:6] = 0.05 * np.eye(3)
         for v in ([1.0, 2.0, 3.0], [-4.0, 0.0, 9.0]):
@@ -159,7 +163,7 @@ class TestFreeFlightStepJacobians:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        p = params(dt=0.01)
+        p = physics(dt=0.01)
         h = 1e-6
         for _ in range(20):
             xi = rng.normal(size=6) * 3.0
@@ -175,7 +179,7 @@ class TestFreeFlightStepJacobians:
 
     def test_dt_column_matches_finite_differences(self):
         xi = state([0.0, 0.0, 2.0], [3.0, -1.0, 0.5])
-        p = params()
+        p = physics()
         _, j_dt = free_flight_step_jacobians(xi, p, 0.3)
         h = 1e-6
         hi = step(xi, p, 0.3 + h)
@@ -233,7 +237,7 @@ class TestFinalStep:
     @example(FINAL_STEP_EDGES["dz_zero"], 0.106)
     @example(FINAL_STEP_EDGES["negative_discriminant"], 0.106)
     def test_matches_one_step_flight_bit_for_bit(self, stop, k_drag):
-        p = params(k_drag=k_drag)
+        p = physics(k_drag=k_drag)
         try:
             expected = one_step_final_step(stop, p)
         except NegativeDiscriminant as exc:
@@ -286,14 +290,14 @@ class TestRemainingTimeGradient:
 class TestPropagateToLanding:
     def test_immediate_landing(self):
         xi = state([0.2, 0.3, 0.761], [0.0, 0.0, -1.0])
-        rec = propagate_to_landing(xi, params(dt=0.01))
+        rec = propagate_to_landing(xi, physics(dt=0.01))
         assert rec.k_max == 0
         assert np.array_equal(rec.stop, xi)
         assert 0.0 < rec.t_last <= 0.01
 
     def test_drop_time_within_two_percent(self):
         xi = state([0.4, -0.2, 0.76 + 0.49], [0.0, 0.0, 0.0])
-        rec = propagate_to_landing(xi, params(dt=0.001))
+        rec = propagate_to_landing(xi, physics(dt=0.001))
         np.testing.assert_allclose(rec.landing_point, [0.4, -0.2], atol=1e-12)
         assert rec.k_max * 0.001 + rec.t_last == pytest.approx(0.3162, rel=0.02)
 
@@ -301,7 +305,7 @@ class TestPropagateToLanding:
         # a launched return at roughly 5 m/s
         xi = state([-0.6, 0.7, 1.1], [-3.5, 2.8, 2.0])
         assert np.linalg.norm(xi[3:]) == pytest.approx(4.9, abs=0.2)
-        rec = propagate_to_landing(xi, params(dt=1e-3))
+        rec = propagate_to_landing(xi, physics(dt=1e-3))
         ref = fine_step_landing(xi, 0.106, 0.76)
         assert np.linalg.norm(rec.landing_point - ref) < 5e-3
 
@@ -309,7 +313,7 @@ class TestPropagateToLanding:
         rng = np.random.default_rng(4)
         for _ in range(20):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
-            rec = propagate_to_landing(xi, params())
+            rec = propagate_to_landing(xi, physics())
             _, landing = final_step(rec.stop)
             assert np.array_equal(rec.landing_point, landing)
             assert rec.k_max * 1e-3 + rec.t_last > 0.0
@@ -319,7 +323,7 @@ class TestPropagateToLanding:
     def test_residual_before_interpolation_below_1mm(self):
         # the drag-free time prediction misses the plane by a small residual
         rng = np.random.default_rng(5)
-        p = params(dt=0.01)
+        p = physics(dt=0.01)
         worst = 0.0
         for _ in range(100):
             v = rng.normal(size=3)
@@ -333,7 +337,7 @@ class TestPropagateToLanding:
 
     def test_drag_free_closed_form(self):
         # with zero drag the Euler recursion has an exact closed form
-        p = params(k_drag=0.0, dt=0.01)
+        p = physics(k_drag=0.0, dt=0.01)
         xi = state([0.3, -0.2, 1.8], [1.2, 0.7, 2.0])
         rec = propagate_to_landing(xi, p)
         g = GRAVITY
@@ -353,17 +357,18 @@ class TestPropagateToLanding:
         # the apex of a ball starting at z = 0.5 stays under the plane
         xi = state([0.0, 0.0, 0.5], [1.0, 0.0, vz])
         with pytest.raises(NegativeDiscriminant):
-            propagate_to_landing(xi, params())
+            propagate_to_landing(xi, physics())
 
-    def test_max_steps_exceeded(self):
+    def test_max_steps_exceeded(self, monkeypatch):
+        monkeypatch.setattr(ballistics, "MAX_STEPS", 10)
         xi = state([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
         with pytest.raises(MaxStepsExceeded):
-            propagate_to_landing(xi, params(dt=1e-4, max_steps=10))
+            propagate_to_landing(xi, physics(dt=1e-4))
 
     @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
     def test_tangent_leaves_flight_unchanged(self, k_drag, dt):
         rng = np.random.default_rng(11)
-        p = params(k_drag=k_drag, dt=dt)
+        p = physics(k_drag=k_drag, dt=dt)
         for _ in range(10):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             plain = propagate_to_landing(xi, p)
@@ -402,7 +407,7 @@ def pushed_identity(xi, p):
 
 class TestLandingStateJacobian:
     def test_immediate_landing_matches_fd(self):
-        p = params(dt=0.01)
+        p = physics(dt=0.01)
         xi = state([0.2, 0.3, 0.761], [1.0, -0.5, -1.0])
         rec, jac = pushed_identity(xi, p)
         assert rec.k_max == 0
@@ -411,7 +416,7 @@ class TestLandingStateJacobian:
 
     def test_matches_fd_over_random_states(self):
         rng = np.random.default_rng(6)
-        p = params(dt=1e-3)
+        p = physics(dt=1e-3)
         boundary_cases = 0
         checked = 0
         for _ in range(100):
@@ -433,7 +438,7 @@ class TestLandingStateJacobian:
         # the closed-form position rows give rows 0-1 of the 6-row landing-state
         # Jacobian of a re-flown last step, bit for bit
         rng = np.random.default_rng(14)
-        p = params(k_drag=k_drag, dt=dt)
+        p = physics(k_drag=k_drag, dt=dt)
         for _ in range(50):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
             rec = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
@@ -465,7 +470,7 @@ class TestTangentJacobianOracle:
     @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
     def test_matches_step_jacobian_product(self, k_drag, dt):
         rng = np.random.default_rng(10)
-        p = params(k_drag=k_drag, dt=dt)
+        p = physics(k_drag=k_drag, dt=dt)
         for _ in range(10):
             xi = np.concatenate(
                 [[rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0]
@@ -496,7 +501,7 @@ def post_loop_push(row, p, tangent):
     vz_top, z_top = 9.8 * p.dt, Z_TABLE + 0.5 * 9.8 * p.dt * p.dt
     gx, gy, gz = GRAVITY.tolist()
     scale, coef = p.dt * p.k_drag, []
-    for n in range(p.max_steps):
+    for n in range(ballistics.MAX_STEPS):
         if vz <= vz_top and pz + p.dt * vz <= z_top:
             break
         speed = sqrt(vx * vx + vy * vy + vz * vz)
@@ -522,31 +527,32 @@ class TestInLoopTangent:
     def test_rejects_other_shapes(self, shape):
         xi = state([0.0, 0.0, 1.2], [-2.0, 1.0, 2.0])
         with pytest.raises(ValueError, match=rf"6x2, got shape \({shape[0]},"):
-            propagate_to_landing(xi, params(), np.zeros(shape))
+            propagate_to_landing(xi, physics(), np.zeros(shape))
         with pytest.raises(ValueError, match="6x2"):
-            euler_flight(xi.tolist(), params(), 1e-3, 10, tangent=np.zeros(shape))
+            euler_flight(xi.tolist(), MODEL.k_drag, 1e-3, 10, tangent=np.zeros(shape))
 
     def test_matches_post_loop_push_bit_for_bit(self):
         # jittered launches intercepted at random policies; the post-impact
         # state flies at the model's parameters with the impact Jacobian of
         # either mode as its tangent, as the grey-box gradient pushes it
-        cfg, p, impact = EnvConfig(), FlightParams(), ImpactParams()
+        cfg, p = EnvConfig(), MODEL
         rng = np.random.default_rng(29)
         launches = 0
         while launches < 200:
-            traj = launch(cfg.launcher, cfg.truth_flight, rng)
+            traj = launch(cfg, rng)
             phi = InterceptionPolicy(*rng.uniform([0.31, 0.0], [0.67, 0.40]).tolist())
             try:
                 event = interception_event(traj, phi.theta1)
             except MissedBall:
                 continue
             launches += 1
-            xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), impact)
+            xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), p)
             for coupled in (False, True):
                 if coupled and event.dxi_dtheta1 is None:
                     continue
-                tangent = impact_state_jacobian(phi, event, impact, coupled)
-                stop, n, pushed = euler_flight(xi.tolist(), p, p.dt, p.max_steps, land=True, tangent=tangent)
+                tangent = impact_state_jacobian(phi, event, p, coupled)
+                stop, n, pushed = euler_flight(xi.tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS, land=True,
+                                               tangent=tangent)
                 want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
                 assert (stop, n) == (want_stop, want_n)
                 assert np.array_equal(pushed, want) and pushed.shape == (6, 2)
@@ -554,35 +560,36 @@ class TestInLoopTangent:
 
 class TestEulerLandingsOracle:
     @pytest.mark.parametrize("n_rows,quantile", [(300, 0.5), (300, 0.8), (20, 0.5)])
-    def test_matches_scalar_kernel_bit_for_bit(self, n_rows, quantile):
+    def test_matches_scalar_kernel_bit_for_bit(self, monkeypatch, n_rows, quantile):
         # jittered starts, plus a row on the plane (k_max = 0), one whose apex
-        # stays under the plane and two that are not finite; max_steps is near
+        # stays under the plane and two that are not finite; MAX_STEPS is near
         # a quantile of the jittered rows' step counts, so one row stops exactly
-        # at max_steps and later ones cannot land (the median leaves more than
-        # LOCKSTEP_MIN rows flying at max_steps, the 0.8 quantile fewer)
+        # at MAX_STEPS and later ones cannot land (the median leaves more than
+        # LOCKSTEP_MIN rows flying at MAX_STEPS, the 0.8 quantile fewer)
         rng = np.random.default_rng(12)
         rows = [
             [rng.normal(), rng.normal(), rng.uniform(0.9, 1.6), *(rng.normal(size=3) * 4.0).tolist()]
             for _ in range(n_rows)
         ] + [[0.2, 0.3, 0.761, 0.0, 0.0, -1.0], [0.0, 0.0, 0.5, 1.0, 0.0, 2.0],
              [0.0, 0.0, 1.0, 0.0, np.nan, 1.0], [0.0, 0.0, 1.0, np.inf, 0.0, 0.0]]
-        free = params()
-        ks = sorted(euler_flight(row, free, free.dt, free.max_steps, land=True)[1] for row in rows[:n_rows])
+        p = MODEL
+        ks = sorted(euler_flight(row, p.k_drag, p.dt, ballistics.MAX_STEPS, land=True)[1] for row in rows[:n_rows])
         q = int(quantile * n_rows)  # and a row one step later, where one exists
-        p = params(max_steps=ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)])
+        max_steps = ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)]
+        monkeypatch.setattr(ballistics, "MAX_STEPS", max_steps)
         stops, steps = euler_landings(np.array(rows), p)
 
         expected_stops, expected_steps = [], []
         for row in rows:
             try:
-                stop, k, _ = euler_flight(row, p, p.dt, p.max_steps, land=True)
+                stop, k, _ = euler_flight(row, p.k_drag, p.dt, max_steps, land=True)
             except MaxStepsExceeded:
                 stop, k = row, -1
             expected_stops.append(stop)
             expected_steps.append(k)
         np.testing.assert_array_equal(stops, np.array(expected_stops))
         np.testing.assert_array_equal(steps, expected_steps)
-        assert {0, p.max_steps, -1} <= set(steps.tolist())
+        assert {0, max_steps, -1} <= set(steps.tolist())
         assert steps[-2] == steps[-1] == -1
 
         # the shared tail gives what propagate_to_landing gives, errors included
@@ -603,5 +610,5 @@ class TestEulerLandingsOracle:
             np.testing.assert_array_equal(landing[:2], rec.landing_point)
 
     def test_empty_batch(self):
-        stops, steps = euler_landings(np.zeros((0, 6)), params())
+        stops, steps = euler_landings(np.zeros((0, 6)), physics())
         assert stops.shape == (0, 6) and steps.shape == (0,)

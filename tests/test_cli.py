@@ -23,9 +23,24 @@ import ttreturn.harness
 from conftest import read_run_csv
 from ttreturn.blackbox import random_model
 from ttreturn.cli import build_parser, config_from_args, main
-from ttreturn.env import LauncherConfig
+from ttreturn.env import EnvConfig
 from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
 from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START
+
+
+@pytest.mark.parametrize("args", [["run", "--iters", "abc"], ["run", "--target", "1,x"], []],
+                         ids=["iters-abc", "target-not-a-number", "no-subcommand"])
+def test_usage_error_exits_one(capsys, args):
+    # argparse's own code 2 would read as an aborted run
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ttreturn") and "error:" in err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["run", "--help"]], ids=["top-level", "subcommand"])
+def test_help_exits_zero(capsys, args):
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("usage: ttreturn")
 
 
 def test_bad_parameter_exits_one(tmp_path, capsys):
@@ -188,7 +203,7 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
 
 
 def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):
-    def nan_gradient(phi, incoming, params):
+    def nan_gradient(phi, event, physics, coupled):
         return np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]])
 
     monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", nan_gradient)
@@ -245,7 +260,7 @@ def test_non_finite_dataset_exits_three(tmp_path, capsys):
     "error", [NegativeDiscriminant, SingularGradient, MaxStepsExceeded], ids=lambda e: e.__name__
 )
 def test_flight_error_in_gradient_exits_three(tmp_path, capsys, monkeypatch, error):
-    def failing_gradient(phi, incoming, params):
+    def failing_gradient(phi, event, physics, coupled):
         raise error("injected")
 
     monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", failing_gradient)
@@ -384,7 +399,7 @@ def cli_case(draw, model_path):
         "phi1": (box1[0] + u1 * (box1[1] - box1[0]), box4[0] + u4 * (box4[1] - box4[0])),
         "target": (draw(st.floats(-2.0, 0.0)), draw(st.floats(-0.5, 1.5))),
         "alpha1": draw(st.floats(1e-3, 2.0)),
-        "nominal_state": (LauncherConfig().nominal_state + np.r_[0.0, 0.0, 0.0, velocity_jitter]).tolist(),
+        "nominal_state": (EnvConfig().nominal_state + np.r_[0.0, 0.0, 0.0, velocity_jitter]).tolist(),
         "jitter_std": draw(st.lists(st.floats(0.0, 0.05), min_size=6, max_size=6)),
         "couple_geometry": draw(st.booleans()),
         "n_iters": draw(st.integers(1, 8)),

@@ -2,6 +2,7 @@
 
 import copy
 import re
+from dataclasses import FrozenInstanceError, replace
 from math import atan, atan2, cos, pi, sin
 
 import numpy as np
@@ -17,23 +18,22 @@ except ImportError:
 
 import ttreturn.env
 from ttreturn.arm import BASE, REST_AZIMUTH, InterceptionPolicy, interception_event
-from ttreturn.ballistics import Z_TABLE, FlightParams, euler_flight
+from ttreturn.ballistics import Z_TABLE, Physics, euler_flight
 from ttreturn.env import (
     CONTACT,
     EnvConfig,
     LAUNCH_STEPS,
-    LauncherConfig,
     SAMPLE_DT,
     TABLE_CENTER,
     TABLE_SIZE,
+    TRUTH,
     estimate_variance,
     intercept,
     launch,
     stop_past,
 )
 from ttreturn.errors import InfeasibleRegion, MissedBall, NoCrossing, OutOfReach
-from ttreturn.greybox import GreyboxParams, predict_landing
-from ttreturn.impact import ImpactParams
+from ttreturn.greybox import MODEL, predict_landing
 
 
 def on_table(point: np.ndarray) -> bool:
@@ -58,21 +58,19 @@ class TestOnTable:
 
 class TestLaunch:
     def test_deterministic_given_seed(self, env_cfg):
-        a = launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(3))
-        b = launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(3))
+        a = launch(env_cfg, np.random.default_rng(3))
+        b = launch(env_cfg, np.random.default_rng(3))
         assert a.rows == b.rows
 
     def test_zero_jitter_starts_at_nominal(self, noiseless_env_cfg):
-        traj = launch(
-            noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight, np.random.default_rng(0)
-        )
+        traj = launch(noiseless_env_cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(
-            states(traj)[0], noiseless_env_cfg.launcher.nominal_state
+            states(traj)[0], noiseless_env_cfg.nominal_state
         )
 
     def test_uniform_sample_spacing(self, env_cfg):
         # consecutive samples are one Euler step of SAMPLE_DT apart
-        s = states(launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(1)))
+        s = states(launch(env_cfg, np.random.default_rng(1)))
         np.testing.assert_allclose(
             s[1:, :3], s[:-1, :3] + SAMPLE_DT * s[:-1, 3:], rtol=0, atol=1e-12
         )
@@ -80,29 +78,27 @@ class TestLaunch:
     def test_jitter_spreads_initial_state(self, env_cfg):
         starts = np.array(
             [
-                states(launch(env_cfg.launcher, env_cfg.truth_flight, np.random.default_rng(s)))[0]
+                states(launch(env_cfg, np.random.default_rng(s)))[0]
                 for s in range(200)
             ]
         )
         emp = starts.std(axis=0)
-        np.testing.assert_allclose(emp, env_cfg.launcher.jitter_std, rtol=0.25)
+        np.testing.assert_allclose(emp, env_cfg.jitter_std, rtol=0.25)
 
     def test_trajectory_descends_through_workspace(self, noiseless_env_cfg):
-        traj = launch(
-            noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight, np.random.default_rng(0)
-        )
+        traj = launch(noiseless_env_cfg, np.random.default_rng(0))
         # ball must pass through the reachable band around the arm base
         d = np.linalg.norm(states(traj)[:, :3] - BASE, axis=1)
         assert d.min() < 0.9
 
 
-def reference_launch(cfg, flight, rng):
-    """Test-local launch: one 6-state per sample, each a single euler_flight step."""
+def reference_launch(cfg, rng):
+    """Test-local launch: one 6-state per sample, each a single euler_flight step at TRUTH's drag."""
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     state = cfg.nominal_state + jitter
     times, rows, t = [0.0], [state], 0.0
     while t < 3.0:
-        state = np.array(euler_flight(state.tolist(), flight, SAMPLE_DT, 1)[0])
+        state = np.array(euler_flight(state.tolist(), TRUTH.k_drag, SAMPLE_DT, 1)[0])
         t += SAMPLE_DT
         times.append(t)
         rows.append(state)
@@ -123,11 +119,10 @@ class TestLaunchOracle:
         ],
     )
     def test_matches_per_object_step_loop(self, env_cfg, nominal, stop):
-        cfg = LauncherConfig(nominal_state=np.array(nominal))
-        flight = env_cfg.truth_flight
+        cfg = EnvConfig(nominal_state=np.array(nominal))
         for seed in range(3):
-            traj = launch(cfg, flight, np.random.default_rng(seed))
-            times, ref = reference_launch(cfg, flight, np.random.default_rng(seed))
+            traj = launch(cfg, np.random.default_rng(seed))
+            times, ref = reference_launch(cfg, np.random.default_rng(seed))
             assert len(traj) == len(times)
             assert np.max(np.abs(states(traj) - ref)) <= 1e-12
         last = states(traj)[-1]
@@ -151,10 +146,10 @@ def event_or_error(traj, theta1):
     return e.xi_minus.tolist(), e.dxi_dtheta1
 
 
-def aimed_and_full(cfg, flight, theta1, seed=0):
+def aimed_and_full(cfg, theta1, seed=0):
     """The aimed launch and the unaimed one of the same rng seed."""
-    aimed = launch(cfg, flight, np.random.default_rng(seed), aim=theta1)
-    return aimed, launch(cfg, flight, np.random.default_rng(seed))
+    aimed = launch(cfg, np.random.default_rng(seed), aim=theta1)
+    return aimed, launch(cfg, np.random.default_rng(seed))
 
 
 def is_window(aimed, full):
@@ -187,10 +182,10 @@ class TestAimedLaunch:
     def test_matches_the_full_launch(self, env_cfg, monkeypatch):
         # 12 jittered launches per theta1, 288 in all: the aimed samples are a window
         # of the full ones, with the same event (or miss) and the same landing
-        flight, shorter, kinds = env_cfg.truth_flight, [], set()
+        shorter, kinds = [], set()
         cases = [(seed, t1) for seed in range(12) for t1 in THETA1_GRID]
         for seed, t1 in cases:
-            aimed, full = aimed_and_full(env_cfg.launcher, flight, t1, seed)
+            aimed, full = aimed_and_full(env_cfg, t1, seed)
             assert is_window(aimed, full)
             got = event_or_error(aimed, t1)
             assert got == event_or_error(full, t1)
@@ -210,33 +205,32 @@ class TestAimedLaunch:
             return out
 
         aimed_landings = landings()
-        monkeypatch.setattr(ttreturn.env, "launch", lambda cfg, flight, rng, aim=None: launch(cfg, flight, rng))
+        monkeypatch.setattr(ttreturn.env, "launch", lambda cfg, rng, aim=None: launch(cfg, rng))
         assert aimed_landings == landings()
 
     @pytest.mark.parametrize("nominal,jitter", [((-0.15, 3.9, 1.1, 0.0, 0.0, 3.3), np.zeros(6)),
-                                                ((0.4, -0.6, 1.1, -0.5, 6.0, 3.3), LauncherConfig().jitter_std)],
+                                                ((0.4, -0.6, 1.1, -0.5, 6.0, 3.3), EnvConfig().jitter_std)],
                              ids=["vy0_zero", "vy0_positive"])
     def test_upward_start_flies_the_full_path(self, env_cfg, nominal, jitter):
-        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=jitter)
+        cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=jitter)
         for t1 in THETA1_GRID:
             assert stop_past(list(nominal), t1) == CONTACT[4]
-            aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
+            aimed, full = aimed_and_full(cfg, t1)
             assert aimed.rows == full.rows
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["toward_base", "away_from_base"])
     def test_start_parallel_to_the_ray_flies_the_full_path(self, env_cfg, sign):
         t1 = 0.45
         vx, vy = sign * 8.3 * ray_direction(t1)
-        cfg = LauncherConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
+        cfg = EnvConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
         assert stop_past(cfg.nominal_state.tolist(), t1) == CONTACT[4]
-        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
+        aimed, full = aimed_and_full(cfg, t1)
         assert aimed.rows == full.rows
 
     def test_path_along_the_ray_line_matches_the_full_launch(self, env_cfg):
         # a start on the theta1 line through the base, heading along the ray within
         # 1e-10 rad: the samples sit on the ray to rounding, where the azimuth test
         # may flip anywhere; such near-parallel paths must fly in full
-        flight = env_cfg.truth_flight
         for t1 in np.linspace(-pi, pi, 40):
             for tilt in (0.0, 1e-13, -1e-12, 1e-10):
                 for dist in (1.0, 2.0, 3.0, 4.0):
@@ -244,32 +238,32 @@ class TestAimedLaunch:
                     if vy >= 0.0:
                         continue
                     x, y = BASE[:2] - dist * ray_direction(t1)
-                    cfg = LauncherConfig(nominal_state=np.array([x, y, 1.1, vx, vy, 2.0]), jitter_std=np.zeros(6))
-                    aimed, full = aimed_and_full(cfg, flight, t1)
+                    cfg = EnvConfig(nominal_state=np.array([x, y, 1.1, vx, vy, 2.0]), jitter_std=np.zeros(6))
+                    aimed, full = aimed_and_full(cfg, t1)
                     assert aimed.rows == full.rows[: len(aimed.rows)]
                     assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
     @pytest.mark.parametrize("nominal,t1", [((-0.15, -0.3, 1.1, 0.0, -8.3, 3.3), 0.45),  # crossing behind the start
                                             ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
     def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
-        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
+        cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
         assert stop_past(list(nominal), t1) == CONTACT[4]
-        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
+        aimed, full = aimed_and_full(cfg, t1)
         assert aimed.rows == full.rows
 
     def test_stop_lies_two_samples_and_a_millimeter_past_the_crossing(self, env_cfg):
         # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
         # theta1 ray from the origin is at y = 0.15 / tan(theta1)
-        cfg, t1 = env_cfg.launcher, 0.45
+        cfg, t1 = env_cfg, 0.45
         y_stop = stop_past(cfg.nominal_state.tolist(), t1)
         assert y_stop == pytest.approx(0.15 / np.tan(t1) - 2 * SAMPLE_DT * 8.3 - 1e-3, abs=1e-12)
 
     @pytest.mark.parametrize("name", list(WINDOW_EXITS))
     def test_window_exits_miss_as_the_full_launch(self, env_cfg, name):
         nominal, t1 = WINDOW_EXITS[name]
-        cfg = LauncherConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
+        cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
         assert stop_past(list(nominal), t1) > CONTACT[4]
-        aimed, full = aimed_and_full(cfg, env_cfg.truth_flight, t1)
+        aimed, full = aimed_and_full(cfg, t1)
         assert is_window(aimed, full)
         with pytest.raises(MissedBall) as missed:
             interception_event(full, t1)
@@ -298,15 +292,14 @@ def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode
     # start there); otherwise the start lies `dist` from the base on the line of its
     # velocity, and theta1 is that line's azimuth (along or against the motion) turned
     # by `tilt`, so the path runs on or near the ray
-    flight = EnvConfig().truth_flight
     start = np.array([-0.15, 3.9, 1.1, vx, vy, vz])
     if mode != "free" and np.hypot(vx, vy) > 0.0:
         heading = np.array([vx, vy]) / np.hypot(vx, vy)
         start[:2] = BASE[:2] - dist * heading
         t1 = atan2(heading[1], heading[0]) - REST_AZIMUTH + tilt + (pi if mode == "against" else 0.0)
         t1 = (t1 + pi) % (2 * pi) - pi
-    cfg = LauncherConfig(nominal_state=start, jitter_std=np.zeros(6))
-    aimed, full = aimed_and_full(cfg, flight, t1)
+    cfg = EnvConfig(nominal_state=start, jitter_std=np.zeros(6))
+    aimed, full = aimed_and_full(cfg, t1)
     assert is_window(aimed, full)
     assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
@@ -322,7 +315,7 @@ class TestIntercept:
 
     def test_noise_is_additive_with_stated_scale(self, env_cfg):
         cfg = copy.deepcopy(env_cfg)
-        cfg.launcher.jitter_std = np.zeros(6)
+        cfg.jitter_std = np.zeros(6)
         phi = InterceptionPolicy(0.45, 0.2)
         rng = np.random.default_rng(6)
         deltas = []
@@ -333,33 +326,41 @@ class TestIntercept:
         np.testing.assert_allclose(emp, cfg.landing_noise_std, rtol=0.15)
         assert abs(np.array(deltas).mean(axis=0)).max() < 0.03
 
-    def test_matched_parameters_agree_with_predictor(self, noiseless_env_cfg):
-        # when the hidden physics is set equal to the predictor's model, the
-        # environment landing and the predicted landing must coincide to a few
-        # millimeters (only the integration steps differ)
-        cfg = copy.deepcopy(noiseless_env_cfg)
-        params = GreyboxParams()
-        cfg.truth_flight = FlightParams(k_drag=params.flight.k_drag, dt=cfg.truth_flight.dt)
-        cfg.truth_impact = ImpactParams()
+    def test_matched_parameters_agree_with_predictor(self, noiseless_env_cfg, monkeypatch):
+        # when the hidden physics is set equal to the predictor's model (its drag
+        # and restitution; the truth keeps its own step), the environment landing
+        # and the predicted landing must coincide to a few millimeters (only the
+        # integration steps differ)
+        matched = replace(TRUTH, k_drag=MODEL.k_drag, restitution=MODEL.restitution)
+        monkeypatch.setattr(ttreturn.env, "TRUTH", matched)
         phi = InterceptionPolicy(0.45, 0.2)
-        r, _ = intercept(phi, cfg, np.random.default_rng(0))
+        r, _ = intercept(phi, noiseless_env_cfg, np.random.default_rng(0))
         # the same seed launches the same ball again
-        incoming = launch(cfg.launcher, cfg.truth_flight, np.random.default_rng(0), aim=phi.theta1)
-        pred = predict_landing(phi, incoming, params)
+        incoming = launch(noiseless_env_cfg, np.random.default_rng(0), aim=phi.theta1)
+        pred = predict_landing(phi, incoming, MODEL)
         assert np.linalg.norm(r - pred) < 5e-3
 
-    def test_mismatched_parameters_stay_close(self, noiseless_env_cfg, greybox_params):
+    def test_mismatched_parameters_stay_close(self, noiseless_env_cfg):
         # the deliberate model mismatch bends the landing by centimeters, not
         # by a table length
         for t1 in (0.35, 0.50, 0.65):
             for t4 in (0.05, 0.20, 0.35):
                 phi = InterceptionPolicy(t1, t4)
                 r, _ = intercept(phi, noiseless_env_cfg, np.random.default_rng(0))
-                incoming = launch(noiseless_env_cfg.launcher, noiseless_env_cfg.truth_flight,
-                                  np.random.default_rng(0), aim=t1)
-                pred = predict_landing(phi, incoming, greybox_params)
+                incoming = launch(noiseless_env_cfg, np.random.default_rng(0), aim=t1)
+                pred = predict_landing(phi, incoming, MODEL)
                 gap = np.linalg.norm(r - pred)
                 assert 0.0 < gap < 0.4
+
+
+@pytest.mark.parametrize("physics", [MODEL, TRUTH], ids=["model", "truth"])
+def test_physics_constants_are_immutable(physics):
+    # the model and the truth are shared module constants: no caller may change them in place
+    assert isinstance(physics, Physics) and isinstance(physics.restitution, tuple)
+    for name, value in (("k_drag", 0.0), ("dt", 1.0), ("restitution", (1.0, -1.0, 1.0))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(physics, name, value)
+    assert MODEL != TRUTH
 
 
 class TestEstimateVariance:
@@ -377,7 +378,7 @@ class TestEstimateVariance:
 
     def test_scales_linearly_with_noise(self, env_cfg):
         cfg = copy.deepcopy(env_cfg)
-        cfg.launcher.jitter_std = np.zeros(6)
+        cfg.jitter_std = np.zeros(6)
         half = copy.deepcopy(cfg)
         half.landing_noise_std = cfg.landing_noise_std / 2.0
         _, s_full = estimate_variance(

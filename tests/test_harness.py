@@ -32,16 +32,17 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from ttreturn.arm import InterceptionPolicy, base_azimuth, interception_event
-from ttreturn.ballistics import Z_TABLE, FlightParams
+from ttreturn.ballistics import MAX_STEPS, Z_TABLE
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import intercept
 from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
-from ttreturn.greybox import GreyboxParams, central_difference, predict_landing, predict_landing_with_gradient
+from ttreturn.greybox import MODEL, central_difference, predict_landing, predict_landing_with_gradient
 from ttreturn.harness import (
     ExperimentConfig,
     MODES,
     SCENARIO_BOX,
     SAMPLING_MARGIN,
+    SWEEP_START,
     derived_seeds,
     gen_dataset,
     gen_dataset_greybox,
@@ -226,6 +227,16 @@ class TestConfigValidation:
         c = ExperimentConfig(seed=1)
         assert c.config_hash() != a.config_hash()
 
+    def test_hash_ignores_number_spelling(self):
+        # {"alpha1": 1} in a config file and --alpha1 1 are the same run
+        assert ExperimentConfig().config_hash() == "0df2ccd6c8da0a51"
+        assert ExperimentConfig(mode="sweep", phi1=SWEEP_START).config_hash() == "3369542910c33ef1"
+        for ints, floats in ((dict(alpha1=1), dict(alpha1=1.0)), (dict(target=(-1, 1)), dict(target=(-1.0, 1.0))),
+                             (dict(variance_policies=((0, 1),)), dict(variance_policies=((0.0, 1.0),))),
+                             (dict(landing_noise_std=(0, 1)), dict(landing_noise_std=[0.0, 1.0]))):
+            assert ExperimentConfig(**ints).config_hash() == ExperimentConfig(**floats).config_hash()
+        assert ExperimentConfig(alpha1=1).config_hash() != ExperimentConfig(alpha1=1.5).config_hash()
+
 
 class TestSamplingBounds:
     def test_margin_applied(self):
@@ -265,10 +276,9 @@ class TestDatasetGeneration:
     def test_greybox_labels_match_predictor(self, env_cfg):
         ds = gen_dataset_greybox(env_cfg, 5, "uniform", np.random.default_rng(2))
         traj = nominal_trajectory(env_cfg)
-        params = GreyboxParams()
         for phi, landing in ds.records:
             np.testing.assert_allclose(
-                landing, predict_landing(phi, traj, params), atol=1e-12
+                landing, predict_landing(phi, traj, MODEL), atol=1e-12
             )
 
     def test_env_labels_are_noisy(self, env_cfg):
@@ -364,40 +374,40 @@ class TestBlockedSampling:
          ("grid", 100, MISS_BOX, 2), ("grid", 144, SCENARIO_BOX, 3)],
     )
     def test_greybox_matches_per_policy_loop(self, env_cfg, sampling, n, box, seed):
-        traj, params = nominal_trajectory(env_cfg), GreyboxParams()
+        traj = nominal_trajectory(env_cfg)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ds = gen_dataset_greybox(env_cfg, n, sampling, rng, box)
         ref, attempts = per_policy_dataset(
-            lambda phi: predict_landing(phi, traj, params), n, sampling, ref_rng, box)
+            lambda phi: predict_landing(phi, traj, MODEL), n, sampling, ref_rng, box)
         assert records(ds) == records(ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         if box is self.MISS_BOX:  # misses were redrawn or skipped
             assert attempts > len(ds) if sampling == "uniform" else len(ds) < n
 
     def test_infeasible_region_at_the_same_attempt(self, env_cfg):
-        traj, params = nominal_trajectory(env_cfg), GreyboxParams()
+        traj = nominal_trajectory(env_cfg)
         box = FeasibleSet((-1.0, 0.4), (-0.05, 0.45))  # about nine in ten draws miss
         got = raised(lambda: gen_dataset_greybox(env_cfg, 20, "uniform", np.random.default_rng(0), box))
         ref = raised(lambda: per_policy_dataset(
-            lambda phi: predict_landing(phi, traj, params), 20, "uniform", np.random.default_rng(0), box))
+            lambda phi: predict_landing(phi, traj, MODEL), 20, "uniform", np.random.default_rng(0), box))
         assert got == ref == (InfeasibleRegion, "46 of 51 sampled policies missed the ball")
 
     @pytest.mark.parametrize(
-        "flight,error",  # flight: the labels' flight parameters and table height
-        [((FlightParams(), 1.3), "NegativeDiscriminant"),
-         ((FlightParams(max_steps=300), Z_TABLE), "MaxStepsExceeded")],
+        "flight,error",  # flight: the labels' step cap and table height
+        [((MAX_STEPS, 1.3), "NegativeDiscriminant"),
+         ((300, Z_TABLE), "MaxStepsExceeded")],
     )
     def test_landing_error_raised_in_draw_order(self, env_cfg, monkeypatch, flight, error):
-        flight, z_table = flight
-        traj, params = nominal_trajectory(env_cfg), GreyboxParams(flight=flight)
-        monkeypatch.setattr(ttreturn.harness, "GreyboxParams", lambda: params)
+        max_steps, z_table = flight
+        traj = nominal_trajectory(env_cfg)
+        monkeypatch.setattr(ttreturn.ballistics, "MAX_STEPS", max_steps)
         monkeypatch.setattr(ttreturn.ballistics, "Z_TABLE", z_table)
         assert nominal_trajectory(env_cfg).rows == traj.rows  # the launch passes the table either way
         calls = []
 
         def label(phi):
             calls.append(phi)
-            return predict_landing(phi, traj, params)
+            return predict_landing(phi, traj, MODEL)
 
         box = self.MISS_BOX
         got = raised(lambda: gen_dataset_greybox(env_cfg, 200, "uniform", np.random.default_rng(2), box))
@@ -449,8 +459,7 @@ class TestGradCheck:
     def test_coupled_mode_checks_the_coupled_gradient(self, tmp_path, env_cfg):
         # the grad-check driver passes couple_geometry on: its summary is the
         # coupled report's, whose differences re-intercept the ball
-        coupled = GreyboxParams(couple_geometry=True)
-        report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg, params=coupled)
+        report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg, coupled=True)
         frozen = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
         assert [e.phi for e in report.entries] == [e.phi for e in frozen.entries]
         assert report.median_rel_error < 1e-5 and report.max_rel_error < 1e-4
@@ -464,7 +473,7 @@ class TestGradCheck:
         x, y = nominal_trajectory(env_cfg).xy()
         az = float(base_azimuth(x[272], y[272]))
         k = FeasibleSet((az - SAMPLING_MARGIN - 1e-6, az + SAMPLING_MARGIN + 1e-6), SCENARIO_BOX.theta4_bounds)
-        assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k, params=coupled).n_flagged == 5
+        assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k, coupled=True).n_flagged == 5
         assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k).n_flagged < 5
 
     def test_blackbox_draw_order(self):
@@ -754,9 +763,8 @@ class TestRunGradients:
         phi = InterceptionPolicy(0.45, 0.2)
         for coupled in (False, True):
             cfg = ExperimentConfig(mode="run", out_dir=str(tmp_path), couple_geometry=coupled)
-            params = GreyboxParams(couple_geometry=coupled)
             event = interception_event(nominal_traj, phi.theta1)
-            _, jac = predict_landing_with_gradient(phi, event, params)
+            _, jac = predict_landing_with_gradient(phi, event, MODEL, coupled)
             diag = SimpleNamespace(event=event)
             np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, diag), jac)
 
@@ -778,9 +786,9 @@ class TestRunGradients:
             intercepts.append((phi, diag, launches[-1]))
             return r_landing, diag
 
-        def spy_gradient(phi, event, params):
-            record, jac = real_gradient(phi, event, params)
-            gradients.append((phi, event, params, jac))
+        def spy_gradient(phi, event, physics, coupled_arg):
+            record, jac = real_gradient(phi, event, physics, coupled_arg)
+            gradients.append((phi, event, physics, coupled_arg, jac))
             return record, jac
 
         monkeypatch.setattr(ttreturn.env, "launch", spy_launch)
@@ -788,13 +796,12 @@ class TestRunGradients:
         monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", spy_gradient)
         run_experiment(ExperimentConfig(mode="run", out_dir=str(tmp_path), n_iters=6, couple_geometry=coupled))
         assert len(intercepts) == len(gradients) == 6
-        fresh_params = GreyboxParams(couple_geometry=coupled)
-        for (phi, diag, incoming), (grad_phi, event, params, jac) in zip(intercepts, gradients):
-            assert grad_phi is phi and event is diag.event and params.couple_geometry is coupled
+        for (phi, diag, incoming), (grad_phi, event, physics, coupled_arg, jac) in zip(intercepts, gradients):
+            assert grad_phi is phi and event is diag.event and physics is MODEL and coupled_arg is coupled
             fresh = interception_event(incoming, phi.theta1)
             assert fresh.dxi_dtheta1 == event.dxi_dtheta1
             assert np.array_equal(fresh.xi_minus, event.xi_minus)
-            assert np.array_equal(real_gradient(phi, fresh, fresh_params)[1], jac)
+            assert np.array_equal(real_gradient(phi, fresh, MODEL, coupled)[1], jac)
 
     def test_blackbox_gradient_ignores_incoming(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.json")

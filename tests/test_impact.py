@@ -12,7 +12,9 @@ from ttreturn.arm import (
     racket_rotation,
     racket_velocity,
 )
-from ttreturn.impact import ImpactParams, impact_state_jacobian, racket_impact, racket_impacts
+from ttreturn.env import TRUTH
+from ttreturn.greybox import MODEL
+from ttreturn.impact import impact_state_jacobian, racket_impact, racket_impacts
 
 
 def rot_z(a):
@@ -24,47 +26,47 @@ class TestRacketImpact:
     def test_zero_relative_velocity(self):
         v_r = np.array([1.0, -2.0, 0.5])
         xi = np.r_[np.zeros(3), v_r]
-        out = racket_impact(xi, rot_z(0.3), v_r, ImpactParams())
+        out = racket_impact(xi, rot_z(0.3), v_r, MODEL)
         np.testing.assert_allclose(out[3:], v_r, atol=1e-12)
 
     def test_rest_frame_reflection(self):
         xi = np.r_[np.zeros(3), [0.0, -3.0, 0.0]]
-        out = racket_impact(xi, np.eye(3), np.zeros(3), ImpactParams())
+        out = racket_impact(xi, np.eye(3), np.zeros(3), MODEL)
         np.testing.assert_allclose(out[3:], [0.0, 2.25, 0.0], atol=1e-12)
 
     def test_rotated_normal_reflection(self):
         xi = np.r_[np.zeros(3), [-3.0, 0.0, 0.0]]
-        out = racket_impact(xi, rot_z(pi / 2), np.zeros(3), ImpactParams())
+        out = racket_impact(xi, rot_z(pi / 2), np.zeros(3), MODEL)
         np.testing.assert_allclose(out[3:], [2.25, 0.0, 0.0], atol=1e-12)
 
     def test_position_preserved_bitwise(self):
         p = np.array([0.123456789, -0.987654321, 1.111111111])
         xi = np.r_[p, [1.0, 2.0, 3.0]]
-        out = racket_impact(xi, rot_z(0.7), np.array([0.1, 0.2, 0.3]), ImpactParams())
+        out = racket_impact(xi, rot_z(0.7), np.array([0.1, 0.2, 0.3]), MODEL)
         assert np.array_equal(out[:3], p)
 
     def test_frame_covariance(self):
         rng = np.random.default_rng(10)
-        params = ImpactParams()
+        physics = MODEL
         for _ in range(20):
             gamma = rot_z(rng.uniform(-pi, pi))
             v_minus = rng.normal(size=3)
             v_r = rng.normal(size=3)
             r = rot_z(rng.uniform(-pi, pi))
-            out = racket_impact(np.r_[np.zeros(3), v_minus], gamma, v_r, params)
+            out = racket_impact(np.r_[np.zeros(3), v_minus], gamma, v_r, physics)
             out_rot = racket_impact(
-                np.r_[np.zeros(3), r @ v_minus], r @ gamma, r @ v_r, params
+                np.r_[np.zeros(3), r @ v_minus], r @ gamma, r @ v_r, physics
             )
             np.testing.assert_allclose(out_rot[3:], r @ out[3:], atol=1e-12)
 
     def test_energy_bound(self):
         rng = np.random.default_rng(11)
-        params = ImpactParams()
+        physics = MODEL
         for _ in range(20):
             gamma = rot_z(rng.uniform(-pi, pi))
             v_minus = rng.normal(size=3) * 5.0
             v_r = rng.normal(size=3)
-            out = racket_impact(np.r_[np.zeros(3), v_minus], gamma, v_r, params)
+            out = racket_impact(np.r_[np.zeros(3), v_minus], gamma, v_r, physics)
             assert np.linalg.norm(out[3:] - v_r) <= 0.75 * np.linalg.norm(v_minus - v_r) + 1e-12
 
 
@@ -75,50 +77,50 @@ class TestRacketImpact:
         n = 40
         xi = np.column_stack((rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 5.0))
         theta1, theta4 = rng.uniform(-pi, pi, (2, n))
-        params = ImpactParams(restitution=np.array([0.72, -0.78, 0.72]))
-        out = racket_impacts(xi, theta1, theta4, params)
+        physics = TRUTH
+        out = racket_impacts(xi, theta1, theta4, physics)
         for row, x, t1, t4 in zip(out, xi, theta1.tolist(), theta4.tolist()):
             event = InterceptionEvent(x)
             gamma = racket_rotation(InterceptionPolicy(t1, t4))
-            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event), params)
+            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event), physics)
             np.testing.assert_array_equal(row, ref)
 
-def frozen_impact(phi, event, params):
+def frozen_impact(phi, event, physics):
     gamma = racket_rotation(phi)
     v_r = racket_velocity(event)
-    return racket_impact(event.xi_minus, gamma, v_r, params)
+    return racket_impact(event.xi_minus, gamma, v_r, physics)
 
 
 class TestImpactStateJacobian:
     def test_matches_fd_on_frozen_event(self, nominal_traj):
-        params = ImpactParams()
+        physics = MODEL
         rng = np.random.default_rng(12)
         h = 1e-6
         for _ in range(20):
             t1, t4 = rng.uniform([0.30, 0.0], [0.70, 0.4])
             event = interception_event(nominal_traj, t1)
             phi = InterceptionPolicy(t1, t4)
-            jac = impact_state_jacobian(phi, event, params, False)
+            jac = impact_state_jacobian(phi, event, physics, False)
             assert np.array_equal(jac[:3, :], np.zeros((3, 2)))
             fd = np.zeros((6, 2))
             for col, d in enumerate(((h, 0.0), (0.0, h))):
-                hi = frozen_impact(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, params)
-                lo = frozen_impact(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, params)
+                hi = frozen_impact(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, physics)
+                lo = frozen_impact(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, physics)
                 fd[:, col] = (hi - lo) / (2 * h)
             assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-6
 
     def test_zero_yaw_rate_reduction(self, nominal_traj, zero_yaw_rate):
         # with THETA1_DOT = 0 the racket velocity vanishes and only the
         # rotation-derivative terms remain
-        params = ImpactParams()
+        physics = MODEL
         t1, t4 = 0.45, 0.2
         event = interception_event(nominal_traj, t1)
         phi = InterceptionPolicy(t1, t4)
-        jac = impact_state_jacobian(phi, event, params, False)
+        jac = impact_state_jacobian(phi, event, physics, False)
         from ttreturn.arm import racket_rotation_jacobian
 
         gamma = racket_rotation(phi)
-        m = params.matrix
+        m = np.diag(physics.restitution)
         d1, d4 = racket_rotation_jacobian(phi)
         for col, d_g in enumerate((d1, d4)):
             expected = (d_g @ m @ gamma.T + gamma @ m @ d_g.T) @ event.xi_minus[3:]
@@ -129,5 +131,5 @@ class TestImpactStateJacobian:
         event = interception_event(nominal_traj, t1)
         event.xi_minus[3:] = racket_velocity(event)  # force v_minus == v_R
         phi = InterceptionPolicy(t1, 0.2)
-        jac = impact_state_jacobian(phi, event, ImpactParams(), False)
+        jac = impact_state_jacobian(phi, event, MODEL, False)
         np.testing.assert_allclose(jac, np.zeros((6, 2)), atol=1e-12)

@@ -20,7 +20,7 @@ except ImportError:
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.env import EnvConfig, intercept
 from ttreturn.errors import AbortedRun, NonFiniteStep, SingularGradient
-from ttreturn.greybox import GreyboxParams, predict_landing_with_gradient
+from ttreturn.greybox import MODEL, predict_landing_with_gradient
 from ttreturn.metrics import MetricsState
 from ttreturn.optimizer import (
     CSV_HEADER,
@@ -160,10 +160,7 @@ class TestGdUpdate:
 
 
 def make_noiseless_cfg():
-    cfg = EnvConfig()
-    cfg.landing_noise_std = np.zeros(2)
-    cfg.launcher.jitter_std = np.zeros(6)
-    return cfg
+    return EnvConfig(jitter_std=np.zeros(6), landing_noise_std=np.zeros(2))
 
 
 def make_env(cfg):
@@ -171,7 +168,7 @@ def make_env(cfg):
 
 
 def greybox_gradient(phi, diag):
-    return predict_landing_with_gradient(phi, diag.event, GreyboxParams())[1]
+    return predict_landing_with_gradient(phi, diag.event, MODEL)[1]
 
 
 class TestRunOnline:
