@@ -126,7 +126,7 @@ def euler_flight(
     else:
         n = max_steps
         if land and not (vz <= vz_top and pz + dt * vz <= z_top):
-            raise MaxStepsExceeded(f"no landing within {max_steps} steps")
+            raise no_landing(max_steps)
     stop = (px, py, pz, vx, vy, vz)
     if not push:
         return stop, n, None
@@ -172,6 +172,24 @@ def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np
             stops[j], k, _ = euler_flight(row, k_drag, dt, max_steps - n, land=True)
             steps[j] = n + k
     return stops, steps
+
+
+def landing_outcomes(starts: np.ndarray, physics: Physics) -> list:
+    """Each row's landing point, as propagate_to_landing gives it, or the SimulationError
+    its flight raises: the rows fly in euler_landings, then each one's final_step."""
+    stops, steps = euler_landings(starts, physics)
+    outcomes = []
+    for k, stop in zip(steps.tolist(), stops.tolist()):
+        try:
+            outcomes.append(final_step(stop)[1] if k >= 0 else no_landing(MAX_STEPS))
+        except NegativeDiscriminant as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def no_landing(max_steps: int) -> MaxStepsExceeded:
+    """The error of a flight still in the air after max_steps full steps."""
+    return MaxStepsExceeded(f"no landing within {max_steps} steps")
 
 
 def remaining_time(xi: np.ndarray) -> float:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, SimulationError
-from .harness import ExperimentConfig, SWEEP_START, run_experiment
+from .harness import MODE_HELP, ExperimentConfig, SWEEP_START, run_experiment
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -27,52 +27,25 @@ def _pair(text: str) -> tuple[float, float]:
     return (float(parts[0]), float(parts[1]))
 
 
+# the argparse type of a flag, by its field's annotation
+FLAG_TYPES = {"int": int, "float": float, "str": str, "tuple[float, float]": _pair}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subcommand per mode, with the flags the ExperimentConfig fields declare for it."""
     parser = argparse.ArgumentParser(
         prog="ttreturn",
         description="Online gradient-descent optimization of ball-return policies.",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for mode, summary in MODE_HELP.items():
+        p = sub.add_parser(mode, help=summary)
         p.add_argument("--config", help="JSON experiment config; flags override its fields")
-        p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--predictor", choices=("greybox", "blackbox"))
-        p.add_argument("--alpha1", type=float, help="initial step length")
-        p.add_argument("--iters", dest="n_iters", type=int, help="number of iterations")
-        p.add_argument("--target", type=_pair, metavar="X,Y", help="target landing point [m]")
-        p.add_argument("--model", dest="model_path", help="trained model file")
-
-    p = sub.add_parser("grad-check", help="analytic vs finite-difference gradient report")
-    common(p)
-    p.add_argument("--n", dest="n_points", type=int, help="number of random policies")
-
-    p = sub.add_parser("baseline-variance", help="landing scatter of fixed policies")
-    common(p)
-    p.add_argument("--trials", dest="n_trials", type=int, help="trials per policy")
-
-    p = sub.add_parser("gen-data", help="sample policies and record landings")
-    common(p)
-    p.add_argument("--n", dest="n_points", type=int, help="number of records")
-    p.add_argument("--sampling", choices=("uniform", "grid"))
-    p.add_argument("--labels", choices=("env", "greybox"))
-    p.add_argument("--dataset", dest="dataset_path", help="dataset CSV path")
-
-    p = sub.add_parser("train-blackbox", help="train the landing-point surrogate")
-    common(p)
-    p.add_argument("--dataset", dest="dataset_path", help="dataset CSV path")
-    p.add_argument("--epochs", type=int)
-
-    p = sub.add_parser("run", help="one online optimization run")
-    common(p)
-    p.add_argument("--phi1", type=_pair, metavar="T1,T4", help="initial policy [rad]")
-
-    p = sub.add_parser("sweep", help="multi-target or multi-init batches of runs")
-    common(p)
-    p.add_argument("--kind", dest="sweep_kind", choices=("targets", "inits"))
-    p.add_argument("--phi1", type=_pair, metavar="T1,T4", help="initial policy [rad]")
-
+        for f in fields(ExperimentConfig):
+            spec = f.metadata
+            if spec.get("flag") and mode in spec["modes"]:
+                p.add_argument(spec["flag"], dest=f.name, type=FLAG_TYPES[f.type], choices=spec["choices"] or None,
+                               metavar=spec["metavar"], help=spec["help"])
     return parser
 
 

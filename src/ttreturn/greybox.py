@@ -11,9 +11,7 @@ import numpy as np
 
 from .arm import (InterceptionEvent, InterceptionPolicy, interception_event, interception_states, racket_rotation,
                   racket_velocity)
-from . import ballistics
-from .ballistics import LandingRecord, Physics, euler_landings, final_step, landing_state_jacobian, propagate_to_landing
-from .errors import MaxStepsExceeded, NegativeDiscriminant
+from .ballistics import LandingRecord, Physics, landing_outcomes, landing_state_jacobian, propagate_to_landing
 from .impact import impact_state_jacobian, racket_impact, racket_impacts
 
 # The predictor's physics: drag, return-flight step and restitution of the first-principles model.
@@ -28,19 +26,13 @@ def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.n
 
 def predict_landings(phis: list[InterceptionPolicy], incoming, physics: Physics) -> list:
     """predict_landing of each policy, or the SimulationError it raised, as array code on the
-    block: interception_states, racket_impacts and lockstep flights (euler_landings), then
-    each row's final_step."""
+    block: interception_states, racket_impacts and the lockstep flights of landing_outcomes."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
     xi, outcomes = interception_states(incoming, theta1)
     hit = np.array([o is None for o in outcomes], dtype=bool)
     starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], physics)
-    stops, steps = euler_landings(starts, physics)
-    for i, k, stop in zip(np.flatnonzero(hit).tolist(), steps.tolist(), stops.tolist()):
-        try:
-            outcomes[i] = (final_step(stop)[1] if k >= 0 else
-                           MaxStepsExceeded(f"no landing within {ballistics.MAX_STEPS} steps"))
-        except NegativeDiscriminant as exc:
-            outcomes[i] = exc
+    for i, outcome in zip(np.flatnonzero(hit).tolist(), landing_outcomes(starts, physics)):
+        outcomes[i] = outcome
     return outcomes
 
 

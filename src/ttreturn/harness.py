@@ -80,20 +80,41 @@ FIELD_TYPES = {
 }
 
 
+# the experiment modes, in CLI order, each with its subcommand's help; DRIVERS zips them with their drivers
+MODE_HELP = {
+    "grad-check": "analytic vs finite-difference gradient report",
+    "baseline-variance": "landing scatter of fixed policies",
+    "gen-data": "sample policies and record landings",
+    "train-blackbox": "train the landing-point surrogate",
+    "run": "one online optimization run",
+    "sweep": "multi-target or multi-init batches of runs",
+}
+MODES = tuple(MODE_HELP)
+
+
+def declared(default, flag: str = "", modes: tuple[str, ...] = MODES, help: str | None = None,
+             metavar: str | None = None, choices: tuple = (), at_least=None, above=None, length: int = 0):
+    """A config field with its one declaration: the CLI `flag` of the subcommands in `modes`,
+    with its `help` and `metavar`, and what validate checks beyond the field's type: a value
+    in `choices`, every number >= `at_least` or > `above`, an override of `length` numbers."""
+    return field(default=default, metadata=dict(flag=flag, modes=modes, help=help, metavar=metavar,
+                                                choices=choices, at_least=at_least, above=above, length=length))
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment invocation; echoed (hashed) into every artifact."""
 
-    mode: str = "run"
-    seed: int = 0
-    out_dir: str = "out"
+    mode: str = declared("run", choices=MODES)
+    seed: int = declared(0, "--seed", help="base random seed", at_least=0)
+    out_dir: str = declared("out", "--out", help="output directory")
 
     # online-run settings
-    predictor: str = "greybox"
-    alpha1: float = 0.05
-    n_iters: int = 200
-    target: tuple[float, float] = RUN_TARGET
-    phi1: tuple[float, float] = RUN_START
+    predictor: str = declared("greybox", "--predictor", choices=("greybox", "blackbox"))
+    alpha1: float = declared(0.05, "--alpha1", help="initial step length", above=0)
+    n_iters: int = declared(200, "--iters", help="number of iterations", at_least=1)
+    target: tuple[float, float] = declared(RUN_TARGET, "--target", help="target landing point [m]", metavar="X,Y")
+    phi1: tuple[float, float] = declared(RUN_START, "--phi1", ("run", "sweep"), "initial policy [rad]", "T1,T4")
     couple_geometry: bool = False
 
     # feasible box used for projection and policy sampling
@@ -101,28 +122,29 @@ class ExperimentConfig:
     box_theta4: tuple[float, float] = SCENARIO_BOX.theta4_bounds
 
     # dataset / gradient-check settings
-    n_points: int = 3000
-    sampling: str = "uniform"           # uniform | grid
-    labels: str = "env"                 # env | greybox
-    dataset_path: str = ""              # defaults to <out_dir>/dataset.csv
-    model_path: str = ""                # defaults to <out_dir>/model.json
-    epochs: int = 500
+    n_points: int = declared(3000, "--n", ("grad-check", "gen-data"), "number of sampled policies", at_least=1)
+    sampling: str = declared("uniform", "--sampling", ("gen-data",), choices=("uniform", "grid"))
+    labels: str = declared("env", "--labels", ("gen-data",), choices=("env", "greybox"))
+    # defaults to <out_dir>/dataset.csv and <out_dir>/model.json
+    dataset_path: str = declared("", "--dataset", ("gen-data", "train-blackbox"), "dataset CSV path")
+    model_path: str = declared("", "--model", help="trained model file")
+    epochs: int = declared(500, "--epochs", ("train-blackbox",), at_least=1)
 
     # baseline-variance settings
-    n_trials: int = 200
+    n_trials: int = declared(200, "--trials", ("baseline-variance",), "trials per policy", at_least=2)
     variance_policies: tuple[tuple[float, float], ...] = VARIANCE_POLICIES
 
     # sweep settings
-    sweep_kind: str = "targets"         # targets | inits
+    sweep_kind: str = declared("targets", "--kind", ("sweep",), choices=("targets", "inits"))
     sweep_targets: tuple[tuple[float, float], ...] = SWEEP_TARGETS
     initial_policies: tuple[tuple[float, float], ...] = INITIAL_POLICIES
-    n_seeds: int = 20                   # runs per target (targets sweep)
-    n_replicates: int = 5               # runs per initial policy (inits sweep)
+    n_seeds: int = declared(20, at_least=1)       # runs per target (targets sweep)
+    n_replicates: int = declared(5, at_least=1)   # runs per initial policy (inits sweep)
 
     # environment overrides (empty = package defaults)
-    landing_noise_std: tuple[float, ...] = ()
-    jitter_std: tuple[float, ...] = ()
-    nominal_state: tuple[float, ...] = ()
+    landing_noise_std: tuple[float, ...] = declared((), at_least=0, length=2)
+    jitter_std: tuple[float, ...] = declared((), at_least=0, length=6)
+    nominal_state: tuple[float, ...] = declared((), length=6)
 
     def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
@@ -150,53 +172,35 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in fields(self):
+            value, spec = getattr(self, f.name), f.metadata
             want, ok = FIELD_TYPES[f.type]
-            if not ok(getattr(self, f.name)):
-                raise ConfigError(f"{f.name}: expected {want}, got {getattr(self, f.name)!r}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode: unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
-        if self.predictor not in ("greybox", "blackbox"):
-            raise ConfigError(f"predictor: unknown predictor {self.predictor!r}")
-        for name in ("alpha1", "target", "phi1", "box_theta1", "box_theta4", "variance_policies",
-                     "sweep_targets", "initial_policies", "landing_noise_std", "jitter_std", "nominal_state"):
-            if not np.all(np.isfinite(np.asarray(getattr(self, name), dtype=float))):
-                raise ConfigError(f"{name}: must be finite")
-        for name in ("landing_noise_std", "jitter_std"):
-            if np.any(np.asarray(getattr(self, name), dtype=float) < 0):
-                raise ConfigError(f"{name}: must be >= 0")
-        if self.alpha1 <= 0:
-            raise ConfigError("alpha1: must be > 0")
-        if self.n_iters < 1:
-            raise ConfigError("n_iters: must be >= 1")
-        for name, lohi in (("box_theta1", self.box_theta1), ("box_theta4", self.box_theta4)):
-            if not lohi[0] < lohi[1]:
+            if not ok(value):
+                raise ConfigError(f"{f.name}: expected {want}, got {value!r}")
+            if "float" in f.type and not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ConfigError(f"{f.name}: must be finite")
+            if spec.get("choices") and value not in spec["choices"]:
+                raise ConfigError(f"{f.name}: unknown {f.name} {value!r}, expected one of {spec['choices']}")
+            numbers = value if isinstance(value, (tuple, list)) else (value,)
+            if spec.get("at_least") is not None and any(v < spec["at_least"] for v in numbers):
+                raise ConfigError(f"{f.name}: must be >= {spec['at_least']}")
+            if spec.get("above") is not None and any(v <= spec["above"] for v in numbers):
+                raise ConfigError(f"{f.name}: must be > {spec['above']}")
+            if spec.get("length") and value and len(value) != spec["length"]:
+                raise ConfigError(f"{f.name}: expected {spec['length']} components")
+        for name in ("box_theta1", "box_theta4"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
                 raise ConfigError(f"{name}: expected (lower, upper) with lower < upper")
+        box, kind = self.feasible_set(), self.sweep_kind if self.mode == "sweep" else None
         # only a run and a targets sweep start from phi1
-        starts_at_phi1 = self.mode == "run" or (self.mode == "sweep" and self.sweep_kind == "targets")
-        if starts_at_phi1 and not self.feasible_set().contains(InterceptionPolicy(*self.phi1)):
+        if (self.mode == "run" or kind == "targets") and not box.contains(InterceptionPolicy(*self.phi1)):
             raise ConfigError("phi1: outside the feasible box")
-        if self.n_points < 1:
-            raise ConfigError("n_points: must be >= 1")
-        if self.sampling not in ("uniform", "grid"):
-            raise ConfigError(f"sampling: unknown sampling {self.sampling!r}")
-        if self.labels not in ("env", "greybox"):
-            raise ConfigError(f"labels: unknown label source {self.labels!r}")
-        if self.epochs < 1:
-            raise ConfigError("epochs: must be >= 1")
-        if self.n_trials < 2:
-            raise ConfigError("n_trials: must be >= 2")
-        if self.sweep_kind not in ("targets", "inits"):
-            raise ConfigError(f"sweep_kind: unknown sweep kind {self.sweep_kind!r}")
-        if self.n_seeds < 1 or self.n_replicates < 1:
-            raise ConfigError("n_seeds/n_replicates: must be >= 1")
-        if self.landing_noise_std and len(self.landing_noise_std) != 2:
-            raise ConfigError("landing_noise_std: expected two components")
-        if self.jitter_std and len(self.jitter_std) != 6:
-            raise ConfigError("jitter_std: expected six components")
-        if self.nominal_state and len(self.nominal_state) != 6:
-            raise ConfigError("nominal_state: expected six components")
+        for i, p in enumerate(self.initial_policies if kind == "inits" else ()):
+            if not box.contains(InterceptionPolicy(*p)):
+                raise ConfigError(f"initial_policies[{i}]: outside the feasible box")
+        cases = {"targets": "sweep_targets", "inits": "initial_policies"}.get(kind)
+        if cases and not getattr(self, cases):
+            raise ConfigError(f"{cases}: a {kind} sweep needs at least one entry")
 
     @classmethod
     def from_json(cls, path: str, **defaults) -> "ExperimentConfig":
@@ -523,16 +527,9 @@ def _run(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) 
 def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
     """Derived-seed runs per stored target or per initial policy, then a summary."""
     if cfg.sweep_kind == "targets":
-        name, runs_per = "sweep_targets", cfg.n_seeds
-        cases = [(f"target{i}", t, cfg.phi1) for i, t in enumerate(cfg.sweep_targets)]
+        runs_per, cases = cfg.n_seeds, [(f"target{i}", t, cfg.phi1) for i, t in enumerate(cfg.sweep_targets)]
     else:
-        name, runs_per = "initial_policies", cfg.n_replicates
-        cases = [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
-        for i, p in enumerate(cfg.initial_policies):
-            if not cfg.feasible_set().contains(InterceptionPolicy(*p)):
-                raise ConfigError(f"initial_policies[{i}]: outside the feasible box")
-    if not cases:
-        raise ConfigError(f"{name}: a {cfg.sweep_kind} sweep needs at least one entry")
+        runs_per, cases = cfg.n_replicates, [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
     seeds = iter(derived_seeds(cfg.seed, len(cases) * runs_per))
     plan = [
         (os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv"), np.asarray(target, dtype=float),
@@ -554,15 +551,7 @@ def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple
 
 
 # one driver (cfg, env_cfg, config_hash, comments) -> summary per experiment mode
-DRIVERS = {
-    "grad-check": _grad_check,
-    "baseline-variance": _baseline_variance,
-    "gen-data": _gen_data,
-    "train-blackbox": _train_blackbox,
-    "run": _run,
-    "sweep": _sweep,
-}
-MODES = tuple(DRIVERS)
+DRIVERS = dict(zip(MODES, (_grad_check, _baseline_variance, _gen_data, _train_blackbox, _run, _sweep)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:

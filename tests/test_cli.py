@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON summaries, reproducibility."""
 
+import argparse
+import dataclasses
 import errno
 import io
 import json
@@ -25,7 +27,7 @@ from ttreturn.blackbox import random_model
 from ttreturn.cli import build_parser, config_from_args, main
 from ttreturn.env import EnvConfig
 from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
-from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START
+from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START, ExperimentConfig
 
 
 @pytest.mark.parametrize("args", [["run", "--iters", "abc"], ["run", "--target", "1,x"], []],
@@ -338,6 +340,52 @@ def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == (0.5, 0.2)
     path.write_text(json.dumps(base))
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
+
+
+# each subcommand's (option string, dest, choices, metavar), as the hand-written parser had them
+COMMON_FLAGS = {
+    ("--config", "config", None, None), ("--seed", "seed", None, None), ("--out", "out_dir", None, None),
+    ("--predictor", "predictor", ("greybox", "blackbox"), None), ("--alpha1", "alpha1", None, None),
+    ("--iters", "n_iters", None, None), ("--target", "target", None, "X,Y"), ("--model", "model_path", None, None),
+}
+MODE_FLAGS = {
+    "grad-check": {("--n", "n_points", None, None)},
+    "baseline-variance": {("--trials", "n_trials", None, None)},
+    "gen-data": {("--n", "n_points", None, None), ("--sampling", "sampling", ("uniform", "grid"), None),
+                 ("--labels", "labels", ("env", "greybox"), None), ("--dataset", "dataset_path", None, None)},
+    "train-blackbox": {("--dataset", "dataset_path", None, None), ("--epochs", "epochs", None, None)},
+    "run": {("--phi1", "phi1", None, "T1,T4")},
+    "sweep": {("--kind", "sweep_kind", ("targets", "inits"), None), ("--phi1", "phi1", None, "T1,T4")},
+}
+
+
+def subcommand_flags() -> dict:
+    """{subcommand: its actions but --help}, in the parser's order."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {mode: [a for a in p._actions if a.option_strings != ["-h", "--help"]] for mode, p in sub.choices.items()}
+
+
+def test_each_subcommand_keeps_its_flags():
+    got = {mode: {(s, a.dest, a.choices, a.metavar) for a in actions for s in a.option_strings}
+           for mode, actions in subcommand_flags().items()}
+    assert list(got) == list(MODE_FLAGS)
+    assert got == {mode: COMMON_FLAGS | own for mode, own in MODE_FLAGS.items()}
+
+
+@pytest.mark.parametrize("mode", list(MODE_FLAGS))
+def test_flag_and_config_file_give_the_same_config(tmp_path, mode):
+    types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    values = {"int": ("3", 3), "float": ("0.25", 0.25), "tuple[float, float]": ("0.4,0.2", [0.4, 0.2]),
+              "str": ("x.csv", "x.csv")}
+    parse = lambda argv: config_from_args(build_parser().parse_args([mode, *argv]))
+    path = tmp_path / "cfg.json"
+    flags = [a for a in subcommand_flags()[mode] if a.dest != "config"]
+    for action in flags:
+        text, value = (action.choices[-1],) * 2 if action.choices else values[types[action.dest]]
+        path.write_text(json.dumps({action.dest: value}))
+        from_flag, from_file = parse([action.option_strings[0], text]), parse(["--config", str(path)])
+        assert from_flag == from_file != parse([]), action.dest
+    assert len(flags) == len(MODE_FLAGS[mode]) + 7
 
 
 def strict_json(text: str):

@@ -67,12 +67,15 @@ class TestConfigValidation:
         ExperimentConfig().validate()
 
     def test_readme_table_names_every_field(self):
-        # README's configuration table keeps up with ExperimentConfig
+        # README's configuration table keeps up with ExperimentConfig: each field on a row, with its flag
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
         table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
-        names = {name for line in table.splitlines() if line.startswith("| `")
+        flags = {name: line.split("|")[2] for line in table.splitlines() if line.startswith("| `")
                  for name in re.findall(r"`(\w+)`", line.split("|")[1])}
-        assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in names] == []
+        assert [f.name for f in dataclasses.fields(ExperimentConfig) if f.name not in flags] == []
+        declared = [(f.name, f.metadata["flag"]) for f in dataclasses.fields(ExperimentConfig) if f.metadata.get("flag")]
+        assert len(declared) == 15
+        assert [(name, flag) for name, flag in declared if f"`{flag}`" not in flags[name]] == []
 
     def test_readme_package_names_resolve(self):
         # every backticked `module.name` or `module.Class.attr` of the package in
@@ -112,12 +115,29 @@ class TestConfigValidation:
             ("n_trials", 1, "n_trials"),
             ("sweep_kind", "angles", "sweep_kind"),
             ("jitter_std", (0.1, 0.1), "jitter_std"),
+            ("n_seeds", 0, "n_seeds: must be >= 1$"),
+            ("n_replicates", 0, "n_replicates: must be >= 1$"),
+            ("box_theta4", (0.4, -0.05), "box_theta4: expected \\(lower, upper\\)"),
+            ("landing_noise_std", (0.1, 0.1, 0.1), "landing_noise_std: expected 2 components$"),
+            ("landing_noise_std", (0.1, -0.1), "landing_noise_std: must be >= 0$"),
+            ("nominal_state", (1.0, 2.0), "nominal_state: expected 6 components$"),
         ],
     )
     def test_field_name_in_error(self, field, value, prefix):
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
         with pytest.raises(ConfigError, match=f"^{prefix}"):
             cfg.validate()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [dict(mode="run", sweep_targets=(), initial_policies=()),
+         dict(mode="sweep", sweep_kind="inits", sweep_targets=()),
+         dict(mode="sweep", sweep_kind="targets", initial_policies=((5.0, 5.0),)),
+         dict(mode="gen-data", sweep_kind="inits", initial_policies=((5.0, 5.0),))],
+        ids=["run", "inits-sweep", "targets-sweep", "gen-data"],
+    )
+    def test_case_lists_checked_only_by_the_sweep_that_reads_them(self, changes):
+        ExperimentConfig(**changes).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -687,7 +707,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(mode="sweep", out_dir=str(out), sweep_kind=kind, **{field: ()})
         with pytest.raises(ConfigError, match=f"^{field}: "):
             run_experiment(cfg)
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_sweep_inits_rejects_policy_outside_box(self, tmp_path):
         out = tmp_path / "out"
@@ -695,7 +715,7 @@ class TestRunExperiment:
                                phi1=(0.5, 0.2), initial_policies=((0.36, 0.16), (0.50, 0.20)))
         with pytest.raises(ConfigError, match=r"^initial_policies\[0\]: outside the feasible box$"):
             run_experiment(cfg)
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     def test_baseline_variance_mode(self, tmp_path):
         cfg = ExperimentConfig(
