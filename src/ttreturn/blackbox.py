@@ -9,6 +9,7 @@ output w.r.t. the policy come from the exact layer-by-layer chain rule.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ class MlpModel:
             "output_mean": self.output_mean.tolist(),
             "output_std": self.output_std.tolist(),
         }
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w", newline="\n") as f:
             json.dump(doc, f, indent=1)
             f.write("\n")
@@ -171,17 +173,8 @@ def random_model(rng: np.random.Generator, k: FeasibleSet, bound) -> MlpModel:
     return MlpModel(layers, (lo + hi) / 2.0, (hi - lo) / 2.0, np.zeros(2), np.ones(2))
 
 
-def _init_model(x: np.ndarray, y: np.ndarray, rng: np.random.Generator, k: FeasibleSet) -> MlpModel:
-    model = random_model(rng, k, lambda fan_in: 1.0 / np.sqrt(fan_in))
-    model.output_mean = y.mean(axis=0)
-    model.output_std = np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR)
-    return model
-
-
-def train(
-    dataset: Dataset, cfg: TrainConfig, k: FeasibleSet | None = None
-) -> tuple[MlpModel, dict]:
-    """Train the surrogate on landing-point data with Adam.
+def train(dataset: Dataset, cfg: TrainConfig, k: FeasibleSet) -> tuple[MlpModel, dict]:
+    """Train the surrogate on landing-point data with Adam, its inputs normalized onto the box k.
 
     Deterministic given cfg.seed (init, split and shuffle order all derive
     from it). Returns the model and per-epoch train/validation MSE [m^2].
@@ -195,11 +188,11 @@ def train(
         raise DegenerateDataset(f"dataset record {i + 1} is not finite: {x[i]} -> {y[i]}")
     if len(dataset) >= 2 and np.allclose(x, x[0]):
         raise DegenerateDataset("all policies in the dataset are identical")
-    if k is None:
-        k = FeasibleSet()
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    model = _init_model(x, y, rng, k)
+    model = random_model(rng, k, lambda fan_in: 1.0 / np.sqrt(fan_in))
+    model.output_mean = y.mean(axis=0)
+    model.output_std = np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR)
 
     n = len(dataset)
     n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0

@@ -247,8 +247,7 @@ def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np
     return lambda k: list(islice(grid, k))
 
 
-def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet | None,
-            block: int = 1) -> list:
+def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet, block: int = 1) -> list:
     """Sample policies over the box and label them, `block` at a time at most.
 
     label(phis) gives each policy's outcome or SimulationError. Replayed in draw
@@ -256,7 +255,7 @@ def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleS
     error is raised; InfeasibleRegion when over 90% of the attempts miss. Returns
     the (phi, outcome) pairs.
     """
-    lo, hi = sampling_bounds(k or SCENARIO_BOX)
+    lo, hi = sampling_bounds(k)
     draw = _policy_draws(n, sampling, lo, hi, rng)
     pairs = []
     attempts = misses = 0
@@ -292,7 +291,7 @@ def gen_dataset(
     n: int,
     sampling: str,
     rng: np.random.Generator,
-    k: FeasibleSet | None = None,
+    k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
     """Sample policies over the box and label them with noisy env landings;
     one policy at a time, as each label draws from the sampling rng."""
@@ -305,7 +304,7 @@ def gen_dataset_greybox(
     n: int,
     sampling: str,
     rng: np.random.Generator,
-    k: FeasibleSet | None = None,
+    k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
     """Like gen_dataset, but with noiseless first-principles labels; they draw
     nothing, so all the candidates still needed are labeled as one batch."""
@@ -324,7 +323,6 @@ class GradCheckEntry:
 class GradCheckReport:
     """Analytic-vs-finite-difference comparison over random interior policies."""
 
-    kind: str
     entries: list[GradCheckEntry] = field(default_factory=list)
 
     @property
@@ -369,7 +367,7 @@ def grad_check_report(
     n_points: int,
     seed: int,
     env_cfg: EnvConfig | None = None,
-    k: FeasibleSet | None = None,
+    k: FeasibleSet = SCENARIO_BOX,
     coupled: bool = False,
 ) -> GradCheckReport:
     """Compare analytic 2x2 gradients against central finite differences.
@@ -384,12 +382,11 @@ def grad_check_report(
     """
     if kind not in ("greybox", "blackbox"):
         raise ConfigError(f"predictor: unknown predictor {kind!r}")
-    k = k or SCENARIO_BOX
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     if kind == "blackbox":
         lo, hi = sampling_bounds(k)
-        draw, report = _policy_draws(n_points, "uniform", lo, hi, rng), GradCheckReport(kind)
+        draw, report = _policy_draws(n_points, "uniform", lo, hi, rng), GradCheckReport()
         for _ in range(n_points):
             # a random untrained surrogate; its draws precede its policy's in the rng stream
             model = random_model(rng, k, lambda fan_in: 1.0)
@@ -417,7 +414,7 @@ def grad_check_report(
         return GradCheckEntry(phi, rel, seen != {(base.k_max, event.dxi_dtheta1)})
 
     pairs = _sample(_one_by_one(check), n_points, "uniform", rng, k)
-    return GradCheckReport(kind, [entry for _, entry in pairs])
+    return GradCheckReport([entry for _, entry in pairs])
 
 
 def derived_seeds(base_seed: int, n: int) -> list[int]:
@@ -557,6 +554,5 @@ DRIVERS = dict(zip(MODES, (_grad_check, _baseline_variance, _gen_data, _train_bl
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Drive one experiment mode; writes artifacts, returns a summary dict."""
     cfg.validate()
-    os.makedirs(cfg.out_dir, exist_ok=True)
     echo = cfg.config_hash()
     return DRIVERS[cfg.mode](cfg, cfg.env_config(), echo, (f"seed={cfg.seed}", f"config={echo}"))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -18,7 +19,9 @@ FAILURE_CAP = 20  # more consecutive missed balls than this abort a run
 
 @contextmanager
 def csv_artifact(path, comments, columns: str):
-    """Open a CSV artifact for writing after its `# ` comment lines and column line."""
+    """Open a CSV artifact for writing, in a directory made if missing, after its
+    `# ` comment lines and column line."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as f:
         for line in comments:
             f.write(f"# {line}\n")
@@ -30,8 +33,8 @@ def csv_artifact(path, comments, columns: str):
 class FeasibleSet:
     """Box of joint-angle limits for the policy."""
 
-    theta1_bounds: tuple[float, float] = (-math.pi / 2, math.pi / 2)
-    theta4_bounds: tuple[float, float] = (-math.pi / 4, math.pi / 4)
+    theta1_bounds: tuple[float, float]
+    theta4_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
         for lo, hi in (self.theta1_bounds, self.theta4_bounds):

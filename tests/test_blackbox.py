@@ -5,19 +5,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ttreturn import blackbox
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.blackbox import (
     Dataset,
     MlpModel,
     TrainConfig,
+    OUTPUT_STD_FLOOR,
     _forward_batch,
-    _init_model,
     mlp_forward,
     mlp_jacobian,
     train,
 )
 from ttreturn.errors import DegenerateDataset
 from ttreturn.optimizer import FeasibleSet
+
+# a box wider than the scenario's, test-local since train takes its box as an argument
+WIDE_BOX = FeasibleSet((-np.pi / 2, np.pi / 2), (-np.pi / 4, np.pi / 4))
 
 
 def random_model(seed=0):
@@ -121,7 +125,7 @@ def affine_dataset(n=400, seed=0):
 class TestTrain:
     def test_learns_affine_map(self):
         ds = affine_dataset()
-        model, history = train(ds, TrainConfig(epochs=1500, seed=0))
+        model, history = train(ds, TrainConfig(epochs=1500, seed=0), WIDE_BOX)
         x, y = ds.arrays()
         preds = np.array([mlp_forward(model, phi) for phi, _ in ds.records])
         rmse = np.sqrt(np.mean(np.sum((preds - y) ** 2, axis=1)))
@@ -129,7 +133,7 @@ class TestTrain:
 
     def test_overfits_singleton(self):
         ds = Dataset(records=[(InterceptionPolicy(0.3, 0.1), np.array([-1.2, 0.6]))])
-        model, _ = train(ds, TrainConfig(epochs=300, seed=1))
+        model, _ = train(ds, TrainConfig(epochs=300, seed=1), WIDE_BOX)
         np.testing.assert_allclose(
             mlp_forward(model, InterceptionPolicy(0.3, 0.1)), [-1.2, 0.6], atol=1e-3
         )
@@ -137,12 +141,12 @@ class TestTrain:
     def test_loss_decreases(self):
         ds = affine_dataset(200, seed=2)
         for seed in range(5):
-            _, history = train(ds, TrainConfig(epochs=100, seed=seed))
+            _, history = train(ds, TrainConfig(epochs=100, seed=seed), WIDE_BOX)
             assert history["train_mse"][-1] <= history["train_mse"][0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            train(Dataset(), TrainConfig())
+            train(Dataset(), TrainConfig(), WIDE_BOX)
 
     @pytest.mark.parametrize(
         "record",
@@ -155,7 +159,7 @@ class TestTrain:
         ds = affine_dataset(20, seed=8)
         ds.records[4] = record
         with pytest.raises(DegenerateDataset, match="record 5 "):
-            train(ds, TrainConfig(epochs=1))
+            train(ds, TrainConfig(epochs=1), WIDE_BOX)
 
     def test_rejects_identical_policies(self):
         phi = InterceptionPolicy(0.3, 0.1)
@@ -163,12 +167,12 @@ class TestTrain:
             records=[(phi, np.array([0.0, 0.0])), (phi, np.array([1.0, 1.0]))]
         )
         with pytest.raises(DegenerateDataset):
-            train(ds, TrainConfig())
+            train(ds, TrainConfig(), WIDE_BOX)
 
     def test_determinism(self):
         ds = affine_dataset(100, seed=3)
-        m1, h1 = train(ds, TrainConfig(epochs=20, seed=9))
-        m2, h2 = train(ds, TrainConfig(epochs=20, seed=9))
+        m1, h1 = train(ds, TrainConfig(epochs=20, seed=9), WIDE_BOX)
+        m2, h2 = train(ds, TrainConfig(epochs=20, seed=9), WIDE_BOX)
         for (w1, b1), (w2, b2) in zip(m1.layers, m2.layers):
             assert np.array_equal(w1, w2)
             assert np.array_equal(b1, b2)
@@ -176,7 +180,7 @@ class TestTrain:
 
     def test_validation_split_tracked(self):
         ds = affine_dataset(200, seed=4)
-        _, history = train(ds, TrainConfig(epochs=30, seed=0))
+        _, history = train(ds, TrainConfig(epochs=30, seed=0), WIDE_BOX)
         assert len(history["val_mse"]) == 30
         assert np.isfinite(history["val_mse"][-1])
 
@@ -186,7 +190,9 @@ def per_array_adam_train(dataset, cfg):
     a per-batch input normalization and fancy-indexed batches."""
     x, y = dataset.arrays()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    model = _init_model(x, y, rng, FeasibleSet())
+    model = blackbox.random_model(rng, WIDE_BOX, lambda fan_in: 1.0 / np.sqrt(fan_in))
+    model.output_mean = y.mean(axis=0)
+    model.output_std = np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR)
     n = len(dataset)
     n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
     perm = rng.permutation(n)
@@ -266,7 +272,7 @@ class TestFlatAdamOracle:
     def test_matches_per_array_loop(self, tmp_path, monkeypatch, n, data_seed, cfg, batch_size):
         monkeypatch.setattr(TrainConfig, "batch_size", batch_size)
         ds = affine_dataset(n, seed=data_seed)
-        model, history = train(ds, cfg)
+        model, history = train(ds, cfg, WIDE_BOX)
         ref_layers, ref_history = per_array_adam_train(ds, cfg)
         for (w, b), (w_ref, b_ref) in zip(model.layers, ref_layers, strict=True):
             np.testing.assert_array_equal(w, w_ref)
@@ -280,7 +286,7 @@ class TestFlatAdamOracle:
         assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_layers_share_no_memory(self):
-        model, _ = train(affine_dataset(50, seed=7), TrainConfig(epochs=1, seed=0))
+        model, _ = train(affine_dataset(50, seed=7), TrainConfig(epochs=1, seed=0), WIDE_BOX)
         arrays = [p for pair in model.layers for p in pair]
         assert [w.shape for w, _ in model.layers] == [(4, 2), (4, 4), (4, 4), (4, 4), (2, 4)]
         for i, a in enumerate(arrays):

@@ -30,8 +30,9 @@ from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, 
 from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START, ExperimentConfig
 
 
-@pytest.mark.parametrize("args", [["run", "--iters", "abc"], ["run", "--target", "1,x"], []],
-                         ids=["iters-abc", "target-not-a-number", "no-subcommand"])
+@pytest.mark.parametrize("args", [["run", "--iters", "abc"], ["run", "--target", "1,x"],
+                                  ["run", "--target", "1,2,3"], []],
+                         ids=["iters-abc", "target-not-a-number", "target-three-numbers", "no-subcommand"])
 def test_usage_error_exits_one(capsys, args):
     # argparse's own code 2 would read as an aborted run
     assert main(args) == 1
@@ -95,8 +96,11 @@ def test_missing_model_exits_one(tmp_path, capsys):
         ('{"meta": {}}', "layers: expected a list of 5 layers"),
         ("[1, 2]", "expected a JSON object"),
         ('{"layers": [{"weight": [[1, 2]], "bias": [0]}], "meta": {}}', "layers: expected a list of 5 layers"),
+        ('{"layers": [', "invalid JSON at line 2: Expecting value"),
+        ('{"layers": [{"weight": "w", "bias": [0, 0, 0, 0]}, {}, {}, {}, {}]}',
+         "layers[0].weight: expected 4 x 2 finite numbers"),
     ],
-    ids=["no-layers", "top-level-list", "wrong-architecture"],
+    ids=["no-layers", "top-level-list", "wrong-architecture", "invalid-json", "non-numeric-weight"],
 )
 def test_malformed_model_exits_one(tmp_path, capsys, doc, message):
     model = tmp_path / "bad.json"
@@ -147,6 +151,34 @@ def test_unreadable_input_file_exits_one(tmp_path, capsys, args, code):
     err = capsys.readouterr().err
     assert err.startswith(f"error: [Errno {code}] ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["gen-data", "--n", "10", "--sampling", "grid"], "n_points: grid sampling needs a square count"),
+        (["gen-data", "--n", "5", "--config", "{tmp}/narrow.json"], "box: too small for the sampling margin"),
+        (["run", "--predictor", "blackbox", "--iters", "1", "--model", "{tmp}/missing.json"],
+         "model_path: no trained model"),
+        (["train-blackbox", "--dataset", "{tmp}/missing.csv"], "dataset_path: no dataset"),
+    ],
+    ids=["grid-not-square", "box-too-narrow", "missing-model", "missing-dataset"],
+)
+def test_fault_leaves_no_output_directory(tmp_path, capsys, args, message):
+    # each artifact makes its own directory, so a run that fails before its first one leaves none
+    (tmp_path / "narrow.json").write_text('{"box_theta1": [0.3, 0.38]}\n')
+    out = tmp_path / "o"
+    assert main([a.format(tmp=tmp_path) for a in args] + ["--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dataset_path_into_a_new_directory(tmp_path, capsys):
+    path = tmp_path / "new" / "dir" / "d.csv"
+    assert main(["gen-data", "--n", "5", "--labels", "greybox", "--dataset", str(path),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert json.loads(capsys.readouterr().out)["artifacts"] == [str(path)]
+    assert path.is_file() and not (tmp_path / "o").exists()
 
 
 def test_small_run_prints_json_summary(tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Ratchet: every name `src/ttreturn` defines is reached by the package or perfbench.
 
-A definition is a module-level function or class, a method, or a dataclass field.
-It is reached when a module of the package other than `__init__.py` reads its
-name (a loaded name or attribute, or an identifier string), or when a string in
-perfbench's non-test files names it, such as the traced "RunLog.to_csv". A
-constructor keyword is no read. The scan goes by name only, so a definition
-whose name is read for something else counts as reached.
+A definition is a module-level function or class, or a member: a method or a
+dataclass field. It is reached when a module of the package other than
+`__init__.py` reads it, or when a string in perfbench's non-test files names it,
+such as the traced "RunLog.to_csv". A module-level definition is read by a loaded
+name, attribute or identifier string; a member only by a loaded attribute
+(`.name`) or an identifier string, so a local variable of the same name does not
+reach it. A constructor keyword is no read. The scan goes by name only, so a
+definition whose name is read for something else counts as reached.
 """
 
 import ast
@@ -39,15 +41,16 @@ def strings(tree: ast.Module) -> list[str]:
     return [n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
-def reads(tree: ast.Module) -> set[str]:
-    """Names the module loads, as bare names, attributes or identifier strings."""
-    out = {s for s in strings(tree) if s.isidentifier()}
+def reads(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """Names the module loads as attributes or identifier strings, and as bare names."""
+    attrs = {s for s in strings(tree) if s.isidentifier()}
+    bare = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            out.add(node.id)
+            bare.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            out.add(node.attr)
-    return out
+            attrs.add(node.attr)
+    return attrs, bare
 
 
 def unreached(package: dict[str, str], perfbench: dict[str, str]) -> set[str]:
@@ -55,10 +58,17 @@ def unreached(package: dict[str, str], perfbench: dict[str, str]) -> set[str]:
     package outside `__init__.py` reads nor a `perfbench` string names."""
     trees = {name: ast.parse(text) for name, text in package.items()}
     defined = set().union(*(definitions(tree) for tree in trees.values()))
-    read = set().union(*(reads(tree) for name, tree in trees.items() if name != "__init__.py"))
+    attrs, bare = set(), set()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            tree_attrs, tree_bare = reads(tree)
+            attrs |= tree_attrs
+            bare |= tree_bare
     for text in perfbench.values():
-        read.update(part for s in strings(ast.parse(text)) for part in s.split(".") if part.isidentifier())
-    return {name for name in defined if name.rsplit(".", 1)[-1] not in read}
+        attrs.update(part for s in strings(ast.parse(text)) for part in s.split(".") if part.isidentifier())
+    # a member (Class.name) is reached only as an attribute or a string, a module-level name also bare
+    return {name for name in defined
+            if name.rsplit(".", 1)[-1] not in (attrs if "." in name else attrs | bare)}
 
 
 def sources(directory: pathlib.Path, skip_tests: bool = False) -> dict[str, str]:
@@ -84,10 +94,13 @@ def test_scan_flags_what_only_a_constructor_keyword_or_a_test_reaches():
             "class Box:\n"
             "    read: int\n"
             "    kw_only: int\n"
+            "    shadowed: int\n"
             "    def __post_init__(self): pass\n"
             "    def size(self): return self.read\n"
-            "def make(): return Box(read=1, kw_only=2).size(), 'make'\n"
+            "    def width(self): return 2\n"
+            "def make(shadowed=0, width=1):\n"
+            "    return Box(read=1, kw_only=2, shadowed=shadowed).size() + width, 'make'\n"
         ),
     }
     perfbench = {"layers.py": "TARGETS = ['m.traced']\n"}
-    assert unreached(package, perfbench) == {"exported", "Box.kw_only"}
+    assert unreached(package, perfbench) == {"exported", "Box.kw_only", "Box.shadowed", "Box.width"}

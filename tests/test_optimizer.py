@@ -32,31 +32,34 @@ from ttreturn.optimizer import (
     run_online,
 )
 
+# a box wider than the scenario's, test-local since FeasibleSet has no default bounds
+WIDE_BOX = FeasibleSet((-pi / 2, pi / 2), (-pi / 4, pi / 4))
+
 
 class TestFeasibleSet:
     def test_contains(self):
-        box = FeasibleSet()
+        box = WIDE_BOX
         assert box.contains(InterceptionPolicy(0.3, 0.1))
         assert not box.contains(InterceptionPolicy(2.0, 0.1))
         assert not box.contains(InterceptionPolicy(0.3, 1.0))
 
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
-            FeasibleSet(theta1_bounds=(0.5, 0.2))
+            FeasibleSet(theta1_bounds=(0.5, 0.2), theta4_bounds=WIDE_BOX.theta4_bounds)
 
 
 class TestProject:
     def test_interior_point_unchanged(self):
-        phi = project(InterceptionPolicy(0.3, 0.1), FeasibleSet())
+        phi = project(InterceptionPolicy(0.3, 0.1), WIDE_BOX)
         assert (phi.theta1, phi.theta4) == (0.3, 0.1)
 
     def test_clips_first_angle(self):
-        phi = project(InterceptionPolicy(2.0, 0.1), FeasibleSet())
+        phi = project(InterceptionPolicy(2.0, 0.1), WIDE_BOX)
         assert phi.theta1 == pytest.approx(pi / 2)
         assert phi.theta4 == 0.1
 
     def test_clips_both(self):
-        phi = project(InterceptionPolicy(-3.0, 1.0), FeasibleSet())
+        phi = project(InterceptionPolicy(-3.0, 1.0), WIDE_BOX)
         assert phi.theta1 == pytest.approx(-pi / 2)
         assert phi.theta4 == pytest.approx(pi / 4)
 
@@ -71,7 +74,7 @@ class TestProject:
     def test_is_metric_projection(self, x, y, kx, ky):
         # the projection onto a box is at least as close to every member of
         # the box as the original point is
-        box = FeasibleSet()
+        box = WIDE_BOX
         proj = project(InterceptionPolicy(x, y), box)
         assert box.contains(proj)
         d_proj = np.hypot(x - proj.theta1, y - proj.theta4)
@@ -98,7 +101,7 @@ def step_lengths(alpha1: float, n_iters: int) -> list[float]:
     """Test-local: the step lengths of a run_online loop whose landings and gradients are zero."""
     env = lambda phi, rng: (np.zeros(2), SimpleNamespace(event=None))
     log = run_online(env, lambda phi, diag: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
-                     n_iters, alpha1, FeasibleSet())
+                     n_iters, alpha1, WIDE_BOX)
     return [rec.alpha for rec in log.records]
 
 
@@ -117,6 +120,10 @@ class TestStepLength:
             with pytest.raises(ValueError, match="alpha1 must be > 0"):
                 step_lengths(alpha1, 1)
 
+    def test_rejects_no_iterations(self):
+        with pytest.raises(ValueError, match="n_iters must be >= 1"):
+            step_lengths(0.05, 0)
+
 
 class TestGdUpdate:
     def test_identity_jacobian(self):
@@ -126,7 +133,7 @@ class TestGdUpdate:
             r_target=np.zeros(2),
             jac=np.eye(2),
             alpha=0.5,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
         )
         assert phi.theta1 == pytest.approx(0.15)
         assert phi.theta4 == pytest.approx(0.15)
@@ -139,7 +146,7 @@ class TestGdUpdate:
             r_target=np.zeros(2),
             jac=jac,
             alpha=0.1,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
         )
         # step is -alpha * J^T (r - target)
         assert phi.theta1 == pytest.approx(0.0)
@@ -186,7 +193,7 @@ class TestRunOnline:
             phi1=InterceptionPolicy(0.50, 0.25),
             n_iters=5,
             alpha1=0.15,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
             seed=0,
         )
         assert log.records[-1].eps < 0.05
@@ -204,7 +211,7 @@ class TestRunOnline:
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=5,
             alpha1=0.1,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
             seed=1,
         )
         for rec in log.records:
@@ -237,7 +244,7 @@ class TestRunOnline:
                 phi1=InterceptionPolicy(2.0, 0.0),
                 n_iters=1,
                 alpha1=0.05,
-                k=FeasibleSet(),
+                k=WIDE_BOX,
             )
 
     def test_aborts_after_repeated_misses(self):
@@ -277,7 +284,7 @@ class TestRunOnline:
                 phi1=InterceptionPolicy(0.45, 0.20),
                 n_iters=5,
                 alpha1=0.1,
-                k=FeasibleSet(),
+                k=WIDE_BOX,
                 seed=0,
             )
 
@@ -297,7 +304,7 @@ class TestRunOnline:
 
         with pytest.raises(NonFiniteStep, match="^iteration 1: r_landing is not finite"):
             run_online(env, failing_gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 5, 0.1,
-                       FeasibleSet())
+                       WIDE_BOX)
         assert updates == []
 
     def test_gradient_sees_the_env_diagnostics(self):
@@ -313,7 +320,7 @@ class TestRunOnline:
             assert diag is seen[-1]
             return greybox_gradient(phi, diag)
 
-        log = run_online(env, gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 4, 0.1, FeasibleSet())
+        log = run_online(env, gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 4, 0.1, WIDE_BOX)
         assert len(log.records) == len(seen) == 4
 
     def test_replay_determinism(self):
@@ -325,7 +332,7 @@ class TestRunOnline:
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=10,
             alpha1=0.1,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
             seed=77,
         )
         a = run_online(**kwargs)
@@ -346,7 +353,7 @@ class TestRunLog:
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=8,
             alpha1=0.1,
-            k=FeasibleSet(),
+            k=WIDE_BOX,
             seed=3,
             config_echo="abc123",
         )
