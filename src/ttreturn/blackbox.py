@@ -30,9 +30,9 @@ class MlpModel:
     output_mean: np.ndarray
     output_std: np.ndarray
 
-    def save(self, path, meta: dict | None = None) -> None:
+    def save(self, path, meta: dict) -> None:
         doc = {
-            "meta": meta or {},
+            "meta": meta,
             "architecture": [2, *HIDDEN_LAYERS, 2],
             "activation": "tanh",
             "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in self.layers],
@@ -92,7 +92,7 @@ class Dataset:
         y = np.array([landing for _, landing in self.records], dtype=float)
         return x, y
 
-    def save_csv(self, path, comments: tuple[str, ...] = ()) -> None:
+    def save_csv(self, path, comments: tuple[str, ...]) -> None:
         with csv_artifact(path, comments, "theta1,theta4,land_x,land_y") as f:
             for phi, landing in self.records:
                 f.write(
@@ -122,7 +122,7 @@ class TrainConfig:
     """The training run's epochs and seed; Adam's settings, the batch size and the
     validation share are class constants."""
 
-    epochs: int = 500
+    epochs: int
     seed: int = 0
 
     learning_rate = 1e-3

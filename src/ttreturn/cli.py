@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, SimulationError
-from .harness import MODE_HELP, ExperimentConfig, SWEEP_START, run_experiment
+from .harness import MODE_HELP, ExperimentConfig, run_experiment
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -50,15 +50,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    # a sweep starts at SWEEP_START unless --phi1 or the config file sets phi1
-    defaults = {"phi1": SWEEP_START} if args.mode == "sweep" else {}
-    cfg = ExperimentConfig.from_json(args.config, **defaults) if args.config else ExperimentConfig(**defaults)
-    overrides = {
-        name: value
-        for name, value in vars(args).items()
-        if name not in ("config", "mode") and value is not None
-    }
-    return replace(cfg, mode=args.mode, **overrides)
+    """The config file's fields, with the subcommand's mode and the flags given over them."""
+    given = {name: value for name, value in vars(args).items() if name != "config" and value is not None}
+    return ExperimentConfig.from_json(args.config, **given) if args.config else ExperimentConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:

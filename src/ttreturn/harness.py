@@ -90,6 +90,7 @@ MODE_HELP = {
     "sweep": "multi-target or multi-init batches of runs",
 }
 MODES = tuple(MODE_HELP)
+PREDICTORS = ("greybox", "blackbox")
 
 
 def declared(default, flag: str = "", modes: tuple[str, ...] = MODES, help: str | None = None,
@@ -110,11 +111,12 @@ class ExperimentConfig:
     out_dir: str = declared("out", "--out", help="output directory")
 
     # online-run settings
-    predictor: str = declared("greybox", "--predictor", choices=("greybox", "blackbox"))
+    predictor: str = declared("greybox", "--predictor", choices=PREDICTORS)
     alpha1: float = declared(0.05, "--alpha1", help="initial step length", above=0)
     n_iters: int = declared(200, "--iters", help="number of iterations", at_least=1)
     target: tuple[float, float] = declared(RUN_TARGET, "--target", help="target landing point [m]", metavar="X,Y")
-    phi1: tuple[float, float] = declared(RUN_START, "--phi1", ("run", "sweep"), "initial policy [rad]", "T1,T4")
+    # empty = the mode's start: SWEEP_START for a sweep, RUN_START otherwise
+    phi1: tuple[float, float] = declared((), "--phi1", ("run", "sweep"), "initial policy [rad]", "T1,T4")
     couple_geometry: bool = False
 
     # feasible box used for projection and policy sampling
@@ -145,6 +147,10 @@ class ExperimentConfig:
     landing_noise_std: tuple[float, ...] = declared((), at_least=0, length=2)
     jitter_std: tuple[float, ...] = declared((), at_least=0, length=6)
     nominal_state: tuple[float, ...] = declared((), length=6)
+
+    def __post_init__(self) -> None:
+        if self.phi1 == ():
+            self.phi1 = SWEEP_START if self.mode == "sweep" else RUN_START
 
     def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
@@ -203,8 +209,8 @@ class ExperimentConfig:
             raise ConfigError(f"{cases}: a {kind} sweep needs at least one entry")
 
     @classmethod
-    def from_json(cls, path: str, **defaults) -> "ExperimentConfig":
-        """Config from a JSON file; `defaults` fill the fields the file does not set."""
+    def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
+        """Config from a JSON file, with `overrides` over its fields."""
         with open(path) as f:
             try:
                 doc = json.load(f)
@@ -218,7 +224,7 @@ class ExperimentConfig:
         for f in fields(cls):
             if f.type.startswith("tuple") and isinstance(doc.get(f.name), list):
                 doc[f.name] = tuple(tuple(v) if isinstance(v, list) else v for v in doc[f.name])
-        return cls(**{**defaults, **doc})
+        return cls(**{**doc, **overrides})
 
 
 def sampling_bounds(k: FeasibleSet) -> tuple[np.ndarray, np.ndarray]:
@@ -342,7 +348,7 @@ class GradCheckReport:
     def max_rel_error(self) -> float:
         return float(self.clean_errors.max()) if self.clean_errors.size else math.nan
 
-    def write(self, path: str, comments: tuple[str, ...] = ()) -> None:
+    def write(self, path: str, comments: tuple[str, ...]) -> None:
         with csv_artifact(path, comments, "index,theta1,theta4,rel_error,flagged") as f:
             for i, e in enumerate(self.entries):
                 f.write(
@@ -380,8 +386,8 @@ def grad_check_report(
     dataset sampler, so a missed ball is redrawn and InfeasibleRegion is
     raised when over 90% of the draws miss.
     """
-    if kind not in ("greybox", "blackbox"):
-        raise ConfigError(f"predictor: unknown predictor {kind!r}")
+    if kind not in PREDICTORS:
+        raise ConfigError(f"predictor: unknown predictor {kind!r}, expected one of {PREDICTORS}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
 
     if kind == "blackbox":
@@ -433,7 +439,8 @@ def iters_to_threshold(log: RunLog, target: np.ndarray, threshold: float = 0.25)
 
 def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> list[RunLog]:
     """Online runs with one predictor, one per (path, target, phi1, seed) row of
-    the plan; each log is written to its path, also when the run aborts."""
+    the plan; each log is written to its path with its seed and the config hash,
+    also when the run aborts."""
     if cfg.predictor == "greybox":
         gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, MODEL, cfg.couple_geometry)[1]
     elif os.path.exists(cfg.resolved_model_path()):
@@ -444,13 +451,13 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     env = lambda phi, rng: intercept(phi, env_cfg, rng)
     logs = []
     for path, target, phi1, seed in plan:
+        comments = (f"seed={seed}", f"config={echo}")
         try:
-            log = run_online(env, gradient, target, phi1, cfg.n_iters, cfg.alpha1, cfg.feasible_set(),
-                             seed=seed, config_echo=echo)
+            log = run_online(env, gradient, target, phi1, cfg.n_iters, cfg.alpha1, cfg.feasible_set(), seed)
         except AbortedRun as exc:
-            exc.log.to_csv(path)
+            exc.log.to_csv(path, comments)
             raise
-        log.to_csv(path)
+        log.to_csv(path, comments)
         logs.append(log)
     return logs
 

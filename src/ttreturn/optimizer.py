@@ -86,16 +86,14 @@ class IterationRecord:
 
 @dataclass
 class RunLog:
-    """Per-iteration log of one online run plus provenance."""
+    """Per-iteration log of one online run and its count of missed balls."""
 
     records: list[IterationRecord] = field(default_factory=list)
-    seed: int = 0
-    config_echo: str = ""
     n_failures: int = 0
 
-    def to_csv(self, path) -> None:
-        comments = (f"seed={self.seed}", f"config={self.config_echo}", f"failures={self.n_failures}")
-        with csv_artifact(path, comments, CSV_HEADER) as f:
+    def to_csv(self, path, comments: tuple[str, ...]) -> None:
+        """Write the log after the `comments` (the run's provenance) and its failures= line."""
+        with csv_artifact(path, (*comments, f"failures={self.n_failures}"), CSV_HEADER) as f:
             for rec in self.records:
                 vals = [
                     rec.phi.theta1,
@@ -121,7 +119,6 @@ def run_online(
     alpha1: float,
     k: FeasibleSet,
     seed: int = 0,
-    config_echo: str = "",
 ) -> RunLog:
     """Run the online loop: intercept, observe, projected gradient step.
 
@@ -142,7 +139,7 @@ def run_online(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r_target = np.asarray(r_target, dtype=float)
     metrics = MetricsState(r_target)
-    log = RunLog(seed=seed, config_echo=config_echo)
+    log = RunLog()
 
     phi = phi1
     for i in range(1, n_iters + 1):

@@ -34,8 +34,9 @@ def fine_step_landing(xi_plus: np.ndarray, k_drag: float, z_table: float, dt: fl
     raise AssertionError("reference integration did not land")
 
 
-def read_run_csv(path) -> RunLog:
-    """Parse a run CSV written by RunLog.to_csv back into a RunLog."""
+def read_run_csv(path) -> tuple[RunLog, dict[str, str]]:
+    """Parse a run CSV written by RunLog.to_csv back into a RunLog and its
+    provenance lines ({"seed": ..., "config": ...})."""
     provenance, records = {}, []
     with open(path) as f:
         for line in f.read().splitlines():
@@ -49,8 +50,7 @@ def read_run_csv(path) -> RunLog:
                     r_landing=np.array([float(lx), float(ly)]), alpha=float(alpha), loss=float(loss),
                     eps=float(eps), sigma=float(sigma), r_bar=np.array([float(bx), float(by)]),
                 ))
-    return RunLog(records, seed=int(provenance["seed"]), config_echo=provenance["config"],
-                  n_failures=int(provenance["failures"]))
+    return RunLog(records, n_failures=int(provenance.pop("failures"))), provenance
 
 
 @pytest.fixture(scope="session")

@@ -127,7 +127,7 @@ def test_criterion_4_long_run_robustness(tmp_path, surrogate):
                 out_dir=str(tmp_path), model_path=surrogate["model_path"],
             )
             summary = run_experiment(cfg)
-            log = read_run_csv(summary["artifacts"][0])
+            log, _ = read_run_csv(summary["artifacts"][0])
             eps = np.array([r.eps for r in log.records])
             sigma = log.records[-1].sigma
             finals.append(eps[-1])

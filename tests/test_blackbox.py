@@ -146,7 +146,7 @@ class TestTrain:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            train(Dataset(), TrainConfig(), WIDE_BOX)
+            train(Dataset(), TrainConfig(epochs=1), WIDE_BOX)
 
     @pytest.mark.parametrize(
         "record",
@@ -167,7 +167,7 @@ class TestTrain:
             records=[(phi, np.array([0.0, 0.0])), (phi, np.array([1.0, 1.0]))]
         )
         with pytest.raises(DegenerateDataset):
-            train(ds, TrainConfig(), WIDE_BOX)
+            train(ds, TrainConfig(epochs=1), WIDE_BOX)
 
     def test_determinism(self):
         ds = affine_dataset(100, seed=3)
@@ -281,8 +281,8 @@ class TestFlatAdamOracle:
         for key in history:
             np.testing.assert_array_equal(history[key], ref_history[key])
         # the saved file does not depend on the layers being views into one buffer
-        model.save(tmp_path / "trained.json")
-        replace(model, layers=ref_layers).save(tmp_path / "reference.json")
+        model.save(tmp_path / "trained.json", {})
+        replace(model, layers=ref_layers).save(tmp_path / "reference.json", {})
         assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
 
     def test_layers_share_no_memory(self):

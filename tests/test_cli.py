@@ -230,7 +230,7 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
     code = main(["run", "--seed", "1", "--iters", "10", "--out", str(out)])
     assert code == 2
     assert "21 consecutive missed balls at iteration 4" in capsys.readouterr().err
-    log = read_run_csv(out / "run_greybox_seed1.csv")
+    log, _ = read_run_csv(out / "run_greybox_seed1.csv")
     assert [rec.i for rec in log.records] == [1, 2, 3]
     assert log.n_failures == 21
     assert "# failures=21\n" in (out / "run_greybox_seed1.csv").read_text()
@@ -358,7 +358,9 @@ def test_phi1_outside_the_box_only_stops_modes_that_start_there(tmp_path, capsys
 
 def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     base = {"n_seeds": 1, "n_iters": 1, "sweep_targets": [[-1.2, 0.6]]}
-    cases = [(base, [], SWEEP_START), ({**base, "phi1": [0.5, 0.2]}, [], (0.5, 0.2)),
+    # the subcommand, not a file's "mode", picks the default start; an empty phi1 is that start
+    cases = [(base, [], SWEEP_START), ({**base, "mode": "run"}, [], SWEEP_START),
+             ({**base, "phi1": []}, [], SWEEP_START), ({**base, "phi1": [0.5, 0.2]}, [], (0.5, 0.2)),
              ({**base, "phi1": [0.5, 0.2]}, ["--phi1", "0.55,0.25"], (0.55, 0.25))]
     for n, (doc, flags, start) in enumerate(cases):
         path = tmp_path / f"f{n}.json"
@@ -371,6 +373,8 @@ def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
     # a run keeps its own default start, with or without a config file
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == (0.5, 0.2)
     path.write_text(json.dumps(base))
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
+    path.write_text(json.dumps({**base, "mode": "sweep", "phi1": []}))
     assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
 
 
@@ -448,7 +452,7 @@ def test_train_without_validation_records_prints_null(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def random_model_path(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("model") / "model.json")
-    random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path)
+    random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path, {})
     return path
 
 
@@ -508,4 +512,4 @@ def test_every_outcome_is_a_documented_exit_code_property(random_model_path, dat
         if code == 0:
             strict_json(stdout.getvalue())
         for path in [*out_dir.glob("run_*.csv"), *out_dir.glob("sweep_*_rep*.csv")]:
-            assert all(math.isfinite(r.phi.theta1) and math.isfinite(r.phi.theta4) for r in read_run_csv(path).records)
+            assert all(math.isfinite(r.phi.theta1) and math.isfinite(r.phi.theta4) for r in read_run_csv(path)[0].records)

@@ -40,6 +40,7 @@ from ttreturn.greybox import MODEL, central_difference, predict_landing, predict
 from ttreturn.harness import (
     ExperimentConfig,
     MODES,
+    RUN_START,
     SCENARIO_BOX,
     SAMPLING_MARGIN,
     SWEEP_START,
@@ -127,6 +128,16 @@ class TestConfigValidation:
         cfg = dataclasses.replace(ExperimentConfig(), **{field: value})
         with pytest.raises(ConfigError, match=f"^{prefix}"):
             cfg.validate()
+
+    @pytest.mark.parametrize("mode,start", [("run", RUN_START), ("sweep", SWEEP_START), ("gen-data", RUN_START)])
+    def test_empty_phi1_is_the_modes_start(self, tmp_path, mode, start):
+        # only an empty phi1 takes the mode's start; null stays a type error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"mode": mode, "phi1": []}))
+        assert ExperimentConfig.from_json(path).phi1 == start
+        path.write_text(json.dumps({"mode": mode, "phi1": None}))
+        with pytest.raises(ConfigError, match=r"^phi1: expected a pair of numbers, got None$"):
+            ExperimentConfig.from_json(path).validate()
 
     @pytest.mark.parametrize(
         "changes",
@@ -251,6 +262,9 @@ class TestConfigValidation:
         # {"alpha1": 1} in a config file and --alpha1 1 are the same run
         assert ExperimentConfig().config_hash() == "0df2ccd6c8da0a51"
         assert ExperimentConfig(mode="sweep", phi1=SWEEP_START).config_hash() == "3369542910c33ef1"
+        # a sweep's default start is SWEEP_START, in the library as on the command line
+        assert ExperimentConfig(mode="sweep").phi1 == SWEEP_START
+        assert ExperimentConfig(mode="sweep").config_hash() == "3369542910c33ef1"
         for ints, floats in ((dict(alpha1=1), dict(alpha1=1.0)), (dict(target=(-1, 1)), dict(target=(-1.0, 1.0))),
                              (dict(variance_policies=((0, 1),)), dict(variance_policies=((0.0, 1.0),))),
                              (dict(landing_noise_std=(0, 1)), dict(landing_noise_std=[0.0, 1.0]))):
@@ -522,7 +536,8 @@ class TestGradCheck:
         assert [e.rel_error for e in a.entries] == [e.rel_error for e in b.entries]
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError):
+        message = "predictor: unknown predictor 'whitebox', expected one of ('greybox', 'blackbox')"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             grad_check_report("whitebox", 1, seed=0)
 
     def test_greybox_infeasible_box_raises(self, tmp_path):
@@ -550,7 +565,7 @@ class TestGradCheck:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(report.median_rel_error) and np.isnan(report.max_rel_error)
-            report.write(path)
+            report.write(path, ())
         assert path.read_text().splitlines()[-3:] == [
             "# median_rel_error=nan", "# max_rel_error=nan", "# n_flagged=1"]
 
@@ -645,7 +660,7 @@ class TestRunExperiment:
             mode="run", seed=6, out_dir=str(tmp_path / "out"), n_iters=10, alpha1=0.1
         )
         summary = run_experiment(cfg)
-        log = read_run_csv(summary["artifacts"][0])
+        log, _ = read_run_csv(summary["artifacts"][0])
         target = np.asarray(cfg.target)
         pts = np.array([rec.r_landing for rec in log.records])
         for i, rec in enumerate(log.records):
@@ -679,6 +694,17 @@ class TestRunExperiment:
         assert labels == {"target0", "target1"}
         for art in summary["artifacts"][1:]:
             assert os.path.exists(art)
+
+    def test_library_sweep_starts_at_sweep_start(self, tmp_path):
+        # no phi1: run_experiment's targets sweep starts where `ttreturn sweep` does,
+        # and each run CSV carries its own derived seed and the config hash
+        cfg = ExperimentConfig(mode="sweep", seed=3, out_dir=str(tmp_path / "out"),
+                               sweep_targets=((-1.2, 0.6),), n_seeds=2, n_iters=1)
+        summary = run_experiment(cfg)
+        rows = open(summary["artifacts"][0]).read().splitlines()[3:]
+        assert [row.split(",")[3:5] for row in rows] == [["0.63", "0.15"]] * 2
+        for path, seed in zip(summary["artifacts"][1:], derived_seeds(3, 2), strict=True):
+            assert read_run_csv(path)[1] == {"seed": str(seed), "config": cfg.config_hash()}
 
     def test_sweep_inits_uses_initial_policies(self, tmp_path):
         cfg = ExperimentConfig(
@@ -825,7 +851,7 @@ class TestRunGradients:
 
     def test_blackbox_gradient_ignores_incoming(self, tmp_path, monkeypatch):
         path = str(tmp_path / "model.json")
-        random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path)
+        random_model(np.random.default_rng(8), SCENARIO_BOX, lambda fan_in: 1.0).save(path, {})
         cfg = ExperimentConfig(mode="sweep", predictor="blackbox", model_path=path, out_dir=str(tmp_path))
         phi = InterceptionPolicy(0.2, 0.05)
         np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, "anything"),

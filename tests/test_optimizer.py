@@ -355,16 +355,15 @@ class TestRunLog:
             alpha1=0.1,
             k=WIDE_BOX,
             seed=3,
-            config_echo="abc123",
         )
 
     def test_csv_round_trip(self, tmp_path):
         log = self._small_log()
         path = tmp_path / "run.csv"
-        log.to_csv(path)
-        back = read_run_csv(path)
-        assert back.seed == 3
-        assert back.config_echo == "abc123"
+        log.to_csv(path, ("seed=3", "config=abc123"))
+        back, provenance = read_run_csv(path)
+        assert int(provenance["seed"]) == 3
+        assert provenance["config"] == "abc123"
         assert back.n_failures == log.n_failures
         assert len(back.records) == len(log.records)
         for ra, rb in zip(log.records, back.records):
@@ -391,17 +390,16 @@ class TestRunLog:
         )
         log = RunLog(
             records=data.draw(st.lists(record, max_size=5)),
-            seed=data.draw(st.integers(0, 2**64)),
-            config_echo=data.draw(st.text("0123456789abcdef", min_size=16, max_size=16)),
             n_failures=data.draw(st.integers(0, 10**6)),
         )
+        seed = data.draw(st.integers(0, 2**64))
+        config = data.draw(st.text("0123456789abcdef", min_size=16, max_size=16))
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "run.csv")
-            log.to_csv(path)
+            log.to_csv(path, (f"seed={seed}", f"config={config}"))
             with open(path, "rb") as f:
                 lines = f.read().decode().split("\n")
-        assert lines[:4] == [f"# seed={log.seed}", f"# config={log.config_echo}", f"# failures={log.n_failures}",
-                             CSV_HEADER]
+        assert lines[:4] == [f"# seed={seed}", f"# config={config}", f"# failures={log.n_failures}", CSV_HEADER]
         assert lines[-1] == "" and len(lines) == 5 + len(log.records)
         for line, rec in zip(lines[4:], log.records):
             vals = (rec.phi.theta1, rec.phi.theta4, *rec.r_landing, rec.alpha, rec.loss, rec.eps, rec.sigma, *rec.r_bar)
