@@ -93,11 +93,8 @@ class Dataset:
         return x, y
 
     def save_csv(self, path, comments: tuple[str, ...]) -> None:
-        with csv_artifact(path, comments, "theta1,theta4,land_x,land_y") as f:
-            for phi, landing in self.records:
-                f.write(
-                    f"{phi.theta1:.9g},{phi.theta4:.9g},{landing[0]:.9g},{landing[1]:.9g}\n"
-                )
+        csv_artifact(path, comments, "theta1,theta4,land_x,land_y",
+                     ((phi.theta1, phi.theta4, *landing.tolist()) for phi, landing in self.records))
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":

@@ -23,7 +23,7 @@ from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian,
 from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import MODEL, central_difference, frozen_landing_record, predict_landing_with_gradient, predict_landings
-from .optimizer import FeasibleSet, RunLog, csv_artifact, run_online
+from .optimizer import FeasibleSet, RunLog, cell, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
 # the launched ball, and the fixtures used by the shipped experiments.
@@ -148,9 +148,9 @@ class ExperimentConfig:
     jitter_std: tuple[float, ...] = declared((), at_least=0, length=6)
     nominal_state: tuple[float, ...] = declared((), length=6)
 
-    def __post_init__(self) -> None:
-        if self.phi1 == ():
-            self.phi1 = SWEEP_START if self.mode == "sweep" else RUN_START
+    def start(self) -> tuple[float, float]:
+        """phi1, or when it is empty the mode's start: SWEEP_START for a sweep, RUN_START otherwise."""
+        return (SWEEP_START if self.mode == "sweep" else RUN_START) if self.phi1 == () else self.phi1
 
     def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
@@ -169,16 +169,19 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         # paths only say where artifacts live, not what the experiment is; a float
-        # field hashes alike however its numbers are spelled (1 or 1.0)
-        doc = {f.name: _as_floats(getattr(self, f.name)) if "float" in f.type else getattr(self, f.name)
+        # field hashes alike however its numbers are spelled (1 or 1.0); the start stands for phi1
+        doc = {f.name: _as_floats(self._value(f.name)) if "float" in f.type else self._value(f.name)
                for f in fields(self) if f.name not in ("out_dir", "dataset_path", "model_path")}
         return hashlib.sha256(
             json.dumps(doc, sort_keys=True, default=list).encode()
         ).hexdigest()[:16]
 
+    def _value(self, name: str):
+        return self.start() if name == "phi1" else getattr(self, name)
+
     def validate(self) -> None:
         for f in fields(self):
-            value, spec = getattr(self, f.name), f.metadata
+            value, spec = self._value(f.name), f.metadata
             want, ok = FIELD_TYPES[f.type]
             if not ok(value):
                 raise ConfigError(f"{f.name}: expected {want}, got {value!r}")
@@ -199,7 +202,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: expected (lower, upper) with lower < upper")
         box, kind = self.feasible_set(), self.sweep_kind if self.mode == "sweep" else None
         # only a run and a targets sweep start from phi1
-        if (self.mode == "run" or kind == "targets") and not box.contains(InterceptionPolicy(*self.phi1)):
+        if (self.mode == "run" or kind == "targets") and not box.contains(InterceptionPolicy(*self.start())):
             raise ConfigError("phi1: outside the feasible box")
         for i, p in enumerate(self.initial_policies if kind == "inits" else ()):
             if not box.contains(InterceptionPolicy(*p)):
@@ -349,14 +352,11 @@ class GradCheckReport:
         return float(self.clean_errors.max()) if self.clean_errors.size else math.nan
 
     def write(self, path: str, comments: tuple[str, ...]) -> None:
-        with csv_artifact(path, comments, "index,theta1,theta4,rel_error,flagged") as f:
-            for i, e in enumerate(self.entries):
-                f.write(
-                    f"{i},{e.phi.theta1:.9g},{e.phi.theta4:.9g},{e.rel_error:.9g},{int(e.flagged)}\n"
-                )
-            f.write(f"# median_rel_error={self.median_rel_error:.9g}\n")
-            f.write(f"# max_rel_error={self.max_rel_error:.9g}\n")
-            f.write(f"# n_flagged={self.n_flagged}\n")
+        csv_artifact(path, comments, "index,theta1,theta4,rel_error,flagged",
+                     ((str(i), e.phi.theta1, e.phi.theta4, e.rel_error, str(int(e.flagged)))
+                      for i, e in enumerate(self.entries)),
+                     (f"median_rel_error={cell(self.median_rel_error)}", f"max_rel_error={cell(self.max_rel_error)}",
+                      f"n_flagged={self.n_flagged}"))
 
 
 FD_STEP = 1e-5  # [rad] central-difference step of the gradient checks
@@ -479,11 +479,13 @@ def _baseline_variance(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, com
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     path = os.path.join(cfg.out_dir, "baseline_variance.csv")
     sigmas = []
-    with csv_artifact(path, comments, "theta1,theta4,n_trials,mean_x,mean_y,sigma") as f:
+
+    def rows():  # each policy's row as its estimate finishes, so a later InfeasibleRegion keeps it
         for t1, t4 in cfg.variance_policies:
             mean, sigma = estimate_variance(InterceptionPolicy(t1, t4), cfg.n_trials, env_cfg, rng)
             sigmas.append(sigma)
-            f.write(f"{t1:.9g},{t4:.9g},{cfg.n_trials},{mean[0]:.9g},{mean[1]:.9g},{sigma:.9g}\n")
+            yield t1, t4, str(cfg.n_trials), *mean.tolist(), sigma
+    csv_artifact(path, comments, "theta1,theta4,n_trials,mean_x,mean_y,sigma", rows())
     return {"sigmas": sigmas, "artifacts": [path]}
 
 
@@ -505,9 +507,8 @@ def _train_blackbox(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, commen
     model_path = cfg.resolved_model_path()
     model.save(model_path, meta={"seed": cfg.seed, "config": echo})
     hist_path = os.path.join(cfg.out_dir, "train_history.csv")
-    with csv_artifact(hist_path, comments, "epoch,train_mse,val_mse") as f:
-        for ep, (tr, va) in enumerate(zip(history["train_mse"], history["val_mse"]), start=1):
-            f.write(f"{ep},{tr:.9g},{va:.9g}\n")
+    csv_artifact(hist_path, comments, "epoch,train_mse,val_mse",
+                 ((str(ep), tr, va) for ep, (tr, va) in enumerate(zip(history["train_mse"], history["val_mse"]), 1)))
     return {
         "final_train_mse": history["train_mse"][-1],
         "final_val_mse": history["val_mse"][-1],
@@ -518,7 +519,7 @@ def _train_blackbox(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, commen
 def _run(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
     target = np.asarray(cfg.target, dtype=float)
     path = os.path.join(cfg.out_dir, f"run_{cfg.predictor}_seed{cfg.seed}.csv")
-    (log,) = _runs(cfg, env_cfg, echo, [(path, target, InterceptionPolicy(*cfg.phi1), cfg.seed)])
+    (log,) = _runs(cfg, env_cfg, echo, [(path, target, InterceptionPolicy(*cfg.start()), cfg.seed)])
     rec = log.records[-1]
     return {
         "final_eps": rec.eps,
@@ -531,7 +532,7 @@ def _run(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) 
 def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple) -> dict:
     """Derived-seed runs per stored target or per initial policy, then a summary."""
     if cfg.sweep_kind == "targets":
-        runs_per, cases = cfg.n_seeds, [(f"target{i}", t, cfg.phi1) for i, t in enumerate(cfg.sweep_targets)]
+        runs_per, cases = cfg.n_seeds, [(f"target{i}", t, cfg.start()) for i, t in enumerate(cfg.sweep_targets)]
     else:
         runs_per, cases = cfg.n_replicates, [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
     seeds = iter(derived_seeds(cfg.seed, len(cases) * runs_per))
@@ -543,14 +544,11 @@ def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple
     logs = _runs(cfg, env_cfg, echo, plan)
     summary_path = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep_kind}_summary.csv")
     columns = "run,label,seed,theta1_1,theta4_1,target_x,target_y,final_eps,final_sigma,iters_to_025,n_failures"
-    with csv_artifact(summary_path, comments, columns) as f:
-        for (path, target, phi1, seed), log in zip(plan, logs):
-            run = os.path.basename(path)[len("sweep_"):-len(".csv")]  # <label>_rep<rep>
-            rec = log.records[-1]
-            values = (phi1.theta1, phi1.theta4, target[0], target[1], rec.eps, rec.sigma)
-            f.write(f"{run},{run.rsplit('_rep', 1)[0]},{seed},"
-                    + ",".join(f"{v:.9g}" for v in values)
-                    + f",{iters_to_threshold(log, target)},{log.n_failures}\n")
+    runs = [os.path.basename(path)[len("sweep_"):-len(".csv")] for path, *_ in plan]  # <label>_rep<rep>
+    csv_artifact(summary_path, comments, columns, (
+        (run, run.rsplit("_rep", 1)[0], str(seed), phi1.theta1, phi1.theta4, *target.tolist(),
+         log.records[-1].eps, log.records[-1].sigma, str(iters_to_threshold(log, target)), str(log.n_failures))
+        for run, (_, target, phi1, seed), log in zip(runs, plan, logs)))
     return {"n_runs": len(plan), "artifacts": [summary_path] + [row[0] for row in plan]}
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,16 +16,21 @@ CSV_HEADER = "iter,theta1,theta4,land_x,land_y,alpha,loss,eps,sigma,rbar_x,rbar_
 FAILURE_CAP = 20  # more consecutive missed balls than this abort a run
 
 
-@contextmanager
-def csv_artifact(path, comments, columns: str):
-    """Open a CSV artifact for writing, in a directory made if missing, after its
-    `# ` comment lines and column line."""
+def cell(v) -> str:
+    """A CSV cell: a str as is, any other value (also an integer) with 9 significant digits."""
+    return v if isinstance(v, str) else f"{v:.9g}"
+
+
+def csv_artifact(path, comments, columns: str, rows, footer=()) -> None:
+    """Write a CSV artifact, in a directory made if missing: its `# ` comment lines, its
+    column line, one line of cells per row and its `# ` footer lines. The rows are
+    written as they are drawn, so a row iterator that raises leaves the rows before."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="\n") as f:
-        for line in comments:
-            f.write(f"# {line}\n")
+        f.writelines(f"# {line}\n" for line in comments)
         f.write(columns + "\n")
-        yield f
+        f.writelines(",".join(map(cell, row)) + "\n" for row in rows)
+        f.writelines(f"# {line}\n" for line in footer)
 
 
 @dataclass
@@ -93,21 +97,9 @@ class RunLog:
 
     def to_csv(self, path, comments: tuple[str, ...]) -> None:
         """Write the log after the `comments` (the run's provenance) and its failures= line."""
-        with csv_artifact(path, (*comments, f"failures={self.n_failures}"), CSV_HEADER) as f:
-            for rec in self.records:
-                vals = [
-                    rec.phi.theta1,
-                    rec.phi.theta4,
-                    rec.r_landing[0],
-                    rec.r_landing[1],
-                    rec.alpha,
-                    rec.loss,
-                    rec.eps,
-                    rec.sigma,
-                    rec.r_bar[0],
-                    rec.r_bar[1],
-                ]
-                f.write(f"{rec.i}," + ",".join(f"{v:.9g}" for v in vals) + "\n")
+        csv_artifact(path, (*comments, f"failures={self.n_failures}"), CSV_HEADER, (
+            (str(r.i), r.phi.theta1, r.phi.theta4, *r.r_landing.tolist(), r.alpha, r.loss, r.eps, r.sigma,
+             *r.r_bar.tolist()) for r in self.records))
 
 
 def run_online(

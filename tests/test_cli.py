@@ -236,6 +236,19 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
     assert "# failures=21\n" in (out / "run_greybox_seed1.csv").read_text()
 
 
+def test_failing_variance_policy_keeps_earlier_rows(tmp_path, capsys):
+    # the second policy misses every ball: exit 1, and the first policy's row stays in the file
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variance_policies": [[0.45, 0.25], [-1.5, 0.1]], "n_trials": 20}))
+    out = tmp_path / "o"
+    assert main(["baseline-variance", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: 20 of 20 trials missed the ball\n"
+    assert (out / "baseline_variance.csv").read_text().splitlines()[2:] == [
+        "theta1,theta4,n_trials,mean_x,mean_y,sigma",
+        "0.45,0.25,20,-1.41807377,1.31035849,0.257433533",
+    ]
+
+
 def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):
     def nan_gradient(phi, event, physics, coupled):
         return np.zeros(2), np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -369,13 +382,13 @@ def test_sweep_starts_at_sweep_start_unless_phi1_is_set(tmp_path, capsys):
         summary = json.loads(capsys.readouterr().out)
         row = open(summary["artifacts"][0]).read().splitlines()[-1].split(",")
         assert (float(row[3]), float(row[4])) == start
-    assert config_from_args(build_parser().parse_args(["sweep"])).phi1 == SWEEP_START
+    assert config_from_args(build_parser().parse_args(["sweep"])).start() == SWEEP_START
     # a run keeps its own default start, with or without a config file
-    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == (0.5, 0.2)
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).start() == (0.5, 0.2)
     path.write_text(json.dumps(base))
-    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).start() == RUN_START
     path.write_text(json.dumps({**base, "mode": "sweep", "phi1": []}))
-    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).phi1 == RUN_START
+    assert config_from_args(build_parser().parse_args(["run", "--config", str(path)])).start() == RUN_START
 
 
 # each subcommand's (option string, dest, choices, metavar), as the hand-written parser had them

@@ -134,10 +134,17 @@ class TestConfigValidation:
         # only an empty phi1 takes the mode's start; null stays a type error
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"mode": mode, "phi1": []}))
-        assert ExperimentConfig.from_json(path).phi1 == start
+        assert ExperimentConfig.from_json(path).start() == start
         path.write_text(json.dumps({"mode": mode, "phi1": None}))
         with pytest.raises(ConfigError, match=r"^phi1: expected a pair of numbers, got None$"):
             ExperimentConfig.from_json(path).validate()
+
+    def test_replaced_mode_moves_the_start(self):
+        # the start is read from the mode when the config is read, not when it is built
+        sweep = dataclasses.replace(ExperimentConfig(), mode="sweep")
+        assert (sweep.phi1, sweep.start(), sweep.config_hash()) == ((), SWEEP_START, "3369542910c33ef1")
+        run = dataclasses.replace(sweep, mode="run")
+        assert (run.phi1, run.start(), run.config_hash()) == ((), RUN_START, "0df2ccd6c8da0a51")
 
     @pytest.mark.parametrize(
         "changes",
@@ -263,7 +270,7 @@ class TestConfigValidation:
         assert ExperimentConfig().config_hash() == "0df2ccd6c8da0a51"
         assert ExperimentConfig(mode="sweep", phi1=SWEEP_START).config_hash() == "3369542910c33ef1"
         # a sweep's default start is SWEEP_START, in the library as on the command line
-        assert ExperimentConfig(mode="sweep").phi1 == SWEEP_START
+        assert ExperimentConfig(mode="sweep").start() == SWEEP_START
         assert ExperimentConfig(mode="sweep").config_hash() == "3369542910c33ef1"
         for ints, floats in ((dict(alpha1=1), dict(alpha1=1.0)), (dict(target=(-1, 1)), dict(target=(-1.0, 1.0))),
                              (dict(variance_policies=((0, 1),)), dict(variance_policies=((0.0, 1.0),))),

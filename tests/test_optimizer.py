@@ -27,6 +27,7 @@ from ttreturn.optimizer import (
     FeasibleSet,
     IterationRecord,
     RunLog,
+    csv_artifact,
     gd_update,
     project,
     run_online,
@@ -378,12 +379,14 @@ class TestRunLog:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_csv_bytes_round_trip_property(self, data):
-        # every value is written with 9 significant digits; provenance is exact
+        # every value is written with 9 significant digits, also an integer policy
+        # angle (10**10 as 1e+10) and nan or inf; provenance is exact
         num = st.floats(width=64)
+        angle = num | st.integers(-(10**12), 10**12)
         record = st.builds(
             IterationRecord,
             i=st.integers(1, 10**6),
-            phi=st.builds(InterceptionPolicy, num, num),
+            phi=st.builds(InterceptionPolicy, angle, angle),
             r_landing=st.tuples(num, num).map(np.array),
             alpha=num, loss=num, eps=num, sigma=num,
             r_bar=st.tuples(num, num).map(np.array),
@@ -404,6 +407,26 @@ class TestRunLog:
         for line, rec in zip(lines[4:], log.records):
             vals = (rec.phi.theta1, rec.phi.theta4, *rec.r_landing, rec.alpha, rec.loss, rec.eps, rec.sigma, *rec.r_bar)
             assert line.split(",") == [str(rec.i)] + [format(v, ".9g") for v in vals]
+
+    def test_writer_cells_and_footer(self, tmp_path):
+        # a str cell as is, any other with .9g; footer lines after the rows; the directory is made
+        path = tmp_path / "new" / "a.csv"
+        rows = [("7", 0.1, np.float64(2 / 3)), ("x", float("nan"), np.inf), ("1e3", -np.inf, 10**10)]
+        csv_artifact(path, ("seed=0", "config=abc"), "a,b,c", rows, ("n=3",))
+        assert path.read_text() == (
+            "# seed=0\n# config=abc\na,b,c\n7,0.1,0.666666667\nx,nan,inf\n1e3,-inf,1e+10\n# n=3\n"
+        )
+
+    def test_writer_keeps_rows_before_a_raising_row(self, tmp_path):
+        def rows():
+            yield "1", 0.5
+            yield "2", 0.25
+            raise ValueError("third row")
+
+        path = tmp_path / "b.csv"
+        with pytest.raises(ValueError, match="third row"):
+            csv_artifact(path, ("seed=1",), "i,x", rows(), ("never=written",))
+        assert path.read_text() == "# seed=1\ni,x\n1,0.5\n2,0.25\n"
 
     def test_metrics_consistency(self):
         # eps and sigma logged per iteration must match a direct recomputation
