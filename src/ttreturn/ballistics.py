@@ -23,6 +23,7 @@ from .errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
 # Gravity points along -z with this magnitude, in the flight and its drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
 Z_TABLE = 0.76  # [m] height of the table plane every flight lands on
+TABLE_CENTER, TABLE_HALF = (-1.1, 0.25), (1.525 / 2.0, 2.74 / 2.0)  # [m] the table's footprint in the world frame
 
 # Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
@@ -55,7 +56,7 @@ class LandingRecord:
 
 
 def euler_flight(
-    row, k_drag: float, dt: float, max_steps: int, land: bool = False, table: tuple | None = None,
+    row, k_drag: float, dt: float, max_steps: int, y_stop: float | None = None,
     samples: list | None = None, tangent: np.ndarray | None = None,
 ) -> tuple[tuple, int, np.ndarray | None]:
     """Explicit Euler steps of the drag flight on plain floats.
@@ -64,14 +65,13 @@ def euler_flight(
     stopped at, the number of steps taken and the pushed tangent (or None).
     The stop rule is one of:
 
-    - neither `land` nor `table`: exactly `max_steps` steps;
-    - `land`: stop before the first step whose drag-free prediction ends at
-      or below the table plane, i.e. once the drag-free remaining time
-      (`remaining_time`) is at most dt; raise MaxStepsExceeded if that does
-      not happen within `max_steps` steps;
-    - `table=(cx, cy, hx, hy, y_stop)`: stop after the first step that ends
-      at or below the table plane with |x - cx| <= hx and |y - cy| <= hy, at
-      or below the floor z = 0, or at y <= y_stop; at most `max_steps`.
+    - no `y_stop` (a return flight): stop before the first step whose
+      drag-free prediction ends at or below the table plane, i.e. once the
+      drag-free remaining time (`remaining_time`) is at most dt; raise
+      MaxStepsExceeded if that does not happen within `max_steps` steps;
+    - a `y_stop` (a launch): stop after the first step that ends at or below
+      the table plane on the footprint (TABLE_CENTER, TABLE_HALF), at or
+      below the floor z = 0, or at y <= y_stop; at most `max_steps`.
 
     `samples`, if given, is extended by the six floats of each state stepped
     to. A 6x2 `tangent` is pushed through the steps inside the loop on 12 plain
@@ -80,13 +80,13 @@ def euler_flight(
     """
     px, py, pz, vx, vy, vz = row
     k_drag, z_plane = float(k_drag), Z_TABLE  # locals: read on every step
+    land, contact = y_stop is None, y_stop is not None
     if land:
         # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= Z_TABLE
         vz_top = G_VERTICAL * dt
         z_top = z_plane + 0.5 * G_VERTICAL * dt * dt
-    contact = table is not None
-    if contact:
-        cx, cy, hx, hy, y_stop = table
+    else:
+        (cx, cy), (hx, hy) = TABLE_CENTER, TABLE_HALF
     keep, push, scale = samples is not None, tangent is not None, dt * k_drag
     if push:
         if np.shape(tangent) != (6, 2):
@@ -136,7 +136,7 @@ def euler_flight(
 
 
 def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np.ndarray]:
-    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS, land=True)` for
+    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS)` for
     each row of a (B, 6) array: in lockstep on (B,) arrays, with the same
     arithmetic in the same order, while at least LOCKSTEP_MIN rows fly, then
     row by row in euler_flight. Returns (B, 6) stop states and (B,) step
@@ -169,7 +169,7 @@ def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np
             vz += dt * (-G_VERTICAL - drag * vz)
     for j, row in zip(active.tolist(), np.column_stack((px, py, pz, vx, vy, vz)).tolist()):
         with suppress(MaxStepsExceeded):
-            stops[j], k, _ = euler_flight(row, k_drag, dt, max_steps - n, land=True)
+            stops[j], k, _ = euler_flight(row, k_drag, dt, max_steps - n)
             steps[j] = n + k
     return stops, steps
 
@@ -232,7 +232,7 @@ def propagate_to_landing(
     A 6x2 `tangent` is pushed through the full steps (landing_state_jacobian).
     """
     xi = np.asarray(xi_plus, dtype=float).tolist()
-    stop, k_max, pushed = euler_flight(xi, physics.k_drag, physics.dt, MAX_STEPS, land=True, tangent=tangent)
+    stop, k_max, pushed = euler_flight(xi, physics.k_drag, physics.dt, MAX_STEPS, tangent=tangent)
     t_last, landing = final_step(stop)
     return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing, stop=np.array(stop), tangent=pushed)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 # bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
-from .ballistics import Z_TABLE, Physics, euler_flight, propagate_to_landing  # noqa: F401
+from .ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
 from .greybox import frozen_landing_record
 from .metrics import running_metrics
@@ -23,12 +23,6 @@ from .metrics import running_metrics
 # 0.106, restitution 0.72/-0.78/0.72 vs 0.75, a finer step) so that the
 # online optimizer only ever sees approximate gradients.
 TRUTH = Physics(k_drag=0.12, dt=5e-4, restitution=(0.72, -0.78, 0.72))
-
-# Standard table footprint in the world frame (surface height is
-# ballistics.Z_TABLE); the arm stands beside the table, base ground
-# point at the origin.
-TABLE_CENTER = np.array([-1.1, 0.25])
-TABLE_SIZE = np.array([1.525, 2.74])
 MISS_TOLERANCE = 0.1  # share of missed trials at which a variance estimate is refused
 
 
@@ -71,8 +65,7 @@ T_MAX = 3.0  # [s] launch sampling horizon
 SAMPLE_DT = 0.002  # [s] launch integration step, one sample per step
 # launch steps taken while the sample clock, accumulated step by step, reads < T_MAX
 LAUNCH_STEPS = int(np.count_nonzero(np.cumsum(np.r_[0.0, np.full(ceil(T_MAX / SAMPLE_DT) + 1, SAMPLE_DT)]) < T_MAX))
-# table footprint (center, half size), then a y well past the arm workspace [m]
-CONTACT = (*TABLE_CENTER.tolist(), *(TABLE_SIZE / 2.0).tolist(), -1.2)
+Y_PAST = -1.2  # [m] a y well past the arm workspace: an unaimed launch stops there
 
 
 def stop_past(start, theta1: float) -> float:
@@ -82,9 +75,9 @@ def stop_past(start, theta1: float) -> float:
     velocity, and the ball stays on the line p0 + s v0. If that line meets the theta1
     ray (s, r >= 0) at y_c, the first crossing pair of a launch stepped at SAMPLE_DT
     lies above y_c + 2 SAMPLE_DT vy0 - 1 mm. Otherwise, or if vy0 >= 0 or the path
-    is within 1e-6 rad of parallel to the ray, the stop is CONTACT's y.
+    is within 1e-6 rad of parallel to the ray, the stop is Y_PAST.
     """
-    y_far, (bx, by, _) = CONTACT[4], BASE.tolist()
+    y_far, (bx, by, _) = Y_PAST, BASE.tolist()
     x0, y0, _, vx, vy, _ = start
     ux, uy = cos(REST_AZIMUTH + theta1), sin(REST_AZIMUTH + theta1)
     det = vx * uy - vy * ux
@@ -106,19 +99,20 @@ def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -
     a window of whole samples of the unaimed launch that holds its first crossing
     pair: unsampled to y_keep, two samples and 1 mm above the crossing, then sampled
     to y_stop. It samples from the start if the start lies at or below y_keep or
-    y_stop is CONTACT's, and keeps one sample if the ball meets the floor or the
+    y_stop is Y_PAST, and keeps one sample if the ball meets the floor or the
     table, or the step cap runs out, before y_keep.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
     rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
-    y_stop = CONTACT[4] if aim is None else stop_past(rows, aim)
-    y_keep, steps, (cx, cy, hx, hy, _) = y_stop - 4.0 * SAMPLE_DT * rows[4] + 2e-3, LAUNCH_STEPS, CONTACT
-    if y_stop > CONTACT[4] and rows[1] > y_keep:  # fly unsampled to the window's first sample
-        stop, n, _ = euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_keep))
+    y_stop = Y_PAST if aim is None else stop_past(rows, aim)
+    y_keep, steps = y_stop - 4.0 * SAMPLE_DT * rows[4] + 2e-3, LAUNCH_STEPS
+    if y_stop > Y_PAST and rows[1] > y_keep:  # fly unsampled to the window's first sample
+        stop, n, _ = euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, y_keep)
         (px, py, pz, *_), rows, steps = stop, list(stop), steps - n  # no steps left: one sample
+        (cx, cy), (hx, hy) = TABLE_CENTER, TABLE_HALF
         if pz <= 0.0 or (pz <= Z_TABLE and abs(px - cx) <= hx and abs(py - cy) <= hy):
             return SampledTrajectory(rows)  # floor or table before the window: as the full launch ends
-    euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, table=(cx, cy, hx, hy, y_stop), samples=rows)
+    euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, y_stop, samples=rows)
     return SampledTrajectory(rows)
 
 

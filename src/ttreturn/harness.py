@@ -150,7 +150,7 @@ class ExperimentConfig:
 
     def start(self) -> tuple[float, float]:
         """phi1, or when it is empty the mode's start: SWEEP_START for a sweep, RUN_START otherwise."""
-        return (SWEEP_START if self.mode == "sweep" else RUN_START) if self.phi1 == () else self.phi1
+        return (SWEEP_START if self.mode == "sweep" else RUN_START) if self.phi1 in ((), []) else self.phi1
 
     def feasible_set(self) -> FeasibleSet:
         return FeasibleSet(tuple(self.box_theta1), tuple(self.box_theta4))
@@ -210,6 +210,9 @@ class ExperimentConfig:
         cases = {"targets": "sweep_targets", "inits": "initial_policies"}.get(kind)
         if cases and not getattr(self, cases):
             raise ConfigError(f"{cases}: a {kind} sweep needs at least one entry")
+        if self.mode in ("gen-data", "grad-check"):  # the sampler's refusals: too narrow a box, a non-square grid
+            sampling = self.sampling if self.mode == "gen-data" else "uniform"
+            _policy_draws(self.n_points, sampling, *sampling_bounds(self.feasible_set()), None)
 
     @classmethod
     def from_json(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -252,7 +255,7 @@ def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np
     side = math.isqrt(n)
     if side * side != n:
         raise ConfigError("n_points: grid sampling needs a square count")
-    grid = iter([InterceptionPolicy(*p) for p in product(*(np.linspace(a, b, side).tolist() for a, b in zip(lo, hi)))])
+    grid = (InterceptionPolicy(*p) for p in product(*(np.linspace(a, b, side).tolist() for a, b in zip(lo, hi))))
     return lambda k: list(islice(grid, k))
 
 
@@ -536,19 +539,16 @@ def _sweep(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, comments: tuple
     else:
         runs_per, cases = cfg.n_replicates, [(f"init{i}", cfg.target, p) for i, p in enumerate(cfg.initial_policies)]
     seeds = iter(derived_seeds(cfg.seed, len(cases) * runs_per))
-    plan = [
-        (os.path.join(cfg.out_dir, f"sweep_{label}_rep{rep}.csv"), np.asarray(target, dtype=float),
-         InterceptionPolicy(*phi1), next(seeds))
-        for label, target, phi1 in cases for rep in range(runs_per)
-    ]
+    named = [((label, f"{label}_rep{rep}"), np.asarray(target, dtype=float), InterceptionPolicy(*phi1), next(seeds))
+             for label, target, phi1 in cases for rep in range(runs_per)]
+    plan = [(os.path.join(cfg.out_dir, f"sweep_{run}.csv"), *row) for (_, run), *row in named]
     logs = _runs(cfg, env_cfg, echo, plan)
     summary_path = os.path.join(cfg.out_dir, f"sweep_{cfg.sweep_kind}_summary.csv")
     columns = "run,label,seed,theta1_1,theta4_1,target_x,target_y,final_eps,final_sigma,iters_to_025,n_failures"
-    runs = [os.path.basename(path)[len("sweep_"):-len(".csv")] for path, *_ in plan]  # <label>_rep<rep>
     csv_artifact(summary_path, comments, columns, (
-        (run, run.rsplit("_rep", 1)[0], str(seed), phi1.theta1, phi1.theta4, *target.tolist(),
+        (run, label, str(seed), phi1.theta1, phi1.theta4, *target.tolist(),
          log.records[-1].eps, log.records[-1].sigma, str(iters_to_threshold(log, target)), str(log.n_failures))
-        for run, (_, target, phi1, seed), log in zip(runs, plan, logs)))
+        for ((label, run), target, phi1, seed), log in zip(named, logs)))
     return {"n_runs": len(plan), "artifacts": [summary_path] + [row[0] for row in plan]}
 
 

@@ -50,7 +50,8 @@ def state(p, v) -> np.ndarray:
 
 def step(xi, p: Physics, dt: float | None = None) -> np.ndarray:
     """Test-local: one Euler step of the 6-state xi, of length dt (p.dt by default)."""
-    return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt if dt is None else dt, 1)[0])
+    return np.array(euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt if dt is None else dt, 1,
+                                 y_stop=-np.inf)[0])
 
 
 def free_flight_step_jacobians(xi: np.ndarray, p: Physics, dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -551,8 +552,7 @@ class TestInLoopTangent:
                 if coupled and event.dxi_dtheta1 is None:
                     continue
                 tangent = impact_state_jacobian(phi, event, p, coupled)
-                stop, n, pushed = euler_flight(xi.tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS, land=True,
-                                               tangent=tangent)
+                stop, n, pushed = euler_flight(xi.tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS, tangent=tangent)
                 want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
                 assert (stop, n) == (want_stop, want_n)
                 assert np.array_equal(pushed, want) and pushed.shape == (6, 2)
@@ -573,7 +573,7 @@ class TestEulerLandingsOracle:
         ] + [[0.2, 0.3, 0.761, 0.0, 0.0, -1.0], [0.0, 0.0, 0.5, 1.0, 0.0, 2.0],
              [0.0, 0.0, 1.0, 0.0, np.nan, 1.0], [0.0, 0.0, 1.0, np.inf, 0.0, 0.0]]
         p = MODEL
-        ks = sorted(euler_flight(row, p.k_drag, p.dt, ballistics.MAX_STEPS, land=True)[1] for row in rows[:n_rows])
+        ks = sorted(euler_flight(row, p.k_drag, p.dt, ballistics.MAX_STEPS)[1] for row in rows[:n_rows])
         q = int(quantile * n_rows)  # and a row one step later, where one exists
         max_steps = ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)]
         monkeypatch.setattr(ballistics, "MAX_STEPS", max_steps)
@@ -582,7 +582,7 @@ class TestEulerLandingsOracle:
         expected_stops, expected_steps = [], []
         for row in rows:
             try:
-                stop, k, _ = euler_flight(row, p.k_drag, p.dt, max_steps, land=True)
+                stop, k, _ = euler_flight(row, p.k_drag, p.dt, max_steps)
             except MaxStepsExceeded:
                 stop, k = row, -1
             expected_stops.append(stop)

@@ -26,7 +26,7 @@ from conftest import read_run_csv
 from ttreturn.blackbox import random_model
 from ttreturn.cli import build_parser, config_from_args, main
 from ttreturn.env import EnvConfig
-from ttreturn.errors import MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
+from ttreturn.errors import ConfigError, MaxStepsExceeded, NegativeDiscriminant, NoCrossing, SingularGradient
 from ttreturn.harness import RUN_START, SCENARIO_BOX, SWEEP_START, ExperimentConfig
 
 
@@ -508,21 +508,33 @@ def cli_case(draw, model_path):
     return draw(st.sampled_from(MODE_ARGS)), cfg
 
 
+SAMPLER_ERRORS = ("n_points: grid sampling needs a square count", "box: too small for the sampling margin")
+
+
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_every_outcome_is_a_documented_exit_code_property(random_model_path, data):
     # the typed-error contract: no traceback, an exit code of 0-3, strict JSON on
-    # success, and finite policies in every run CSV written, whatever the outcome
+    # success, and finite policies in every run CSV written, whatever the outcome;
+    # a config that validates is not refused later by the policy sampler
     args, cfg = data.draw(cli_case(random_model_path))
     with tempfile.TemporaryDirectory() as tmp:
         config, out_dir = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "o")
         config.write_text(json.dumps(cfg))
+        argv = [*args, "--config", str(config), "--out", str(out_dir)]
+        try:
+            config_from_args(build_parser().parse_args(argv)).validate()
+            valid = True
+        except ConfigError:
+            valid = False
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
-            code = main([*args, "--config", str(config), "--out", str(out_dir)])
+            code = main(argv)
         assert code in (0, 1, 2, 3), stderr.getvalue()
         if code == 0:
             strict_json(stdout.getvalue())
+        if valid and code == 1:
+            assert not any(m in stderr.getvalue() for m in SAMPLER_ERRORS), stderr.getvalue()
         for path in [*out_dir.glob("run_*.csv"), *out_dir.glob("sweep_*_rep*.csv")]:
             assert all(math.isfinite(r.phi.theta1) and math.isfinite(r.phi.theta4) for r in read_run_csv(path)[0].records)

@@ -18,15 +18,13 @@ except ImportError:
 
 import ttreturn.env
 from ttreturn.arm import BASE, REST_AZIMUTH, InterceptionPolicy, interception_event
-from ttreturn.ballistics import Z_TABLE, Physics, euler_flight
+from ttreturn.ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight
 from ttreturn.env import (
-    CONTACT,
     EnvConfig,
     LAUNCH_STEPS,
     SAMPLE_DT,
-    TABLE_CENTER,
-    TABLE_SIZE,
     TRUTH,
+    Y_PAST,
     estimate_variance,
     intercept,
     launch,
@@ -38,7 +36,7 @@ from ttreturn.greybox import MODEL, predict_landing
 
 def on_table(point: np.ndarray) -> bool:
     """Test-local: whether a horizontal point lies within the table footprint."""
-    return bool(np.all(np.abs(np.asarray(point)[:2] - TABLE_CENTER) <= TABLE_SIZE / 2.0))
+    return bool(np.all(np.abs(np.asarray(point)[:2] - TABLE_CENTER) <= TABLE_HALF))
 
 
 def states(traj):
@@ -48,9 +46,10 @@ def states(traj):
 
 class TestOnTable:
     def test_center_and_corners(self):
+        corner = np.add(TABLE_CENTER, TABLE_HALF)
         assert on_table(TABLE_CENTER)
-        assert on_table(TABLE_CENTER + TABLE_SIZE / 2.0)
-        assert not on_table(TABLE_CENTER + TABLE_SIZE / 2.0 + 0.01)
+        assert on_table(corner)
+        assert not on_table(corner + 0.01)
 
     def test_far_point(self):
         assert not on_table(np.array([10.0, 10.0]))
@@ -98,7 +97,7 @@ def reference_launch(cfg, rng):
     state = cfg.nominal_state + jitter
     times, rows, t = [0.0], [state], 0.0
     while t < 3.0:
-        state = np.array(euler_flight(state.tolist(), TRUTH.k_drag, SAMPLE_DT, 1)[0])
+        state = np.array(euler_flight(state.tolist(), TRUTH.k_drag, SAMPLE_DT, 1, y_stop=-np.inf)[0])
         t += SAMPLE_DT
         times.append(t)
         rows.append(state)
@@ -214,7 +213,7 @@ class TestAimedLaunch:
     def test_upward_start_flies_the_full_path(self, env_cfg, nominal, jitter):
         cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=jitter)
         for t1 in THETA1_GRID:
-            assert stop_past(list(nominal), t1) == CONTACT[4]
+            assert stop_past(list(nominal), t1) == Y_PAST
             aimed, full = aimed_and_full(cfg, t1)
             assert aimed.rows == full.rows
 
@@ -223,7 +222,7 @@ class TestAimedLaunch:
         t1 = 0.45
         vx, vy = sign * 8.3 * ray_direction(t1)
         cfg = EnvConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
-        assert stop_past(cfg.nominal_state.tolist(), t1) == CONTACT[4]
+        assert stop_past(cfg.nominal_state.tolist(), t1) == Y_PAST
         aimed, full = aimed_and_full(cfg, t1)
         assert aimed.rows == full.rows
 
@@ -247,7 +246,7 @@ class TestAimedLaunch:
                                             ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.45 + pi)])  # on the opposite ray
     def test_no_crossing_ahead_flies_the_full_path(self, env_cfg, nominal, t1):
         cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
-        assert stop_past(list(nominal), t1) == CONTACT[4]
+        assert stop_past(list(nominal), t1) == Y_PAST
         aimed, full = aimed_and_full(cfg, t1)
         assert aimed.rows == full.rows
 
@@ -262,7 +261,7 @@ class TestAimedLaunch:
     def test_window_exits_miss_as_the_full_launch(self, env_cfg, name):
         nominal, t1 = WINDOW_EXITS[name]
         cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
-        assert stop_past(list(nominal), t1) > CONTACT[4]
+        assert stop_past(list(nominal), t1) > Y_PAST
         aimed, full = aimed_and_full(cfg, t1)
         assert is_window(aimed, full)
         with pytest.raises(MissedBall) as missed:

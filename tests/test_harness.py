@@ -146,6 +146,31 @@ class TestConfigValidation:
         run = dataclasses.replace(sweep, mode="run")
         assert (run.phi1, run.start(), run.config_hash()) == ((), RUN_START, "0df2ccd6c8da0a51")
 
+    @pytest.mark.parametrize("mode,start,digest", [("run", RUN_START, "0df2ccd6c8da0a51"),
+                                                   ("sweep", SWEEP_START, "3369542910c33ef1")])
+    def test_empty_phi1_list_is_the_modes_start(self, mode, start, digest):
+        cfg = ExperimentConfig(mode=mode, phi1=[])
+        cfg.validate()
+        assert (cfg.start(), cfg.config_hash()) == (start, digest)
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [(dict(mode="gen-data", sampling="grid", n_points=10), "n_points: grid sampling needs a square count"),
+         (dict(mode="gen-data", box_theta1=(0.3, 0.38)), "box: too small for the sampling margin"),
+         (dict(mode="grad-check", box_theta1=(0.3, 0.38)), "box: too small for the sampling margin"),
+         (dict(mode="grad-check", predictor="blackbox", box_theta4=(0.0, 0.1)), "box: too small for the sampling margin")],
+        ids=["grid-not-square", "gen-data-narrow-box", "grad-check-narrow-box", "blackbox-grad-check-narrow-box"],
+    )
+    def test_rejects_what_the_sampler_refuses(self, changes, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            ExperimentConfig(**changes).validate()
+
+    @pytest.mark.parametrize("mode", ["run", "sweep"])
+    def test_narrow_box_is_valid_where_nothing_is_sampled(self, mode):
+        # neither samples policies; grad-check ignores the sampling field
+        ExperimentConfig(mode=mode, box_theta1=(0.3, 0.38), phi1=(0.35, 0.2)).validate()
+        ExperimentConfig(mode="grad-check", sampling="grid", n_points=10).validate()
+
     @pytest.mark.parametrize(
         "changes",
         [dict(mode="run", sweep_targets=(), initial_policies=()),
@@ -333,6 +358,11 @@ class TestDatasetGeneration:
         box = FeasibleSet((-0.6, -0.4), (-0.05, 0.45))
         with pytest.raises(InfeasibleRegion):
             gen_dataset(env_cfg, 10, "uniform", np.random.default_rng(4), box)
+
+    def test_library_callers_get_the_grid_error(self, env_cfg):
+        # validate reuses the sampler's check; gen_dataset still makes it for a caller without a config
+        with pytest.raises(ConfigError, match="^n_points: grid sampling needs a square count$"):
+            gen_dataset_greybox(env_cfg, 10, "grid", np.random.default_rng(4))
 
 
 def single_draws(n, sampling, lo, hi, rng):
