@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class LandingRecord:
 
 def euler_flight(
     row, k_drag: float, dt: float, max_steps: int, y_stop: float | None = None,
-    samples: list | None = None, tangent: np.ndarray | None = None,
+    samples: list | None = None, y_keep: float = inf, tangent: np.ndarray | None = None,
 ) -> tuple[tuple, int, np.ndarray | None]:
     """Explicit Euler steps of the drag flight on plain floats.
 
@@ -73,9 +73,11 @@ def euler_flight(
       the table plane on the footprint (TABLE_CENTER, TABLE_HALF), at or
       below the floor z = 0, or at y <= y_stop; at most `max_steps`.
 
-    `samples`, if given, is extended by the six floats of each state stepped
-    to. A 6x2 `tangent` is pushed through the steps inside the loop on 12 plain
-    floats (ValueError for another shape): each step maps (dp, dv) to (dp + dt dv,
+    `samples`, if given, is an empty list that the kernel extends by the six
+    floats of each state at or below y = `y_keep` (by default every state), the
+    start among them, or by the stop state alone if it kept none before it. A
+    6x2 `tangent` is pushed through the steps inside the loop on 12 plain floats
+    (ValueError for another shape): each step maps (dp, dv) to (dp + dt dv,
     dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
     """
     px, py, pz, vx, vy, vz = row
@@ -93,6 +95,8 @@ def euler_flight(
             raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
         (pxa, pxb), (pya, pyb), (pza, pzb), (ax, bx), (ay, by), (az, bz) = np.asarray(tangent, dtype=float).tolist()
         sax = say = saz = sbx = sby = sbz = 0.0  # sums of the columns' dv; dp moves by dt times them
+    if keep and py <= y_keep:
+        samples.extend((px, py, pz, vx, vy, vz))
     for n in range(max_steps):
         if land and vz <= vz_top and pz + dt * vz <= z_top:
             break
@@ -116,7 +120,7 @@ def euler_flight(
         vx -= dt * (drag * vx)
         vy -= dt * (drag * vy)
         vz += dt * (-G_VERTICAL - drag * vz)
-        if keep:
+        if keep and py <= y_keep:
             samples.extend((px, py, pz, vx, vy, vz))
         if contact and (
             pz <= 0.0 or py <= y_stop or (pz <= z_plane and abs(px - cx) <= hx and abs(py - cy) <= hy)
@@ -128,6 +132,8 @@ def euler_flight(
         if land and not (vz <= vz_top and pz + dt * vz <= z_top):
             raise no_landing(max_steps)
     stop = (px, py, pz, vx, vy, vz)
+    if keep and not samples:
+        samples.extend(stop)
     if not push:
         return stop, n, None
     columns = ((pxa + dt * sax, pya + dt * say, pza + dt * saz, ax, ay, az),

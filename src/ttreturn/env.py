@@ -8,13 +8,13 @@ parameters, and additive anisotropic landing noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, cos, hypot, sin
+from math import ceil, cos, hypot, inf, sin
 
 import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 # bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
-from .ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight, propagate_to_landing  # noqa: F401
+from .ballistics import Physics, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
 from .greybox import frozen_landing_record
 from .metrics import running_metrics
@@ -94,25 +94,18 @@ def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -
     """Launch one ball: jitter the nominal state and integrate at SAMPLE_DT with TRUTH's drag.
 
     The flight stops at the table, the floor or a y well behind the workspace, or
-    after LAUNCH_STEPS steps (T_MAX); unaimed, it keeps every step. `aim=theta1`
-    also stops it at y_stop = `stop_past`, just past base azimuth theta1, and keeps
-    a window of whole samples of the unaimed launch that holds its first crossing
-    pair: unsampled to y_keep, two samples and 1 mm above the crossing, then sampled
-    to y_stop. It samples from the start if the start lies at or below y_keep or
-    y_stop is Y_PAST, and keeps one sample if the ball meets the floor or the
+    after LAUNCH_STEPS steps (T_MAX); unaimed, it keeps every state from the start.
+    `aim=theta1` also stops it at y_stop = `stop_past`, just past base azimuth
+    theta1, and keeps only the states at or below y_keep, two samples and 1 mm above
+    the crossing: a window of whole samples of the unaimed launch that holds its
+    first crossing pair, or its stop state alone if the ball meets the floor or the
     table, or the step cap runs out, before y_keep.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    rows = (cfg.nominal_state + jitter).tolist()  # the flight appends each sample after the start
-    y_stop = Y_PAST if aim is None else stop_past(rows, aim)
-    y_keep, steps = y_stop - 4.0 * SAMPLE_DT * rows[4] + 2e-3, LAUNCH_STEPS
-    if y_stop > Y_PAST and rows[1] > y_keep:  # fly unsampled to the window's first sample
-        stop, n, _ = euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, y_keep)
-        (px, py, pz, *_), rows, steps = stop, list(stop), steps - n  # no steps left: one sample
-        (cx, cy), (hx, hy) = TABLE_CENTER, TABLE_HALF
-        if pz <= 0.0 or (pz <= Z_TABLE and abs(px - cx) <= hx and abs(py - cy) <= hy):
-            return SampledTrajectory(rows)  # floor or table before the window: as the full launch ends
-    euler_flight(rows, TRUTH.k_drag, SAMPLE_DT, steps, y_stop, samples=rows)
+    start, rows = (cfg.nominal_state + jitter).tolist(), []
+    y_stop = Y_PAST if aim is None else stop_past(start, aim)
+    y_keep = y_stop - 4.0 * SAMPLE_DT * start[4] + 2e-3 if y_stop > Y_PAST else inf
+    euler_flight(start, TRUTH.k_drag, SAMPLE_DT, LAUNCH_STEPS, y_stop, samples=rows, y_keep=y_keep)
     return SampledTrajectory(rows)
 
 

@@ -612,3 +612,48 @@ class TestEulerLandingsOracle:
     def test_empty_batch(self):
         stops, steps = euler_landings(np.zeros((0, 6)), physics())
         assert stops.shape == (0, 6) and steps.shape == (0,)
+
+
+def stepped_states(row, k_drag: float, dt: float, n: int) -> list:
+    """Test-local: the start and the states of n single-step launch flights from it, in turn."""
+    states = [list(row)]
+    for _ in range(n):
+        states.append(list(euler_flight(states[-1], k_drag, dt, 1, y_stop=-np.inf)[0]))
+    return states
+
+
+class TestKeepRule:
+    K, DT = 0.12, 2e-3
+
+    def test_without_y_keep_keeps_every_state(self):
+        row = [-0.15, 3.9, 1.1, 0.0, -8.3, 3.3]
+        kept = []
+        stop, n, _ = euler_flight(row, self.K, self.DT, 40, y_stop=-np.inf, samples=kept)
+        want = stepped_states(row, self.K, self.DT, 40)
+        assert (n, list(stop)) == (40, want[-1])
+        assert kept == [x for s in want for x in s]
+
+    @pytest.mark.parametrize("row,y_keep", [([-0.15, 3.9, 1.1, 0.0, -8.3, 3.3], 3.5),  # falling y: a window
+                                            ([-0.15, 3.5, 1.1, 0.0, -8.3, 3.3], 3.5),  # the start on y_keep
+                                            ([-0.15, 0.0, 1.1, 0.0, 5.0, 3.3], 0.05)])  # rising y: a head
+    def test_keeps_only_states_at_or_below_y_keep(self, row, y_keep):
+        kept = []
+        euler_flight(row, self.K, self.DT, 60, y_stop=-np.inf, samples=kept, y_keep=y_keep)
+        want = [s for s in stepped_states(row, self.K, self.DT, 60) if s[1] <= y_keep]
+        assert 0 < len(want) and (kept[:6] == row) == (row[1] <= y_keep)
+        assert kept == [x for s in want for x in s]
+
+    @pytest.mark.parametrize("row,max_steps,stop_at", [
+        ([-1.1, 1.0, 0.9, 0.0, -8.3, -3.0], 1500, "table"),
+        ([2.0, 1.0, 0.5, 0.0, -8.3, -5.0], 1500, "floor"),
+        ([-0.15, 3.9, 1.1, 0.0, -8.3, 3.3], 30, "step cap"),
+        ([-0.15, 3.9, 1.1, 0.0, -8.3, 3.3], 0, "step cap"),
+    ])
+    def test_stop_before_keeping_keeps_the_stop_state(self, row, max_steps, stop_at):
+        kept = []
+        stop, n, _ = euler_flight(row, self.K, self.DT, max_steps, y_stop=-5.0, samples=kept, y_keep=-1.0)
+        assert kept == list(stop) and min(row[1], stop[1]) > -1.0
+        (cx, cy), (hx, hy) = ballistics.TABLE_CENTER, ballistics.TABLE_HALF
+        on_table = stop[2] <= Z_TABLE and abs(stop[0] - cx) <= hx and abs(stop[1] - cy) <= hy
+        reached = {"table": on_table, "floor": stop[2] <= 0.0, "step cap": n == max_steps}
+        assert [name for name, hit in reached.items() if hit] == [stop_at]

@@ -166,15 +166,71 @@ def ray_direction(theta1):
 THETA1_GRID = (-3.0, -2.0, -pi / 2 - 1e-9, -pi / 2 + 1e-9, -1.0, -0.4, -0.05, 0.0, 0.1, 0.26, 0.35,
                0.45, 0.55, 0.62, 0.72, 0.85, 1.0, 1.3, pi / 2 - 1e-9, pi / 2 + 1e-9, 2.0, 2.8, pi - 1e-9, 3.1)
 
-# zero-jitter starts with a real stop whose aimed launch leaves its window early:
-# the crossing within the first step, so it samples from the start (exit a), or the
-# floor, the table or the step cap before the window, so it keeps one sample (exit b)
+# zero-jitter starts with a real stop at the edges of the keep rule: the crossing within
+# the first step, so the start is kept, or the floor, the table or the step cap before
+# y_keep, so the stop state is the one sample
 WINDOW_EXITS = {
     "crossing_in_first_step": ((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), atan(0.15 / 3.89)),
     "floor": ((-0.15, 3.9, 1.1, 0.0, -1.0, -5.0), 0.45),
     "table": ((-1.0, 1.5, 0.8, 0.0, -8.3, -2.0), 1.2),
     "step_cap": ((-0.15, 3.9, 6.0, 0.0, -0.5, 20.0), 0.45),
 }
+
+
+# launches that end on the table or on the floor before they reach the arm
+CONTACT_CONFIGS = {"table": (-0.6, 3.9, 1.1, 0.0, -8.3, 0.0), "floor": (0.3, 3.9, 1.1, 0.0, -8.3, -2.0)}
+
+
+def two_call_launch(cfg, rng, aim=None):
+    """Test-local launch rows as two kernel calls fly them: unsampled to y_keep, where
+    a floor or table stop state is the one sample, then sampled from there to y_stop."""
+    start = (cfg.nominal_state + rng.normal(0.0, 1.0, size=6) * cfg.jitter_std).tolist()
+    y_stop = Y_PAST if aim is None else stop_past(start, aim)
+    y_keep, steps = y_stop - 4.0 * SAMPLE_DT * start[4] + 2e-3, LAUNCH_STEPS
+    if y_stop > Y_PAST and start[1] > y_keep:
+        stop, n, _ = euler_flight(start, TRUTH.k_drag, SAMPLE_DT, steps, y_keep)
+        start, steps = list(stop), steps - n
+        if stop[2] <= 0.0 or (stop[2] <= Z_TABLE and on_table(stop)):
+            return start
+    rows = list(start)
+    for _ in range(steps):
+        stop, _, _ = euler_flight(rows[-6:], TRUTH.k_drag, SAMPLE_DT, 1, y_stop)
+        rows.extend(stop)
+        if stop[2] <= 0.0 or stop[1] <= y_stop or (stop[2] <= Z_TABLE and on_table(stop)):
+            break
+    return rows
+
+
+class TestLaunchWindowOracle:
+    # the one-call launch keeps the rows of the two-call one, exactly, window start included
+    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["1x", "3x"])
+    def test_jittered_launches(self, env_cfg, scale):
+        cfg = replace(env_cfg, jitter_std=scale * env_cfg.jitter_std)
+        for seed in range(6):
+            for aim in (None, *THETA1_GRID):
+                want = two_call_launch(cfg, np.random.default_rng(seed), aim)
+                assert launch(cfg, np.random.default_rng(seed), aim).rows == want
+
+    @pytest.mark.parametrize("name", list(WINDOW_EXITS))
+    def test_window_exits(self, name):
+        nominal, t1 = WINDOW_EXITS[name]
+        cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
+        for aim in (None, t1):
+            want = two_call_launch(cfg, np.random.default_rng(0), aim)
+            assert launch(cfg, np.random.default_rng(0), aim).rows == want
+
+    @pytest.mark.parametrize("name", list(CONTACT_CONFIGS))
+    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["1x", "3x"])
+    def test_contact_configs(self, name, scale):
+        cfg = EnvConfig(nominal_state=np.array(CONTACT_CONFIGS[name]))
+        cfg.jitter_std = scale * cfg.jitter_std
+        lengths = set()
+        for seed in range(4):
+            for aim in (None, *THETA1_GRID):
+                rows = launch(cfg, np.random.default_rng(seed), aim).rows
+                assert rows == two_call_launch(cfg, np.random.default_rng(seed), aim)
+                lengths.add(len(rows) // 6)
+        assert 1 in lengths and max(lengths) > 1  # a one-sample stop before the window, and full flights
 
 
 class TestAimedLaunch:
