@@ -470,7 +470,8 @@ def random_model_path(tmp_path_factory):
 
 
 MODE_ARGS = (("run",), ("grad-check",), ("baseline-variance",), ("gen-data", "--labels", "env"),
-             ("gen-data", "--labels", "greybox"), ("sweep", "--kind", "targets"), ("sweep", "--kind", "inits"))
+             ("gen-data", "--labels", "greybox"), ("gen-data", "--sampling", "grid"), ("sweep", "--kind", "targets"),
+             ("sweep", "--kind", "inits"))
 
 
 def box_bounds(lo_range, max_width, scenario):
