@@ -3,7 +3,7 @@
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. One scalar kernel, `euler_flight`, takes every full
-step of the package but those of grey-box dataset labels, which
+step of the package but those of dataset labels and variance trials, which
 `euler_landings` flies in lockstep on arrays; every flight ends in the one
 closed-form last step, `final_step`. The analytic Jacobian of the landing
 point pushes a tangent through the full steps as the flight takes them, then
@@ -181,16 +181,15 @@ def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np
 
 
 def landing_outcomes(starts: np.ndarray, physics: Physics) -> list:
-    """Each row's landing point, as propagate_to_landing gives it, or the SimulationError
-    its flight raises: the rows fly in euler_landings, then each one's final_step."""
+    """Each row's landing point, as propagate_to_landing gives it, or the first failing row's
+    SimulationError raised: the rows fly in euler_landings, then each one's final_step."""
     stops, steps = euler_landings(starts, physics)
-    outcomes = []
+    landings = []
     for k, stop in zip(steps.tolist(), stops.tolist()):
-        try:
-            outcomes.append(final_step(stop)[1] if k >= 0 else no_landing(MAX_STEPS))
-        except NegativeDiscriminant as exc:
-            outcomes.append(exc)
-    return outcomes
+        if k < 0:
+            raise no_landing(MAX_STEPS)
+        landings.append(final_step(stop)[1])
+    return landings
 
 
 def no_landing(max_steps: int) -> MaxStepsExceeded:

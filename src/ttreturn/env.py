@@ -7,6 +7,7 @@ parameters, and additive anisotropic landing noise.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import ceil, cos, hypot, inf, sin
 
@@ -16,7 +17,7 @@ from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, inte
 # bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
 from .ballistics import Physics, euler_flight, propagate_to_landing  # noqa: F401
 from .errors import InfeasibleRegion, MissedBall
-from .greybox import frozen_landing_record
+from .greybox import frozen_landing_record, predict_landings
 from .metrics import running_metrics
 
 # The ground truth deliberately differs from greybox.MODEL (drag 0.12 vs
@@ -109,25 +110,29 @@ def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -
     return SampledTrajectory(rows)
 
 
+def observe(phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndarray, InterceptionEvent]:
+    """The draws of one interception in their order, without its flight: the launch aimed at theta1,
+    its interception event (NoCrossing/OutOfReach for a missed ball) and the landing noise.
+    Returns the event's pre-impact state and the (2,) noise as one row of 8 floats, and the event."""
+    event = interception_event(launch(cfg, rng, aim=phi.theta1), phi.theta1)
+    return np.concatenate((event.xi_minus, rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std)), event
+
+
+def observed_landings(phis: list, rows: np.ndarray) -> list:
+    """The noisy landing of each policy from its row of observe: the pre-impact states fly
+    as one block at TRUTH (predict_landings), and each landing gets its row's noise."""
+    landings = predict_landings(phis, rows[:, :6], TRUTH)
+    return [landing + noise for landing, noise in zip(landings, rows[:, 6:])]
+
+
 def intercept(
     phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, InterceptDiagnostics]:
-    """One full interception: launch, hit, fly, land, add landing noise.
-
-    The hit and the flight are the grey-box return (frozen_landing_record) at
-    TRUTH's physics. Raises NoCrossing/OutOfReach (a missed ball) when the
-    policy cannot intercept the launched trajectory.
-    """
-    incoming = launch(cfg, rng, aim=phi.theta1)
-    event = interception_event(incoming, phi.theta1)
-    record = frozen_landing_record(phi, event, TRUTH)
-
-    noise = rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std
-    r_landing = record.landing_point + noise
-    return r_landing, InterceptDiagnostics(
-        noiseless_landing=record.landing_point,
-        event=event,
-    )
+    """One full interception: observe, then the hit and the flight of the grey-box
+    return (frozen_landing_record) at TRUTH's physics, plus the landing noise."""
+    row, event = observe(phi, cfg, rng)
+    landing = frozen_landing_record(phi, event, TRUTH).landing_point
+    return landing + row[6:], InterceptDiagnostics(noiseless_landing=landing, event=event)
 
 
 def estimate_variance(
@@ -136,19 +141,17 @@ def estimate_variance(
     cfg: EnvConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Sample mean and scalar landing scatter of a fixed policy; InfeasibleRegion
-    when at least MISS_TOLERANCE = 0.1 of the trials miss or fewer than two land."""
+    """Sample mean and scalar landing scatter of a fixed policy; after the hits' flight errors,
+    InfeasibleRegion when at least MISS_TOLERANCE = 0.1 of the trials miss or fewer than two land."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
-    points = []
-    misses = 0
+    rows = []
     for _ in range(n_trials):
-        try:
-            r, _ = intercept(phi, cfg, rng)
-            points.append(r)
-        except MissedBall:
-            misses += 1
-    if misses >= MISS_TOLERANCE * n_trials or len(points) < 2:
+        with suppress(MissedBall):
+            rows.append(observe(phi, cfg, rng)[0])
+    points = observed_landings([phi] * len(rows), np.array(rows).reshape(-1, 8))
+    misses = n_trials - len(rows)
+    if misses >= MISS_TOLERANCE * n_trials or len(rows) < 2:
         raise InfeasibleRegion(f"{misses} of {n_trials} trials missed the ball")
     mean, _, sigma = running_metrics(points, np.zeros(2))
     return mean, sigma

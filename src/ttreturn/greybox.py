@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arm import (InterceptionEvent, InterceptionPolicy, interception_event, interception_states, racket_rotation,
-                  racket_velocity)
+from .arm import InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from .ballistics import LandingRecord, Physics, landing_outcomes, landing_state_jacobian, propagate_to_landing
 from .impact import impact_state_jacobian, racket_impact, racket_impacts
 
@@ -24,16 +23,11 @@ def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.n
     return frozen_landing_record(phi, event, physics).landing_point
 
 
-def predict_landings(phis: list[InterceptionPolicy], incoming, physics: Physics) -> list:
-    """predict_landing of each policy, or the SimulationError it raised, as array code on the
-    block: interception_states, racket_impacts and the lockstep flights of landing_outcomes."""
+def predict_landings(phis: list[InterceptionPolicy], xi_minus: np.ndarray, physics: Physics) -> list:
+    """frozen_landing_record's landing point of each policy at its row of the (B, 6) pre-impact
+    states, as array code on the block: racket_impacts, then landing_outcomes' lockstep flights."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
-    xi, outcomes = interception_states(incoming, theta1)
-    hit = np.array([o is None for o in outcomes], dtype=bool)
-    starts = racket_impacts(xi[hit], theta1[hit], theta4[hit], physics)
-    for i, outcome in zip(np.flatnonzero(hit).tolist(), landing_outcomes(starts, physics)):
-        outcomes[i] = outcome
-    return outcomes
+    return landing_outcomes(racket_impacts(xi_minus, theta1, theta4, physics), physics)
 
 
 def frozen_landing_record(

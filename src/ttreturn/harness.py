@@ -18,9 +18,9 @@ from itertools import islice, product
 
 import numpy as np
 
-from .arm import InterceptionPolicy, interception_event
+from .arm import InterceptionPolicy, interception_event, interception_states
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
-from .env import EnvConfig, estimate_variance, intercept, launch
+from .env import EnvConfig, estimate_variance, intercept, launch, observe, observed_landings
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import MODEL, central_difference, frozen_landing_record, predict_landing_with_gradient, predict_landings
 from .optimizer import FeasibleSet, RunLog, cell, csv_artifact, run_online
@@ -259,43 +259,47 @@ def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np
     return lambda k: list(islice(grid, k))
 
 
-def _sample(label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet, block: int = 1) -> list:
+def _sample(prepare, label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet, block: int = 1) -> list:
     """Sample policies over the box and label them, `block` at a time at most.
 
-    label(phis) gives each policy's outcome or SimulationError. Replayed in draw
-    order, a missed ball is redrawn (uniform sampling) or skipped (grid), any other
-    error is raised; InfeasibleRegion when over 90% of the attempts miss. Returns
-    the (phi, outcome) pairs.
+    prepare(phis) gives an array of one row of floats per policy and each one's MissedBall or
+    None. Replayed in draw order, a missed ball is redrawn (uniform sampling) or skipped (grid),
+    and the draws stop when over 90% of the attempts miss; then label(phis, rows) labels the
+    hits, so that their own errors come before that InfeasibleRegion. Returns the (phi, label) pairs.
     """
     lo, hi = sampling_bounds(k)
     draw = _policy_draws(n, sampling, lo, hi, rng)
-    pairs = []
+    hits, blocks, error = [], [], None
     attempts = misses = 0
-    while len(pairs) < n:
-        phis = draw(min(n - len(pairs), block))
+    while len(hits) < n and error is None:
+        phis = draw(min(n - len(hits), block))
         if not phis:
             break
-        for phi, outcome in zip(phis, label(phis)):
+        rows, missed = prepare(phis)
+        for j, miss in enumerate(missed):
             attempts += 1
-            if isinstance(outcome, MissedBall):
-                misses += 1
-            elif isinstance(outcome, Exception):
-                raise outcome
-            else:
-                pairs.append((phi, outcome))
+            misses += miss is not None
             if attempts >= max(50, n) and misses > 0.9 * attempts:
-                raise InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
-    return pairs
+                error = InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
+                break
+        keep = [i for i in range(j + 1) if missed[i] is None]  # the hits among the policies replayed
+        if keep:
+            hits += [phis[i] for i in keep]
+            blocks.append(rows[keep])
+    labels = label(hits, np.concatenate(blocks or [np.empty((0, 6))]))
+    if error is not None:
+        raise error
+    return list(zip(hits, labels))
 
 
 def _one_by_one(f):
-    """A block labeler from f(phi), which returns an outcome or raises MissedBall."""
-    def outcome(phi):
+    """A preparer of one-policy blocks from f(phi), which returns a row of floats or raises MissedBall."""
+    def prepare(phis):
         try:
-            return f(phi)
+            return np.array([f(phis[0])], dtype=float), [None]
         except MissedBall as exc:
-            return exc
-    return lambda phis: [outcome(phi) for phi in phis]
+            return None, [exc]
+    return prepare
 
 
 def gen_dataset(
@@ -305,10 +309,10 @@ def gen_dataset(
     rng: np.random.Generator,
     k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
-    """Sample policies over the box and label them with noisy env landings;
-    one policy at a time, as each label draws from the sampling rng."""
-    label = _one_by_one(lambda phi: intercept(phi, env_cfg, rng)[0])
-    return Dataset(_sample(label, n, sampling, rng, k))
+    """Sample policies over the box and label them with noisy env landings; each policy observes
+    in turn, as its draws share the sampling rng, and the hits fly as one block at the end."""
+    prepare = _one_by_one(lambda phi: observe(phi, env_cfg, rng)[0])
+    return Dataset(_sample(prepare, observed_landings, n, sampling, rng, k))
 
 
 def gen_dataset_greybox(
@@ -319,9 +323,10 @@ def gen_dataset_greybox(
     k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
     """Like gen_dataset, but with noiseless first-principles labels; they draw
-    nothing, so all the candidates still needed are labeled as one batch."""
+    nothing, so all the candidates still needed are intercepted as one batch."""
     traj = nominal_trajectory(env_cfg)
-    return Dataset(_sample(lambda phis: predict_landings(phis, traj, MODEL), n, sampling, rng, k, block=n))
+    prepare = lambda phis: interception_states(traj, np.array([phi.theta1 for phi in phis], dtype=float))
+    return Dataset(_sample(prepare, partial(predict_landings, physics=MODEL), n, sampling, rng, k, block=n))
 
 
 @dataclass
@@ -419,11 +424,10 @@ def grad_check_report(
             seen.add((rec.k_max, ev.dxi_dtheta1))
             return rec.landing_point
 
-        rel = _rel_error(jac, landing, phi)
-        return GradCheckEntry(phi, rel, seen != {(base.k_max, event.dxi_dtheta1)})
+        return _rel_error(jac, landing, phi), seen != {(base.k_max, event.dxi_dtheta1)}
 
-    pairs = _sample(_one_by_one(check), n_points, "uniform", rng, k)
-    return GradCheckReport([entry for _, entry in pairs])
+    pairs = _sample(_one_by_one(check), lambda phis, rows: rows.tolist(), n_points, "uniform", rng, k)
+    return GradCheckReport([GradCheckEntry(phi, rel, bool(flagged)) for phi, (rel, flagged) in pairs])
 
 
 def derived_seeds(base_seed: int, n: int) -> list[int]:

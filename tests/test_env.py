@@ -2,6 +2,7 @@
 
 import copy
 import re
+from contextlib import suppress
 from dataclasses import FrozenInstanceError, replace
 from math import atan, atan2, cos, pi, sin
 
@@ -16,6 +17,7 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+import ttreturn.ballistics
 import ttreturn.env
 from ttreturn.arm import BASE, REST_AZIMUTH, InterceptionPolicy, interception_event
 from ttreturn.ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight
@@ -30,7 +32,7 @@ from ttreturn.env import (
     launch,
     stop_past,
 )
-from ttreturn.errors import InfeasibleRegion, MissedBall, NoCrossing, OutOfReach
+from ttreturn.errors import InfeasibleRegion, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach
 from ttreturn.greybox import MODEL, predict_landing
 
 
@@ -449,6 +451,23 @@ class TestEstimateVariance:
             estimate_variance(
                 InterceptionPolicy(-0.5, 0.0), 10, env_cfg, np.random.default_rng(0)
             )
+
+    def test_flight_error_raised_before_the_miss_count(self, env_cfg, monkeypatch):
+        # near the reach edge 18 of 40 trials miss, which alone is InfeasibleRegion;
+        # with the returns landing on a plane raised to 1.42 m, some hits cannot reach
+        # it, and the first of them raises its error as the one-intercept-per-trial loop did
+        phi = InterceptionPolicy(0.215, 0.25)
+        with pytest.raises(InfeasibleRegion, match="^18 of 40 trials missed the ball$"):
+            estimate_variance(phi, 40, env_cfg, np.random.default_rng(0))
+        monkeypatch.setattr(ttreturn.ballistics, "Z_TABLE", 1.42)
+        rng, landed = np.random.default_rng(0), []
+        with pytest.raises(NegativeDiscriminant) as ref:
+            for _ in range(40):
+                with suppress(MissedBall):
+                    landed.append(intercept(phi, env_cfg, rng))
+        with pytest.raises(NegativeDiscriminant) as got:
+            estimate_variance(phi, 40, env_cfg, np.random.default_rng(0))
+        assert str(got.value) == str(ref.value) and len(landed) > 1
 
     def test_rejects_too_few_trials(self, env_cfg):
         with pytest.raises(ValueError):

@@ -292,28 +292,42 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
     ids=["landings", "negative-discriminant", "max-steps"],
 )
 def test_block_labels_match_per_policy_path(nominal_traj, monkeypatch, max_steps, z_table, error):
-    # the nominal launch and jittered ones; theta1 over (-pi, 3.0) and theta4
-    # across the box, so that misses of both kinds and landings all occur;
-    # and a row with a non-finite angle each. The launches fly to the usual
-    # table; only the returns land on a plane at z_table.
+    # pre-impact states of the nominal launch and jittered ones, at theta1 over
+    # (-pi, 3.0) and theta4 across the box, and a non-finite theta4 last; each
+    # row's scalar outcome is frozen_landing_record's landing point or error. The
+    # launches fly to the usual table; only the returns land on a plane at z_table.
     cfg = EnvConfig()
     rng = np.random.default_rng(31)
     trajs = [nominal_traj] + [launch(cfg, rng) for _ in range(2)]
     monkeypatch.setattr(ballistics, "Z_TABLE", z_table)
     monkeypatch.setattr(ballistics, "MAX_STEPS", max_steps)
     t4_lo, t4_hi = SCENARIO_BOX.theta4_bounds
-    kinds = set()
+    events = []
     for traj in trajs:
-        phis = [InterceptionPolicy(*p) for p in
-                np.column_stack((rng.uniform(-np.pi, 3.0, 400), rng.uniform(t4_lo, t4_hi, 400))).tolist()]
-        phis += [InterceptionPolicy(np.nan, 0.2), InterceptionPolicy(0.5, np.nan)]
-        for phi, got in zip(phis, predict_landings(phis, traj, MODEL), strict=True):
+        for t1, t4 in np.column_stack((rng.uniform(-np.pi, 3.0, 400), rng.uniform(t4_lo, t4_hi, 400))).tolist():
             try:
-                expected = predict_landing(phi, traj, MODEL)
-            except SimulationError as exc:
-                assert (type(got), str(got)) == (type(exc), str(exc))
-                kinds.add(type(exc))
-                continue
-            np.testing.assert_array_equal(got, expected)
-            kinds.add(None)
-    assert kinds == {None, NoCrossing, OutOfReach, MaxStepsExceeded} | ({error} if error else set())
+                events.append((InterceptionPolicy(t1, t4), interception_event(traj, t1)))
+            except MissedBall:
+                pass
+    events.append((InterceptionPolicy(0.5, np.nan), interception_event(nominal_traj, 0.5)))
+    phis, xi, expected = [phi for phi, _ in events], np.array([ev.xi_minus for _, ev in events]), []
+    for phi, event in events:
+        try:
+            expected.append(frozen_landing_record(phi, event, MODEL).landing_point)
+        except SimulationError as exc:
+            expected.append((type(exc), str(exc)))
+    landed = [i for i, e in enumerate(expected) if isinstance(e, np.ndarray)]
+    failed = [i for i, e in enumerate(expected) if isinstance(e, tuple)]
+    assert len(landed) >= ballistics.LOCKSTEP_MIN and 0 < failed[0]
+    assert {expected[i][0] for i in failed} == {MaxStepsExceeded} | ({error} if error else set())
+    for got, i in zip(predict_landings([phis[i] for i in landed], xi[landed], MODEL), landed, strict=True):
+        np.testing.assert_array_equal(got, expected[i])
+    # a block raises its first failing row's error, in row order, with landing rows before and after it
+    kinds = set()
+    for j in sorted({0, len(failed) // 3, len(failed) // 2, len(failed) - 1}):
+        rows = sorted(landed + failed[j:])
+        with pytest.raises(SimulationError) as info:
+            predict_landings([phis[i] for i in rows], xi[rows], MODEL)
+        assert (type(info.value), str(info.value)) == expected[failed[j]]
+        kinds.add(type(info.value))
+    assert kinds == {MaxStepsExceeded} | ({error} if error else set())

@@ -34,7 +34,7 @@ except ImportError:
 from ttreturn.arm import InterceptionPolicy, base_azimuth, interception_event
 from ttreturn.ballistics import MAX_STEPS, Z_TABLE
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
-from ttreturn.env import intercept
+from ttreturn.env import estimate_variance, intercept
 from ttreturn.errors import ConfigError, InfeasibleRegion, MissedBall, SimulationError
 from ttreturn.greybox import MODEL, central_difference, predict_landing, predict_landing_with_gradient
 from ttreturn.harness import (
@@ -464,27 +464,48 @@ class TestBlockedSampling:
         assert got == ref == (InfeasibleRegion, "46 of 51 sampled policies missed the ball")
 
     @pytest.mark.parametrize(
-        "flight,error",  # flight: the labels' step cap and table height
-        [((MAX_STEPS, 1.3), "NegativeDiscriminant"),
-         ((300, Z_TABLE), "MaxStepsExceeded")],
+        "flight,error",  # flight: the label source, its step cap and its table height
+        [(("greybox", MAX_STEPS, 1.3), "NegativeDiscriminant"),
+         (("greybox", 300, Z_TABLE), "MaxStepsExceeded"),
+         (("env", MAX_STEPS, 1.2), "NegativeDiscriminant"),
+         (("env", 700, Z_TABLE), "MaxStepsExceeded")],
     )
     def test_landing_error_raised_in_draw_order(self, env_cfg, monkeypatch, flight, error):
-        max_steps, z_table = flight
+        labels, max_steps, z_table = flight
         traj = nominal_trajectory(env_cfg)
         monkeypatch.setattr(ttreturn.ballistics, "MAX_STEPS", max_steps)
         monkeypatch.setattr(ttreturn.ballistics, "Z_TABLE", z_table)
         assert nominal_trajectory(env_cfg).rows == traj.rows  # the launch passes the table either way
-        calls = []
+        ref_rng, calls, landed = np.random.default_rng(2), [], []
+        scalar = {"greybox": lambda phi: predict_landing(phi, traj, MODEL),
+                  "env": lambda phi: intercept(phi, env_cfg, ref_rng)[0]}[labels]
 
         def label(phi):
             calls.append(phi)
-            return predict_landing(phi, traj, MODEL)
+            landed.append(scalar(phi))
+            return landed[-1]
 
-        box = self.MISS_BOX
-        got = raised(lambda: gen_dataset_greybox(env_cfg, 200, "uniform", np.random.default_rng(2), box))
-        ref = raised(lambda: per_policy_dataset(label, 200, "uniform", np.random.default_rng(2), box))
+        gen = {"greybox": gen_dataset_greybox, "env": gen_dataset}[labels]
+        got = raised(lambda: gen(env_cfg, 200, "uniform", np.random.default_rng(2), self.MISS_BOX))
+        ref = raised(lambda: per_policy_dataset(label, 200, "uniform", ref_rng, self.MISS_BOX))
         assert got == ref and got[0].__name__ == error
-        assert len(calls) > 2  # a miss and a landing come before the error
+        assert len(calls) > len(landed) > 0  # a miss and a landing come before the error
+
+    @pytest.mark.parametrize("labels", ["greybox", "env"])
+    def test_flight_error_raised_before_infeasible_region(self, env_cfg, monkeypatch, labels):
+        # about nine in ten draws miss, which alone is InfeasibleRegion; with the returns
+        # cut off at 300 steps, the first hit's flight error, drawn before the 90% rule
+        # fires, is raised in its place, as the per-policy loop raised it
+        box = FeasibleSet((-1.0, 0.4), (-0.05, 0.45))
+        traj, ref_rng = nominal_trajectory(env_cfg), np.random.default_rng(0)
+        gen = {"greybox": gen_dataset_greybox, "env": gen_dataset}[labels]
+        scalar = {"greybox": lambda phi: predict_landing(phi, traj, MODEL),
+                  "env": lambda phi: intercept(phi, env_cfg, ref_rng)[0]}[labels]
+        assert raised(lambda: gen(env_cfg, 20, "uniform", np.random.default_rng(0), box))[0] is InfeasibleRegion
+        monkeypatch.setattr(ttreturn.ballistics, "MAX_STEPS", 300)
+        got = raised(lambda: gen(env_cfg, 20, "uniform", np.random.default_rng(0), box))
+        assert got == raised(lambda: per_policy_dataset(scalar, 20, "uniform", ref_rng, box))
+        assert got[0].__name__ == "MaxStepsExceeded"
 
     def test_env_labels_match_per_policy_loop(self, env_cfg):
         rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
@@ -526,6 +547,28 @@ class TestGradCheck:
         report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
         assert len(report.entries) == 10
         assert calls == {"flights": 50, "events": 10}
+
+    def test_open_loop_labels_fly_as_one_block(self, env_cfg, monkeypatch):
+        # env dataset labels and baseline-variance trials: no scalar return flight,
+        # one lockstep block flight per dataset and per variance estimate
+        calls = {"scalar": 0, "blocks": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (ttreturn.ballistics, ttreturn.env, ttreturn.greybox, ttreturn.harness):
+            for name in ("frozen_landing_record", "propagate_to_landing"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted("scalar", getattr(module, name)))
+        blocks = counted("blocks", ttreturn.ballistics.euler_landings)
+        monkeypatch.setattr(ttreturn.ballistics, "euler_landings", blocks)
+        ds = gen_dataset(env_cfg, 60, "uniform", np.random.default_rng(5), TestBlockedSampling.MISS_BOX)
+        assert len(ds) == 60 and calls == {"scalar": 0, "blocks": 1}
+        estimate_variance(InterceptionPolicy(0.45, 0.25), 30, env_cfg, np.random.default_rng(0))
+        assert calls == {"scalar": 0, "blocks": 2}
 
     def test_coupled_mode_checks_the_coupled_gradient(self, tmp_path, env_cfg):
         # the grad-check driver passes couple_geometry on: its summary is the
