@@ -102,10 +102,10 @@ def interception_event(incoming, theta1: float) -> InterceptionEvent:
     return InterceptionEvent(np.array(xi), dxi)
 
 
-def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, list]:
+def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """interception_event's crossing search, interpolation and reach check for an
     array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
-    pre-impact states and each policy's MissedBall (its row is then junk) or None."""
+    pre-impact states and the (B,) mask of the policies that hit (a miss's row is junk)."""
     x, y = incoming.xy()
     az, idx, u = base_azimuth(x, y), np.full(len(theta1), -1), np.zeros(len(theta1))
     for s in range(0, len(theta1), SEARCH_CHUNK):
@@ -123,11 +123,7 @@ def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, list]
     d = xi[:, :3] - BASE
     dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
     lo, hi = REACH
-    missed = [None] * len(theta1)
-    for j in np.flatnonzero((idx < 0) | ~((lo <= dist) & (dist <= hi))).tolist():
-        missed[j] = (NoCrossing(f"ball path never reaches base azimuth {theta1[j]:.3f} rad") if idx[j] < 0 else
-                     OutOfReach(f"target at {dist[j]:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m"))
-    return xi, missed
+    return xi, (idx >= 0) & (lo <= dist) & (dist <= hi)
 
 
 def _rot_z(a: float) -> np.ndarray:

@@ -4,15 +4,15 @@ Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. One scalar kernel, `euler_flight`, takes every full
 step of the package but those of dataset labels and variance trials, which
-`euler_landings` flies in lockstep on arrays; every flight ends in the one
-closed-form last step, `final_step`. The analytic Jacobian of the landing
-point pushes a tangent through the full steps as the flight takes them, then
-differentiates the last step's position rows; no per-step state is stored.
+`euler_landings` flies on arrays in its own lockstep loop, every row to its
+end; every flight ends in the one closed-form last step, `final_step`. The
+analytic Jacobian of the landing point pushes a tangent through the full steps
+as the flight takes them, then differentiates the last step's position rows;
+no per-step state is stored.
 """
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass
 from math import inf, sqrt
 
@@ -27,7 +27,6 @@ TABLE_CENTER, TABLE_HALF = (-1.1, 0.25), (1.525 / 2.0, 2.74 / 2.0)  # [m] the ta
 
 # Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
-LOCKSTEP_MIN = 100            # fewer flying rows than this step faster one by one (crossover 80-160)
 
 
 MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
@@ -143,10 +142,10 @@ def euler_flight(
 
 def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np.ndarray]:
     """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS)` for
-    each row of a (B, 6) array: in lockstep on (B,) arrays, with the same
-    arithmetic in the same order, while at least LOCKSTEP_MIN rows fly, then
-    row by row in euler_flight. Returns (B, 6) stop states and (B,) step
-    counts; a row still flying after MAX_STEPS has count -1 and keeps its start.
+    each row of a (B, 6) array, in lockstep on (B,) arrays with the same
+    arithmetic in the same order, until no row flies or MAX_STEPS. Returns (B, 6)
+    stop states and (B,) step counts; a row still flying after MAX_STEPS has
+    count -1 and keeps its start.
     """
     dt, k_drag, max_steps = physics.dt, float(physics.k_drag), MAX_STEPS
     vz_top = G_VERTICAL * dt
@@ -164,7 +163,7 @@ def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np
                 flying = ~landed
                 active = active[flying]
                 px, py, pz, vx, vy, vz = (c[flying] for c in (px, py, pz, vx, vy, vz))
-            if n == max_steps or len(active) < LOCKSTEP_MIN:
+            if n == max_steps or not len(active):
                 break
             drag = k_drag * np.sqrt(vx * vx + vy * vy + vz * vz)
             px += dt * vx
@@ -173,10 +172,6 @@ def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np
             vx -= dt * (drag * vx)
             vy -= dt * (drag * vy)
             vz += dt * (-G_VERTICAL - drag * vz)
-    for j, row in zip(active.tolist(), np.column_stack((px, py, pz, vx, vy, vz)).tolist()):
-        with suppress(MaxStepsExceeded):
-            stops[j], k, _ = euler_flight(row, k_drag, dt, max_steps - n)
-            steps[j] = n + k
     return stops, steps
 
 

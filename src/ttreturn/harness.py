@@ -262,8 +262,8 @@ def _policy_draws(n: int, sampling: str, lo: np.ndarray, hi: np.ndarray, rng: np
 def _sample(prepare, label, n: int, sampling: str, rng: np.random.Generator, k: FeasibleSet, block: int = 1) -> list:
     """Sample policies over the box and label them, `block` at a time at most.
 
-    prepare(phis) gives an array of one row of floats per policy and each one's MissedBall or
-    None. Replayed in draw order, a missed ball is redrawn (uniform sampling) or skipped (grid),
+    prepare(phis) gives an array of one row of floats per policy and whether each one hit the
+    ball. Replayed in draw order, a missed ball is redrawn (uniform sampling) or skipped (grid),
     and the draws stop when over 90% of the attempts miss; then label(phis, rows) labels the
     hits, so that their own errors come before that InfeasibleRegion. Returns the (phi, label) pairs.
     """
@@ -275,14 +275,14 @@ def _sample(prepare, label, n: int, sampling: str, rng: np.random.Generator, k: 
         phis = draw(min(n - len(hits), block))
         if not phis:
             break
-        rows, missed = prepare(phis)
-        for j, miss in enumerate(missed):
+        rows, hit = prepare(phis)
+        for j, ok in enumerate(hit):
             attempts += 1
-            misses += miss is not None
+            misses += not ok
             if attempts >= max(50, n) and misses > 0.9 * attempts:
                 error = InfeasibleRegion(f"{misses} of {attempts} sampled policies missed the ball")
                 break
-        keep = [i for i in range(j + 1) if missed[i] is None]  # the hits among the policies replayed
+        keep = [i for i in range(j + 1) if hit[i]]  # the hits among the policies replayed
         if keep:
             hits += [phis[i] for i in keep]
             blocks.append(rows[keep])
@@ -296,9 +296,9 @@ def _one_by_one(f):
     """A preparer of one-policy blocks from f(phi), which returns a row of floats or raises MissedBall."""
     def prepare(phis):
         try:
-            return np.array([f(phis[0])], dtype=float), [None]
-        except MissedBall as exc:
-            return None, [exc]
+            return np.array([f(phis[0])], dtype=float), [True]
+        except MissedBall:
+            return None, [False]
     return prepare
 
 

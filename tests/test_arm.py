@@ -133,19 +133,19 @@ class TestInterceptionOracle:
 
 
 def assert_states_match_events(traj, thetas):
-    """interception_states gives interception_event's pre-impact state, or its
-    MissedBall with the same message, bit for bit; returns the outcome kinds."""
-    xi, missed = interception_states(traj, np.array(thetas))
-    assert xi.shape == (len(thetas), 6) and len(missed) == len(thetas)
+    """interception_states hits where interception_event raises no MissedBall, and
+    gives each hit's pre-impact state bit for bit; returns the outcome kinds."""
+    xi, hit = interception_states(traj, np.array(thetas))
+    assert xi.shape == (len(thetas), 6) and hit.shape == (len(thetas),) and hit.dtype == bool
     kinds = []
-    for theta1, row, miss in zip(thetas, xi, missed):
+    for theta1, row, ok in zip(thetas, xi, hit.tolist()):
         try:
             ev = interception_event(traj, theta1)
         except MissedBall as exc:
-            assert (type(miss), str(miss)) == (type(exc), str(exc))
+            assert not ok
             kinds.append(type(exc))
             continue
-        assert miss is None
+        assert ok
         np.testing.assert_array_equal(row, ev.xi_minus)
         kinds.append(None)
     return kinds
@@ -172,8 +172,8 @@ class TestInterceptionStatesOracle:
             assert_states_match_events(traj, [0.0, 0.3, -0.3, pi, -pi])
 
     def test_empty_block(self, nominal_traj):
-        xi, missed = interception_states(nominal_traj, np.zeros(0))
-        assert xi.shape == (0, 6) and missed == []
+        xi, hit = interception_states(nominal_traj, np.zeros(0))
+        assert xi.shape == (0, 6) and hit.shape == (0,) and hit.dtype == bool
 
 
 class TestInterceptionEvent:

@@ -564,8 +564,8 @@ class TestEulerLandingsOracle:
         # jittered starts, plus a row on the plane (k_max = 0), one whose apex
         # stays under the plane and two that are not finite; MAX_STEPS is near
         # a quantile of the jittered rows' step counts, so one row stops exactly
-        # at MAX_STEPS and later ones cannot land (the median leaves more than
-        # LOCKSTEP_MIN rows flying at MAX_STEPS, the 0.8 quantile fewer)
+        # at MAX_STEPS and later ones cannot land. The lockstep loop flies every
+        # row to its end without the scalar kernel, which raises if it is called.
         rng = np.random.default_rng(12)
         rows = [
             [rng.normal(), rng.normal(), rng.uniform(0.9, 1.6), *(rng.normal(size=3) * 4.0).tolist()]
@@ -577,7 +577,6 @@ class TestEulerLandingsOracle:
         q = int(quantile * n_rows)  # and a row one step later, where one exists
         max_steps = ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)]
         monkeypatch.setattr(ballistics, "MAX_STEPS", max_steps)
-        stops, steps = euler_landings(np.array(rows), p)
 
         expected_stops, expected_steps = [], []
         for row in rows:
@@ -587,6 +586,9 @@ class TestEulerLandingsOracle:
                 stop, k = row, -1
             expected_stops.append(stop)
             expected_steps.append(k)
+        with monkeypatch.context() as patched:
+            patched.setattr(ballistics, "euler_flight", refuse_scalar_flight)
+            stops, steps = euler_landings(np.array(rows), p)
         np.testing.assert_array_equal(stops, np.array(expected_stops))
         np.testing.assert_array_equal(steps, expected_steps)
         assert {0, max_steps, -1} <= set(steps.tolist())
@@ -609,9 +611,14 @@ class TestEulerLandingsOracle:
             assert (t_last, k) == (rec.t_last, rec.k_max)
             np.testing.assert_array_equal(landing[:2], rec.landing_point)
 
-    def test_empty_batch(self):
+    def test_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(ballistics, "euler_flight", refuse_scalar_flight)
         stops, steps = euler_landings(np.zeros((0, 6)), physics())
         assert stops.shape == (0, 6) and steps.shape == (0,)
+
+
+def refuse_scalar_flight(*args, **kwargs):
+    raise AssertionError("euler_landings called the scalar kernel")
 
 
 def stepped_states(row, k_drag: float, dt: float, n: int) -> list:

@@ -3,12 +3,11 @@
 Seventeen in-process `cli.main` calls cover every mode, both label sources, both
 gradient modes of the grey-box, the black-box predictor, both sweep kinds, a
 launch that ends on the table (`run`, exit 2) and one that ends on the floor
-(`gen-data`, exit 1). Two of them land at least `LOCKSTEP_MIN` (100) env-labelled
-returns or variance trials in one block, so the lockstep loop of
-`ballistics.euler_landings` flies them and not only `euler_flight`. For each
-call the table holds the exit code, the sha256 of stdout and of stderr (with
-the output root replaced by `<tmp>`) and the sha256 of every file the call
-wrote.
+(`gen-data`, exit 1). Two of them land at least 100 env-labelled returns or
+variance trials in one block, so the lockstep loop of `ballistics.euler_landings`
+flies many rows at once and not only a few. For each call the table holds the
+exit code, the sha256 of stdout and of stderr (with the output root replaced by
+`<tmp>`) and the sha256 of every file the call wrote.
 
 The hashes hold for numpy 2.4.6 on an x86-64 glibc libm; another numpy or libm
 may round a transcendental differently and move them. A change that means to
