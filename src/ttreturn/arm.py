@@ -53,6 +53,7 @@ def base_azimuth(x, y):
     return (np.arctan2(y - BASE[1], x - BASE[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
 
 
+@np.errstate(invalid="ignore", over="ignore")  # an overflowed launch's inf/NaN samples only miss
 def interception_event(incoming, theta1: float) -> InterceptionEvent:
     """First (interpolated) sample at which the ball crosses base azimuth theta1.
 
@@ -102,6 +103,7 @@ def interception_event(incoming, theta1: float) -> InterceptionEvent:
     return InterceptionEvent(np.array(xi), dxi)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # as interception_event
 def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """interception_event's crossing search, interpolation and reach check for an
     array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)

@@ -54,14 +54,6 @@ class EnvConfig:
     landing_noise_std: np.ndarray = field(default_factory=lambda: np.array([0.10, 0.23]))
 
 
-@dataclass
-class InterceptDiagnostics:
-    """Side information of one interception: the noise-free landing and the event."""
-
-    noiseless_landing: np.ndarray
-    event: InterceptionEvent
-
-
 T_MAX = 3.0  # [s] launch sampling horizon
 SAMPLE_DT = 0.002  # [s] launch integration step, one sample per step
 # launch steps taken while the sample clock, accumulated step by step, reads < T_MAX
@@ -127,12 +119,11 @@ def observed_landings(phis: list, rows: np.ndarray) -> list:
 
 def intercept(
     phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, InterceptDiagnostics]:
+) -> tuple[np.ndarray, InterceptionEvent]:
     """One full interception: observe, then the hit and the flight of the grey-box
-    return (frozen_landing_record) at TRUTH's physics, plus the landing noise."""
+    return (frozen_landing_record) at TRUTH's physics plus the landing noise, and the event."""
     row, event = observe(phi, cfg, rng)
-    landing = frozen_landing_record(phi, event, TRUTH).landing_point
-    return landing + row[6:], InterceptDiagnostics(noiseless_landing=landing, event=event)
+    return frozen_landing_record(phi, event, TRUTH).landing_point + row[6:], event
 
 
 def estimate_variance(

@@ -29,6 +29,7 @@ from .optimizer import FeasibleSet, RunLog, cell, csv_artifact, run_online
 # the launched ball, and the fixtures used by the shipped experiments.
 SCENARIO_BOX = FeasibleSet(theta1_bounds=(0.26, 0.72), theta4_bounds=(-0.05, 0.45))
 SAMPLING_MARGIN = 0.05  # [rad] kept clear of the box faces when sampling policies
+ITERS_THRESHOLD = 0.25  # [m] landing error a run must get below: the iters_to_025 column
 
 RUN_TARGET = (-1.30, 1.35)
 RUN_START = (0.66, 0.44)
@@ -189,10 +190,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name}: must be finite")
             if spec.get("choices") and value not in spec["choices"]:
                 raise ConfigError(f"{f.name}: unknown {f.name} {value!r}, expected one of {spec['choices']}")
-            numbers = value if isinstance(value, (tuple, list)) else (value,)
-            if spec.get("at_least") is not None and any(v < spec["at_least"] for v in numbers):
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if spec.get("at_least") is not None and any(v < spec["at_least"] for v in values):
                 raise ConfigError(f"{f.name}: must be >= {spec['at_least']}")
-            if spec.get("above") is not None and any(v <= spec["above"] for v in numbers):
+            if spec.get("above") is not None and any(v <= spec["above"] for v in values):
                 raise ConfigError(f"{f.name}: must be > {spec['above']}")
             if spec.get("length") and value and len(value) != spec["length"]:
                 raise ConfigError(f"{f.name}: expected {spec['length']} components")
@@ -435,11 +436,11 @@ def derived_seeds(base_seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(base_seed).generate_state(n)]
 
 
-def iters_to_threshold(log: RunLog, target: np.ndarray, threshold: float = 0.25) -> int:
-    """First iteration whose instantaneous landing error drops below the
-    threshold, or -1 if it never does."""
+def iters_to_threshold(log: RunLog, target: np.ndarray) -> int:
+    """First iteration whose instantaneous landing error drops below
+    ITERS_THRESHOLD, or -1 if it never does."""
     for rec in log.records:
-        if float(np.linalg.norm(rec.r_landing - target)) < threshold:
+        if float(np.linalg.norm(rec.r_landing - target)) < ITERS_THRESHOLD:
             return rec.i
     return -1
 
@@ -449,10 +450,10 @@ def _runs(cfg: ExperimentConfig, env_cfg: EnvConfig, echo: str, plan: list) -> l
     the plan; each log is written to its path with its seed and the config hash,
     also when the run aborts."""
     if cfg.predictor == "greybox":
-        gradient = lambda phi, diag: predict_landing_with_gradient(phi, diag.event, MODEL, cfg.couple_geometry)[1]
+        gradient = lambda phi, event: predict_landing_with_gradient(phi, event, MODEL, cfg.couple_geometry)[1]
     elif os.path.exists(cfg.resolved_model_path()):
         model = MlpModel.load(cfg.resolved_model_path())
-        gradient = lambda phi, diag: mlp_jacobian(model, phi)
+        gradient = lambda phi, event: mlp_jacobian(model, phi)
     else:
         raise ConfigError(f"model_path: no trained model at {cfg.resolved_model_path()}")
     env = lambda phi, rng: intercept(phi, env_cfg, rng)

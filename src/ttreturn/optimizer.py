@@ -114,11 +114,11 @@ def run_online(
 ) -> RunLog:
     """Run the online loop: intercept, observe, projected gradient step.
 
-    `env` is a callable (phi, rng) -> (r_landing, diagnostics) that may raise
+    `env` is a callable (phi, rng) -> (r_landing, event) that may raise
     a MissedBall error; a miss is retried with a fresh launch and no policy
     update, and more than FAILURE_CAP = 20 misses in a row raise AbortedRun with
-    the log so far. gradient(phi, diagnostics) gives the predictor's 2x2 Jacobian
-    at the env's interception; iteration i steps alpha1 / sqrt(i). A non-finite
+    the log so far. gradient(phi, event) gives the predictor's 2x2 Jacobian
+    at the env's interception event; iteration i steps alpha1 / sqrt(i). A non-finite
     landing or Jacobian raises NonFiniteStep before the metrics or gradient see it.
     """
     if n_iters < 1:
@@ -138,7 +138,7 @@ def run_online(
         consecutive = 0
         while True:
             try:
-                r_landing, diag = env(phi, rng)
+                r_landing, event = env(phi, rng)
                 break
             except MissedBall:
                 consecutive += 1
@@ -163,7 +163,7 @@ def run_online(
                 r_bar=r_bar,
             )
         )
-        jac = gradient(phi, diag)
+        jac = gradient(phi, event)
         if not all(map(math.isfinite, np.ravel(jac).tolist())):
             raise NonFiniteStep(f"iteration {i}: jac is not finite: {np.ravel(jac)}")
         phi = gd_update(phi, r_landing, r_target, jac, alpha, k)

@@ -6,7 +6,10 @@ import errno
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -247,6 +250,23 @@ def test_failing_variance_policy_keeps_earlier_rows(tmp_path, capsys):
         "theta1,theta4,n_trials,mean_x,mean_y,sigma",
         "0.45,0.25,20,-1.41807377,1.31035849,0.257433533",
     ]
+
+
+@pytest.mark.parametrize("args,code,err", [
+    (["run", "--iters", "1"], 2, "aborted: 21 consecutive missed balls at iteration 1\n"),
+    (["baseline-variance", "--trials", "20"], 1, "error: 20 of 20 trials missed the ball\n"),
+    (["gen-data", "--labels", "greybox", "--n", "36"], 1, "error: 50 of 50 sampled policies missed the ball\n"),
+], ids=["run", "baseline-variance", "gen-data-greybox"])
+def test_overflowed_launch_misses_without_a_numpy_warning(tmp_path, args, code, err):
+    # an overflowed launch reaches the arm as inf and NaN samples: every ball is missed and stderr
+    # holds the one error line; a child process, since pytest captures warnings in its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nominal_state": [-0.15, 3.9, 1.1, 1e160, 0, 3.3]}))
+    src = os.path.dirname(os.path.dirname(ttreturn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "ttreturn.cli", *args, "--config", str(cfg), "--out",
+                           str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):

@@ -32,8 +32,9 @@ from ttreturn.env import (
     launch,
     stop_past,
 )
-from ttreturn.errors import InfeasibleRegion, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach
-from ttreturn.greybox import MODEL, predict_landing
+from ttreturn.errors import InfeasibleRegion, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SingularGradient
+from ttreturn.greybox import MODEL, frozen_landing_record, predict_landing, predict_landing_with_gradient
+from ttreturn.harness import SCENARIO_BOX
 
 
 def on_table(point: np.ndarray) -> bool:
@@ -255,8 +256,9 @@ class TestAimedLaunch:
             out = []
             for seed, t1 in cases:
                 try:
-                    r, diag = intercept(InterceptionPolicy(t1, 0.2), env_cfg, np.random.default_rng(seed))
-                    out.append((r.tolist(), diag.noiseless_landing.tolist()))
+                    phi = InterceptionPolicy(t1, 0.2)
+                    r, event = intercept(phi, env_cfg, np.random.default_rng(seed))
+                    out.append((r.tolist(), frozen_landing_record(phi, event, TRUTH).landing_point.tolist()))
                 except MissedBall as exc:
                     out.append(type(exc))
             return out
@@ -364,11 +366,30 @@ def test_aimed_launch_gives_the_full_launchs_event_property(vx, vy, vz, t1, mode
 class TestIntercept:
     def test_noiseless_determinism(self, noiseless_env_cfg):
         phi = InterceptionPolicy(0.45, 0.2)
-        r1, d1 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
-        r2, d2 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
+        r1, e1 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
+        r2, e2 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
         assert np.array_equal(r1, r2)
-        assert np.array_equal(r1, d1.noiseless_landing)
-        assert np.array_equal(d1.event.xi_minus, d2.event.xi_minus)
+        assert np.array_equal(r1, frozen_landing_record(phi, e1, TRUTH).landing_point)
+        assert np.array_equal(e1.xi_minus, e2.xi_minus)
+
+    def test_truth_jacobian_record_lands_at_the_noise_free_landing(self, env_cfg):
+        # the pushed tangent never touches the state: in both modes the truth-Jacobian
+        # record lands where a noise-free intercept does, bit for bit, unless it is singular
+        cfg = replace(env_cfg, landing_noise_std=np.zeros(2))
+        rng = np.random.default_rng(11)
+        lo, hi = zip(SCENARIO_BOX.theta1_bounds, SCENARIO_BOX.theta4_bounds)
+        intercepts = compared = 0
+        for t1, t4 in rng.uniform(lo, hi, size=(600, 2)).tolist():
+            phi = InterceptionPolicy(t1, t4)
+            with suppress(MissedBall):
+                landing, event = intercept(phi, cfg, rng)
+                intercepts += 1
+                for coupled in (False, True):
+                    with suppress(SingularGradient):
+                        record, _ = predict_landing_with_gradient(phi, event, TRUTH, coupled)
+                        assert np.array_equal(record.landing_point, landing)
+                        compared += 1
+        assert intercepts >= 500 and compared >= 500
 
     def test_noise_is_additive_with_stated_scale(self, env_cfg):
         cfg = copy.deepcopy(env_cfg)
@@ -377,8 +398,8 @@ class TestIntercept:
         rng = np.random.default_rng(6)
         deltas = []
         for _ in range(1000):
-            r, diag = intercept(phi, cfg, rng)
-            deltas.append(r - diag.noiseless_landing)
+            r, event = intercept(phi, cfg, rng)
+            deltas.append(r - frozen_landing_record(phi, event, TRUTH).landing_point)
         emp = np.array(deltas).std(axis=0)
         np.testing.assert_allclose(emp, cfg.landing_noise_std, rtol=0.15)
         assert abs(np.array(deltas).mean(axis=0)).max() < 0.03

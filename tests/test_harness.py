@@ -12,7 +12,6 @@ import tempfile
 import warnings
 from functools import partial
 from itertools import islice
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -883,7 +882,7 @@ def run_gradient(monkeypatch, cfg):
 
 
 class TestRunGradients:
-    """run and sweep hand run_online a gradient(phi, diag) built on the predictor function."""
+    """run and sweep hand run_online a gradient(phi, event) built on the predictor function."""
 
     def test_greybox_gradient_is_the_predictor_jacobian(self, tmp_path, monkeypatch, nominal_traj):
         phi = InterceptionPolicy(0.45, 0.2)
@@ -891,13 +890,12 @@ class TestRunGradients:
             cfg = ExperimentConfig(mode="run", out_dir=str(tmp_path), couple_geometry=coupled)
             event = interception_event(nominal_traj, phi.theta1)
             _, jac = predict_landing_with_gradient(phi, event, MODEL, coupled)
-            diag = SimpleNamespace(event=event)
-            np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, diag), jac)
+            np.testing.assert_array_equal(run_gradient(monkeypatch, cfg)(phi, event), jac)
 
     @pytest.mark.parametrize("coupled", [False, True], ids=["frozen", "coupled"])
     def test_greybox_gradient_reuses_the_env_event(self, tmp_path, monkeypatch, coupled):
-        # each iteration's gradient gets the diagnostics the env just returned and
-        # differentiates at their event, which a fresh interception of the same
+        # each iteration's gradient gets the event the env just returned and
+        # differentiates at it, which a fresh interception of the same
         # ball reproduces; so the Jacobian is the one a second interception gave
         launches, intercepts, gradients = [], [], []
         real_launch, real_intercept = ttreturn.env.launch, ttreturn.harness.intercept
@@ -908,9 +906,9 @@ class TestRunGradients:
             return launches[-1]
 
         def spy_intercept(phi, cfg, rng):
-            r_landing, diag = real_intercept(phi, cfg, rng)
-            intercepts.append((phi, diag, launches[-1]))
-            return r_landing, diag
+            r_landing, event = real_intercept(phi, cfg, rng)
+            intercepts.append((phi, event, launches[-1]))
+            return r_landing, event
 
         def spy_gradient(phi, event, physics, coupled_arg):
             record, jac = real_gradient(phi, event, physics, coupled_arg)
@@ -922,8 +920,8 @@ class TestRunGradients:
         monkeypatch.setattr(ttreturn.harness, "predict_landing_with_gradient", spy_gradient)
         run_experiment(ExperimentConfig(mode="run", out_dir=str(tmp_path), n_iters=6, couple_geometry=coupled))
         assert len(intercepts) == len(gradients) == 6
-        for (phi, diag, incoming), (grad_phi, event, physics, coupled_arg, jac) in zip(intercepts, gradients):
-            assert grad_phi is phi and event is diag.event and physics is MODEL and coupled_arg is coupled
+        for (phi, env_event, incoming), (grad_phi, event, physics, coupled_arg, jac) in zip(intercepts, gradients):
+            assert grad_phi is phi and event is env_event and physics is MODEL and coupled_arg is coupled
             fresh = interception_event(incoming, phi.theta1)
             assert fresh.dxi_dtheta1 == event.dxi_dtheta1
             assert np.array_equal(fresh.xi_minus, event.xi_minus)

@@ -7,7 +7,8 @@ such as the traced "RunLog.to_csv". A module-level definition is read by a loade
 name, attribute or identifier string; a member only by a loaded attribute
 (`.name`) or an identifier string, so a local variable of the same name does not
 reach it. A constructor keyword is no read. The scan goes by name only, so a
-definition whose name is read for something else counts as reached.
+definition whose name is read for something else counts as reached. No
+definition is exempt.
 """
 
 import ast
@@ -15,11 +16,6 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ttreturn"
-
-# definitions no production code reaches yet, each with the plan that will read it
-ALLOWED_UNREACHED = {
-    "InterceptDiagnostics.noiseless_landing",  # the opt-in diagnostics output of ROADMAP item 1
-}
 
 
 def definitions(tree: ast.Module) -> set[str]:
@@ -78,8 +74,7 @@ def sources(directory: pathlib.Path, skip_tests: bool = False) -> dict[str, str]
 
 def test_no_definition_only_tests_reach():
     found = unreached(sources(PACKAGE), sources(ROOT / "perfbench", skip_tests=True))
-    assert found - ALLOWED_UNREACHED == set(), "reached only by tests (or by nothing)"
-    assert ALLOWED_UNREACHED - found == set(), "stale allowlist entry: it is reached now, or gone"
+    assert found == set(), "reached only by tests (or by nothing)"
 
 
 def test_scan_flags_what_only_a_constructor_keyword_or_a_test_reaches():

@@ -3,7 +3,6 @@
 import os
 import tempfile
 from math import pi
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -100,8 +99,8 @@ class TestProject:
 
 def step_lengths(alpha1: float, n_iters: int) -> list[float]:
     """Test-local: the step lengths of a run_online loop whose landings and gradients are zero."""
-    env = lambda phi, rng: (np.zeros(2), SimpleNamespace(event=None))
-    log = run_online(env, lambda phi, diag: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
+    env = lambda phi, rng: (np.zeros(2), None)
+    log = run_online(env, lambda phi, event: np.zeros((2, 2)), np.zeros(2), InterceptionPolicy(0.0, 0.0),
                      n_iters, alpha1, WIDE_BOX)
     return [rec.alpha for rec in log.records]
 
@@ -175,8 +174,8 @@ def make_env(cfg):
     return lambda phi, rng: intercept(phi, cfg, rng)
 
 
-def greybox_gradient(phi, diag):
-    return predict_landing_with_gradient(phi, diag.event, MODEL)[1]
+def greybox_gradient(phi, event):
+    return predict_landing_with_gradient(phi, event, MODEL)[1]
 
 
 class TestRunOnline:
@@ -185,8 +184,7 @@ class TestRunOnline:
         # noiseless loop must drive the error below 5 cm within a few rounds
         cfg = make_noiseless_cfg()
         rng = np.random.default_rng(0)
-        _, diag = intercept(InterceptionPolicy(0.45, 0.20), cfg, rng)
-        target = diag.noiseless_landing
+        target, _ = intercept(InterceptionPolicy(0.45, 0.20), cfg, rng)  # noise-free: cfg has no noise
         log = run_online(
             env=make_env(cfg),
             gradient=greybox_gradient,
@@ -204,11 +202,11 @@ class TestRunOnline:
         # noiseless run stays essentially put
         cfg = make_noiseless_cfg()
         rng = np.random.default_rng(0)
-        _, diag = intercept(InterceptionPolicy(0.45, 0.20), cfg, rng)
+        target, _ = intercept(InterceptionPolicy(0.45, 0.20), cfg, rng)  # noise-free: cfg has no noise
         log = run_online(
             env=make_env(cfg),
             gradient=greybox_gradient,
-            r_target=diag.noiseless_landing,
+            r_target=target,
             phi1=InterceptionPolicy(0.45, 0.20),
             n_iters=5,
             alpha1=0.1,
@@ -271,10 +269,10 @@ class TestRunOnline:
         cfg = make_noiseless_cfg()
 
         def env(phi, rng):
-            r, diag = intercept(phi, cfg, rng)
-            return (np.array([np.nan, r[1]]) if source == "r_landing" else r), diag
+            r, event = intercept(phi, cfg, rng)
+            return (np.array([np.nan, r[1]]) if source == "r_landing" else r), event
 
-        def nan_gradient(phi, diag):
+        def nan_gradient(phi, event):
             return np.array([[np.nan, 0.0], [0.0, 1.0]]) if source == "jac" else np.eye(2)
 
         with pytest.raises(NonFiniteStep, match=f"^iteration 1: {source} is not finite"):
@@ -297,10 +295,10 @@ class TestRunOnline:
         monkeypatch.setattr(MetricsState, "update", lambda self, r: updates.append(r))
 
         def env(phi, rng):
-            r, diag = intercept(phi, cfg, rng)
-            return np.array([r[0], np.nan]), diag
+            r, event = intercept(phi, cfg, rng)
+            return np.array([r[0], np.nan]), event
 
-        def failing_gradient(phi, diag):
+        def failing_gradient(phi, event):
             raise SingularGradient("gradient reached")
 
         with pytest.raises(NonFiniteStep, match="^iteration 1: r_landing is not finite"):
@@ -308,18 +306,18 @@ class TestRunOnline:
                        WIDE_BOX)
         assert updates == []
 
-    def test_gradient_sees_the_env_diagnostics(self):
+    def test_gradient_sees_the_env_event(self):
         cfg = make_noiseless_cfg()
         seen = []
 
         def env(phi, rng):
-            r, diag = intercept(phi, cfg, rng)
-            seen.append(diag)
-            return r, diag
+            r, event = intercept(phi, cfg, rng)
+            seen.append(event)
+            return r, event
 
-        def gradient(phi, diag):
-            assert diag is seen[-1]
-            return greybox_gradient(phi, diag)
+        def gradient(phi, event):
+            assert event is seen[-1]
+            return greybox_gradient(phi, event)
 
         log = run_online(env, gradient, np.array([-1.2, 0.6]), InterceptionPolicy(0.45, 0.20), 4, 0.1, WIDE_BOX)
         assert len(log.records) == len(seen) == 4
