@@ -2,19 +2,22 @@
 
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
-shortened accordingly. One scalar kernel, `euler_flight`, takes every full
-step of the package but those of dataset labels and variance trials, which
-`euler_landings` flies on arrays in its own lockstep loop, every row to its
-end; every flight ends in the one closed-form last step, `final_step`. The
-analytic Jacobian of the landing point pushes a tangent through the full steps
-as the flight takes them, then differentiates the last step's position rows;
-no per-step state is stored.
+shortened accordingly. Every full step of the package runs in one compiled
+kernel, flight.c, built at import (load_kernel): `euler_flight` flies one row,
+`euler_landings` a block of return flights; every flight ends in the one
+closed-form last step, `final_step`. The analytic Jacobian of the landing point
+pushes a tangent through the full steps as the flight takes them, then
+differentiates the last step's position rows; no per-step state is stored.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
 from dataclasses import dataclass
 from math import inf, sqrt
+from pathlib import Path
 
 import numpy as np
 
@@ -30,6 +33,10 @@ DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singul
 
 
 MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
+
+# The kernel's build: no -ffast-math and no -march, and no contraction into fused
+# multiply-adds, which would change the last bits on hosts that have them.
+CC_COMMAND = ("cc", "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -54,15 +61,55 @@ class LandingRecord:
     tangent: np.ndarray | None = None  # (6, 2) tangent pushed through the full steps
 
 
+def load_kernel() -> ctypes.CDLL:
+    """The flight kernel flight.c, compiled by CC_COMMAND once per source and command.
+
+    The library is cached beside the source as __pycache__/flight-<sha256 of the
+    source and the command>.so, built under a temporary name and moved into place,
+    and loaded with the argtypes of both entries declared. A build that fails
+    raises ImportError with the command and the compiler's stderr.
+    """
+    source = Path(__file__).with_name("flight.c")
+    digest = hashlib.sha256(source.read_bytes() + "\0".join(CC_COMMAND).encode()).hexdigest()
+    library = source.parent / "__pycache__" / f"flight-{digest}.so"
+    if not library.exists():
+        import subprocess  # only a build needs it, and it costs about 0.5 MB of memory
+
+        library.parent.mkdir(exist_ok=True)
+        partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
+        command = [*CC_COMMAND, "-o", str(partial), str(source), "-lm"]
+        try:
+            built = subprocess.run(command, capture_output=True, text=True, errors="replace")
+        except OSError as exc:
+            raise ImportError(f"cannot build the flight kernel: {' '.join(command)}: {exc}") from exc
+        if built.returncode != 0:
+            partial.unlink(missing_ok=True)
+            raise ImportError(f"cannot build the flight kernel: {' '.join(command)}\n{built.stderr}")
+        os.replace(partial, library)
+    kernel = ctypes.CDLL(str(library))
+    doubles, c_double, c_int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_double, ctypes.c_int64
+    kernel.ttr_flight.argtypes = (doubles, c_double, c_double, c_int64, c_double, c_double, doubles, c_double,
+                                  doubles, c_int64, ctypes.POINTER(c_int64), doubles)
+    kernel.ttr_flight.restype = c_int64
+    kernel.ttr_landings.argtypes = (np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS, WRITEABLE"), c_int64,
+                                    np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS, WRITEABLE"),
+                                    c_double, c_double, c_int64, c_double, c_double)
+    kernel.ttr_landings.restype = None
+    return kernel
+
+
+KERNEL = load_kernel()
+STATE, COLUMNS, CONTACT = ctypes.c_double * 6, ctypes.c_double * 12, ctypes.c_double * 5
+
+
 def euler_flight(
     row, k_drag: float, dt: float, max_steps: int, y_stop: float | None = None,
     samples: list | None = None, y_keep: float = inf, tangent: np.ndarray | None = None,
 ) -> tuple[tuple, int, np.ndarray | None]:
-    """Explicit Euler steps of the drag flight on plain floats.
+    """Explicit Euler steps of the drag flight, in the compiled kernel (flight.c).
 
-    The package's scalar per-step drag update. Returns the 6-tuple state it
-    stopped at, the number of steps taken and the pushed tangent (or None).
-    The stop rule is one of:
+    The package's one flight loop. Returns the 6-tuple state it stopped at, the
+    number of steps taken and the pushed tangent (or None). The stop rule is one of:
 
     - no `y_stop` (a return flight): stop before the first step whose
       drag-free prediction ends at or below the table plane, i.e. once the
@@ -75,103 +122,36 @@ def euler_flight(
     `samples`, if given, is an empty list that the kernel extends by the six
     floats of each state at or below y = `y_keep` (by default every state), the
     start among them, or by the stop state alone if it kept none before it. A
-    6x2 `tangent` is pushed through the steps inside the loop on 12 plain floats
+    6x2 `tangent` is pushed through the steps inside the loop on 12 doubles
     (ValueError for another shape): each step maps (dp, dv) to (dp + dt dv,
     dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
+    The buffers are sized from `max_steps`, so the kernel cannot write past them.
     """
     px, py, pz, vx, vy, vz = row
-    k_drag, z_plane = float(k_drag), Z_TABLE  # locals: read on every step
-    land, contact = y_stop is None, y_stop is not None
-    if land:
-        # for a real root, t_rem <= dt  <=>  vz <= g dt and p_z + dt vz - g dt^2 / 2 <= Z_TABLE
-        vz_top = G_VERTICAL * dt
-        z_top = z_plane + 0.5 * G_VERTICAL * dt * dt
-    else:
-        (cx, cy), (hx, hy) = TABLE_CENTER, TABLE_HALF
-    keep, push, scale = samples is not None, tangent is not None, dt * k_drag
-    if push:
+    state, push, kept = STATE(px, py, pz, vx, vy, vz), None, ctypes.c_int64(0)
+    if tangent is not None:
         if np.shape(tangent) != (6, 2):
             raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
-        (pxa, pxb), (pya, pyb), (pza, pzb), (ax, bx), (ay, by), (az, bz) = np.asarray(tangent, dtype=float).tolist()
-        sax = say = saz = sbx = sby = sbz = 0.0  # sums of the columns' dv; dp moves by dt times them
-    if keep and py <= y_keep:
-        samples.extend((px, py, pz, vx, vy, vz))
-    for n in range(max_steps):
-        if land and vz <= vz_top and pz + dt * vz <= z_top:
-            break
-        speed = sqrt(vx * vx + vy * vy + vz * vz)
-        if push:  # dv -= dt k |v| dv + (dt k / |v|) (v . dv) v, column a then column b
-            damp, cross = scale * speed, scale / speed if speed > 0.0 else 0.0
-            along = cross * (vx * ax + vy * ay + vz * az)
-            sax, say, saz = sax + ax, say + ay, saz + az
-            ax -= damp * ax + along * vx
-            ay -= damp * ay + along * vy
-            az -= damp * az + along * vz
-            along = cross * (vx * bx + vy * by + vz * bz)
-            sbx, sby, sbz = sbx + bx, sby + by, sbz + bz
-            bx -= damp * bx + along * vx
-            by -= damp * by + along * vy
-            bz -= damp * bz + along * vz
-        drag = k_drag * speed
-        px += dt * vx
-        py += dt * vy
-        pz += dt * vz
-        vx -= dt * (drag * vx)
-        vy -= dt * (drag * vy)
-        vz += dt * (-G_VERTICAL - drag * vz)
-        if keep and py <= y_keep:
-            samples.extend((px, py, pz, vx, vy, vz))
-        if contact and (
-            pz <= 0.0 or py <= y_stop or (pz <= z_plane and abs(px - cx) <= hx and abs(py - cy) <= hy)
-        ):
-            n += 1
-            break
-    else:
-        n = max_steps
-        if land and not (vz <= vz_top and pz + dt * vz <= z_top):
-            raise no_landing(max_steps)
-    stop = (px, py, pz, vx, vy, vz)
-    if keep and not samples:
-        samples.extend(stop)
-    if not push:
-        return stop, n, None
-    columns = ((pxa + dt * sax, pya + dt * say, pza + dt * saz, ax, ay, az),
-               (pxb + dt * sbx, pyb + dt * sby, pzb + dt * sbz, bx, by, bz))
-    return stop, n, np.array(columns).T
+        push = COLUMNS(*np.asarray(tangent, dtype=float).T.ravel().tolist())
+    contact = None if y_stop is None else CONTACT(y_stop, *TABLE_CENTER, *TABLE_HALF)
+    kept_rows = None if samples is None else (ctypes.c_double * (6 * max_steps + 6))()
+    n = KERNEL.ttr_flight(state, float(k_drag), dt, max_steps, G_VERTICAL, Z_TABLE, contact, y_keep,
+                          kept_rows, 0 if kept_rows is None else len(kept_rows), kept, push)
+    if samples is not None:
+        samples.extend(kept_rows[:6 * kept.value])
+    if n < 0:
+        raise no_landing(max_steps)
+    return tuple(state), n, None if push is None else np.array(push).reshape(2, 6).T
 
 
 def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np.ndarray]:
-    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS)` for
-    each row of a (B, 6) array, in lockstep on (B,) arrays with the same
-    arithmetic in the same order, until no row flies or MAX_STEPS. Returns (B, 6)
-    stop states and (B,) step counts; a row still flying after MAX_STEPS has
-    count -1 and keeps its start.
+    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS)` for each row of a
+    (B, 6) array, in one kernel call. Returns (B, 6) stop states and (B,) step
+    counts; a row still flying after MAX_STEPS has count -1 and keeps its start.
     """
-    dt, k_drag, max_steps = physics.dt, float(physics.k_drag), MAX_STEPS
-    vz_top = G_VERTICAL * dt
-    z_top = Z_TABLE + 0.5 * G_VERTICAL * dt * dt
-    stops = np.array(starts, dtype=float).reshape(-1, 6)
-    steps = np.full(len(stops), -1)
-    active = np.arange(len(stops))
-    px, py, pz, vx, vy, vz = stops.T.copy()
-    with np.errstate(all="ignore"):  # a non-finite row goes on as NaN, as in euler_flight
-        for n in range(max_steps + 1):
-            landed = (vz <= vz_top) & (pz + dt * vz <= z_top)
-            if landed.any():
-                stops[active[landed]] = np.column_stack((px, py, pz, vx, vy, vz))[landed]
-                steps[active[landed]] = n
-                flying = ~landed
-                active = active[flying]
-                px, py, pz, vx, vy, vz = (c[flying] for c in (px, py, pz, vx, vy, vz))
-            if n == max_steps or not len(active):
-                break
-            drag = k_drag * np.sqrt(vx * vx + vy * vy + vz * vz)
-            px += dt * vx
-            py += dt * vy
-            pz += dt * vz
-            vx -= dt * (drag * vx)
-            vy -= dt * (drag * vy)
-            vz += dt * (-G_VERTICAL - drag * vz)
+    stops = np.array(starts, dtype=float, order="C").reshape(-1, 6)
+    steps = np.empty(len(stops), dtype=np.int64)
+    KERNEL.ttr_landings(stops, len(stops), steps, float(physics.k_drag), physics.dt, MAX_STEPS, G_VERTICAL, Z_TABLE)
     return stops, steps
 
 

@@ -25,7 +25,7 @@ def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.n
 
 def predict_landings(phis: list[InterceptionPolicy], xi_minus: np.ndarray, physics: Physics) -> list:
     """frozen_landing_record's landing point of each policy at its row of the (B, 6) pre-impact
-    states, as array code on the block: racket_impacts, then landing_outcomes' lockstep flights."""
+    states, as array code on the block: racket_impacts, then landing_outcomes' block flight."""
     theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
     return landing_outcomes(racket_impacts(xi_minus, theta1, theta4, physics), physics)
 

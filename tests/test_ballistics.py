@@ -1,5 +1,10 @@
 """Free-flight dynamics, landing propagation and flight Jacobians."""
 
+import pathlib
+import re
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
 from math import sqrt
 
@@ -29,7 +34,7 @@ from ttreturn.ballistics import (
     remaining_time,
     remaining_time_gradient,
 )
-from ttreturn.env import EnvConfig, launch
+from ttreturn.env import SAMPLE_DT, TRUTH, EnvConfig, launch
 from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, SingularGradient
 from ttreturn.greybox import MODEL
 from ttreturn.impact import impact_state_jacobian, racket_impact
@@ -564,8 +569,8 @@ class TestEulerLandingsOracle:
         # jittered starts, plus a row on the plane (k_max = 0), one whose apex
         # stays under the plane and two that are not finite; MAX_STEPS is near
         # a quantile of the jittered rows' step counts, so one row stops exactly
-        # at MAX_STEPS and later ones cannot land. The lockstep loop flies every
-        # row to its end without the scalar kernel, which raises if it is called.
+        # at MAX_STEPS and later ones cannot land. The block flies every row to its
+        # end in one kernel call, without euler_flight, which raises if it is called.
         rng = np.random.default_rng(12)
         rows = [
             [rng.normal(), rng.normal(), rng.uniform(0.9, 1.6), *(rng.normal(size=3) * 4.0).tolist()]
@@ -664,3 +669,234 @@ class TestKeepRule:
         on_table = stop[2] <= Z_TABLE and abs(stop[0] - cx) <= hx and abs(stop[1] - cy) <= hy
         reached = {"table": on_table, "floor": stop[2] <= 0.0, "step cap": n == max_steps}
         assert [name for name, hit in reached.items() if hit] == [stop_at]
+
+
+def python_flight(row, k_drag, dt, max_steps, y_stop=None, samples=None, y_keep=np.inf, tangent=None):
+    """Test-local oracle: the Python step loop that the compiled kernel replaced,
+    kept as it was. Same arguments, return value and errors as euler_flight."""
+    G_VERTICAL, Z_TABLE = ballistics.G_VERTICAL, ballistics.Z_TABLE
+    px, py, pz, vx, vy, vz = row
+    k_drag, z_plane = float(k_drag), Z_TABLE
+    land, contact = y_stop is None, y_stop is not None
+    if land:
+        vz_top = G_VERTICAL * dt
+        z_top = z_plane + 0.5 * G_VERTICAL * dt * dt
+    else:
+        (cx, cy), (hx, hy) = ballistics.TABLE_CENTER, ballistics.TABLE_HALF
+    keep, push, scale = samples is not None, tangent is not None, dt * k_drag
+    if push:
+        if np.shape(tangent) != (6, 2):
+            raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
+        (pxa, pxb), (pya, pyb), (pza, pzb), (ax, bx), (ay, by), (az, bz) = np.asarray(tangent, dtype=float).tolist()
+        sax = say = saz = sbx = sby = sbz = 0.0
+    if keep and py <= y_keep:
+        samples.extend((px, py, pz, vx, vy, vz))
+    for n in range(max_steps):
+        if land and vz <= vz_top and pz + dt * vz <= z_top:
+            break
+        speed = sqrt(vx * vx + vy * vy + vz * vz)
+        if push:
+            damp, cross = scale * speed, scale / speed if speed > 0.0 else 0.0
+            along = cross * (vx * ax + vy * ay + vz * az)
+            sax, say, saz = sax + ax, say + ay, saz + az
+            ax -= damp * ax + along * vx
+            ay -= damp * ay + along * vy
+            az -= damp * az + along * vz
+            along = cross * (vx * bx + vy * by + vz * bz)
+            sbx, sby, sbz = sbx + bx, sby + by, sbz + bz
+            bx -= damp * bx + along * vx
+            by -= damp * by + along * vy
+            bz -= damp * bz + along * vz
+        drag = k_drag * speed
+        px += dt * vx
+        py += dt * vy
+        pz += dt * vz
+        vx -= dt * (drag * vx)
+        vy -= dt * (drag * vy)
+        vz += dt * (-G_VERTICAL - drag * vz)
+        if keep and py <= y_keep:
+            samples.extend((px, py, pz, vx, vy, vz))
+        if contact and (
+            pz <= 0.0 or py <= y_stop or (pz <= z_plane and abs(px - cx) <= hx and abs(py - cy) <= hy)
+        ):
+            n += 1
+            break
+    else:
+        n = max_steps
+        if land and not (vz <= vz_top and pz + dt * vz <= z_top):
+            raise ballistics.no_landing(max_steps)
+    stop = (px, py, pz, vx, vy, vz)
+    if keep and not samples:
+        samples.extend(stop)
+    if not push:
+        return stop, n, None
+    columns = ((pxa + dt * sax, pya + dt * say, pza + dt * saz, ax, ay, az),
+               (pxb + dt * sbx, pyb + dt * sby, pzb + dt * sbz, bx, by, bz))
+    return stop, n, np.array(columns).T
+
+
+def bits(values) -> list:
+    """Test-local: the IEEE bit patterns of floats, so that NaNs compare too."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def flight_outcome(flight, row, *args, keep=False, **kwargs):
+    """Test-local: a flight's stop, step count, samples and tangent as bit patterns,
+    or its error's type and message."""
+    samples = [] if keep else None
+    try:
+        stop, n, tangent = flight(row, *args, samples=samples, **kwargs)
+    except (MaxStepsExceeded, ValueError) as exc:
+        return type(exc), str(exc), None if samples is None else bits(samples)
+    assert type(stop) is tuple and type(n) is int
+    pushed = None if tangent is None else (tangent.shape, bits(tangent), tangent.flags.f_contiguous)
+    return bits(stop), n, None if samples is None else bits(samples), pushed
+
+
+def assert_kernel_matches_python(row, *args, keep=False, **kwargs):
+    got = flight_outcome(euler_flight, row, *args, keep=keep, **kwargs)
+    assert got == flight_outcome(python_flight, row, *args, keep=keep, **kwargs)
+    return got
+
+
+# rows at the kernel's edges: at rest (the cross = 0 branch of the tangent push), not
+# finite, overflowing in the first step (the overflowed launch of tests/test_cli.py),
+# starting below the table plane and falling, and dropped from 60 m, which takes more than 4000 steps
+EDGE_ROWS = {
+    "rest": [0.1, -0.2, 1.5, 0.0, 0.0, 0.0],
+    "nan": [0.0, 0.0, 1.0, 0.0, np.nan, 1.0],
+    "inf": [0.0, 0.0, 1.0, np.inf, 0.0, 0.0],
+    "overflow": [-0.15, 3.9, 1.1, 1e160, 0.0, 3.3],
+    "below_plane": [0.2, 0.1, 0.5, 1.0, -2.0, -0.5],
+    "max_steps": [0.0, 0.0, 60.0, 0.0, 0.0, 0.0],
+}
+
+
+class TestKernelMatchesPythonLoop:
+    """The compiled kernel against the Python loop it replaced, bit for bit."""
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 3.0),
+                  st.floats(-12.0, 12.0), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        st.sampled_from(["truth", "model"]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_return_flights(self, row, which, push, seed):
+        p = {"truth": TRUTH, "model": MODEL}[which]
+        tangent = np.random.default_rng(seed).normal(size=(6, 2)) if push else None
+        assert_kernel_matches_python(list(row), p.k_drag, p.dt, ballistics.MAX_STEPS, tangent=tangent)
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.floats(-0.5, 0.2), st.floats(3.0, 4.2), st.floats(0.6, 1.6),
+                  st.floats(-1.0, 1.0), st.floats(-11.0, 2.0), st.floats(-1.0, 5.0)),
+        st.floats(-2.0, 4.0),
+        st.one_of(st.just(np.inf), st.floats(-2.0, 4.5)),
+        st.integers(0, 1600),
+    )
+    @example((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), -1.2, np.inf, 1501)
+    @example((-0.15, 3.9, 1.1, 0.0, -8.3, 3.3), 0.1, 0.25, 1501)
+    def test_launches(self, row, y_stop, y_keep, max_steps):
+        assert_kernel_matches_python(list(row), TRUTH.k_drag, SAMPLE_DT, max_steps, y_stop, keep=True, y_keep=y_keep)
+
+    def test_tangents_frozen_and_coupled(self):
+        # the impact Jacobians the grey-box gradient pushes, at jittered interceptions
+        cfg, rng, flights = EnvConfig(), np.random.default_rng(33), 0
+        while flights < 100:
+            traj = launch(cfg, rng)
+            phi = InterceptionPolicy(*rng.uniform([0.31, 0.0], [0.67, 0.40]).tolist())
+            try:
+                event = interception_event(traj, phi.theta1)
+            except MissedBall:
+                continue
+            for p in (MODEL, TRUTH):
+                xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), p).tolist()
+                for coupled in (False, True):
+                    if coupled and event.dxi_dtheta1 is None:
+                        continue
+                    tangent = impact_state_jacobian(phi, event, p, coupled)
+                    assert_kernel_matches_python(xi, p.k_drag, p.dt, ballistics.MAX_STEPS, tangent=tangent)
+                    flights += 1
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ROWS))
+    @pytest.mark.parametrize("max_steps", [0, 1, 4000])
+    def test_edge_rows(self, name, max_steps):
+        row, tangent = EDGE_ROWS[name], np.arange(12.0).reshape(6, 2) - 5.0
+        for dt in (MODEL.dt, TRUTH.dt):
+            assert_kernel_matches_python(row, 0.12, dt, max_steps, tangent=tangent)
+            assert_kernel_matches_python(row, 0.12, dt, max_steps, keep=True)
+            assert_kernel_matches_python(row, 0.12, SAMPLE_DT, max_steps, -1.2, keep=True, y_keep=3.0)
+
+    def test_edge_row_outcomes(self):
+        # each edge row reaches the branch it is named for
+        def outcome(name, max_steps=4000, **kwargs):
+            return assert_kernel_matches_python(EDGE_ROWS[name], MODEL.k_drag, MODEL.dt, max_steps, **kwargs)
+
+        assert outcome("rest", tangent=np.eye(6)[:, :2])[1] > 0
+        assert outcome("max_steps")[0] is MaxStepsExceeded
+        assert outcome("nan")[0] is MaxStepsExceeded and outcome("inf")[0] is MaxStepsExceeded
+        assert outcome("below_plane")[1] == 0 and outcome("below_plane", max_steps=0)[1] == 0
+        assert outcome("rest", max_steps=0)[0] is MaxStepsExceeded
+        stop, n, samples, _ = outcome("overflow", 1501, y_stop=-1.2, keep=True)
+        assert n > 0 and np.isnan(np.array(stop, dtype=np.int64).view(float)).any()
+        assert len(samples) < 6 * (n + 1)  # a state whose y overflowed to NaN is not kept
+        with pytest.raises(MaxStepsExceeded, match="^no landing within 4000 steps$"):
+            propagate_to_landing(np.array(EDGE_ROWS["max_steps"]), MODEL)
+
+
+def import_in_child(root, code: str = "") -> subprocess.CompletedProcess:
+    """Test-local: import the ttreturn under `root` in a fresh interpreter, run `code`
+    with the module as `ballistics`, and print the path of the loaded kernel."""
+    script = (f"import sys; sys.path.insert(0, {str(root)!r})\n"
+              "from ttreturn import ballistics\n"
+              f"assert ballistics.__file__.startswith({str(root)!r})\n"
+              f"{code}\n"
+              "print(ballistics.KERNEL._name)\n")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+
+
+class TestKernelBuild:
+    @pytest.fixture
+    def package(self, tmp_path):
+        shutil.copytree(pathlib.Path(ballistics.__file__).parent, tmp_path / "ttreturn",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return tmp_path
+
+    def libraries(self, package) -> list:
+        return sorted((package / "ttreturn" / "__pycache__").glob("flight*"))
+
+    def test_built_once_then_reused_and_rebuilt_on_edit(self, package):
+        first = import_in_child(package)
+        assert first.returncode == 0, first.stderr
+        [library] = self.libraries(package)
+        assert first.stdout.split() == [str(library)]
+        assert re.fullmatch(r"flight-[0-9a-f]{64}\.so", library.name)
+        built = library.stat().st_mtime_ns
+        again = import_in_child(package)
+        assert again.stdout == first.stdout and self.libraries(package) == [library]
+        assert library.stat().st_mtime_ns == built
+        with open(package / "ttreturn" / "flight.c", "a") as f:
+            f.write("/* edited */\n")
+        edited = import_in_child(package)
+        assert edited.returncode == 0, edited.stderr
+        [rebuilt] = [path for path in self.libraries(package) if path != library]
+        assert edited.stdout.split() == [str(rebuilt)] and library.stat().st_mtime_ns == built
+
+    def test_failed_build_raises_import_error_with_command_and_stderr(self, package):
+        code = ("ballistics.CC_COMMAND = (*ballistics.CC_COMMAND, '-fno-such-option')\n"
+                "try:\n"
+                "    ballistics.load_kernel()\n"
+                "except ImportError as exc:\n"
+                "    sys.exit(str(exc))")
+        child = import_in_child(package, code)
+        assert child.returncode == 1
+        command, stderr = child.stderr.split("\n", 1)
+        assert command.startswith("cannot build the flight kernel: cc -O2 ") and "-ffp-contract=off" in command
+        assert command.endswith("flight.c -lm") and " -fno-such-option " in command
+        assert "-fno-such-option" in stderr  # the compiler's own complaint
+        # the import's own build is the only library, and no partial build is left
+        assert [path.suffix for path in self.libraries(package)] == [".so"]

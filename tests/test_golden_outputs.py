@@ -4,7 +4,7 @@ Seventeen in-process `cli.main` calls cover every mode, both label sources, both
 gradient modes of the grey-box, the black-box predictor, both sweep kinds, a
 launch that ends on the table (`run`, exit 2) and one that ends on the floor
 (`gen-data`, exit 1). Two of them land at least 100 env-labelled returns or
-variance trials in one block, so the lockstep loop of `ballistics.euler_landings`
+variance trials in one block, so the block entry of `ballistics.euler_landings`
 flies many rows at once and not only a few. For each call the table holds the
 exit code, the sha256 of stdout and of stderr (with the output root replaced by
 `<tmp>`) and the sha256 of every file the call wrote.

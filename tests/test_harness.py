@@ -549,7 +549,7 @@ class TestGradCheck:
 
     def test_open_loop_labels_fly_as_one_block(self, env_cfg, monkeypatch):
         # env dataset labels and baseline-variance trials: no scalar return flight,
-        # one lockstep block flight per dataset and per variance estimate
+        # one block flight per dataset and per variance estimate
         calls = {"scalar": 0, "blocks": 0}
 
         def counted(name, fn):
