@@ -3,11 +3,12 @@
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. Every full step of the package runs in one compiled
-kernel, flight.c, built at import (load_kernel): `euler_flight` flies one row,
-`euler_landings` a block of return flights; every flight ends in the one
-closed-form last step, `final_step`. The analytic Jacobian of the landing point
-pushes a tangent through the full steps as the flight takes them, then
-differentiates the last step's position rows; no per-step state is stored.
+kernel, flight.c, in the kernel library built at import (load_kernel):
+`euler_flight` flies one row, `euler_landings` a block of return flights;
+every flight ends in the one closed-form last step, `final_step`. The
+analytic Jacobian of the landing point pushes a tangent through the full
+steps as the flight takes them, then differentiates the last step's position
+rows; no per-step state is stored.
 """
 
 from __future__ import annotations
@@ -62,39 +63,48 @@ class LandingRecord:
 
 
 def load_kernel() -> ctypes.CDLL:
-    """The flight kernel flight.c, compiled by CC_COMMAND once per source and command.
+    """The package's kernel library: every C source beside this module (flight.c,
+    mlp.c), compiled by CC_COMMAND into one library once per sources and command.
 
-    The library is cached beside the source as __pycache__/flight-<sha256 of the
-    source and the command>.so, built under a temporary name and moved into place,
-    and loaded with the argtypes of both entries declared. A build that fails
+    The library is cached beside the sources as __pycache__/kernel-<sha256 of the
+    sorted sources and the command>.so, built under a temporary name and moved into
+    place, and loaded with the argtypes of every entry declared. A build that fails
     raises ImportError with the command and the compiler's stderr.
     """
-    source = Path(__file__).with_name("flight.c")
-    digest = hashlib.sha256(source.read_bytes() + "\0".join(CC_COMMAND).encode()).hexdigest()
-    library = source.parent / "__pycache__" / f"flight-{digest}.so"
+    sources = sorted(Path(__file__).parent.glob("*.c"))
+    digest = hashlib.sha256(b"\0".join(s.name.encode() + b"\0" + s.read_bytes() for s in sources)
+                            + "\0".join(CC_COMMAND).encode()).hexdigest()
+    library = sources[0].parent / "__pycache__" / f"kernel-{digest}.so"
     if not library.exists():
         import subprocess  # only a build needs it, and it costs about 0.5 MB of memory
 
         library.parent.mkdir(exist_ok=True)
         partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
-        command = [*CC_COMMAND, "-o", str(partial), str(source), "-lm"]
+        command = [*CC_COMMAND, "-o", str(partial), *map(str, sources), "-lm"]
         try:
             built = subprocess.run(command, capture_output=True, text=True, errors="replace")
         except OSError as exc:
-            raise ImportError(f"cannot build the flight kernel: {' '.join(command)}: {exc}") from exc
+            raise ImportError(f"cannot build the kernel library: {' '.join(command)}: {exc}") from exc
         if built.returncode != 0:
             partial.unlink(missing_ok=True)
-            raise ImportError(f"cannot build the flight kernel: {' '.join(command)}\n{built.stderr}")
+            raise ImportError(f"cannot build the kernel library: {' '.join(command)}\n{built.stderr}")
         os.replace(partial, library)
     kernel = ctypes.CDLL(str(library))
     doubles, c_double, c_int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_double, ctypes.c_int64
+    int64s, f64, i64, mutable = ctypes.POINTER(c_int64), np.float64, np.int64, "C_CONTIGUOUS, WRITEABLE"
+    array = lambda dtype, ndim, flags="C_CONTIGUOUS": np.ctypeslib.ndpointer(dtype, ndim, flags=flags)
     kernel.ttr_flight.argtypes = (doubles, c_double, c_double, c_int64, c_double, c_double, doubles, c_double,
-                                  doubles, c_int64, ctypes.POINTER(c_int64), doubles)
+                                  doubles, c_int64, int64s, doubles)
     kernel.ttr_flight.restype = c_int64
-    kernel.ttr_landings.argtypes = (np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS, WRITEABLE"), c_int64,
-                                    np.ctypeslib.ndpointer(np.int64, 1, flags="C_CONTIGUOUS, WRITEABLE"),
+    kernel.ttr_landings.argtypes = (array(f64, 2, mutable), c_int64, array(i64, 1, mutable),
                                     c_double, c_double, c_int64, c_double, c_double)
     kernel.ttr_landings.restype = None
+    kernel.ttr_mlp.argtypes = (array(f64, 1), int64s, c_int64, array(f64, 1), doubles, doubles, doubles)
+    kernel.ttr_mlp.restype = None
+    kernel.ttr_adam_epoch.argtypes = (*[array(f64, 1, mutable)] * 3, int64s, int64s, c_int64, array(f64, 1),
+                                      array(f64, 1), array(f64, 2), c_int64, c_int64, array(i64, 1), c_int64,
+                                      array(f64, 1, mutable))
+    kernel.ttr_adam_epoch.restype = None
     return kernel
 
 
@@ -134,9 +144,12 @@ def euler_flight(
             raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
         push = COLUMNS(*np.asarray(tangent, dtype=float).T.ravel().tolist())
     contact = None if y_stop is None else CONTACT(y_stop, *TABLE_CENTER, *TABLE_HALF)
-    kept_rows = None if samples is None else (ctypes.c_double * (6 * max_steps + 6))()
+    # left uninitialised: the kernel writes each kept state before it is read, and zeroing
+    # 6 (max_steps + 1) doubles would cost about a tenth of an aimed launch
+    capacity = 6 * max_steps + 6
+    kept_rows = None if samples is None else (ctypes.c_double * capacity).from_buffer(np.empty(capacity))
     n = KERNEL.ttr_flight(state, float(k_drag), dt, max_steps, G_VERTICAL, Z_TABLE, contact, y_keep,
-                          kept_rows, 0 if kept_rows is None else len(kept_rows), kept, push)
+                          kept_rows, capacity, kept, push)
     if samples is not None:
         samples.extend(kept_rows[:6 * kept.value])
     if n < 0:

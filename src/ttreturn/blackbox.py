@@ -4,10 +4,13 @@ Fixed architecture 2 -> 4 -> 4 -> 4 -> 4 -> 2, hyperbolic tangent on the
 hidden layers, identity output. Inputs are normalized onto the feasible
 policy box, outputs onto the dataset mean and spread. Gradients of the
 output w.r.t. the policy come from the exact layer-by-layer chain rule.
+The forward pass, the Jacobian and each training epoch run in the compiled
+kernel mlp.c (ballistics.load_kernel builds it with flight.c).
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from dataclasses import dataclass, field
@@ -15,11 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arm import InterceptionPolicy
+from .ballistics import KERNEL
 from .errors import ConfigError, DegenerateDataset
 from .optimizer import FeasibleSet, csv_artifact
 
 HIDDEN_LAYERS = (4, 4, 4, 4)
+SIZES = (2, *HIDDEN_LAYERS, 2)  # every layer's width, input to output
+KERNEL_SIZES = (ctypes.c_int64 * len(SIZES))(*SIZES)
 OUTPUT_STD_FLOOR = 1e-6  # avoids a degenerate output scale on tiny datasets
+PAIR = ctypes.c_double * 2
 
 
 @dataclass
@@ -29,11 +36,27 @@ class MlpModel:
     input_half: np.ndarray
     output_mean: np.ndarray
     output_std: np.ndarray
+    # the kernel's parameters: each layer as a row-major (out, in + 1) block [w | b], in order;
+    # layers holds views into it, and it changes only in place, so the views stay valid
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        shapes = [((out, fan_in), (out,)) for fan_in, out in zip(SIZES[:-1], SIZES[1:])]
+        if [(np.shape(w), np.shape(b)) for w, b in self.layers] != shapes:
+            raise ValueError(f"layers: expected (weight, bias) shapes {shapes}")
+        self.theta = np.concatenate([np.column_stack([w, b]).ravel() for w, b in self.layers], dtype=float)
+        cuts = np.cumsum([out * (fan_in + 1) for fan_in, out in zip(SIZES[:-2], SIZES[1:-1])])
+        blocks = [flat.reshape(out, -1) for flat, out in zip(np.split(self.theta, cuts), SIZES[1:])]
+        self.layers = [(block[:, :-1], block[:, -1]) for block in blocks]
+
+    def scales(self) -> np.ndarray:
+        """input_center, input_half, output_mean and output_std in one array, as the kernel reads them."""
+        return np.concatenate((self.input_center, self.input_half, self.output_mean, self.output_std))
 
     def save(self, path, meta: dict) -> None:
         doc = {
             "meta": meta,
-            "architecture": [2, *HIDDEN_LAYERS, 2],
+            "architecture": list(SIZES),
             "activation": "tanh",
             "layers": [{"weight": w.tolist(), "bias": b.tolist()} for w, b in self.layers],
             "input_center": self.input_center.tolist(),
@@ -67,13 +90,12 @@ class MlpModel:
 
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: expected a JSON object")
-        sizes = [2, *HIDDEN_LAYERS, 2]
         layers = doc.get("layers")
-        if not isinstance(layers, list) or len(layers) != len(sizes) - 1:
-            raise ConfigError(f"{path}: layers: expected a list of {len(sizes) - 1} layers")
+        if not isinstance(layers, list) or len(layers) != len(SIZES) - 1:
+            raise ConfigError(f"{path}: layers: expected a list of {len(SIZES) - 1} layers")
         return cls(
             layers=[(array(l, "weight", (m, n), f"layers[{i}].weight"), array(l, "bias", (m,), f"layers[{i}].bias"))
-                    for i, (l, n, m) in enumerate(zip(layers, sizes[:-1], sizes[1:]))],
+                    for i, (l, n, m) in enumerate(zip(layers, SIZES[:-1], SIZES[1:]))],
             **{key: array(doc, key, (2,), key) for key in ("input_center", "input_half", "output_mean", "output_std")},
         )
 
@@ -130,39 +152,30 @@ class TrainConfig:
     validation_fraction = 0.1
 
 
-def _forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Normalized forward pass; returns output and hidden activations."""
-    a = (x - model.input_center) / model.input_half
-    activations = []
-    for w, b in model.layers[:-1]:
-        a = np.tanh(a @ w.T + b)
-        activations.append(a)
-    w, b = model.layers[-1]
-    return a @ w.T + b, activations
+def _evaluate(model: MlpModel, phi: InterceptionPolicy, jac=None) -> np.ndarray:
+    """The prediction for one policy, in the kernel (mlp.c's ttr_mlp), which also writes
+    the row-major 2x2 Jacobian into `jac` when given 4 doubles."""
+    out = PAIR()
+    KERNEL.ttr_mlp(model.theta, KERNEL_SIZES, len(SIZES) - 1, model.scales(), PAIR(phi.theta1, phi.theta4), out, jac)
+    return np.array(out)
 
 
 def mlp_forward(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     """Predicted landing point for one policy."""
-    out, _ = _forward_batch(model, np.array([[phi.theta1, phi.theta4]]))
-    return out[0] * model.output_std + model.output_mean
+    return _evaluate(model, phi)
 
 
 def mlp_jacobian(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     """Exact 2x2 derivative of the prediction w.r.t. the policy."""
-    _, activations = _forward_batch(model, np.array([[phi.theta1, phi.theta4]]))
-    jac = np.diag(1.0 / model.input_half)
-    for (w, _), a in zip(model.layers[:-1], activations):
-        jac = (1.0 - a[0] ** 2)[:, None] * (w @ jac)
-    w_out, _ = model.layers[-1]
-    jac = w_out @ jac
-    return model.output_std[:, None] * jac
+    jac = (ctypes.c_double * 4)()
+    _evaluate(model, phi, jac)
+    return np.array(jac).reshape(2, 2)
 
 
 def random_model(rng: np.random.Generator, k: FeasibleSet, bound) -> MlpModel:
     """Layers drawn uniform within +-bound(fan_in), inputs scaled onto the box k, outputs unscaled."""
-    sizes = [2, *HIDDEN_LAYERS, 2]
     layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in zip(SIZES[:-1], SIZES[1:]):
         b = bound(fan_in)
         layers.append((rng.uniform(-b, b, size=(fan_out, fan_in)), rng.uniform(-b, b, size=fan_out)))
     lo = np.array([k.theta1_bounds[0], k.theta4_bounds[0]])
@@ -193,80 +206,12 @@ def train(dataset: Dataset, cfg: TrainConfig, k: FeasibleSet) -> tuple[MlpModel,
 
     n = len(dataset)
     n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
-    perm = rng.permutation(n)
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_tr, y_tr = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
-    # a trailing ones column carries each bias through the products below
-    a_tr, a_val = (np.column_stack([(xs - model.input_center) / model.input_half, np.ones(len(xs))])
-                   for xs in (x_tr, x_val))
-    y_tr_n = (y_tr - model.output_mean) / model.output_std
-
-    # each layer is one row-major (out, in + 1) block [w | b] of the flat theta;
-    # model.layers holds its views (w, b); theta changes only in place, so every view stays valid
-    theta = np.concatenate([np.column_stack([w, b]).ravel() for w, b in model.layers])
-    cuts = np.cumsum([b.size * (w.shape[1] + 1) for w, b in model.layers])[:-1]
-    grad = np.zeros_like(theta)
-    blocks, g_blocks = ([p.reshape(len(b), -1) for p, (_, b) in zip(np.split(flat, cuts), model.layers)]
-                        for flat in (theta, grad))
-    model.layers = [(block[:, :-1], block[:, -1]) for block in blocks]
-    blocks_t, weights = [block.T for block in blocks], [w for w, _ in model.layers]
-    m_adam = np.zeros_like(theta)
-    v_adam = np.zeros_like(theta)
-    t_step = 0
-
-    def real_mse(a: np.ndarray, h: np.ndarray, ys: np.ndarray) -> float:
-        # the batches' products on inputs a with their ones column; h is a ones buffer of a's rows
-        for block_t in blocks_t[:-1]:
-            np.tanh(np.dot(a, block_t), out=h[:, :-1])
-            a = h
-        err = np.square(np.dot(a, blocks_t[-1]) * model.output_std + model.output_mean - ys)
-        return float(np.mean(err[:, 0] + err[:, 1]))
-
-    history: dict = {"train_mse": [], "val_mse": []}
-    n_tr = len(x_tr)
-    (width,) = set(HIDDEN_LAYERS)  # one array holds every hidden layer, so the widths must be equal
-    h_mse = np.ones((n_tr, width + 1))  # the epoch MSE's hidden buffer; n_val < n_tr
-    # per batch size, one buffer holds the hidden activations with their ones column over their
-    # tanh derivatives, layer-major so that each layer stays a contiguous BLAS operand; and its views
-    hidden = {nb: (buf, [(h, h[:, :-1]) for h in buf[0]], [d[:, :-1] for d in buf[1]])
-              for nb in {min(cfg.batch_size, n_tr), n_tr % cfg.batch_size or cfg.batch_size}
-              for buf in [np.ones((2, len(HIDDEN_LAYERS), nb, width + 1))]}
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n_tr)
-        a_ep, y_ep = a_tr[order], y_tr_n[order]
-        for start in range(0, n_tr, cfg.batch_size):
-            a = a_ep[start : start + cfg.batch_size]
-            yb = y_ep[start : start + cfg.batch_size]
-            (whole, deriv), hid, d_tanh = hidden[len(a)]
-
-            # forward with caches; the bias is each BLAS sum's last term, which
-            # rounds like the separate + b; np.dot dispatches less than @
-            acts = [a]
-            for block_t, (h, t) in zip(blocks_t, hid):
-                np.tanh(np.dot(acts[-1], block_t), out=t)
-                acts.append(h)
-            out = np.dot(acts[-1], blocks_t[-1])
-            np.subtract(1.0, np.square(whole, out=deriv), out=deriv)
-
-            # backward: mean over the batch of the squared error sum; the ones
-            # column makes each block's gradient [delta.T @ acts | delta.sum]
-            delta = 2.0 * (out - yb) / len(yb)
-            for li in range(len(blocks) - 1, -1, -1):
-                np.dot(delta.T, acts[li], out=g_blocks[li])
-                if li > 0:
-                    delta = np.dot(delta, weights[li]) * d_tanh[li - 1]
-
-            t_step += 1
-            corr1 = 1.0 - cfg.beta1**t_step
-            corr2 = 1.0 - cfg.beta2**t_step
-            m_adam = cfg.beta1 * m_adam + (1.0 - cfg.beta1) * grad
-            v_adam = cfg.beta2 * v_adam + (1.0 - cfg.beta2) * grad**2
-            theta -= cfg.learning_rate * (m_adam / corr1) / (
-                np.sqrt(v_adam / corr2) + cfg.eps_adam
-            )
-
-        history["train_mse"].append(real_mse(a_tr, h_mse, y_tr))
-        history["val_mse"].append(real_mse(a_val, h_mse[:n_val], y_val) if n_val > 0 else float("nan"))
-
-    return model, history
+    rows = np.hstack([x, y])[rng.permutation(n)]  # records [x | y]: the validation split, then the training split
+    scales, adam = model.scales(), np.array([cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam])
+    m_adam, v_adam, t_step = np.zeros_like(model.theta), np.zeros_like(model.theta), ctypes.c_int64(0)
+    mse = np.empty((cfg.epochs, 2))  # each epoch's training and validation MSE
+    for epoch in range(cfg.epochs):
+        # one kernel call per epoch (mlp.c's ttr_adam_epoch), its batches in the drawn order
+        KERNEL.ttr_adam_epoch(model.theta, m_adam, v_adam, ctypes.byref(t_step), KERNEL_SIZES, len(SIZES) - 1,
+                              scales, adam, rows, n, n_val, rng.permutation(n - n_val), cfg.batch_size, mse[epoch])
+    return model, {"train_mse": mse[:, 0].tolist(), "val_mse": mse[:, 1].tolist()}

@@ -867,24 +867,28 @@ class TestKernelBuild:
         return tmp_path
 
     def libraries(self, package) -> list:
-        return sorted((package / "ttreturn" / "__pycache__").glob("flight*"))
+        return sorted((package / "ttreturn" / "__pycache__").glob("kernel*"))
 
     def test_built_once_then_reused_and_rebuilt_on_edit(self, package):
         first = import_in_child(package)
         assert first.returncode == 0, first.stderr
         [library] = self.libraries(package)
         assert first.stdout.split() == [str(library)]
-        assert re.fullmatch(r"flight-[0-9a-f]{64}\.so", library.name)
+        assert re.fullmatch(r"kernel-[0-9a-f]{64}\.so", library.name)
         built = library.stat().st_mtime_ns
         again = import_in_child(package)
         assert again.stdout == first.stdout and self.libraries(package) == [library]
         assert library.stat().st_mtime_ns == built
-        with open(package / "ttreturn" / "flight.c", "a") as f:
-            f.write("/* edited */\n")
-        edited = import_in_child(package)
-        assert edited.returncode == 0, edited.stderr
-        [rebuilt] = [path for path in self.libraries(package) if path != library]
-        assert edited.stdout.split() == [str(rebuilt)] and library.stat().st_mtime_ns == built
+        # editing either source builds a library of a new name; the old ones stay as they were
+        names = [library]
+        for source in ("flight.c", "mlp.c"):
+            with open(package / "ttreturn" / source, "a") as f:
+                f.write("/* edited */\n")
+            edited = import_in_child(package)
+            assert edited.returncode == 0, edited.stderr
+            [rebuilt] = [path for path in self.libraries(package) if path not in names]
+            assert edited.stdout.split() == [str(rebuilt)] and library.stat().st_mtime_ns == built
+            names.append(rebuilt)
 
     def test_failed_build_raises_import_error_with_command_and_stderr(self, package):
         code = ("ballistics.CC_COMMAND = (*ballistics.CC_COMMAND, '-fno-such-option')\n"
@@ -895,8 +899,9 @@ class TestKernelBuild:
         child = import_in_child(package, code)
         assert child.returncode == 1
         command, stderr = child.stderr.split("\n", 1)
-        assert command.startswith("cannot build the flight kernel: cc -O2 ") and "-ffp-contract=off" in command
-        assert command.endswith("flight.c -lm") and " -fno-such-option " in command
+        assert command.startswith("cannot build the kernel library: cc -O2 ") and "-ffp-contract=off" in command
+        assert command.endswith("/flight.c " + str(package / "ttreturn" / "mlp.c") + " -lm")
+        assert " -fno-such-option " in command
         assert "-fno-such-option" in stderr  # the compiler's own complaint
         # the import's own build is the only library, and no partial build is left
         assert [path.suffix for path in self.libraries(package)] == [".so"]

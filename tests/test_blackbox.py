@@ -1,5 +1,6 @@
 """Landing-point surrogate network: forward pass, exact gradients, training."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,11 @@ import pytest
 from ttreturn import blackbox
 from ttreturn.arm import InterceptionPolicy
 from ttreturn.blackbox import (
+    SIZES,
     Dataset,
     MlpModel,
     TrainConfig,
     OUTPUT_STD_FLOOR,
-    _forward_batch,
     mlp_forward,
     mlp_jacobian,
     train,
@@ -185,8 +186,20 @@ class TestTrain:
         assert np.isfinite(history["val_mse"][-1])
 
 
+def forward_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Numpy oracle: the normalized forward pass of a block of policies; returns the
+    normalized output and the hidden activations."""
+    a = (x - model.input_center) / model.input_half
+    activations = []
+    for w, b in model.layers[:-1]:
+        a = np.tanh(a @ w.T + b)
+        activations.append(a)
+    w, b = model.layers[-1]
+    return a @ w.T + b, activations
+
+
 def per_array_adam_train(dataset, cfg):
-    """Oracle: the training loop with one Adam update per parameter array,
+    """Numpy oracle: the training loop with one Adam update per parameter array,
     a per-batch input normalization and fancy-indexed batches."""
     x, y = dataset.arrays()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -205,7 +218,7 @@ def per_array_adam_train(dataset, cfg):
     t_step = 0
 
     def real_mse(xs, ys):
-        out, _ = _forward_batch(model, xs)
+        out, _ = forward_batch(model, xs)
         pred = out * model.output_std + model.output_mean
         return float(np.mean(np.sum((pred - ys) ** 2, axis=1)))
 
@@ -243,47 +256,49 @@ def per_array_adam_train(dataset, cfg):
     return model.layers, history
 
 
+# the oracles' shared cases: (n records, dataset seed, config, batch size)
+TRAINING_CASES = [
+    # 135 training points in batches of 32 leave a short last batch
+    (150, 6, TrainConfig(epochs=3, seed=4), 32),
+    # 135 = 2 * 67 + 1: the last batch is one row
+    (150, 6, TrainConfig(epochs=3, seed=4), 67),
+    # no validation split: its history is NaN
+    (1, 2, TrainConfig(epochs=5, seed=1), TrainConfig.batch_size),
+    # 18 training points, fewer than one batch
+    (20, 3, TrainConfig(epochs=4, seed=2), 64),
+    (12, 5, TrainConfig(epochs=2, seed=6), 1),
+    # the surrogate-build benchmark's dataset size: 1350 training and 150 validation rows
+    (1500, 9, TrainConfig(epochs=2, seed=3), TrainConfig.batch_size),
+]
+TRAINING_IDS = ["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one",
+                "benchmark-scale"]
+
+
 class TestFlatAdamOracle:
-    # Batches of one row take BLAS's gemv path instead of gemm, where the
-    # bias column's place in the [w | b] block decides the last bit. The
-    # epoch MSE history runs the same ones-column products on the whole
-    # training and validation splits, and the oracle's history runs
-    # _forward_batch's a @ w.T + b, so the history is pinned too: on one
-    # row (the validation split of batch-of-one, n_val = 1, and the
-    # training split of one-record, n_tr = 1) through gemv, and on 1350
-    # and 150 rows (benchmark-scale) through gemm.
-    @pytest.mark.parametrize(
-        "n,data_seed,cfg,batch_size",
-        [
-            # 135 training points in batches of 32 leave a short last batch
-            (150, 6, TrainConfig(epochs=3, seed=4), 32),
-            # 135 = 2 * 67 + 1: the last batch is one row
-            (150, 6, TrainConfig(epochs=3, seed=4), 67),
-            (1, 2, TrainConfig(epochs=5, seed=1), TrainConfig.batch_size),
-            # 18 training points, fewer than one batch
-            (20, 3, TrainConfig(epochs=4, seed=2), 64),
-            (12, 5, TrainConfig(epochs=2, seed=6), 1),
-            # the surrogate-build benchmark's dataset size: 1350 training and 150 validation rows
-            (1500, 9, TrainConfig(epochs=2, seed=3), TrainConfig.batch_size),
-        ],
-        ids=["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one",
-             "benchmark-scale"],
-    )
+    # The kernel sums in its own fixed order and takes tanh as 1 - 2 / (exp(2x) + 1);
+    # BLAS's products and numpy's SIMD tanh round differently in the last bits, which
+    # a few epochs of Adam carry into the weights (by at most 6e-17 on an x86-64 host
+    # with OpenBLAS). The bound, about 4500 ulps of 1.0, leaves room for other BLAS
+    # kernels and is far below what a wrong gradient or update rule would leave.
+    RTOL, ATOL = 1e-12, 1e-12
+
+    @pytest.mark.parametrize("n,data_seed,cfg,batch_size", TRAINING_CASES, ids=TRAINING_IDS)
     def test_matches_per_array_loop(self, tmp_path, monkeypatch, n, data_seed, cfg, batch_size):
         monkeypatch.setattr(TrainConfig, "batch_size", batch_size)
         ds = affine_dataset(n, seed=data_seed)
         model, history = train(ds, cfg, WIDE_BOX)
         ref_layers, ref_history = per_array_adam_train(ds, cfg)
         for (w, b), (w_ref, b_ref) in zip(model.layers, ref_layers, strict=True):
-            np.testing.assert_array_equal(w, w_ref)
-            np.testing.assert_array_equal(b, b_ref)
+            np.testing.assert_allclose(w, w_ref, rtol=self.RTOL, atol=self.ATOL)
+            np.testing.assert_allclose(b, b_ref, rtol=self.RTOL, atol=self.ATOL)
         assert history.keys() == ref_history.keys()
         for key in history:
-            np.testing.assert_array_equal(history[key], ref_history[key])
+            np.testing.assert_allclose(history[key], ref_history[key], rtol=self.RTOL, atol=0.0)
         # the saved file does not depend on the layers being views into one buffer
         model.save(tmp_path / "trained.json", {})
-        replace(model, layers=ref_layers).save(tmp_path / "reference.json", {})
-        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+        copies = [(w.copy(), b.copy()) for w, b in model.layers]
+        replace(model, layers=copies).save(tmp_path / "copied.json", {})
+        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "copied.json").read_bytes()
 
     def test_layers_share_no_memory(self):
         model, _ = train(affine_dataset(50, seed=7), TrainConfig(epochs=1, seed=0), WIDE_BOX)
@@ -292,6 +307,140 @@ class TestFlatAdamOracle:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+
+def scalar_tanh(x: float) -> float:
+    return 1.0 - 2.0 / (math.exp(2.0 * x) + 1.0)
+
+
+def scalar_dot(pairs) -> float:
+    total = 0.0
+    for a, b in pairs:
+        total += a * b
+    return total
+
+
+def scalar_forward(theta: list, scales: list, x) -> list:
+    """Scalar oracle of mlp.c's forward: the normalized policy and each layer's outputs."""
+    n_in, w = SIZES[0], 0
+    acts = [[(x[j] - scales[j]) / scales[n_in + j] for j in range(n_in)]]
+    for l, (fan_in, fan_out) in enumerate(zip(SIZES[:-1], SIZES[1:])):
+        out = []
+        for _ in range(fan_out):
+            total = scalar_dot(zip(theta[w : w + fan_in], acts[-1])) + theta[w + fan_in]
+            out.append(scalar_tanh(total) if l + 2 < len(SIZES) else total)
+            w += fan_in + 1
+        acts.append(out)
+    return acts
+
+
+def scalar_evaluate(theta: list, scales: list, x) -> tuple[list, list]:
+    """Scalar oracle of mlp.c's ttr_mlp: the prediction and the 2x2 Jacobian, as lists."""
+    n_in, n_out = SIZES[0], SIZES[-1]
+    mean, std = scales[2 * n_in : 2 * n_in + n_out], scales[2 * n_in + n_out :]
+    acts = scalar_forward(theta, scales, x)
+    chain = [[1.0 / scales[n_in + k] if j == k else 0.0 for k in range(n_in)] for j in range(n_in)]
+    w = 0
+    for l, (fan_in, fan_out) in enumerate(zip(SIZES[:-1], SIZES[1:])):
+        rows = []
+        for i in range(fan_out):
+            sums = [scalar_dot(zip(theta[w : w + fan_in], (row[k] for row in chain))) for k in range(n_in)]
+            a = acts[l + 1][i]
+            rows.append([(1.0 - a * a) * s if l + 2 < len(SIZES) else std[i] * s for s in sums])
+            w += fan_in + 1
+        chain = rows
+    return [acts[-1][i] * std[i] + mean[i] for i in range(n_out)], chain
+
+
+def scalar_train(dataset, cfg) -> tuple[list, dict]:
+    """Scalar oracle of train: the same draws, then mlp.c's ttr_adam_epoch in plain floats;
+    its bias corrections take Python's ** and its tanh math.exp, both libm as in the kernel."""
+    x, y = dataset.arrays()
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    model = blackbox.random_model(rng, WIDE_BOX, lambda fan_in: 1.0 / np.sqrt(fan_in))
+    model.output_mean = y.mean(axis=0)
+    model.output_std = np.maximum(y.std(axis=0), OUTPUT_STD_FLOOR)
+    n = len(dataset)
+    n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
+    rows = np.hstack([x, y])[rng.permutation(n)].tolist()
+    val_rows, train_rows = rows[:n_val], rows[n_val:]
+    theta, scales = model.theta.tolist(), model.scales().tolist()
+    n_in, n_out, n_params = SIZES[0], SIZES[-1], len(theta)
+    mean, std = scales[2 * n_in : 2 * n_in + n_out], scales[2 * n_in + n_out :]
+    m_adam, v_adam, t_step = [0.0] * n_params, [0.0] * n_params, 0
+
+    def mse(records):
+        if not records:
+            return float("nan")
+        total = 0.0
+        for record in records:
+            out = scalar_forward(theta, scales, record)[-1]
+            errors = [out[k] * std[k] + mean[k] - record[n_in + k] for k in range(n_out)]
+            total += scalar_dot(zip(errors, errors))
+        return total / len(records)
+
+    history = {"train_mse": [], "val_mse": []}
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(train_rows)).tolist()
+        for start in range(0, len(train_rows), cfg.batch_size):
+            batch = [train_rows[r] for r in order[start : start + cfg.batch_size]]
+            grad = [0.0] * n_params
+            for record in batch:
+                acts = scalar_forward(theta, scales, record)
+                d = [2.0 * (acts[-1][k] - (record[n_in + k] - mean[k]) / std[k]) / len(batch) for k in range(n_out)]
+                offset = n_params
+                for l in range(len(SIZES) - 2, -1, -1):
+                    fan_in, fan_out = SIZES[l], SIZES[l + 1]
+                    offset -= fan_out * (fan_in + 1)
+                    a = acts[l]
+                    for i in range(fan_out):
+                        row = offset + i * (fan_in + 1)
+                        for j in range(fan_in):
+                            grad[row + j] += d[i] * a[j]
+                        grad[row + fan_in] += d[i]
+                    if l > 0:
+                        d = [scalar_dot((d[i], theta[offset + i * (fan_in + 1) + j]) for i in range(fan_out))
+                             * (1.0 - a[j] * a[j]) for j in range(fan_in)]
+            t_step += 1
+            corr1, corr2 = 1.0 - cfg.beta1**t_step, 1.0 - cfg.beta2**t_step
+            for p, g in enumerate(grad):
+                m_adam[p] = cfg.beta1 * m_adam[p] + (1.0 - cfg.beta1) * g
+                v_adam[p] = cfg.beta2 * v_adam[p] + (1.0 - cfg.beta2) * (g * g)
+                theta[p] -= cfg.learning_rate * (m_adam[p] / corr1) / (math.sqrt(v_adam[p] / corr2) + cfg.eps_adam)
+        history["train_mse"].append(mse(train_rows))
+        history["val_mse"].append(mse(val_rows))
+    return theta, history
+
+
+class TestKernelMatchesScalarOracle:
+    """The kernel (mlp.c) against the scalar Python loops above, bit for bit."""
+
+    @pytest.mark.parametrize("n,data_seed,cfg,batch_size", TRAINING_CASES, ids=TRAINING_IDS)
+    def test_training(self, monkeypatch, n, data_seed, cfg, batch_size):
+        monkeypatch.setattr(TrainConfig, "batch_size", batch_size)
+        ds = affine_dataset(n, seed=data_seed)
+        model, history = train(ds, cfg, WIDE_BOX)
+        theta, ref_history = scalar_train(ds, cfg)
+        assert model.theta.tolist() == theta
+        np.testing.assert_array_equal(history["train_mse"], ref_history["train_mse"])
+        np.testing.assert_array_equal(history["val_mse"], ref_history["val_mse"])
+        assert np.isnan(history["val_mse"]).all() == (n < 10)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forward_and_jacobian(self, seed):
+        model = random_model(seed)
+        rng = np.random.default_rng(100 + seed)
+        for t1, t4 in rng.uniform(-1.5, 1.5, size=(5, 2)):
+            out, jac = scalar_evaluate(model.theta.tolist(), model.scales().tolist(), (t1, t4))
+            phi = InterceptionPolicy(t1, t4)
+            assert mlp_forward(model, phi).tolist() == out
+            assert mlp_jacobian(model, phi).tolist() == jac
+
+    def test_tanh_matches_numpy_and_math(self):
+        x = np.linspace(-25.0, 25.0, 200001)
+        ours = np.array([scalar_tanh(v) for v in x.tolist()])
+        assert np.abs(ours - np.tanh(x)).max() <= 4e-16
+        assert np.abs(ours - [math.tanh(v) for v in x.tolist()]).max() <= 4e-16
 
 
 class TestDatasetIo:
@@ -308,6 +457,13 @@ class TestDatasetIo:
 
 
 class TestModelIo:
+    def test_rejects_layers_of_another_shape(self):
+        # the kernel reads the parameters by blackbox.SIZES, so no other shape may reach it
+        layers = random_model(2).layers
+        layers[1] = (np.zeros((4, 5)), np.zeros(4))
+        with pytest.raises(ValueError, match="shapes"):
+            MlpModel(layers, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+
     def test_save_load_round_trip(self, tmp_path):
         model = random_model(7)
         path = tmp_path / "model.json"

@@ -9,8 +9,13 @@ flies many rows at once and not only a few. For each call the table holds the
 exit code, the sha256 of stdout and of stderr (with the output root replaced by
 `<tmp>`) and the sha256 of every file the call wrote.
 
-The hashes hold for numpy 2.4.6 on an x86-64 glibc libm; another numpy or libm
-may round a transcendental differently and move them. A change that means to
+The hashes hold for numpy 2.4.6 on an x86-64 glibc libm. The training bytes
+(`train-blackbox`) and the black-box gradient check run in the compiled kernels
+in a fixed order, so they no longer depend on the BLAS kernel or numpy's SIMD
+dispatch (tests/test_host_independent_bytes.py); only another libm can move
+them. The other cases still pass numbers through BLAS products and numpy's SIMD
+transcendentals, so the kernel OpenBLAS picks, numpy's dispatch path, or
+another numpy or libm may round differently and move them. A change that means to
 move an output regenerates the table with
 
     GOLDEN_UPDATE=1 python -m pytest tests/test_golden_outputs.py
