@@ -11,10 +11,8 @@ from .arm import InterceptionEvent, InterceptionPolicy, base_azimuth, intercepti
 from .ballistics import (
     LandingRecord,
     Physics,
-    final_step,
     landing_state_jacobian,
     propagate_to_landing,
-    remaining_time,
     remaining_time_gradient,
 )
 from .blackbox import (

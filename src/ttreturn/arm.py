@@ -9,7 +9,7 @@ rate at interception time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, pi, sin, sqrt
+from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 
@@ -44,13 +44,12 @@ class InterceptionEvent:
     dxi_dtheta1: tuple | None = None  # 6 floats d(xi_minus)/d(theta1); None for a degenerate pair
 
 
-def base_azimuth(x, y):
-    """Azimuth of the horizontal position (x, y), scalars or arrays, as seen
-    from the base pivot.
+def base_azimuth(x: float, y: float) -> float:
+    """Azimuth of the horizontal position (x, y) as seen from the base pivot, with libm's atan2.
 
     Zero along the racket's rest normal (REST_AZIMUTH), positive counterclockwise about +z.
     """
-    return (np.arctan2(y - BASE[1], x - BASE[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
+    return (atan2(y - BASE[1], x - BASE[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
 
 
 @np.errstate(invalid="ignore", over="ignore")  # an overflowed launch's inf/NaN samples only miss
@@ -78,7 +77,7 @@ def interception_event(incoming, theta1: float) -> InterceptionEvent:
 
     rows, tau = incoming.rows, 2.0 * pi
 
-    az = lambda i: float(base_azimuth(rows[6 * i], rows[6 * i + 1]))
+    az = lambda i: base_azimuth(rows[6 * i], rows[6 * i + 1])
     wrap = lambda angle: (angle + pi) % tau - pi
 
     for idx in pairs.tolist():
@@ -109,10 +108,13 @@ def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.nd
     array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
     pre-impact states and the (B,) mask of the policies that hit (a miss's row is junk)."""
     x, y = incoming.xy()
-    az, idx, u = base_azimuth(x, y), np.full(len(theta1), -1), np.zeros(len(theta1))
+    az = np.array([base_azimuth(*p) for p in zip(incoming.rows[0::6], incoming.rows[1::6])])
+    turns = [REST_AZIMUTH + t for t in theta1.tolist()]
+    cos_t, sin_t = np.array([(cos(t), sin(t)) for t in turns]).reshape(-1, 2).T[..., None]
+    idx, u = np.full(len(theta1), -1), np.zeros(len(theta1))
     for s in range(0, len(theta1), SEARCH_CHUNK):
         t = theta1[s : s + SEARCH_CHUNK, None]
-        c = np.cos(REST_AZIMUTH + t) * (y - BASE[1]) - np.sin(REST_AZIMUTH + t) * (x - BASE[0])
+        c = cos_t[s : s + SEARCH_CHUNK] * (y - BASE[1]) - sin_t[s : s + SEARCH_CHUNK] * (x - BASE[0])
         c = np.clip(c, -CROSS_TOL, CROSS_TOL)  # the values of interception_event's minimum(maximum())
         row, i = np.divmod(np.flatnonzero(c[:, :-1] * c[:, 1:] < CROSS_TOL**2), len(x) - 1)  # candidates
         a, b = ((az[i + j] - t[row, 0] + pi) % (2.0 * pi) - pi for j in (0, 1))
@@ -128,28 +130,17 @@ def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.nd
     return xi, (idx >= 0) & (lo <= dist) & (dist <= hi)
 
 
-def _rot_z(a: float) -> np.ndarray:
-    c, s = cos(a), sin(a)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x(a: float) -> np.ndarray:
-    c, s = cos(a), sin(a)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 def racket_rotation(phi: InterceptionPolicy) -> np.ndarray:
-    """Racket orientation relative to its rest configuration: Rz(theta1) Rx(theta4)."""
-    return _rot_z(phi.theta1) @ _rot_x(phi.theta4)
+    """Racket orientation relative to its rest configuration: Rz(theta1) Rx(theta4), entry by entry."""
+    c1, s1, c4, s4 = cos(phi.theta1), sin(phi.theta1), cos(phi.theta4), sin(phi.theta4)
+    return np.array([[c1, -s1 * c4, s1 * s4], [s1, c1 * c4, -c1 * s4], [0.0, s4, c4]])
 
 
 def racket_rotation_jacobian(phi: InterceptionPolicy) -> tuple[np.ndarray, np.ndarray]:
     """Analytic derivatives of the racket orientation w.r.t. both policy angles."""
-    c1, s1 = cos(phi.theta1), sin(phi.theta1)
-    d_rz = np.array([[-s1, -c1, 0.0], [c1, -s1, 0.0], [0.0, 0.0, 0.0]])
-    c4, s4 = cos(phi.theta4), sin(phi.theta4)
-    d_rx = np.array([[0.0, 0.0, 0.0], [0.0, -s4, -c4], [0.0, c4, -s4]])
-    return d_rz @ _rot_x(phi.theta4), _rot_z(phi.theta1) @ d_rx
+    c1, s1, c4, s4 = cos(phi.theta1), sin(phi.theta1), cos(phi.theta4), sin(phi.theta4)
+    return (np.array([[-s1, -c1 * c4, c1 * s4], [c1, -s1 * c4, s1 * s4], [0.0, 0.0, 0.0]]),
+            np.array([[0.0, s1 * s4, s1 * c4], [0.0, -c1 * s4, -c1 * c4], [0.0, c4, -s4]]))
 
 
 def racket_velocity(event: InterceptionEvent) -> np.ndarray:

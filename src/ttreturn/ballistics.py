@@ -1,14 +1,16 @@
-"""Discrete free flight of the ball with quadratic drag.
+"""Discrete free flight of the ball with quadratic drag, and the grey-box return.
 
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
-shortened accordingly. Every full step of the package runs in one compiled
-kernel, flight.c, in the kernel library built at import (load_kernel):
-`euler_flight` flies one row, `euler_landings` a block of return flights;
-every flight ends in the one closed-form last step, `final_step`. The
-analytic Jacobian of the landing point pushes a tangent through the full
-steps as the flight takes them, then differentiates the last step's position
-rows; no per-step state is stored.
+shortened accordingly. Every step runs in the compiled kernel, flight.c, in
+the kernel library built at import (load_kernel): `euler_flight` flies one
+launch or return flight; `propagate_to_landing` makes one whole grey-box
+return (racket impact, full steps, closed-form last step and, on request, the
+2x2 landing Jacobian) in one call, and `return_landings` a block of them. The
+Jacobian pushes the impact's policy tangent through the full steps as the
+flight takes them, then differentiates the last step; no per-step state is
+stored. remaining_time_gradient and landing_state_jacobian are the kernel's
+scalar reference for the last step.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, NegativeDiscriminant, SingularGradient
+from .arm import BASE, THETA1_DOT, InterceptionEvent, InterceptionPolicy
+from .errors import MaxStepsExceeded, NegativeDiscriminant, SimulationError, SingularGradient
 
 # Gravity points along -z with this magnitude, in the flight and its drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
@@ -31,8 +34,6 @@ TABLE_CENTER, TABLE_HALF = (-1.1, 0.25), (1.525 / 2.0, 2.74 / 2.0)  # [m] the ta
 
 # Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
-
-
 MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
 
 # The kernel's build: no -ffast-math and no -march, and no contraction into fused
@@ -53,13 +54,13 @@ class Physics:
 
 @dataclass
 class LandingRecord:
-    """Where the full steps of a flight stopped, and where it landed."""
+    """Where the full steps of a return stopped, where it landed, and how the landing moves."""
 
     k_max: int                # number of full steps
     t_last: float             # [s] shortened final step length
     landing_point: np.ndarray  # (2,) [m]
     stop: np.ndarray          # (6,) state after the full steps
-    tangent: np.ndarray | None = None  # (6, 2) tangent pushed through the full steps
+    jacobian: np.ndarray | None = None  # (2, 2) d(landing_point)/d(theta1, theta4), if asked for
 
 
 def load_kernel() -> ctypes.CDLL:
@@ -96,9 +97,11 @@ def load_kernel() -> ctypes.CDLL:
     kernel.ttr_flight.argtypes = (doubles, c_double, c_double, c_int64, c_double, c_double, doubles, c_double,
                                   doubles, c_int64, int64s, doubles)
     kernel.ttr_flight.restype = c_int64
-    kernel.ttr_landings.argtypes = (array(f64, 2, mutable), c_int64, array(i64, 1, mutable),
-                                    c_double, c_double, c_int64, c_double, c_double)
-    kernel.ttr_landings.restype = None
+    kernel.ttr_return.argtypes = (doubles, c_double, c_double, doubles, c_int64, c_int64, doubles, doubles)
+    kernel.ttr_return.restype = c_int64
+    kernel.ttr_returns.argtypes = (c_int64, array(f64, 2), array(f64, 2), doubles, c_int64,
+                                   array(f64, 2, mutable), doubles, int64s)
+    kernel.ttr_returns.restype = c_int64
     kernel.ttr_mlp.argtypes = (array(f64, 1), int64s, c_int64, array(f64, 1), doubles, doubles, doubles)
     kernel.ttr_mlp.restype = None
     kernel.ttr_adam_epoch.argtypes = (*[array(f64, 1, mutable)] * 3, int64s, int64s, c_int64, array(f64, 1),
@@ -110,6 +113,10 @@ def load_kernel() -> ctypes.CDLL:
 
 KERNEL = load_kernel()
 STATE, COLUMNS, CONTACT = ctypes.c_double * 6, ctypes.c_double * 12, ctypes.c_double * 5
+# ttr_return's constants and record (stop, k_max, t_last, landing, Jacobian, discriminant)
+RIG, RECORD = ctypes.c_double * 11, ctypes.c_double * 15
+LANDED, NO_LANDING, NO_PLANE, SINGULAR = range(4)  # ttr_return's outcomes
+JACOBIANS = (None, "frozen", "coupled")  # its Jacobian modes, by number
 
 
 def euler_flight(
@@ -123,7 +130,7 @@ def euler_flight(
 
     - no `y_stop` (a return flight): stop before the first step whose
       drag-free prediction ends at or below the table plane, i.e. once the
-      drag-free remaining time (`remaining_time`) is at most dt; raise
+      drag-free remaining time is at most dt; raise
       MaxStepsExceeded if that does not happen within `max_steps` steps;
     - a `y_stop` (a launch): stop after the first step that ends at or below
       the table plane on the footprint (TABLE_CENTER, TABLE_HALF), at or
@@ -157,110 +164,111 @@ def euler_flight(
     return tuple(state), n, None if push is None else np.array(push).reshape(2, 6).T
 
 
-def euler_landings(starts: np.ndarray, physics: Physics) -> tuple[np.ndarray, np.ndarray]:
-    """`euler_flight(row, physics.k_drag, physics.dt, MAX_STEPS)` for each row of a
-    (B, 6) array, in one kernel call. Returns (B, 6) stop states and (B,) step
-    counts; a row still flying after MAX_STEPS has count -1 and keeps its start.
-    """
-    stops = np.array(starts, dtype=float, order="C").reshape(-1, 6)
-    steps = np.empty(len(stops), dtype=np.int64)
-    KERNEL.ttr_landings(stops, len(stops), steps, float(physics.k_drag), physics.dt, MAX_STEPS, G_VERTICAL, Z_TABLE)
-    return stops, steps
-
-
-def landing_outcomes(starts: np.ndarray, physics: Physics) -> list:
-    """Each row's landing point, as propagate_to_landing gives it, or the first failing row's
-    SimulationError raised: the rows fly in euler_landings, then each one's final_step."""
-    stops, steps = euler_landings(starts, physics)
-    landings = []
-    for k, stop in zip(steps.tolist(), stops.tolist()):
-        if k < 0:
-            raise no_landing(MAX_STEPS)
-        landings.append(final_step(stop)[1])
-    return landings
-
-
 def no_landing(max_steps: int) -> MaxStepsExceeded:
     """The error of a flight still in the air after max_steps full steps."""
     return MaxStepsExceeded(f"no landing within {max_steps} steps")
 
 
-def remaining_time(xi: np.ndarray) -> float:
-    """Drag-free prediction of the time until the ball reaches the table plane."""
-    vz = float(xi[5])
-    pz = float(xi[2])
-    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - Z_TABLE) / G_VERTICAL
-    if disc < 0.0:
-        raise NegativeDiscriminant(
-            f"ball cannot reach the table plane: discriminant = {disc:.3e}"
-        )
-    return max(vz / G_VERTICAL + sqrt(disc), 0.0)
+def refused(outcome: int, disc: float) -> SimulationError:
+    """The typed error of a return that the kernel refused with `outcome`, given the
+    discriminant of its last step's drag-free drop (see ttr_return)."""
+    if outcome == NO_LANDING:
+        return no_landing(MAX_STEPS)
+    if outcome == NO_PLANE:
+        return NegativeDiscriminant(f"ball cannot reach the table plane: discriminant = {disc:.3e}")
+    return SingularGradient(f"discriminant {disc:.3e} at or below floor")
 
 
-def remaining_time_gradient(xi: np.ndarray) -> np.ndarray:
-    """Gradient of the remaining-time prediction with respect to the 6-state."""
-    vz = float(xi[5])
-    pz = float(xi[2])
-    disc = (vz / G_VERTICAL) ** 2 + 2.0 * (pz - Z_TABLE) / G_VERTICAL
-    if disc <= DISCRIMINANT_FLOOR:
-        raise SingularGradient(f"discriminant {disc:.3e} at or below floor")
-    s = sqrt(disc)
-    grad = np.zeros(6)
-    grad[2] = 1.0 / (G_VERTICAL * s)
-    grad[5] = 1.0 / G_VERTICAL + vz / (G_VERTICAL**2 * s)
-    return grad
+def no_event_tangent() -> SingularGradient:
+    """The error of a coupled gradient at an event without a theta1 tangent."""
+    return SingularGradient("crossing pair lies on the theta1 azimuth: no event tangent")
+
+
+def rig(physics: Physics) -> ctypes.Array:
+    """ttr_return's constants: the physics, gravity, the table plane, the discriminant
+    floor, the base yaw rate and the base pivot's x and y, as the modules hold them now."""
+    return RIG(physics.k_drag, physics.dt, *physics.restitution, G_VERTICAL, Z_TABLE, DISCRIMINANT_FLOOR,
+               THETA1_DOT, BASE[0], BASE[1])
 
 
 def propagate_to_landing(
-    xi_plus: np.ndarray, physics: Physics, tangent: np.ndarray | None = None
+    phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics, jacobian: str | None = None
 ) -> LandingRecord:
-    """Propagate a post-impact state until the ball reaches the table plane.
+    """The grey-box return of `phi` at the interception `event`, in one kernel call (ttr_return).
 
-    Full steps of physics.dt, at most MAX_STEPS, are taken while the predicted
-    remaining time exceeds dt; the last step (final_step) uses the (shortened)
-    remaining time. Its Euler position update misses the plane by a
-    sub-millimeter residual, so the landing point is linearly interpolated
-    onto the plane along the last step. A ball that cannot reach the plane
-    raises NegativeDiscriminant from the state the flight stopped at.
-    A 6x2 `tangent` is pushed through the full steps (landing_state_jacobian).
+    The racket at Rz(theta1) Rx(theta4), moving at racket_velocity, meets the ball at
+    event.xi_minus; the post-impact state takes full steps of physics.dt, at most
+    MAX_STEPS, while the drag-free remaining time exceeds dt, then a last step of that
+    time, t_last, whose Euler position update is interpolated onto the plane.
+    `jacobian` "frozen" adds the 2x2 landing Jacobian with the event held fixed,
+    "coupled" with the event moving along event.dxi_dtheta1. Raises MaxStepsExceeded,
+    NegativeDiscriminant or SingularGradient (see refused and no_event_tangent).
+    racket_impact, impact_state_jacobian and landing_state_jacobian are its reference.
     """
-    xi = np.asarray(xi_plus, dtype=float).tolist()
-    stop, k_max, pushed = euler_flight(xi, physics.k_drag, physics.dt, MAX_STEPS, tangent=tangent)
-    t_last, landing = final_step(stop)
-    return LandingRecord(k_max=k_max, t_last=t_last, landing_point=landing, stop=np.array(stop), tangent=pushed)
+    mode, dxi = JACOBIANS.index(jacobian), None
+    if jacobian == "coupled":
+        if event.dxi_dtheta1 is None:
+            raise no_event_tangent()
+        dxi = STATE(*event.dxi_dtheta1)
+    out = RECORD()
+    outcome = KERNEL.ttr_return(STATE(*event.xi_minus.tolist()), phi.theta1, phi.theta4, rig(physics), MAX_STEPS,
+                                mode, dxi, out)
+    if outcome != LANDED:
+        raise refused(outcome, out[14])
+    return LandingRecord(int(out[6]), out[7], np.array(out[8:10]), np.array(out[:6]),
+                         np.array(out[10:14]).reshape(2, 2) if mode else None)
 
 
-def final_step(stop) -> tuple[float, np.ndarray]:
-    """The shortened last step from the stop state, in closed form: its length t_last
-    and the (2,) landing point, where the step's position update p + t_last v is
-    interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
-    px, py, pz, vx, vy, vz = stop
-    t_last = remaining_time(stop)
-    # Euler's position update leaves out the g t_last^2 / 2 drop that t_last solves for
-    dz = (pz + t_last * vz) - pz
-    frac = (Z_TABLE - pz) / dz if dz != 0.0 else 1.0
-    return t_last, np.array((px + frac * ((px + t_last * vx) - px), py + frac * ((py + t_last * vy) - py)))
+def return_landings(xi_minus: np.ndarray, policies: np.ndarray, physics: Physics) -> list:
+    """propagate_to_landing's landing point of each row of the (B, 6) pre-impact states and
+    the (B, 2) policies (theta1, theta4), in one kernel call that loops its row function
+    (ttr_returns); the first row that does not land raises its error, and no later row flies."""
+    rows = np.array(xi_minus, dtype=float, order="C").reshape(-1, 6)
+    policies = np.array(policies, dtype=float, order="C").reshape(-1, 2)
+    if len(policies) != len(rows):
+        raise ValueError(f"{len(rows)} pre-impact states but {len(policies)} policies")
+    landings, out, outcome = np.empty((len(rows), 2)), RECORD(), ctypes.c_int64(LANDED)
+    if KERNEL.ttr_returns(len(rows), rows, policies, rig(physics), MAX_STEPS, landings, out, outcome) < len(rows):
+        raise refused(outcome.value, out[14])
+    return list(landings)
 
 
-def landing_state_jacobian(record: LandingRecord) -> np.ndarray:
-    """Sensitivity of the landing point to the post-impact state, applied to
-    the 6x2 tangent given to propagate_to_landing: the 2x2 landing-point
-    Jacobian (column pairs of the identity give the 2x6 one two columns at a time).
+def remaining_time_gradient(xi) -> np.ndarray:
+    """Gradient of the drag-free remaining time max(v_z / g + sqrt(disc), 0) until the
+    ball at the 6-state xi reaches the table plane, with respect to xi, in ttr_return's
+    order; SingularGradient where disc is at or below DISCRIMINANT_FLOOR."""
+    vz, pz = float(xi[5]), float(xi[2])
+    rise = vz / G_VERTICAL
+    disc = rise * rise + 2.0 * (pz - Z_TABLE) / G_VERTICAL
+    if disc <= DISCRIMINANT_FLOOR:
+        raise refused(SINGULAR, disc)
+    root = sqrt(disc)
+    grad = np.zeros(6)
+    grad[2] = 1.0 / (G_VERTICAL * root)
+    grad[5] = 1.0 / G_VERTICAL + vz / (G_VERTICAL * G_VERTICAL * root)
+    return grad
 
-    The flight pushed the tangent through the full steps. The last step's
-    position rows, with the state dependence of its length t_last, are
-    [I | t_last I] + v (dt_last/dxi); this differentiates them and the
-    interpolation onto the plane (its fraction follows the z row).
+
+def landing_state_jacobian(record: LandingRecord, tangent) -> np.ndarray:
+    """The 2x2 Jacobian of the record's landing point, its last step applied to the 6x2
+    `tangent` pushed through its full steps, on plain floats: ttr_return's reference.
+
+    Per column (dp, dv): t_last moves by dt = t_last'(stop) . (dp, dv), the end
+    q = p + t_last v by dq = dp + t_last dv + v dt, and the landing p + s (q - p),
+    s = (Z_TABLE - p_z) / (q_z - p_z), by s dq + (1 - s) dp + (q - p) ds (dq if q_z = p_z).
     """
-    if record.tangent is None:
-        raise ValueError("record carries no tangent: pass one to propagate_to_landing")
-    start, t = record.stop, record.t_last
-    j_q = np.hstack((np.eye(3), t * np.eye(3))) + np.outer(start[3:], remaining_time_gradient(start))
-    delta = (start[:3] + t * start[3:]) - start[:3]
-    w = delta[2]
-    if w == 0.0:
-        return j_q[:2] @ record.tangent
-    u = Z_TABLE - start[2]
-    s = u / w
-    ds_dxi = ((u - w) * np.eye(6)[2] - u * j_q[2]) / w**2
-    return (s * j_q[:2] + (1.0 - s) * np.eye(2, 6) + np.outer(delta[:2], ds_dxi)) @ record.tangent
+    px, py, pz, vx, vy, vz = record.stop.tolist()
+    t = record.t_last
+    dt_dpz, dt_dvz = remaining_time_gradient(record.stop)[[2, 5]].tolist()
+    u, w = Z_TABLE - pz, (pz + t * vz) - pz
+    delta = ((px + t * vx) - px, (py + t * vy) - py)
+    columns = []
+    for dpx, dpy, dpz, dvx, dvy, dvz in np.asarray(tangent, dtype=float).T.tolist():
+        d_t = dt_dpz * dpz + dt_dvz * dvz
+        dq = (dpx + t * dvx + vx * d_t, dpy + t * dvy + vy * d_t, dpz + t * dvz + vz * d_t)
+        if w == 0.0:
+            columns.append(dq[:2])
+            continue
+        s, ds = u / w, ((u - w) * dpz - u * dq[2]) / (w * w)
+        columns.append([s * dq[i] + (1.0 - s) * dp + delta[i] * ds for i, dp in enumerate((dpx, dpy))])
+    return np.array(columns).T

@@ -14,10 +14,9 @@ from math import ceil, cos, hypot, inf, sin
 import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
-# bound though not called here: perfbench/test_perfbench.py checks that its tracer patches env's copy
-from .ballistics import Physics, euler_flight, propagate_to_landing  # noqa: F401
+from .ballistics import Physics, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
-from .greybox import frozen_landing_record, predict_landings
+from .greybox import predict_landings
 from .metrics import running_metrics
 
 # The ground truth deliberately differs from greybox.MODEL (drag 0.12 vs
@@ -121,9 +120,9 @@ def intercept(
     phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, InterceptionEvent]:
     """One full interception: observe, then the hit and the flight of the grey-box
-    return (frozen_landing_record) at TRUTH's physics plus the landing noise, and the event."""
+    return (propagate_to_landing) at TRUTH's physics plus the landing noise, and the event."""
     row, event = observe(phi, cfg, rng)
-    return frozen_landing_record(phi, event, TRUTH).landing_point + row[6:], event
+    return propagate_to_landing(phi, event, TRUTH).landing_point + row[6:], event
 
 
 def estimate_variance(

@@ -1,11 +1,15 @@
-/* The explicit Euler drag flight of ttreturn.ballistics: one ball, one row.
+/* The grey-box return of ttreturn.ballistics: racket impact, explicit Euler
+   drag flight, closed-form last step and landing Jacobian, one ball per row.
 
    ballistics builds this file once with the system C compiler and calls it
    through ctypes. Every step makes the operations of the Python loop that
    tests/test_ballistics.py keeps as its oracle, in the same order, on IEEE
-   doubles, so every state, count, sample and tangent is the same bit for bit.
-   That holds only without contraction into fused multiply-adds and without
-   reassociation: the build passes -ffp-contract=off and never -ffast-math.
+   doubles, so every state, count, sample and tangent is the same bit for bit;
+   the impact, the last step and the Jacobian make those of the scalar
+   reference in ttreturn.impact and ttreturn.ballistics, with libm's cos and
+   sin. That holds only without contraction into fused multiply-adds and
+   without reassociation: the build passes -ffp-contract=off and never
+   -ffast-math.
 
    Each step from state (p, v), with speed |v| and drag k |v|:
        p += dt v;  v_x -= dt (k |v| v_x);  v_y -= dt (k |v| v_y);
@@ -117,19 +121,144 @@ int64_t ttr_flight(double *state, double k_drag, double dt, int64_t max_steps,
     return n;
 }
 
-/* Fly each of the n_rows return flights of the (n_rows, 6) rows in place
-   (ttr_flight without contact, samples or tangent) and write its step count;
-   a row still flying after max_steps keeps its start and gets count -1. */
-void ttr_landings(double *rows, int64_t n_rows, int64_t *steps, double k_drag, double dt,
-                  int64_t max_steps, double g, double z_plane)
+/* ttr_return's outcomes, and its Jacobian modes. */
+enum { LANDED, NO_LANDING, NO_PLANE, SINGULAR };
+enum { NO_JACOBIAN, FROZEN, COUPLED };
+
+/* y = A x for a row-major 3x3 A (A^T x if transpose), each sum taken left to right. */
+static void mul(const double *a, int transpose, const double *x, double *y)
+{
+    const int row = transpose ? 1 : 3, col = transpose ? 3 : 1;
+    for (int i = 0; i < 3; i++)
+        y[i] = a[row * i] * x[0] + a[row * i + col] * x[1] + a[row * i + 2 * col] * x[2];
+}
+
+/* q = E (D^T x) in the racket frame, E = diag(e), and out = G q in the world. */
+static void reflect(const double *g, const double *e, const double *d, const double *x, double *q, double *out)
+{
+    mul(d, 1, x, q);
+    for (int i = 0; i < 3; i++)
+        q[i] = e[i] * q[i];
+    mul(g, 0, q, out);
+}
+
+/* One grey-box return: the ball at pre-impact state xi_minus (p, v) meets the
+   racket at policy (theta1, theta4), flies its full steps (ttr_flight) and the
+   closed-form last step onto the plane.
+
+   rig: k_drag, dt, the three restitutions, g, z_plane, the discriminant floor,
+   the base yaw rate and the base pivot's x and y. The racket's rotation is
+   G = Rz(theta1) Rx(theta4); its velocity is the yaw rate times (-r_y, r_x, 0),
+   r from the pivot; the impact keeps p and maps v to G E G^T (v - v_r) + v_r.
+   The last step of length t = max(v_z / g + sqrt(disc), 0) lands
+   p + t v interpolated onto the plane.
+   jacobian FROZEN or COUPLED pushes the 6x2 impact Jacobian through the full
+   steps and differentiates the last step: COUPLED adds the event's motion,
+   dxi = d(xi_minus)/d(theta1), to the theta1 column.
+
+   record: the stop state (6), the step count, t, the landing point (2), the
+   row-major 2x2 Jacobian and the discriminant. Returns LANDED, NO_LANDING
+   (max_steps ran out), NO_PLANE (disc < 0) or SINGULAR (a Jacobian with disc at
+   or below the floor). */
+int64_t ttr_return(const double *xi_minus, double theta1, double theta4, const double *rig,
+                   int64_t max_steps, int64_t jacobian, const double *dxi, double *record)
+{
+    const double *e = rig + 2, g = rig[5], z_plane = rig[6], yaw = rig[8];
+    const double c1 = cos(theta1), s1 = sin(theta1), c4 = cos(theta4), s4 = sin(theta4);
+    /* G and its derivatives in theta1 and theta4, row-major */
+    const double rot[3][9] = {{c1, -s1 * c4, s1 * s4, s1, c1 * c4, -c1 * s4, 0.0, s4, c4},
+                              {-s1, -c1 * c4, c1 * s4, c1, -s1 * c4, s1 * s4, 0.0, 0.0, 0.0},
+                              {0.0, s1 * s4, s1 * c4, 0.0, -c1 * s4, -c1 * c4, 0.0, c4, -s4}};
+    const double v_r[3] = {yaw * -(xi_minus[1] - rig[10]), yaw * (xi_minus[0] - rig[9]), yaw * 0.0};
+    double rel[3], q[3], v[3], tangent[12], *state = record;
+
+    for (int i = 0; i < 3; i++)
+        rel[i] = xi_minus[3 + i] - v_r[i];
+    reflect(rot[0], e, rot[0], rel, q, v);
+    for (int i = 0; i < 3; i++) {
+        state[i] = xi_minus[i];
+        state[3 + i] = v[i] + v_r[i];
+    }
+    if (jacobian != NO_JACOBIAN) {
+        /* each angle's column: (0, dG q + G E dG^T rel) */
+        for (int j = 0; j < 2; j++) {
+            double d_gq[3], d_q[3], d_v[3];
+            mul(rot[1 + j], 0, q, d_gq);
+            reflect(rot[0], e, rot[1 + j], rel, d_q, d_v);
+            for (int i = 0; i < 3; i++) {
+                tangent[6 * j + i] = 0.0;
+                tangent[6 * j + 3 + i] = d_gq[i] + d_v[i];
+            }
+        }
+        if (jacobian == COUPLED) {
+            const double dv_r[3] = {yaw * -dxi[1], yaw * dxi[0], yaw * 0.0};
+            double d_rel[3], d_q[3], d_v[3];
+            for (int i = 0; i < 3; i++)
+                d_rel[i] = dxi[3 + i] - dv_r[i];
+            reflect(rot[0], e, rot[0], d_rel, d_q, d_v);
+            for (int i = 0; i < 3; i++) {
+                tangent[i] = dxi[i];
+                tangent[3 + i] += d_v[i] + dv_r[i];
+            }
+        }
+    }
+    const int64_t n = ttr_flight(state, rig[0], rig[1], max_steps, g, z_plane, NULL, INFINITY, NULL, 0, NULL,
+                                 jacobian != NO_JACOBIAN ? tangent : NULL);
+    record[6] = (double)n;
+    if (n < 0)
+        return NO_LANDING;
+
+    const double px = state[0], py = state[1], pz = state[2], vx = state[3], vy = state[4], vz = state[5];
+    const double rise = vz / g, disc = rise * rise + 2.0 * (pz - z_plane) / g;
+    record[14] = disc;
+    if (disc < 0.0)
+        return NO_PLANE;
+    const double drop = rise + sqrt(disc), t = drop < 0.0 ? 0.0 : drop;
+    const double u = z_plane - pz, w = (pz + t * vz) - pz, frac = w != 0.0 ? u / w : 1.0;
+    const double delta[3] = {(px + t * vx) - px, (py + t * vy) - py, w};
+    record[7] = t;
+    record[8] = px + frac * delta[0];
+    record[9] = py + frac * delta[1];
+    if (jacobian == NO_JACOBIAN)
+        return LANDED;
+    if (disc <= rig[7])
+        return SINGULAR;
+
+    /* per column (dp, dv): dt = t'(xi) . (dp, dv); dq = dp + t dv + v dt moves p + t v;
+       the landing p + s (q - p), s = u / w, moves by s dq + (1 - s) dp + (q - p) ds */
+    const double root = sqrt(disc), dt_dpz = 1.0 / (g * root), dt_dvz = 1.0 / g + vz / (g * g * root);
+    for (int j = 0; j < 2; j++) {
+        const double *col = tangent + 6 * j, d_t = dt_dpz * col[2] + dt_dvz * col[5];
+        double dq[3];
+        dq[0] = col[0] + t * col[3] + vx * d_t;
+        dq[1] = col[1] + t * col[4] + vy * d_t;
+        dq[2] = col[2] + t * col[5] + vz * d_t;
+        for (int i = 0; i < 2; i++)
+            record[10 + 2 * i + j] = dq[i];
+        if (w != 0.0) {
+            const double ds = ((u - w) * col[2] - u * dq[2]) / (w * w);
+            for (int i = 0; i < 2; i++)
+                record[10 + 2 * i + j] = frac * dq[i] + (1.0 - frac) * col[i] + delta[i] * ds;
+        }
+    }
+    return LANDED;
+}
+
+/* ttr_return without a Jacobian for each of the n_rows rows of pre-impact
+   states (n_rows, 6) and policies (n_rows, 2) in turn, writing each landing
+   point to landings (n_rows, 2). Stops at the first row that does not land,
+   with its record and outcome in record and *outcome; returns that row's
+   index, or n_rows. */
+int64_t ttr_returns(int64_t n_rows, const double *xi_minus, const double *policies, const double *rig,
+                    int64_t max_steps, double *landings, double *record, int64_t *outcome)
 {
     for (int64_t r = 0; r < n_rows; r++) {
-        double *row = rows + 6 * r, start[6];
-        for (int i = 0; i < 6; i++)
-            start[i] = row[i];
-        steps[r] = ttr_flight(row, k_drag, dt, max_steps, g, z_plane, NULL, INFINITY, NULL, 0, NULL, NULL);
-        if (steps[r] < 0)
-            for (int i = 0; i < 6; i++)
-                row[i] = start[i];
+        *outcome = ttr_return(xi_minus + 6 * r, policies[2 * r], policies[2 * r + 1], rig, max_steps,
+                              NO_JACOBIAN, NULL, record);
+        if (*outcome != LANDED)
+            return r;
+        landings[2 * r] = record[8];
+        landings[2 * r + 1] = record[9];
     }
+    return n_rows;
 }

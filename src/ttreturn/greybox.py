@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arm import InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
-from .ballistics import LandingRecord, Physics, landing_outcomes, landing_state_jacobian, propagate_to_landing
-from .impact import impact_state_jacobian, racket_impact, racket_impacts
+from .arm import InterceptionEvent, InterceptionPolicy, interception_event
+from .ballistics import LandingRecord, Physics, propagate_to_landing, return_landings
 
 # The predictor's physics: drag, return-flight step and restitution of the first-principles model.
 MODEL = Physics(k_drag=0.106, dt=1e-3, restitution=(0.75, -0.75, 0.75))
@@ -25,27 +24,19 @@ def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.n
 
 def predict_landings(phis: list[InterceptionPolicy], xi_minus: np.ndarray, physics: Physics) -> list:
     """frozen_landing_record's landing point of each policy at its row of the (B, 6) pre-impact
-    states, as array code on the block: racket_impacts, then landing_outcomes' block flight."""
-    theta1, theta4 = np.array([(phi.theta1, phi.theta4) for phi in phis], dtype=float).reshape(-1, 2).T
-    return landing_outcomes(racket_impacts(xi_minus, theta1, theta4, physics), physics)
+    states, as one block of kernel returns (return_landings); the first row that fails raises."""
+    return return_landings(xi_minus, [(phi.theta1, phi.theta4) for phi in phis], physics)
 
 
-def frozen_landing_record(
-    phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics,
-    tangent: np.ndarray | None = None,
-) -> LandingRecord:
+def frozen_landing_record(phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics) -> LandingRecord:
     """Flight record with the interception event frozen at a base policy.
 
     Only the racket orientation varies with the policy; the pre-impact state,
     racket position and racket velocity are taken from the given event. At
     the base policy it is the full pipeline's flight; its finite differences
-    are what the frozen-event gradient matches. A 6x2 `tangent` is pushed
-    through the flight (see propagate_to_landing).
+    are what the frozen-event gradient matches.
     """
-    gamma = racket_rotation(phi)
-    v_r = racket_velocity(event)
-    xi_plus = racket_impact(event.xi_minus, gamma, v_r, physics)
-    return propagate_to_landing(xi_plus, physics, tangent)
+    return propagate_to_landing(phi, event, physics)
 
 
 def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:
@@ -62,9 +53,8 @@ def predict_landing_with_gradient(
     phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics, coupled: bool = False
 ) -> tuple[LandingRecord, np.ndarray]:
     """Flight record at the policy, intercepted at `event`, and the 2x2 Jacobian
-    of its landing point by the chain rule, in both modes: the impact Jacobian
-    (with the event tangent if `coupled`) pushed through the flight steps, then
-    through the shortened last step."""
-    j_impact = impact_state_jacobian(phi, event, physics, coupled)
-    record = frozen_landing_record(phi, event, physics, j_impact)
-    return record, landing_state_jacobian(record)
+    of its landing point by the chain rule, in both modes, from one kernel return:
+    the impact Jacobian (with the event tangent if `coupled`) pushed through the
+    flight steps, then through the shortened last step."""
+    record = propagate_to_landing(phi, event, physics, "coupled" if coupled else "frozen")
+    return record, record.jacobian

@@ -374,7 +374,8 @@ FD_STEP = 1e-5  # [rad] central-difference step of the gradient checks
 def _rel_error(jac: np.ndarray, f, phi: InterceptionPolicy) -> float:
     """Relative error of the analytic 2x2 `jac` against central differences of f at phi."""
     fd = central_difference(f, phi, FD_STEP)
-    return float(np.linalg.norm(jac - fd) / max(np.linalg.norm(fd), 1e-12))
+    norm = lambda m: math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3])  # Frobenius, in row order
+    return norm((jac - fd).ravel().tolist()) / max(norm(fd.ravel().tolist()), 1e-12)
 
 
 def grad_check_report(
@@ -440,7 +441,8 @@ def iters_to_threshold(log: RunLog, target: np.ndarray) -> int:
     """First iteration whose instantaneous landing error drops below
     ITERS_THRESHOLD, or -1 if it never does."""
     for rec in log.records:
-        if float(np.linalg.norm(rec.r_landing - target)) < ITERS_THRESHOLD:
+        dx, dy = (rec.r_landing - target).tolist()
+        if math.sqrt(dx * dx + dy * dy) < ITERS_THRESHOLD:
             return rec.i
     return -1
 

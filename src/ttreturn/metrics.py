@@ -11,7 +11,8 @@ def running_metrics(points, target) -> tuple[np.ndarray, float, float]:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     target = np.asarray(target, dtype=float)
     r_bar = pts.mean(axis=0)
-    eps = float(np.linalg.norm(target - r_bar))
+    dx, dy = (target - r_bar).tolist()
+    eps = float(np.sqrt(dx * dx + dy * dy))
     sigma = float(np.sqrt(np.mean(np.sum((pts - r_bar) ** 2, axis=1))))
     return r_bar, eps, sigma
 

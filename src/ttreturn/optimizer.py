@@ -68,12 +68,12 @@ def gd_update(
     k: FeasibleSet,
 ) -> InterceptionPolicy:
     """One projected gradient step using the predictor Jacobian as Part 1
-    and the observed landing error as Part 2."""
-    error = np.asarray(r_landing, dtype=float) - np.asarray(r_target, dtype=float)
-    step = alpha * (np.asarray(jac, dtype=float).T @ error)
-    return project(
-        InterceptionPolicy(theta1=phi.theta1 - step[0], theta4=phi.theta4 - step[1]), k
-    )
+    and the observed landing error as Part 2: alpha J^T e on plain floats, each
+    sum in row order."""
+    ex, ey = (np.asarray(r_landing, dtype=float) - np.asarray(r_target, dtype=float)).tolist()
+    (j11, j14), (j21, j24) = np.asarray(jac, dtype=float).tolist()
+    return project(InterceptionPolicy(theta1=phi.theta1 - alpha * (j11 * ex + j21 * ey),
+                                      theta4=phi.theta4 - alpha * (j14 * ex + j24 * ey)), k)
 
 
 @dataclass

@@ -207,7 +207,7 @@ class TestInterceptionEvent:
         assert az == pytest.approx(theta1, abs=1e-4)
         # dense re-sampling reference for the crossing state
         states = np.array(nominal_traj.rows).reshape(-1, 6)
-        azs = base_azimuth(states[:, 0], states[:, 1]) - theta1
+        azs = np.array([base_azimuth(x, y) for x, y in states[:, :2].tolist()]) - theta1
         idx = np.nonzero((azs[:-1] <= 0) & (azs[1:] > 0))[0][0]
         u = -azs[idx] / (azs[idx + 1] - azs[idx])
         xi_ref = states[idx] + u * (states[idx + 1] - states[idx])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import example, given, settings
+    from hypothesis import assume, example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -21,21 +21,20 @@ except ImportError:
 
 from conftest import fine_step_landing
 from ttreturn import ballistics
-from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
+from ttreturn.arm import InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
+    G_VERTICAL,
+    JACOBIANS,
     Z_TABLE,
     LandingRecord,
     Physics,
     euler_flight,
-    euler_landings,
-    final_step,
     landing_state_jacobian,
     propagate_to_landing,
-    remaining_time,
     remaining_time_gradient,
 )
 from ttreturn.env import SAMPLE_DT, TRUTH, EnvConfig, launch
-from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, SingularGradient
+from ttreturn.errors import MaxStepsExceeded, MissedBall, NegativeDiscriminant, SimulationError, SingularGradient
 from ttreturn.greybox import MODEL
 from ttreturn.impact import impact_state_jacobian, racket_impact
 
@@ -51,6 +50,40 @@ def physics(**kw) -> Physics:
 def state(p, v) -> np.ndarray:
     """Test-local: the 6-state of position p and velocity v."""
     return np.concatenate([p, v]).astype(float)
+
+
+def remaining_time(xi) -> float:
+    """Test-local oracle of the kernel's last-step length: the drag-free time
+    max(v_z / g + sqrt(disc), 0) until the ball reaches the table plane."""
+    vz, pz = float(xi[5]), float(xi[2])
+    rise = vz / G_VERTICAL
+    disc = rise * rise + 2.0 * (pz - ballistics.Z_TABLE) / G_VERTICAL
+    if disc < 0.0:
+        raise NegativeDiscriminant(f"ball cannot reach the table plane: discriminant = {disc:.3e}")
+    return max(rise + sqrt(disc), 0.0)
+
+
+def final_step(stop) -> tuple[float, np.ndarray]:
+    """Test-local oracle of the kernel's closed-form last step from the stop state: its
+    length t_last and the (2,) landing point, where the step's position update
+    p + t_last v is interpolated onto the plane (NegativeDiscriminant if it cannot be reached)."""
+    px, py, pz, vx, vy, vz = stop
+    t_last = remaining_time(stop)
+    # Euler's position update leaves out the g t_last^2 / 2 drop that t_last solves for
+    dz = (pz + t_last * vz) - pz
+    frac = (ballistics.Z_TABLE - pz) / dz if dz != 0.0 else 1.0
+    return t_last, np.array((px + frac * ((px + t_last * vx) - px), py + frac * ((py + t_last * vy) - py)))
+
+
+# full restitution: with the racket at rest (policy (0, 0) and the zero_yaw_rate fixture) the impact is the identity
+UNIT = (1.0, 1.0, 1.0)
+
+
+def fly(xi, p: Physics, jacobian=None, dxi=None):
+    """Test-local: the kernel return (propagate_to_landing) of the post-impact state xi,
+    through an impact that leaves it as it is; needs the zero_yaw_rate fixture."""
+    event = InterceptionEvent(np.asarray(xi, dtype=float), dxi)
+    return propagate_to_landing(InterceptionPolicy(0.0, 0.0), event, replace(p, restitution=UNIT), jacobian)
 
 
 def step(xi, p: Physics, dt: float | None = None) -> np.ndarray:
@@ -90,24 +123,33 @@ def one_step_final_step(stop, p: Physics) -> tuple[float, np.ndarray]:
     return t_last, landing
 
 
-def six_row_landing_jacobian(record: LandingRecord, p: Physics) -> np.ndarray:
-    """Test-local: the 6-row landing-state Jacobian applied to the record's
-    tangent, from the full step Jacobians of a re-flown last step."""
+def dot(row, x) -> float:
+    """Test-local: the dot product of two float sequences, summed left to right."""
+    total = row[0] * x[0]
+    for r, c in zip(row[1:], x[1:]):
+        total += r * c
+    return total
+
+
+def six_row_landing_jacobian(record: LandingRecord, tangent, p: Physics) -> np.ndarray:
+    """Test-local: the 6-row landing-state Jacobian of a re-flown last step applied to
+    the tangent, each column as the chain rule takes it: dense sums, left to right, over
+    the step Jacobians of free_flight_step_jacobians and the remaining-time gradient."""
     start = record.stop
     A, b = free_flight_step_jacobians(start, p, record.t_last)
-    j_q = A + np.outer(b, remaining_time_gradient(start))
+    grad = remaining_time_gradient(start).tolist()
     raw = step(start, p, record.t_last)
-    delta = raw - start
-    w = raw[2] - start[2]
-    if w == 0.0:
-        return j_q @ record.tangent
-    u = Z_TABLE - start[2]
-    s = u / w
-    e_z = np.zeros(6)
-    e_z[2] = 1.0
-    ds_dxi = ((u - w) * e_z - u * j_q[2, :]) / w**2
-    j_land = s * j_q + (1.0 - s) * np.eye(6) + np.outer(delta, ds_dxi)
-    return j_land @ record.tangent
+    delta, u, w = (raw - start).tolist(), Z_TABLE - start[2], raw[2] - start[2]
+    columns = []
+    for col in np.asarray(tangent, dtype=float).T.tolist():
+        d_t = dot(grad, col)
+        dq = [dot(a, col) + b_r * d_t for a, b_r in zip(A.tolist(), b.tolist())]
+        if w == 0.0:
+            columns.append(dq)
+            continue
+        s, ds = u / w, ((u - w) * dot(np.eye(6)[2].tolist(), col) - u * dq[2]) / (w * w)
+        columns.append([s * q + (1.0 - s) * c + d * ds for q, c, d in zip(dq, col, delta)])
+    return np.array(columns).T
 
 
 class TestFreeFlightStep:
@@ -293,17 +335,20 @@ class TestRemainingTimeGradient:
             remaining_time_gradient(xi)
 
 
+@pytest.mark.usefixtures("zero_yaw_rate")
 class TestPropagateToLanding:
+    """The kernel return from post-impact states, through an impact that leaves them as they are (fly)."""
+
     def test_immediate_landing(self):
         xi = state([0.2, 0.3, 0.761], [0.0, 0.0, -1.0])
-        rec = propagate_to_landing(xi, physics(dt=0.01))
+        rec = fly(xi, physics(dt=0.01))
         assert rec.k_max == 0
         assert np.array_equal(rec.stop, xi)
         assert 0.0 < rec.t_last <= 0.01
 
     def test_drop_time_within_two_percent(self):
         xi = state([0.4, -0.2, 0.76 + 0.49], [0.0, 0.0, 0.0])
-        rec = propagate_to_landing(xi, physics(dt=0.001))
+        rec = fly(xi, physics(dt=0.001))
         np.testing.assert_allclose(rec.landing_point, [0.4, -0.2], atol=1e-12)
         assert rec.k_max * 0.001 + rec.t_last == pytest.approx(0.3162, rel=0.02)
 
@@ -311,7 +356,7 @@ class TestPropagateToLanding:
         # a launched return at roughly 5 m/s
         xi = state([-0.6, 0.7, 1.1], [-3.5, 2.8, 2.0])
         assert np.linalg.norm(xi[3:]) == pytest.approx(4.9, abs=0.2)
-        rec = propagate_to_landing(xi, physics(dt=1e-3))
+        rec = fly(xi, physics(dt=1e-3))
         ref = fine_step_landing(xi, 0.106, 0.76)
         assert np.linalg.norm(rec.landing_point - ref) < 5e-3
 
@@ -319,7 +364,7 @@ class TestPropagateToLanding:
         rng = np.random.default_rng(4)
         for _ in range(20):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
-            rec = propagate_to_landing(xi, physics())
+            rec = fly(xi, physics())
             _, landing = final_step(rec.stop)
             assert np.array_equal(rec.landing_point, landing)
             assert rec.k_max * 1e-3 + rec.t_last > 0.0
@@ -336,7 +381,7 @@ class TestPropagateToLanding:
             v = v / np.linalg.norm(v) * rng.uniform(1.0, 15.0)
             v[2] = abs(v[2])
             xi = state([0.0, 0.0, rng.uniform(1.0, 2.0)], v)
-            rec = propagate_to_landing(xi, p)
+            rec = fly(xi, p)
             raw = step(rec.stop, p, rec.t_last)
             worst = max(worst, abs(raw[2] - 0.76))
         assert worst < 1e-3
@@ -345,7 +390,7 @@ class TestPropagateToLanding:
         # with zero drag the Euler recursion has an exact closed form
         p = physics(k_drag=0.0, dt=0.01)
         xi = state([0.3, -0.2, 1.8], [1.2, 0.7, 2.0])
-        rec = propagate_to_landing(xi, p)
+        rec = fly(xi, p)
         g = GRAVITY
         k, dt = rec.k_max, p.dt
         vk = xi[3:] + k * dt * g
@@ -363,13 +408,13 @@ class TestPropagateToLanding:
         # the apex of a ball starting at z = 0.5 stays under the plane
         xi = state([0.0, 0.0, 0.5], [1.0, 0.0, vz])
         with pytest.raises(NegativeDiscriminant):
-            propagate_to_landing(xi, physics())
+            fly(xi, physics())
 
     def test_max_steps_exceeded(self, monkeypatch):
         monkeypatch.setattr(ballistics, "MAX_STEPS", 10)
         xi = state([0.0, 0.0, 5.0], [0.0, 0.0, 0.0])
         with pytest.raises(MaxStepsExceeded):
-            propagate_to_landing(xi, physics(dt=1e-4))
+            fly(xi, physics(dt=1e-4))
 
     @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
     def test_tangent_leaves_flight_unchanged(self, k_drag, dt):
@@ -377,14 +422,13 @@ class TestPropagateToLanding:
         p = physics(k_drag=k_drag, dt=dt)
         for _ in range(10):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
-            plain = propagate_to_landing(xi, p)
-            pushed = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
-            assert np.array_equal(plain.stop, pushed.stop)
-            assert np.array_equal(plain.landing_point, pushed.landing_point)
-            assert (plain.k_max, plain.t_last) == (pushed.k_max, pushed.t_last)
-            assert plain.tangent is None and pushed.tangent.shape == (6, 2)
-            with pytest.raises(ValueError):
-                landing_state_jacobian(plain)
+            plain = fly(xi, p)
+            for pushed in (fly(xi, p, "frozen"), fly(xi, p, "coupled", tuple(rng.normal(size=6).tolist()))):
+                assert np.array_equal(plain.stop, pushed.stop)
+                assert np.array_equal(plain.landing_point, pushed.landing_point)
+                assert (plain.k_max, plain.t_last) == (pushed.k_max, pushed.t_last)
+                assert pushed.jacobian.shape == (2, 2) and np.isfinite(pushed.jacobian).all()
+            assert plain.jacobian is None
 
 
 def _landing_fd(xi_vec, p, h=1e-6):
@@ -393,8 +437,8 @@ def _landing_fd(xi_vec, p, h=1e-6):
     for col in range(6):
         d = np.zeros(6)
         d[col] = h
-        rec_hi = propagate_to_landing(xi_vec + d, p)
-        rec_lo = propagate_to_landing(xi_vec - d, p)
+        rec_hi = fly(xi_vec + d, p)
+        rec_lo = fly(xi_vec - d, p)
         k_maxes.update((rec_hi.k_max, rec_lo.k_max))
         fd[:, col] = (rec_hi.landing_point - rec_lo.landing_point) / (2 * h)
     return fd, k_maxes
@@ -405,12 +449,23 @@ IDENTITY_PAIRS = [np.eye(6)[:, c:c + 2] for c in (0, 2, 4)]
 
 
 def pushed_identity(xi, p):
-    """Test-local: the record of the flight from xi and the 2x6 landing-point
-    Jacobian, pushed as three 6x2 column pairs of the identity."""
-    records = [propagate_to_landing(xi, p, pair) for pair in IDENTITY_PAIRS]
-    return records[0], np.hstack([landing_state_jacobian(rec) for rec in records])
+    """Test-local: the kernel record of the return from xi and its 2x6 landing-point
+    Jacobian, one column per unit event tangent of a coupled return (through fly's
+    impact the theta1 column of the impact Jacobian is that tangent)."""
+    records = [fly(xi, p, "coupled", tuple(unit)) for unit in np.eye(6).tolist()]
+    return records[0], np.column_stack([rec.jacobian[:, 0] for rec in records])
 
 
+def reference_record(xi, p, tangent):
+    """Test-local: the record of the flight from xi (euler_flight and the final_step
+    oracle) and the tangent that flight pushed."""
+    stop, k, pushed = euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS,
+                                   tangent=tangent)
+    t_last, landing = final_step(stop)
+    return LandingRecord(k, t_last, landing, np.array(stop)), pushed
+
+
+@pytest.mark.usefixtures("zero_yaw_rate")
 class TestLandingStateJacobian:
     def test_immediate_landing_matches_fd(self):
         p = physics(dt=0.01)
@@ -447,10 +502,10 @@ class TestLandingStateJacobian:
         p = physics(k_drag=k_drag, dt=dt)
         for _ in range(50):
             xi = state([rng.normal(), rng.normal(), rng.uniform(0.9, 1.6)], rng.normal(size=3) * 4.0)
-            rec = propagate_to_landing(xi, p, rng.normal(size=(6, 2)))
-            jac = landing_state_jacobian(rec)
+            rec, tangent = reference_record(xi, p, rng.normal(size=(6, 2)))
+            jac = landing_state_jacobian(rec, tangent)
             assert jac.shape == (2, 2)
-            np.testing.assert_array_equal(jac, six_row_landing_jacobian(rec, p)[:2])
+            np.testing.assert_array_equal(jac, six_row_landing_jacobian(rec, tangent, p)[:2])
 
 
 def _euler_states(xi, p, n):
@@ -472,6 +527,7 @@ def _step_product(states, p):
     return product
 
 
+@pytest.mark.usefixtures("zero_yaw_rate")
 class TestTangentJacobianOracle:
     @pytest.mark.parametrize("k_drag,dt", [(0.106, 1e-3), (0.12, 5e-4)], ids=["model", "truth"])
     def test_matches_step_jacobian_product(self, k_drag, dt):
@@ -487,14 +543,11 @@ class TestTangentJacobianOracle:
             np.testing.assert_allclose(states[-1], rec.stop, rtol=0.0, atol=1e-12)
             # with no full steps the tangent push is the identity, leaving
             # only the last-step and interpolation corrections
-            last_only = np.hstack([landing_state_jacobian(LandingRecord(
-                k_max=0, t_last=rec.t_last, landing_point=rec.landing_point, stop=rec.stop, tangent=pair
-            )) for pair in IDENTITY_PAIRS])
+            last_only = np.hstack([landing_state_jacobian(rec, pair) for pair in IDENTITY_PAIRS])
             oracle = last_only @ _step_product(states, p)
             assert np.linalg.norm(full - oracle) / np.linalg.norm(oracle) < 1e-12
             tangent = rng.normal(size=(6, 2))
-            rec = propagate_to_landing(xi, p, tangent)
-            pushed = landing_state_jacobian(rec)
+            pushed = landing_state_jacobian(*reference_record(xi, p, tangent))
             expected = oracle @ tangent
             assert pushed.shape == (2, 2)
             assert np.linalg.norm(pushed - expected) / np.linalg.norm(expected) < 1e-12
@@ -533,8 +586,6 @@ class TestInLoopTangent:
     def test_rejects_other_shapes(self, shape):
         xi = state([0.0, 0.0, 1.2], [-2.0, 1.0, 2.0])
         with pytest.raises(ValueError, match=rf"6x2, got shape \({shape[0]},"):
-            propagate_to_landing(xi, physics(), np.zeros(shape))
-        with pytest.raises(ValueError, match="6x2"):
             euler_flight(xi.tolist(), MODEL.k_drag, 1e-3, 10, tangent=np.zeros(shape))
 
     def test_matches_post_loop_push_bit_for_bit(self):
@@ -561,69 +612,6 @@ class TestInLoopTangent:
                 want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
                 assert (stop, n) == (want_stop, want_n)
                 assert np.array_equal(pushed, want) and pushed.shape == (6, 2)
-
-
-class TestEulerLandingsOracle:
-    @pytest.mark.parametrize("n_rows,quantile", [(300, 0.5), (300, 0.8), (20, 0.5)])
-    def test_matches_scalar_kernel_bit_for_bit(self, monkeypatch, n_rows, quantile):
-        # jittered starts, plus a row on the plane (k_max = 0), one whose apex
-        # stays under the plane and two that are not finite; MAX_STEPS is near
-        # a quantile of the jittered rows' step counts, so one row stops exactly
-        # at MAX_STEPS and later ones cannot land. The block flies every row to its
-        # end in one kernel call, without euler_flight, which raises if it is called.
-        rng = np.random.default_rng(12)
-        rows = [
-            [rng.normal(), rng.normal(), rng.uniform(0.9, 1.6), *(rng.normal(size=3) * 4.0).tolist()]
-            for _ in range(n_rows)
-        ] + [[0.2, 0.3, 0.761, 0.0, 0.0, -1.0], [0.0, 0.0, 0.5, 1.0, 0.0, 2.0],
-             [0.0, 0.0, 1.0, 0.0, np.nan, 1.0], [0.0, 0.0, 1.0, np.inf, 0.0, 0.0]]
-        p = MODEL
-        ks = sorted(euler_flight(row, p.k_drag, p.dt, ballistics.MAX_STEPS)[1] for row in rows[:n_rows])
-        q = int(quantile * n_rows)  # and a row one step later, where one exists
-        max_steps = ks[next((i for i in range(q, n_rows - 1) if ks[i + 1] == ks[i] + 1), q)]
-        monkeypatch.setattr(ballistics, "MAX_STEPS", max_steps)
-
-        expected_stops, expected_steps = [], []
-        for row in rows:
-            try:
-                stop, k, _ = euler_flight(row, p.k_drag, p.dt, max_steps)
-            except MaxStepsExceeded:
-                stop, k = row, -1
-            expected_stops.append(stop)
-            expected_steps.append(k)
-        with monkeypatch.context() as patched:
-            patched.setattr(ballistics, "euler_flight", refuse_scalar_flight)
-            stops, steps = euler_landings(np.array(rows), p)
-        np.testing.assert_array_equal(stops, np.array(expected_stops))
-        np.testing.assert_array_equal(steps, expected_steps)
-        assert {0, max_steps, -1} <= set(steps.tolist())
-        assert steps[-2] == steps[-1] == -1
-
-        # the shared tail gives what propagate_to_landing gives, errors included
-        for row, stop, k in zip(rows, stops.tolist(), steps.tolist()):
-            if k < 0:
-                with pytest.raises(MaxStepsExceeded):
-                    propagate_to_landing(np.array(row), p)
-                continue
-            try:
-                rec = propagate_to_landing(np.array(row), p)
-            except NegativeDiscriminant:
-                with pytest.raises(NegativeDiscriminant):
-                    final_step(stop)
-                assert row == rows[n_rows + 1]
-                continue
-            t_last, landing = final_step(stop)
-            assert (t_last, k) == (rec.t_last, rec.k_max)
-            np.testing.assert_array_equal(landing[:2], rec.landing_point)
-
-    def test_empty_batch(self, monkeypatch):
-        monkeypatch.setattr(ballistics, "euler_flight", refuse_scalar_flight)
-        stops, steps = euler_landings(np.zeros((0, 6)), physics())
-        assert stops.shape == (0, 6) and steps.shape == (0,)
-
-
-def refuse_scalar_flight(*args, **kwargs):
-    raise AssertionError("euler_landings called the scalar kernel")
 
 
 def stepped_states(row, k_drag: float, dt: float, n: int) -> list:
@@ -831,7 +819,7 @@ class TestKernelMatchesPythonLoop:
             assert_kernel_matches_python(row, 0.12, dt, max_steps, keep=True)
             assert_kernel_matches_python(row, 0.12, SAMPLE_DT, max_steps, -1.2, keep=True, y_keep=3.0)
 
-    def test_edge_row_outcomes(self):
+    def test_edge_row_outcomes(self, zero_yaw_rate):
         # each edge row reaches the branch it is named for
         def outcome(name, max_steps=4000, **kwargs):
             return assert_kernel_matches_python(EDGE_ROWS[name], MODEL.k_drag, MODEL.dt, max_steps, **kwargs)
@@ -845,7 +833,99 @@ class TestKernelMatchesPythonLoop:
         assert n > 0 and np.isnan(np.array(stop, dtype=np.int64).view(float)).any()
         assert len(samples) < 6 * (n + 1)  # a state whose y overflowed to NaN is not kept
         with pytest.raises(MaxStepsExceeded, match="^no landing within 4000 steps$"):
-            propagate_to_landing(np.array(EDGE_ROWS["max_steps"]), MODEL)
+            fly(EDGE_ROWS["max_steps"], MODEL)
+
+
+def reference_return(phi, event, physics, jacobian=None) -> LandingRecord:
+    """Test-local oracle of one kernel return: the scalar references racket_impact and
+    impact_state_jacobian, the Python step loop, the final_step oracle and landing_state_jacobian."""
+    xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), physics)
+    tangent = None if jacobian is None else impact_state_jacobian(phi, event, physics, jacobian == "coupled")
+    stop, k, pushed = python_flight(xi.tolist(), physics.k_drag, physics.dt, ballistics.MAX_STEPS, tangent=tangent)
+    t_last, landing = final_step(stop)
+    record = LandingRecord(k, t_last, landing, np.array(stop))
+    if tangent is not None:
+        record.jacobian = landing_state_jacobian(record, pushed)
+    return record
+
+
+def return_outcome(ret, *args):
+    """Test-local: a return's step count, t_last, landing point, stop and Jacobian as bit
+    patterns, or its error's type and message."""
+    try:
+        rec = ret(*args)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+    assert type(rec.k_max) is int and rec.landing_point.shape == (2,) and rec.stop.shape == (6,)
+    return rec.k_max, bits([rec.t_last]), bits(rec.landing_point), bits(rec.stop), \
+        None if rec.jacobian is None else (rec.jacobian.shape, bits(rec.jacobian))
+
+
+def assert_return_matches_reference(phi, event, physics) -> list:
+    """Test-local: the kernel return equals its reference in every Jacobian mode; returns the outcomes."""
+    outcomes = []
+    for jacobian in JACOBIANS:
+        got = return_outcome(propagate_to_landing, phi, event, physics, jacobian)
+        assert got == return_outcome(reference_return, phi, event, physics, jacobian)
+        outcomes.append(got)
+    return outcomes
+
+
+# pre-impact rows at the return's edges: under the plane with its apex below it, at rest
+# on the plane (a racket without tilt sends it nowhere: disc = 0), and dropped from 60 m
+RETURN_EDGES = {
+    "negative_discriminant": ([0.2, 0.5, 0.5, 0.0, -0.1, -0.1], NegativeDiscriminant),
+    "discriminant_at_floor": ([0.3, 0.6, Z_TABLE, 0.0, 0.0, 0.0], SingularGradient),
+    "max_steps": ([0.0, 0.5, 60.0, 0.0, 0.0, 0.0], MaxStepsExceeded),
+}
+
+
+class TestReturnMatchesReference:
+    """The kernel's grey-box return (ttr_return) against its scalar fixed-order reference, bit for bit."""
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.tuples(st.floats(-1.0, 1.0), st.floats(-0.5, 1.5), st.floats(0.5, 1.6),
+                  st.floats(-3.0, 3.0), st.floats(-12.0, 2.0), st.floats(-6.0, 6.0)),
+        st.floats(-np.pi, np.pi),
+        st.floats(-1.2, 1.2),
+        st.one_of(st.none(), st.tuples(*[st.floats(-5.0, 5.0)] * 6)),
+        st.sampled_from(["truth", "model"]),
+    )
+    def test_pre_impact_states(self, xi_minus, theta1, theta4, dxi, which):
+        event = InterceptionEvent(np.array(xi_minus), dxi)
+        physics = {"truth": TRUTH, "model": MODEL}[which]
+        assert_return_matches_reference(InterceptionPolicy(theta1, theta4), event, physics)
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.31, 0.67), st.floats(-0.05, 0.45))
+    def test_interceptions_at_truth_and_model(self, seed, theta1, theta4):
+        # jittered launches intercepted in the policy box: the env's and the predictor's returns
+        try:
+            event = interception_event(launch(EnvConfig(), np.random.default_rng(seed)), theta1)
+        except MissedBall:
+            assume(False)
+        for p in (TRUTH, MODEL):
+            outcomes = assert_return_matches_reference(InterceptionPolicy(theta1, theta4), event, p)
+            assert all(len(outcome) == 5 for outcome in outcomes[:2])
+
+    @pytest.mark.parametrize("name", sorted(RETURN_EDGES))
+    def test_edge_rows(self, name):
+        row, error = RETURN_EDGES[name]
+        event = InterceptionEvent(np.array(row), tuple(np.linspace(-1.0, 1.0, 6).tolist()))
+        for p in (TRUTH, MODEL):
+            kinds = [outcome[0] if len(outcome) == 2 else None for outcome in
+                     assert_return_matches_reference(InterceptionPolicy(0.3, 0.0), event, p)]
+            assert kinds == ([None, error, error] if error is SingularGradient else [error] * 3)
+
+    def test_coupled_event_without_tangent(self, nominal_traj):
+        event = interception_event(nominal_traj, 0.45)
+        event.dxi_dtheta1 = None
+        outcomes = assert_return_matches_reference(InterceptionPolicy(0.45, 0.2), event, MODEL)
+        assert outcomes[2] == (SingularGradient, "crossing pair lies on the theta1 azimuth: no event tangent")
+        assert len(outcomes[0]) == len(outcomes[1]) == 5
 
 
 def import_in_child(root, code: str = "") -> subprocess.CompletedProcess:

@@ -4,19 +4,21 @@ Seventeen in-process `cli.main` calls cover every mode, both label sources, both
 gradient modes of the grey-box, the black-box predictor, both sweep kinds, a
 launch that ends on the table (`run`, exit 2) and one that ends on the floor
 (`gen-data`, exit 1). Two of them land at least 100 env-labelled returns or
-variance trials in one block, so the block entry of `ballistics.euler_landings`
-flies many rows at once and not only a few. For each call the table holds the
-exit code, the sha256 of stdout and of stderr (with the output root replaced by
-`<tmp>`) and the sha256 of every file the call wrote.
+variance trials in one block, so the block entry of the kernel
+(`ballistics.return_landings`) flies many rows at once and not only a few. For
+each call the table holds the exit code, the sha256 of stdout and of stderr
+(with the output root replaced by `<tmp>`) and the sha256 of every file the
+call wrote.
 
-The hashes hold for numpy 2.4.6 on an x86-64 glibc libm. The training bytes
-(`train-blackbox`) and the black-box gradient check run in the compiled kernels
-in a fixed order, so they no longer depend on the BLAS kernel or numpy's SIMD
-dispatch (tests/test_host_independent_bytes.py); only another libm can move
-them. The other cases still pass numbers through BLAS products and numpy's SIMD
-transcendentals, so the kernel OpenBLAS picks, numpy's dispatch path, or
-another numpy or libm may round differently and move them. A change that means to
-move an output regenerates the table with
+The hashes hold for numpy 2.4.6 on an x86-64 glibc libm. Every case is
+covered by tests/test_host_independent_bytes.py: the grey-box returns and
+their Jacobians, the surrogate's training and evaluation run in the compiled
+kernels in a fixed order, and the online step, the metrics' norms and the
+crossing search's angles run on plain floats, so no hashed number passes
+through a BLAS product or numpy's SIMD transcendentals. Only libm can still
+move the covered cases: `cos`, `sin`, `atan2` and `exp` come from the system
+libm, through the kernels and Python's `math`. A change that means to move an
+output regenerates the table with
 
     GOLDEN_UPDATE=1 python -m pytest tests/test_golden_outputs.py
 

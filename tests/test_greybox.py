@@ -286,6 +286,12 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
 
 
+def test_empty_block_lands_nothing():
+    assert predict_landings([], np.zeros((0, 6)), MODEL) == []
+    with pytest.raises(ValueError, match="2 pre-impact states but 1 policies"):
+        predict_landings([InterceptionPolicy(0.4, 0.1)], np.zeros((2, 6)), MODEL)
+
+
 MANY_ROWS = 100  # the least landing rows of the block, a dataset label block and not a handful of rows
 
 

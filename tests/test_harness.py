@@ -562,8 +562,8 @@ class TestGradCheck:
             for name in ("frozen_landing_record", "propagate_to_landing"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted("scalar", getattr(module, name)))
-        blocks = counted("blocks", ttreturn.ballistics.euler_landings)
-        monkeypatch.setattr(ttreturn.ballistics, "euler_landings", blocks)
+        blocks = counted("blocks", ttreturn.greybox.return_landings)
+        monkeypatch.setattr(ttreturn.greybox, "return_landings", blocks)
         ds = gen_dataset(env_cfg, 60, "uniform", np.random.default_rng(5), TestBlockedSampling.MISS_BOX)
         assert len(ds) == 60 and calls == {"scalar": 0, "blocks": 1}
         estimate_variance(InterceptionPolicy(0.45, 0.25), 30, env_cfg, np.random.default_rng(0))

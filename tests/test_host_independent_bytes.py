@@ -6,7 +6,11 @@ its exit code, stdout and stderr hashes and artifact hashes are compared with
 tests/golden_outputs.json. The cases it reads from are run first by this
 process under its own settings, so only the covered case runs under the
 setting. A case joins COVERED once every number it hashes is computed in a
-fixed order, away from BLAS and numpy's SIMD transcendentals.
+fixed order, away from BLAS and numpy's SIMD transcendentals. Every golden
+case is covered: the grey-box returns, their Jacobians and the surrogate run
+in the compiled kernels, and the online step, the metrics' norms and the
+crossing search's angles on plain floats and libm (Python's math). No case
+is left out.
 """
 
 import json
@@ -27,9 +31,9 @@ SETTINGS = {
     "openblas-nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
     "numpy-without-avx2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"},
 }
-# each covered case, with the cases that write its inputs; run-blackbox is not covered,
-# since its env flights still pass through BLAS products and numpy's SIMD arctan2 and cos
-COVERED = {"train-blackbox": ("gen-data-greybox",), "grad-check-blackbox": ()}
+# each covered case, with the cases that write its inputs
+INPUTS = {"train-blackbox": ("gen-data-greybox",), "run-blackbox": ("gen-data-greybox", "train-blackbox")}
+COVERED = {name: INPUTS.get(name, ()) for name, _ in CASES}
 
 
 def observe_in_child(root: pathlib.Path, name: str, env: dict) -> dict:

@@ -12,9 +12,8 @@ from ttreturn.arm import (
     racket_rotation,
     racket_velocity,
 )
-from ttreturn.env import TRUTH
 from ttreturn.greybox import MODEL
-from ttreturn.impact import impact_state_jacobian, racket_impact, racket_impacts
+from ttreturn.impact import impact_state_jacobian, racket_impact
 
 
 def rot_z(a):
@@ -69,21 +68,6 @@ class TestRacketImpact:
             out = racket_impact(np.r_[np.zeros(3), v_minus], gamma, v_r, physics)
             assert np.linalg.norm(out[3:] - v_r) <= 0.75 * np.linalg.norm(v_minus - v_r) + 1e-12
 
-
-    def test_stacked_impacts_match_scalar_bit_for_bit(self):
-        # racket_impacts builds each policy's rotation and racket velocity and
-        # takes the stacked ((G M) G^T) rel products: racket_impact's bits
-        rng = np.random.default_rng(12)
-        n = 40
-        xi = np.column_stack((rng.normal(size=(n, 3)), rng.normal(size=(n, 3)) * 5.0))
-        theta1, theta4 = rng.uniform(-pi, pi, (2, n))
-        physics = TRUTH
-        out = racket_impacts(xi, theta1, theta4, physics)
-        for row, x, t1, t4 in zip(out, xi, theta1.tolist(), theta4.tolist()):
-            event = InterceptionEvent(x)
-            gamma = racket_rotation(InterceptionPolicy(t1, t4))
-            ref = racket_impact(event.xi_minus, gamma, racket_velocity(event), physics)
-            np.testing.assert_array_equal(row, ref)
 
 def frozen_impact(phi, event, physics):
     gamma = racket_rotation(phi)
