@@ -38,7 +38,7 @@ MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
 
 # The kernel's build: no -ffast-math and no -march, and no contraction into fused
 # multiply-adds, which would change the last bits on hosts that have them.
-CC_COMMAND = ("cc", "-O2", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+CC_COMMAND = ("cc", "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -201,7 +201,9 @@ def propagate_to_landing(
     MAX_STEPS, while the drag-free remaining time exceeds dt, then a last step of that
     time, t_last, whose Euler position update is interpolated onto the plane.
     `jacobian` "frozen" adds the 2x2 landing Jacobian with the event held fixed,
-    "coupled" with the event moving along event.dxi_dtheta1. Raises MaxStepsExceeded,
+    "coupled" with the event moving along event.dxi_dtheta1. With the event held at a
+    base policy only the racket orientation varies with phi, and the finite differences
+    of that map are what the frozen Jacobian matches. Raises MaxStepsExceeded,
     NegativeDiscriminant or SingularGradient (see refused and no_event_tangent).
     racket_impact, impact_state_jacobian and landing_state_jacobian are its reference.
     """

@@ -18,25 +18,13 @@ MODEL = Physics(k_drag=0.106, dt=1e-3, restitution=(0.75, -0.75, 0.75))
 
 def predict_landing(phi: InterceptionPolicy, incoming, physics: Physics) -> np.ndarray:
     """Landing point of the return for the given policy and incoming ball."""
-    event = interception_event(incoming, phi.theta1)
-    return frozen_landing_record(phi, event, physics).landing_point
+    return propagate_to_landing(phi, interception_event(incoming, phi.theta1), physics).landing_point
 
 
 def predict_landings(phis: list[InterceptionPolicy], xi_minus: np.ndarray, physics: Physics) -> list:
-    """frozen_landing_record's landing point of each policy at its row of the (B, 6) pre-impact
+    """propagate_to_landing's landing point of each policy at its row of the (B, 6) pre-impact
     states, as one block of kernel returns (return_landings); the first row that fails raises."""
     return return_landings(xi_minus, [(phi.theta1, phi.theta4) for phi in phis], physics)
-
-
-def frozen_landing_record(phi: InterceptionPolicy, event: InterceptionEvent, physics: Physics) -> LandingRecord:
-    """Flight record with the interception event frozen at a base policy.
-
-    Only the racket orientation varies with the policy; the pre-impact state,
-    racket position and racket velocity are taken from the given event. At
-    the base policy it is the full pipeline's flight; its finite differences
-    are what the frozen-event gradient matches.
-    """
-    return propagate_to_landing(phi, event, physics)
 
 
 def central_difference(f, phi: InterceptionPolicy, step: float) -> np.ndarray:

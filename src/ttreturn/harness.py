@@ -19,10 +19,11 @@ from itertools import islice, product
 import numpy as np
 
 from .arm import InterceptionPolicy, interception_event, interception_states
+from .ballistics import propagate_to_landing
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
 from .env import EnvConfig, estimate_variance, intercept, launch, observe, observed_landings
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
-from .greybox import MODEL, central_difference, frozen_landing_record, predict_landing_with_gradient, predict_landings
+from .greybox import MODEL, central_difference, predict_landing_with_gradient, predict_landings
 from .optimizer import FeasibleSet, RunLog, cell, csv_artifact, run_online
 
 # Nominal scenario: the policy box inside which the arm reliably intercepts
@@ -422,7 +423,7 @@ def grad_check_report(
 
         def landing(p):
             ev = interception_event(traj, p.theta1) if coupled else event
-            rec = frozen_landing_record(p, ev, MODEL)
+            rec = propagate_to_landing(p, ev, MODEL)
             seen.add((rec.k_max, ev.dxi_dtheta1))
             return rec.landing_point
 

@@ -9,15 +9,29 @@
    scales holds center and half (sizes[0] each), then mean and std
    (sizes[n_layers] each).
 
-   Every sum runs in a fixed order: a neuron's sum adds w_j a_j for j in
-   order, from 0.0, and its bias last; a gradient adds the batch rows in their
-   order. tanh is 1 - 2 / (exp(2 x) + 1) with libm's exp, everywhere. The
-   scalar Python oracle in tests/test_blackbox.py makes the same operations in
-   the same order, so the two agree bit for bit; as in flight.c, that holds
-   only without contraction and reassociation. */
+   Rows run through the network BLOCK at a time, layer by layer: a minibatch's
+   forward and backward passes, and the error of a split, keep their
+   activations and deltas unit-major (unit u of row r at u * nb + r for a block
+   of nb rows), so the row is the innermost loop and the rows' independent
+   chains of exp and divide overlap. A minibatch larger than BLOCK runs as
+   tiles of BLOCK rows in order; ttr_mlp is a block of one row.
+
+   Every sum runs in a fixed order, the one a row-at-a-time loop writes: a
+   neuron's sum adds w_j a_j for j in order, from 0.0, and its bias last; a
+   delta carried down adds d_i w_ij for i in order, from 0.0; a gradient entry
+   adds the batch's rows in their order, tile after tile; a split's error adds
+   its rows in order. Blocking changes only which row's operation comes next,
+   never an operation of one row or one sum. tanh is 1 - 2 / (exp(2 x) + 1)
+   with libm's scalar exp, everywhere. The scalar Python oracle in
+   tests/test_blackbox.py makes the same operations in the same order, so the
+   two agree bit for bit; as in flight.c, that holds only without contraction
+   and reassociation, and with no vector libm (libmvec) in place of exp. */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+
+#define BLOCK 64 /* rows that run through the layers together */
 
 static inline double ttr_tanh(double x)
 {
@@ -38,24 +52,34 @@ static void shape(const int64_t *sizes, int64_t n_layers, int64_t *params, int64
     }
 }
 
-/* Normalize the policy x into acts[0 .. sizes[0]) and run the layers after it:
-   layer l's outputs follow its inputs in acts. Returns the network's outputs. */
-static const double *forward(const double *theta, const int64_t *sizes, int64_t n_layers,
-                             const double *scales, const double *x, double *acts)
+/* Normalize the nb policies of rows (row r at rows + k * stride, k = order[r], or
+   r without an order) into the input units of acts and run the layers after them.
+   acts is unit-major: unit u of row r is acts[u * nb + r], the input units first,
+   then each layer's outputs; the row is the innermost loop. Returns the network's
+   output units. */
+static const double *forward(const double *theta, const int64_t *sizes, int64_t n_layers, const double *scales,
+                             const double *rows, int64_t stride, const int64_t *order, int64_t nb, double *acts)
 {
     const double *w = theta;
     double *in = acts;
     for (int64_t j = 0; j < sizes[0]; j++)
-        acts[j] = (x[j] - scales[j]) / scales[sizes[0] + j];
+        for (int64_t r = 0; r < nb; r++)
+            acts[j * nb + r] = (rows[(order ? order[r] : r) * stride + j] - scales[j]) / scales[sizes[0] + j];
     for (int64_t l = 0; l < n_layers; l++) {
         const int64_t fan_in = sizes[l];
-        double *out = in + fan_in;
+        double *out = in + fan_in * nb;
         for (int64_t i = 0; i < sizes[l + 1]; i++, w += fan_in + 1) {
-            double sum = 0.0;
+            double *sum = out + i * nb;
+            for (int64_t r = 0; r < nb; r++)
+                sum[r] = 0.0;
             for (int64_t j = 0; j < fan_in; j++)
-                sum += w[j] * in[j];
-            sum += w[fan_in];
-            out[i] = l + 1 < n_layers ? ttr_tanh(sum) : sum;
+                for (int64_t r = 0; r < nb; r++)
+                    sum[r] += w[j] * in[j * nb + r];
+            for (int64_t r = 0; r < nb; r++)
+                sum[r] += w[fan_in];
+            if (l + 1 < n_layers)
+                for (int64_t r = 0; r < nb; r++)
+                    sum[r] = ttr_tanh(sum[r]);
         }
         in = out;
     }
@@ -73,7 +97,7 @@ void ttr_mlp(const double *theta, const int64_t *sizes, int64_t n_layers, const 
     const int64_t n_in = sizes[0], n_out = sizes[n_layers];
     const double *mean = scales + 2 * n_in, *std = mean + n_out;
     double acts[units], chain[2][width * n_in];
-    const double *y = forward(theta, sizes, n_layers, scales, x, acts);
+    const double *y = forward(theta, sizes, n_layers, scales, x, 0, NULL, 1, acts);
     for (int64_t i = 0; i < n_out; i++)
         out[i] = y[i] * std[i] + mean[i];
     if (!jac)
@@ -103,23 +127,26 @@ void ttr_mlp(const double *theta, const int64_t *sizes, int64_t n_layers, const 
 }
 
 /* The mean over the n records [x | y] of rows of the squared distance
-   between prediction and y; NaN for no record. */
+   between prediction and y, the rows run BLOCK at a time; NaN for no record. */
 static double mean_squared_error(const double *theta, const int64_t *sizes, int64_t n_layers,
                                  const double *scales, const double *rows, int64_t n, double *acts)
 {
-    const int64_t n_in = sizes[0], n_out = sizes[n_layers];
+    const int64_t n_in = sizes[0], n_out = sizes[n_layers], stride = n_in + n_out;
     const double *mean = scales + 2 * n_in, *std = mean + n_out;
     double total = 0.0;
     if (n == 0)
         return NAN;
-    for (int64_t r = 0; r < n; r++) {
-        const double *x = rows + r * (n_in + n_out), *y = forward(theta, sizes, n_layers, scales, x, acts);
-        double sum = 0.0;
-        for (int64_t k = 0; k < n_out; k++) {
-            const double e = y[k] * std[k] + mean[k] - x[n_in + k];
-            sum += e * e;
+    for (int64_t start = 0; start < n; start += BLOCK) {
+        const int64_t nb = n - start < BLOCK ? n - start : BLOCK;
+        const double *x = rows + start * stride, *y = forward(theta, sizes, n_layers, scales, x, stride, NULL, nb, acts);
+        for (int64_t r = 0; r < nb; r++) {
+            double sum = 0.0;
+            for (int64_t k = 0; k < n_out; k++) {
+                const double e = y[k * nb + r] * std[k] + mean[k] - x[r * stride + n_in + k];
+                sum += e * e;
+            }
+            total += sum;
         }
-        total += sum;
     }
     return total / n;
 }
@@ -139,43 +166,59 @@ void ttr_adam_epoch(double *theta, double *m, double *v, int64_t *t, const int64
 {
     int64_t params, units, width;
     shape(sizes, n_layers, &params, &units, &width);
-    const int64_t n_in = sizes[0], n_out = sizes[n_layers], n_tr = n - n_val;
-    const double *mean = scales + 2 * n_in, *std = mean + n_out, *train = rows + n_val * (n_in + n_out);
+    const int64_t n_in = sizes[0], n_out = sizes[n_layers], n_tr = n - n_val, stride = n_in + n_out;
+    const double *mean = scales + 2 * n_in, *std = mean + n_out, *train = rows + n_val * stride;
     const double rate = adam[0], beta1 = adam[1], beta2 = adam[2], eps = adam[3];
-    double acts[units], grad[params], delta[2][width];
+    double acts[units * BLOCK], grad[params], delta[2][width * BLOCK];
 
     for (int64_t start = 0; start < n_tr; start += batch) {
         const int64_t nb = n_tr - start < batch ? n_tr - start : batch;
         for (int64_t p = 0; p < params; p++)
             grad[p] = 0.0;
-        for (int64_t r = start; r < start + nb; r++) {
-            const double *x = train + order[r] * (n_in + n_out);
-            const double *y = forward(theta, sizes, n_layers, scales, x, acts);
+        /* the batch's rows BLOCK at a time; each gradient entry adds them in order */
+        for (int64_t tile = start; tile < start + nb; tile += BLOCK) {
+            const int64_t nt = start + nb - tile < BLOCK ? start + nb - tile : BLOCK;
+            const double *y = forward(theta, sizes, n_layers, scales, train, stride, order + tile, nt, acts);
             double *d = delta[0], *below = delta[1];
             for (int64_t k = 0; k < n_out; k++)
-                d[k] = 2.0 * (y[k] - (x[n_in + k] - mean[k]) / std[k]) / nb;
+                for (int64_t r = 0; r < nt; r++) {
+                    const double *x = train + order[tile + r] * stride;
+                    d[k * nt + r] = 2.0 * (y[k * nt + r] - (x[n_in + k] - mean[k]) / std[k]) / nb;
+                }
             /* from the last layer down: add d a^T and d to the block [w | b],
                then carry d through w and the tanh below */
             const double *a = y;
             int64_t offset = params;
             for (int64_t l = n_layers - 1; l >= 0; l--) {
                 const int64_t fan_in = sizes[l], fan_out = sizes[l + 1];
-                a -= fan_in;
+                a -= fan_in * nt;
                 offset -= fan_out * (fan_in + 1);
                 const double *w = theta + offset;
                 double *g = grad + offset;
                 for (int64_t i = 0; i < fan_out; i++) {
-                    for (int64_t j = 0; j < fan_in; j++)
-                        g[i * (fan_in + 1) + j] += d[i] * a[j];
-                    g[i * (fan_in + 1) + fan_in] += d[i];
+                    const double *di = d + i * nt;
+                    for (int64_t j = 0; j < fan_in; j++) {
+                        double sum = g[i * (fan_in + 1) + j];
+                        for (int64_t r = 0; r < nt; r++)
+                            sum += di[r] * a[j * nt + r];
+                        g[i * (fan_in + 1) + j] = sum;
+                    }
+                    double sum = g[i * (fan_in + 1) + fan_in];
+                    for (int64_t r = 0; r < nt; r++)
+                        sum += di[r];
+                    g[i * (fan_in + 1) + fan_in] = sum;
                 }
                 if (l == 0)
                     break;
                 for (int64_t j = 0; j < fan_in; j++) {
-                    double sum = 0.0;
+                    double *sum = below + j * nt;
+                    for (int64_t r = 0; r < nt; r++)
+                        sum[r] = 0.0;
                     for (int64_t i = 0; i < fan_out; i++)
-                        sum += d[i] * w[i * (fan_in + 1) + j];
-                    below[j] = sum * (1.0 - a[j] * a[j]);
+                        for (int64_t r = 0; r < nt; r++)
+                            sum[r] += d[i * nt + r] * w[i * (fan_in + 1) + j];
+                    for (int64_t r = 0; r < nt; r++)
+                        sum[r] *= 1.0 - a[j * nt + r] * a[j * nt + r];
                 }
                 double *swap = d;
                 d = below;

@@ -979,9 +979,20 @@ class TestKernelBuild:
         child = import_in_child(package, code)
         assert child.returncode == 1
         command, stderr = child.stderr.split("\n", 1)
-        assert command.startswith("cannot build the kernel library: cc -O2 ") and "-ffp-contract=off" in command
+        built = " ".join((*ballistics.CC_COMMAND, "-fno-such-option", "-o "))
+        assert command.startswith("cannot build the kernel library: " + built) and "-ffp-contract=off" in command
         assert command.endswith("/flight.c " + str(package / "ttreturn" / "mlp.c") + " -lm")
-        assert " -fno-such-option " in command
         assert "-fno-such-option" in stderr  # the compiler's own complaint
         # the import's own build is the only library, and no partial build is left
         assert [path.suffix for path in self.libraries(package)] == [".so"]
+
+    def test_library_calls_scalar_libm_only(self):
+        # libmvec's vector entries (_ZGV*) round differently from scalar exp; -O3 may
+        # vectorize the row loops, and it must not reach for them
+        if shutil.which("nm") is None:
+            pytest.skip("nm is not installed")
+        listed = subprocess.run(["nm", "-D", "--undefined-only", ballistics.KERNEL._name],
+                                capture_output=True, text=True, check=True, timeout=60).stdout
+        symbols = [line.split()[-1].split("@")[0] for line in listed.splitlines() if line.strip()]
+        assert "exp" in symbols
+        assert [name for name in symbols if name.startswith("_ZGV")] == []

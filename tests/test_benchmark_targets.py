@@ -16,6 +16,7 @@ BINDINGS = (
     ("ttreturn", "launch", "ttreturn.env"),
     ("ttreturn.env", "propagate_to_landing", "ttreturn.ballistics"),
     ("ttreturn.greybox", "propagate_to_landing", "ttreturn.ballistics"),
+    ("ttreturn.harness", "propagate_to_landing", "ttreturn.ballistics"),
     ("ttreturn.harness", "intercept", "ttreturn.env"),
     ("ttreturn.harness", "predict_landing_with_gradient", "ttreturn.greybox"),
     ("ttreturn.harness", "mlp_jacobian", "ttreturn.blackbox"),

@@ -269,9 +269,13 @@ TRAINING_CASES = [
     (12, 5, TrainConfig(epochs=2, seed=6), 1),
     # the surrogate-build benchmark's dataset size: 1350 training and 150 validation rows
     (1500, 9, TrainConfig(epochs=2, seed=3), TrainConfig.batch_size),
+    # 128 training points: two whole batches of mlp.c's row block (BLOCK, 64 rows)
+    (142, 8, TrainConfig(epochs=3, seed=5), 64),
+    # 270 = 2 * 100 + 70: each batch runs as tiles of 64 and 36 rows, the last as 64 and 6
+    (300, 10, TrainConfig(epochs=3, seed=7), 100),
 ]
 TRAINING_IDS = ["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one",
-                "benchmark-scale"]
+                "benchmark-scale", "batch-of-one-block", "batch-above-block"]
 
 
 class TestFlatAdamOracle:

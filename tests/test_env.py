@@ -20,7 +20,7 @@ except ImportError:
 import ttreturn.ballistics
 import ttreturn.env
 from ttreturn.arm import BASE, REST_AZIMUTH, InterceptionPolicy, interception_event
-from ttreturn.ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight
+from ttreturn.ballistics import TABLE_CENTER, TABLE_HALF, Z_TABLE, Physics, euler_flight, propagate_to_landing
 from ttreturn.env import (
     EnvConfig,
     LAUNCH_STEPS,
@@ -33,7 +33,7 @@ from ttreturn.env import (
     stop_past,
 )
 from ttreturn.errors import InfeasibleRegion, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SingularGradient
-from ttreturn.greybox import MODEL, frozen_landing_record, predict_landing, predict_landing_with_gradient
+from ttreturn.greybox import MODEL, predict_landing, predict_landing_with_gradient
 from ttreturn.harness import SCENARIO_BOX
 
 
@@ -258,7 +258,7 @@ class TestAimedLaunch:
                 try:
                     phi = InterceptionPolicy(t1, 0.2)
                     r, event = intercept(phi, env_cfg, np.random.default_rng(seed))
-                    out.append((r.tolist(), frozen_landing_record(phi, event, TRUTH).landing_point.tolist()))
+                    out.append((r.tolist(), propagate_to_landing(phi, event, TRUTH).landing_point.tolist()))
                 except MissedBall as exc:
                     out.append(type(exc))
             return out
@@ -369,7 +369,7 @@ class TestIntercept:
         r1, e1 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
         r2, e2 = intercept(phi, noiseless_env_cfg, np.random.default_rng(4))
         assert np.array_equal(r1, r2)
-        assert np.array_equal(r1, frozen_landing_record(phi, e1, TRUTH).landing_point)
+        assert np.array_equal(r1, propagate_to_landing(phi, e1, TRUTH).landing_point)
         assert np.array_equal(e1.xi_minus, e2.xi_minus)
 
     def test_truth_jacobian_record_lands_at_the_noise_free_landing(self, env_cfg):
@@ -399,7 +399,7 @@ class TestIntercept:
         deltas = []
         for _ in range(1000):
             r, event = intercept(phi, cfg, rng)
-            deltas.append(r - frozen_landing_record(phi, event, TRUTH).landing_point)
+            deltas.append(r - propagate_to_landing(phi, event, TRUTH).landing_point)
         emp = np.array(deltas).std(axis=0)
         np.testing.assert_allclose(emp, cfg.landing_noise_std, rtol=0.15)
         assert abs(np.array(deltas).mean(axis=0)).max() < 0.03

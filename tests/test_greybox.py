@@ -15,13 +15,12 @@ from conftest import fine_step_landing
 from ttreturn import ballistics
 from ttreturn.arm import InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.env import EnvConfig, SampledTrajectory, launch
-from ttreturn.ballistics import MAX_STEPS, Z_TABLE
+from ttreturn.ballistics import MAX_STEPS, Z_TABLE, propagate_to_landing
 from ttreturn.errors import (MaxStepsExceeded, MissedBall, NegativeDiscriminant, NoCrossing, OutOfReach, SimulationError,
                              SingularGradient)
 from ttreturn.greybox import (
     MODEL,
     central_difference,
-    frozen_landing_record,
     predict_landing,
     predict_landing_with_gradient,
     predict_landings,
@@ -93,10 +92,10 @@ def test_gradient_matches_frozen_fd(nominal_traj):
         event = interception_event(nominal_traj, t1)
         fd = np.zeros((2, 2))
         for col, d in enumerate(((h, 0.0), (0.0, h))):
-            hi = frozen_landing_record(
+            hi = propagate_to_landing(
                 InterceptionPolicy(t1 + d[0], t4 + d[1]), event, MODEL
             ).landing_point
-            lo = frozen_landing_record(
+            lo = propagate_to_landing(
                 InterceptionPolicy(t1 - d[0], t4 - d[1]), event, MODEL
             ).landing_point
             fd[:, col] = (hi - lo) / (2 * h)
@@ -116,13 +115,13 @@ def test_tilt_column_dominates_range_direction(nominal_traj):
 def test_first_order_taylor_consistency(nominal_traj):
     phi = InterceptionPolicy(0.48, 0.22)
     event = interception_event(nominal_traj, phi.theta1)
-    base = frozen_landing_record(phi, event, MODEL).landing_point
+    base = propagate_to_landing(phi, event, MODEL).landing_point
     _, jac = landing_and_gradient(phi, nominal_traj)
     direction = np.array([0.7, -0.4])
     errs = []
     for scale in (2e-3, 1e-3):
         d = scale * direction
-        moved = frozen_landing_record(
+        moved = propagate_to_landing(
             InterceptionPolicy(phi.theta1 + d[0], phi.theta4 + d[1]), event, MODEL
         ).landing_point
         errs.append(np.linalg.norm(moved - base - jac @ d))
@@ -194,7 +193,7 @@ def test_coupled_jacobian_matches_pipeline_central_differences(nominal_traj):
 
         def landing(p):
             event = interception_event(traj, p.theta1)
-            record = frozen_landing_record(p, event, MODEL)
+            record = propagate_to_landing(p, event, MODEL)
             seen.add((record.k_max, event.dxi_dtheta1))
             return record.landing_point
 
@@ -226,7 +225,7 @@ def test_degenerate_crossing_pair_has_no_coupled_gradient():
 def test_frozen_record_matches_pipeline_at_base_policy(nominal_traj):
     phi = InterceptionPolicy(0.5, 0.25)
     event = interception_event(nominal_traj, phi.theta1)
-    rec = frozen_landing_record(phi, event, MODEL)
+    rec = propagate_to_landing(phi, event, MODEL)
     np.testing.assert_allclose(
         rec.landing_point, predict_landing(phi, nominal_traj, MODEL), atol=1e-12
     )
@@ -251,8 +250,8 @@ def test_frozen_jacobian_matches_central_differences_property(seed, t1, t4):
     record, jac = predict_landing_with_gradient(InterceptionPolicy(t1, t4), event, MODEL)
     fd = np.zeros((2, 2))
     for col, d in enumerate(((h, 0.0), (0.0, h))):
-        hi = frozen_landing_record(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, MODEL)
-        lo = frozen_landing_record(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, MODEL)
+        hi = propagate_to_landing(InterceptionPolicy(t1 + d[0], t4 + d[1]), event, MODEL)
+        lo = propagate_to_landing(InterceptionPolicy(t1 - d[0], t4 - d[1]), event, MODEL)
         assume(hi.k_max == lo.k_max == record.k_max)
         fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
@@ -279,8 +278,8 @@ def test_coupled_jacobian_matches_central_differences_property(seed, t1, t4):
     record, jac = predict_landing_with_gradient(InterceptionPolicy(t1, t4), event, MODEL, coupled=True)
     fd = np.zeros((2, 2))
     for col, (d1, d4) in enumerate(((h, 0.0), (0.0, h))):
-        hi = frozen_landing_record(InterceptionPolicy(t1 + d1, t4 + d4), events[0] if d1 else event, MODEL)
-        lo = frozen_landing_record(InterceptionPolicy(t1 - d1, t4 - d4), events[1] if d1 else event, MODEL)
+        hi = propagate_to_landing(InterceptionPolicy(t1 + d1, t4 + d4), events[0] if d1 else event, MODEL)
+        lo = propagate_to_landing(InterceptionPolicy(t1 - d1, t4 - d4), events[1] if d1 else event, MODEL)
         assume(hi.k_max == lo.k_max == record.k_max)
         fd[:, col] = (hi.landing_point - lo.landing_point) / (2 * h)
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) < 1e-4
@@ -303,7 +302,7 @@ MANY_ROWS = 100  # the least landing rows of the block, a dataset label block an
 def test_block_labels_match_per_policy_path(nominal_traj, monkeypatch, max_steps, z_table, error):
     # pre-impact states of the nominal launch and jittered ones, at theta1 over
     # (-pi, 3.0) and theta4 across the box, and a non-finite theta4 last; each
-    # row's scalar outcome is frozen_landing_record's landing point or error. The
+    # row's scalar outcome is propagate_to_landing's landing point or error. The
     # launches fly to the usual table; only the returns land on a plane at z_table.
     cfg = EnvConfig()
     rng = np.random.default_rng(31)
@@ -322,7 +321,7 @@ def test_block_labels_match_per_policy_path(nominal_traj, monkeypatch, max_steps
     phis, xi, expected = [phi for phi, _ in events], np.array([ev.xi_minus for _, ev in events]), []
     for phi, event in events:
         try:
-            expected.append(frozen_landing_record(phi, event, MODEL).landing_point)
+            expected.append(propagate_to_landing(phi, event, MODEL).landing_point)
         except SimulationError as exc:
             expected.append((type(exc), str(exc)))
     landed = [i for i, e in enumerate(expected) if isinstance(e, np.ndarray)]

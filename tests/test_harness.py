@@ -538,9 +538,10 @@ class TestGradCheck:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(ttreturn.greybox, "propagate_to_landing",
-                            counted("flights", ttreturn.greybox.propagate_to_landing))
+        # the base flight goes through greybox's binding, the differences through harness's
         for module in (ttreturn.greybox, ttreturn.harness):
+            monkeypatch.setattr(module, "propagate_to_landing",
+                                counted("flights", module.propagate_to_landing))
             monkeypatch.setattr(module, "interception_event",
                                 counted("events", module.interception_event))
         report = grad_check_report("greybox", 10, seed=0, env_cfg=env_cfg)
@@ -559,9 +560,7 @@ class TestGradCheck:
             return wrapper
 
         for module in (ttreturn.ballistics, ttreturn.env, ttreturn.greybox, ttreturn.harness):
-            for name in ("frozen_landing_record", "propagate_to_landing"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted("scalar", getattr(module, name)))
+            monkeypatch.setattr(module, "propagate_to_landing", counted("scalar", module.propagate_to_landing))
         blocks = counted("blocks", ttreturn.greybox.return_landings)
         monkeypatch.setattr(ttreturn.greybox, "return_landings", blocks)
         ds = gen_dataset(env_cfg, 60, "uniform", np.random.default_rng(5), TestBlockedSampling.MISS_BOX)
