@@ -7,7 +7,7 @@ first-principles landing predictor with analytic gradients or a small
 trained surrogate model.
 """
 
-from .arm import InterceptionEvent, InterceptionPolicy, base_azimuth, interception_event
+from .arm import InterceptionEvent, InterceptionPolicy, interception_event
 from .ballistics import (
     LandingRecord,
     Physics,

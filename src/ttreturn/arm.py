@@ -8,16 +8,17 @@ rate at interception time.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
-from math import atan2, cos, pi, sin, sqrt
+from math import cos, pi, sin
 
 import numpy as np
 
 from .errors import NoCrossing, OutOfReach
+from .kernel import KERNEL, constants, pointer
 
 REACH_MARGIN = 0.01  # [m] keep-out from the fully folded and fully stretched arm
 CROSS_TOL = 1e-9     # [m] |c| below which a sample may lie on either side of theta1
-SEARCH_CHUNK = 64    # policies per (chunk, samples) array of the block crossing search
 # Base azimuth of the racket normal at rest, +y (racket_rotation rotates from it,
 # and the impact model's normal restitution acts along the racket's y axis).
 REST_AZIMUTH = pi / 2  # [rad]
@@ -26,6 +27,10 @@ REST_AZIMUTH = pi / 2  # [rad]
 BASE = np.array([0.0, 0.0, 0.8])  # [m]
 REACH = (abs(0.5 - 0.45) + REACH_MARGIN, 0.5 + 0.45 - REACH_MARGIN)  # [m]
 THETA1_DOT = 6.0  # [rad/s]
+# ttr_crossings' constants, one theta1, and one record: xi_minus (6), dxi_dtheta1 (6),
+# 1.0 if that slope is set, the crossing's distance from BASE and the outcome
+GEOMETRY, THETA1, EVENT = ctypes.c_double * 8, ctypes.c_double * 1, ctypes.c_double * 15
+CROSSED, NO_CROSSING, OUT_OF_REACH = range(3)  # ttr_crossings' outcomes
 
 
 @dataclass
@@ -44,90 +49,43 @@ class InterceptionEvent:
     dxi_dtheta1: tuple | None = None  # 6 floats d(xi_minus)/d(theta1); None for a degenerate pair
 
 
-def base_azimuth(x: float, y: float) -> float:
-    """Azimuth of the horizontal position (x, y) as seen from the base pivot, with libm's atan2.
-
-    Zero along the racket's rest normal (REST_AZIMUTH), positive counterclockwise about +z.
-    """
-    return (atan2(y - BASE[1], x - BASE[0]) - REST_AZIMUTH + pi) % (2.0 * pi) - pi
-
-
-@np.errstate(invalid="ignore", over="ignore")  # an overflowed launch's inf/NaN samples only miss
 def interception_event(incoming, theta1: float) -> InterceptionEvent:
-    """First (interpolated) sample at which the ball crosses base azimuth theta1.
+    """First (interpolated) sample of `incoming` (a SampledTrajectory) at which the ball
+    crosses base azimuth theta1, in one kernel call (ttr_crossings in flight.c).
 
-    `incoming` is a SampledTrajectory. With a and b the base azimuths of two
-    consecutive samples relative to theta1, wrapped to [-pi, pi), the pair
-    crosses if it is no wrap jump (|b - a| <= pi) and a == 0, a b < 0 or
-    b == 0. Only candidate pairs are tested, in order: a and the half-plane
-    sign c = ux (y - by) - uy (x - bx), with u the direction of theta1, have
-    the same sign wherever |c| exceeds CROSS_TOL, so a pair is a candidate
-    unless both of its c, clipped to that band, sit on the same edge.
-
-    xi_minus = row + u (after - row), u = a / (a - b), and a - b is the wrapped
-    difference of the two samples' azimuths, free of theta1: dxi_dtheta1 = (row
-    - after) / (a - b), the same floats for every theta1 on the pair, or None if
-    a == b == 0 (the pair lies on the azimuth) or a - b rounds to 0.
+    With a and b the base azimuths (from REST_AZIMUTH about the pivot BASE) of two
+    consecutive samples relative to theta1, wrapped to [-pi, pi), the pair crosses if
+    it is no wrap jump (|b - a| <= pi) and a == 0, a b < 0 or b == 0. Only candidate
+    pairs are tested, in order: a and the half-plane sign c = ux (y - by) - uy (x - bx),
+    u the direction of theta1, agree in sign wherever |c| exceeds CROSS_TOL, so a pair
+    is a candidate unless both of its c, clipped to that band, sit on the same edge.
+    xi_minus = row + u (after - row), u = a / (a - b); dxi_dtheta1 = (row - after) /
+    (a - b), the same floats for every theta1 on the pair, or None if a == b or a - b
+    rounds to 0. NoCrossing without a crossing pair, OutOfReach outside REACH of BASE.
     """
-    bx, by, bz = BASE.tolist()
-    xy = incoming.xy()
-    c = cos(REST_AZIMUTH + theta1) * (xy[1] - by) - sin(REST_AZIMUTH + theta1) * (xy[0] - bx)
-    c = np.minimum(np.maximum(c, -CROSS_TOL), CROSS_TOL)
-    pairs = (c[:-1] * c[1:] < CROSS_TOL**2).nonzero()[0]
-
-    rows, tau = incoming.rows, 2.0 * pi
-
-    az = lambda i: base_azimuth(rows[6 * i], rows[6 * i + 1])
-    wrap = lambda angle: (angle + pi) % tau - pi
-
-    for idx in pairs.tolist():
-        za, zb = az(idx), az(idx + 1)
-        a, b = wrap(za - theta1), wrap(zb - theta1)
-        if not abs(b - a) > pi and (a == 0.0 or a * b < 0.0 or b == 0.0):
-            break
-    else:
+    out = EVENT()
+    KERNEL.ttr_crossings(1, THETA1(theta1), incoming.samples, len(incoming), geometry(), out)
+    if out[14] == NO_CROSSING:
         raise NoCrossing(f"ball path never reaches base azimuth {theta1:.3f} rad")
-    u = 0.0 if a == 0.0 else a / (a - b)
-
-    row, after = rows[6 * idx : 6 * idx + 6], rows[6 * idx + 6 : 6 * idx + 12]
-    xi = [p + u * (q - p) for p, q in zip(row, after)]
-    span = wrap(za - zb)  # a - b, free of theta1
-    dxi = None if a == b or span == 0.0 else tuple([(p - q) / span for p, q in zip(row, after)])
-    dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
-
-    dist = sqrt(dx * dx + dy * dy + dz * dz)
-    lo, hi = REACH
-    if not (lo <= dist <= hi):
-        raise OutOfReach(f"target at {dist:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
-    return InterceptionEvent(np.array(xi), dxi)
+    if out[14] == OUT_OF_REACH:
+        lo, hi = REACH
+        raise OutOfReach(f"target at {out[13]:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
+    return InterceptionEvent(np.frombuffer(out)[:6], tuple(out[6:12]) if out[12] else None)
 
 
-@np.errstate(invalid="ignore", over="ignore")  # as interception_event
-def interception_states(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """interception_event's crossing search, interpolation and reach check for an
-    array of theta1 on one trajectory, SEARCH_CHUNK policies at a time: the (B, 6)
-    pre-impact states and the (B,) mask of the policies that hit (a miss's row is junk)."""
-    x, y = incoming.xy()
-    az = np.array([base_azimuth(*p) for p in zip(incoming.rows[0::6], incoming.rows[1::6])])
-    turns = [REST_AZIMUTH + t for t in theta1.tolist()]
-    cos_t, sin_t = np.array([(cos(t), sin(t)) for t in turns]).reshape(-1, 2).T[..., None]
-    idx, u = np.full(len(theta1), -1), np.zeros(len(theta1))
-    for s in range(0, len(theta1), SEARCH_CHUNK):
-        t = theta1[s : s + SEARCH_CHUNK, None]
-        c = cos_t[s : s + SEARCH_CHUNK] * (y - BASE[1]) - sin_t[s : s + SEARCH_CHUNK] * (x - BASE[0])
-        c = np.clip(c, -CROSS_TOL, CROSS_TOL)  # the values of interception_event's minimum(maximum())
-        row, i = np.divmod(np.flatnonzero(c[:, :-1] * c[:, 1:] < CROSS_TOL**2), len(x) - 1)  # candidates
-        a, b = ((az[i + j] - t[row, 0] + pi) % (2.0 * pi) - pi for j in (0, 1))
-        ok = np.flatnonzero(~(abs(b - a) > pi) & ((a == 0.0) | (a * b < 0.0) | (b == 0.0)))
-        row, first = np.unique(row[ok], return_index=True)
-        a, b, idx[s + row] = a[ok[first]], b[ok[first]], i[ok[first]]
-        u[s + row] = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
-    states = np.array(incoming.rows).reshape(-1, 6)
-    xi = states[idx] + u[:, None] * (states[idx + 1] - states[idx])
-    d = xi[:, :3] - BASE
-    dist = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    lo, hi = REACH
-    return xi, (idx >= 0) & (lo <= dist) & (dist <= hi)
+def crossings(incoming, theta1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """interception_event for each of the (B,) theta1 on one trajectory, in one kernel call:
+    the (B, 6) pre-impact states and the (B,) mask of the policies that hit (a miss's row is junk)."""
+    theta1 = np.array(theta1, dtype=float).reshape(-1)
+    records = np.empty((len(theta1), EVENT._length_))
+    KERNEL.ttr_crossings(len(theta1), pointer(theta1), incoming.samples, len(incoming), geometry(), pointer(records))
+    return records[:, :6], records[:, 14] == CROSSED
+
+
+def geometry() -> ctypes.Array:
+    """ttr_crossings' constants as this module holds them now: the base pivot, the rest
+    azimuth, CROSS_TOL and its square, and the reach band."""
+    return constants(GEOMETRY, *BASE.tolist(), REST_AZIMUTH, CROSS_TOL, CROSS_TOL**2, *REACH)
 
 
 def racket_rotation(phi: InterceptionPolicy) -> np.ndarray:

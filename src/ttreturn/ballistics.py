@@ -3,7 +3,7 @@
 Explicit Euler steps of fixed length, terminated by a drag-free prediction of
 the time left until the ball reaches the table plane; the final step is
 shortened accordingly. Every step runs in the compiled kernel, flight.c, in
-the kernel library built at import (load_kernel): `euler_flight` flies one
+the kernel library built at import (kernel.load_kernel): `euler_flight` flies one
 launch or return flight; `propagate_to_landing` makes one whole grey-box
 return (racket impact, full steps, closed-form last step and, on request, the
 2x2 landing Jacobian) in one call, and `return_landings` a block of them. The
@@ -16,16 +16,14 @@ scalar reference for the last step.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
 from dataclasses import dataclass
 from math import inf, sqrt
-from pathlib import Path
 
 import numpy as np
 
 from .arm import BASE, THETA1_DOT, InterceptionEvent, InterceptionPolicy
 from .errors import MaxStepsExceeded, NegativeDiscriminant, SimulationError, SingularGradient
+from .kernel import KERNEL, constants, pointer
 
 # Gravity points along -z with this magnitude, in the flight and its drag-free drop prediction.
 G_VERTICAL = 9.8  # [m/s^2]
@@ -35,10 +33,6 @@ TABLE_CENTER, TABLE_HALF = (-1.1, 0.25), (1.525 / 2.0, 2.74 / 2.0)  # [m] the ta
 # Numerical thresholds of the flight kernels.
 DISCRIMINANT_FLOOR = 1e-12    # below this the remaining-time gradient is singular
 MAX_STEPS = 4000  # full steps a return flight may take before MaxStepsExceeded
-
-# The kernel's build: no -ffast-math and no -march, and no contraction into fused
-# multiply-adds, which would change the last bits on hosts that have them.
-CC_COMMAND = ("cc", "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
 
 
 @dataclass(frozen=True)
@@ -63,56 +57,8 @@ class LandingRecord:
     jacobian: np.ndarray | None = None  # (2, 2) d(landing_point)/d(theta1, theta4), if asked for
 
 
-def load_kernel() -> ctypes.CDLL:
-    """The package's kernel library: every C source beside this module (flight.c,
-    mlp.c), compiled by CC_COMMAND into one library once per sources and command.
-
-    The library is cached beside the sources as __pycache__/kernel-<sha256 of the
-    sorted sources and the command>.so, built under a temporary name and moved into
-    place, and loaded with the argtypes of every entry declared. A build that fails
-    raises ImportError with the command and the compiler's stderr.
-    """
-    sources = sorted(Path(__file__).parent.glob("*.c"))
-    digest = hashlib.sha256(b"\0".join(s.name.encode() + b"\0" + s.read_bytes() for s in sources)
-                            + "\0".join(CC_COMMAND).encode()).hexdigest()
-    library = sources[0].parent / "__pycache__" / f"kernel-{digest}.so"
-    if not library.exists():
-        import subprocess  # only a build needs it, and it costs about 0.5 MB of memory
-
-        library.parent.mkdir(exist_ok=True)
-        partial = library.with_name(f"{library.name}.{os.getpid()}.tmp")
-        command = [*CC_COMMAND, "-o", str(partial), *map(str, sources), "-lm"]
-        try:
-            built = subprocess.run(command, capture_output=True, text=True, errors="replace")
-        except OSError as exc:
-            raise ImportError(f"cannot build the kernel library: {' '.join(command)}: {exc}") from exc
-        if built.returncode != 0:
-            partial.unlink(missing_ok=True)
-            raise ImportError(f"cannot build the kernel library: {' '.join(command)}\n{built.stderr}")
-        os.replace(partial, library)
-    kernel = ctypes.CDLL(str(library))
-    doubles, c_double, c_int64 = ctypes.POINTER(ctypes.c_double), ctypes.c_double, ctypes.c_int64
-    int64s, f64, i64, mutable = ctypes.POINTER(c_int64), np.float64, np.int64, "C_CONTIGUOUS, WRITEABLE"
-    array = lambda dtype, ndim, flags="C_CONTIGUOUS": np.ctypeslib.ndpointer(dtype, ndim, flags=flags)
-    kernel.ttr_flight.argtypes = (doubles, c_double, c_double, c_int64, c_double, c_double, doubles, c_double,
-                                  doubles, c_int64, int64s, doubles)
-    kernel.ttr_flight.restype = c_int64
-    kernel.ttr_return.argtypes = (doubles, c_double, c_double, doubles, c_int64, c_int64, doubles, doubles)
-    kernel.ttr_return.restype = c_int64
-    kernel.ttr_returns.argtypes = (c_int64, array(f64, 2), array(f64, 2), doubles, c_int64,
-                                   array(f64, 2, mutable), doubles, int64s)
-    kernel.ttr_returns.restype = c_int64
-    kernel.ttr_mlp.argtypes = (array(f64, 1), int64s, c_int64, array(f64, 1), doubles, doubles, doubles)
-    kernel.ttr_mlp.restype = None
-    kernel.ttr_adam_epoch.argtypes = (*[array(f64, 1, mutable)] * 3, int64s, int64s, c_int64, array(f64, 1),
-                                      array(f64, 1), array(f64, 2), c_int64, c_int64, array(i64, 1), c_int64,
-                                      array(f64, 1, mutable))
-    kernel.ttr_adam_epoch.restype = None
-    return kernel
-
-
-KERNEL = load_kernel()
-STATE, COLUMNS, CONTACT = ctypes.c_double * 6, ctypes.c_double * 12, ctypes.c_double * 5
+STATE, COLUMNS, FOOTPRINT = ctypes.c_double * 6, ctypes.c_double * 12, ctypes.c_double * 4
+SAMPLE_ROOM = 16  # states a flight's first samples buffer holds: an aimed launch keeps about 8
 # ttr_return's constants and record (stop, k_max, t_last, landing, Jacobian, discriminant)
 RIG, RECORD = ctypes.c_double * 11, ctypes.c_double * 15
 LANDED, NO_LANDING, NO_PLANE, SINGULAR = range(4)  # ttr_return's outcomes
@@ -121,12 +67,13 @@ JACOBIANS = (None, "frozen", "coupled")  # its Jacobian modes, by number
 
 def euler_flight(
     row, k_drag: float, dt: float, max_steps: int, y_stop: float | None = None,
-    samples: list | None = None, y_keep: float = inf, tangent: np.ndarray | None = None,
-) -> tuple[tuple, int, np.ndarray | None]:
+    samples: bool = False, y_keep: float = inf, tangent: np.ndarray | None = None,
+) -> tuple[tuple, int, np.ndarray | None, np.ndarray | None]:
     """Explicit Euler steps of the drag flight, in the compiled kernel (flight.c).
 
     The package's one flight loop. Returns the 6-tuple state it stopped at, the
-    number of steps taken and the pushed tangent (or None). The stop rule is one of:
+    number of steps taken, the pushed tangent (or None) and the kept samples (or
+    None). The stop rule is one of:
 
     - no `y_stop` (a return flight): stop before the first step whose
       drag-free prediction ends at or below the table plane, i.e. once the
@@ -136,32 +83,34 @@ def euler_flight(
       the table plane on the footprint (TABLE_CENTER, TABLE_HALF), at or
       below the floor z = 0, or at y <= y_stop; at most `max_steps`.
 
-    `samples`, if given, is an empty list that the kernel extends by the six
-    floats of each state at or below y = `y_keep` (by default every state), the
-    start among them, or by the stop state alone if it kept none before it. A
-    6x2 `tangent` is pushed through the steps inside the loop on 12 doubles
-    (ValueError for another shape): each step maps (dp, dv) to (dp + dt dv,
-    dv - dt k (|v| dv + v (v . dv) / |v|)) with its own v, before the update.
-    The buffers are sized from `max_steps`, so the kernel cannot write past them.
+    With `samples`, the kernel keeps the six floats of each state at or below
+    y = `y_keep` (by default every state), the start among them, or the stop
+    state alone if it kept none before it, and they come back as one (6 k,)
+    float64 array; a flight that keeps more than SAMPLE_ROOM states flies again into a
+    buffer of the size it reported, and the kernel never writes past a buffer. A 6x2
+    `tangent` is pushed through the steps inside the loop on 12 doubles (ValueError for
+    another shape): each step maps (dp, dv) to (dp + dt dv, dv - dt k (|v| dv + v (v . dv)
+    / |v|)) with its own v, before the update.
     """
     px, py, pz, vx, vy, vz = row
-    state, push, kept = STATE(px, py, pz, vx, vy, vz), None, ctypes.c_int64(0)
-    if tangent is not None:
-        if np.shape(tangent) != (6, 2):
-            raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
-        push = COLUMNS(*np.asarray(tangent, dtype=float).T.ravel().tolist())
-    contact = None if y_stop is None else CONTACT(y_stop, *TABLE_CENTER, *TABLE_HALF)
-    # left uninitialised: the kernel writes each kept state before it is read, and zeroing
-    # 6 (max_steps + 1) doubles would cost about a tenth of an aimed launch
-    capacity = 6 * max_steps + 6
-    kept_rows = None if samples is None else (ctypes.c_double * capacity).from_buffer(np.empty(capacity))
-    n = KERNEL.ttr_flight(state, float(k_drag), dt, max_steps, G_VERTICAL, Z_TABLE, contact, y_keep,
-                          kept_rows, capacity, kept, push)
-    if samples is not None:
-        samples.extend(kept_rows[:6 * kept.value])
+    if tangent is not None and np.shape(tangent) != (6, 2):
+        raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
+    table = None if y_stop is None else constants(FOOTPRINT, *TABLE_CENTER, *TABLE_HALF)
+    capacity = 6 * SAMPLE_ROOM if samples else 0
+    while True:  # a second time only if the kept samples outgrew the first buffer
+        state, kept, push = STATE(px, py, pz, vx, vy, vz), ctypes.c_int64(0), None
+        if tangent is not None:
+            push = COLUMNS(*np.asarray(tangent, dtype=float).T.ravel().tolist())
+        kept_rows = (ctypes.c_double * capacity)() if samples else None
+        n = KERNEL.ttr_flight(state, float(k_drag), dt, max_steps, G_VERTICAL, Z_TABLE, table,
+                              -inf if y_stop is None else y_stop, y_keep, kept_rows, capacity, kept, push)
+        if 6 * kept.value <= capacity:
+            break
+        capacity = 6 * kept.value
     if n < 0:
         raise no_landing(max_steps)
-    return tuple(state), n, None if push is None else np.array(push).reshape(2, 6).T
+    return (tuple(state), n, None if push is None else np.array(push).reshape(2, 6).T,
+            None if kept_rows is None else np.frombuffer(kept_rows, count=6 * kept.value))
 
 
 def no_landing(max_steps: int) -> MaxStepsExceeded:
@@ -187,8 +136,8 @@ def no_event_tangent() -> SingularGradient:
 def rig(physics: Physics) -> ctypes.Array:
     """ttr_return's constants: the physics, gravity, the table plane, the discriminant
     floor, the base yaw rate and the base pivot's x and y, as the modules hold them now."""
-    return RIG(physics.k_drag, physics.dt, *physics.restitution, G_VERTICAL, Z_TABLE, DISCRIMINANT_FLOOR,
-               THETA1_DOT, BASE[0], BASE[1])
+    return constants(RIG, physics.k_drag, physics.dt, *physics.restitution, G_VERTICAL, Z_TABLE,
+                     DISCRIMINANT_FLOOR, THETA1_DOT, *BASE.tolist()[:2])
 
 
 def propagate_to_landing(
@@ -217,8 +166,8 @@ def propagate_to_landing(
                                 mode, dxi, out)
     if outcome != LANDED:
         raise refused(outcome, out[14])
-    return LandingRecord(int(out[6]), out[7], np.array(out[8:10]), np.array(out[:6]),
-                         np.array(out[10:14]).reshape(2, 2) if mode else None)
+    record = np.frombuffer(out)  # the record's arrays are views of the kernel's output
+    return LandingRecord(int(out[6]), out[7], record[8:10], record[:6], record[10:14].reshape(2, 2) if mode else None)
 
 
 def return_landings(xi_minus: np.ndarray, policies: np.ndarray, physics: Physics) -> list:
@@ -230,7 +179,8 @@ def return_landings(xi_minus: np.ndarray, policies: np.ndarray, physics: Physics
     if len(policies) != len(rows):
         raise ValueError(f"{len(rows)} pre-impact states but {len(policies)} policies")
     landings, out, outcome = np.empty((len(rows), 2)), RECORD(), ctypes.c_int64(LANDED)
-    if KERNEL.ttr_returns(len(rows), rows, policies, rig(physics), MAX_STEPS, landings, out, outcome) < len(rows):
+    if KERNEL.ttr_returns(len(rows), pointer(rows), pointer(policies), rig(physics), MAX_STEPS, pointer(landings),
+                          out, outcome) < len(rows):
         raise refused(outcome.value, out[14])
     return list(landings)
 

@@ -5,7 +5,7 @@ hidden layers, identity output. Inputs are normalized onto the feasible
 policy box, outputs onto the dataset mean and spread. Gradients of the
 output w.r.t. the policy come from the exact layer-by-layer chain rule.
 The forward pass, the Jacobian and each training epoch run in the compiled
-kernel mlp.c (ballistics.load_kernel builds it with flight.c).
+kernel mlp.c (kernel.load_kernel builds it with flight.c).
 """
 
 from __future__ import annotations
@@ -18,15 +18,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arm import InterceptionPolicy
-from .ballistics import KERNEL
 from .errors import ConfigError, DegenerateDataset
+from .kernel import KERNEL, pointer
 from .optimizer import FeasibleSet, csv_artifact
 
 HIDDEN_LAYERS = (4, 4, 4, 4)
 SIZES = (2, *HIDDEN_LAYERS, 2)  # every layer's width, input to output
-KERNEL_SIZES = (ctypes.c_int64 * len(SIZES))(*SIZES)
+KERNEL_SIZES, N_LAYERS = (ctypes.c_int64 * len(SIZES))(*SIZES), len(SIZES) - 1
 OUTPUT_STD_FLOOR = 1e-6  # avoids a degenerate output scale on tiny datasets
-PAIR = ctypes.c_double * 2
+PAIR, JACOBIAN = ctypes.c_double * 2, ctypes.c_double * 4
+SCALINGS = ("input_center", "input_half", "output_mean", "output_std")  # the kernel's scales, in order
 
 
 @dataclass
@@ -39,6 +40,10 @@ class MlpModel:
     # the kernel's parameters: each layer as a row-major (out, in + 1) block [w | b], in order;
     # layers holds views into it, and it changes only in place, so the views stay valid
     theta: np.ndarray = field(init=False, repr=False)
+    # input_center, input_half, output_mean and output_std in one array, as the kernel reads
+    # them; the four are views into it, and setting one writes it in place (__setattr__)
+    scales: np.ndarray = field(init=False, repr=False)
+    pointers: tuple = field(init=False, repr=False)  # the kernel's raw pointers to theta and scales
 
     def __post_init__(self) -> None:
         shapes = [((out, fan_in), (out,)) for fan_in, out in zip(SIZES[:-1], SIZES[1:])]
@@ -48,10 +53,17 @@ class MlpModel:
         cuts = np.cumsum([out * (fan_in + 1) for fan_in, out in zip(SIZES[:-2], SIZES[1:-1])])
         blocks = [flat.reshape(out, -1) for flat, out in zip(np.split(self.theta, cuts), SIZES[1:])]
         self.layers = [(block[:, :-1], block[:, -1]) for block in blocks]
+        self.scales = np.empty(2 * len(SCALINGS))
+        for i, name in enumerate(SCALINGS):
+            self.scales[2 * i : 2 * i + 2] = getattr(self, name)
+            setattr(self, name, self.scales[2 * i : 2 * i + 2])
+        self.pointers = (pointer(self.theta), pointer(self.scales))
 
-    def scales(self) -> np.ndarray:
-        """input_center, input_half, output_mean and output_std in one array, as the kernel reads them."""
-        return np.concatenate((self.input_center, self.input_half, self.output_mean, self.output_std))
+    def __setattr__(self, name: str, value) -> None:
+        if name in SCALINGS and "pointers" in self.__dict__:
+            getattr(self, name)[:] = value  # in place, so the kernel's pointer stays valid
+        else:
+            object.__setattr__(self, name, value)
 
     def save(self, path, meta: dict) -> None:
         doc = {
@@ -155,9 +167,9 @@ class TrainConfig:
 def _evaluate(model: MlpModel, phi: InterceptionPolicy, jac=None) -> np.ndarray:
     """The prediction for one policy, in the kernel (mlp.c's ttr_mlp), which also writes
     the row-major 2x2 Jacobian into `jac` when given 4 doubles."""
-    out = PAIR()
-    KERNEL.ttr_mlp(model.theta, KERNEL_SIZES, len(SIZES) - 1, model.scales(), PAIR(phi.theta1, phi.theta4), out, jac)
-    return np.array(out)
+    out, (theta, scales) = PAIR(), model.pointers
+    KERNEL.ttr_mlp(theta, KERNEL_SIZES, N_LAYERS, scales, PAIR(phi.theta1, phi.theta4), out, jac)
+    return np.frombuffer(out)
 
 
 def mlp_forward(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
@@ -167,9 +179,9 @@ def mlp_forward(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
 
 def mlp_jacobian(model: MlpModel, phi: InterceptionPolicy) -> np.ndarray:
     """Exact 2x2 derivative of the prediction w.r.t. the policy."""
-    jac = (ctypes.c_double * 4)()
+    jac = JACOBIAN()
     _evaluate(model, phi, jac)
-    return np.array(jac).reshape(2, 2)
+    return np.frombuffer(jac).reshape(2, 2)
 
 
 def random_model(rng: np.random.Generator, k: FeasibleSet, bound) -> MlpModel:
@@ -207,11 +219,13 @@ def train(dataset: Dataset, cfg: TrainConfig, k: FeasibleSet) -> tuple[MlpModel,
     n = len(dataset)
     n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
     rows = np.hstack([x, y])[rng.permutation(n)]  # records [x | y]: the validation split, then the training split
-    scales, adam = model.scales(), np.array([cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam])
+    adam = np.array([cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps_adam])
     m_adam, v_adam, t_step = np.zeros_like(model.theta), np.zeros_like(model.theta), ctypes.c_int64(0)
     mse = np.empty((cfg.epochs, 2))  # each epoch's training and validation MSE
+    (theta, scales), (m, v, adam, rows) = model.pointers, map(pointer, (m_adam, v_adam, adam, rows))
     for epoch in range(cfg.epochs):
         # one kernel call per epoch (mlp.c's ttr_adam_epoch), its batches in the drawn order
-        KERNEL.ttr_adam_epoch(model.theta, m_adam, v_adam, ctypes.byref(t_step), KERNEL_SIZES, len(SIZES) - 1,
-                              scales, adam, rows, n, n_val, rng.permutation(n - n_val), cfg.batch_size, mse[epoch])
+        order = pointer(rng.permutation(n - n_val), np.int64)
+        KERNEL.ttr_adam_epoch(theta, m, v, ctypes.byref(t_step), KERNEL_SIZES, N_LAYERS, scales, adam, rows, n, n_val,
+                              order, cfg.batch_size, pointer(mse[epoch]))
     return model, {"train_mse": mse[:, 0].tolist(), "val_mse": mse[:, 1].tolist()}

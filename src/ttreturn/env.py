@@ -7,6 +7,7 @@ parameters, and additive anisotropic landing noise.
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import suppress
 from dataclasses import dataclass, field
 from math import ceil, cos, hypot, inf, sin
@@ -16,7 +17,6 @@ import numpy as np
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 from .ballistics import Physics, euler_flight, propagate_to_landing
 from .errors import InfeasibleRegion, MissedBall
-from .greybox import predict_landings
 from .metrics import running_metrics
 
 # The ground truth deliberately differs from greybox.MODEL (drag 0.12 vs
@@ -26,19 +26,21 @@ TRUTH = Physics(k_drag=0.12, dt=5e-4, restitution=(0.72, -0.78, 0.72))
 MISS_TOLERANCE = 0.1  # share of missed trials at which a variance estimate is refused
 
 
-@dataclass
+@dataclass(eq=False)
 class SampledTrajectory:
     """Ball samples SAMPLE_DT apart, kept as the flight kernel wrote them: the whole
     unaimed flight, or an aimed launch's window around its crossing (`launch`)."""
 
-    rows: list  # 6 n floats: p, v of each sample in turn
-    _xy: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    rows: np.ndarray  # (6 n,) float64: p, v of each sample in turn, a view of samples
+    samples: ctypes.Array = field(init=False, repr=False)  # 6 n doubles that arm's kernel search reads
 
-    def xy(self) -> np.ndarray:
-        """(2, n) horizontal positions of the samples, built on the first call."""
-        if self._xy is None:
-            self._xy = np.fromiter(self.rows[0::6] + self.rows[1::6], float).reshape(2, -1)
-        return self._xy
+    def __post_init__(self) -> None:
+        """Copy the given 6 n floats into samples (ValueError for another shape) and view them as rows."""
+        rows = np.ascontiguousarray(self.rows, dtype=float)
+        if rows.ndim != 1 or len(rows) % 6:
+            raise ValueError(f"rows must be 6 n floats, got shape {rows.shape}")
+        self.samples = (ctypes.c_double * len(rows)).from_buffer_copy(rows)
+        self.rows = np.frombuffer(self.samples)
 
     def __len__(self) -> int:
         return len(self.rows) // 6
@@ -94,35 +96,21 @@ def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -
     table, or the step cap runs out, before y_keep.
     """
     jitter = rng.normal(0.0, 1.0, size=6) * cfg.jitter_std
-    start, rows = (cfg.nominal_state + jitter).tolist(), []
+    start = (cfg.nominal_state + jitter).tolist()
     y_stop = Y_PAST if aim is None else stop_past(start, aim)
     y_keep = y_stop - 4.0 * SAMPLE_DT * start[4] + 2e-3 if y_stop > Y_PAST else inf
-    euler_flight(start, TRUTH.k_drag, SAMPLE_DT, LAUNCH_STEPS, y_stop, samples=rows, y_keep=y_keep)
-    return SampledTrajectory(rows)
-
-
-def observe(phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndarray, InterceptionEvent]:
-    """The draws of one interception in their order, without its flight: the launch aimed at theta1,
-    its interception event (NoCrossing/OutOfReach for a missed ball) and the landing noise.
-    Returns the event's pre-impact state and the (2,) noise as one row of 8 floats, and the event."""
-    event = interception_event(launch(cfg, rng, aim=phi.theta1), phi.theta1)
-    return np.concatenate((event.xi_minus, rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std)), event
-
-
-def observed_landings(phis: list, rows: np.ndarray) -> list:
-    """The noisy landing of each policy from its row of observe: the pre-impact states fly
-    as one block at TRUTH (predict_landings), and each landing gets its row's noise."""
-    landings = predict_landings(phis, rows[:, :6], TRUTH)
-    return [landing + noise for landing, noise in zip(landings, rows[:, 6:])]
+    return SampledTrajectory(euler_flight(start, TRUTH.k_drag, SAMPLE_DT, LAUNCH_STEPS, y_stop, True, y_keep)[3])
 
 
 def intercept(
     phi: InterceptionPolicy, cfg: EnvConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, InterceptionEvent]:
-    """One full interception: observe, then the hit and the flight of the grey-box
-    return (propagate_to_landing) at TRUTH's physics plus the landing noise, and the event."""
-    row, event = observe(phi, cfg, rng)
-    return propagate_to_landing(phi, event, TRUTH).landing_point + row[6:], event
+    """One full interception: the launch aimed at theta1, its event (NoCrossing/OutOfReach
+    for a miss) and the landing noise, drawn in that order, then the grey-box return
+    (propagate_to_landing) at TRUTH, which draws nothing. Returns landing + noise and the event."""
+    event = interception_event(launch(cfg, rng, aim=phi.theta1), phi.theta1)
+    noise = rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std
+    return propagate_to_landing(phi, event, TRUTH).landing_point + noise, event
 
 
 def estimate_variance(
@@ -131,17 +119,16 @@ def estimate_variance(
     cfg: EnvConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
-    """Sample mean and scalar landing scatter of a fixed policy; after the hits' flight errors,
-    InfeasibleRegion when at least MISS_TOLERANCE = 0.1 of the trials miss or fewer than two land."""
+    """Sample mean and scalar landing scatter of a fixed policy, its trials intercepted in turn (a hit's
+    flight error raised at once); InfeasibleRegion when MISS_TOLERANCE = 0.1 of them miss or < 2 land."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
-    rows = []
+    points = []
     for _ in range(n_trials):
         with suppress(MissedBall):
-            rows.append(observe(phi, cfg, rng)[0])
-    points = observed_landings([phi] * len(rows), np.array(rows).reshape(-1, 8))
-    misses = n_trials - len(rows)
-    if misses >= MISS_TOLERANCE * n_trials or len(rows) < 2:
+            points.append(intercept(phi, cfg, rng)[0])
+    misses = n_trials - len(points)
+    if misses >= MISS_TOLERANCE * n_trials or len(points) < 2:
         raise InfeasibleRegion(f"{misses} of {n_trials} trials missed the ball")
     mean, _, sigma = running_metrics(points, np.zeros(2))
     return mean, sigma

@@ -1,15 +1,18 @@
 /* The grey-box return of ttreturn.ballistics: racket impact, explicit Euler
-   drag flight, closed-form last step and landing Jacobian, one ball per row.
+   drag flight, closed-form last step and landing Jacobian, one ball per row;
+   and the crossing search of ttreturn.arm, one policy per row.
 
-   ballistics builds this file once with the system C compiler and calls it
-   through ctypes. Every step makes the operations of the Python loop that
+   ttreturn.kernel builds this file once with the system C compiler and calls
+   it through ctypes. Every step makes the operations of the Python loop that
    tests/test_ballistics.py keeps as its oracle, in the same order, on IEEE
    doubles, so every state, count, sample and tangent is the same bit for bit;
    the impact, the last step and the Jacobian make those of the scalar
    reference in ttreturn.impact and ttreturn.ballistics, with libm's cos and
-   sin. That holds only without contraction into fused multiply-adds and
-   without reassociation: the build passes -ffp-contract=off and never
-   -ffast-math.
+   sin; the crossing search makes those of the Python search that
+   tests/test_arm.py keeps as its oracle, with libm's atan2, cos, sin and sqrt
+   and Python's float modulo. That holds only without contraction into fused
+   multiply-adds and without reassociation: the build passes -ffp-contract=off
+   and never -ffast-math.
 
    Each step from state (p, v), with speed |v| and drag k |v|:
        p += dt v;  v_x -= dt (k |v| v_x);  v_y -= dt (k |v| v_y);
@@ -19,13 +22,14 @@
 #include <stddef.h>
 #include <stdint.h>
 
-/* Append the 6-state to the samples, never past their capacity (in doubles). */
+/* Count the 6-state as kept, and append it to the samples unless that would
+   pass their capacity (in doubles). */
 static void keep(double *samples, int64_t capacity, int64_t *kept,
                  double px, double py, double pz, double vx, double vy, double vz)
 {
-    if (6 * (*kept + 1) > capacity)
+    if (6 * (++*kept) > capacity)
         return;
-    double *row = samples + 6 * (*kept)++;
+    double *row = samples + 6 * (*kept - 1);
     row[0] = px;
     row[1] = py;
     row[2] = pz;
@@ -51,21 +55,21 @@ static void push(double *column, double *sum, double damp, double cross,
 /* Fly state (p, v), in place, at drag k_drag and step dt, under gravity g along
    -z; return the number of full steps taken.
 
-   contact NULL: a return flight to the table plane z = z_plane. It stops
+   table NULL: a return flight to the table plane z = z_plane. It stops
    before the first step whose drag-free prediction ends at or below the plane
    and returns -1 if that does not happen within max_steps steps.
-   contact {y_stop, cx, cy, hx, hy}: a launch. It stops after the first step
-   that ends at or below the plane on the table's footprint (center cx, cy,
-   half sizes hx, hy), at or below the floor z = 0, or at y <= y_stop; at most
-   max_steps.
+   table {cx, cy, hx, hy}: a launch. It stops after the first step that ends
+   at or below the plane on the table's footprint (center cx, cy, half sizes
+   hx, hy), at or below the floor z = 0, or at y <= y_stop; at most max_steps.
 
    samples, if not NULL, receive each state at or below y = y_keep, the start
    among them, or the stop state alone if none was kept and the flight did not
-   return -1; *kept counts the states written, at most capacity / 6.
+   return -1; *kept counts the states kept, of which the first capacity / 6
+   are written, so a caller whose buffer was too small can fly again.
    tangent, if not NULL, holds the 6x2 tangent as its two columns (dp, dv) in
    turn; it is pushed through every full step. */
 int64_t ttr_flight(double *state, double k_drag, double dt, int64_t max_steps,
-                   double g, double z_plane, const double *contact, double y_keep,
+                   double g, double z_plane, const double *table, double y_stop, double y_keep,
                    double *samples, int64_t capacity, int64_t *kept, double *tangent)
 {
     double px = state[0], py = state[1], pz = state[2];
@@ -79,7 +83,7 @@ int64_t ttr_flight(double *state, double k_drag, double dt, int64_t max_steps,
     if (samples && py <= y_keep)
         keep(samples, capacity, kept, px, py, pz, vx, vy, vz);
     for (n = 0; n < max_steps; n++) {
-        if (!contact && vz <= vz_top && pz + dt * vz <= z_top)
+        if (!table && vz <= vz_top && pz + dt * vz <= z_top)
             break;
         const double speed = sqrt(vx * vx + vy * vy + vz * vz);
         if (tangent) {
@@ -96,9 +100,8 @@ int64_t ttr_flight(double *state, double k_drag, double dt, int64_t max_steps,
         vz += dt * (-g - drag * vz);
         if (samples && py <= y_keep)
             keep(samples, capacity, kept, px, py, pz, vx, vy, vz);
-        if (contact && (pz <= 0.0 || py <= contact[0]
-                        || (pz <= z_plane && fabs(px - contact[1]) <= contact[3]
-                            && fabs(py - contact[2]) <= contact[4]))) {
+        if (table && (pz <= 0.0 || py <= y_stop
+                      || (pz <= z_plane && fabs(px - table[0]) <= table[2] && fabs(py - table[1]) <= table[3]))) {
             n++;
             break;
         }
@@ -109,7 +112,7 @@ int64_t ttr_flight(double *state, double k_drag, double dt, int64_t max_steps,
     state[3] = vx;
     state[4] = vy;
     state[5] = vz;
-    if (!contact && n == max_steps && !(vz <= vz_top && pz + dt * vz <= z_top))
+    if (!table && n == max_steps && !(vz <= vz_top && pz + dt * vz <= z_top))
         return -1;
     if (samples && *kept == 0)
         keep(samples, capacity, kept, px, py, pz, vx, vy, vz);
@@ -202,8 +205,8 @@ int64_t ttr_return(const double *xi_minus, double theta1, double theta4, const d
             }
         }
     }
-    const int64_t n = ttr_flight(state, rig[0], rig[1], max_steps, g, z_plane, NULL, INFINITY, NULL, 0, NULL,
-                                 jacobian != NO_JACOBIAN ? tangent : NULL);
+    const int64_t n = ttr_flight(state, rig[0], rig[1], max_steps, g, z_plane, NULL, -INFINITY, INFINITY, NULL, 0,
+                                 NULL, jacobian != NO_JACOBIAN ? tangent : NULL);
     record[6] = (double)n;
     if (n < 0)
         return NO_LANDING;
@@ -261,4 +264,92 @@ int64_t ttr_returns(int64_t n_rows, const double *xi_minus, const double *polici
         landings[2 * r + 1] = record[9];
     }
     return n_rows;
+}
+
+/* ttr_crossings' outcomes, pi as Python's math.pi, and the length of one record. */
+enum { CROSSED, NO_CROSSING, OUT_OF_REACH };
+static const double PI = 3.141592653589793;
+enum { EVENT = 15 };
+
+/* Python's float x % m for m > 0: fmod, the remainder moved onto m's sign,
+   and +0.0 for a zero remainder (a NaN stays NaN). */
+static double py_mod(double x, double m)
+{
+    double r = fmod(x, m);
+    if (r != 0.0) {
+        if ((m < 0.0) != (r < 0.0))
+            r += m;
+    } else
+        r = copysign(0.0, m);
+    return r;
+}
+
+/* angle wrapped to [-pi, pi) as (angle + pi) % 2 pi - pi */
+static double wrap(double angle)
+{
+    return py_mod(angle + PI, 2.0 * PI) - PI;
+}
+
+/* c clipped to [-tol, tol] as numpy's minimum(maximum(c, -tol), tol): a NaN passes */
+static double clip(double c, double tol)
+{
+    return c < -tol ? -tol : c > tol ? tol : c;
+}
+
+/* The first crossing of base azimuth theta1 on the n 6-state samples, as
+   ttreturn.arm.interception_event describes it. geometry: the base pivot
+   (3), the rest azimuth, the crossing tolerance and its square, and the reach
+   band (2). record: xi_minus (6), dxi_dtheta1 (6), 1.0 if that slope is set
+   (else 0.0), the crossing's distance from the pivot and the outcome; a
+   NO_CROSSING record holds only its outcome. */
+static void crossing(const double *samples, int64_t n, double theta1, const double *geometry, double *record)
+{
+    const double bx = geometry[0], by = geometry[1], bz = geometry[2];
+    const double tol = geometry[4], tol2 = geometry[5];
+    const double ux = cos(geometry[3] + theta1), uy = sin(geometry[3] + theta1);
+    double a = 0.0, b = 0.0, za = 0.0, zb = 0.0, next = 0.0;
+    int64_t i = -1;
+
+    if (n > 0)
+        next = clip(ux * (samples[1] - by) - uy * (samples[0] - bx), tol);
+    for (int64_t k = 0; k + 1 < n; k++) {
+        const double *p = samples + 6 * k, c = next;
+        next = clip(ux * (p[7] - by) - uy * (p[6] - bx), tol);
+        if (!(c * next < tol2))
+            continue;
+        za = py_mod(atan2(p[1] - by, p[0] - bx) - geometry[3] + PI, 2.0 * PI) - PI;
+        zb = py_mod(atan2(p[7] - by, p[6] - bx) - geometry[3] + PI, 2.0 * PI) - PI;
+        a = wrap(za - theta1);
+        b = wrap(zb - theta1);
+        if (!(fabs(b - a) > PI) && (a == 0.0 || a * b < 0.0 || b == 0.0)) {
+            i = k;
+            break;
+        }
+    }
+    if (i < 0) {
+        record[EVENT - 1] = NO_CROSSING;
+        return;
+    }
+
+    const double *row = samples + 6 * i, *after = row + 6;
+    const double u = a == 0.0 ? 0.0 : a / (a - b), span = wrap(za - zb); /* span = a - b, free of theta1 */
+    const int slope = !(a == b || span == 0.0);
+    for (int j = 0; j < 6; j++) {
+        record[j] = row[j] + u * (after[j] - row[j]);
+        record[6 + j] = slope ? (row[j] - after[j]) / span : 0.0;
+    }
+    const double dx = record[0] - bx, dy = record[1] - by, dz = record[2] - bz;
+    const double dist = sqrt(dx * dx + dy * dy + dz * dz);
+    record[12] = slope;
+    record[13] = dist;
+    record[EVENT - 1] = geometry[6] <= dist && dist <= geometry[7] ? CROSSED : OUT_OF_REACH;
+}
+
+/* The crossing search of each of the n_policies theta1 in turn on the same
+   n_samples samples, one record of EVENT doubles each (see crossing). */
+void ttr_crossings(int64_t n_policies, const double *theta1, const double *samples, int64_t n_samples,
+                   const double *geometry, double *records)
+{
+    for (int64_t r = 0; r < n_policies; r++)
+        crossing(samples, n_samples, theta1[r], geometry, records + EVENT * r);
 }

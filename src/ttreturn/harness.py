@@ -18,10 +18,10 @@ from itertools import islice, product
 
 import numpy as np
 
-from .arm import InterceptionPolicy, interception_event, interception_states
+from .arm import InterceptionPolicy, crossings, interception_event
 from .ballistics import propagate_to_landing
 from .blackbox import Dataset, MlpModel, TrainConfig, mlp_forward, mlp_jacobian, random_model, train
-from .env import EnvConfig, estimate_variance, intercept, launch, observe, observed_landings
+from .env import EnvConfig, estimate_variance, intercept, launch
 from .errors import AbortedRun, ConfigError, InfeasibleRegion, MissedBall
 from .greybox import MODEL, central_difference, predict_landing_with_gradient, predict_landings
 from .optimizer import FeasibleSet, RunLog, cell, csv_artifact, run_online
@@ -311,10 +311,10 @@ def gen_dataset(
     rng: np.random.Generator,
     k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
-    """Sample policies over the box and label them with noisy env landings; each policy observes
-    in turn, as its draws share the sampling rng, and the hits fly as one block at the end."""
-    prepare = _one_by_one(lambda phi: observe(phi, env_cfg, rng)[0])
-    return Dataset(_sample(prepare, observed_landings, n, sampling, rng, k))
+    """Sample policies over the box and label them with noisy env landings, each policy intercepted
+    in turn (env.intercept), as its draws share the sampling rng; a hit's flight error is raised at once."""
+    prepare = _one_by_one(lambda phi: intercept(phi, env_cfg, rng)[0])
+    return Dataset(_sample(prepare, lambda phis, rows: list(rows), n, sampling, rng, k))
 
 
 def gen_dataset_greybox(
@@ -324,10 +324,10 @@ def gen_dataset_greybox(
     rng: np.random.Generator,
     k: FeasibleSet = SCENARIO_BOX,
 ) -> Dataset:
-    """Like gen_dataset, but with noiseless first-principles labels; they draw
-    nothing, so all the candidates still needed are intercepted as one batch."""
+    """Like gen_dataset, but with noiseless first-principles labels; they draw nothing, so all the
+    candidates still needed are intercepted as one block (arm.crossings) and their hits fly as one."""
     traj = nominal_trajectory(env_cfg)
-    prepare = lambda phis: interception_states(traj, np.array([phi.theta1 for phi in phis], dtype=float))
+    prepare = lambda phis: crossings(traj, [phi.theta1 for phi in phis])
     return Dataset(_sample(prepare, partial(predict_landings, physics=MODEL), n, sampling, rng, k, block=n))
 
 

@@ -1,25 +1,83 @@
 """Interception geometry, racket orientation and racket velocity."""
 
-from math import cos, pi, sin
+import pathlib
+import shutil
+import subprocess
+import sys
+from math import atan2, cos, pi, sin, sqrt
 
 import numpy as np
 import pytest
 
+from ttreturn import arm
 from ttreturn.arm import (
     BASE,
     REST_AZIMUTH,
-    SEARCH_CHUNK,
     THETA1_DOT,
+    InterceptionEvent,
     InterceptionPolicy,
-    base_azimuth,
+    crossings,
     interception_event,
-    interception_states,
     racket_rotation,
     racket_rotation_jacobian,
     racket_velocity,
 )
 from ttreturn.env import EnvConfig, SampledTrajectory, launch
 from ttreturn.errors import MissedBall, NoCrossing, OutOfReach
+from ttreturn.harness import nominal_trajectory
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
+
+
+def base_azimuth(x: float, y: float) -> float:
+    """Test-local oracle: the azimuth of the horizontal position (x, y) seen from the base
+    pivot, zero along REST_AZIMUTH and counterclockwise about +z, wrapped to [-pi, pi)
+    with Python's float modulo (math.atan2, as the kernel's libm atan2)."""
+    return (atan2(y - arm.BASE[1], x - arm.BASE[0]) - arm.REST_AZIMUTH + pi) % (2.0 * pi) - pi
+
+
+@np.errstate(invalid="ignore", over="ignore")  # an overflowed launch's inf/NaN samples only miss
+def python_interception_event(incoming, theta1: float) -> InterceptionEvent:
+    """Test-local oracle: the Python crossing search that the kernel's ttr_crossings
+    replaced, kept as it was but for reading the rows as a list. Same arguments,
+    return value and errors as arm.interception_event; it reads arm's constants."""
+    bx, by, bz = arm.BASE.tolist()
+    rows = incoming.rows.tolist()
+    xy = np.array([rows[0::6], rows[1::6]])
+    c = cos(arm.REST_AZIMUTH + theta1) * (xy[1] - by) - sin(arm.REST_AZIMUTH + theta1) * (xy[0] - bx)
+    c = np.minimum(np.maximum(c, -arm.CROSS_TOL), arm.CROSS_TOL)
+    pairs = (c[:-1] * c[1:] < arm.CROSS_TOL**2).nonzero()[0]
+
+    tau = 2.0 * pi
+    az = lambda i: base_azimuth(rows[6 * i], rows[6 * i + 1])
+    wrap = lambda angle: (angle + pi) % tau - pi
+
+    for idx in pairs.tolist():
+        za, zb = az(idx), az(idx + 1)
+        a, b = wrap(za - theta1), wrap(zb - theta1)
+        if not abs(b - a) > pi and (a == 0.0 or a * b < 0.0 or b == 0.0):
+            break
+    else:
+        raise NoCrossing(f"ball path never reaches base azimuth {theta1:.3f} rad")
+    u = 0.0 if a == 0.0 else a / (a - b)
+
+    row, after = rows[6 * idx : 6 * idx + 6], rows[6 * idx + 6 : 6 * idx + 12]
+    xi = [p + u * (q - p) for p, q in zip(row, after)]
+    span = wrap(za - zb)  # a - b, free of theta1
+    dxi = None if a == b or span == 0.0 else tuple([(p - q) / span for p, q in zip(row, after)])
+    dx, dy, dz = xi[0] - bx, xi[1] - by, xi[2] - bz
+
+    dist = sqrt(dx * dx + dy * dy + dz * dz)
+    lo, hi = arm.REACH
+    if not (lo <= dist <= hi):
+        raise OutOfReach(f"target at {dist:.3f} m outside reach [{lo:.3f}, {hi:.3f}] m")
+    return InterceptionEvent(np.array(xi), dxi)
 
 
 def straight_trajectory(p0, v, n=200, dt=0.002):
@@ -101,7 +159,7 @@ class TestInterceptionOracle:
         # base at the origin facing +y: theta1 = 0 is the +y ray, which the
         # fourth sample sits on exactly
         traj = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
-        assert traj.rows[18:20] == [0.0, 0.6]
+        assert traj.rows[18:20].tolist() == [0.0, 0.6]
         assert outcome_matches_reference(traj, 0.0) is None
         ev = interception_event(traj, 0.0)
         np.testing.assert_array_equal(ev.xi_minus, traj.rows[18:24])
@@ -132,48 +190,145 @@ class TestInterceptionOracle:
         outcome_matches_reference(traj, theta1)
 
 
-def assert_states_match_events(traj, thetas):
-    """interception_states hits where interception_event raises no MissedBall, and
-    gives each hit's pre-impact state bit for bit; returns the outcome kinds."""
-    xi, hit = interception_states(traj, np.array(thetas))
+def bits(values) -> list:
+    """Test-local: the IEEE bit patterns of floats, so that NaNs and signed zeros compare too."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def search_outcome(search, traj, theta1):
+    """Test-local: an interception event as bit patterns (xi_minus, its type, dxi_dtheta1),
+    or its MissedBall's type and message."""
+    try:
+        ev = search(traj, theta1)
+    except MissedBall as exc:
+        return type(exc), str(exc)
+    dxi = ev.dxi_dtheta1
+    assert dxi is None or (len(dxi) == 6 and all(type(d) is float for d in dxi))
+    return bits(ev.xi_minus), ev.xi_minus.shape, None if dxi is None else bits(dxi)
+
+
+def assert_search_matches_oracle(traj, thetas):
+    """The kernel search, one policy (interception_event) and a block (crossings), against
+    the Python oracle bit for bit: events, errors and messages, and the block's hit mask
+    where the oracle raises no MissedBall. Returns the outcome kinds."""
+    xi, hit = crossings(traj, thetas)
     assert xi.shape == (len(thetas), 6) and hit.shape == (len(thetas),) and hit.dtype == bool
     kinds = []
     for theta1, row, ok in zip(thetas, xi, hit.tolist()):
-        try:
-            ev = interception_event(traj, theta1)
-        except MissedBall as exc:
-            assert not ok
-            kinds.append(type(exc))
-            continue
-        assert ok
-        np.testing.assert_array_equal(row, ev.xi_minus)
-        kinds.append(None)
+        want = search_outcome(python_interception_event, traj, theta1)
+        assert search_outcome(interception_event, traj, theta1) == want
+        assert ok == (want[0] not in (NoCrossing, OutOfReach))
+        if ok:
+            assert bits(row) == want[0]
+        kinds.append(want[0] if want[0] in (NoCrossing, OutOfReach) else None)
     return kinds
 
 
+# trajectories at the edges of the search, beside the jittered launches
+SPECIAL_TRAJECTORIES = {
+    # base at the origin facing +y: the fourth sample sits exactly on the theta1 = 0 ray
+    "on_the_azimuth": lambda: polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3),
+    # crossing the opposite ray (-y) flips the azimuth from +pi to -pi: a wrap jump, then +y
+    "wrap_jump": lambda: polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)]),
+    # radially out along the theta1 = 0 ray: consecutive samples of equal azimuth
+    "equal_azimuths": lambda: straight_trajectory([0.0, 0.1, float(BASE[2])], [0.0, 1.0, 0.0], n=400),
+    # crossings nearer than the folded arm and farther than the stretched one
+    "too_near": lambda: straight_trajectory([0.5, 0.02, float(BASE[2])], [-2.0, 0.0, 0.0], n=400),
+    "too_far": lambda: straight_trajectory([1.5, 1.5, float(BASE[2])], [-2.0, 0.0, 0.0], n=1000),
+    # the overflowed launch of tests/test_cli.py: inf and NaN samples from the first step on
+    "overflowed": lambda: launch(EnvConfig(nominal_state=np.array([-0.15, 3.9, 1.1, 1e160, 0.0, 3.3])),
+                                 np.random.default_rng(0)),
+    "empty": lambda: SampledTrajectory([]),
+    "one_sample": lambda: SampledTrajectory([0.0, 0.6, 0.8, 0.0, -1.0, 0.0]),
+}
+# theta1 across [-pi, 3], both sides of the base, and the exact azimuths of the special paths
+THETAS = [*np.linspace(-pi, 3.0, 41).tolist(), -pi / 2, 0.0, pi / 2, pi, -0.0, 1e-300, np.nan]
+
+
+def shifted_base(monkeypatch_context, shift: bool):
+    """The arm's pivot moved off centre to (0.05, -0.1) when `shift`; the kernel and the oracle
+    read BASE on each call."""
+    if shift:
+        monkeypatch_context.setattr(arm, "BASE", np.array([0.05, -0.1, 0.8]))
+
+
 class TestInterceptionStatesOracle:
-    """The block crossing search is interception_event on arrays, bit for bit."""
+    """The kernel's crossing search (ttr_crossings) against the Python search it replaced,
+    bit for bit: one policy through interception_event and a block through crossings."""
 
     def test_matches_scalar_event_over_jittered_launches(self):
         cfg = EnvConfig(jitter_std=3.0 * EnvConfig().jitter_std)
         rng = np.random.default_rng(21)
-        # more policies than one search chunk, theta1 on both sides of the base
-        thetas = np.r_[rng.uniform(-pi, 3.0, 2 * SEARCH_CHUNK + 7), -pi, -pi / 2, pi / 2, 3.0, np.nan].tolist()
+        thetas = [*rng.uniform(-pi, 3.0, 71).tolist(), -pi, -pi / 2, pi / 2, 3.0, np.nan]
         seen = set()
         for n in range(12):
             traj = launch(cfg, rng)
-            seen |= set(assert_states_match_events(shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj, thetas))
+            seen |= set(assert_search_matches_oracle(shifted(traj, -0.05, 0.1) if n % 4 == 3 else traj, thetas))
         assert seen == {None, NoCrossing, OutOfReach}
 
     def test_exact_sample_and_wrap_jump(self):
-        on_ray = polyline_trajectory([(0.3, 0.6), (0.0, 0.6), (-0.3, 0.6)], per_leg=3)
-        around = polyline_trajectory([(0.3, -0.6), (-0.3, -0.6), (-0.3, 0.6), (0.3, 0.6)])
-        for traj in (on_ray, around, polyline_trajectory([(0.3, -0.6), (-0.3, -0.6)])):
-            assert_states_match_events(traj, [0.0, 0.3, -0.3, pi, -pi])
+        # and the other special paths, seen from the pivot where it is and moved off centre
+        for shift in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                shifted_base(mp, shift)
+                for factory in SPECIAL_TRAJECTORIES.values():
+                    assert_search_matches_oracle(factory(), THETAS)
+
+    def test_special_trajectories_reach_their_branches(self):
+        outcome = lambda name, theta1: search_outcome(interception_event, SPECIAL_TRAJECTORIES[name](), theta1)
+        assert outcome("on_the_azimuth", 0.0)[2] is not None
+        assert outcome("equal_azimuths", 0.0)[2] is None  # a == b == 0: no theta1 slope
+        assert outcome("too_near", 0.0)[0] is OutOfReach and outcome("too_far", 0.0)[0] is OutOfReach
+        assert "target at 0.020 m outside reach [0.060, 0.940] m" == outcome("too_near", 0.0)[1]
+        assert outcome("overflowed", 0.45)[0] in (NoCrossing, OutOfReach)
+        assert outcome("wrap_jump", 0.0)[0] not in (NoCrossing, OutOfReach)
+        assert outcome("empty", 0.3) == (NoCrossing, "ball path never reaches base azimuth 0.300 rad")
 
     def test_empty_block(self, nominal_traj):
-        xi, hit = interception_states(nominal_traj, np.zeros(0))
+        xi, hit = crossings(nominal_traj, np.zeros(0))
         assert xi.shape == (0, 6) and hit.shape == (0,) and hit.dtype == bool
+
+    @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["aimed", "unaimed", "nominal"]), st.integers(0, 2**32 - 1),
+           st.floats(-pi, 3.0), st.floats(0.0, 3.0), st.booleans())
+    @example("aimed", 5, 0.66, 1.0, False)
+    @example("nominal", 0, 0.45, 1.0, True)
+    def test_property_matches_python_search(self, source, seed, theta1, jitter, shift):
+        cfg = EnvConfig(jitter_std=jitter * EnvConfig().jitter_std)
+        with pytest.MonkeyPatch.context() as mp:
+            shifted_base(mp, shift)
+            if source == "nominal":
+                traj = nominal_trajectory(EnvConfig())
+            else:
+                traj = launch(cfg, np.random.default_rng(seed), aim=theta1 if source == "aimed" else None)
+            assert_search_matches_oracle(traj, [theta1, -theta1, theta1 - pi / 2])
+
+
+def test_plain_fmod_fails_the_search_property(tmp_path):
+    # mutation check: a kernel whose modulo is a plain fmod, without Python's sign fix,
+    # must differ from the oracle on the cases above; built and run in a child process
+    shutil.copytree(pathlib.Path(arm.__file__).parent, tmp_path / "ttreturn",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = tmp_path / "ttreturn" / "flight.c"
+    text = source.read_text()
+    body = text[text.index("static double py_mod("):]
+    body = body[: body.index("\n}\n") + 3]
+    source.write_text(text.replace(body, "static double py_mod(double x, double m)\n{\n    return fmod(x, m);\n}\n"))
+    script = (f"import sys; sys.path[:0] = [{str(tmp_path)!r}, {str(pathlib.Path(__file__).parent)!r}]\n"
+              "import test_arm\n"
+              f"assert test_arm.arm.__file__.startswith({str(tmp_path)!r})\n"
+              "cases = [test_arm.nominal_trajectory(test_arm.EnvConfig())]\n"
+              "cases += [factory() for factory in test_arm.SPECIAL_TRAJECTORIES.values()]\n"
+              "try:\n"
+              "    for traj in cases:\n"
+              "        test_arm.assert_search_matches_oracle(traj, test_arm.THETAS)\n"
+              "except AssertionError:\n"
+              "    print('differs')\n"
+              "else:\n"
+              "    print('agrees')\n")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert (child.returncode, child.stdout) == (0, "differs\n"), child.stderr
 
 
 class TestInterceptionEvent:
@@ -191,8 +346,8 @@ class TestInterceptionEvent:
         np.testing.assert_array_equal(ev.xi_minus[[0, 2, 3, 4, 5]], [0.5, 1.0, 0.0, -2.0, 0.0])
 
     def test_cached_azimuth_follows_geometry(self, nominal_traj):
-        # a SampledTrajectory caches its sample positions on the first search;
-        # every later event must equal the one from a fresh trajectory
+        # the kernel reads a trajectory's samples in place and keeps nothing between
+        # searches: every later event must equal the one from a fresh trajectory
         traj = SampledTrajectory(nominal_traj.rows)
         for theta1 in (0.45, 0.30, 0.60, 0.45):
             fresh = interception_event(SampledTrajectory(nominal_traj.rows), theta1).xi_minus

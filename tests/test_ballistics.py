@@ -1,5 +1,6 @@
 """Free-flight dynamics, landing propagation and flight Jacobians."""
 
+import ctypes
 import pathlib
 import re
 import shutil
@@ -20,7 +21,7 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 from conftest import fine_step_landing
-from ttreturn import ballistics
+from ttreturn import ballistics, kernel
 from ttreturn.arm import InterceptionEvent, InterceptionPolicy, interception_event, racket_rotation, racket_velocity
 from ttreturn.ballistics import (
     G_VERTICAL,
@@ -459,8 +460,8 @@ def pushed_identity(xi, p):
 def reference_record(xi, p, tangent):
     """Test-local: the record of the flight from xi (euler_flight and the final_step
     oracle) and the tangent that flight pushed."""
-    stop, k, pushed = euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS,
-                                   tangent=tangent)
+    stop, k, pushed, _ = euler_flight(np.asarray(xi, dtype=float).tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS,
+                                      tangent=tangent)
     t_last, landing = final_step(stop)
     return LandingRecord(k, t_last, landing, np.array(stop)), pushed
 
@@ -608,7 +609,7 @@ class TestInLoopTangent:
                 if coupled and event.dxi_dtheta1 is None:
                     continue
                 tangent = impact_state_jacobian(phi, event, p, coupled)
-                stop, n, pushed = euler_flight(xi.tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS, tangent=tangent)
+                stop, n, pushed, _ = euler_flight(xi.tolist(), p.k_drag, p.dt, ballistics.MAX_STEPS, tangent=tangent)
                 want_stop, want_n, want = post_loop_push(xi.tolist(), p, tangent)
                 assert (stop, n) == (want_stop, want_n)
                 assert np.array_equal(pushed, want) and pushed.shape == (6, 2)
@@ -627,18 +628,16 @@ class TestKeepRule:
 
     def test_without_y_keep_keeps_every_state(self):
         row = [-0.15, 3.9, 1.1, 0.0, -8.3, 3.3]
-        kept = []
-        stop, n, _ = euler_flight(row, self.K, self.DT, 40, y_stop=-np.inf, samples=kept)
+        stop, n, _, kept = euler_flight(row, self.K, self.DT, 40, y_stop=-np.inf, samples=True)
         want = stepped_states(row, self.K, self.DT, 40)
         assert (n, list(stop)) == (40, want[-1])
-        assert kept == [x for s in want for x in s]
+        assert kept.tolist() == [x for s in want for x in s]
 
     @pytest.mark.parametrize("row,y_keep", [([-0.15, 3.9, 1.1, 0.0, -8.3, 3.3], 3.5),  # falling y: a window
                                             ([-0.15, 3.5, 1.1, 0.0, -8.3, 3.3], 3.5),  # the start on y_keep
                                             ([-0.15, 0.0, 1.1, 0.0, 5.0, 3.3], 0.05)])  # rising y: a head
     def test_keeps_only_states_at_or_below_y_keep(self, row, y_keep):
-        kept = []
-        euler_flight(row, self.K, self.DT, 60, y_stop=-np.inf, samples=kept, y_keep=y_keep)
+        kept = euler_flight(row, self.K, self.DT, 60, y_stop=-np.inf, samples=True, y_keep=y_keep)[3].tolist()
         want = [s for s in stepped_states(row, self.K, self.DT, 60) if s[1] <= y_keep]
         assert 0 < len(want) and (kept[:6] == row) == (row[1] <= y_keep)
         assert kept == [x for s in want for x in s]
@@ -650,18 +649,18 @@ class TestKeepRule:
         ([-0.15, 3.9, 1.1, 0.0, -8.3, 3.3], 0, "step cap"),
     ])
     def test_stop_before_keeping_keeps_the_stop_state(self, row, max_steps, stop_at):
-        kept = []
-        stop, n, _ = euler_flight(row, self.K, self.DT, max_steps, y_stop=-5.0, samples=kept, y_keep=-1.0)
-        assert kept == list(stop) and min(row[1], stop[1]) > -1.0
+        stop, n, _, kept = euler_flight(row, self.K, self.DT, max_steps, y_stop=-5.0, samples=True, y_keep=-1.0)
+        assert kept.tolist() == list(stop) and min(row[1], stop[1]) > -1.0
         (cx, cy), (hx, hy) = ballistics.TABLE_CENTER, ballistics.TABLE_HALF
         on_table = stop[2] <= Z_TABLE and abs(stop[0] - cx) <= hx and abs(stop[1] - cy) <= hy
         reached = {"table": on_table, "floor": stop[2] <= 0.0, "step cap": n == max_steps}
         assert [name for name, hit in reached.items() if hit] == [stop_at]
 
 
-def python_flight(row, k_drag, dt, max_steps, y_stop=None, samples=None, y_keep=np.inf, tangent=None):
+def python_flight(row, k_drag, dt, max_steps, y_stop=None, samples=False, y_keep=np.inf, tangent=None):
     """Test-local oracle: the Python step loop that the compiled kernel replaced,
-    kept as it was. Same arguments, return value and errors as euler_flight."""
+    kept as it was but for returning its kept samples as an array. Same arguments,
+    return value and errors as euler_flight."""
     G_VERTICAL, Z_TABLE = ballistics.G_VERTICAL, ballistics.Z_TABLE
     px, py, pz, vx, vy, vz = row
     k_drag, z_plane = float(k_drag), Z_TABLE
@@ -671,7 +670,8 @@ def python_flight(row, k_drag, dt, max_steps, y_stop=None, samples=None, y_keep=
         z_top = z_plane + 0.5 * G_VERTICAL * dt * dt
     else:
         (cx, cy), (hx, hy) = ballistics.TABLE_CENTER, ballistics.TABLE_HALF
-    keep, push, scale = samples is not None, tangent is not None, dt * k_drag
+    keep, push, scale = samples, tangent is not None, dt * k_drag
+    samples = [] if keep else None
     if push:
         if np.shape(tangent) != (6, 2):
             raise ValueError(f"tangent must be 6x2, got shape {np.shape(tangent)}")
@@ -716,11 +716,12 @@ def python_flight(row, k_drag, dt, max_steps, y_stop=None, samples=None, y_keep=
     stop = (px, py, pz, vx, vy, vz)
     if keep and not samples:
         samples.extend(stop)
+    kept = np.array(samples) if keep else None
     if not push:
-        return stop, n, None
+        return stop, n, None, kept
     columns = ((pxa + dt * sax, pya + dt * say, pza + dt * saz, ax, ay, az),
                (pxb + dt * sbx, pyb + dt * sby, pzb + dt * sbz, bx, by, bz))
-    return stop, n, np.array(columns).T
+    return stop, n, np.array(columns).T, kept
 
 
 def bits(values) -> list:
@@ -731,14 +732,14 @@ def bits(values) -> list:
 def flight_outcome(flight, row, *args, keep=False, **kwargs):
     """Test-local: a flight's stop, step count, samples and tangent as bit patterns,
     or its error's type and message."""
-    samples = [] if keep else None
     try:
-        stop, n, tangent = flight(row, *args, samples=samples, **kwargs)
+        stop, n, tangent, samples = flight(row, *args, samples=keep, **kwargs)
     except (MaxStepsExceeded, ValueError) as exc:
-        return type(exc), str(exc), None if samples is None else bits(samples)
-    assert type(stop) is tuple and type(n) is int
+        return type(exc), str(exc)
+    assert type(stop) is tuple and type(n) is int and (samples is None) == (not keep)
     pushed = None if tangent is None else (tangent.shape, bits(tangent), tangent.flags.f_contiguous)
-    return bits(stop), n, None if samples is None else bits(samples), pushed
+    kept = None if samples is None else (samples.dtype, samples.shape, bits(samples))
+    return bits(stop), n, kept, pushed
 
 
 def assert_kernel_matches_python(row, *args, keep=False, **kwargs):
@@ -831,7 +832,7 @@ class TestKernelMatchesPythonLoop:
         assert outcome("rest", max_steps=0)[0] is MaxStepsExceeded
         stop, n, samples, _ = outcome("overflow", 1501, y_stop=-1.2, keep=True)
         assert n > 0 and np.isnan(np.array(stop, dtype=np.int64).view(float)).any()
-        assert len(samples) < 6 * (n + 1)  # a state whose y overflowed to NaN is not kept
+        assert len(samples[2]) < 6 * (n + 1)  # a state whose y overflowed to NaN is not kept
         with pytest.raises(MaxStepsExceeded, match="^no landing within 4000 steps$"):
             fly(EDGE_ROWS["max_steps"], MODEL)
 
@@ -841,7 +842,7 @@ def reference_return(phi, event, physics, jacobian=None) -> LandingRecord:
     impact_state_jacobian, the Python step loop, the final_step oracle and landing_state_jacobian."""
     xi = racket_impact(event.xi_minus, racket_rotation(phi), racket_velocity(event), physics)
     tangent = None if jacobian is None else impact_state_jacobian(phi, event, physics, jacobian == "coupled")
-    stop, k, pushed = python_flight(xi.tolist(), physics.k_drag, physics.dt, ballistics.MAX_STEPS, tangent=tangent)
+    stop, k, pushed, _ = python_flight(xi.tolist(), physics.k_drag, physics.dt, ballistics.MAX_STEPS, tangent=tangent)
     t_last, landing = final_step(stop)
     record = LandingRecord(k, t_last, landing, np.array(stop))
     if tangent is not None:
@@ -930,12 +931,12 @@ class TestReturnMatchesReference:
 
 def import_in_child(root, code: str = "") -> subprocess.CompletedProcess:
     """Test-local: import the ttreturn under `root` in a fresh interpreter, run `code`
-    with the module as `ballistics`, and print the path of the loaded kernel."""
+    with the module as `kernel`, and print the path of the loaded kernel."""
     script = (f"import sys; sys.path.insert(0, {str(root)!r})\n"
-              "from ttreturn import ballistics\n"
-              f"assert ballistics.__file__.startswith({str(root)!r})\n"
+              "from ttreturn import kernel\n"
+              f"assert kernel.__file__.startswith({str(root)!r})\n"
               f"{code}\n"
-              "print(ballistics.KERNEL._name)\n")
+              "print(kernel.KERNEL._name)\n")
     return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
 
 
@@ -971,15 +972,15 @@ class TestKernelBuild:
             names.append(rebuilt)
 
     def test_failed_build_raises_import_error_with_command_and_stderr(self, package):
-        code = ("ballistics.CC_COMMAND = (*ballistics.CC_COMMAND, '-fno-such-option')\n"
+        code = ("kernel.CC_COMMAND = (*kernel.CC_COMMAND, '-fno-such-option')\n"
                 "try:\n"
-                "    ballistics.load_kernel()\n"
+                "    kernel.load_kernel()\n"
                 "except ImportError as exc:\n"
                 "    sys.exit(str(exc))")
         child = import_in_child(package, code)
         assert child.returncode == 1
         command, stderr = child.stderr.split("\n", 1)
-        built = " ".join((*ballistics.CC_COMMAND, "-fno-such-option", "-o "))
+        built = " ".join((*kernel.CC_COMMAND, "-fno-such-option", "-o "))
         assert command.startswith("cannot build the kernel library: " + built) and "-ffp-contract=off" in command
         assert command.endswith("/flight.c " + str(package / "ttreturn" / "mlp.c") + " -lm")
         assert "-fno-such-option" in stderr  # the compiler's own complaint
@@ -991,8 +992,44 @@ class TestKernelBuild:
         # vectorize the row loops, and it must not reach for them
         if shutil.which("nm") is None:
             pytest.skip("nm is not installed")
-        listed = subprocess.run(["nm", "-D", "--undefined-only", ballistics.KERNEL._name],
+        listed = subprocess.run(["nm", "-D", "--undefined-only", kernel.KERNEL._name],
                                 capture_output=True, text=True, check=True, timeout=60).stdout
         symbols = [line.split()[-1].split("@")[0] for line in listed.splitlines() if line.strip()]
         assert "exp" in symbols
         assert [name for name in symbols if name.startswith("_ZGV")] == []
+
+    def test_pointer_checks_the_array(self):
+        read_only = np.zeros(4)
+        read_only.flags.writeable = False
+        for bad in (np.zeros(4, dtype=np.float32), np.zeros(8)[::2], read_only, np.zeros(4, dtype=np.int64)):
+            with pytest.raises(ValueError, match="^the kernel reads a C-contiguous writable float64 array$"):
+                kernel.pointer(bad)
+        with pytest.raises(ValueError, match="int64 array$"):
+            kernel.pointer(np.zeros(4), np.int64)
+        assert kernel.pointer(np.arange(3.0))[2] == 2.0 and kernel.pointer(np.arange(3), np.int64)[1] == 1
+
+    def test_sources_compile_without_warnings(self, tmp_path):
+        # the build command itself has no warning flags, so that the library's hash stays put
+        sources = sorted(str(path) for path in pathlib.Path(kernel.__file__).parent.glob("*.c"))
+        command = [*kernel.CC_COMMAND, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"), *sources, "-lm"]
+        built = subprocess.run(command, capture_output=True, text=True, timeout=120)
+        assert (built.returncode, built.stderr) == (0, "")
+
+    def test_every_entry_is_declared_with_its_c_types(self):
+        # ctypes passes an undeclared argument as a C int and reads an undeclared result as
+        # one, which would narrow an int64_t; every ttr_* definition must be declared as written
+        types = {"double": ctypes.c_double, "int64_t": ctypes.c_int64, "void": None,
+                 "double *": ctypes.POINTER(ctypes.c_double), "int64_t *": ctypes.POINTER(ctypes.c_int64)}
+
+        def c_type(param: str) -> str:  # "const double *rig" -> "double *"
+            return " ".join(word for word in param.replace("*", " * ").split()[:-1] if word != "const")
+
+        definition = re.compile(r"^(?!static)(\w+) (ttr_\w+)\(([^)]*)\)\s*\{", re.MULTILINE)
+        entries = {name: (returned, [c_type(param) for param in params.split(",")])
+                   for path in sorted(pathlib.Path(kernel.__file__).parent.glob("*.c"))
+                   for returned, name, params in definition.findall(path.read_text())}
+        assert {"ttr_flight", "ttr_return", "ttr_returns", "ttr_crossings", "ttr_mlp", "ttr_adam_epoch"} <= set(entries)
+        for name, (returned, params) in entries.items():
+            entry = getattr(kernel.KERNEL, name)
+            assert entry.restype is types[returned], name
+            assert entry.argtypes is not None and list(entry.argtypes) == [types[p] for p in params], name

@@ -368,7 +368,7 @@ def scalar_train(dataset, cfg) -> tuple[list, dict]:
     n_val = int(round(cfg.validation_fraction * n)) if n >= 10 else 0
     rows = np.hstack([x, y])[rng.permutation(n)].tolist()
     val_rows, train_rows = rows[:n_val], rows[n_val:]
-    theta, scales = model.theta.tolist(), model.scales().tolist()
+    theta, scales = model.theta.tolist(), model.scales.tolist()
     n_in, n_out, n_params = SIZES[0], SIZES[-1], len(theta)
     mean, std = scales[2 * n_in : 2 * n_in + n_out], scales[2 * n_in + n_out :]
     m_adam, v_adam, t_step = [0.0] * n_params, [0.0] * n_params, 0
@@ -435,7 +435,7 @@ class TestKernelMatchesScalarOracle:
         model = random_model(seed)
         rng = np.random.default_rng(100 + seed)
         for t1, t4 in rng.uniform(-1.5, 1.5, size=(5, 2)):
-            out, jac = scalar_evaluate(model.theta.tolist(), model.scales().tolist(), (t1, t4))
+            out, jac = scalar_evaluate(model.theta.tolist(), model.scales.tolist(), (t1, t4))
             phi = InterceptionPolicy(t1, t4)
             assert mlp_forward(model, phi).tolist() == out
             assert mlp_jacobian(model, phi).tolist() == jac

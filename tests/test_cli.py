@@ -24,6 +24,8 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
+import ttreturn.ballistics
+import ttreturn.env
 import ttreturn.harness
 from conftest import read_run_csv
 from ttreturn.blackbox import random_model
@@ -237,6 +239,29 @@ def test_abort_writes_partial_run_log(tmp_path, capsys, monkeypatch):
     assert [rec.i for rec in log.records] == [1, 2, 3]
     assert log.n_failures == 21
     assert "# failures=21\n" in (out / "run_greybox_seed1.csv").read_text()
+
+
+def test_env_label_flight_error_exits_after_the_first_failing_hit(tmp_path, capsys, monkeypatch):
+    # every return is cut off at 300 steps: the first hit's flight raises at once, so
+    # gen-data --labels env exits 3 after the launches up to that hit, not after n of them
+    launch, event = ttreturn.env.launch, ttreturn.env.interception_event
+    calls = {"launches": 0, "hits": 0}
+
+    def counted_launch(*args, **kwargs):
+        calls["launches"] += 1
+        return launch(*args, **kwargs)
+
+    def counted_event(*args, **kwargs):
+        result = event(*args, **kwargs)
+        calls["hits"] += 1
+        return result
+
+    monkeypatch.setattr(ttreturn.ballistics, "MAX_STEPS", 300)
+    monkeypatch.setattr(ttreturn.env, "launch", counted_launch)
+    monkeypatch.setattr(ttreturn.env, "interception_event", counted_event)
+    code = main(["gen-data", "--labels", "env", "--n", "50", "--seed", "3", "--out", str(tmp_path / "o")])
+    assert (code, capsys.readouterr().err) == (3, "error: MaxStepsExceeded: no landing within 300 steps\n")
+    assert calls["hits"] == 1 and 1 <= calls["launches"] < 50
 
 
 def test_failing_variance_policy_keeps_earlier_rows(tmp_path, capsys):

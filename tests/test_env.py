@@ -25,6 +25,7 @@ from ttreturn.env import (
     EnvConfig,
     LAUNCH_STEPS,
     SAMPLE_DT,
+    SampledTrajectory,
     TRUTH,
     Y_PAST,
     estimate_variance,
@@ -62,7 +63,17 @@ class TestLaunch:
     def test_deterministic_given_seed(self, env_cfg):
         a = launch(env_cfg, np.random.default_rng(3))
         b = launch(env_cfg, np.random.default_rng(3))
-        assert a.rows == b.rows
+        assert a.rows.tolist() == b.rows.tolist()
+
+    def test_rows_are_six_n_floats_that_the_kernel_reads_in_place(self):
+        with pytest.raises(ValueError, match=r"^rows must be 6 n floats, got shape \(5,\)$"):
+            SampledTrajectory([0.0] * 5)
+        given = np.arange(12.0)
+        traj = SampledTrajectory(given)
+        given[0] = -1.0  # the trajectory holds its own copy
+        assert len(traj) == 2 and traj.rows.dtype == np.float64 and traj.rows.tolist() == list(range(12))
+        traj.rows[0] = 7.0  # rows is a view of the samples the crossing search reads
+        assert traj.samples[0] == 7.0
 
     def test_zero_jitter_starts_at_nominal(self, noiseless_env_cfg):
         traj = launch(noiseless_env_cfg, np.random.default_rng(0))
@@ -156,8 +167,8 @@ def aimed_and_full(cfg, theta1, seed=0):
 
 def is_window(aimed, full):
     """Whether the aimed rows are a contiguous run of whole samples of the full rows."""
-    n = len(aimed.rows)
-    return any(full.rows[off : off + n] == aimed.rows for off in range(0, len(full.rows) - n + 1, 6))
+    aimed, full = aimed.rows.tolist(), full.rows.tolist()
+    return any(full[off : off + len(aimed)] == aimed for off in range(0, len(full) - len(aimed) + 1, 6))
 
 
 def ray_direction(theta1):
@@ -191,13 +202,13 @@ def two_call_launch(cfg, rng, aim=None):
     y_stop = Y_PAST if aim is None else stop_past(start, aim)
     y_keep, steps = y_stop - 4.0 * SAMPLE_DT * start[4] + 2e-3, LAUNCH_STEPS
     if y_stop > Y_PAST and start[1] > y_keep:
-        stop, n, _ = euler_flight(start, TRUTH.k_drag, SAMPLE_DT, steps, y_keep)
+        stop, n, _, _ = euler_flight(start, TRUTH.k_drag, SAMPLE_DT, steps, y_keep)
         start, steps = list(stop), steps - n
         if stop[2] <= 0.0 or (stop[2] <= Z_TABLE and on_table(stop)):
             return start
     rows = list(start)
     for _ in range(steps):
-        stop, _, _ = euler_flight(rows[-6:], TRUTH.k_drag, SAMPLE_DT, 1, y_stop)
+        stop = euler_flight(rows[-6:], TRUTH.k_drag, SAMPLE_DT, 1, y_stop)[0]
         rows.extend(stop)
         if stop[2] <= 0.0 or stop[1] <= y_stop or (stop[2] <= Z_TABLE and on_table(stop)):
             break
@@ -212,7 +223,7 @@ class TestLaunchWindowOracle:
         for seed in range(6):
             for aim in (None, *THETA1_GRID):
                 want = two_call_launch(cfg, np.random.default_rng(seed), aim)
-                assert launch(cfg, np.random.default_rng(seed), aim).rows == want
+                assert launch(cfg, np.random.default_rng(seed), aim).rows.tolist() == want
 
     @pytest.mark.parametrize("name", list(WINDOW_EXITS))
     def test_window_exits(self, name):
@@ -220,7 +231,7 @@ class TestLaunchWindowOracle:
         cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
         for aim in (None, t1):
             want = two_call_launch(cfg, np.random.default_rng(0), aim)
-            assert launch(cfg, np.random.default_rng(0), aim).rows == want
+            assert launch(cfg, np.random.default_rng(0), aim).rows.tolist() == want
 
     @pytest.mark.parametrize("name", list(CONTACT_CONFIGS))
     @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["1x", "3x"])
@@ -230,7 +241,7 @@ class TestLaunchWindowOracle:
         lengths = set()
         for seed in range(4):
             for aim in (None, *THETA1_GRID):
-                rows = launch(cfg, np.random.default_rng(seed), aim).rows
+                rows = launch(cfg, np.random.default_rng(seed), aim).rows.tolist()
                 assert rows == two_call_launch(cfg, np.random.default_rng(seed), aim)
                 lengths.add(len(rows) // 6)
         assert 1 in lengths and max(lengths) > 1  # a one-sample stop before the window, and full flights
@@ -275,7 +286,7 @@ class TestAimedLaunch:
         for t1 in THETA1_GRID:
             assert stop_past(list(nominal), t1) == Y_PAST
             aimed, full = aimed_and_full(cfg, t1)
-            assert aimed.rows == full.rows
+            assert aimed.rows.tolist() == full.rows.tolist()
 
     @pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["toward_base", "away_from_base"])
     def test_start_parallel_to_the_ray_flies_the_full_path(self, env_cfg, sign):
@@ -284,7 +295,7 @@ class TestAimedLaunch:
         cfg = EnvConfig(nominal_state=np.array([-0.15, 3.9, 1.1, vx, vy, 3.3]), jitter_std=np.zeros(6))
         assert stop_past(cfg.nominal_state.tolist(), t1) == Y_PAST
         aimed, full = aimed_and_full(cfg, t1)
-        assert aimed.rows == full.rows
+        assert aimed.rows.tolist() == full.rows.tolist()
 
     def test_path_along_the_ray_line_matches_the_full_launch(self, env_cfg):
         # a start on the theta1 line through the base, heading along the ray within
@@ -299,7 +310,7 @@ class TestAimedLaunch:
                     x, y = BASE[:2] - dist * ray_direction(t1)
                     cfg = EnvConfig(nominal_state=np.array([x, y, 1.1, vx, vy, 2.0]), jitter_std=np.zeros(6))
                     aimed, full = aimed_and_full(cfg, t1)
-                    assert aimed.rows == full.rows[: len(aimed.rows)]
+                    assert aimed.rows.tolist() == full.rows[: len(aimed.rows)].tolist()
                     assert event_or_error(aimed, t1) == event_or_error(full, t1)
 
     @pytest.mark.parametrize("nominal,t1", [((-0.15, -0.3, 1.1, 0.0, -8.3, 3.3), 0.45),  # crossing behind the start
@@ -308,7 +319,7 @@ class TestAimedLaunch:
         cfg = EnvConfig(nominal_state=np.array(nominal), jitter_std=np.zeros(6))
         assert stop_past(list(nominal), t1) == Y_PAST
         aimed, full = aimed_and_full(cfg, t1)
-        assert aimed.rows == full.rows
+        assert aimed.rows.tolist() == full.rows.tolist()
 
     def test_stop_lies_two_samples_and_a_millimeter_past_the_crossing(self, env_cfg):
         # the nominal ball flies straight down -y at x = -0.15, so its crossing of the
@@ -329,10 +340,10 @@ class TestAimedLaunch:
         with pytest.raises(missed.type, match=f"^{re.escape(str(missed.value))}$"):
             interception_event(aimed, t1)
         if name == "crossing_in_first_step":
-            assert aimed.rows[:6] == list(nominal) and missed.type is OutOfReach
+            assert aimed.rows[:6].tolist() == list(nominal) and missed.type is OutOfReach
             assert "target at 3.905 m" in str(missed.value)
         else:
-            assert len(aimed) == 1 and aimed.rows == full.rows[-6:] and missed.type is NoCrossing
+            assert len(aimed) == 1 and aimed.rows.tolist() == full.rows[-6:].tolist() and missed.type is NoCrossing
 
 
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis not installed")

@@ -30,7 +30,8 @@ try:
 except ImportError:
     HAVE_HYPOTHESIS = False
 
-from ttreturn.arm import InterceptionPolicy, base_azimuth, interception_event
+from test_arm import base_azimuth
+from ttreturn.arm import InterceptionPolicy, interception_event
 from ttreturn.ballistics import MAX_STEPS, Z_TABLE
 from ttreturn.blackbox import Dataset, MlpModel, mlp_forward, mlp_jacobian, random_model
 from ttreturn.env import estimate_variance, intercept
@@ -474,7 +475,7 @@ class TestBlockedSampling:
         traj = nominal_trajectory(env_cfg)
         monkeypatch.setattr(ttreturn.ballistics, "MAX_STEPS", max_steps)
         monkeypatch.setattr(ttreturn.ballistics, "Z_TABLE", z_table)
-        assert nominal_trajectory(env_cfg).rows == traj.rows  # the launch passes the table either way
+        assert nominal_trajectory(env_cfg).rows.tolist() == traj.rows.tolist()  # the launch passes the table either way
         ref_rng, calls, landed = np.random.default_rng(2), [], []
         scalar = {"greybox": lambda phi: predict_landing(phi, traj, MODEL),
                   "env": lambda phi: intercept(phi, env_cfg, ref_rng)[0]}[labels]
@@ -549,24 +550,27 @@ class TestGradCheck:
         assert calls == {"flights": 50, "events": 10}
 
     def test_open_loop_labels_fly_as_one_block(self, env_cfg, monkeypatch):
-        # env dataset labels and baseline-variance trials: no scalar return flight,
-        # one block flight per dataset and per variance estimate
-        calls = {"scalar": 0, "blocks": 0}
+        # env dataset labels and baseline-variance trials fly each hit as it is intercepted:
+        # one scalar return per hit and no block; grey-box labels fly as one block per dataset
+        calls = {"scalar": 0, "blocks": 0, "hits": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                return result
             return wrapper
 
         for module in (ttreturn.ballistics, ttreturn.env, ttreturn.greybox, ttreturn.harness):
             monkeypatch.setattr(module, "propagate_to_landing", counted("scalar", module.propagate_to_landing))
-        blocks = counted("blocks", ttreturn.greybox.return_landings)
-        monkeypatch.setattr(ttreturn.greybox, "return_landings", blocks)
+        monkeypatch.setattr(ttreturn.greybox, "return_landings", counted("blocks", ttreturn.greybox.return_landings))
+        monkeypatch.setattr(ttreturn.env, "interception_event", counted("hits", ttreturn.env.interception_event))
         ds = gen_dataset(env_cfg, 60, "uniform", np.random.default_rng(5), TestBlockedSampling.MISS_BOX)
-        assert len(ds) == 60 and calls == {"scalar": 0, "blocks": 1}
+        assert len(ds) == 60 and calls == {"scalar": 60, "blocks": 0, "hits": 60}
         estimate_variance(InterceptionPolicy(0.45, 0.25), 30, env_cfg, np.random.default_rng(0))
-        assert calls == {"scalar": 0, "blocks": 2}
+        assert calls["scalar"] == calls["hits"] > 60 and calls["blocks"] == 0
+        grey = gen_dataset_greybox(env_cfg, 60, "uniform", np.random.default_rng(5), TestBlockedSampling.MISS_BOX)
+        assert len(grey) == 60 and calls["blocks"] == 1 and calls["scalar"] == calls["hits"]
 
     def test_coupled_mode_checks_the_coupled_gradient(self, tmp_path, env_cfg):
         # the grad-check driver passes couple_geometry on: its summary is the
@@ -582,8 +586,8 @@ class TestGradCheck:
                                                                          report.max_rel_error)
         # every theta1 of this box lies within 1e-6 rad of one sample's azimuth,
         # so each +-1e-5 difference crosses into the next pair: all flagged
-        x, y = nominal_trajectory(env_cfg).xy()
-        az = float(base_azimuth(x[272], y[272]))
+        x, y = nominal_trajectory(env_cfg).rows[6 * 272 : 6 * 272 + 2].tolist()
+        az = base_azimuth(x, y)
         k = FeasibleSet((az - SAMPLING_MARGIN - 1e-6, az + SAMPLING_MARGIN + 1e-6), SCENARIO_BOX.theta4_bounds)
         assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k, coupled=True).n_flagged == 5
         assert grad_check_report("greybox", 5, seed=0, env_cfg=env_cfg, k=k).n_flagged < 5
