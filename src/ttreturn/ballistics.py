@@ -86,7 +86,8 @@ def euler_flight(
     With `samples`, the kernel keeps the six floats of each state at or below
     y = `y_keep` (by default every state), the start among them, or the stop
     state alone if it kept none before it, and they come back as one (6 k,)
-    float64 array; a flight that keeps more than SAMPLE_ROOM states flies again into a
+    float64 array that views the ctypes buffer the kernel wrote from its start (its
+    `base`); a flight that keeps more than SAMPLE_ROOM states flies again into a
     buffer of the size it reported, and the kernel never writes past a buffer. A 6x2
     `tangent` is pushed through the steps inside the loop on 12 doubles (ValueError for
     another shape): each step maps (dp, dv) to (dp + dt dv, dv - dt k (|v| dv + v (v . dv)

@@ -223,9 +223,10 @@ def train(dataset: Dataset, cfg: TrainConfig, k: FeasibleSet) -> tuple[MlpModel,
     m_adam, v_adam, t_step = np.zeros_like(model.theta), np.zeros_like(model.theta), ctypes.c_int64(0)
     mse = np.empty((cfg.epochs, 2))  # each epoch's training and validation MSE
     (theta, scales), (m, v, adam, rows) = model.pointers, map(pointer, (m_adam, v_adam, adam, rows))
-    for epoch in range(cfg.epochs):
-        # one kernel call per epoch (mlp.c's ttr_adam_epoch), its batches in the drawn order
-        order = pointer(rng.permutation(n - n_val), np.int64)
+    for epoch in range(cfg.epochs + 1):
+        # one kernel call per epoch (mlp.c's ttr_adam_epoch), its batches in the drawn order, while a helper
+        # thread takes the previous epoch's errors; one more call, without batches, takes the last epoch's
+        order = pointer(rng.permutation(n - n_val), np.int64) if epoch < cfg.epochs else None
         KERNEL.ttr_adam_epoch(theta, m, v, ctypes.byref(t_step), KERNEL_SIZES, N_LAYERS, scales, adam, rows, n, n_val,
-                              order, cfg.batch_size, pointer(mse[epoch]))
+                              order, cfg.batch_size, pointer(mse[epoch - 1]) if epoch else None)
     return model, {"train_mse": mse[:, 0].tolist(), "val_mse": mse[:, 1].tolist()}

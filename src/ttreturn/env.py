@@ -32,15 +32,20 @@ class SampledTrajectory:
     unaimed flight, or an aimed launch's window around its crossing (`launch`)."""
 
     rows: np.ndarray  # (6 n,) float64: p, v of each sample in turn, a view of samples
-    samples: ctypes.Array = field(init=False, repr=False)  # 6 n doubles that arm's kernel search reads
+    # at least 6 n doubles that arm's kernel search reads, the first 6 n of them the samples
+    samples: ctypes.Array | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        """Copy the given 6 n floats into samples (ValueError for another shape) and view them as rows."""
+        """Check that rows are 6 n floats (ValueError for another shape). Given the ctypes buffer
+        that rows view from its start (as euler_flight returns a launch's samples), adopt it as it is;
+        otherwise copy the floats into samples of their own and view them as rows."""
         rows = np.ascontiguousarray(self.rows, dtype=float)
         if rows.ndim != 1 or len(rows) % 6:
             raise ValueError(f"rows must be 6 n floats, got shape {rows.shape}")
-        self.samples = (ctypes.c_double * len(rows)).from_buffer_copy(rows)
-        self.rows = np.frombuffer(self.samples)
+        if self.samples is None:
+            self.samples = (ctypes.c_double * len(rows)).from_buffer_copy(rows)
+            rows = np.frombuffer(self.samples)
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.rows) // 6
@@ -99,7 +104,8 @@ def launch(cfg: EnvConfig, rng: np.random.Generator, aim: float | None = None) -
     start = (cfg.nominal_state + jitter).tolist()
     y_stop = Y_PAST if aim is None else stop_past(start, aim)
     y_keep = y_stop - 4.0 * SAMPLE_DT * start[4] + 2e-3 if y_stop > Y_PAST else inf
-    return SampledTrajectory(euler_flight(start, TRUTH.k_drag, SAMPLE_DT, LAUNCH_STEPS, y_stop, True, y_keep)[3])
+    kept = euler_flight(start, TRUTH.k_drag, SAMPLE_DT, LAUNCH_STEPS, y_stop, True, y_keep)[3]
+    return SampledTrajectory(kept, kept.base)
 
 
 def intercept(

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 
 # The kernel's build: no -ffast-math and no -march, and no contraction into fused
-# multiply-adds, which would change the last bits on hosts that have them.
-CC_COMMAND = ("cc", "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off")
+# multiply-adds, which would change the last bits on hosts that have them; -pthread
+# for the training epoch's helper thread (mlp.c).
+CC_COMMAND = ("cc", "-O3", "-std=c99", "-fPIC", "-shared", "-ffp-contract=off", "-pthread")
 DOUBLES, INT64S = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
 
 

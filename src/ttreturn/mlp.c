@@ -25,11 +25,23 @@
    with libm's scalar exp, everywhere. The scalar Python oracle in
    tests/test_blackbox.py makes the same operations in the same order, so the
    two agree bit for bit; as in flight.c, that holds only without contraction
-   and reassociation, and with no vector libm (libmvec) in place of exp. */
+   and reassociation, and with no vector libm (libmvec) in place of exp.
+
+   An epoch's two error passes read only its final weights, which the next
+   epoch starts from. So each ttr_adam_epoch call takes the errors of the
+   weights it starts from on a helper thread, from a copy of them, while the
+   calling thread runs its minibatches, and joins the helper before it
+   returns. Each error pass is still one thread's row-ordered loop with its
+   own activations, so no sum changes order and no byte moves. */
+
+#define _POSIX_C_SOURCE 200809L /* pthread_sigmask */
 
 #include <math.h>
+#include <pthread.h>
+#include <signal.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define BLOCK 64 /* rows that run through the layers together */
 
@@ -151,15 +163,52 @@ static double mean_squared_error(const double *theta, const int64_t *sizes, int6
     return total / n;
 }
 
+/* An epoch's error passes: the training and validation errors of theta into mse. */
+struct errors {
+    const double *theta, *scales, *rows;
+    const int64_t *sizes;
+    int64_t n_layers, n, n_val;
+    double *mse;
+};
+
+static void *error_passes(void *arg)
+{
+    const struct errors *job = arg;
+    int64_t params, units, width;
+    shape(job->sizes, job->n_layers, &params, &units, &width);
+    const int64_t stride = job->sizes[0] + job->sizes[job->n_layers];
+    double acts[units * BLOCK];
+    job->mse[0] = mean_squared_error(job->theta, job->sizes, job->n_layers, job->scales,
+                                     job->rows + job->n_val * stride, job->n - job->n_val, acts);
+    job->mse[1] = mean_squared_error(job->theta, job->sizes, job->n_layers, job->scales, job->rows, job->n_val, acts);
+    return NULL;
+}
+
+/* Start error_passes(job) on a helper thread with every signal blocked, so that
+   signals keep going to the calling thread; 0 if no thread could start. */
+static int start_helper(pthread_t *helper, struct errors *job)
+{
+    sigset_t all, old;
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    const int started = pthread_create(helper, NULL, error_passes, job) == 0;
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    return started;
+}
+
 /* One epoch of Adam on the records [x | y] of rows: the first n_val are the
    validation split, the n - n_val after them the training split, whose
    minibatches of at most `batch` rows are taken in the given order (a
-   permutation of 0 .. n - n_val - 1). Each batch's loss is the mean over its
-   rows of the squared distance between the network's output and the
-   normalized target (y - mean) / std. adam holds the learning rate, beta1,
-   beta2 and epsilon; theta, the moments m and v and the step count *t are
-   updated in place, with bias correction 1 - beta^t. Writes the epoch's
-   training and validation mean squared errors (mean_squared_error) to mse. */
+   permutation of 0 .. n - n_val - 1; NULL runs no minibatch). Each batch's
+   loss is the mean over its rows of the squared distance between the
+   network's output and the normalized target (y - mean) / std. adam holds the
+   learning rate, beta1, beta2 and epsilon; theta, the moments m and v and the
+   step count *t are updated in place, with bias correction 1 - beta^t.
+
+   Unless mse is NULL, writes the training and validation mean squared errors
+   (mean_squared_error) of the weights the call starts from to mse, on a
+   helper thread while the minibatches run, and joins it before returning; the
+   call runs them itself without an order, or if no thread can start. */
 void ttr_adam_epoch(double *theta, double *m, double *v, int64_t *t, const int64_t *sizes, int64_t n_layers,
                     const double *scales, const double *adam, const double *rows, int64_t n, int64_t n_val,
                     const int64_t *order, int64_t batch, double *mse)
@@ -169,9 +218,19 @@ void ttr_adam_epoch(double *theta, double *m, double *v, int64_t *t, const int64
     const int64_t n_in = sizes[0], n_out = sizes[n_layers], n_tr = n - n_val, stride = n_in + n_out;
     const double *mean = scales + 2 * n_in, *std = mean + n_out, *train = rows + n_val * stride;
     const double rate = adam[0], beta1 = adam[1], beta2 = adam[2], eps = adam[3];
-    double acts[units * BLOCK], grad[params], delta[2][width * BLOCK];
+    double acts[units * BLOCK], grad[params], delta[2][width * BLOCK], snapshot[params];
+    struct errors job = {snapshot, scales, rows, sizes, n_layers, n, n_val, mse};
+    pthread_t helper;
+    int helping = 0;
 
-    for (int64_t start = 0; start < n_tr; start += batch) {
+    if (mse) {
+        memcpy(snapshot, theta, params * sizeof *snapshot);
+        if (order)
+            helping = start_helper(&helper, &job);
+        if (!helping)
+            error_passes(&job);
+    }
+    for (int64_t start = 0; order && start < n_tr; start += batch) {
         const int64_t nb = n_tr - start < batch ? n_tr - start : batch;
         for (int64_t p = 0; p < params; p++)
             grad[p] = 0.0;
@@ -233,6 +292,6 @@ void ttr_adam_epoch(double *theta, double *m, double *v, int64_t *t, const int64
             theta[p] -= rate * (m[p] / corr1) / (sqrt(v[p] / corr2) + eps);
         }
     }
-    mse[0] = mean_squared_error(theta, sizes, n_layers, scales, train, n_tr, acts);
-    mse[1] = mean_squared_error(theta, sizes, n_layers, scales, rows, n_val, acts);
+    if (helping)
+        pthread_join(helper, NULL);
 }

@@ -997,6 +997,8 @@ class TestKernelBuild:
         symbols = [line.split()[-1].split("@")[0] for line in listed.splitlines() if line.strip()]
         assert "exp" in symbols
         assert [name for name in symbols if name.startswith("_ZGV")] == []
+        # the training epoch's helper thread (mlp.c), built with -pthread
+        assert {"pthread_create", "pthread_join", "pthread_sigmask"} <= set(symbols)
 
     def test_pointer_checks_the_array(self):
         read_only = np.zeros(4)

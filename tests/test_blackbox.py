@@ -1,6 +1,12 @@
 """Landing-point surrogate network: forward pass, exact gradients, training."""
 
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -273,9 +279,11 @@ TRAINING_CASES = [
     (142, 8, TrainConfig(epochs=3, seed=5), 64),
     # 270 = 2 * 100 + 70: each batch runs as tiles of 64 and 36 rows, the last as 64 and 6
     (300, 10, TrainConfig(epochs=3, seed=7), 100),
+    # one epoch: only the call that starts the helper on the initial weights and the one that takes the last errors
+    (150, 6, TrainConfig(epochs=1, seed=4), 32),
 ]
 TRAINING_IDS = ["short-last-batch", "one-row-last-batch", "one-record", "n_tr-below-batch", "batch-of-one",
-                "benchmark-scale", "batch-of-one-block", "batch-above-block"]
+                "benchmark-scale", "batch-of-one-block", "batch-above-block", "one-epoch"]
 
 
 class TestFlatAdamOracle:
@@ -445,6 +453,72 @@ class TestKernelMatchesScalarOracle:
         ours = np.array([scalar_tanh(v) for v in x.tolist()])
         assert np.abs(ours - np.tanh(x)).max() <= 4e-16
         assert np.abs(ours - [math.tanh(v) for v in x.tolist()]).max() <= 4e-16
+
+
+class TestHelperThread:
+    """Each ttr_adam_epoch call takes the previous epoch's errors on a helper thread."""
+
+    def test_concurrent_trainings_match_a_serial_one(self):
+        # ctypes releases the GIL, so both trainings' kernel calls, and their helpers, run at
+        # once; any scratch memory shared between calls would show in the weights or errors
+        ds, cfg = affine_dataset(1500, seed=11), TrainConfig(epochs=150, seed=3)
+        model, history = train(ds, cfg, WIDE_BOX)
+        results = [None, None]
+
+        def work(i):
+            results[i] = train(ds, cfg, WIDE_BOX)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for other, other_history in results:
+            assert other.theta.tolist() == model.theta.tolist()
+            assert other_history == history
+
+    @pytest.mark.skipif(not pathlib.Path("/proc/self/status").exists(), reason="no /proc/self/status")
+    def test_training_without_a_helper_thread_matches(self):
+        # under an address-space limit 4 MB above the child's size, no thread stack can be
+        # mapped, so pthread_create fails and each call takes its errors itself
+        tests, src = pathlib.Path(__file__).resolve().parent, pathlib.Path(blackbox.__file__).parents[1]
+        script = (f"import json, resource, sys, threading\n"
+                  f"sys.path[:0] = [{str(tests)!r}, {str(src)!r}]\n"
+                  "from test_blackbox import WIDE_BOX, affine_dataset\n"
+                  "from ttreturn.blackbox import TrainConfig, train\n"
+                  "status = open('/proc/self/status').read().split('VmSize:')[1].split()\n"
+                  "resource.setrlimit(resource.RLIMIT_AS, (int(status[0]) * 1024 + (4 << 20), resource.RLIM_INFINITY))\n"
+                  "try:\n"
+                  "    threading.Thread(target=print).start()\n"
+                  "    sys.exit('a thread started under the limit')\n"
+                  "except RuntimeError:\n"
+                  "    pass\n"
+                  "model, history = train(affine_dataset(300, seed=11), TrainConfig(epochs=20, seed=3), WIDE_BOX)\n"
+                  "print(json.dumps([model.theta.tolist(), history]))\n")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        model, history = train(affine_dataset(300, seed=11), TrainConfig(epochs=20, seed=3), WIDE_BOX)
+        assert json.loads(child.stdout.splitlines()[-1]) == [model.theta.tolist(), history]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+    def test_golden_training_pinned_to_one_cpu(self, tmp_path):
+        # on one CPU the helper and the minibatches interleave wherever the scheduler switches;
+        # the train-blackbox golden case must still write the table's bytes
+        tests = pathlib.Path(__file__).resolve().parent
+        from test_golden_outputs import CASES, TABLE, observe
+
+        golden, argv = json.loads(TABLE.read_text()), dict(CASES)
+        assert observe(tmp_path, "gen-data-greybox", argv["gen-data-greybox"]) == golden["gen-data-greybox"]
+        cpu = min(os.sched_getaffinity(0))
+        script = (f"import json, os, pathlib, sys\n"
+                  f"os.sched_setaffinity(0, {{{cpu}}})\n"
+                  f"sys.path[:0] = [{str(tests)!r}, {str(pathlib.Path(blackbox.__file__).parents[1])!r}]\n"
+                  "from test_golden_outputs import CASES, observe\n"
+                  f"result = observe(pathlib.Path({str(tmp_path)!r}), 'train-blackbox', dict(CASES)['train-blackbox'])\n"
+                  "print(json.dumps([sorted(os.sched_getaffinity(0)), result]))\n")
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout.splitlines()[-1]) == [[cpu], golden["train-blackbox"]]
 
 
 class TestDatasetIo:

@@ -75,6 +75,13 @@ class TestLaunch:
         traj.rows[0] = 7.0  # rows is a view of the samples the crossing search reads
         assert traj.samples[0] == 7.0
 
+    def test_launch_adopts_the_buffer_the_kernel_wrote(self, env_cfg):
+        # no second copy: the samples are euler_flight's buffer, which may hold room for more
+        for aim in (None, 0.0):
+            traj = launch(env_cfg, np.random.default_rng(2), aim)
+            assert traj.rows.base is traj.samples and len(traj.samples) >= 6 * len(traj)
+            assert np.frombuffer(traj.samples, count=len(traj.rows)).tolist() == traj.rows.tolist()
+
     def test_zero_jitter_starts_at_nominal(self, noiseless_env_cfg):
         traj = launch(noiseless_env_cfg, np.random.default_rng(0))
         np.testing.assert_array_equal(
