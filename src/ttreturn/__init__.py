@@ -48,7 +48,7 @@ from .harness import (
     run_experiment,
 )
 from .impact import impact_state_jacobian, racket_impact
-from .metrics import MetricsState, running_metrics
+from .metrics import MetricsState
 from .optimizer import FeasibleSet, RunLog, gd_update, project, run_online
 
 __version__ = "0.1.0"

@@ -5,7 +5,8 @@ feasibility error, a command-line usage error (argparse's usage message goes
 to stderr), an input file that cannot be read or an output that cannot be
 written; 2 run aborted after too many consecutive missed balls (its CSV keeps
 the finished iterations); 3 any other simulation error (a flight that cannot
-land or step, a singular or non-finite gradient or landing point in a run, a
+land or step, a singular or non-finite gradient in a run, a noisy landing, a
+run's loss or a running mean or scatter that is not finite in any mode, a
 degenerate training dataset or one with a non-finite value).
 """
 

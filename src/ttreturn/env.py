@@ -10,14 +10,14 @@ from __future__ import annotations
 import ctypes
 from contextlib import suppress
 from dataclasses import dataclass, field
-from math import ceil, cos, hypot, inf, sin
+from math import ceil, cos, hypot, inf, isfinite, sin
 
 import numpy as np
 
 from .arm import BASE, REST_AZIMUTH, InterceptionEvent, InterceptionPolicy, interception_event
 from .ballistics import Physics, euler_flight, propagate_to_landing
-from .errors import InfeasibleRegion, MissedBall
-from .metrics import running_metrics
+from .errors import InfeasibleRegion, MissedBall, NonFiniteStep
+from .metrics import MetricsState
 
 # The ground truth deliberately differs from greybox.MODEL (drag 0.12 vs
 # 0.106, restitution 0.72/-0.78/0.72 vs 0.75, a finer step) so that the
@@ -113,10 +113,15 @@ def intercept(
 ) -> tuple[np.ndarray, InterceptionEvent]:
     """One full interception: the launch aimed at theta1, its event (NoCrossing/OutOfReach
     for a miss) and the landing noise, drawn in that order, then the grey-box return
-    (propagate_to_landing) at TRUTH, which draws nothing. Returns landing + noise and the event."""
+    (propagate_to_landing) at TRUTH, which draws nothing. Returns landing + noise, added on
+    plain floats, and the event; NonFiniteStep when the noisy landing is not finite."""
     event = interception_event(launch(cfg, rng, aim=phi.theta1), phi.theta1)
-    noise = rng.normal(0.0, 1.0, size=2) * cfg.landing_noise_std
-    return propagate_to_landing(phi, event, TRUTH).landing_point + noise, event
+    (nx, ny), (sx, sy) = rng.normal(0.0, 1.0, size=2).tolist(), cfg.landing_noise_std.tolist()
+    lx, ly = propagate_to_landing(phi, event, TRUTH).landing_point.tolist()
+    x, y = lx + nx * sx, ly + ny * sy
+    if not (isfinite(x) and isfinite(y)):
+        raise NonFiniteStep(f"noisy landing is not finite: ({x}, {y})")
+    return np.array([x, y]), event
 
 
 def estimate_variance(
@@ -129,12 +134,11 @@ def estimate_variance(
     flight error raised at once); InfeasibleRegion when MISS_TOLERANCE = 0.1 of them miss or < 2 land."""
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
-    points = []
+    hits = MetricsState((0.0, 0.0))
     for _ in range(n_trials):
         with suppress(MissedBall):
-            points.append(intercept(phi, cfg, rng)[0])
-    misses = n_trials - len(points)
-    if misses >= MISS_TOLERANCE * n_trials or len(points) < 2:
+            mean, _, sigma = hits.update(*intercept(phi, cfg, rng)[0].tolist())
+    misses = n_trials - hits.count
+    if misses >= MISS_TOLERANCE * n_trials or hits.count < 2:
         raise InfeasibleRegion(f"{misses} of {n_trials} trials missed the ball")
-    mean, _, sigma = running_metrics(points, np.zeros(2))
     return mean, sigma

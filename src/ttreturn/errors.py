@@ -34,7 +34,8 @@ class DegenerateDataset(SimulationError):
 
 
 class NonFiniteStep(SimulationError):
-    """An online iteration observed a non-finite landing point or policy Jacobian."""
+    """A noisy landing, an online step's loss or policy Jacobian, or a running mean or scatter
+    is not finite: a non-finite number, or a landing so far off that a square overflows."""
 
 
 class AbortedRun(SimulationError):

@@ -2,32 +2,31 @@
 
 from __future__ import annotations
 
+from math import inf, sqrt
+
 import numpy as np
 
-
-def running_metrics(points, target) -> tuple[np.ndarray, float, float]:
-    """Mean landing point, distance of the mean to the target, and the
-    population standard deviation of the landing points (1/i weighting)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    target = np.asarray(target, dtype=float)
-    r_bar = pts.mean(axis=0)
-    dx, dy = (target - r_bar).tolist()
-    eps = float(np.sqrt(dx * dx + dy * dy))
-    sigma = float(np.sqrt(np.mean(np.sum((pts - r_bar) ** 2, axis=1))))
-    return r_bar, eps, sigma
+from .errors import NonFiniteStep
 
 
 class MetricsState:
-    """Keeps landing points in a doubling (n, 2) buffer; recomputes metrics exactly."""
+    """Count, mean and sum of squared deviations of the landings so far: Welford's O(1) update."""
 
     def __init__(self, target):
-        self.target = np.asarray(target, dtype=float)
-        self._buf = np.empty((64, 2))
+        self.tx, self.ty = map(float, target)
         self.count = 0
+        self.mx = self.my = self.m2 = 0.0
 
-    def update(self, r_landing) -> tuple[np.ndarray, float, float]:
-        if self.count == len(self._buf):
-            self._buf = np.concatenate([self._buf, np.empty_like(self._buf)])
-        self._buf[self.count] = r_landing
+    def update(self, x: float, y: float) -> tuple[np.ndarray, float, float]:
+        """Add the landing (x, y); the mean landing point, its distance to the target and the population
+        scatter (1/count weighting). NonFiniteStep for a non-finite one (or a square that overflows)."""
         self.count += 1
-        return running_metrics(self._buf[: self.count], self.target)
+        dx, dy = x - self.mx, y - self.my
+        self.mx += dx / self.count
+        self.my += dy / self.count
+        self.m2 += dx * (x - self.mx) + dy * (y - self.my)
+        ex, ey = self.tx - self.mx, self.ty - self.my
+        eps2, sigma2 = ex * ex + ey * ey, self.m2 / self.count
+        if not (eps2 < inf and 0.0 <= sigma2 < inf):  # NaN fails both
+            raise NonFiniteStep(f"landing {self.count}: the running mean or scatter is not finite")
+        return np.array([self.mx, self.my]), sqrt(eps2), sqrt(sigma2)

@@ -118,8 +118,9 @@ def run_online(
     a MissedBall error; a miss is retried with a fresh launch and no policy
     update, and more than FAILURE_CAP = 20 misses in a row raise AbortedRun with
     the log so far. gradient(phi, event) gives the predictor's 2x2 Jacobian
-    at the env's interception event; iteration i steps alpha1 / sqrt(i). A non-finite
-    landing or Jacobian raises NonFiniteStep before the metrics or gradient see it.
+    at the env's interception event; iteration i steps alpha1 / sqrt(i). A landing whose
+    loss is not finite raises NonFiniteStep before the metrics or gradient see it, as does a
+    non-finite Jacobian before the step and a running mean or scatter that is not finite.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
@@ -130,6 +131,7 @@ def run_online(
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     r_target = np.asarray(r_target, dtype=float)
+    tx, ty = r_target.tolist()
     metrics = MetricsState(r_target)
     log = RunLog()
 
@@ -146,23 +148,15 @@ def run_online(
                 if consecutive > FAILURE_CAP:
                     raise AbortedRun(f"{consecutive} consecutive missed balls at iteration {i}", log)
 
-        if not all(map(math.isfinite, np.ravel(r_landing).tolist())):
-            raise NonFiniteStep(f"iteration {i}: r_landing is not finite: {np.ravel(r_landing)}")
-        r_bar, eps, sigma = metrics.update(r_landing)
+        x, y = np.ravel(r_landing).tolist()
+        ex, ey = x - tx, y - ty
+        loss = 0.5 * (ex * ex + ey * ey)
+        if not math.isfinite(loss):
+            raise NonFiniteStep(f"iteration {i}: r_landing is not finite or its loss overflows: ({x}, {y})")
+        r_bar, eps, sigma = metrics.update(x, y)
         alpha = alpha1 / math.sqrt(i)
-        loss = 0.5 * float(np.sum((r_landing - r_target) ** 2))
-        log.records.append(
-            IterationRecord(
-                i=i,
-                phi=phi,
-                r_landing=np.asarray(r_landing, dtype=float),
-                alpha=alpha,
-                loss=loss,
-                eps=eps,
-                sigma=sigma,
-                r_bar=r_bar,
-            )
-        )
+        log.records.append(IterationRecord(i=i, phi=phi, r_landing=np.asarray(r_landing, dtype=float), alpha=alpha,
+                                           loss=loss, eps=eps, sigma=sigma, r_bar=r_bar))
         jac = gradient(phi, event)
         if not all(map(math.isfinite, np.ravel(jac).tolist())):
             raise NonFiniteStep(f"iteration {i}: jac is not finite: {np.ravel(jac)}")

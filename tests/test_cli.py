@@ -277,6 +277,23 @@ def test_failing_variance_policy_keeps_earlier_rows(tmp_path, capsys):
     ]
 
 
+def run_child(tmp_path, doc: dict, args: list) -> subprocess.CompletedProcess:
+    """The CLI with the config `doc` in a child process, since pytest captures warnings in its own."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(ttreturn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "ttreturn.cli", *args, "--config", str(cfg), "--out",
+                           str(tmp_path / "o")], capture_output=True, text=True, env=env)
+
+
+def non_finite_cells(out_dir: pathlib.Path) -> list[str]:
+    """Every cell of a CSV under out_dir that is a non-finite number (as `.9g` spells it), with its file."""
+    return [f"{path.name}: {c}" for path in sorted(out_dir.glob("**/*.csv"))
+            for line in path.read_text().splitlines() if not line.startswith("#")
+            for c in line.split(",") if c.lstrip("-") in ("inf", "nan")]
+
+
 @pytest.mark.parametrize("args,code,err", [
     (["run", "--iters", "1"], 2, "aborted: 21 consecutive missed balls at iteration 1\n"),
     (["baseline-variance", "--trials", "20"], 1, "error: 20 of 20 trials missed the ball\n"),
@@ -284,14 +301,23 @@ def test_failing_variance_policy_keeps_earlier_rows(tmp_path, capsys):
 ], ids=["run", "baseline-variance", "gen-data-greybox"])
 def test_overflowed_launch_misses_without_a_numpy_warning(tmp_path, args, code, err):
     # an overflowed launch reaches the arm as inf and NaN samples: every ball is missed and stderr
-    # holds the one error line; a child process, since pytest captures warnings in its own
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"nominal_state": [-0.15, 3.9, 1.1, 1e160, 0, 3.3]}))
-    src = os.path.dirname(os.path.dirname(ttreturn.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "ttreturn.cli", *args, "--config", str(cfg), "--out",
-                           str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    # holds the one error line
+    proc = run_child(tmp_path, {"nominal_state": [-0.15, 3.9, 1.1, 1e160, 0, 3.3]}, args)
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+@pytest.mark.parametrize("args,message", [
+    (["baseline-variance", "--trials", "20"], "landing 1: the running mean or scatter is not finite"),
+    (["gen-data", "--labels", "env", "--n", "5"], "noisy landing is not finite: ("),
+    (["run", "--iters", "5"], "iteration 1: r_landing is not finite or its loss overflows: ("),
+], ids=["baseline-variance", "gen-data-env", "run"])
+def test_huge_landing_noise_exits_three_without_a_numpy_warning(tmp_path, args, message):
+    # a noisy landing that overflows, or whose square does, stops every mode with its one error
+    # line on stderr, and no CSV it leaves holds a non-finite number
+    proc = run_child(tmp_path, {"landing_noise_std": [1e308, 1e308]}, args)
+    assert (proc.returncode, proc.stderr.count("\n")) == (3, 1), proc.stderr
+    assert proc.stderr.startswith(f"error: NonFiniteStep: {message}") and "RuntimeWarning" not in proc.stderr
+    assert non_finite_cells(tmp_path / "o") == []
 
 
 def test_non_finite_gradient_exits_three(tmp_path, capsys, monkeypatch):
@@ -550,6 +576,8 @@ def cli_case(draw, model_path):
         "n_trials": draw(st.integers(2, 6)),
         "n_seeds": draw(st.integers(1, 2)),
         "n_replicates": 1,
+        # up to landings, or squares of them, that overflow
+        "landing_noise_std": draw(st.lists(st.floats(0.0, 1e308), min_size=2, max_size=2)),
     }
     return draw(st.sampled_from(MODE_ARGS)), cfg
 
@@ -562,8 +590,9 @@ SAMPLER_ERRORS = ("n_points: grid sampling needs a square count", "box: too smal
 @given(data=st.data())
 def test_every_outcome_is_a_documented_exit_code_property(random_model_path, data):
     # the typed-error contract: no traceback, an exit code of 0-3, strict JSON on
-    # success, and finite policies in every run CSV written, whatever the outcome;
-    # a config that validates is not refused later by the policy sampler
+    # success, finite policies in every run CSV and finite numbers in every CSV
+    # written, whatever the outcome; a config that validates is not refused later
+    # by the policy sampler
     args, cfg = data.draw(cli_case(random_model_path))
     with tempfile.TemporaryDirectory() as tmp:
         config, out_dir = pathlib.Path(tmp, "cfg.json"), pathlib.Path(tmp, "o")
@@ -584,3 +613,4 @@ def test_every_outcome_is_a_documented_exit_code_property(random_model_path, dat
             assert not any(m in stderr.getvalue() for m in SAMPLER_ERRORS), stderr.getvalue()
         for path in [*out_dir.glob("run_*.csv"), *out_dir.glob("sweep_*_rep*.csv")]:
             assert all(math.isfinite(r.phi.theta1) and math.isfinite(r.phi.theta4) for r in read_run_csv(path)[0].records)
+        assert non_finite_cells(out_dir) == []

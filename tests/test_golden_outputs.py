@@ -13,8 +13,8 @@ call wrote.
 The hashes hold for numpy 2.4.6 on an x86-64 glibc libm. Every case is
 covered by tests/test_host_independent_bytes.py: the grey-box returns and
 their Jacobians, the surrogate's training and evaluation run in the compiled
-kernels in a fixed order, and the online step, the metrics' norms and the
-crossing search's angles run on plain floats, so no hashed number passes
+kernels in a fixed order, and the online step and its loss, the running
+metrics (Welford's update) and the crossing search's angles run on plain floats, so no hashed number passes
 through a BLAS product or numpy's SIMD transcendentals. Only libm can still
 move the covered cases: `cos`, `sin`, `atan2` and `exp` come from the system
 libm, through the kernels and Python's `math`. A change that means to move an

@@ -289,7 +289,7 @@ class TestRunOnline:
 
     def test_non_finite_landing_stops_before_metrics_and_gradient(self, monkeypatch):
         # a NaN landing is reported as such even when the gradient would fail,
-        # and never enters the metrics buffer
+        # and never reaches the metrics
         cfg = make_noiseless_cfg()
         updates = []
         monkeypatch.setattr(MetricsState, "update", lambda self, r: updates.append(r))
